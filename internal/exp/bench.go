@@ -33,7 +33,7 @@ type KernelBench struct {
 	NsPerDispatch    float64 `json:"ns_per_dispatch"`
 	DispatchesPerSec float64 `json:"dispatches_per_sec"`
 	// InlineEventFrac is the fraction of events the migrating kernel
-	// loop fired without any goroutine handoff (kernel callbacks, packet
+	// loop fired without any process handoff (kernel callbacks, packet
 	// deliveries, and self-resumptions served on the live stack).
 	InlineEventFrac float64 `json:"inline_event_frac"`
 	AllocsPerPacket float64 `json:"allocs_per_packet"`

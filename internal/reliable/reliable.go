@@ -86,8 +86,12 @@ type NodeStats struct {
 	GaveUp         uint64
 }
 
-// pendingMsg is one unacknowledged message.
+// pendingMsg is one unacknowledged message. The structs are recycled on
+// their node's free list, so steady-state sends allocate nothing: expire
+// is bound once per struct, not once per armed timer.
 type pendingMsg struct {
+	ns       *nodeState
+	expire   func() // pm.onExpire, the retransmit timer's callback
 	dst      int
 	seq      uint64
 	h        am.HandlerID
@@ -98,11 +102,21 @@ type pendingMsg struct {
 	backoff  sim.Duration
 	timer    sim.Timer
 	done     bool
+	// busy marks a struct somebody besides ol.pending still refers to: it
+	// sits in ns.due, or Send or the daemon is inside a yielding SendRaw
+	// on its behalf. A retire that finds it busy leaves the release to
+	// whoever clears the flag, so a struct never changes identity under
+	// the daemon's `ol.pending[seq] == pm` check.
+	busy bool
+	next *pendingMsg // free-list link
 }
 
 // outLink is the sender half of one directed link.
 type outLink struct {
 	nextSeq uint64
+	// floor is the highest cumulative ack seen: nothing at or below it is
+	// pending, so each ack only has to look at (floor, cum].
+	floor   uint64
 	pending map[uint64]*pendingMsg
 }
 
@@ -126,7 +140,49 @@ type nodeState struct {
 	daemon        *threads.Thread
 	daemonBlocked bool
 	due           []*pendingMsg
+	freePM        *pendingMsg
 	stats         Stats
+}
+
+// track takes a pendingMsg off the free list (or makes one), fills it for
+// a first transmission and enters it in ol.pending.
+func (ns *nodeState) track(ol *outLink, dst int, seq uint64, h am.HandlerID, w [4]uint64, payload []byte, bulk bool, rto sim.Duration) *pendingMsg {
+	pm := ns.freePM
+	if pm != nil {
+		ns.freePM = pm.next
+	} else {
+		pm = &pendingMsg{ns: ns}
+		pm.expire = pm.onExpire
+	}
+	*pm = pendingMsg{
+		ns: ns, expire: pm.expire,
+		dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
+		payload: payload, bulk: bulk, attempts: 1, backoff: rto,
+	}
+	ol.pending[seq] = pm
+	ns.stats.DataSent++
+	return pm
+}
+
+// settle ends a busy stretch: a message retired meanwhile is recycled and
+// settle reports true; otherwise it is still pending and the caller
+// re-arms it.
+func (ns *nodeState) settle(pm *pendingMsg) bool {
+	pm.busy = false
+	if !pm.done {
+		return false
+	}
+	ns.release(pm)
+	return true
+}
+
+// release recycles a retired pendingMsg. The caller guarantees nothing
+// refers to it any more: it is out of ol.pending, not busy, and its timer
+// has fired or been cancelled.
+func (ns *nodeState) release(pm *pendingMsg) {
+	pm.payload = nil
+	pm.next = ns.freePM
+	ns.freePM = pm
 }
 
 func (ns *nodeState) outLink(dst int) *outLink {
@@ -216,16 +272,12 @@ func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID
 	ol.nextSeq++
 	seq := ol.nextSeq
 	ew[0] = seq
-	pm := &pendingMsg{
-		dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
-		payload: payload, bulk: bulk, attempts: 1, backoff: t.opts.RTO,
-	}
-	ol.pending[seq] = pm
-	ns.stats.DataSent++
+	pm := ns.track(ol, dst, seq, h, w, payload, bulk, t.opts.RTO)
+	pm.busy = true
 	ep.SendRaw(c, dst, t.dataH, ew, payload, bulk)
 	// The draining send may already have serviced this message's ack.
-	if !pm.done {
-		t.arm(ns, pm, t.opts.RTO)
+	if !ns.settle(pm) {
+		pm.arm(t.opts.RTO)
 	}
 }
 
@@ -243,31 +295,27 @@ func (t *Transport) TrySend(c threads.Ctx, ep *am.Endpoint, dst int, h am.Handle
 		return false
 	}
 	ol.nextSeq = seq
-	pm := &pendingMsg{
-		dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
-		payload: payload, bulk: bulk, attempts: 1, backoff: t.opts.RTO,
-	}
-	ol.pending[seq] = pm
-	ns.stats.DataSent++
-	t.arm(ns, pm, t.opts.RTO)
+	ns.track(ol, dst, seq, h, w, payload, bulk, t.opts.RTO).arm(t.opts.RTO)
 	return true
 }
 
-// arm schedules pm's retransmit timer on the node's shard. Expiry runs in
-// kernel context, which cannot send; it queues the message and wakes the
-// node's daemon.
-func (t *Transport) arm(ns *nodeState, pm *pendingMsg, d sim.Duration) {
-	pm.timer = ns.sh.AfterTimer(d, func() {
-		pm.timer = sim.Timer{}
-		if pm.done {
-			return
-		}
-		ns.due = append(ns.due, pm)
-		if ns.daemonBlocked {
-			ns.daemonBlocked = false
-			ns.daemon.Resume(false)
-		}
-	})
+// arm schedules pm's retransmit timer on the node's shard.
+func (pm *pendingMsg) arm(d sim.Duration) {
+	pm.timer = pm.ns.sh.AfterTimer(d, pm.expire)
+}
+
+// onExpire is the retransmit timer's callback. It runs in kernel context,
+// which cannot send; it queues the message and wakes the node's daemon.
+// (A retired message never gets here: retiring cancels the timer.)
+func (pm *pendingMsg) onExpire() {
+	ns := pm.ns
+	pm.timer = sim.Timer{}
+	pm.busy = true
+	ns.due = append(ns.due, pm)
+	if ns.daemonBlocked {
+		ns.daemonBlocked = false
+		ns.daemon.Resume(false)
+	}
 }
 
 // daemonLoop is the per-node retransmit daemon: woken by timer expiry, it
@@ -278,17 +326,19 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 			pm := ns.due[0]
 			ns.due = ns.due[1:]
 			if pm.done {
+				ns.settle(pm) // acked while queued
 				continue
 			}
 			ol := ns.outLink(pm.dst)
 			if cur, ok := ol.pending[pm.seq]; !ok || cur != pm {
-				continue
+				panic("reliable: due message is not the pending one")
 			}
 			if pm.attempts >= t.opts.MaxAttempts {
 				pm.done = true
 				delete(ol.pending, pm.seq)
 				ns.stats.GaveUp++
 				t.nstats[ns.id].GaveUp++
+				ns.settle(pm)
 				continue
 			}
 			pm.attempts++
@@ -296,14 +346,14 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 			t.nstats[ns.id].Retransmits++
 			ns.ep.SendRaw(c, pm.dst, t.dataH,
 				[4]uint64{pm.seq, uint64(pm.h), pm.w0, pm.w1}, pm.payload, pm.bulk)
-			if pm.done {
+			if ns.settle(pm) {
 				continue // the drain inside SendRaw serviced the ack
 			}
 			pm.backoff *= 2
 			if pm.backoff > t.opts.RTOMax {
 				pm.backoff = t.opts.RTOMax
 			}
-			t.arm(ns, pm, t.jittered(ns.id, pm))
+			pm.arm(t.jittered(ns.id, pm))
 		}
 		ns.daemonBlocked = true
 		c.S.Block(c)
@@ -380,25 +430,34 @@ func (t *Transport) handleAck(c threads.Ctx, pkt *cm5.Packet) {
 	ol := ns.outLink(pkt.Src)
 	seq, cum := pkt.W0, pkt.W1
 	ns.stats.AcksReceived++
-	retired := false
-	retire := func(pm *pendingMsg, q uint64) {
-		pm.done = true
-		pm.timer.Cancel() // no-op on the zero Timer
-		pm.timer = sim.Timer{}
-		delete(ol.pending, q)
-		retired = true
-	}
-	if pm, ok := ol.pending[seq]; ok {
-		retire(pm, seq)
-	}
-	// Map iteration order is irrelevant here: retiring only cancels timers
-	// and deletes entries, so determinism is preserved.
-	for q, pm := range ol.pending {
-		if q <= cum {
-			retire(pm, q)
+	retired := ns.retire(ol, seq)
+	for q := ol.floor + 1; q <= cum; q++ {
+		if ns.retire(ol, q) {
+			retired = true
 		}
+	}
+	if cum > ol.floor {
+		ol.floor = cum
 	}
 	if !retired {
 		ns.stats.StaleAcks++
 	}
+}
+
+// retire completes the pending message with sequence number q, if there
+// is one: it cancels the timer, drops the entry and recycles the struct
+// unless it is busy (then whoever holds it settles it).
+func (ns *nodeState) retire(ol *outLink, q uint64) bool {
+	pm, ok := ol.pending[q]
+	if !ok {
+		return false
+	}
+	pm.done = true
+	pm.timer.Cancel() // no-op on the zero Timer
+	pm.timer = sim.Timer{}
+	delete(ol.pending, q)
+	if !pm.busy {
+		ns.release(pm)
+	}
+	return true
 }

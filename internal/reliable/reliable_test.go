@@ -373,3 +373,63 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: trace %x/%x fault %x/%x time %v/%v", h1, h2, f1, f2, t1, t2)
 	}
 }
+
+// TestPendingMsgRecycled drives a lossy, duplicating link to quiescence and
+// checks the pendingMsg free list: every struct ever made is back on it
+// exactly once, retired and unreferenced, and far fewer were made than
+// messages sent — acks, retransmit queueing and the daemon's yielding
+// resends never strand or double-release one.
+func TestPendingMsgRecycled(t *testing.T) {
+	const msgs = 400
+	eng := sim.New(11)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	u.Machine().SetFaultPlan(&cm5.FaultPlan{Seed: 5, DropProb: 0.15, DupProb: 0.10})
+	tr := Attach(u, Options{})
+	recvd := 0
+	h := u.Register("count", func(c threads.Ctx, pkt *cm5.Packet) { recvd++ })
+	_, err := u.SPMD(func(c threads.Ctx, node int) {
+		ep := u.Endpoint(node)
+		if node == 0 {
+			for i := 0; i < msgs; i++ {
+				ep.Send(c, 1, h, [4]uint64{uint64(i), 0, 0, 0}, nil)
+				for j := 0; j < 4; j++ { // take acks as they come, so only a few are outstanding
+					ep.Poll(c)
+					c.P.Charge(sim.Micros(5))
+					c.S.Yield(c)
+				}
+			}
+		}
+		// Poll until every message has arrived and been acknowledged.
+		for recvd < msgs || len(tr.nodes[0].outLink(1).pending) > 0 {
+			ep.Poll(c)
+			c.P.Charge(sim.Micros(5))
+			c.S.Yield(c)
+		}
+	})
+	if err != nil {
+		t.Fatalf("SPMD: %v", err)
+	}
+	st := tr.Stats()
+	if st.Retransmits == 0 || st.GaveUp != 0 {
+		t.Fatalf("want retransmits and no give-ups, got %+v", st)
+	}
+	ns := tr.nodes[0]
+	if len(ns.due) != 0 {
+		t.Fatalf("%d messages still queued for the daemon", len(ns.due))
+	}
+	seen := make(map[*pendingMsg]bool)
+	for pm := ns.freePM; pm != nil; pm = pm.next {
+		if seen[pm] {
+			t.Fatal("pendingMsg released twice: the free list has a cycle")
+		}
+		seen[pm] = true
+		if !pm.done || pm.busy || pm.payload != nil || pm.timer != (sim.Timer{}) {
+			t.Fatalf("free-listed pendingMsg seq %d still in use: %+v", pm.seq, pm)
+		}
+	}
+	if len(seen) == 0 || len(seen) > msgs/4 {
+		t.Fatalf("%d pendingMsg structs made for %d messages, want a small pool", len(seen), msgs)
+	}
+	t.Logf("sent=%d retx=%d pool=%d", st.DataSent, st.Retransmits, len(seen))
+}

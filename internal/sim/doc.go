@@ -6,16 +6,25 @@
 // simulation run is sequential and bit-for-bit reproducible regardless of
 // host scheduling.
 //
-// Processes are backed by goroutines but are not concurrent: a process runs
-// until it yields by charging virtual time (Charge), parking (Park), or
-// returning. The event loop then migrates onto the yielding goroutine: it
-// pops the next event off a (time, sequence) ordered heap in place, fires
-// kernel callbacks inline, resumes itself on the live stack when its own
-// event surfaces, and hands the loop to another process's goroutine with a
-// single channel send otherwise. Finished processes park their goroutine
-// on a free list for reuse by Spawn. Because only one goroutine is ever
-// runnable, shared state touched by processes and kernel callbacks needs
-// no locking.
+// Processes are runtime coroutines (iter.Pull), not scheduled goroutines:
+// a process runs until it yields by charging virtual time (Charge),
+// parking (Park), or returning. The event loop then migrates onto the
+// yielding process's stack: it pops the next event off the (time, class,
+// key, sequence) ordered queue in place, fires kernel callbacks inline,
+// and continues straight back into the process when its own event
+// surfaces. When another process's event surfaces instead, it records that
+// process in Shard.pending and switches to the shard's trampoline — the
+// goroutine that called Run, or the shard's window runner — which switches
+// on to it. That is the one invariant: one trampoline per shard, and the
+// kernel role moves by coroutine switch, never through a channel or the Go
+// scheduler. Finished processes park their coroutine on a free list for
+// reuse by Spawn, and Shutdown ends every coroutine before it returns.
+//
+// The switch mechanism is invisible to the simulation: the order in which
+// events leave the queue is the schedule, and nothing about how control
+// reaches the dispatched process feeds back into it. Because only one
+// coroutine of a shard ever runs, shared state touched by processes and
+// kernel callbacks needs no locking. The package requires Go 1.23.
 //
 // The package is the substrate for the CM-5 machine model (package cm5),
 // the user-level thread package (package threads), and everything above

@@ -47,9 +47,9 @@ type WindowHook interface {
 // spawn processes with Spawn, and drive the simulation with Run.
 //
 // A sequential engine (New, or NewSharded with one shard) is the classic
-// kernel: strictly single-threaded, with the migrating direct-handoff
-// event loop. All methods must then be called from kernel callbacks or
-// from the currently running process.
+// kernel: strictly single-threaded, with the migrating event loop. All
+// methods must then be called from kernel callbacks or from the currently
+// running process.
 //
 // A sharded engine (NewSharded with S > 1) partitions the simulation
 // across S shards, each an independent kernel over its own event heap and
@@ -98,6 +98,7 @@ type Engine struct {
 	deadline Time
 
 	runnersStarted bool
+	runners        sync.WaitGroup // the window runners; Shutdown waits for them
 	windows        uint64
 	barrierNs      int64
 	// windowWallNs is the host time spent inside parallel windows/spans
@@ -267,9 +268,10 @@ func (e *Engine) Dispatches() uint64 {
 	return n
 }
 
-// Handoffs reports how many dispatches crossed goroutines (one channel
-// operation each). Dispatches minus Handoffs is the number of resumes a
-// yielding goroutine served to itself with zero channel operations.
+// Handoffs reports how many dispatches crossed coroutines (one switch to
+// the shard's trampoline and one out of it). Dispatches minus Handoffs is
+// the number of resumes a yielding process served to itself on its live
+// stack with no switch at all.
 func (e *Engine) Handoffs() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -423,17 +425,19 @@ func (e *Engine) Stop() {
 	e.stopFlag.Store(true)
 }
 
-// killed is the sentinel panic value used by Shutdown to unwind process
-// goroutines. It never escapes the package.
+// killedSentinel is the panic value used by Shutdown to unwind process
+// stacks. It never escapes the package.
 type killedSentinel struct{}
 
 // Shutdown forcibly terminates every live process and drops all pending
-// events, releasing the backing goroutines — including the pooled workers
-// of already-finished processes and, in a sharded engine, the per-shard
-// window runners. It must be called from outside Run (i.e., not from a
-// process or kernel callback). The engine is dead afterwards. Simulations
-// that end with parked service processes (node idle loops, servers)
-// should always Shutdown to avoid goroutine leaks.
+// events, releasing the backing coroutines — including the pooled workers
+// of already-finished processes — and, in a sharded engine, the per-shard
+// window runners. It is synchronous: every coroutine has ended and every
+// runner has left its loop when Shutdown returns. It must be called from
+// outside Run (i.e., not from a process or kernel callback). The engine is
+// dead afterwards. Simulations that end with parked service processes
+// (node idle loops, servers) should always Shutdown to avoid goroutine
+// leaks.
 //
 // Victims are killed in shard order, and within a shard in ascending pid
 // (spawn) order, so shutdown-time tracer output is deterministic run to
@@ -448,6 +452,7 @@ func (e *Engine) Shutdown() {
 		for _, sh := range e.shards {
 			close(sh.windowCh)
 		}
+		e.runners.Wait()
 		e.runnersStarted = false
 	}
 	// Reap every shard at the engine's final virtual time. Shards bump
@@ -545,6 +550,20 @@ func (e *Engine) dispatchWindow(last Time) {
 	e.windowWallNs += time.Since(start).Nanoseconds()
 }
 
+// windowRunner is the per-shard worker of a sharded engine: it receives a
+// window's inclusive end time, runs the shard's kernel up to it, and
+// reports back. It exits when the engine closes windowCh (Shutdown).
+func (sh *Shard) windowRunner() {
+	defer sh.eng.runners.Done()
+	for d := range sh.windowCh {
+		sh.deadline = d
+		t0 := time.Now()
+		sh.runKernel()
+		sh.busyNs += time.Since(t0).Nanoseconds()
+		sh.windowDone <- struct{}{}
+	}
+}
+
 // startRunners launches the per-shard window-runner goroutines (once).
 func (e *Engine) startRunners() {
 	if e.runnersStarted {
@@ -553,6 +572,7 @@ func (e *Engine) startRunners() {
 	for _, sh := range e.shards {
 		sh.windowCh = make(chan Time)
 		sh.windowDone = make(chan struct{})
+		e.runners.Add(1)
 		go sh.windowRunner()
 	}
 	e.runnersStarted = true

@@ -58,8 +58,8 @@ type event struct {
 }
 
 // eventLess is the canonical total order on events — (at, class, key,
-// seq) — shared by the per-bucket heaps of the calendar queue (see
-// calqueue.go) and the reference binary heap below. Any priority queue
+// seq) — shared by the calendar queue (see calqueue.go) and the reference
+// binary heap its property tests compare it against. Any priority queue
 // implementing exactly this order yields the same pop sequence, which is
 // the invariant that lets the queue implementation change under the
 // golden equivalence hashes.
@@ -74,60 +74,4 @@ func eventLess(a, b *event) bool {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
-}
-
-// eventHeap is a binary min-heap ordered by eventLess. It is hand-rolled
-// rather than using container/heap to avoid the interface indirection on
-// the simulation hot path. Entries are pointers so that a scheduled
-// event can be cancelled in place (interrupt support). The calendar
-// queue uses one of these per bucket; it also survives standalone as the
-// reference ordering for the queue-equivalence property tests.
-type eventHeap struct {
-	ev []*event
-}
-
-func (h *eventHeap) len() int { return len(h.ev) }
-
-func (h *eventHeap) less(i, j int) bool { return eventLess(h.ev[i], h.ev[j]) }
-
-func (h *eventHeap) push(e *event) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() *event {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev[last] = nil // release for GC
-	h.ev = h.ev[:last]
-	h.siftDown(0)
-	return top
-}
-
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.ev)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && h.less(right, left) {
-			smallest = right
-		}
-		if !h.less(smallest, i) {
-			return
-		}
-		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
-		i = smallest
-	}
 }

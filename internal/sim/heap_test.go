@@ -7,6 +7,59 @@ import (
 	"testing/quick"
 )
 
+// eventHeap is a binary min-heap ordered by eventLess: the kernel's event
+// queue until the calendar queue replaced it, kept as the reference
+// ordering for the queue-equivalence property tests.
+type eventHeap struct {
+	ev []*event
+}
+
+func (h *eventHeap) len() int { return len(h.ev) }
+
+func (h *eventHeap) less(i, j int) bool { return eventLess(h.ev[i], h.ev[j]) }
+
+func (h *eventHeap) push(e *event) {
+	h.ev = append(h.ev, e)
+	i := len(h.ev) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() *event {
+	top := h.ev[0]
+	last := len(h.ev) - 1
+	h.ev[0] = h.ev[last]
+	h.ev[last] = nil // release for GC
+	h.ev = h.ev[:last]
+	h.siftDown(0)
+	return top
+}
+
+func (h *eventHeap) siftDown(i int) {
+	n := len(h.ev)
+	for {
+		left := 2*i + 1
+		if left >= n {
+			return
+		}
+		smallest := left
+		if right := left + 1; right < n && h.less(right, left) {
+			smallest = right
+		}
+		if !h.less(smallest, i) {
+			return
+		}
+		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
+		i = smallest
+	}
+}
+
 // TestHeapOrdering pushes events in random order and verifies they pop in
 // (time, seq) order.
 func TestHeapOrdering(t *testing.T) {

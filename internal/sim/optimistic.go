@@ -77,7 +77,7 @@ type inbound struct {
 }
 
 // optState is the shared coordination state of an optimistic run. The
-// design constraint it lives under: processes are goroutine stacks and
+// design constraint it lives under: processes are coroutine stacks and
 // application state mutates in place, so — unlike a classic Time Warp —
 // no executed event can ever be undone. Speculation therefore happens in
 // the scheduling layer only: a shard executes an event at t only once t

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
@@ -14,21 +15,27 @@ type Duration = time.Duration
 // kernel dispatches it; it yields by calling Charge, Sleep, Park, or by
 // returning from its body.
 //
-// Procs are pooled: when a body returns, the Proc — goroutine, resume
-// channel and struct — parks on its shard's free list, and a later Spawn
-// recycles it as a fresh process. A *Proc held after its process finished
-// stays inert (Unpark and friends see it dead) only until that recycling;
-// holding a handle past the process's death is a programming error.
+// Procs are pooled: when a body returns, the Proc — coroutine and struct —
+// parks on its shard's free list, and a later Spawn recycles it as a fresh
+// process. A *Proc held after its process finished stays inert (Unpark and
+// friends see it dead) only until that recycling; holding a handle past
+// the process's death is a programming error.
 type Proc struct {
-	sh     *Shard
-	name   string
-	resume chan struct{} // cap 1: a handoff token can be deposited by its own goroutine
-	body   func(p *Proc) // pending incarnation; consumed at first dispatch
-	parked bool
-	dead   bool
-	id     uint64
-	slot   int   // index in the shard's live-proc table
-	next   *Proc // free-list link while pooled
+	sh   *Shard
+	name string
+	// The process is an iter.Pull coroutine. Only the shard's trampoline
+	// (and Shutdown) calls next, which switches onto the process's stack;
+	// yield, called on that stack, switches back. stop ends a coroutine
+	// suspended in yield. None of them involves the Go scheduler.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	body     func(p *Proc) // pending incarnation; consumed at first dispatch
+	parked   bool
+	dead     bool
+	id       uint64
+	slot     int   // index in the shard's live-proc table
+	nextFree *Proc // free-list link while pooled
 
 	// Interruptible-charge state (see ChargeInterruptible). intTimer is a
 	// value, not a pointer, so arming it allocates nothing.
@@ -54,19 +61,19 @@ func (e *PanicError) Error() string {
 // events). The body runs in process context: it may call Charge, Sleep,
 // Park and friends — all of which operate on this shard's kernel.
 //
-// Spawn reuses the goroutine and resume channel of a finished process
-// when one is pooled, so steady-state process churn allocates nothing.
+// Spawn reuses the coroutine of a finished process when one is pooled, so
+// steady-state process churn allocates nothing.
 func (sh *Shard) Spawn(name string, body func(p *Proc)) *Proc {
 	sh.seq++
 	p := sh.freeProc
 	if p != nil {
-		sh.freeProc = p.next
-		p.next = nil
+		sh.freeProc = p.nextFree
+		p.nextFree = nil
 		p.name = name
 		p.dead = false
 	} else {
-		p = &Proc{sh: sh, name: name, resume: make(chan struct{}, 1)}
-		go sh.procLoop(p)
+		p = &Proc{sh: sh, name: name}
+		p.next, p.stop = iter.Pull(p.procLoop)
 	}
 	p.id = sh.seq
 	if sh.eng.sharded() {
@@ -83,32 +90,28 @@ func (sh *Shard) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// procLoop is the lifetime of a worker goroutine: one process incarnation
-// per iteration. After a body returns, the goroutine — which at that
+// procLoop is the lifetime of a worker coroutine: one process incarnation
+// per iteration. After a body returns, the coroutine — which at that
 // moment holds the kernel role the dead process gave up — parks its Proc
 // for reuse, keeps firing events until the kernel role moves on, then
-// sleeps until a later Spawn dispatches it again.
-func (sh *Shard) procLoop(p *Proc) {
+// yields to the trampoline until a later Spawn's dispatch resumes it.
+func (p *Proc) procLoop(yield func(struct{}) bool) {
+	sh := p.sh
+	p.yield = yield
 	for {
-		<-p.resume
-		if p.body == nil {
-			return // Shutdown drained the worker pool
-		}
 		sh.runBody(p)
 		if sh.killing {
-			// Shutdown dispatched us to unwind; hand control back to it
-			// and terminate instead of pooling.
-			sh.doneCh <- struct{}{}
-			return
+			return // Shutdown dispatched us to unwind: finish the coroutine
 		}
 		// Pool the proc before continuing as the kernel: the free list
-		// is only ever touched by the kernel-role holder, and the
-		// buffered resume channel makes a respawn-and-dispatch within
-		// our own tenure safe (the token waits until we loop around).
+		// is only ever touched by the kernel-role holder. A respawn and
+		// dispatch within our own tenure leaves us in sh.pending, and
+		// the trampoline switches straight back here.
 		sh.running = nil
 		sh.releaseProc(p)
-		if sh.loop(nil) == loopEnded {
-			sh.doneCh <- struct{}{}
+		sh.loop(nil)
+		if !yield(struct{}{}) {
+			return // Shutdown drained the worker pool
 		}
 	}
 }
@@ -141,7 +144,7 @@ func (sh *Shard) releaseProc(p *Proc) {
 	p.parked = false
 	p.interrupted = false
 	p.intTimer = Timer{}
-	p.next = sh.freeProc
+	p.nextFree = sh.freeProc
 	sh.freeProc = p
 }
 

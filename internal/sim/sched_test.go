@@ -10,8 +10,7 @@ func chargeZero(p *Proc) { p.Charge(0) }
 
 // TestSpawnExitZeroAllocs is the allocation budget of the process
 // lifecycle: once the worker pool is warm, a Spawn -> run -> exit cycle
-// must reuse a pooled goroutine, resume channel, and Proc struct rather
-// than allocate. The budget tolerates stray runtime allocations amortized
+// must reuse a pooled coroutine and Proc struct rather than allocate. The budget tolerates stray runtime allocations amortized
 // over the window; a per-spawn allocation anywhere would read as >= 1.
 func TestSpawnExitZeroAllocs(t *testing.T) {
 	e := New(1)
@@ -39,10 +38,9 @@ func TestSpawnExitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDispatchCounters pins the split between direct handoffs and
-// zero-channel-op self-resumes: a lone process that only charges must be
-// resumed inline by its own goroutine every time after the first
-// dispatch.
+// TestDispatchCounters pins the split between handoffs and zero-switch
+// self-resumes: a lone process that only charges must be resumed inline
+// on its own stack every time after the first dispatch.
 func TestDispatchCounters(t *testing.T) {
 	e := New(1)
 	const rounds = 50
@@ -58,16 +56,16 @@ func TestDispatchCounters(t *testing.T) {
 	if got := e.Dispatches(); got != rounds+1 {
 		t.Fatalf("dispatches = %d, want %d", got, rounds+1)
 	}
-	// Only the spawn dispatch crosses goroutines (Run's goroutine hands
-	// the kernel to the proc); every charge resume is served in place.
+	// Only the spawn dispatch is a switch (Run's trampoline switches onto
+	// the proc); every charge resume is served in place.
 	if got := e.Handoffs(); got != 1 {
 		t.Fatalf("handoffs = %d, want 1 (self-resumes must be inline)", got)
 	}
 }
 
-// BenchmarkDispatchPingPong measures the cost of a cross-goroutine
-// process switch: two processes charge in lockstep, so every dispatch
-// hands the kernel role to the other process's goroutine.
+// BenchmarkDispatchPingPong measures the cost of a process switch: two
+// processes charge in lockstep, so every dispatch hands the kernel role
+// to the other process's coroutine by way of the trampoline.
 func BenchmarkDispatchPingPong(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()
@@ -91,7 +89,7 @@ func BenchmarkDispatchPingPong(b *testing.B) {
 
 // BenchmarkDispatchSelfResume measures the live-stack fast path: a lone
 // charging process pops its own resume event and continues inline, with
-// no channel operation or goroutine switch at all.
+// no coroutine switch at all.
 func BenchmarkDispatchSelfResume(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()

@@ -5,11 +5,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Shard is one partition of the simulation kernel: an event heap, a live
-// process table, and the migrating direct-handoff loop that drives them.
+// process table, and the migrating kernel loop that drives them.
 // A sequential engine (New) is exactly one shard; a sharded engine
 // (NewSharded) runs S of them over lockstep virtual-time windows, each
 // shard owning a disjoint subset of the simulated nodes.
@@ -27,15 +26,16 @@ type Shard struct {
 	heap    eventQueue
 	free    *event // recycled events (shard-local: no locking)
 	running *Proc
-	// doneCh hands the kernel role back to the goroutine blocked in
-	// runKernel (or, per victim, Shutdown) when the loop ends its tenure
-	// on a process goroutine.
-	doneCh   chan struct{}
+	// pending is the process the kernel loop dispatched onto another
+	// coroutine: the loop's holder sets it and switches to the trampoline
+	// (runKernel), which clears it and switches on. Nil when a tenure
+	// ended the run or window instead.
+	pending  *Proc
 	deadline Time // event horizon of the current run or window
 	tracer   Tracer
 	probe    Probe
 	procs    []*Proc // live (spawned, not yet finished) processes, unordered
-	freeProc *Proc   // finished procs whose goroutine+channel await reuse
+	freeProc *Proc   // finished procs whose coroutines await reuse
 	stopped  bool    // set by Stop (sequential engine only)
 	killing  bool    // set by Shutdown
 	failure  error
@@ -91,11 +91,7 @@ type Shard struct {
 }
 
 func newShard(e *Engine, idx int) *Shard {
-	sh := &Shard{
-		eng:    e,
-		idx:    idx,
-		doneCh: make(chan struct{}),
-	}
+	sh := &Shard{eng: e, idx: idx}
 	sh.heap.init(defaultEventHint)
 	return sh
 }
@@ -239,41 +235,28 @@ func (sh *Shard) traceExit(p *Proc) {
 // tracing reports whether scheduling transitions must be recorded.
 func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
 
-// loopOutcome says how a kernel-loop tenure on some goroutine ended.
-type loopOutcome uint8
-
-const (
-	// loopEnded: the run (or window) is over — heap empty, deadline
-	// passed, Stop, failure, or a kernel-callback panic. The kernel role
-	// returns to the goroutine blocked in runKernel.
-	loopEnded loopOutcome = iota
-	// loopSelf: the caller's own resume event surfaced; it simply
-	// continues as the running process. Zero channel operations.
-	loopSelf
-	// loopHandoff: the kernel role was handed to another process's
-	// goroutine with a single channel send.
-	loopHandoff
-)
-
-// loop runs the kernel on the calling goroutine: it pops and fires events
-// until the run ends, the role moves to another goroutine, or — when self
-// is non-nil — self's own resumption surfaces, in which case the caller
-// continues straight back into process context on the live stack.
-func (sh *Shard) loop(self *Proc) loopOutcome {
+// loop runs the kernel on the calling coroutine: it pops and fires events
+// until the run (or window) ends — heap empty, deadline passed, Stop,
+// failure, or a kernel-callback panic — or a process is dispatched. It
+// reports true when that process is self, whose caller then continues
+// straight back into process context on the live stack with zero
+// switches. Any other process is left in sh.pending for the trampoline,
+// to which the caller must now switch (or, being it, return).
+func (sh *Shard) loop(self *Proc) bool {
 	for {
 		if o := sh.opt; o != nil {
 			// Optimistic mode: the gate drains eager arrivals and decides
 			// whether the next event is provably safe to fire, blocking
 			// mid-span when it is not (see optimistic.go).
 			if !o.gate(sh) {
-				return loopEnded
+				return false
 			}
 		} else {
 			if sh.stopped || sh.failure != nil || sh.kernelPanic != nil || sh.heap.len() == 0 {
-				return loopEnded
+				return false
 			}
 			if sh.heap.first().at > sh.deadline {
-				return loopEnded
+				return false
 			}
 		}
 		ev := sh.heap.pop()
@@ -304,11 +287,11 @@ func (sh *Shard) loop(self *Proc) loopOutcome {
 				sh.traceResume(p)
 			}
 			if p == self {
-				return loopSelf
+				return true
 			}
 			sh.handoffs++
-			p.resume <- struct{}{}
-			return loopHandoff
+			sh.pending = p
+			return false
 		case evAction:
 			sh.fireCallback(nil, act)
 		default:
@@ -332,49 +315,35 @@ func (sh *Shard) fireCallback(fn func(), act Action) {
 	}
 }
 
-// runKernel starts a kernel tenure on the calling goroutine and blocks
-// until the run (or window) is over, however many goroutines the loop
-// migrated across in between.
+// runKernel is the shard's trampoline: it starts a kernel tenure on the
+// calling goroutine and then switches onto whichever process the loop
+// dispatched, again and again, until a tenure ends the run (or window)
+// instead of dispatching. Every process switch in the shard is one
+// coroutine switch out of here and one back.
 func (sh *Shard) runKernel() {
-	if sh.loop(nil) == loopHandoff {
-		<-sh.doneCh
-	}
-}
-
-// windowRunner is the per-shard worker of a sharded engine: it receives a
-// window's inclusive end time, runs the shard's kernel up to it, and
-// reports back. It exits when the engine closes windowCh (Shutdown).
-func (sh *Shard) windowRunner() {
-	for d := range sh.windowCh {
-		sh.deadline = d
-		t0 := time.Now()
-		sh.runKernel()
-		sh.busyNs += time.Since(t0).Nanoseconds()
-		sh.windowDone <- struct{}{}
+	sh.loop(nil)
+	for sh.pending != nil {
+		p := sh.pending
+		sh.pending = nil
+		p.next()
 	}
 }
 
 // yieldToKernel hands control from the running process to the kernel: the
-// process's own goroutine becomes the kernel and keeps firing events in
+// process's own coroutine becomes the kernel and keeps firing events in
 // place. It returns when the process is next dispatched — directly, when
-// its own resume event surfaces during its tenure (no channel operation),
-// or via a handoff from whichever goroutine holds the loop by then. If
-// the engine is being shut down when control returns, the process unwinds
-// via the kill sentinel, which the spawn wrapper recovers.
+// its own resume event surfaces during its tenure (no switch at all), or
+// after switching to the trampoline, which switches back whenever some
+// later tenure dispatches it. If the engine is being shut down when
+// control returns, the process unwinds via the kill sentinel, which the
+// spawn wrapper recovers.
 func (sh *Shard) yieldToKernel(p *Proc) {
 	if sh.tracing() {
 		sh.traceYield(p)
 	}
 	sh.running = nil
-	switch sh.loop(p) {
-	case loopSelf:
-		// Resumed on the live stack; this goroutine held the kernel role
-		// throughout and is the running process again.
-	case loopEnded:
-		sh.doneCh <- struct{}{}
-		<-p.resume
-	case loopHandoff:
-		<-p.resume
+	if !sh.loop(p) {
+		p.yield(struct{}{})
 	}
 	if sh.killing {
 		panic(killedSentinel{})
@@ -407,7 +376,8 @@ func (sh *Shard) checkRunning(p *Proc, op string) {
 }
 
 // shutdown kills this shard's live processes in ascending pid order and
-// drains its worker pool. Part of Engine.Shutdown.
+// drains its worker pool; no coroutine of the shard remains when it
+// returns. Part of Engine.Shutdown.
 func (sh *Shard) shutdown() {
 	sh.killing = true
 	sh.heap.clear()
@@ -426,14 +396,13 @@ func (sh *Shard) shutdown() {
 		if sh.tracing() {
 			sh.traceResume(p)
 		}
-		p.resume <- struct{}{}
-		<-sh.doneCh // the victim's goroutine has unwound
+		p.next() // returns once the victim has unwound and its coroutine is gone
 		sh.running = nil
 	}
-	// Drain the worker pool: a token with no body pending tells the
-	// goroutine to exit instead of running an incarnation.
-	for p := sh.freeProc; p != nil; p = p.next {
-		p.resume <- struct{}{}
+	// Drain the worker pool: stop ends each coroutine suspended in
+	// procLoop's yield before returning.
+	for p := sh.freeProc; p != nil; p = p.nextFree {
+		p.stop()
 	}
 	sh.freeProc = nil
 	sh.stopped = true
