@@ -71,6 +71,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
@@ -137,7 +138,7 @@ var commands = []command{
 	{"ablation", "scheduling-strategy ablation", true, false,
 		func(rc *runCtx) { rc.emit(exp.AblationTable(), nil) }},
 	{"appablation", "per-application strategy ablation", true, false,
-		func(rc *runCtx) { rc.emit(exp.AppAblationTable(rc.scale.Quick)) }},
+		func(rc *runCtx) { rc.emit(exp.AppAblationTable(rc.scale)) }},
 	{"schedpolicy", "promoted-thread scheduling policies", true, false,
 		func(rc *runCtx) { rc.emit(exp.SchedPolicyTable(), nil) }},
 	{"budget", "handler-budget sweep", true, false,
@@ -147,7 +148,7 @@ var commands = []command{
 	{"interrupts", "interrupt- vs polling-driven delivery", true, false,
 		func(rc *runCtx) { rc.emit(exp.InterruptsTable(), nil) }},
 	{"sorsizes", "SOR problem-size sweep", true, false,
-		func(rc *runCtx) { rc.emit(exp.SORSizesTable(rc.scale.Quick)) }},
+		func(rc *runCtx) { rc.emit(exp.SORSizesTable(rc.scale)) }},
 	{"chaos", "fault-injection sweep with per-node recovery counters", true, false,
 		func(rc *runCtx) {
 			rc.emit(exp.ChaosTable(rc.scale))
@@ -158,7 +159,7 @@ var commands = []command{
 	{"kv", "sharded key-value service under open-loop load", true, false,
 		func(rc *runCtx) { rc.emit(exp.KVTable(rc.scale)) }},
 	{"kvmulti", "multiactive kv dispatch: goodput and p999 vs simulated cores", true, false,
-		func(rc *runCtx) { rc.emit(exp.KVMultiactiveTable(rc.scale.Quick)) }},
+		func(rc *runCtx) { rc.emit(exp.KVMultiactiveTable(rc.scale)) }},
 	{"bench", "host-performance report (writes -benchout JSON)", false, false,
 		func(rc *runCtx) {
 			res, err := exp.Bench(rc.scale)
@@ -275,15 +276,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *par > 0 {
-		exp.Workers = *par
-	}
-	if *shards != 1 && *shards != 0 {
-		exp.Shards = *shards
-	}
-	exp.Optimistic = *optimistic
-	if *cores > 1 {
-		exp.Cores = *cores
+	scale := exp.Scale{
+		Quick:   *quick,
+		MaxP:    *maxp,
+		Run:     apps.RunOptions{Shards: *shards, Optimistic: *optimistic, Cores: *cores},
+		Workers: *par,
 	}
 	names := fs.Args()
 	if len(names) == 0 {
@@ -293,12 +290,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// trace/metrics are observed single-app runs with their own flags;
 	// they consume the rest of the command line.
 	if names[0] == "trace" || names[0] == "metrics" {
-		return runObserve(names[0], names[1:], *quick, stdout, stderr)
+		return runObserve(names[0], names[1:], scale, stdout, stderr)
 	}
 
 	code := 0
 	rc := &runCtx{
-		scale:    exp.Scale{Quick: *quick, MaxP: *maxp},
+		scale:    scale,
 		benchout: *benchout,
 		stderr:   stderr,
 		failed:   func() bool { return code != 0 },
@@ -370,7 +367,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // runObserve implements the trace and metrics subcommands: run one
 // application with an obs.Collector attached and write the selected
 // sink.
-func runObserve(kind string, args []string, quick bool, stdout, stderr io.Writer) int {
+func runObserve(kind string, args []string, scale exp.Scale, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oamlab "+kind, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	p := fs.Int("p", 8, "machine size (processors)")
@@ -398,7 +395,7 @@ func runObserve(kind string, args []string, quick bool, stdout, stderr io.Writer
 		opts.Profile = true
 	}
 	start := time.Now()
-	c, res, err := exp.RunObserved(exp.ObserveSpec{App: app, Sys: sys, Nodes: *p, Quick: quick}, opts)
+	c, res, err := exp.RunObserved(exp.ObserveSpec{App: app, Sys: sys, Nodes: *p, Scale: scale}, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "oamlab: %s: %v\n", kind, err)
 		return 1

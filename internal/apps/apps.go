@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"repro/internal/am"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -31,17 +32,49 @@ func ResolveShards(shards, nodes int) int {
 	return shards
 }
 
-// Engine builds the simulation engine for an n-node run at the requested
-// shard count (see ResolveShards). optimistic selects the speculative
-// span scheduler instead of lockstep windows when the resolved shard
-// count is parallel; results are bit-identical either way.
-func Engine(seed int64, shards, nodes int, optimistic bool) *sim.Engine {
-	s := ResolveShards(shards, nodes)
+// RunOptions are the switches that say how a run executes, not what it
+// computes: every application Config embeds one, the experiment harness
+// carries one in exp.Scale, and cmd/oamlab fills it once from its flags.
+// The zero value is the paper's setup — sequential kernel, one core per
+// node, unobserved. Results are bit-identical at any Shards/Optimistic
+// for a fixed Cores.
+type RunOptions struct {
+	// Shards selects the engine's shard count: 0 or 1 sequential,
+	// negative auto (one per CPU), clamped to the node count. Only
+	// wall-clock time changes.
+	Shards int
+	// Optimistic selects the engine's speculative span scheduler instead
+	// of lockstep windows when Shards resolves parallel.
+	Optimistic bool
+	// Cores gives each simulated node this many cores. Values > 1 route
+	// synchronous ORPC dispatches through the multiactive path
+	// (oam.Options.Cores); an application that declares no compatibility
+	// matrix still serializes its handlers there and computes the same
+	// answer, but each runs on a core process that overlaps the poller,
+	// so virtual timings move. Simulated cores cost no host CPUs.
+	Cores int
+	// Observe, if non-nil, is called once the universe and the RPC
+	// runtime (nil under hand-coded AM) are built, before the program
+	// starts, so an observer can attach its probes.
+	Observe func(*am.Universe, *rpc.Runtime)
+}
+
+// Engine builds the simulation engine for a nodes-node run (see
+// ResolveShards for how Shards is normalized).
+func (o RunOptions) Engine(seed int64, nodes int) *sim.Engine {
 	mode := sim.Conservative
-	if optimistic {
+	if o.Optimistic {
 		mode = sim.Optimistic
 	}
-	return sim.NewShardedConfig(seed, sim.ShardConfig{Shards: s, Mode: mode})
+	return sim.NewShardedConfig(seed, sim.ShardConfig{Shards: ResolveShards(o.Shards, nodes), Mode: mode})
+}
+
+// Attach hands the built universe and runtime to the Observe hook, if
+// one is set.
+func (o RunOptions) Attach(u *am.Universe, rt *rpc.Runtime) {
+	if o.Observe != nil {
+		o.Observe(u, rt)
+	}
 }
 
 // System selects the communication system of a run, matching the three
@@ -68,6 +101,15 @@ func (s System) String() string {
 	default:
 		return fmt.Sprintf("System(%d)", uint8(s))
 	}
+}
+
+// RPCMode is the rpc dispatch discipline of an RPC system (TRPC creates a
+// thread per call; everything else dispatches optimistically).
+func (s System) RPCMode() rpc.Mode {
+	if s == TRPC {
+		return rpc.TRPC
+	}
+	return rpc.ORPC
 }
 
 // Systems lists all three in the paper's presentation order.

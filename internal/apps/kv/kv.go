@@ -124,24 +124,20 @@ type Config struct {
 	Clients int // load generators, nodes Servers.. (default 64)
 	Keys    int // key-space size (default 128)
 	Seed    int64
-	// Shards / Optimistic select the engine configuration; results are
-	// bit-identical at any value (see apps.Engine).
-	Shards     int
-	Optimistic bool
-	// System selects the communication system under test; Strategy and
-	// HandlerBudget configure the optimistic dispatcher for ORPC.
+	// RunOptions.Cores > 1 enables multiactive ORPC dispatch: handlers
+	// compatible per the kv.rpc matrix (read/read always, everything else
+	// across disjoint keys) run concurrently on that many simulated
+	// per-node cores. The object lock is dropped in this mode — the
+	// matrix is the exclusion.
+	apps.RunOptions
+	// System selects the communication system under test; Strategy,
+	// Adaptive and HandlerBudget configure the optimistic dispatcher for
+	// ORPC. Adaptive replaces the fixed HandlerBudget with the
+	// dispatcher's per-node congestion- and history-driven controller.
 	System        apps.System
 	Strategy      oam.Strategy
+	Adaptive      bool
 	HandlerBudget sim.Duration // default 8 us: CAS promotes, the rest commit inline
-	// Cores > 1 enables multiactive ORPC dispatch: handlers compatible
-	// per the kv.rpc matrix (read/read always, everything else across
-	// disjoint keys) run concurrently on that many simulated per-node
-	// cores. The object lock is dropped in this mode — the matrix is the
-	// exclusion. Default 1: the paper's single-active discipline.
-	Cores int
-	// Adaptive replaces the fixed HandlerBudget with the dispatcher's
-	// per-node congestion- and history-driven controller.
-	Adaptive bool
 	// Fault is the injected fault plan (nil for a perfect network); Rel
 	// tunes the reliable transport, which is always attached.
 	Fault *cm5.FaultPlan
@@ -194,9 +190,6 @@ type Config struct {
 
 	// MaxTime aborts the drain if virtual time exceeds it (default 60 s).
 	MaxTime sim.Time
-	// Observe, when set, is called with the universe and RPC runtime
-	// after construction and before the run starts.
-	Observe func(*am.Universe, *rpc.Runtime)
 	// Probe, when set, receives service transitions.
 	Probe Probe
 }
@@ -225,9 +218,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 8
-	}
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
 	}
 	if cfg.MixGet <= 0 {
 		cfg.MixGet = 600
@@ -452,7 +442,7 @@ func (r *kvRun) leave(e *oam.Env, s *serverState) {
 func Run(cfg Config) (apps.Result, Stats, error) {
 	cfg = cfg.withDefaults()
 	nodes := cfg.Servers + cfg.Clients
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	// Unreachable NIC cap: the service's admission budget is this
 	// system's only backpressure. The machine's network-full refusal
@@ -671,9 +661,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		rt.SetCompat(kvgen.CompatSpec())
 	}
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rt)
-	}
+	cfg.Attach(u, rt)
 
 	sleep := func(c threads.Ctx, d sim.Duration) {
 		var f threads.Flag

@@ -84,20 +84,8 @@ type Config struct {
 	Jobs  int       // job count when Specs is nil (default 16)
 	Specs []JobSpec // explicit job table; overrides Jobs
 	Seed  int64
-	// Shards selects the engine's shard count: 0 or 1 sequential,
-	// negative auto, clamped to the node count. Results are bit-identical
-	// at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
-	Strategy   oam.Strategy
-	// Cores gives each simulated node this many cores (default 1);
-	// values > 1 route sync dispatches through the multiactive path
-	// (oam.Options.Cores). The control plane declares no compatibility
-	// matrix, so handlers still serialize and results are unchanged.
-	Cores int
+	apps.RunOptions
+	Strategy oam.Strategy
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
 	// Rel tunes the reliable transport, which is always attached.
@@ -124,9 +112,6 @@ type Config struct {
 	// MaxTime aborts the run if virtual time exceeds it (default 60 s) —
 	// a safety net against fault plans with no recovery path.
 	MaxTime sim.Time
-	// Observe, when set, is called with the universe and RPC runtime
-	// after construction and before the run starts.
-	Observe func(*am.Universe, *rpc.Runtime)
 	// Probe, when set, receives control-plane transitions.
 	Probe Probe
 }
@@ -375,7 +360,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 	}
 
 	nodes := agents + 1
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
@@ -555,9 +540,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 		return enc.Bytes()
 	})
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rt)
-	}
+	cfg.Attach(u, rt)
 
 	var runErr error
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {

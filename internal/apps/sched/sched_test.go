@@ -150,7 +150,7 @@ func TestFlappingPartitionRecovers(t *testing.T) {
 func TestShardEquivalence(t *testing.T) {
 	run := func(shards int) (apps.Result, Stats) {
 		return mustRun(t, 3, Config{
-			Jobs: 10, Seed: 5, Shards: shards,
+			Jobs: 10, Seed: 5, RunOptions: apps.RunOptions{Shards: shards},
 			Fault: &cm5.FaultPlan{
 				Seed: 77, DropProb: 0.02, DupProb: 0.02,
 				Partitions: []cm5.Partition{

@@ -78,7 +78,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 	if nodes > cfg.Rows-2 {
 		return apps.Result{}, fmt.Errorf("sor: %d nodes for %d interior rows", nodes, cfg.Rows-2)
 	}
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 
@@ -154,11 +154,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 		successes = func() uint64 { return 0 }
 
 	case apps.ORPC, apps.TRPC:
-		mode := rpc.ORPC
-		if sys == apps.TRPC {
-			mode = rpc.TRPC
-		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Cores: cfg.Cores}})
 		rtForObs = rt
 		store := sorgen.DefineStore(rt, func(e *oam.Env, caller int, side int32, row []float64) {
 			ns := states[e.Node()]
@@ -206,9 +202,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 		return apps.Result{}, fmt.Errorf("sor: unknown system %v", sys)
 	}
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rtForObs)
-	}
+	cfg.Attach(u, rtForObs)
 	iters := make([]int, nodes)
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		ns := states[me]

@@ -11,8 +11,7 @@ package sor
 import (
 	"math"
 
-	"repro/internal/am"
-	"repro/internal/rpc"
+	"repro/internal/apps"
 	"repro/internal/sim"
 )
 
@@ -38,23 +37,7 @@ type Config struct {
 	Iters      int     // iteration cap
 	Eps        float64 // convergence threshold on the max update delta
 	Seed       int64
-	// Shards selects the engine's shard count: 0 or 1 sequential,
-	// negative auto (one per CPU), clamped to the node count. Results are
-	// bit-identical at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); SOR declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
-	// Observe, if non-nil, is called once the universe (and, for the RPC
-	// variants, the runtime — nil under AM) is built but before the SPMD
-	// program starts, so an observer can attach its probes.
-	Observe func(*am.Universe, *rpc.Runtime)
+	apps.RunOptions
 }
 
 // DefaultConfig returns the paper's problem size.

@@ -32,22 +32,10 @@ type Config struct {
 	Side  int   // board side; the paper's experiment uses 6
 	Empty int   // initially empty cell; -1 selects the default center
 	Seed  int64 // simulation seed
-	// Shards selects the engine's shard count: 0 or 1 sequential,
-	// negative auto (one per CPU), clamped to the node count. Results are
-	// bit-identical at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
+	apps.RunOptions
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); Triangle declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
 	// Fault, if non-nil, injects the given deterministic fault plan.
 	// Loss or duplication requires Reliable, or the level quiesce
 	// (sent == received reductions) never converges. Triangle has no
@@ -55,10 +43,6 @@ type Config struct {
 	Fault *cm5.FaultPlan
 	// Reliable, if non-nil, attaches the reliable transport.
 	Reliable *reliable.Options
-	// Observe, if non-nil, is called once the universe (and, for the RPC
-	// variants, the runtime — nil under AM) is built but before the SPMD
-	// program starts, so an observer can attach its probes.
-	Observe func(*am.Universe, *rpc.Runtime)
 }
 
 func (c *Config) board() *Board {
@@ -121,7 +105,7 @@ func owner(s State, n int) int {
 // must equal SolveSeq's for the same board.
 func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 	b := cfg.board()
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
@@ -162,11 +146,7 @@ func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 		successes = func() uint64 { return 0 }
 
 	case apps.ORPC, apps.TRPC:
-		mode := rpc.ORPC
-		if sys == apps.TRPC {
-			mode = rpc.TRPC
-		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
 		rtForObs = rt
 		insert := trigen.DefineInsert(rt, func(e *oam.Env, caller int, state, ways uint64) {
 			ns := states[e.Node()]
@@ -190,9 +170,7 @@ func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 	start := b.Canon(b.Start())
 	states[owner(start, nodes)].frontier = []entry{{s: start, ways: 1}}
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rtForObs)
-	}
+	cfg.Attach(u, rtForObs)
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		ns := states[me]
 		ep := u.Endpoint(me)

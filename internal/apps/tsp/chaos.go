@@ -18,18 +18,8 @@ import (
 type ChaosConfig struct {
 	Cities int
 	Seed   int64
-	// Shards selects the engine's shard count: 0 or 1 sequential,
-	// negative auto (one per CPU), clamped to the node count. Results are
-	// bit-identical at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
-	Strategy   oam.Strategy
-	// Cores gives each simulated node this many cores (default 1);
-	// values > 1 route sync dispatches through the multiactive path.
-	Cores int
+	apps.RunOptions
+	Strategy oam.Strategy
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
 	// Rel tunes the reliable transport, which is always attached.
@@ -110,7 +100,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 	cfg = cfg.withDefaults()
 	p := NewProblem(cfg.Cities, cfg.Seed)
 	nodes := slaves + 1
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
@@ -183,6 +173,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 		return nil
 	})
 
+	cfg.Attach(u, rt)
 	var runErr error
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		ep := u.Endpoint(me)

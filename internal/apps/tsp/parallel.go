@@ -30,22 +30,10 @@ var (
 type Config struct {
 	Cities int   // the paper's experiment uses 12
 	Seed   int64 // instance and simulation seed
-	// Shards selects the engine's shard count: 0 or 1 sequential,
-	// negative auto (one per CPU), clamped to the node count. Results are
-	// bit-identical at any value; only wall-clock time changes.
-	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel (results stay
-	// bit-identical; only wall-clock time changes).
-	Optimistic bool
+	apps.RunOptions
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
-	// Cores gives each simulated node this many cores (default 1).
-	// Values > 1 route sync ORPC dispatches through the multiactive path
-	// (oam.Options.Cores); TSP declares no compatibility matrix, so
-	// handlers still serialize and results are unchanged.
-	Cores int
 	// Fault, if non-nil, injects the given deterministic fault plan into
 	// the data network. Plans that lose packets require Reliable, or calls
 	// hang; plans with crashes additionally require RunChaos, which knows
@@ -54,10 +42,6 @@ type Config struct {
 	// Reliable, if non-nil, attaches the reliable transport with these
 	// options so every message survives loss via ack/retransmit.
 	Reliable *reliable.Options
-	// Observe, if non-nil, is called once the universe (and, for the RPC
-	// variants, the runtime — nil under AM) is built but before the SPMD
-	// program starts, so an observer can attach its probes.
-	Observe func(*am.Universe, *rpc.Runtime)
 }
 
 // SeqTime returns the simulated sequential running time implied by the
@@ -77,7 +61,7 @@ type nodeState struct {
 func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
 	p := NewProblem(cfg.Cities, cfg.Seed)
 	nodes := slaves + 1
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
@@ -180,11 +164,7 @@ func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
 		}
 
 	case apps.ORPC, apps.TRPC:
-		mode := rpc.ORPC
-		if sys == apps.TRPC {
-			mode = rpc.TRPC
-		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
 		rtForObs = rt
 		getJob := tspgen.DefineGetJob(rt, func(e *oam.Env, caller int) ([]byte, bool) {
 			e.Lock(qmu)
@@ -238,9 +218,7 @@ func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
 		return apps.Result{}, fmt.Errorf("tsp: unknown system %v", sys)
 	}
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rtForObs)
-	}
+	cfg.Attach(u, rtForObs)
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		if me == 0 {
 			masterGenerate(c)

@@ -94,7 +94,7 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 	if nodes > cfg.Mols {
 		return apps.Result{}, fmt.Errorf("water: more nodes than molecules")
 	}
-	eng := apps.Engine(cfg.Seed, cfg.Shards, nodes, cfg.Optimistic)
+	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 
@@ -194,11 +194,7 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 		oamStats = func() (uint64, uint64) { return 0, 0 }
 
 	case apps.ORPC, apps.TRPC:
-		mode := rpc.ORPC
-		if sys == apps.TRPC {
-			mode = rpc.TRPC
-		}
-		rt := rpc.New(u, rpc.Options{Mode: mode, OAM: oam.Options{Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Cores: cfg.Cores}})
 		rtForObs = rt
 		store := func(e *oam.Env, sl *slot, ns *nodeState, row []float64) {
 			e.Lock(ns.mu)
@@ -257,9 +253,7 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 		return apps.Result{}, fmt.Errorf("water: unknown system %v", sys)
 	}
 
-	if cfg.Observe != nil {
-		cfg.Observe(u, rtForObs)
-	}
+	cfg.Attach(u, rtForObs)
 	topo := updTopology(cfg.Mols, nodes)
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		ns := states[me]

@@ -35,10 +35,9 @@ type AblationRow struct {
 func Ablation() []AblationRow {
 	strats := []oam.Strategy{oam.Rerun, oam.Continuation, oam.Nack}
 	rows := make([]AblationRow, len(strats))
-	forEach(len(strats), func(i int) error {
-		rows[i] = runAblation(strats[i])
-		return nil
-	})
+	for i, strat := range strats {
+		rows[i] = runAblation(strat)
+	}
 	return rows
 }
 
@@ -203,14 +202,13 @@ func SchedPolicy() []SchedPolicyRow {
 		{Policy: "fixed-budget", OAM: true},
 		{Policy: "adaptive-budget", OAM: true},
 	}
-	forEach(len(rows), func(i int) error {
+	for i := range rows {
 		if i < 2 {
 			rows[i].Elapsed = run(i == 1)
 		} else {
 			rows[i].Elapsed, rows[i].Promoted, rows[i].BudgetRaised = runBudgetPolicy(i == 3)
 		}
-		return nil
-	})
+	}
 	return rows
 }
 
@@ -299,16 +297,16 @@ type AppAblationRow struct {
 // AppAblation runs the TSP application (the one whose GetJob procedure
 // actually blocks under load) under each abort strategy at a slave count
 // where contention matters.
-func AppAblation(quick bool) ([]AppAblationRow, error) {
-	cfg := tsp.Config{Cities: 12, Seed: 102}
+func AppAblation(s Scale) ([]AppAblationRow, error) {
+	cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: s.Run}
 	slaves := 64
-	if quick {
+	if s.Quick {
 		cfg.Cities = 10
 		slaves = 12
 	}
 	strats := []oam.Strategy{oam.Rerun, oam.Continuation, oam.Nack}
 	rows := make([]AppAblationRow, len(strats))
-	err := forEach(len(strats), func(i int) error {
+	err := s.forEach(len(strats), func(i int) error {
 		c := cfg
 		c.Strategy = strats[i]
 		res, err := tsp.Run(apps.ORPC, slaves, c)
@@ -328,8 +326,8 @@ func AppAblation(quick bool) ([]AppAblationRow, error) {
 }
 
 // AppAblationTable formats the application-level strategy comparison.
-func AppAblationTable(quick bool) (*Table, error) {
-	rows, err := AppAblation(quick)
+func AppAblationTable(s Scale) (*Table, error) {
+	rows, err := AppAblation(s)
 	if err != nil {
 		return nil, err
 	}

@@ -142,8 +142,8 @@ type BenchResult struct {
 	GOMEMLIMIT   int64 `json:"gomemlimit"`
 	WorkerCounts []int `json:"worker_counts"` // effective harness widths of the seq and par passes
 	// Shards is the engine shard count the harness cells requested
-	// (exp.Shards); EffectiveWorkers is the harness width after the
-	// cells × shards ≤ GOMAXPROCS budget.
+	// (Scale.Run.Shards); EffectiveWorkers is the harness width after
+	// the cells × shards ≤ GOMAXPROCS budget.
 	Shards           int  `json:"shards"`
 	EffectiveWorkers int  `json:"effective_workers"`
 	Quick            bool `json:"quick"`
@@ -405,20 +405,19 @@ var benchSuite = []struct {
 	{"fig4", func(s Scale) error { _, _, err := Fig4Water(s); return err }},
 	{"table3", func(s Scale) error { _, err := Table3(s); return err }},
 	{"ablation", func(Scale) error { AblationTable(); return nil }},
-	{"appablation", func(s Scale) error { _, err := AppAblationTable(s.Quick); return err }},
+	{"appablation", func(s Scale) error { _, err := AppAblationTable(s); return err }},
 	{"schedpolicy", func(Scale) error { SchedPolicyTable(); return nil }},
 	{"budget", func(Scale) error { BudgetTable(); return nil }},
 	{"buffering", func(Scale) error { BufferingTable(); return nil }},
 	{"interrupts", func(Scale) error { InterruptsTable(); return nil }},
-	{"sorsizes", func(s Scale) error { _, err := SORSizesTable(s.Quick); return err }},
+	{"sorsizes", func(s Scale) error { _, err := SORSizesTable(s); return err }},
 	{"chaos", func(s Scale) error { _, err := ChaosTable(s); return err }},
 	{"kv", func(s Scale) error { _, err := KVTable(s); return err }},
-	{"kvmulti", func(s Scale) error { _, err := KVMultiactiveTable(s.Quick); return err }},
+	{"kvmulti", func(s Scale) error { _, err := KVMultiactiveTable(s); return err }},
 }
 
 // Bench measures kernel throughput and the wall-clock of every experiment
-// under the sequential and parallel harness. It mutates (and restores)
-// Workers, so it must not run concurrently with other experiments.
+// under the sequential and parallel harness.
 func Bench(scale Scale) (*BenchResult, error) {
 	warmup, packets := 50_000, 200_000
 	if scale.Quick {
@@ -436,8 +435,8 @@ func Bench(scale Scale) (*BenchResult, error) {
 		NumCPU:           runtime.NumCPU(),
 		GOGC:             gogc,
 		GOMEMLIMIT:       debug.SetMemoryLimit(-1),
-		Shards:           Shards,
-		EffectiveWorkers: EffectiveWorkers(),
+		Shards:           scale.Run.Shards,
+		EffectiveWorkers: scale.workers(),
 		Quick:            scale.Quick,
 		Mode:             mode,
 		Kernel:           KernelStorm(warmup, packets),
@@ -463,13 +462,13 @@ func Bench(scale Scale) (*BenchResult, error) {
 	markRSS("kernel_observed")
 	res.KernelScale = KernelScale(scale.Quick)
 	markRSS("kernel_scale")
-	sat, err := KVSaturationBench(scale.Quick)
+	sat, err := KVSaturationBench(scale)
 	if err != nil {
 		return nil, fmt.Errorf("bench kv_saturation: %w", err)
 	}
 	res.KVSat = sat
 	markRSS("kv_saturation")
-	multi, err := KVMultiactiveBench(scale.Quick)
+	multi, err := KVMultiactiveBench(scale)
 	if err != nil {
 		return nil, fmt.Errorf("bench kv_multiactive: %w", err)
 	}
@@ -478,23 +477,17 @@ func Bench(scale Scale) (*BenchResult, error) {
 	if res.GOMAXPROCS == 1 {
 		res.Warning = "GOMAXPROCS=1: the parallel pass runs serialized, so the seq-vs-par and seq-vs-sharded speedups do not measure parallelism"
 	}
-	saved := Workers
-	defer func() { Workers = saved }()
 	res.Experiments = make([]ExpBench, len(benchSuite))
-	res.WorkerCounts = []int{1, res.GOMAXPROCS}
-	if Shards > 1 {
-		// The cells × shards budget caps the parallel pass width.
-		saved := Workers
-		Workers = res.GOMAXPROCS
-		res.WorkerCounts[1] = EffectiveWorkers()
-		Workers = saved
-	}
-	for pass, w := range res.WorkerCounts {
-		Workers = w
+	// The same suite at harness width 1 and at full width (which the
+	// cells × shards budget may cap).
+	seq, par := scale, scale
+	seq.Workers, par.Workers = 1, res.GOMAXPROCS
+	res.WorkerCounts = []int{seq.workers(), par.workers()}
+	for pass, sc := range []Scale{seq, par} {
 		for i, e := range benchSuite {
 			start := time.Now()
-			if err := e.run(scale); err != nil {
-				return nil, fmt.Errorf("bench %s (workers=%d): %w", e.name, w, err)
+			if err := e.run(sc); err != nil {
+				return nil, fmt.Errorf("bench %s (workers=%d): %w", e.name, res.WorkerCounts[pass], err)
 			}
 			ms := float64(time.Since(start).Nanoseconds()) / 1e6
 			res.Experiments[i].Name = e.name

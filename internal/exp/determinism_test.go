@@ -11,11 +11,7 @@ import (
 // buffer. Virtual results must not depend on the worker count.
 func renderSuite(t *testing.T, workers int) (string, []ChaosRow) {
 	t.Helper()
-	saved := Workers
-	Workers = workers
-	defer func() { Workers = saved }()
-
-	s := Scale{Quick: true, MaxP: 8}
+	s := Scale{Quick: true, MaxP: 8, Workers: workers}
 	var buf bytes.Buffer
 
 	tab, _, err := Fig1Triangle(s)
@@ -59,6 +55,7 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run suite comparison")
 	}
+	t.Parallel()
 	seqOut, seqRows := renderSuite(t, 1)
 	parOut, parRows := renderSuite(t, 4)
 	if seqOut != parOut {
@@ -84,17 +81,14 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 // matter the scheduling.
 func TestForEachOrderAndErrors(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		saved := Workers
-		Workers = workers
 		ran := make([]int, 100)
-		err := forEach(100, func(i int) error {
+		err := Scale{Workers: workers}.forEach(100, func(i int) error {
 			ran[i]++
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return errAt(i)
 			}
 			return nil
 		})
-		Workers = saved
 		for i, n := range ran {
 			if n != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)

@@ -264,7 +264,7 @@ func TestInterruptsShape(t *testing.T) {
 }
 
 func TestAppAblationQuick(t *testing.T) {
-	rows, err := AppAblation(true)
+	rows, err := AppAblation(Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestAppAblationQuick(t *testing.T) {
 // TestSORSizesClaim: the absolute ORPC-TRPC gap stays in a narrow band
 // across problem sizes while the relative gap grows at smaller sizes.
 func TestSORSizesClaim(t *testing.T) {
-	rows, err := SORSizes(true)
+	rows, err := SORSizes(Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,9 @@ type BudgetRow struct {
 func Budget() []BudgetRow {
 	budgets := []sim.Duration{0, sim.Micros(100), sim.Micros(25)}
 	rows := make([]BudgetRow, len(budgets))
-	forEach(len(budgets), func(i int) error {
-		rows[i] = runBudget(budgets[i])
-		return nil
-	})
+	for i, b := range budgets {
+		rows[i] = runBudget(b)
+	}
 	return rows
 }
 
@@ -147,10 +146,9 @@ func Buffering() []BufferRow {
 	caps := []int{2, 8, 128}
 	quanta := []sim.Duration{sim.Micros(20), sim.Micros(200)}
 	rows := make([]BufferRow, len(caps)*len(quanta))
-	forEach(len(rows), func(i int) error {
+	for i := range rows {
 		rows[i] = runBuffering(caps[i/len(quanta)], quanta[i%len(quanta)])
-		return nil
-	})
+	}
 	return rows
 }
 

@@ -11,33 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Scale selects full paper-size experiments or quick reduced ones.
-type Scale struct {
-	// Quick shrinks the problem sizes and node counts so the whole suite
-	// runs in seconds (for tests and default benchmarks).
-	Quick bool
-	// MaxP caps the largest machine size (0 = the scale's default).
-	MaxP int
-}
-
-func (s Scale) procs(def []int) []int {
-	max := s.MaxP
-	if max == 0 {
-		if s.Quick {
-			max = 16
-		} else {
-			max = def[len(def)-1]
-		}
-	}
-	var out []int
-	for _, p := range def {
-		if p <= max {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // FigRow is one curve point of a runtime/speedup figure.
 type FigRow struct {
 	System   string
@@ -72,7 +45,7 @@ func figTable(title string, rows []FigRow, notes ...string) *Table {
 // Fig1Triangle reproduces Figure 1: the Triangle puzzle on 1..128
 // processors under AM, ORPC, and TRPC.
 func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
-	cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, Shards: Shards, Optimistic: Optimistic, Cores: Cores}
+	cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, RunOptions: s.Run}
 	if s.Quick {
 		cfg.Side = 5
 	}
@@ -82,7 +55,7 @@ func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
 	// engine; fan out across the worker pool and merge by index so row
 	// order matches the sequential loops exactly.
 	rows := make([]FigRow, len(apps.Systems)*len(procs))
-	err := forEach(len(rows), func(i int) error {
+	err := s.forEach(len(rows), func(i int) error {
 		sys, p := apps.Systems[i/len(procs)], procs[i%len(procs)]
 		res, err := triangle.Run(sys, p, cfg)
 		if err != nil {
@@ -110,7 +83,7 @@ func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
 // Fig2TSP reproduces Figure 2 (runtime/speedup vs slaves) and its data
 // also feeds Table 2.
 func Fig2TSP(s Scale) (*Table, []FigRow, error) {
-	cfg := tsp.Config{Cities: 12, Seed: 102, Shards: Shards, Optimistic: Optimistic, Cores: Cores}
+	cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: s.Run}
 	slavesList := []int{1, 2, 4, 8, 16, 32, 64, 127}
 	if s.Quick {
 		cfg.Cities = 10
@@ -118,7 +91,7 @@ func Fig2TSP(s Scale) (*Table, []FigRow, error) {
 	slavesList = s.procs(slavesList)
 	seq := tsp.SeqTime(tsp.NewProblem(cfg.Cities, cfg.Seed).SolveSeq())
 	rows := make([]FigRow, len(apps.Systems)*len(slavesList))
-	err := forEach(len(rows), func(i int) error {
+	err := s.forEach(len(rows), func(i int) error {
 		sys, sl := apps.Systems[i/len(slavesList)], slavesList[i%len(slavesList)]
 		res, err := tsp.Run(sys, sl, cfg)
 		if err != nil {
@@ -173,9 +146,7 @@ func Fig3SOR(s Scale) (*Table, []FigRow, error) {
 	if s.Quick {
 		cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
 	}
-	cfg.Shards = Shards
-	cfg.Optimistic = Optimistic
-	cfg.Cores = Cores
+	cfg.RunOptions = s.Run
 	seqr := sor.SolveSeq(cfg)
 	procs := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 128})
 	variants := []struct {
@@ -190,7 +161,7 @@ func Fig3SOR(s Scale) (*Table, []FigRow, error) {
 		{"ORPC-ssd", func(p int) (apps.Result, error) { return sor.RunSenderSpecified(p, cfg) }},
 	}
 	rows := make([]FigRow, len(variants)*len(procs))
-	err := forEach(len(rows), func(i int) error {
+	err := s.forEach(len(rows), func(i int) error {
 		v, p := variants[i/len(procs)], procs[i%len(procs)]
 		res, err := v.run(p)
 		if err != nil {
@@ -243,9 +214,7 @@ var WaterVariants = []WaterVariant{
 func Fig4Water(s Scale) (*Table, []FigRow, error) {
 	cfg := water.DefaultConfig()
 	cfg.Seed = 103
-	cfg.Shards = Shards
-	cfg.Optimistic = Optimistic
-	cfg.Cores = Cores
+	cfg.RunOptions = s.Run
 	procs := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	if s.Quick {
 		cfg.Mols = 64
@@ -253,7 +222,7 @@ func Fig4Water(s Scale) (*Table, []FigRow, error) {
 	procs = s.procs(procs)
 	seq := water.SolveSeq(water.Config{Mols: cfg.Mols, Iters: 1, Seed: cfg.Seed})
 	rows := make([]FigRow, len(WaterVariants)*len(procs))
-	err := forEach(len(rows), func(i int) error {
+	err := s.forEach(len(rows), func(i int) error {
 		v, p := WaterVariants[i/len(procs)], procs[i%len(procs)]
 		resN, err := water.Run(v.Sys, p, v.Barrier, cfg)
 		if err != nil {
@@ -292,6 +261,7 @@ func Fig4Water(s Scale) (*Table, []FigRow, error) {
 func Table3(s Scale) (*Table, error) {
 	cfg := water.DefaultConfig()
 	cfg.Seed = 103
+	cfg.RunOptions = s.Run
 	procs := []int{2, 4, 8, 16, 32, 64, 128}
 	if s.Quick {
 		cfg.Mols = 64
@@ -305,7 +275,7 @@ func Table3(s Scale) (*Table, error) {
 		},
 	}
 	t.Rows = make([][]string, len(procs))
-	err := forEach(len(procs), func(i int) error {
+	err := s.forEach(len(procs), func(i int) error {
 		p := procs[i]
 		res, err := water.Run(apps.ORPC, p, false, cfg)
 		if err != nil {

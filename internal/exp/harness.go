@@ -4,52 +4,64 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/apps"
 )
 
-// Workers is the number of experiment cells run concurrently by the
-// harness. Each cell owns a private sim.Engine (and thus its own RNG), so
-// cells are independent by construction; the harness only parallelizes
-// across cells, never within one. The default uses every available CPU.
-// Set to 1 to force sequential execution — results are byte-identical
-// either way, because cells write their results by index.
-var Workers = runtime.GOMAXPROCS(0)
+// Scale is what every application-running experiment receives: the
+// problem size, plus how its cells execute. The zero value is the paper's
+// full-size run on the sequential kernel with one core per node, cells
+// fanned out across every CPU.
+type Scale struct {
+	// Quick shrinks the problem sizes and node counts so the whole suite
+	// runs in seconds (for tests and default benchmarks).
+	Quick bool
+	// MaxP caps the largest machine size (0 = the scale's default).
+	MaxP int
+	// Run is handed to every application run an experiment makes.
+	Run apps.RunOptions
+	// Workers is the number of experiment cells run concurrently (0 = all
+	// CPUs, 1 = sequential). Each cell owns a private sim.Engine (and thus
+	// its own RNG), so cells are independent by construction; the harness
+	// only parallelizes across cells, never within one, and results are
+	// byte-identical at any width because cells write theirs by index.
+	Workers int
+}
 
-// Shards is the engine shard count experiment cells request for their app
-// runs (see apps.ResolveShards: 0/1 sequential, negative auto). Results
-// are bit-identical at any value. When both the harness and the engines
-// parallelize, EffectiveWorkers keeps cells × shards within the host
-// budget.
-var Shards = 1
+func (s Scale) procs(def []int) []int {
+	max := s.MaxP
+	if max == 0 {
+		if s.Quick {
+			max = 16
+		} else {
+			max = def[len(def)-1]
+		}
+	}
+	var out []int
+	for _, p := range def {
+		if p <= max {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
-// Optimistic selects the engines' speculative span scheduler instead of
-// lockstep windows for sharded app runs (sim.Optimistic; no effect when
-// the resolved shard count is 1). Results are bit-identical either way.
-var Optimistic = false
-
-// Cores is the simulated per-node core count app runs request
-// (oam.Options.Cores). 1 keeps the paper's single-active dispatch;
-// higher values enable multiactive dispatch for apps that declare a
-// compatibility matrix. Simulated cores cost no host CPUs — they only
-// change how virtual time overlaps — so Cores does not enter
-// EffectiveWorkers. Results are bit-identical at any value of Shards for
-// a fixed Cores.
-var Cores = 1
-
-// EffectiveWorkers is the harness width actually used: Workers, shrunk so
-// that concurrent cells × shard runners per cell never exceeds
-// GOMAXPROCS. Without the cap, every cell would spin Shards goroutines of
-// its own and the host would thrash on oversubscription.
-func EffectiveWorkers() int {
-	w := Workers
+// workers is the harness width actually used: Workers, shrunk so that
+// concurrent cells × shard runners per cell never exceeds GOMAXPROCS.
+// Without the cap, every cell would spin Run.Shards goroutines of its own
+// and the host would thrash on oversubscription. Simulated cores cost no
+// host CPUs, so Run.Cores does not enter.
+func (s Scale) workers() int {
+	w := s.Workers
 	if w < 1 {
-		w = 1
+		w = runtime.GOMAXPROCS(0)
 	}
-	s := Shards
-	if s < 0 {
-		s = runtime.NumCPU()
+	sh := s.Run.Shards
+	if sh < 0 {
+		sh = runtime.NumCPU()
 	}
-	if s > 1 {
-		if budget := runtime.GOMAXPROCS(0) / s; budget < w {
+	if sh > 1 {
+		if budget := runtime.GOMAXPROCS(0) / sh; budget < w {
 			w = budget
 		}
 		if w < 1 {
@@ -59,14 +71,13 @@ func EffectiveWorkers() int {
 	return w
 }
 
-// forEach runs fn(0) .. fn(n-1) across min(EffectiveWorkers, n)
-// goroutines. fn must
-// deposit its result at index i of a pre-sized slice so that merge order
-// is the loop order, independent of goroutine scheduling. All cells run
-// even after a failure; the returned error is the lowest-index one, again
-// so the outcome does not depend on scheduling.
-func forEach(n int, fn func(i int) error) error {
-	w := EffectiveWorkers()
+// forEach runs fn(0) .. fn(n-1) across min(s.workers(), n) goroutines.
+// fn must deposit its result at index i of a pre-sized slice so that
+// merge order is the loop order, independent of goroutine scheduling. All
+// cells run even after a failure; the returned error is the lowest-index
+// one, again so the outcome does not depend on scheduling.
+func (s Scale) forEach(n int, fn func(i int) error) error {
+	w := s.workers()
 	if w > n {
 		w = n
 	}

@@ -38,10 +38,9 @@ func Interrupts() []InterruptRow {
 		{true, sim.Micros(2000)},
 	}
 	rows := make([]InterruptRow, len(cells))
-	forEach(len(cells), func(i int) error {
-		rows[i] = runInterrupts(cells[i].ints, cells[i].quantum)
-		return nil
-	})
+	for i, cl := range cells {
+		rows[i] = runInterrupts(cl.ints, cl.quantum)
+	}
 	return rows
 }
 

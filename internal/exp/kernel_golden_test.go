@@ -91,11 +91,7 @@ func TestChaosFaultHashGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep simulates several lossy runs")
 	}
-	saved := Workers
-	Workers = 1
-	defer func() { Workers = saved }()
-
-	rows, err := Chaos(Scale{Quick: true})
+	rows, err := Chaos(Scale{Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}

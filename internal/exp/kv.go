@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -82,17 +81,15 @@ type kvScenario struct {
 
 // kvCell runs one configuration, checks its invariants, and reduces it
 // to a row.
-func kvCell(scenario string, sys apps.System, rateX float64, shape func(*kv.Config), clients int, dur sim.Duration) (KVRow, error) {
+func kvCell(ro apps.RunOptions, scenario string, sys apps.System, rateX float64, shape func(*kv.Config), clients int, dur sim.Duration) (KVRow, error) {
 	cfg := kv.Config{
-		System:   sys,
-		Seed:     17,
-		Clients:  clients,
-		Duration: dur,
-		RateX:    rateX,
-		Shards:   Shards,
+		System:     sys,
+		Seed:       17,
+		Clients:    clients,
+		Duration:   dur,
+		RateX:      rateX,
+		RunOptions: ro,
 	}
-	cfg.Optimistic = Optimistic
-	cfg.Cores = Cores
 	if shape != nil {
 		shape(&cfg)
 	}
@@ -188,7 +185,7 @@ func KV(scale Scale) ([]KVRow, error) {
 	}
 
 	rows := make([]KVRow, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	err := scale.forEach(len(cells), func(i int) error {
 		cl := cells[i]
 		nClients, nDur := clients, dur
 		// Scenario shapes may override Clients; pre-apply to size the probe.
@@ -197,7 +194,7 @@ func KV(scale Scale) ([]KVRow, error) {
 		if tmp.Clients != clients {
 			nClients = tmp.Clients
 		}
-		row, err := kvCell(cl.sc.name, cl.sys, cl.sc.rateX, cl.sc.shape, nClients, nDur)
+		row, err := kvCell(scale.Run, cl.sc.name, cl.sys, cl.sc.rateX, cl.sc.shape, nClients, nDur)
 		if err != nil {
 			return err
 		}
@@ -267,10 +264,10 @@ type KVSaturation struct {
 }
 
 // KVSaturationBench sweeps ORPC and TRPC through the saturation knee.
-func KVSaturationBench(quick bool) (KVSaturation, error) {
+func KVSaturationBench(scale Scale) (KVSaturation, error) {
 	clients, dur := 48, sim.Duration(sim.Micros(12000))
 	mults := []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 3}
-	if quick {
+	if scale.Quick {
 		clients, dur = 32, sim.Duration(sim.Micros(8000))
 		mults = []float64{0.25, 0.75, 1.5, 3}
 	}
@@ -280,12 +277,12 @@ func KVSaturationBench(quick bool) (KVSaturation, error) {
 	sat.TrpcGoodput = make([]float64, len(mults))
 	type point struct{ offered, orpc, trpc float64 }
 	pts := make([]point, len(mults))
-	err := forEach(len(mults), func(i int) error {
-		ro, err := kvCell("sat", apps.ORPC, mults[i], kvShape(nil), clients, dur)
+	err := scale.forEach(len(mults), func(i int) error {
+		ro, err := kvCell(scale.Run, "sat", apps.ORPC, mults[i], kvShape(nil), clients, dur)
 		if err != nil {
 			return err
 		}
-		rt, err := kvCell("sat", apps.TRPC, mults[i], kvShape(nil), clients, dur)
+		rt, err := kvCell(scale.Run, "sat", apps.TRPC, mults[i], kvShape(nil), clients, dur)
 		if err != nil {
 			return err
 		}
@@ -307,7 +304,7 @@ func KVSaturationBench(quick bool) (KVSaturation, error) {
 		}
 	}
 	if sat.KneeRateX > 0 {
-		row, err := kvCell("sat-p999", apps.ORPC, 0.7*sat.KneeRateX, kvShape(nil), clients, dur)
+		row, err := kvCell(scale.Run, "sat-p999", apps.ORPC, 0.7*sat.KneeRateX, kvShape(nil), clients, dur)
 		if err != nil {
 			return sat, err
 		}
@@ -385,8 +382,7 @@ func (p *kvOccProbe) Fraction() float64 {
 // at 1, 2, and 4 simulated cores per server. Every reported quantity is
 // virtual time, so the pass is deterministic on any host — simulated
 // cores are free in host CPUs, they only parallelize virtual service
-// time. Valid still mirrors speedup_valid's shape (host CPUs >= top
-// core count) so consumers apply the same warn-skip discipline.
+// time — and Valid only says the single-active cell carried traffic.
 type KVMultiactive struct {
 	// Mode tags the artifact scale ("quick" or "full"), mirroring the
 	// top-level report tag so the pass is self-describing when extracted.
@@ -424,7 +420,7 @@ var kvMultiactiveCores = []int{1, 2, 4}
 // core counts. The load is sized so the single-active cell saturates
 // its servers' one handler slot (offered get work alone exceeds one
 // core), which is exactly where compatible-read admission pays.
-func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
+func KVMultiactiveBench(scale Scale) (KVMultiactive, error) {
 	const (
 		servers = 4
 		clients = 48
@@ -438,7 +434,7 @@ func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
 	)
 	dur := sim.Duration(sim.Micros(12000))
 	mode := "full"
-	if quick {
+	if scale.Quick {
 		dur = sim.Duration(sim.Micros(6000))
 		mode = "quick"
 	}
@@ -457,7 +453,7 @@ func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
 		CompatAdmitted:  make([]uint64, n),
 		CompatQueued:    make([]uint64, n),
 	}
-	err := forEach(n, func(i int) error {
+	err := scale.forEach(n, func(i int) error {
 		cores := kvMultiactiveCores[i]
 		probe := newKVOccProbe(servers+clients, cores)
 		var rt *rpc.Runtime
@@ -473,7 +469,7 @@ func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
 				r.Dispatcher().SetProbe(probe)
 			}
 		}
-		row, err := kvCell("multiactive", apps.ORPC, rateX, shape, clients, dur)
+		row, err := kvCell(scale.Run, "multiactive", apps.ORPC, rateX, shape, clients, dur)
 		if err != nil {
 			return err
 		}
@@ -497,13 +493,13 @@ func KVMultiactiveBench(quick bool) (KVMultiactive, error) {
 	if m.P999Us[0] > 0 {
 		m.P999RatioAtMax = m.P999Us[last] / m.P999Us[0]
 	}
-	m.Valid = m.SpeedupAtMax > 0 && runtime.NumCPU() >= kvMultiactiveCores[last]
+	m.Valid = m.SpeedupAtMax > 0
 	return m, nil
 }
 
 // KVMultiactiveTable formats the core-count sweep.
-func KVMultiactiveTable(quick bool) (*Table, error) {
-	m, err := KVMultiactiveBench(quick)
+func KVMultiactiveTable(scale Scale) (*Table, error) {
+	m, err := KVMultiactiveBench(scale)
 	if err != nil {
 		return nil, err
 	}

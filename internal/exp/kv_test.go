@@ -58,14 +58,11 @@ func TestKVQuickGrid(t *testing.T) {
 }
 
 // TestKVShardInvariance re-runs one steady cell at shard counts 1 and 2
-// through the harness knobs (Shards is a package variable the CLI sets)
 // and requires bit-identical books and hashes.
 func TestKVShardInvariance(t *testing.T) {
 	run := func(shards int, optimistic bool) KVRow {
-		savedS, savedO := Shards, Optimistic
-		defer func() { Shards, Optimistic = savedS, savedO }()
-		Shards, Optimistic = shards, optimistic
-		row, err := kvCell("inv", apps.ORPC, 2, kvShape(nil), 24, sim.Micros(8000))
+		ro := apps.RunOptions{Shards: shards, Optimistic: optimistic}
+		row, err := kvCell(ro, "inv", apps.ORPC, 2, kvShape(nil), 24, sim.Micros(8000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +84,7 @@ func TestKVShardInvariance(t *testing.T) {
 // TestKVSaturationQuick checks the bench pass finds the knee and the
 // goodput gap on the quick sweep — the numbers CI asserts against.
 func TestKVSaturationQuick(t *testing.T) {
-	sat, err := KVSaturationBench(true)
+	sat, err := KVSaturationBench(Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +101,9 @@ func TestKVSaturationQuick(t *testing.T) {
 
 // TestKVMultiactiveQuick checks the multiactive bench pass on the quick
 // cell: everything it reports is virtual time, so the assertions are
-// deterministic on any host (only Valid depends on the host CPU count).
+// deterministic on any host.
 func TestKVMultiactiveQuick(t *testing.T) {
-	m, err := KVMultiactiveBench(true)
+	m, err := KVMultiactiveBench(Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +135,8 @@ func TestKVMultiactiveQuick(t *testing.T) {
 // the multiactive extension of TestKVShardInvariance.
 func TestKVMultiactiveShardInvariance(t *testing.T) {
 	run := func(shards int, optimistic bool) KVRow {
-		savedS, savedO := Shards, Optimistic
-		defer func() { Shards, Optimistic = savedS, savedO }()
-		Shards, Optimistic = shards, optimistic
-		row, err := kvCell("inv", apps.ORPC, 2, kvShape(func(c *kv.Config) {
+		ro := apps.RunOptions{Shards: shards, Optimistic: optimistic}
+		row, err := kvCell(ro, "inv", apps.ORPC, 2, kvShape(func(c *kv.Config) {
 			c.Cores = 2
 			c.ZipfS = 1.1
 		}), 24, sim.Micros(8000))

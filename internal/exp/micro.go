@@ -123,20 +123,11 @@ type Table1Row struct {
 // ORPC, and hand-coded AM, with and without a running server thread.
 func Table1() []Table1Row {
 	const trips = 64
-	rows := make([]Table1Row, 3)
-	measure := []func() Table1Row{
-		func() Table1Row {
-			return Table1Row{System: "TRPC", NoThread: nullRPC(rpc.TRPC, false, 0, trips), Busy: nullRPC(rpc.TRPC, true, 0, trips)}
-		},
-		func() Table1Row {
-			return Table1Row{System: "ORPC", NoThread: nullRPC(rpc.ORPC, false, 0, trips), Busy: nullRPC(rpc.ORPC, true, 0, trips)}
-		},
-		func() Table1Row {
-			return Table1Row{System: "AM", NoThread: nullAM(false, trips), Busy: nullAM(true, trips)}
-		},
+	return []Table1Row{
+		{System: "TRPC", NoThread: nullRPC(rpc.TRPC, false, 0, trips), Busy: nullRPC(rpc.TRPC, true, 0, trips)},
+		{System: "ORPC", NoThread: nullRPC(rpc.ORPC, false, 0, trips), Busy: nullRPC(rpc.ORPC, true, 0, trips)},
+		{System: "AM", NoThread: nullAM(false, trips), Busy: nullAM(true, trips)},
 	}
-	forEach(len(rows), func(i int) error { rows[i] = measure[i](); return nil })
-	return rows
 }
 
 // Table1Table formats Table1 like the paper.
@@ -169,16 +160,14 @@ func Bulk() []BulkRow {
 	const trips = 16
 	sizes := []int{0, 8, 16, 64, 256, 640, 1024, 4096}
 	rows := make([]BulkRow, len(sizes))
-	forEach(len(sizes), func(i int) error {
-		size := sizes[i]
+	for i, size := range sizes {
 		rows[i] = BulkRow{
 			Bytes: size,
 			TRPC:  nullRPC(rpc.TRPC, false, size, trips),
 			ORPC:  nullRPC(rpc.ORPC, false, size, trips),
 			AM:    bulkAM(size, trips),
 		}
-		return nil
-	})
+	}
 	return rows
 }
 
@@ -241,12 +230,7 @@ func BulkTable() *Table {
 // the live-stack optimization can be applied"): the time from the start
 // of the optimistic attempt to the promoted thread re-entering the body.
 func AbortCost() (liveStack sim.Duration, withSwitch sim.Duration) {
-	var out [2]sim.Duration
-	forEach(2, func(i int) error {
-		out[i] = nullAbortingRPC(i == 1)
-		return nil
-	})
-	return out[0], out[1]
+	return nullAbortingRPC(false), nullAbortingRPC(true)
 }
 
 // nullAbortingRPC measures a round trip whose optimistic execution always

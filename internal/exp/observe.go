@@ -17,10 +17,19 @@ import (
 
 // ObserveSpec selects one observed application run.
 type ObserveSpec struct {
-	App   string       // triangle | tsp | sor | water | sched
-	Sys   apps.System  // communication system (default ORPC)
-	Nodes int          // machine size (0 = the app's default)
-	Quick bool         // shrink the problem like the quick figure runs
+	App   string      // triangle | tsp | sor | water | sched | kv
+	Sys   apps.System // communication system (default ORPC)
+	Nodes int         // machine size (0 = the app's default)
+	// Scale supplies Quick (shrink the problem like the quick figure
+	// runs) and Run.Cores; an observed run is a single cell on the
+	// sequential kernel, so the rest is not consulted.
+	Scale Scale
+}
+
+// run is the RunOptions of an observed run: the sequential kernel (the
+// collector's probes need it) with c attached.
+func (spec ObserveSpec) run(c *obs.Collector) apps.RunOptions {
+	return apps.RunOptions{Cores: spec.Scale.Run.Cores, Observe: c.Attach}
 }
 
 // ParseSystem maps a -sys flag value to an apps.System.
@@ -52,15 +61,15 @@ func ObservedApps() []string {
 // experiments, so a trace shows the same schedule the figures measure.
 var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Result, error){
 	"triangle": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, Observe: c.Attach}
-		if spec.Quick {
+		cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, RunOptions: spec.run(c)}
+		if spec.Scale.Quick {
 			cfg.Side = 5
 		}
 		return triangle.Run(spec.Sys, spec.Nodes, cfg)
 	},
 	"tsp": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := tsp.Config{Cities: 12, Seed: 102, Observe: c.Attach}
-		if spec.Quick {
+		cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: spec.run(c)}
+		if spec.Scale.Quick {
 			cfg.Cities = 10
 		}
 		// -p counts processors; the master occupies node 0.
@@ -68,27 +77,27 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 	},
 	"sor": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := sor.DefaultConfig()
-		if spec.Quick {
+		if spec.Scale.Quick {
 			cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
 		}
-		cfg.Observe = c.Attach
+		cfg.RunOptions = spec.run(c)
 		return sor.Run(spec.Sys, spec.Nodes, cfg)
 	},
 	"water": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := water.DefaultConfig()
 		cfg.Seed = 103
-		if spec.Quick {
+		if spec.Scale.Quick {
 			cfg.Mols = 64
 		}
-		cfg.Observe = c.Attach
+		cfg.RunOptions = spec.run(c)
 		return water.Run(spec.Sys, spec.Nodes, false, cfg)
 	},
 	"sched": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		// The control plane always runs ORPC; spec.Sys is ignored. The
 		// collector doubles as the control-plane probe, so the trace grows
 		// a "sched" track of heartbeats, outages, and lease spans.
-		cfg := sched.Config{Jobs: 16, Seed: 104, Observe: c.Attach, Probe: c}
-		if spec.Quick {
+		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: spec.run(c), Probe: c}
+		if spec.Scale.Quick {
 			cfg.Jobs = 8
 		}
 		res, _, err := sched.Run(spec.Nodes-1, cfg)
@@ -104,15 +113,14 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 			servers = 1
 		}
 		cfg := kv.Config{
-			System:  spec.Sys,
-			Seed:    105,
-			Servers: servers,
-			Clients: spec.Nodes - servers,
-			Cores:   Cores,
-			Observe: c.Attach,
-			Probe:   c,
+			System:     spec.Sys,
+			Seed:       105,
+			Servers:    servers,
+			Clients:    spec.Nodes - servers,
+			RunOptions: spec.run(c),
+			Probe:      c,
 		}
-		if spec.Quick {
+		if spec.Scale.Quick {
 			cfg.Duration = sim.Micros(5000)
 		}
 		res, _, err := kv.Run(cfg)

@@ -11,6 +11,7 @@ import (
 // indistinguishable from the sequential one: same result struct, same
 // Charged(), and a canonical schedule trace that hashes identically.
 func TestOptimisticEquivalenceApps(t *testing.T) {
+	t.Parallel()
 	for _, app := range []string{"triangle", "tsp", "sor", "water"} {
 		seq := runShardedApp(t, app, 1, false)
 		if seq.traceLen == 0 {
@@ -32,6 +33,7 @@ func TestOptimisticEquivalenceApps(t *testing.T) {
 			}
 		}
 	}
+	checkScaleExperiments(t, true)
 }
 
 // TestOptimisticEquivalenceChaos: the full quick chaos sweep — loss,
@@ -44,14 +46,10 @@ func TestOptimisticEquivalenceChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the chaos sweep three times")
 	}
-	savedShards, savedWorkers, savedOpt := Shards, Workers, Optimistic
-	defer func() { Shards, Workers, Optimistic = savedShards, savedWorkers, savedOpt }()
-	Workers = 1
-
+	t.Parallel()
 	var seq []ChaosRow
 	for _, s := range shardCounts {
-		Shards, Optimistic = s, s > 1
-		rows, err := Chaos(Scale{Quick: true})
+		rows, err := Chaos(shardedScale(s, s > 1))
 		if err != nil {
 			t.Fatalf("optimistic chaos sweep (shards=%d): %v", s, err)
 		}
@@ -82,14 +80,9 @@ func TestOptimisticEquivalenceSched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sched sweep three times")
 	}
-	savedShards, savedWorkers, savedOpt := Shards, Workers, Optimistic
-	defer func() { Shards, Workers, Optimistic = savedShards, savedWorkers, savedOpt }()
-	Workers = 1
-
 	var seq []SchedRow
 	for _, s := range shardCounts {
-		Shards, Optimistic = s, s > 1
-		rows, err := Sched(Scale{Quick: true})
+		rows, err := Sched(shardedScale(s, s > 1))
 		if err != nil {
 			t.Fatalf("optimistic sched sweep (shards=%d): %v", s, err)
 		}

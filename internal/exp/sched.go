@@ -129,13 +129,13 @@ func Sched(scale Scale) ([]SchedRow, error) {
 	}
 
 	rows := make([]SchedRow, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	err := scale.forEach(len(cells), func(i int) error {
 		cl := cells[i]
 		mx := mixes[cl.mix]
 		label := fmt.Sprintf("sched %s lease=%v hb=%v", mx.name, cl.lease, cl.beat)
 		plan := mx.plan()
 		cfg := sched.Config{
-			Specs: mx.specs, Seed: 5, Shards: Shards, Optimistic: Optimistic, Cores: Cores,
+			Specs: mx.specs, Seed: 5, RunOptions: scale.Run,
 			Fault:          plan,
 			LeaseTimeout:   cl.lease,
 			HeartbeatEvery: cl.beat,

@@ -60,14 +60,9 @@ func TestShardedEquivalenceSched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sched sweep three times")
 	}
-	savedShards, savedWorkers := Shards, Workers
-	defer func() { Shards, Workers = savedShards, savedWorkers }()
-	Workers = 1
-
 	var seq []SchedRow
 	for _, s := range shardCounts {
-		Shards = s
-		rows, err := Sched(Scale{Quick: true})
+		rows, err := Sched(shardedScale(s, false))
 		if err != nil {
 			t.Fatalf("sched sweep (shards=%d): %v", s, err)
 		}

@@ -36,25 +36,25 @@ func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRec
 	t.Helper()
 	tr := sim.NewCanonicalTracer()
 	var eng *sim.Engine
-	observe := func(u *am.Universe, _ *rpc.Runtime) {
+	ro := apps.RunOptions{Shards: shards, Optimistic: optimistic, Observe: func(u *am.Universe, _ *rpc.Runtime) {
 		eng = u.Machine().Engine()
 		eng.SetTracer(tr)
-	}
+	}}
 	var res apps.Result
 	var err error
 	switch app {
 	case "triangle":
 		res, err = triangle.Run(apps.ORPC, 4, triangle.Config{
-			Side: 5, Empty: -1, Seed: 101, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Side: 5, Empty: -1, Seed: 101, RunOptions: ro})
 	case "tsp":
 		res, err = tsp.Run(apps.ORPC, 3, tsp.Config{
-			Cities: 9, Seed: 102, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Cities: 9, Seed: 102, RunOptions: ro})
 	case "sor":
 		res, err = sor.Run(apps.ORPC, 4, sor.Config{
-			Rows: 24, Cols: 16, Iters: 4, Seed: 11, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Rows: 24, Cols: 16, Iters: 4, Seed: 11, RunOptions: ro})
 	case "water":
 		res, err = water.Run(apps.ORPC, 4, true, water.Config{
-			Mols: 64, Iters: 2, Seed: 103, Shards: shards, Optimistic: optimistic, Observe: observe})
+			Mols: 64, Iters: 2, Seed: 103, RunOptions: ro})
 	default:
 		t.Fatalf("unknown app %q", app)
 	}
@@ -71,11 +71,62 @@ func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRec
 	return appRecord{res: res, charged: eng.Charged(), traceHash: tr.Hash(), traceLen: len(text)}
 }
 
+// shardedScale is the quick scale at the given engine configuration. The
+// harness runs one cell at a time so the cells' shard runners have the
+// host to themselves.
+func shardedScale(shards int, optimistic bool) Scale {
+	return Scale{Quick: true, Workers: 1, Run: apps.RunOptions{Shards: shards, Optimistic: optimistic}}
+}
+
+// checkScaleExperiments runs the experiments that reach the applications
+// only through Scale.Run — no per-app harness of their own in this file —
+// sequentially and at every parallel shard count, requiring identical
+// rows and that every application run got an engine of the requested
+// shape.
+func checkScaleExperiments(t *testing.T, optimistic bool) {
+	t.Helper()
+	for _, e := range []struct {
+		name string
+		rows func(Scale) (any, error)
+	}{
+		{"appablation", func(s Scale) (any, error) { return AppAblation(s) }},
+		{"sorsizes", func(s Scale) (any, error) { return SORSizes(s) }},
+	} {
+		var seq any
+		for _, shards := range shardCounts {
+			s := shardedScale(shards, optimistic && shards > 1)
+			runs := 0
+			s.Run.Observe = func(u *am.Universe, _ *rpc.Runtime) {
+				runs++
+				eng := u.Machine().Engine()
+				if eng.Shards() != shards || (eng.Mode() == sim.Optimistic) != s.Run.Optimistic {
+					t.Errorf("%s: run %d got a %d-shard %v engine, want %d shards, optimistic=%v",
+						e.name, runs, eng.Shards(), eng.Mode(), shards, s.Run.Optimistic)
+				}
+			}
+			rows, err := e.rows(s)
+			if err != nil {
+				t.Fatalf("%s (shards=%d): %v", e.name, shards, err)
+			}
+			if runs == 0 {
+				t.Fatalf("%s (shards=%d): the run options never reached an application run", e.name, shards)
+			}
+			if shards == 1 {
+				seq = rows
+			} else if !reflect.DeepEqual(rows, seq) {
+				t.Errorf("%s: rows at shards=%d optimistic=%v differ from sequential:\n got %+v\nwant %+v",
+					e.name, shards, s.Run.Optimistic, rows, seq)
+			}
+		}
+	}
+}
+
 // TestShardedEquivalenceApps: for all four applications, a sharded run is
 // indistinguishable from the sequential one — same result struct (answer,
 // elapsed virtual time, every counter), same Charged(), and a canonical
 // schedule trace that hashes identically.
 func TestShardedEquivalenceApps(t *testing.T) {
+	t.Parallel()
 	for _, app := range []string{"triangle", "tsp", "sor", "water"} {
 		seq := runShardedApp(t, app, 1, false)
 		if seq.traceLen == 0 {
@@ -96,6 +147,7 @@ func TestShardedEquivalenceApps(t *testing.T) {
 			}
 		}
 	}
+	checkScaleExperiments(t, false)
 }
 
 // TestShardedEquivalenceChaos: the full quick chaos sweep — loss,
@@ -106,14 +158,10 @@ func TestShardedEquivalenceChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the chaos sweep three times")
 	}
-	savedShards, savedWorkers := Shards, Workers
-	defer func() { Shards, Workers = savedShards, savedWorkers }()
-	Workers = 1
-
+	t.Parallel()
 	var seq []ChaosRow
 	for _, s := range shardCounts {
-		Shards = s
-		rows, err := Chaos(Scale{Quick: true})
+		rows, err := Chaos(shardedScale(s, false))
 		if err != nil {
 			t.Fatalf("chaos sweep (shards=%d): %v", s, err)
 		}

@@ -21,19 +21,20 @@ type SORSizeRow struct {
 // ORPC/TRPC difference is "consistent across different problem sizes" in
 // absolute terms — the per-message thread cost doesn't depend on the data
 // — so at smaller sizes it forms a larger fraction of the runtime.
-func SORSizes(quick bool) ([]SORSizeRow, error) {
+func SORSizes(s Scale) ([]SORSizeRow, error) {
 	p := 32
 	sizes := [][2]int{{122, 80}, {242, 80}, {482, 80}}
-	if quick {
+	if s.Quick {
 		p = 8
 		sizes = [][2]int{{34, 16}, {66, 16}, {130, 16}}
 	}
 	out := make([]SORSizeRow, len(sizes))
-	err := forEach(len(sizes), func(i int) error {
+	err := s.forEach(len(sizes), func(i int) error {
 		sz := sizes[i]
 		cfg := sor.DefaultConfig()
 		cfg.Rows, cfg.Cols = sz[0], sz[1]
-		if quick {
+		cfg.RunOptions = s.Run
+		if s.Quick {
 			cfg.Iters = 30
 		}
 		orpc, err := sor.Run(apps.ORPC, p, cfg)
@@ -60,8 +61,8 @@ func SORSizes(quick bool) ([]SORSizeRow, error) {
 }
 
 // SORSizesTable formats the size sensitivity experiment.
-func SORSizesTable(quick bool) (*Table, error) {
-	rows, err := SORSizes(quick)
+func SORSizesTable(s Scale) (*Table, error) {
+	rows, err := SORSizes(s)
 	if err != nil {
 		return nil, err
 	}

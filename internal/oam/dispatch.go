@@ -234,16 +234,12 @@ func NewThreadEnv(c threads.Ctx, ep *am.Endpoint, d *Dispatcher) *Env {
 // as a thread without re-execution.
 func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
 	node := ep.Node().ID()
-	st := d.nodeStats(node)
-	st.Total++
+	d.nodeStats(node).Total++
 	strat := d.opts.Strategy
 	if d.opts.Adaptive && strat == Rerun && d.nodeCtl(node).preferLazy {
 		// History-driven promote choice: under sustained aborts, promote
 		// the suspended execution in place instead of re-running it.
 		strat = Continuation
-	}
-	if d.probe != nil {
-		d.probe.Attempt(c.P.Now(), node, name, strat)
 	}
 	if strat == Continuation {
 		o, r := d.runLent(c, ep, name, body)
@@ -252,42 +248,73 @@ func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(
 		}
 		return o, r
 	}
+	return d.inline(c, ep, name, strat, body, nil, nil)
+}
+
+// inline is the one optimistic-attempt core: it attempts body on the
+// context c and settles the result — commit or undo, the node's counters,
+// the adaptive controller, a nack verdict or a rerun thread, then the
+// caller's hook and the probe, in that order (observed traces depend on
+// it). strat is Rerun or Nack. Single-active Run and the multiactive core
+// workers both end here and differ only in ent and hook:
+//
+//   - ent is the compatibility slot the execution occupies, nil under
+//     single-active dispatch. With a slot, the backlog the controller
+//     sees is the compatibility queue instead of the NIC queue, and a
+//     rerun thread releases the slot when it finishes (the caller drops
+//     it for every other outcome).
+//   - hook, if non-nil, hears the outcome on c. Multiactive callers need
+//     it because a queued execution settles after RunMulti has returned;
+//     Run's caller reads the return value instead.
+func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat Strategy, body func(*Env), ent *runEntry, hook func(threads.Ctx, Outcome, Reason)) (Outcome, Reason) {
+	node := ep.Node().ID()
+	st := d.nodeStats(node)
+	if d.probe != nil {
+		d.probe.Attempt(c.P.Now(), node, name, strat)
+	}
 	env := &Env{C: c, ep: ep, d: d, optimistic: true, name: name}
 	reason, aborted := attempt(env, body)
+	outcome := Completed
 	if !aborted {
 		env.commit()
 		st.Succeeded++
-		if d.opts.Adaptive {
-			d.adapt(node, false, 0, ep.Node().Pending())
+	} else {
+		env.undo()
+		st.ByReason[reason]++
+		outcome = Promoted
+		if strat == Nack {
+			outcome = NackNeeded
 		}
-		d.settle(c, ep, name, Completed, 0)
-		return Completed, 0
 	}
-	env.undo()
-	st.ByReason[reason]++
 	if d.opts.Adaptive {
-		d.adapt(node, true, reason, ep.Node().Pending())
+		backlog := ep.Node().Pending()
+		if ent != nil {
+			backlog = len(d.multi[node].queue)
+		}
+		d.adapt(node, aborted, reason, backlog)
 	}
-	if strat == Nack {
+	switch outcome {
+	case NackNeeded:
 		st.Nacked++
-		d.settle(c, ep, name, NackNeeded, reason)
-		return NackNeeded, reason
+	case Promoted:
+		// Undo everything and run the whole procedure as a thread.
+		st.Promoted++
+		// The closure reaches ep, d and name through the aborted env, which
+		// keeps it at three captured words.
+		c.S.Create(c, "oam/"+name, true, func(c2 threads.Ctx) {
+			body(&Env{C: c2, ep: env.ep, d: env.d, optimistic: false, name: env.name})
+			if ent != nil {
+				env.d.releaseSlot(c2, env.ep, ent)
+			}
+		})
 	}
-	// Rerun: undo everything and run the whole procedure as a thread.
-	st.Promoted++
-	c.S.Create(c, "oam/"+name, true, func(c2 threads.Ctx) {
-		env2 := &Env{C: c2, ep: ep, d: d, optimistic: false, name: name}
-		body(env2)
-	})
-	d.settle(c, ep, name, Promoted, reason)
-	return Promoted, reason
-}
-
-// settle reports a resolved dispatch to the probe, if any.
-func (d *Dispatcher) settle(c threads.Ctx, ep *am.Endpoint, name string, o Outcome, r Reason) {
+	if hook != nil {
+		hook(c, outcome, reason)
+	}
 	if d.probe != nil {
-		d.probe.Settled(c.P.Now(), ep.Node().ID(), name, o, r, d.opts.Strategy)
+		d.probe.Settled(c.P.Now(), node, name, outcome, reason, strat)
 	}
+	return outcome, reason
 }
 
 // attempt runs body optimistically, converting an abort unwind into a
@@ -312,6 +339,10 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 // execution is adopted as a thread in place — lazy thread creation — and
 // the polling context resumes immediately.
 func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
+	node := ep.Node().ID()
+	if d.probe != nil {
+		d.probe.Attempt(c.P.Now(), node, name, Continuation)
+	}
 	s := c.S
 	var (
 		outcome Outcome
@@ -319,7 +350,7 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 		settled bool
 	)
 	env := &Env{ep: ep, d: d, optimistic: true, name: name}
-	st := d.nodeStats(ep.Node().ID())
+	st := d.nodeStats(node)
 	env.onPromote = func(r Reason) {
 		// First promotion: report back to the dispatcher. The lender is
 		// still parked; it wakes when the adopted thread detaches.
@@ -347,6 +378,8 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 	if !settled {
 		panic("oam: lent execution returned control without settling")
 	}
-	d.settle(c, ep, name, outcome, reason)
+	if d.probe != nil {
+		d.probe.Settled(c.P.Now(), node, name, outcome, reason, Continuation)
+	}
 	return outcome, reason
 }

@@ -146,13 +146,14 @@ func (d *Dispatcher) startCore(c threads.Ctx, ep *am.Endpoint, node int, mn *mul
 		s.BindCore(p)
 		c2 := threads.Ctx{P: p, T: nil, S: s}
 		for {
-			d.runOnCore(c2, ep, node, mn, ent, body, settle)
+			d.runOnCore(c2, ep, mn, ent, body, settle)
 			q, ok := mn.takeHead(d.opts.Compat)
 			if !ok {
 				break
 			}
 			d.noteQueueDepth(p.Now(), node, len(mn.queue))
-			ent = &runEntry{name: q.ent.name, class: q.ent.class, key: q.ent.key, hasKey: q.ent.hasKey}
+			head := q.ent
+			ent = &head
 			mn.running = append(mn.running, ent)
 			body, settle = q.body, q.settle
 		}
@@ -181,65 +182,31 @@ func (mn *multiNode) takeHead(t *CompatTable) (queuedExec, bool) {
 	return head, true
 }
 
-// runOnCore runs one admitted execution on the worker context c2. Aborts
-// never retry on the core (that could livelock two same-instant
-// executions): Nack reports back through settle, anything else promotes
-// to a rerun thread. The Continuation strategy falls back to Rerun here —
-// the lend/adopt protocol presumes the single-CPU discipline.
-func (d *Dispatcher) runOnCore(c2 threads.Ctx, ep *am.Endpoint, node int, mn *multiNode, ent *runEntry, body func(*Env), settle func(threads.Ctx, Outcome, Reason)) {
-	st := d.nodeStats(node)
-	if d.probe != nil {
-		// Attempt fires at core-run start, not arrival, so the probe's
-		// attempt/settle pairing stays balanced per node.
-		d.probe.Attempt(c2.P.Now(), node, ent.name, d.opts.Strategy)
+// runOnCore runs one admitted execution on the worker context c2 through
+// the shared attempt core. Aborts never retry on the core (that could
+// livelock two same-instant executions): Nack reports back through
+// settle, anything else promotes to a rerun thread, whose entry stays in
+// the running set as a shadow slot until the rerun finishes. The
+// Continuation strategy falls back to Rerun here — the lend/adopt
+// protocol presumes the single-CPU discipline.
+func (d *Dispatcher) runOnCore(c2 threads.Ctx, ep *am.Endpoint, mn *multiNode, ent *runEntry, body func(*Env), settle func(threads.Ctx, Outcome, Reason)) {
+	strat := d.opts.Strategy
+	if strat == Continuation {
+		strat = Rerun
 	}
-	env := &Env{C: c2, ep: ep, d: d, optimistic: true, name: ent.name}
-	reason, aborted := attempt(env, body)
-	if !aborted {
-		env.commit()
-		st.Succeeded++
-		if d.opts.Adaptive {
-			d.adapt(node, false, 0, len(mn.queue))
-		}
-		if settle != nil {
-			settle(c2, Completed, 0)
-		}
-		d.settle(c2, ep, ent.name, Completed, 0)
+	// The attempt probe fires here, at core-run start, not at arrival, so
+	// its attempt/settle pairing stays balanced per node.
+	if o, _ := d.inline(c2, ep, ent.name, strat, body, ent, settle); o != Promoted {
 		mn.remove(ent)
-		return
 	}
-	env.undo()
-	st.ByReason[reason]++
-	if d.opts.Adaptive {
-		d.adapt(node, true, reason, len(mn.queue))
-	}
-	if d.opts.Strategy == Nack {
-		st.Nacked++
-		if settle != nil {
-			settle(c2, NackNeeded, reason)
-		}
-		d.settle(c2, ep, ent.name, NackNeeded, reason)
-		mn.remove(ent)
-		return
-	}
-	// Promote: re-execute the whole procedure as a thread. The entry stays
-	// in the running set as a shadow slot until the rerun finishes.
-	st.Promoted++
-	c2.S.Create(c2, "oam/"+ent.name, true, func(c3 threads.Ctx) {
-		env2 := &Env{C: c3, ep: ep, d: d, optimistic: false, name: ent.name}
-		body(env2)
-		d.releaseSlot(c3, ep, node, mn, ent)
-	})
-	if settle != nil {
-		settle(c2, Promoted, reason)
-	}
-	d.settle(c2, ep, ent.name, Promoted, reason)
 }
 
 // releaseSlot drops a promoted execution's shadow slot once its rerun
 // thread has finished, then admits any queue heads that became both
 // compatible and core-eligible.
-func (d *Dispatcher) releaseSlot(c threads.Ctx, ep *am.Endpoint, node int, mn *multiNode, ent *runEntry) {
+func (d *Dispatcher) releaseSlot(c threads.Ctx, ep *am.Endpoint, ent *runEntry) {
+	node := ep.Node().ID()
+	mn := &d.multi[node]
 	mn.remove(ent)
 	d.pump(c, ep, node, mn)
 }
@@ -254,7 +221,7 @@ func (d *Dispatcher) pump(c threads.Ctx, ep *am.Endpoint, node int, mn *multiNod
 			return
 		}
 		d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
-		ent := &runEntry{name: q.ent.name, class: q.ent.class, key: q.ent.key, hasKey: q.ent.hasKey}
-		d.startCore(c, ep, node, mn, ent, q.body, q.settle)
+		head := q.ent
+		d.startCore(c, ep, node, mn, &head, q.body, q.settle)
 	}
 }

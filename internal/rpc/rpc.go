@@ -330,8 +330,9 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 	st.OAMs++
 	if !p.async && rt.opts.OAM.Cores > 1 {
 		// Multiactive dispatch: the execution may be queued behind
-		// incompatible peers and settle after serve returns, so outcome
-		// accounting moves into the settle callback (still on this node).
+		// incompatible peers and settle after serve returns, so the
+		// dispatcher reports the outcome through a callback (still on
+		// this node).
 		var key uint64
 		hasKey := p.keyFn != nil
 		if hasKey {
@@ -341,15 +342,7 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 			res := p.impl(e, caller, arg)
 			p.sendReply(e, caller, callID, res)
 		}, func(c2 threads.Ctx, outcome oam.Outcome, _ oam.Reason) {
-			switch outcome {
-			case oam.Completed:
-				st.Successes++
-			case oam.Promoted:
-				st.Promoted++
-			case oam.NackNeeded:
-				st.Nacks++
-				ep.Send(c2, caller, rt.nackH, [4]uint64{callID}, nil)
-			}
+			p.settled(c2, ep, caller, callID, outcome)
 		})
 		return
 	}
@@ -359,6 +352,14 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 			p.sendReply(e, caller, callID, res)
 		}
 	})
+	p.settled(c, ep, caller, callID, outcome)
+}
+
+// settled accounts for one optimistic dispatch's outcome on the server
+// node's context c and, when the dispatcher asked for it, sends the
+// negative acknowledgment.
+func (p *Proc) settled(c threads.Ctx, ep *am.Endpoint, caller int, callID uint64, outcome oam.Outcome) {
+	st := &p.stats[ep.Node().ID()]
 	switch outcome {
 	case oam.Completed:
 		st.Successes++
@@ -366,7 +367,7 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 		st.Promoted++
 	case oam.NackNeeded:
 		st.Nacks++
-		ep.Send(c, caller, rt.nackH, [4]uint64{callID}, nil)
+		ep.Send(c, caller, p.rt.nackH, [4]uint64{callID}, nil)
 	}
 }
 

@@ -72,10 +72,9 @@ type Engine struct {
 
 	// Optimistic-mode configuration (see ShardConfig); opt is nil for
 	// sequential and conservative engines.
-	mode     ShardMode
-	ckpt     Duration
-	maxDrift Duration
-	opt      *optState
+	mode ShardMode
+	ckpt Duration
+	opt  *optState
 
 	// userTracer receives trace records in sharded mode, where shards
 	// buffer transitions during windows and the coordinator flushes them
@@ -154,7 +153,6 @@ func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	if cfg.Mode == Optimistic && shards > 1 {
 		e.mode = Optimistic
 		e.ckpt = cfg.CheckpointEvery
-		e.maxDrift = cfg.MaxDrift
 		e.opt = newOptState(e)
 	}
 	if cfg.EventHint > 0 {

@@ -39,11 +39,6 @@ type ShardConfig struct {
 	// NextBound (fault-plan slow/partition edges), and at the run
 	// deadline, so CheckpointEvery only bounds the barrier-free stretch.
 	CheckpointEvery Duration
-	// MaxDrift bounds how far (in virtual time) any shard's clock may run
-	// ahead of the slowest shard within a span; 0 means unbounded (the
-	// span end is then the only drift bound). Values below the lookahead
-	// are clamped up to it.
-	MaxDrift Duration
 	// EventHint is the expected machine-wide pending-event population,
 	// used to pre-size the per-shard calendar queues (0 = default). See
 	// Engine.HintEvents.
@@ -94,8 +89,6 @@ type optState struct {
 	// virtual-time latency of any cross-shard flight sent within the
 	// span. Constant per span (spans are cut at fault-plan edges).
 	la Duration
-	// drift is the effective MaxDrift for the current span (>= la), or 0.
-	drift Duration
 	// specStart is spanStart + la: events at or after it ran beyond the
 	// first conservative window of the span, i.e. needed speculation.
 	specStart Time
@@ -152,10 +145,6 @@ func newOptState(e *Engine) *optState {
 // coordinator calls it with every shard runner idle.
 func (o *optState) beginSpan(start, end Time, la Duration) {
 	o.la = la
-	o.drift = o.e.maxDrift
-	if o.drift > 0 && o.drift < la {
-		o.drift = la
-	}
 	o.specStart = start.Add(la)
 	o.spanEnd.Store(int64(end))
 	o.spanOver = false
@@ -195,25 +184,18 @@ func (o *optState) abortSpan() {
 
 // horizon returns the exclusive execution bound for shard j: one
 // lookahead past the minimum of the other shards' claims (nothing can
-// arrive at j before that), optionally tightened by the drift bound.
+// arrive at j before that).
 func (o *optState) horizon(j int) Time {
-	minPeer, minAll := maxTime, maxTime
+	minPeer := maxTime
 	for k := range o.clocks {
-		c := Time(o.clocks[k].Load())
-		if c < minAll {
-			minAll = c
+		if k == j {
+			continue
 		}
-		if k != j && c < minPeer {
+		if c := Time(o.clocks[k].Load()); c < minPeer {
 			minPeer = c
 		}
 	}
-	h := minPeer.Add(o.la)
-	if o.drift > 0 {
-		if d := minAll.Add(o.drift); d < h {
-			h = d
-		}
-	}
-	return h
+	return minPeer.Add(o.la)
 }
 
 // gate is the optimistic scheduling decision, taken by each shard before
@@ -412,8 +394,7 @@ func (o *optState) resolve() bool {
 		return true
 	}
 	// Execution machine-wide resumes at LBTS, so nothing can arrive
-	// anywhere before LBTS + la: jump claims (without the drift cap —
-	// all clocks jump together, so drift does not grow).
+	// anywhere before LBTS + la: jump claims.
 	moved := false
 	for j, sh := range shards {
 		nt := maxTime

@@ -225,9 +225,9 @@ func checkToyEqual(t *testing.T, label string, want, got toyResult) {
 }
 
 // TestOptimisticEquivalence runs the toy ping-pong sequentially,
-// conservatively, and optimistically (several checkpoint widths and drift
-// bounds) and requires bit-identical per-node hash chains, hop counts,
-// and event totals everywhere.
+// conservatively, and optimistically (several checkpoint widths) and
+// requires bit-identical per-node hash chains, hop counts, and event
+// totals everywhere.
 func TestOptimisticEquivalence(t *testing.T) {
 	seq := runToy(t, ShardConfig{Shards: 1}, nil)
 	la := Micros(2)
@@ -237,7 +237,7 @@ func TestOptimisticEquivalence(t *testing.T) {
 		for _, cfg := range []ShardConfig{
 			{Shards: shards, Mode: Optimistic},
 			{Shards: shards, Mode: Optimistic, CheckpointEvery: 8 * la},
-			{Shards: shards, Mode: Optimistic, CheckpointEvery: 64 * la, MaxDrift: 4 * la},
+			{Shards: shards, Mode: Optimistic, CheckpointEvery: 64 * la},
 		} {
 			opt := runToy(t, cfg, nil)
 			checkToyEqual(t, fmt.Sprintf("optimistic/%d/%+v", shards, cfg), seq, opt)
