@@ -1,6 +1,7 @@
 package am
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cm5"
@@ -224,6 +225,44 @@ func TestSPMDDetectsDeadlock(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+}
+
+// TestDeadlockReportDeterministic: the deadlock error lists a node's
+// blocked threads in the order they blocked, so provoking the same
+// deadlock twice yields the same text byte for byte. (The list used to be
+// a map walk, in a different order on every run.)
+func TestDeadlockReportDeterministic(t *testing.T) {
+	deadlock := func() string {
+		u := universe(t, 2, nil)
+		_, err := u.SPMD(func(c threads.Ctx, node int) {
+			if node == 1 {
+				return
+			}
+			// Eight waiters, two of which are woken again and finish: the
+			// report must list the other six and main, in block order.
+			var ws []*threads.Thread
+			for _, name := range []string{"h", "b", "f", "d", "a", "g", "c", "e"} {
+				ws = append(ws, c.S.Create(c, name, false, func(c threads.Ctx) { c.S.Block(c) }))
+			}
+			c.S.Sleep(c, sim.Micros(100)) // every waiter runs and blocks
+			ws[1].Resume(false)
+			ws[4].Resume(false)
+			c.S.Block(c)
+		})
+		if err == nil {
+			t.Fatal("expected deadlock error")
+		}
+		return err.Error()
+	}
+	first := deadlock()
+	if want := "(blocked: [h f d g c e main/0], 0 queued packets)"; !strings.Contains(first, want) {
+		t.Fatalf("deadlock report %q does not list the blocked threads in block order %q", first, want)
+	}
+	for i := 0; i < 4; i++ {
+		if again := deadlock(); again != first {
+			t.Fatalf("deadlock report differs between identical runs:\n%s\n%s", first, again)
+		}
 	}
 }
 

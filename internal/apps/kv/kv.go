@@ -663,12 +663,6 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 
 	cfg.Attach(u, rt)
 
-	sleep := func(c threads.Ctx, d sim.Duration) {
-		var f threads.Flag
-		c.Node().Shard().AfterTimer(d, f.Set)
-		f.Wait(c)
-	}
-
 	// withShedRetry drives one idempotent call through the admission
 	// protocol: honor the server's retry-after hint with linear backoff,
 	// give up after ShedRetries retries.
@@ -685,7 +679,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 				return OutcomeShed
 			}
 			cs.n.ShedWaits++
-			sleep(c, sim.Micros(float64(st)*float64(try+1)))
+			c.S.Sleep(c, sim.Micros(float64(st)*float64(try+1)))
 		}
 	}
 
@@ -739,7 +733,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 				if epoch == 0 {
 					cs.n.LockDenied++
 				} else {
-					sleep(c, cfg.LockHold)
+					c.S.Sleep(c, cfg.LockHold)
 					rel := withShedRetry(c, cs, func() (uint32, error) {
 						st, ok, err := unlock.CallIdempotent(c, srv, key, req+1, epoch, cfg.CallTimeout, cfg.CallAttempts)
 						if err == nil && st == 0 && !ok {
@@ -798,7 +792,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			key := zipf.pick(cs.rng, cfg.Keys)
 			val := int32(cs.rng.intn(1 << 16))
 			if d := next.Sub(c.P.Now()); d > 0 {
-				sleep(c, d)
+				c.S.Sleep(c, d)
 			}
 			now := c.P.Now()
 			if node.Crashed() {
@@ -827,7 +821,8 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			req := cs.reqCtr
 			cs.reqCtr += 2 // a lock cycle uses req and req+1
 			start := next  // SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
-			c.S.Create(c, fmt.Sprintf("kv/req/%d.%d", cid, req), false, func(c threads.Ctx) {
+			name := threads.Name{Prefix: "kv/req/", A: cid, B: int(req), Pair: true}
+			c.S.CreateNamed(c, name, false, func(c threads.Ctx) {
 				runReq(c, cs, me, op, key, val, req, start)
 			})
 		}
@@ -840,7 +835,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 					cid, cfg.MaxTime, cs.outstanding)
 				return
 			}
-			sleep(c, sim.Micros(200))
+			c.S.Sleep(c, sim.Micros(200))
 		}
 	})
 	if err != nil {

@@ -530,7 +530,8 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 			// only optimistic abort point is the Lock itself, so an
 			// aborted attempt cannot have spawned it.
 			c := e.Ctx()
-			c.S.Create(c, fmt.Sprintf("sched/job/%d.%d", job, epoch), false, func(c threads.Ctx) {
+			name := threads.Name{Prefix: "sched/job/", A: int(job), B: int(epoch), Pair: true}
+			c.S.CreateNamed(c, name, false, func(c threads.Ctx) {
 				runJob(c, a, rj, job, cpu, mem, dur)
 			})
 		}
@@ -662,19 +663,8 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 					return
 				}
 			}
-			// Sleep until the next beat on a node-local timer (the same
-			// idiom as RPC deadlines). A blocked thread leaves the ready
-			// queue, so runner threads get the whole agent between beats
-			// and the idle loop answers placements when everything
-			// blocks. Charging the interval instead would model the wait
-			// as a busy spin: every runner's CPU share halves and each
-			// 50 us slice pays a 52 us context switch to hand the CPU
-			// back to the spinning waiter — in the worst case stretching
-			// a job past any lease timeout and livelocking the control
-			// plane on migration ping-pong.
-			var beat threads.Flag
-			c.Node().Shard().AfterTimer(cfg.HeartbeatEvery, beat.Set)
-			beat.Wait(c)
+			// Sleep, not Charge, between beats: see Scheduler.Sleep.
+			c.S.Sleep(c, cfg.HeartbeatEvery)
 		}
 	})
 	if err != nil {

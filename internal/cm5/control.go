@@ -49,7 +49,7 @@ type ctlRound struct {
 	released     bool
 	orVal        bool
 	redVal       float64
-	redOp        ReduceOp // operator of this round (fixed per round)
+	redOp        ReduceOp                     // operator of this round (fixed per round)
 	waiters      []func(or bool, red float64) // per node; called in node order
 	pendingWaits int
 }

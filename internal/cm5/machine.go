@@ -322,7 +322,7 @@ type Node struct {
 	// per-flight RNG streams, so a draw's value depends only on
 	// (src, dst, attempt), never on unrelated event order. Sparse: a
 	// dense per-destination array here was the machine's O(nodes²).
-	attempts attemptCounter
+	attempts PeerTable[uint64]
 	// ctlEnter/ctlWait are this node's collective epochs (entered and
 	// waited rounds), indexed by collective (barrier, OR, reduce). They
 	// live on the Node rather than in n-sized arrays on the collectives
@@ -456,7 +456,9 @@ func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
 	dst := pkt.Dst
 	f := n.m.fault
 	now := n.sh.Now()
-	attempt := n.attempts.next(dst)
+	ctr := n.attempts.At(dst)
+	attempt := *ctr
+	*ctr = attempt + 1
 	var fr flightRNG
 	var lossKind FaultKind
 	lost := false

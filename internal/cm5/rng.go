@@ -42,47 +42,3 @@ func (r *flightRNG) float64() float64 {
 func (r *flightRNG) int63n(n int64) int64 {
 	return int64(r.next()>>1) % n
 }
-
-// attemptCounter holds a node's per-destination injection counters — the
-// values that seed the per-flight RNG streams. A node used to carry a
-// dense uint64 array over all n destinations, which made machine memory
-// O(nodes²); in practice a node talks to a handful of peers, so the
-// counters are sparse: a short parallel-array scan for the common case,
-// spilling to a map for genuinely fan-out-heavy nodes. The counts are
-// identical to the dense array's, so every RNG stream (and every fault
-// and jitter golden) is unchanged.
-type attemptCounter struct {
-	keys  []int32
-	vals  []uint64
-	spill map[int32]uint64
-}
-
-// attemptInlineMax is the destination count kept in the scan arrays
-// before spilling to a map.
-const attemptInlineMax = 16
-
-// next returns the current counter for dst and increments it. Steady
-// state allocates nothing: the arrays stop growing at attemptInlineMax
-// and map increments of existing keys don't allocate.
-func (a *attemptCounter) next(dst int) uint64 {
-	for i, k := range a.keys {
-		if int(k) == dst {
-			v := a.vals[i]
-			a.vals[i] = v + 1
-			return v
-		}
-	}
-	if a.spill != nil {
-		v := a.spill[int32(dst)]
-		a.spill[int32(dst)] = v + 1
-		return v
-	}
-	if len(a.keys) < attemptInlineMax {
-		a.keys = append(a.keys, int32(dst))
-		a.vals = append(a.vals, 1)
-		return 0
-	}
-	a.spill = make(map[int32]uint64, 2*attemptInlineMax)
-	a.spill[int32(dst)] = 1
-	return 0
-}

@@ -116,9 +116,9 @@ func TestObservedSchedTrace(t *testing.T) {
 	}
 	s := b.String()
 	for _, want := range []string{
-		`"name":"sched"`,       // the lazily-emitted track metadata
-		`"cat":"lease"`,        // lease lifetime async spans
-		`"name":"heartbeat"`,   // accepted-heartbeat instants
+		`"name":"sched"`,     // the lazily-emitted track metadata
+		`"cat":"lease"`,      // lease lifetime async spans
+		`"name":"heartbeat"`, // accepted-heartbeat instants
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace missing %s", want)

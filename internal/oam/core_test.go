@@ -160,17 +160,17 @@ func runParity(t *testing.T, pc parityCase, multi bool) Stats {
 		pc.body(r, e)
 		r.finished++
 	}
-	settle := func(_ threads.Ctx, o Outcome, re Reason) {
+	settle := func(_ threads.Ctx, _ Frame, o Outcome, re Reason) {
 		r.outcome, r.reason = o, re
 		r.settled++
 	}
 	call := u.Register("call", func(c threads.Ctx, pkt *cm5.Packet) {
 		if multi {
-			r.d.RunMulti(c, u.Endpoint(1), "call", 0, 0, false, body, settle)
+			r.d.RunMulti(c, u.Endpoint(1), "call", 0, 0, false, body, Frame{}, settle)
 			return
 		}
 		o, re := r.d.Run(c, u.Endpoint(1), "call", body)
-		settle(c, o, re)
+		settle(c, Frame{}, o, re)
 	})
 	want := 1
 	if pc.outcome == NackNeeded {

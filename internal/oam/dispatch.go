@@ -142,6 +142,7 @@ type Dispatcher struct {
 	stats  []Stats
 	multi  []multiNode
 	ctls   []nodeCtl
+	free   []*Env // per-node free lists of recycled Envs
 	probe  Probe
 	mprobe MultiProbe
 }
@@ -194,6 +195,9 @@ func (d *Dispatcher) SetNodes(n int) {
 		ctls := make([]nodeCtl, n)
 		copy(ctls, d.ctls)
 		d.ctls = ctls
+		free := make([]*Env, n)
+		copy(free, d.free)
+		d.free = free
 	}
 }
 
@@ -217,12 +221,13 @@ func (d *Dispatcher) Stats() Stats {
 	return out
 }
 
-// NewThreadEnv returns an Env in thread mode, for procedure bodies that
-// always execute as threads (the Traditional RPC path). Every Env
-// operation behaves pessimistically: locks block, condition waits wait,
-// sends go out immediately.
-func NewThreadEnv(c threads.Ctx, ep *am.Endpoint, d *Dispatcher) *Env {
-	return &Env{C: c, ep: ep, d: d, optimistic: false, name: "thread"}
+// RunThread executes body pessimistically as a newly created thread (the
+// Traditional RPC path): locks block, condition waits wait, sends go out
+// immediately. front selects the ready-queue end. It counts in no
+// dispatch statistic.
+func (d *Dispatcher) RunThread(c threads.Ctx, ep *am.Endpoint, name threads.Name, front bool, body func(*Env), f Frame) *threads.Thread {
+	env := d.acquire(c, ep, name.Base, body, f, false)
+	return c.S.CreateNamed(c, name, front, env.thread)
 }
 
 // Run executes body as an Optimistic Active Message on the polling
@@ -233,6 +238,12 @@ func NewThreadEnv(c threads.Ctx, ep *am.Endpoint, d *Dispatcher) *Env {
 // on a lent auxiliary process so that a blocked execution can be adopted
 // as a thread without re-execution.
 func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
+	return d.RunFrame(c, ep, name, body, Frame{})
+}
+
+// RunFrame is Run for a body shared by every call of a procedure: what
+// distinguishes this call reaches the body as e.Frame.
+func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env), f Frame) (Outcome, Reason) {
 	node := ep.Node().ID()
 	d.nodeStats(node).Total++
 	strat := d.opts.Strategy
@@ -242,13 +253,13 @@ func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(
 		strat = Continuation
 	}
 	if strat == Continuation {
-		o, r := d.runLent(c, ep, name, body)
+		o, r := d.runLent(c, ep, name, body, f)
 		if d.opts.Adaptive {
 			d.adapt(node, o != Completed, r, ep.Node().Pending())
 		}
 		return o, r
 	}
-	return d.inline(c, ep, name, strat, body, nil, nil)
+	return d.inline(c, ep, name, strat, body, f, nil, nil)
 }
 
 // inline is the one optimistic-attempt core: it attempts body on the
@@ -266,13 +277,13 @@ func (d *Dispatcher) Run(c threads.Ctx, ep *am.Endpoint, name string, body func(
 //   - hook, if non-nil, hears the outcome on c. Multiactive callers need
 //     it because a queued execution settles after RunMulti has returned;
 //     Run's caller reads the return value instead.
-func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat Strategy, body func(*Env), ent *runEntry, hook func(threads.Ctx, Outcome, Reason)) (Outcome, Reason) {
+func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat Strategy, body func(*Env), f Frame, ent *runEntry, hook func(threads.Ctx, Frame, Outcome, Reason)) (Outcome, Reason) {
 	node := ep.Node().ID()
 	st := d.nodeStats(node)
 	if d.probe != nil {
 		d.probe.Attempt(c.P.Now(), node, name, strat)
 	}
-	env := &Env{C: c, ep: ep, d: d, optimistic: true, name: name}
+	env := d.acquire(c, ep, name, body, f, true)
 	reason, aborted := attempt(env, body)
 	outcome := Completed
 	if !aborted {
@@ -297,19 +308,17 @@ func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat S
 	case NackNeeded:
 		st.Nacked++
 	case Promoted:
-		// Undo everything and run the whole procedure as a thread.
+		// Everything is undone: run the whole procedure as a thread, which
+		// keeps the Env (and releases it, and the slot, when it ends).
 		st.Promoted++
-		// The closure reaches ep, d and name through the aborted env, which
-		// keeps it at three captured words.
-		c.S.Create(c, "oam/"+name, true, func(c2 threads.Ctx) {
-			body(&Env{C: c2, ep: env.ep, d: env.d, optimistic: false, name: env.name})
-			if ent != nil {
-				env.d.releaseSlot(c2, env.ep, ent)
-			}
-		})
+		env.optimistic, env.ent = false, ent
+		c.S.CreateNamed(c, threads.Name{Prefix: "oam/", Base: name}, true, env.thread)
+	}
+	if outcome != Promoted {
+		d.release(env)
 	}
 	if hook != nil {
-		hook(c, outcome, reason)
+		hook(c, f, outcome, reason)
 	}
 	if d.probe != nil {
 		d.probe.Settled(c.P.Now(), node, name, outcome, reason, strat)
@@ -338,48 +347,51 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 // ends and the handler cost was all there was. If it must block, the
 // execution is adopted as a thread in place — lazy thread creation — and
 // the polling context resumes immediately.
-func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env)) (Outcome, Reason) {
+func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env), f Frame) (Outcome, Reason) {
 	node := ep.Node().ID()
 	if d.probe != nil {
 		d.probe.Attempt(c.P.Now(), node, name, Continuation)
 	}
-	s := c.S
-	var (
-		outcome Outcome
-		reason  Reason
-		settled bool
-	)
-	env := &Env{ep: ep, d: d, optimistic: true, name: name}
-	st := d.nodeStats(node)
-	env.onPromote = func(r Reason) {
-		// First promotion: report back to the dispatcher. The lender is
-		// still parked; it wakes when the adopted thread detaches.
-		outcome, reason, settled = Promoted, r, true
-		st.ByReason[r]++
-		st.Promoted++
-	}
-	proc := c.P.Shard().Spawn("oam/"+name, func(p *sim.Proc) {
-		env.C = threads.Ctx{P: p, T: nil, S: s}
-		body(env)
-		if env.C.T == nil {
-			// Ran to completion inside the handler.
-			env.commit()
-			outcome, settled = Completed, true
-			st.Succeeded++
-			s.FinishLent()
-			return
-		}
-		// Completed as a promoted thread.
-		env.commit()
-		s.FinishAdopted(env.C)
-	})
-	s.Lend(proc)
+	env := d.acquire(threads.Ctx{S: c.S}, ep, name, body, f, true)
+	env.lent = true
+	c.S.Lend(c.P.Shard().SpawnRunner((*lentExec)(env)))
 	c.P.Park() // until the body finishes or detaches
-	if !settled {
+	if !env.settled {
 		panic("oam: lent execution returned control without settling")
+	}
+	// A promoted execution keeps its Env until its thread ends, which
+	// cannot be before this context has scheduled it.
+	outcome, reason := env.outcome, env.reason
+	if outcome == Completed {
+		d.release(env)
 	}
 	if d.probe != nil {
 		d.probe.Settled(c.P.Now(), node, name, outcome, reason, Continuation)
 	}
 	return outcome, reason
+}
+
+// lentExec is an Env seen as the sim.Runner of its lent execution: the
+// auxiliary process of runLent, spawned with no closure.
+type lentExec Env
+
+func (x *lentExec) Name() string { return "oam/" + x.name }
+
+func (x *lentExec) Run(p *sim.Proc) {
+	e := (*Env)(x)
+	s := e.C.S
+	e.C.P = p
+	e.body(e)
+	e.commit()
+	if e.C.T == nil {
+		// Ran to completion inside the handler.
+		e.outcome, e.reason, e.settled = Completed, 0, true
+		e.d.nodeStats(e.ep.Node().ID()).Succeeded++
+		s.FinishLent()
+		return
+	}
+	// Completed as a promoted thread.
+	c := e.C
+	e.d.release(e)
+	s.FinishAdopted(c)
 }

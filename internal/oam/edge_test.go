@@ -201,8 +201,8 @@ func TestHandlerBudgetBoundary(t *testing.T) {
 	}
 }
 
-// TestThreadEnvServiceAndOps: NewThreadEnv behaves pessimistically for
-// every operation.
+// TestThreadEnvServiceAndOps: a RunThread body's Env behaves
+// pessimistically for every operation.
 func TestThreadEnvServiceAndOps(t *testing.T) {
 	eng := sim.New(7)
 	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
@@ -215,23 +215,25 @@ func TestThreadEnvServiceAndOps(t *testing.T) {
 		if node != 0 {
 			return
 		}
-		e := NewThreadEnv(c, u.Endpoint(0), d)
-		if e.Optimistic() {
-			t.Error("thread env claims optimistic")
-		}
-		e.Lock(mu)
-		go4 := false
-		c.S.Create(c, "setter", false, func(cc threads.Ctx) {
-			mu.Lock(cc)
-			go4 = true
-			cv.Signal(cc)
-			mu.Unlock(cc)
-		})
-		e.Await(cv, func() bool { return go4 }) // really waits
-		e.Unlock(mu)
-		e.Compute(sim.Micros(5))
-		e.Service()
-		done = true
+		d.RunThread(c, u.Endpoint(0), threads.Name{Base: "thread"}, false, func(e *Env) {
+			if e.Optimistic() {
+				t.Error("thread env claims optimistic")
+			}
+			c := e.Ctx()
+			e.Lock(mu)
+			go4 := false
+			c.S.Create(c, "setter", false, func(cc threads.Ctx) {
+				mu.Lock(cc)
+				go4 = true
+				cv.Signal(cc)
+				mu.Unlock(cc)
+			})
+			e.Await(cv, func() bool { return go4 }) // really waits
+			e.Unlock(mu)
+			e.Compute(sim.Micros(5))
+			e.Service()
+			done = true
+		}, Frame{}).Join(c)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,32 +51,98 @@ type bufferedSend struct {
 	bulk    bool
 }
 
+// Frame is what a dispatch carries to its body besides the Env: rpc puts
+// the call's identity and argument record here, so one body bound per
+// procedure serves every request and no closure is built per call.
+type Frame struct {
+	Caller int
+	ID     uint64
+	Arg    []byte
+}
+
 // Env is the execution capability of a remote procedure body. The same
 // body runs optimistically inside a handler or pessimistically as a
 // thread; Env routes each operation to the right behaviour for the mode.
+//
+// Envs are recycled on a per-node free list, so a body must not keep its
+// Env past its own return: the dispatcher releases the record when the
+// execution settles, or, for a promoted execution, when its thread ends.
 type Env struct {
-	C  threads.Ctx
-	ep *am.Endpoint
-	d  *Dispatcher
+	C     threads.Ctx
+	Frame Frame
+	ep    *am.Endpoint
+	d     *Dispatcher
 
 	optimistic bool
 	name       string
+	body       func(*Env)
 	spent      sim.Duration
 	held       []*threads.Mutex
 	outbox     []bufferedSend
+	// Inline backing for the common procedure: a lock or two, one reply.
+	heldBuf [2]*threads.Mutex
+	outBuf  [1]bufferedSend
 
-	// onPromote, set by the Continuation dispatch path, reports the first
-	// (and only) lazy promotion back to the dispatcher.
-	onPromote func(Reason)
+	ent    *runEntry         // multiactive slot a rerun thread releases at its end
+	thread func(threads.Ctx) // e.runThread, bound once per record
+	next   *Env              // free-list link
+
+	// lent marks an execution dispatched through the lend protocol, the
+	// only kind that may promote in place; it leaves its outcome here for
+	// the parked lender.
+	lent, settled bool
+	outcome       Outcome
+	reason        Reason
+}
+
+// acquire takes node's recycled Env (or makes one) and fills it for one
+// execution of body.
+func (d *Dispatcher) acquire(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env), f Frame, optimistic bool) *Env {
+	node := ep.Node().ID()
+	if node >= len(d.free) {
+		d.SetNodes(node + 1)
+	}
+	e := d.free[node]
+	if e != nil {
+		d.free[node] = e.next
+		e.next = nil
+	} else {
+		e = &Env{d: d}
+		e.thread = e.runThread
+		e.held, e.outbox = e.heldBuf[:0], e.outBuf[:0]
+	}
+	e.C, e.Frame, e.ep, e.name, e.body, e.optimistic = c, f, ep, name, body, optimistic
+	return e
+}
+
+// release recycles e, whose execution has settled (or whose thread has
+// finished) with no lock held and the outbox flushed or discarded.
+func (d *Dispatcher) release(e *Env) {
+	node := e.ep.Node().ID()
+	e.body, e.Frame, e.ent = nil, Frame{}, nil
+	e.spent, e.lent, e.settled = 0, false, false
+	e.held = e.held[:0]
+	e.next = d.free[node]
+	d.free[node] = e
+}
+
+// runThread is the body of a thread that executes e.body pessimistically:
+// the rerun of an aborted attempt, or a thread-per-call request.
+func (e *Env) runThread(c threads.Ctx) {
+	e.C = c
+	e.body(e)
+	if e.ent != nil {
+		e.d.releaseSlot(c, e.ep, e.ent)
+	}
+	e.d.release(e)
 }
 
 // continuation reports whether an abort condition should promote in place
 // rather than unwind. Only executions dispatched through the lend
-// protocol (runLent sets onPromote) may promote in place; multiactive
-// core executions always unwind — the lend/adopt dance presumes the
-// single-CPU discipline.
+// protocol may promote in place; multiactive core executions always
+// unwind — the lend/adopt dance presumes the single-CPU discipline.
 func (e *Env) continuation() bool {
-	return e.optimistic && e.onPromote != nil
+	return e.optimistic && e.lent
 }
 
 // promote adopts the running execution as a thread: lazy thread creation.
@@ -84,33 +150,41 @@ func (e *Env) continuation() bool {
 // After promote the env is in thread mode; the caller must detach (via
 // the scheduler) before continuing.
 func (e *Env) promote(r Reason) *threads.Thread {
-	t := e.C.S.Adopt("oam/"+e.name, e.C.P)
+	t := e.C.S.Adopt(threads.Name{Prefix: "oam/", Base: e.name}, e.C.P)
 	for _, m := range e.held {
 		m.AdoptOwner(t)
 	}
 	e.C.T = t
 	e.optimistic = false
-	if e.onPromote != nil {
-		e.onPromote(r)
-	}
+	// The first (and only) promotion settles the dispatch. The lender is
+	// still parked; it wakes when the adopted thread detaches.
+	e.outcome, e.reason, e.settled = Promoted, r, true
+	st := e.d.nodeStats(e.ep.Node().ID())
+	st.ByReason[r]++
+	st.Promoted++
 	return t
 }
 
-// flushOutbox sends messages buffered during the optimistic prefix. It
-// runs right after a promotion detaches, so that messages the procedure
-// sent before promoting leave the node before any it sends after —
-// preserving per-destination ordering.
+// flushOutbox sends the messages buffered during the optimistic prefix:
+// at commit, or right after a promotion detaches, so that messages the
+// procedure sent before promoting leave the node before any it sends
+// after — preserving per-destination ordering.
 func (e *Env) flushOutbox() {
-	out := e.outbox
-	e.outbox = nil
-	for i := range out {
-		b := &out[i]
+	for i := range e.outbox {
+		b := &e.outbox[i]
 		if b.bulk {
 			e.ep.SendBulk(e.C, b.dst, b.h, b.w, b.payload)
 		} else {
 			e.ep.Send(e.C, b.dst, b.h, b.w, b.payload)
 		}
 	}
+	e.dropOutbox()
+}
+
+// dropOutbox empties the outbox, letting go of the payload buffers.
+func (e *Env) dropOutbox() {
+	clear(e.outbox)
+	e.outbox = e.outbox[:0]
 }
 
 // Optimistic reports whether the body is executing inside a handler. The
@@ -284,15 +358,7 @@ func (e *Env) commit() {
 	if len(e.held) != 0 {
 		panic(fmt.Sprintf("oam: procedure committed still holding %d locks", len(e.held)))
 	}
-	for i := range e.outbox {
-		b := &e.outbox[i]
-		if b.bulk {
-			e.ep.SendBulk(e.C, b.dst, b.h, b.w, b.payload)
-		} else {
-			e.ep.Send(e.C, b.dst, b.h, b.w, b.payload)
-		}
-	}
-	e.outbox = nil
+	e.flushOutbox()
 }
 
 // undo releases everything an aborted attempt acquired and discards its
@@ -301,6 +367,6 @@ func (e *Env) undo() {
 	for i := len(e.held) - 1; i >= 0; i-- {
 		e.held[i].Unlock(e.C)
 	}
-	e.held = nil
-	e.outbox = nil
+	e.held = e.held[:0]
+	e.dropOutbox()
 }

@@ -29,23 +29,40 @@ type runEntry struct {
 	class  int
 	key    uint64
 	hasKey bool
+	next   *runEntry // free-list link
 }
 
 // queuedExec is a dispatch waiting for a compatible admission slot.
 type queuedExec struct {
 	ent    runEntry
 	body   func(*Env)
-	settle func(threads.Ctx, Outcome, Reason)
+	frame  Frame
+	settle func(threads.Ctx, Frame, Outcome, Reason)
 }
 
 // multiNode is the per-node multiactive state. Touched only from the
 // node's own shard, so no locking is needed (same discipline as the
 // per-node Stats slots).
 type multiNode struct {
-	coreBusy []bool
-	busy     int
-	running  []*runEntry
-	queue    []queuedExec
+	coreBusy   []bool
+	busy       int
+	running    []*runEntry
+	queue      []queuedExec
+	freeEnt    *runEntry // recycled slot entries and core workers
+	freeWorker *coreWorker
+}
+
+// admit enters a copy of e in the running set and returns it.
+func (mn *multiNode) admit(e *runEntry) *runEntry {
+	ent := mn.freeEnt
+	if ent != nil {
+		mn.freeEnt = ent.next
+	} else {
+		ent = new(runEntry)
+	}
+	*ent = *e
+	mn.running = append(mn.running, ent)
+	return ent
 }
 
 // freeCore returns the lowest-numbered free core, or -1.
@@ -69,11 +86,13 @@ func (mn *multiNode) admissible(t *CompatTable, e *runEntry) bool {
 	return true
 }
 
-// remove drops e from the running set.
+// remove drops e from the running set and recycles it.
 func (mn *multiNode) remove(e *runEntry) {
 	for i, r := range mn.running {
 		if r == e {
 			mn.running = append(mn.running[:i], mn.running[i+1:]...)
+			*e = runEntry{next: mn.freeEnt}
+			mn.freeEnt = e
 			return
 		}
 	}
@@ -110,58 +129,82 @@ func (d *Dispatcher) noteQueueDepth(t sim.Time, node int, depth int) {
 
 // RunMulti executes body as a multiactive Optimistic Active Message.
 // class and key (valid when hasKey) position the execution in the
-// compatibility matrix. Because a queued execution settles after RunMulti
-// returns, the outcome is delivered through settle — called exactly once,
-// on the execution's own context — instead of being returned. settle may
-// be nil.
-func (d *Dispatcher) RunMulti(c threads.Ctx, ep *am.Endpoint, name string, class int, key uint64, hasKey bool, body func(*Env), settle func(threads.Ctx, Outcome, Reason)) {
+// compatibility matrix; f reaches the body as e.Frame. Because a queued
+// execution settles after RunMulti returns, the outcome is delivered
+// through settle — called exactly once, on the execution's own context,
+// with the call's frame — instead of being returned. settle may be nil.
+func (d *Dispatcher) RunMulti(c threads.Ctx, ep *am.Endpoint, name string, class int, key uint64, hasKey bool, body func(*Env), f Frame, settle func(threads.Ctx, Frame, Outcome, Reason)) {
 	node := ep.Node().ID()
 	st := d.nodeStats(node)
 	st.Total++
 	mn := d.multiAt(node)
-	ent := &runEntry{name: name, class: class, key: key, hasKey: hasKey}
+	ent := runEntry{name: name, class: class, key: key, hasKey: hasKey}
 	// Head-only FIFO: an arrival may jump straight onto a core only when
 	// nothing is already waiting, so admission order is arrival order.
-	if len(mn.queue) == 0 && mn.freeCore() >= 0 && mn.admissible(d.opts.Compat, ent) {
+	if len(mn.queue) == 0 && mn.freeCore() >= 0 && mn.admissible(d.opts.Compat, &ent) {
 		st.CompatAdmitted++
-		d.startCore(c, ep, node, mn, ent, body, settle)
+		d.startCore(c, ep, mn, queuedExec{ent: ent, body: body, frame: f, settle: settle})
 		return
 	}
 	st.CompatQueued++
-	mn.queue = append(mn.queue, queuedExec{ent: *ent, body: body, settle: settle})
+	mn.queue = append(mn.queue, queuedExec{ent: ent, body: body, frame: f, settle: settle})
 	d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
 }
 
-// startCore claims the lowest-numbered free core for ent and spawns a
+// coreWorker is the process that runs admitted executions on one core: the
+// one it was started for, then admissible queue heads until none is left.
+// It is its own sim.Runner, recycled per node: no closure per core start.
+type coreWorker struct {
+	d    *Dispatcher
+	ep   *am.Endpoint
+	mn   *multiNode
+	s    *threads.Scheduler
+	core int
+	name string     // the first execution's: the process is named after it
+	q    queuedExec // the execution to run next
+	ent  *runEntry  // its slot in the running set
+	next *coreWorker
+}
+
+func (w *coreWorker) Name() string { return "oamcore/" + w.name }
+
+// startCore claims the lowest-numbered free core for q and spawns a
 // worker process that runs it — and then keeps draining admissible queue
 // heads on the same core — before releasing the core.
-func (d *Dispatcher) startCore(c threads.Ctx, ep *am.Endpoint, node int, mn *multiNode, ent *runEntry, body func(*Env), settle func(threads.Ctx, Outcome, Reason)) {
-	core := mn.freeCore()
-	mn.coreBusy[core] = true
+func (d *Dispatcher) startCore(c threads.Ctx, ep *am.Endpoint, mn *multiNode, q queuedExec) {
+	w := mn.freeWorker
+	if w != nil {
+		mn.freeWorker = w.next
+	} else {
+		w = &coreWorker{d: d, ep: ep, mn: mn, s: c.S}
+	}
+	w.core, w.name, w.q = mn.freeCore(), q.ent.name, q
+	mn.coreBusy[w.core] = true
 	mn.busy++
-	mn.running = append(mn.running, ent)
-	d.noteOccupancy(c.P.Now(), node, mn.busy)
-	s := c.S
-	c.P.Shard().Spawn("oamcore/"+ent.name, func(p *sim.Proc) {
-		s.BindCore(p)
-		c2 := threads.Ctx{P: p, T: nil, S: s}
-		for {
-			d.runOnCore(c2, ep, mn, ent, body, settle)
-			q, ok := mn.takeHead(d.opts.Compat)
-			if !ok {
-				break
-			}
-			d.noteQueueDepth(p.Now(), node, len(mn.queue))
-			head := q.ent
-			ent = &head
-			mn.running = append(mn.running, ent)
-			body, settle = q.body, q.settle
+	w.ent = mn.admit(&q.ent)
+	d.noteOccupancy(c.P.Now(), ep.Node().ID(), mn.busy)
+	c.P.Shard().SpawnRunner(w)
+}
+
+func (w *coreWorker) Run(p *sim.Proc) {
+	d, mn, node := w.d, w.mn, w.ep.Node().ID()
+	w.s.BindCore(p)
+	c := threads.Ctx{P: p, T: nil, S: w.s}
+	for {
+		d.runOnCore(c, w.ep, mn, w.ent, w.q.body, w.q.frame, w.q.settle)
+		var ok bool
+		if w.q, ok = mn.takeHead(d.opts.Compat); !ok {
+			break
 		}
-		s.UnbindCore(p)
-		mn.coreBusy[core] = false
-		mn.busy--
-		d.noteOccupancy(p.Now(), node, mn.busy)
-	})
+		d.noteQueueDepth(p.Now(), node, len(mn.queue))
+		w.ent = mn.admit(&w.q.ent)
+	}
+	w.s.UnbindCore(p)
+	mn.coreBusy[w.core] = false
+	mn.busy--
+	d.noteOccupancy(p.Now(), node, mn.busy)
+	w.ent, w.next = nil, mn.freeWorker
+	mn.freeWorker = w
 }
 
 // takeHead pops and returns the queue head if it is compatible with every
@@ -189,14 +232,14 @@ func (mn *multiNode) takeHead(t *CompatTable) (queuedExec, bool) {
 // the running set as a shadow slot until the rerun finishes. The
 // Continuation strategy falls back to Rerun here — the lend/adopt
 // protocol presumes the single-CPU discipline.
-func (d *Dispatcher) runOnCore(c2 threads.Ctx, ep *am.Endpoint, mn *multiNode, ent *runEntry, body func(*Env), settle func(threads.Ctx, Outcome, Reason)) {
+func (d *Dispatcher) runOnCore(c2 threads.Ctx, ep *am.Endpoint, mn *multiNode, ent *runEntry, body func(*Env), f Frame, settle func(threads.Ctx, Frame, Outcome, Reason)) {
 	strat := d.opts.Strategy
 	if strat == Continuation {
 		strat = Rerun
 	}
 	// The attempt probe fires here, at core-run start, not at arrival, so
 	// its attempt/settle pairing stays balanced per node.
-	if o, _ := d.inline(c2, ep, ent.name, strat, body, ent, settle); o != Promoted {
+	if o, _ := d.inline(c2, ep, ent.name, strat, body, f, ent, settle); o != Promoted {
 		mn.remove(ent)
 	}
 }
@@ -221,7 +264,6 @@ func (d *Dispatcher) pump(c threads.Ctx, ep *am.Endpoint, node int, mn *multiNod
 			return
 		}
 		d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
-		head := q.ent
-		d.startCore(c, ep, node, mn, &head, q.body, q.settle)
+		d.startCore(c, ep, mn, q)
 	}
 }

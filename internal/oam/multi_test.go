@@ -35,10 +35,10 @@ func newMultiRig(t *testing.T, opts Options, body func(e *Env, tag uint64)) *mul
 	r.call = u.Register("call", func(c threads.Ctx, pkt *cm5.Packet) {
 		class, key, tag := int(int64(pkt.W0)), pkt.W1, pkt.W2
 		r.d.RunMulti(c, u.Endpoint(c.Node().ID()), "call", class, key, true,
-			func(e *Env) { body(e, tag) },
-			func(_ threads.Ctx, o Outcome, re Reason) {
-				r.outcomes[tag] = o
-				r.reasons[tag] = re
+			func(e *Env) { body(e, e.Frame.ID) }, Frame{ID: tag},
+			func(_ threads.Ctx, f Frame, o Outcome, re Reason) {
+				r.outcomes[f.ID] = o
+				r.reasons[f.ID] = re
 			})
 	})
 	t.Cleanup(eng.Shutdown)

@@ -64,8 +64,8 @@ type Collector struct {
 	hHandler, hWire, hCall, hKVLat       *Histogram
 
 	// Scheduler control-plane trace state (see sched.go).
-	schedMeta bool              // sched track metadata emitted
-	schedSeq  uint64            // lease/outage async span ids
+	schedMeta bool   // sched track metadata emitted
+	schedSeq  uint64 // lease/outage async span ids
 	leaseID   map[leaseKey]uint64
 	outageID  map[int]uint64
 

@@ -106,7 +106,7 @@ type pendingMsg struct {
 	// sits in ns.due, or Send or the daemon is inside a yielding SendRaw
 	// on its behalf. A retire that finds it busy leaves the release to
 	// whoever clears the flag, so a struct never changes identity under
-	// the daemon's `ol.pending[seq] == pm` check.
+	// the daemon's `ol.pending.get(seq) == pm` check.
 	busy bool
 	next *pendingMsg // free-list link
 }
@@ -114,17 +114,121 @@ type pendingMsg struct {
 // outLink is the sender half of one directed link.
 type outLink struct {
 	nextSeq uint64
-	// floor is the highest cumulative ack seen: nothing at or below it is
-	// pending, so each ack only has to look at (floor, cum].
-	floor   uint64
-	pending map[uint64]*pendingMsg
+	pending pendingRing
 }
 
-// inLink is the receiver half: a cumulative floor plus the set of
-// out-of-order sequence numbers seen above it.
+// pendingRing holds a link's unacknowledged messages. Sequence numbers
+// are dense and consecutive per link, so the set is a window [base,
+// base+n) over them, kept in a power-of-two ring indexed by sequence
+// number: no hashing, and no allocation once the ring has grown to the
+// link's flight size. Slots inside the window may be nil (acknowledged
+// out of order, or given up); the slot at base never is, so the window
+// shrinks from the front as soon as its oldest message retires.
+type pendingRing struct {
+	buf  []*pendingMsg
+	base uint64 // lowest sequence number still pending; meaningless while n == 0
+	n    uint64 // window length
+}
+
+// put enters pm under seq, which must be the successor of the last
+// sequence number entered.
+func (r *pendingRing) put(seq uint64, pm *pendingMsg) {
+	if r.n == 0 {
+		r.base = seq
+	} else if seq != r.base+r.n {
+		panic("reliable: sequence numbers must be entered consecutively")
+	}
+	if r.n == uint64(len(r.buf)) {
+		grown := make([]*pendingMsg, max(2*len(r.buf), 8))
+		for q := r.base; q < r.base+r.n; q++ {
+			grown[q&uint64(len(grown)-1)] = r.buf[q&uint64(len(r.buf)-1)]
+		}
+		r.buf = grown
+	}
+	r.buf[seq&uint64(len(r.buf)-1)] = pm
+	r.n++
+}
+
+// get returns the message pending under seq, or nil.
+func (r *pendingRing) get(seq uint64) *pendingMsg {
+	if seq-r.base >= r.n { // also true for seq < base: the difference wraps
+		return nil
+	}
+	return r.buf[seq&uint64(len(r.buf)-1)]
+}
+
+// remove drops the message pending under seq, which must be present, and
+// shrinks the window past any front slots that leaves empty.
+func (r *pendingRing) remove(seq uint64) {
+	mask := uint64(len(r.buf) - 1)
+	r.buf[seq&mask] = nil
+	for r.n > 0 && r.buf[r.base&mask] == nil {
+		r.base++
+		r.n--
+	}
+}
+
+// inLink is the receiver half: a cumulative floor plus the out-of-order
+// sequence numbers seen above it, as a bitmap window. Bit q&(cap-1) of
+// the power-of-two ring stands for sequence number q in (cum, cum+cap].
+// An in-order link never allocates it.
 type inLink struct {
 	cum  uint64
-	seen map[uint64]struct{}
+	seen []uint64
+}
+
+// accept records the arrival of seq and reports whether it is a
+// duplicate; a first copy that closes the gap above cum advances cum over
+// everything seen contiguously after it.
+func (il *inLink) accept(seq uint64) (dup bool) {
+	if seq <= il.cum {
+		return true
+	}
+	if seq != il.cum+1 {
+		// Out of order: remember it above the floor.
+		for seq-il.cum > 64*uint64(len(il.seen)) {
+			il.grow()
+		}
+		w, bit := il.at(seq)
+		if *w&bit != 0 {
+			return true
+		}
+		*w |= bit
+		return false
+	}
+	il.cum++
+	for len(il.seen) > 0 {
+		w, bit := il.at(il.cum + 1)
+		if *w&bit == 0 {
+			break
+		}
+		*w &^= bit
+		il.cum++
+	}
+	return false
+}
+
+func (il *inLink) at(seq uint64) (*uint64, uint64) {
+	i := seq & (64*uint64(len(il.seen)) - 1)
+	return &il.seen[i/64], 1 << (i % 64)
+}
+
+// grow doubles the window, re-placing the bits of (cum, cum+cap].
+func (il *inLink) grow() {
+	old := *il
+	il.seen = make([]uint64, max(2*len(old.seen), 1))
+	for q := old.cum + 1; q <= old.cum+64*uint64(len(old.seen)); q++ {
+		if w, bit := old.at(q); *w&bit != 0 {
+			nw, nbit := il.at(q)
+			*nw |= nbit
+		}
+	}
+}
+
+// link is everything a node keeps about one peer.
+type link struct {
+	out outLink
+	in  inLink
 }
 
 // nodeState is one node's view of the transport. It is only ever touched
@@ -135,13 +239,16 @@ type nodeState struct {
 	id            int
 	ep            *am.Endpoint
 	sh            *sim.Shard
-	out           map[int]*outLink
-	in            map[int]*inLink
+	peers         cm5.PeerTable[link]
 	daemon        *threads.Thread
 	daemonBlocked bool
-	due           []*pendingMsg
-	freePM        *pendingMsg
-	stats         Stats
+	// due queues expired messages for the daemon, which drains it by
+	// cursor (dueHead) and rewinds both when it catches up, so the backing
+	// array is reused burst after burst.
+	due     []*pendingMsg
+	dueHead int
+	freePM  *pendingMsg
+	stats   Stats
 }
 
 // track takes a pendingMsg off the free list (or makes one), fills it for
@@ -159,7 +266,7 @@ func (ns *nodeState) track(ol *outLink, dst int, seq uint64, h am.HandlerID, w [
 		dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
 		payload: payload, bulk: bulk, attempts: 1, backoff: rto,
 	}
-	ol.pending[seq] = pm
+	ol.pending.put(seq, pm)
 	ns.stats.DataSent++
 	return pm
 }
@@ -185,24 +292,6 @@ func (ns *nodeState) release(pm *pendingMsg) {
 	ns.freePM = pm
 }
 
-func (ns *nodeState) outLink(dst int) *outLink {
-	ol := ns.out[dst]
-	if ol == nil {
-		ol = &outLink{pending: make(map[uint64]*pendingMsg)}
-		ns.out[dst] = ol
-	}
-	return ol
-}
-
-func (ns *nodeState) inLink(src int) *inLink {
-	il := ns.in[src]
-	if il == nil {
-		il = &inLink{seen: make(map[uint64]struct{})}
-		ns.in[src] = il
-	}
-	return il
-}
-
 // Transport is the reliable channel, installed on a Universe by Attach.
 type Transport struct {
 	u      *am.Universe
@@ -226,7 +315,6 @@ func Attach(u *am.Universe, opts Options) *Transport {
 	for i := 0; i < u.N(); i++ {
 		ns := &nodeState{
 			id: i, ep: u.Endpoint(i), sh: u.Endpoint(i).Node().Shard(),
-			out: make(map[int]*outLink), in: make(map[int]*inLink),
 		}
 		t.nodes[i] = ns
 		ns.daemon = u.Scheduler(i).Bootstrap(fmt.Sprintf("reliable/retx/%d", i),
@@ -268,7 +356,7 @@ func envelopeWords(seq uint64, h am.HandlerID, w [4]uint64) [4]uint64 {
 func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) {
 	ew := envelopeWords(0, h, w)
 	ns := t.nodes[ep.Node().ID()]
-	ol := ns.outLink(dst)
+	ol := &ns.peers.At(dst).out
 	ol.nextSeq++
 	seq := ol.nextSeq
 	ew[0] = seq
@@ -286,7 +374,7 @@ func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID
 func (t *Transport) TrySend(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) bool {
 	ew := envelopeWords(0, h, w)
 	ns := t.nodes[ep.Node().ID()]
-	ol := ns.outLink(dst)
+	ol := &ns.peers.At(dst).out
 	seq := ol.nextSeq + 1
 	ew[0] = seq
 	// TrySendRaw cannot yield, so a failed probe has no side effects and
@@ -322,20 +410,21 @@ func (pm *pendingMsg) onExpire() {
 // resends every due message on the node's CPU, backs off, and re-arms.
 func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 	for {
-		for len(ns.due) > 0 {
-			pm := ns.due[0]
-			ns.due = ns.due[1:]
+		for ns.dueHead < len(ns.due) {
+			pm := ns.due[ns.dueHead]
+			ns.due[ns.dueHead] = nil
+			ns.dueHead++
 			if pm.done {
 				ns.settle(pm) // acked while queued
 				continue
 			}
-			ol := ns.outLink(pm.dst)
-			if cur, ok := ol.pending[pm.seq]; !ok || cur != pm {
+			ol := &ns.peers.At(pm.dst).out
+			if ol.pending.get(pm.seq) != pm {
 				panic("reliable: due message is not the pending one")
 			}
 			if pm.attempts >= t.opts.MaxAttempts {
 				pm.done = true
-				delete(ol.pending, pm.seq)
+				ol.pending.remove(pm.seq)
 				ns.stats.GaveUp++
 				t.nstats[ns.id].GaveUp++
 				ns.settle(pm)
@@ -355,6 +444,7 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 			}
 			pm.arm(t.jittered(ns.id, pm))
 		}
+		ns.due, ns.dueHead = ns.due[:0], 0
 		ns.daemonBlocked = true
 		c.S.Block(c)
 	}
@@ -389,19 +479,8 @@ func (t *Transport) jittered(src int, pm *pendingMsg) sim.Duration {
 func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	ns := t.nodes[pkt.Dst]
 	seq := pkt.W0
-	il := ns.inLink(pkt.Src)
-	_, above := il.seen[seq]
-	dup := seq <= il.cum || above
-	if !dup {
-		il.seen[seq] = struct{}{}
-		for {
-			if _, ok := il.seen[il.cum+1]; !ok {
-				break
-			}
-			delete(il.seen, il.cum+1)
-			il.cum++
-		}
-	}
+	il := &ns.peers.At(pkt.Src).in
+	dup := il.accept(seq)
 	ns.stats.AcksSent++
 	ns.ep.SendRaw(c, pkt.Src, t.ackH, [4]uint64{seq, il.cum, 0, 0}, nil, false)
 	if dup {
@@ -427,35 +506,38 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 // or below the cumulative floor.
 func (t *Transport) handleAck(c threads.Ctx, pkt *cm5.Packet) {
 	ns := t.nodes[pkt.Dst]
-	ol := ns.outLink(pkt.Src)
-	seq, cum := pkt.W0, pkt.W1
 	ns.stats.AcksReceived++
+	if !ns.acked(&ns.peers.At(pkt.Src).out, pkt.W0, pkt.W1) {
+		ns.stats.StaleAcks++
+	}
+}
+
+// acked applies one acknowledgment (seq, cum) to ol and reports whether it
+// retired anything. Nothing below the pending window's base is pending,
+// so the cumulative part only has to walk the window up to cum.
+func (ns *nodeState) acked(ol *outLink, seq, cum uint64) bool {
 	retired := ns.retire(ol, seq)
-	for q := ol.floor + 1; q <= cum; q++ {
+	r := &ol.pending
+	for q, end := r.base, r.base+r.n; q < end && q <= cum; q++ {
 		if ns.retire(ol, q) {
 			retired = true
 		}
 	}
-	if cum > ol.floor {
-		ol.floor = cum
-	}
-	if !retired {
-		ns.stats.StaleAcks++
-	}
+	return retired
 }
 
 // retire completes the pending message with sequence number q, if there
 // is one: it cancels the timer, drops the entry and recycles the struct
 // unless it is busy (then whoever holds it settles it).
 func (ns *nodeState) retire(ol *outLink, q uint64) bool {
-	pm, ok := ol.pending[q]
-	if !ok {
+	pm := ol.pending.get(q)
+	if pm == nil {
 		return false
 	}
 	pm.done = true
 	pm.timer.Cancel() // no-op on the zero Timer
 	pm.timer = sim.Timer{}
-	delete(ol.pending, q)
+	ol.pending.remove(q)
 	if !pm.busy {
 		ns.release(pm)
 	}

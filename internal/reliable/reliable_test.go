@@ -401,7 +401,7 @@ func TestPendingMsgRecycled(t *testing.T) {
 			}
 		}
 		// Poll until every message has arrived and been acknowledged.
-		for recvd < msgs || len(tr.nodes[0].outLink(1).pending) > 0 {
+		for recvd < msgs || tr.nodes[0].peers.At(1).out.pending.n > 0 {
 			ep.Poll(c)
 			c.P.Charge(sim.Micros(5))
 			c.S.Yield(c)
@@ -415,8 +415,8 @@ func TestPendingMsgRecycled(t *testing.T) {
 		t.Fatalf("want retransmits and no give-ups, got %+v", st)
 	}
 	ns := tr.nodes[0]
-	if len(ns.due) != 0 {
-		t.Fatalf("%d messages still queued for the daemon", len(ns.due))
+	if len(ns.due) != 0 || ns.dueHead != 0 {
+		t.Fatalf("%d messages still queued for the daemon (cursor %d)", len(ns.due), ns.dueHead)
 	}
 	seen := make(map[*pendingMsg]bool)
 	for pm := ns.freePM; pm != nil; pm = pm.next {

@@ -106,6 +106,11 @@ func TestCallIdempotentGiveUpCountsOnce(t *testing.T) {
 // attempts and moved on to the NEXT call. Each abandoned attempt used its
 // own call id, so both late replies must be dropped as stale; the live
 // call must resolve with its own payload, never an abandoned attempt's.
+//
+// Call records are recycled most-recently-released first and this node
+// has one caller, so all three attempts use the same record: the late
+// replies are addressed to the very struct the live call is waiting on,
+// and only the sequence half of the id tells them apart.
 func TestLateReplyAfterGiveUpNotMisdelivered(t *testing.T) {
 	rt := newRT(t, 2, Options{Mode: ORPC})
 	u := rt.Universe()
@@ -158,5 +163,60 @@ func TestLateReplyAfterGiveUpNotMisdelivered(t *testing.T) {
 	}
 	if got := rt.StaleReplies(); got != 2 {
 		t.Fatalf("StaleReplies = %d, want 2 (one per abandoned attempt)", got)
+	}
+	if n := len(rt.nodes[0].slots); n != 1 {
+		t.Fatalf("the caller used %d call records, want every attempt on one recycled record", n)
+	}
+}
+
+// TestRecycledCallRecordIgnoresStaleResolvers drives the record pool
+// directly: a call record is released and handed straight back to a new
+// call, and then everything that could still be addressed to its previous
+// tenant surfaces — a reply, a nack, and the instant its deadline timer
+// was armed for. None may resolve the new call; its own reply must.
+func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
+	rt := newRT(t, 2, Options{Mode: ORPC})
+	_, err := rt.Universe().SPMD(func(c threads.Ctx, node int) {
+		if node != 0 {
+			return
+		}
+		ns := &rt.nodes[0]
+		sh := c.Node().Shard()
+		old := ns.begin()
+		oldID := old.id
+		old.timer = sh.AtTimer(sh.Now().Add(sim.Micros(50)), old.expire)
+		ns.end(old)
+
+		cur := ns.begin()
+		if cur != old {
+			t.Fatal("the pool did not hand the released record straight back")
+		}
+		if cur.id == oldID {
+			t.Fatal("a recycled record reused its previous call id")
+		}
+		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: oldID, Payload: []byte{9}})
+		rt.handleNack(c, &cm5.Packet{Dst: 0, W0: oldID})
+		c.S.Sleep(c, sim.Micros(100)) // past the previous tenant's deadline
+		if cur.flag.IsSet() || cur.reply != nil || cur.nacked || cur.timedOut {
+			t.Fatalf("a stale resolver reached the new call: %+v", cur)
+		}
+		if got := rt.StaleReplies(); got != 2 {
+			t.Errorf("StaleReplies = %d, want 2", got)
+		}
+		// An id whose slot this node never made is stale too, not a crash.
+		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id + 1})
+		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{7}})
+		if !cur.flag.IsSet() || len(cur.reply) != 1 || cur.reply[0] != 7 {
+			t.Fatalf("the new call's own reply did not resolve it: %+v", cur)
+		}
+		// A duplicate of that reply finds the call already answered.
+		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{8}})
+		if cur.reply[0] != 7 || rt.StaleReplies() != 4 {
+			t.Fatalf("duplicate reply: reply %v, StaleReplies %d", cur.reply, rt.StaleReplies())
+		}
+		ns.end(cur)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

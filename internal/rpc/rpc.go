@@ -60,7 +60,7 @@ type Runtime struct {
 	dAsync *oam.Dispatcher // async procedures never nack; see doc.go
 	replyH am.HandlerID
 	nackH  am.HandlerID
-	nodes  []*nodeState
+	nodes  []nodeState
 	procs  []*Proc
 	probe  Probe
 }
@@ -87,17 +87,84 @@ func (rt *Runtime) SetProbe(p Probe) { rt.probe = p }
 // touched from code running on that node, so it needs no locking under a
 // sharded engine.
 type nodeState struct {
-	nextID uint64
-	calls  map[uint64]*call
-	stale  uint64 // replies/nacks for calls no longer in the table
+	seq   uint64  // attempts started; the high part of the next call id
+	slots []*call // every call record this node has made, by slot
+	free  *call   // idle records, most recently released first
+	stale uint64  // replies/nacks for calls no longer waiting
 }
 
-// call is one outstanding synchronous call.
+// call is one outstanding attempt of a synchronous call. Records are
+// recycled on their node's free list, with expire bound once per record,
+// so steady-state calls allocate nothing here.
+//
+// A call id is (attempt sequence number << slotBits | slot): the slot
+// finds the record without a table lookup, and the sequence number tells
+// a reply to the attempt in flight from one to an earlier tenant of the
+// record, so a late reply, nack or duplicate never resolves a call it was
+// not sent for, however quickly the record was reused.
 type call struct {
+	id       uint64 // the attempt in flight; 0 while the record is idle
+	slot     uint64
 	flag     threads.Flag
 	reply    []byte
 	nacked   bool
 	timedOut bool
+	timer    sim.Timer
+	expire   func() // cl.onDeadline, the deadline timer's callback
+	next     *call  // free-list link
+}
+
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+)
+
+// begin takes an idle call record (or makes one) and gives it a fresh id.
+func (ns *nodeState) begin() *call {
+	cl := ns.free
+	if cl != nil {
+		ns.free = cl.next
+		cl.next = nil
+	} else {
+		if len(ns.slots) > slotMask {
+			panic("rpc: too many concurrent calls from one node")
+		}
+		cl = &call{slot: uint64(len(ns.slots))}
+		cl.expire = cl.onDeadline
+		ns.slots = append(ns.slots, cl)
+	}
+	ns.seq++
+	cl.id = ns.seq<<slotBits | cl.slot
+	return cl
+}
+
+// end recycles cl once its caller has read the outcome. Cancelling the
+// deadline here is what keeps a recycled record's timer from firing.
+func (ns *nodeState) end(cl *call) {
+	cl.timer.Cancel() // no-op on the zero Timer
+	*cl = call{slot: cl.slot, expire: cl.expire, next: ns.free}
+	ns.free = cl
+}
+
+// waiting returns the call id was issued for if it still waits for its
+// outcome, else nil: the caller gave up (deadline), already has an answer,
+// or moved on long ago and the record serves another call.
+func (ns *nodeState) waiting(id uint64) *call {
+	slot := id & slotMask
+	if slot >= uint64(len(ns.slots)) {
+		return nil
+	}
+	if cl := ns.slots[slot]; cl.id == id && !cl.flag.IsSet() {
+		return cl
+	}
+	return nil
+}
+
+func (cl *call) onDeadline() {
+	if !cl.flag.IsSet() {
+		cl.timedOut = true
+		cl.flag.Set()
+	}
 }
 
 // New builds an RPC runtime over u. Define all procedures before the
@@ -118,10 +185,7 @@ func New(u *am.Universe, opts Options) *Runtime {
 	rt.dAsync = oam.NewDispatcher(asyncOpts)
 	rt.d.SetNodes(u.N())
 	rt.dAsync.SetNodes(u.N())
-	rt.nodes = make([]*nodeState, u.N())
-	for i := range rt.nodes {
-		rt.nodes[i] = &nodeState{calls: make(map[uint64]*call)}
-	}
+	rt.nodes = make([]nodeState, u.N())
 	rt.replyH = u.Register("rpc/reply", rt.handleReply)
 	rt.nackH = u.Register("rpc/nack", rt.handleNack)
 	return rt
@@ -140,33 +204,33 @@ func (rt *Runtime) Dispatcher() *oam.Dispatcher { return rt.d }
 func (rt *Runtime) AsyncDispatcher() *oam.Dispatcher { return rt.dAsync }
 
 func (rt *Runtime) handleReply(c threads.Ctx, pkt *cm5.Packet) {
-	ns := rt.nodes[pkt.Dst]
-	cl, ok := ns.calls[pkt.W0]
-	if !ok || cl.flag.IsSet() {
-		// The caller gave up (deadline) or already completed: on a faulty
-		// network late replies are normal, not a protocol violation.
-		ns.stale++
-		if rt.probe != nil {
-			rt.probe.StaleReply(c.P.Now(), pkt.Dst)
-		}
-		return
+	if cl := rt.resolving(c, pkt); cl != nil {
+		cl.reply = pkt.Payload
+		cl.flag.Set()
 	}
-	cl.reply = pkt.Payload
-	cl.flag.Set()
 }
 
 func (rt *Runtime) handleNack(c threads.Ctx, pkt *cm5.Packet) {
-	ns := rt.nodes[pkt.Dst]
-	cl, ok := ns.calls[pkt.W0]
-	if !ok || cl.flag.IsSet() {
+	if cl := rt.resolving(c, pkt); cl != nil {
+		cl.nacked = true
+		cl.flag.Set()
+	}
+}
+
+// resolving returns the waiting call a reply or nack packet answers, or
+// counts the packet stale and returns nil. The caller gave up (deadline)
+// or already completed: on a faulty network late replies are normal, not
+// a protocol violation.
+func (rt *Runtime) resolving(c threads.Ctx, pkt *cm5.Packet) *call {
+	ns := &rt.nodes[pkt.Dst]
+	cl := ns.waiting(pkt.W0)
+	if cl == nil {
 		ns.stale++
 		if rt.probe != nil {
 			rt.probe.StaleReply(c.P.Now(), pkt.Dst)
 		}
-		return
 	}
-	cl.nacked = true
-	cl.flag.Set()
+	return cl
 }
 
 // StaleReplies counts replies and nacks that arrived for calls no longer
@@ -174,8 +238,8 @@ func (rt *Runtime) handleNack(c threads.Ctx, pkt *cm5.Packet) {
 // a fault-free network.
 func (rt *Runtime) StaleReplies() uint64 {
 	var n uint64
-	for _, ns := range rt.nodes {
-		n += ns.stale
+	for i := range rt.nodes {
+		n += rt.nodes[i].stale
 	}
 	return n
 }
@@ -218,7 +282,11 @@ type Proc struct {
 	h     am.HandlerID
 	async bool
 	impl  Impl
-	stats []ProcStats
+	// body and settle are bound once, so serving builds no closure: the
+	// call's caller, id and argument ride on the oam.Frame.
+	body   func(*oam.Env)
+	settle func(threads.Ctx, oam.Frame, oam.Outcome, oam.Reason)
+	stats  []ProcStats
 	// class is the procedure's row in the compatibility matrix installed
 	// by SetCompat, or -1 (incompatible with everything) when unset.
 	class int
@@ -241,6 +309,7 @@ func (rt *Runtime) DefineAsync(name string, impl Impl) *Proc {
 func (rt *Runtime) define(name string, async bool, impl Impl) *Proc {
 	p := &Proc{rt: rt, name: name, async: async, impl: impl,
 		stats: make([]ProcStats, rt.u.N()), class: -1}
+	p.body, p.settle = p.run, p.settled
 	p.h = rt.u.Register("rpc/"+name, p.serve)
 	rt.procs = append(rt.procs, p)
 	return p
@@ -305,21 +374,14 @@ func (p *Proc) Stats() ProcStats {
 // server node and dispatches the call according to the runtime mode.
 func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 	rt := p.rt
-	cost := rt.u.Machine().Cost()
-	c.P.Charge(cost.StubServer)
+	c.P.Charge(rt.u.Machine().Cost().StubServer)
 	ep := rt.u.Endpoint(pkt.Dst)
-	callID, caller, arg := pkt.W0, pkt.Src, pkt.Payload
+	f := oam.Frame{Caller: pkt.Src, ID: pkt.W0, Arg: pkt.Payload}
 
 	st := &p.stats[pkt.Dst]
 	if rt.opts.Mode == TRPC {
 		st.Threads++
-		c.S.Create(c, "rpc/"+p.name, !rt.opts.BackOfQueue, func(c2 threads.Ctx) {
-			env := oam.NewThreadEnv(c2, ep, rt.d)
-			res := p.impl(env, caller, arg)
-			if !p.async {
-				p.sendReply(env, caller, callID, res)
-			}
-		})
+		rt.d.RunThread(c, ep, threads.Name{Prefix: "rpc/", Base: p.name}, !rt.opts.BackOfQueue, p.body, f)
 		return
 	}
 
@@ -336,30 +398,31 @@ func (p *Proc) serve(c threads.Ctx, pkt *cm5.Packet) {
 		var key uint64
 		hasKey := p.keyFn != nil
 		if hasKey {
-			key = p.keyFn(arg)
+			key = p.keyFn(f.Arg)
 		}
-		d.RunMulti(c, ep, p.name, p.class, key, hasKey, func(e *oam.Env) {
-			res := p.impl(e, caller, arg)
-			p.sendReply(e, caller, callID, res)
-		}, func(c2 threads.Ctx, outcome oam.Outcome, _ oam.Reason) {
-			p.settled(c2, ep, caller, callID, outcome)
-		})
+		d.RunMulti(c, ep, p.name, p.class, key, hasKey, p.body, f, p.settle)
 		return
 	}
-	outcome, _ := d.Run(c, ep, p.name, func(e *oam.Env) {
-		res := p.impl(e, caller, arg)
-		if !p.async {
-			p.sendReply(e, caller, callID, res)
-		}
-	})
-	p.settled(c, ep, caller, callID, outcome)
+	outcome, reason := d.RunFrame(c, ep, p.name, p.body, f)
+	p.settled(c, f, outcome, reason)
+}
+
+// run is the one body every call of p executes, optimistically or as a
+// thread: the implementation, then the reply.
+func (p *Proc) run(e *oam.Env) {
+	f := e.Frame
+	res := p.impl(e, f.Caller, f.Arg)
+	if !p.async {
+		p.sendReply(e, f.Caller, f.ID, res)
+	}
 }
 
 // settled accounts for one optimistic dispatch's outcome on the server
 // node's context c and, when the dispatcher asked for it, sends the
 // negative acknowledgment.
-func (p *Proc) settled(c threads.Ctx, ep *am.Endpoint, caller int, callID uint64, outcome oam.Outcome) {
-	st := &p.stats[ep.Node().ID()]
+func (p *Proc) settled(c threads.Ctx, f oam.Frame, outcome oam.Outcome, _ oam.Reason) {
+	me := c.Node().ID()
+	st := &p.stats[me]
 	switch outcome {
 	case oam.Completed:
 		st.Successes++
@@ -367,7 +430,7 @@ func (p *Proc) settled(c threads.Ctx, ep *am.Endpoint, caller int, callID uint64
 		st.Promoted++
 	case oam.NackNeeded:
 		st.Nacks++
-		ep.Send(c, caller, p.rt.nackH, [4]uint64{callID}, nil)
+		p.rt.u.Endpoint(me).Send(c, f.Caller, p.rt.nackH, [4]uint64{f.ID}, nil)
 	}
 }
 
@@ -385,43 +448,8 @@ func (p *Proc) sendReply(e *oam.Env, caller int, callID uint64, res []byte) {
 // and returns the marshaled result record. If the server nacks, Call
 // backs off and retries transparently.
 func (p *Proc) Call(c threads.Ctx, server int, arg []byte) []byte {
-	if p.async {
-		panic(fmt.Sprintf("rpc: synchronous Call of asynchronous procedure %q", p.name))
-	}
-	if c.T == nil {
-		panic(fmt.Sprintf("rpc: synchronous Call of %q from handler context", p.name))
-	}
-	rt := p.rt
-	cost := rt.u.Machine().Cost()
-	me := c.Node().ID()
-	ns := rt.nodes[me]
-	backoff := rt.opts.NackBackoffBase
-	if rt.probe != nil {
-		rt.probe.CallStart(c.P.Now(), me, p.name)
-	}
-	var retries uint64
-	for {
-		p.stats[me].Calls++
-		c.P.Charge(cost.StubClient)
-		ns.nextID++
-		id := ns.nextID
-		cl := &call{}
-		ns.calls[id] = cl
-		p.sendRequest(c, server, id, arg)
-		cl.flag.Wait(c)
-		delete(ns.calls, id)
-		if !cl.nacked {
-			if rt.probe != nil {
-				rt.probe.CallEnd(c.P.Now(), me, p.name, false, retries)
-			}
-			return cl.reply
-		}
-		// Nacked: back off (bounded exponential) and retry.
-		p.stats[me].Retries++
-		retries++
-		c.P.Charge(backoff)
-		backoff = nextBackoff(backoff, rt.opts.NackBackoffMax)
-	}
+	res, _ := p.call(c, server, arg, 0)
+	return res
 }
 
 // nextBackoff doubles a backoff up to its cap.
@@ -445,20 +473,26 @@ func nextBackoff(cur, max sim.Duration) sim.Duration {
 // still have executed on the server (the reply, not the request, may be
 // what was lost). Use CallIdempotent when re-execution is safe.
 func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg []byte, timeout sim.Duration) ([]byte, error) {
+	if timeout <= 0 {
+		panic(fmt.Sprintf("rpc: non-positive deadline for %q", p.name))
+	}
+	return p.call(c, server, arg, timeout)
+}
+
+// call is the client side of a synchronous call; timeout 0 means none.
+func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration) ([]byte, error) {
 	if p.async {
 		panic(fmt.Sprintf("rpc: synchronous Call of asynchronous procedure %q", p.name))
 	}
 	if c.T == nil {
 		panic(fmt.Sprintf("rpc: synchronous Call of %q from handler context", p.name))
 	}
-	if timeout <= 0 {
-		panic(fmt.Sprintf("rpc: non-positive deadline for %q", p.name))
-	}
 	rt := p.rt
 	cost := rt.u.Machine().Cost()
 	sh := c.Node().Shard() // deadline timers are node-local state
 	me := c.Node().ID()
-	ns := rt.nodes[me]
+	ns := &rt.nodes[me]
+	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
 	backoff := rt.opts.NackBackoffBase
 	if rt.probe != nil {
@@ -466,46 +500,37 @@ func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg []byte, timeout s
 	}
 	var retries uint64
 	for {
-		p.stats[me].Calls++
+		st.Calls++
 		c.P.Charge(cost.StubClient)
-		ns.nextID++
-		id := ns.nextID
-		cl := &call{}
-		ns.calls[id] = cl
-		timer := sh.AtTimer(deadline, func() {
-			if !cl.flag.IsSet() {
-				cl.timedOut = true
-				cl.flag.Set()
-			}
-		})
-		p.sendRequest(c, server, id, arg)
-		cl.flag.Wait(c)
-		timer.Cancel()
-		delete(ns.calls, id)
-		if cl.timedOut {
-			p.stats[me].Timeouts++
-			if rt.probe != nil {
-				rt.probe.CallEnd(c.P.Now(), me, p.name, true, retries)
-			}
-			return nil, ErrDeadline
+		cl := ns.begin()
+		if timeout > 0 {
+			cl.timer = sh.AtTimer(deadline, cl.expire)
 		}
-		if !cl.nacked {
+		p.sendRequest(c, server, cl.id, arg)
+		cl.flag.Wait(c)
+		reply, nacked, timedOut := cl.reply, cl.nacked, cl.timedOut
+		ns.end(cl)
+		if !timedOut && !nacked {
 			if rt.probe != nil {
 				rt.probe.CallEnd(c.P.Now(), me, p.name, false, retries)
 			}
-			return cl.reply, nil
+			return reply, nil
 		}
-		p.stats[me].Retries++
-		retries++
-		c.P.Charge(backoff)
-		backoff = nextBackoff(backoff, rt.opts.NackBackoffMax)
-		if sh.Now() >= deadline {
-			p.stats[me].Timeouts++
-			if rt.probe != nil {
-				rt.probe.CallEnd(c.P.Now(), me, p.name, true, retries)
+		if nacked {
+			// Nacked: back off (bounded exponential) and retry.
+			st.Retries++
+			retries++
+			c.P.Charge(backoff)
+			backoff = nextBackoff(backoff, rt.opts.NackBackoffMax)
+			if timeout == 0 || sh.Now() < deadline {
+				continue
 			}
-			return nil, ErrDeadline
 		}
+		st.Timeouts++
+		if rt.probe != nil {
+			rt.probe.CallEnd(c.P.Now(), me, p.name, true, retries)
+		}
+		return nil, ErrDeadline
 	}
 }
 

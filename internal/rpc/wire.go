@@ -27,8 +27,14 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // Len returns the current record size.
 func (e *Enc) Len() int { return len(e.buf) }
 
-func (e *Enc) U8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *Enc) Bool(v bool)  { e.U8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) Bool(v bool) {
+	if v {
+		e.U8(1)
+	} else {
+		e.U8(0)
+	}
+}
 func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *Enc) I32(v int32)  { e.U32(uint32(v)) }

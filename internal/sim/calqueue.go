@@ -37,6 +37,7 @@ package sim
 // well chosen — only the constant factor does.
 type eventQueue struct {
 	buckets []eventBucket
+	spare   []eventBucket // the previous array of a same-size rebucket, cleared
 	mask    uint64
 	shift   uint
 	n       int
@@ -375,7 +376,11 @@ func (q *eventQueue) rebucket(nb int) {
 		}
 	}
 	old := q.buckets
-	q.buckets = make([]eventBucket, nb)
+	if len(q.spare) == nb {
+		q.buckets, q.spare = q.spare, nil
+	} else {
+		q.buckets = make([]eventBucket, nb)
+	}
 	q.mask = uint64(nb - 1)
 	for i := range old {
 		e := old[i].head
@@ -389,6 +394,14 @@ func (q *eventQueue) rebucket(nb int) {
 	if q.head != nil {
 		q.headBkt = int((uint64(q.head.at) >> q.shift) & q.mask)
 	}
+	// A width-only rebucket keeps the old array for the next one: a sparse
+	// queue whose one far timer keeps being re-armed re-buckets at the same
+	// size every few pops, and must not allocate each time.
+	q.spare = nil
+	if len(old) == nb {
+		clear(old)
+		q.spare = old
+	}
 	q.stats.Resizes++
 	q.stats.Buckets = nb
 	q.stats.BucketWidth = Duration(1) << q.shift
@@ -397,7 +410,7 @@ func (q *eventQueue) rebucket(nb int) {
 // clear drops every pending event and releases the bucket memory
 // (Engine.Shutdown). A later push lazily re-initializes.
 func (q *eventQueue) clear() {
-	q.buckets = nil
+	q.buckets, q.spare = nil, nil
 	q.mask = 0
 	q.head = nil
 	q.n = 0

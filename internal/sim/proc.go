@@ -31,6 +31,7 @@ type Proc struct {
 	stop     func()
 	yield    func(struct{}) bool
 	body     func(p *Proc) // pending incarnation; consumed at first dispatch
+	runner   Runner        // SpawnRunner's body and name, in place of body and name
 	parked   bool
 	dead     bool
 	id       uint64
@@ -64,24 +65,40 @@ func (e *PanicError) Error() string {
 // Spawn reuses the coroutine of a finished process when one is pooled, so
 // steady-state process churn allocates nothing.
 func (sh *Shard) Spawn(name string, body func(p *Proc)) *Proc {
+	return sh.spawn(name, body, nil)
+}
+
+// Runner is a process body that carries its own name: what Action is to
+// At's func. A long-lived object that implements it (a thread descriptor)
+// spawns its process with no closure, and builds the name only if a
+// tracer, probe or panic report reads it.
+type Runner interface {
+	Run(p *Proc)
+	Name() string
+}
+
+// SpawnRunner is Spawn for a pre-allocated Runner. The kernel holds r
+// until the process has finished.
+func (sh *Shard) SpawnRunner(r Runner) *Proc { return sh.spawn("", nil, r) }
+
+func (sh *Shard) spawn(name string, body func(p *Proc), r Runner) *Proc {
 	sh.seq++
 	p := sh.freeProc
 	if p != nil {
 		sh.freeProc = p.nextFree
 		p.nextFree = nil
-		p.name = name
 		p.dead = false
 	} else {
-		p = &Proc{sh: sh, name: name}
+		p = &Proc{sh: sh}
 		p.next, p.stop = iter.Pull(p.procLoop)
 	}
+	p.name, p.body, p.runner = name, body, r
 	p.id = sh.seq
 	if sh.eng.sharded() {
 		// Disambiguate pids across shards without perturbing the
 		// sequential id sequence (pinned by golden traces).
 		p.id |= uint64(sh.idx) << 56
 	}
-	p.body = body
 	sh.addProc(p)
 	sh.atProc(sh.now, p)
 	if sh.probe != nil {
@@ -126,7 +143,7 @@ func (sh *Shard) runBody(p *Proc) {
 		sh.removeProc(p)
 		if r := recover(); r != nil {
 			if _, kill := r.(killedSentinel); !kill && sh.failure == nil {
-				sh.failure = &PanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
+				sh.failure = &PanicError{Proc: p.Name(), Value: r, Stack: debug.Stack()}
 			}
 		}
 		if sh.tracing() {
@@ -136,7 +153,11 @@ func (sh *Shard) runBody(p *Proc) {
 	if sh.killing {
 		panic(killedSentinel{})
 	}
-	body(p)
+	if p.runner != nil {
+		p.runner.Run(p)
+	} else {
+		body(p)
+	}
 }
 
 // releaseProc parks a finished proc on the free list for reuse.
@@ -144,12 +165,18 @@ func (sh *Shard) releaseProc(p *Proc) {
 	p.parked = false
 	p.interrupted = false
 	p.intTimer = Timer{}
+	p.runner = nil
 	p.nextFree = sh.freeProc
 	sh.freeProc = p
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn, or the Runner's.
+func (p *Proc) Name() string {
+	if p.runner != nil {
+		return p.runner.Name()
+	}
+	return p.name
+}
 
 // ID returns a unique process identifier (its spawn sequence number; in a
 // sharded engine the shard index occupies the top byte).
@@ -262,7 +289,7 @@ func (p *Proc) Unpark() {
 		return
 	}
 	if !p.parked {
-		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.name))
+		panic(fmt.Sprintf("sim: Unpark of non-parked process %q", p.Name()))
 	}
 	p.parked = false
 	p.sh.atProc(p.sh.now, p)
@@ -274,7 +301,7 @@ func (p *Proc) UnparkAfter(d Duration) {
 		return
 	}
 	if !p.parked {
-		panic(fmt.Sprintf("sim: UnparkAfter of non-parked process %q", p.name))
+		panic(fmt.Sprintf("sim: UnparkAfter of non-parked process %q", p.Name()))
 	}
 	p.parked = false
 	p.sh.atProc(p.sh.now.Add(d), p)

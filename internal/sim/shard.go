@@ -210,7 +210,7 @@ type traceRec struct {
 
 func (sh *Shard) traceResume(p *Proc) {
 	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 0, p.name})
+		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 0, p.Name()})
 		return
 	}
 	sh.tracer.Resume(sh.now, p)
@@ -218,7 +218,7 @@ func (sh *Shard) traceResume(p *Proc) {
 
 func (sh *Shard) traceYield(p *Proc) {
 	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 1, p.name})
+		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 1, p.Name()})
 		return
 	}
 	sh.tracer.Yield(sh.now, p)
@@ -226,7 +226,7 @@ func (sh *Shard) traceYield(p *Proc) {
 
 func (sh *Shard) traceExit(p *Proc) {
 	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 2, p.name})
+		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 2, p.Name()})
 		return
 	}
 	sh.tracer.Exit(sh.now, p)
@@ -371,7 +371,7 @@ func (sh *Shard) removeProc(p *Proc) {
 // guards the process-context-only API.
 func (sh *Shard) checkRunning(p *Proc, op string) {
 	if sh.running != p {
-		panic(fmt.Sprintf("sim: %s called on %q which is not the running process", op, p.name))
+		panic(fmt.Sprintf("sim: %s called on %q which is not the running process", op, p.Name()))
 	}
 }
 

@@ -40,9 +40,9 @@ func (w *WriterTracer) printf(format string, t Time, name string) {
 	}
 }
 
-func (w *WriterTracer) Resume(t Time, p *Proc) { w.printf("%v resume %s\n", t, p.name) }
-func (w *WriterTracer) Yield(t Time, p *Proc)  { w.printf("%v yield  %s\n", t, p.name) }
-func (w *WriterTracer) Exit(t Time, p *Proc)   { w.printf("%v exit   %s\n", t, p.name) }
+func (w *WriterTracer) Resume(t Time, p *Proc) { w.printf("%v resume %s\n", t, p.Name()) }
+func (w *WriterTracer) Yield(t Time, p *Proc)  { w.printf("%v yield  %s\n", t, p.Name()) }
+func (w *WriterTracer) Exit(t Time, p *Proc)   { w.printf("%v exit   %s\n", t, p.Name()) }
 
 // Probe observes process accounting beyond the scheduling transitions a
 // Tracer sees: virtual-CPU charges (with their start time, so observers
@@ -99,13 +99,13 @@ type CanonicalTracer struct {
 func NewCanonicalTracer() *CanonicalTracer { return &CanonicalTracer{} }
 
 func (c *CanonicalTracer) Resume(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 0, p.name})
+	c.recs = append(c.recs, traceRec{t, 0, p.Name()})
 }
 func (c *CanonicalTracer) Yield(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 1, p.name})
+	c.recs = append(c.recs, traceRec{t, 1, p.Name()})
 }
 func (c *CanonicalTracer) Exit(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 2, p.name})
+	c.recs = append(c.recs, traceRec{t, 2, p.Name()})
 }
 
 // Text returns the buffered transitions sorted canonically, formatted

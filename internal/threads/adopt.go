@@ -55,7 +55,7 @@ func (s *Scheduler) FinishLent() {
 // creation time). The thread is in the running state but is not yet under
 // scheduler control; the caller must detach via DetachBlocked or
 // DetachReady before doing anything else.
-func (s *Scheduler) Adopt(name string, p *sim.Proc) *Thread {
+func (s *Scheduler) Adopt(name Name, p *sim.Proc) *Thread {
 	if len(s.lent) == 0 || s.lent[len(s.lent)-1].p != p {
 		panic("threads: Adopt of a process that is not the current borrower")
 	}
@@ -98,20 +98,20 @@ func (s *Scheduler) detach(c Ctx, requeue bool) {
 	top := s.lent[len(s.lent)-1]
 	s.Unlend()
 	s.stats.Blocks++
-	t.state = stateBlocked
-	s.noteBlocked(t)
 	if requeue {
-		s.noteUnblocked(t)
 		// Push directly rather than via makeReady: the CPU is about to
 		// return to the lender, which will find the ready thread itself.
 		t.state = stateReady
 		s.ready.pushBack(t)
 		s.noteReady()
+	} else {
+		t.state = stateBlocked
+		s.noteBlocked(t)
 	}
 	top.lender.Unpark()
 	c.P.Park()
 	if s.cur != t {
-		panic(fmt.Sprintf("threads: adopted thread %q resumed without the CPU", t.name))
+		panic(fmt.Sprintf("threads: adopted thread %q resumed without the CPU", t.Name()))
 	}
 }
 

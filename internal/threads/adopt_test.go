@@ -52,7 +52,7 @@ func TestLendAdoptDetachBlocked(t *testing.T) {
 			bc := Ctx{P: p, S: s}
 			if !mu.TryLock(bc) {
 				// Promote: adopt, queue as a waiter, give the CPU back.
-				adopted = s.Adopt("promoted", p)
+				adopted = s.Adopt(Name{Base: "promoted"}, p)
 				bc.T = adopted
 				mu.EnqueueWaiter(adopted)
 				s.DetachBlocked(bc)
@@ -98,7 +98,7 @@ func TestAdoptChargesCreation(t *testing.T) {
 		body := eng.Spawn("lent", func(p *sim.Proc) {
 			bc := Ctx{P: p, S: s}
 			before = p.Now()
-			adopted := s.Adopt("promoted", p)
+			adopted := s.Adopt(Name{Base: "promoted"}, p)
 			after = p.Now()
 			bc.T = adopted
 			s.DetachReady(bc)

@@ -2,6 +2,7 @@ package threads
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cm5"
 	"repro/internal/sim"
@@ -69,9 +70,11 @@ type Scheduler struct {
 	stats      Stats
 	stopped    bool
 	interrupts bool
-	blocked    map[*Thread]struct{}
-	cores      map[*sim.Proc]struct{}
-	probe      Probe
+	// blocked is the sentinel of the ring of suspended threads, linked
+	// through the descriptors in block order.
+	blocked Thread
+	cores   []*sim.Proc // bound multiactive core workers
+	probe   Probe
 }
 
 // Probe observes scheduler activity: thread lifetimes, ready-queue depth,
@@ -121,6 +124,7 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 		sh:   node.Shard(),
 		cost: node.Machine().Cost(),
 	}
+	s.blocked.blockedPrev, s.blocked.blockedNext = &s.blocked, &s.blocked
 	s.idle = s.sh.Spawn(fmt.Sprintf("idle/%d", node.ID()), s.idleLoop)
 	// A packet arrival resumes the acting scheduler if it is parked with
 	// nothing to do; if a thread is running (or the CPU is lent to an
@@ -151,26 +155,27 @@ func (s *Scheduler) Stop() {
 // scheduler loop (or a handler running on it) has the CPU.
 func (s *Scheduler) Running() *Thread { return s.cur }
 
-// blockedThreads tracks live suspended threads for deadlock diagnostics.
-// A thread enters on block and leaves on resume or death; the map is
-// small (suspended threads only).
+// noteBlocked appends t to the ring of suspended threads kept for deadlock
+// diagnostics. A thread enters on block and leaves on resume; the ring is
+// threaded through the descriptors, so neither step allocates or hashes.
 func (s *Scheduler) noteBlocked(t *Thread) {
-	if s.blocked == nil {
-		s.blocked = make(map[*Thread]struct{})
-	}
-	s.blocked[t] = struct{}{}
+	h := &s.blocked
+	t.blockedPrev, t.blockedNext = h.blockedPrev, h
+	h.blockedPrev.blockedNext = t
+	h.blockedPrev = t
 }
 
 func (s *Scheduler) noteUnblocked(t *Thread) {
-	delete(s.blocked, t)
+	t.blockedPrev.blockedNext, t.blockedNext.blockedPrev = t.blockedNext, t.blockedPrev
+	t.blockedPrev, t.blockedNext = nil, nil
 }
 
 // Blocked returns the names of threads currently suspended on this node,
-// for deadlock reports.
+// in the order they blocked, for deadlock reports.
 func (s *Scheduler) Blocked() []string {
 	var names []string
-	for t := range s.blocked {
-		names = append(names, t.name)
+	for t := s.blocked.blockedNext; t != &s.blocked; t = t.blockedNext {
+		names = append(names, t.Name())
 	}
 	return names
 }
@@ -181,17 +186,18 @@ func (s *Scheduler) Blocked() []string {
 // node's cores rather than the scheduler CPU, so checkOnCPU accepts them
 // for synchronization primitives and thread creation.
 func (s *Scheduler) BindCore(p *sim.Proc) {
-	if s.cores == nil {
-		s.cores = make(map[*sim.Proc]struct{})
-	}
-	s.cores[p] = struct{}{}
+	s.cores = append(s.cores, p)
 	if s.probe != nil {
 		s.probe.ProcBound(s.node.ID(), p)
 	}
 }
 
 // UnbindCore releases a core worker registered with BindCore.
-func (s *Scheduler) UnbindCore(p *sim.Proc) { delete(s.cores, p) }
+func (s *Scheduler) UnbindCore(p *sim.Proc) {
+	if i := slices.Index(s.cores, p); i >= 0 {
+		s.cores = slices.Delete(s.cores, i, i+1)
+	}
+}
 
 // wakeActor resumes the acting scheduler when it is parked with nothing
 // to do. When the CPU is lent to an optimistic execution the actor is
@@ -282,7 +288,7 @@ func (s *Scheduler) startOrResume(p *sim.Proc, t *Thread, fromRunnable bool) {
 		}
 		t.state = stateRunning
 		s.cur = t
-		t.proc = s.sh.Spawn(t.name, t.run)
+		t.proc = s.sh.SpawnRunner((*threadProc)(t))
 		if s.probe != nil {
 			s.probe.ProcBound(s.node.ID(), t.proc)
 			s.probe.ThreadStarted(s.sh.Now(), s.node.ID(), t, !fromRunnable)
@@ -333,6 +339,12 @@ func (s *Scheduler) makeReady(t *Thread, front bool) {
 		t.state = stateReady
 		s.noteUnblocked(t)
 	}
+	s.enqueue(t, front)
+}
+
+// enqueue is the tail of makeReady: queue t, report the depth, wake the
+// acting scheduler.
+func (s *Scheduler) enqueue(t *Thread, front bool) {
 	if front {
 		s.ready.pushFront(t)
 	} else {
@@ -348,6 +360,12 @@ func (s *Scheduler) makeReady(t *Thread, front bool) {
 // calling context. Create never switches; the new thread runs when the
 // scheduler next looks for work.
 func (s *Scheduler) Create(c Ctx, name string, front bool, body func(Ctx)) *Thread {
+	return s.CreateNamed(c, Name{Base: name}, front, body)
+}
+
+// CreateNamed is Create with the name in parts, for hot paths that would
+// otherwise concatenate or format a string per thread.
+func (s *Scheduler) CreateNamed(c Ctx, name Name, front bool, body func(Ctx)) *Thread {
 	s.checkOnCPU(c, "Create")
 	s.stats.Created++
 	c.P.Charge(s.cost.ThreadCreate)
@@ -364,7 +382,7 @@ func (s *Scheduler) Create(c Ctx, name string, front bool, body func(Ctx)) *Thre
 // after time zero should use Create.
 func (s *Scheduler) Bootstrap(name string, body func(Ctx)) *Thread {
 	s.stats.Created++
-	t := &Thread{sched: s, name: name, body: body, state: stateNew}
+	t := &Thread{sched: s, name: Name{Base: name}, body: body, state: stateNew}
 	if s.probe != nil {
 		s.probe.ThreadCreated(s.sh.Now(), s.node.ID(), t)
 	}
@@ -387,8 +405,8 @@ func (s *Scheduler) Yield(c Ctx) {
 		return
 	}
 	s.stats.Yields++
-	t.state = stateBlocked
-	s.makeReady(t, false)
+	t.state = stateReady
+	s.enqueue(t, false)
 	next := s.ready.popFront()
 	s.noteReady()
 	if next == t {
@@ -424,13 +442,13 @@ func (s *Scheduler) blockCurrent(c Ctx) {
 	s.cur = nil
 	s.schedulerLoop(c.P, t)
 	if s.cur != t {
-		panic(fmt.Sprintf("threads: thread %q resumed without the CPU", t.name))
+		panic(fmt.Sprintf("threads: thread %q resumed without the CPU", t.Name()))
 	}
 }
 
 func (s *Scheduler) checkCurrent(t *Thread, op string) {
 	if s.cur != t {
-		panic(fmt.Sprintf("threads: %s by thread %q which is not on the CPU", op, t.name))
+		panic(fmt.Sprintf("threads: %s by thread %q which is not on the CPU", op, t.Name()))
 	}
 }
 
@@ -460,7 +478,7 @@ func (s *Scheduler) checkOnCPU(c Ctx, op string) {
 		panic(fmt.Sprintf("threads: %s with context of another node", op))
 	}
 	if c.P != s.cpuProc() {
-		if _, ok := s.cores[c.P]; ok {
+		if slices.Contains(s.cores, c.P) {
 			// A multiactive core worker: it owns one of the node's
 			// simulated cores rather than the scheduler CPU.
 			return
@@ -473,6 +491,6 @@ func (s *Scheduler) checkOnCPU(c Ctx, op string) {
 		return
 	}
 	if c.T != nil && c.T != s.cur {
-		panic(fmt.Sprintf("threads: %s by thread %q which is not on the CPU", op, c.T.name))
+		panic(fmt.Sprintf("threads: %s by thread %q which is not on the CPU", op, c.T.Name()))
 	}
 }

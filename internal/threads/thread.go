@@ -51,21 +51,43 @@ func (c Ctx) Node() *cm5.Node { return c.S.Node() }
 // must not block.
 func (c Ctx) IsHandler() bool { return c.T == nil }
 
+// Name is a thread name kept in parts, so that creating a thread never
+// formats one: the string is built only when a tracer, probe or deadlock
+// report reads it. It reads Prefix+Base, followed by "A.B" when Pair is
+// set ("oam/" + procedure, "kv/req/" + client.request).
+type Name struct {
+	Prefix, Base string
+	A, B         int
+	Pair         bool
+}
+
+func (n Name) String() string {
+	if !n.Pair {
+		return n.Prefix + n.Base
+	}
+	return fmt.Sprintf("%s%s%d.%d", n.Prefix, n.Base, n.A, n.B)
+}
+
 // Thread is a user-level thread: a descriptor plus (in this model) a
-// simulation process standing in for its stack.
+// simulation process standing in for its stack. Descriptors are not
+// recycled: Join and Done on a finished thread are legal for as long as
+// the caller keeps the pointer.
 type Thread struct {
 	sched   *Scheduler
-	name    string
+	name    Name
 	body    func(Ctx)
 	proc    *sim.Proc
 	state   threadState
 	prepaid bool // restore cost prepaid by a yield's full-switch charge
-	joiners []*Thread
 	done    bool
+	joiners []*Thread
+	// blockedPrev/blockedNext link the scheduler's ring of suspended
+	// threads (deadlock diagnostics), in block order.
+	blockedPrev, blockedNext *Thread
 }
 
 // Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string { return t.name.String() }
 
 // State returns a human-readable state ("new", "ready", "running",
 // "blocked", "dead") for diagnostics.
@@ -74,8 +96,15 @@ func (t *Thread) State() string { return t.state.String() }
 // Done reports whether the thread's body has returned.
 func (t *Thread) Done() bool { return t.done }
 
-// run is the thread's process body.
-func (t *Thread) run(p *sim.Proc) {
+// threadProc is a Thread seen as its process's sim.Runner: starting a
+// thread converts the descriptor pointer instead of allocating a closure.
+type threadProc Thread
+
+func (r *threadProc) Name() string { return (*Thread)(r).Name() }
+
+// Run is the thread's process body.
+func (r *threadProc) Run(p *sim.Proc) {
+	t := (*Thread)(r)
 	c := Ctx{P: p, T: t, S: t.sched}
 	t.body(c)
 	t.state = stateDead
@@ -110,6 +139,30 @@ func (t *Thread) Join(c Ctx) {
 // Block suspends the calling thread until someone calls Resume on it.
 // It is the low-level wait primitive beneath RPC reply waiting.
 func (s *Scheduler) Block(c Ctx) { s.blockCurrent(c) }
+
+// Sleep suspends the calling thread for d of virtual time on a node-local
+// timer (the same idiom as RPC deadlines). A blocked thread leaves the
+// ready queue, so the node's other threads get the whole CPU meanwhile
+// and the idle loop answers incoming messages when everything blocks.
+// Charging the interval instead would model the wait as a busy spin:
+// every other thread's CPU share halves and each slice pays a 52 us
+// context switch to hand the CPU back to the spinning waiter — in the
+// sched control plane's worst case stretching a job past any lease
+// timeout and livelocking on migration ping-pong. The wakeup is the
+// thread descriptor itself, scheduled as a sim.Action, so sleeping
+// allocates nothing.
+func (s *Scheduler) Sleep(c Ctx, d sim.Duration) {
+	if c.T == nil {
+		panic("threads: Sleep from handler context")
+	}
+	s.sh.AfterAction(d, (*sleepWake)(c.T))
+	s.blockCurrent(c)
+}
+
+// sleepWake is a Thread seen as the sim.Action that ends its Sleep.
+type sleepWake Thread
+
+func (w *sleepWake) Run() { (*Thread)(w).Resume(true) }
 
 // Resume makes a blocked thread runnable, at the front or back of the
 // ready queue. It may be called from any context on the same node,
