@@ -48,8 +48,8 @@
 // lockstep barrier. Results are bit-identical
 // to the sequential kernel at any value of either flag; the harness automatically
 // shrinks -par so cells x shards never exceeds GOMAXPROCS. The observed
-// trace/metrics subcommands always run sequentially (their probes need
-// the single-threaded kernel).
+// trace/metrics subcommands need the single-threaded kernel (their probes
+// are not shard-safe) and reject -shards N rather than ignore it.
 //
 // -cores gives every simulated node K cores: services that declare a
 // compatibility matrix (kv) dispatch compatible handlers concurrently in
@@ -79,13 +79,9 @@ import (
 // runCtx is what one experiment's runner gets: the scale and output
 // plumbing of this invocation.
 type runCtx struct {
-	scale    exp.Scale
-	benchout string
-	stderr   io.Writer
-	emit     func(*exp.Table, error)
-	svg      func(base, title string, rows []exp.FigRow)
-	fail     func(format string, args ...any)
-	failed   func() bool
+	scale exp.Scale
+	emit  func(*exp.Table, error)
+	svg   func(base, title string, rows []exp.FigRow)
 }
 
 // command is one row of the subcommand table. The table is the single
@@ -160,25 +156,6 @@ var commands = []command{
 		func(rc *runCtx) { rc.emit(exp.KVTable(rc.scale)) }},
 	{"kvmulti", "multiactive kv dispatch: goodput and p999 vs simulated cores", true, false,
 		func(rc *runCtx) { rc.emit(exp.KVMultiactiveTable(rc.scale)) }},
-	{"bench", "host-performance report (writes -benchout JSON)", false, false,
-		func(rc *runCtx) {
-			res, err := exp.Bench(rc.scale)
-			if err != nil {
-				rc.emit(nil, err)
-				return
-			}
-			rc.emit(res.Table(), nil)
-			if res.Warning != "" {
-				fmt.Fprintf(rc.stderr, "oamlab: warning: %s\n", res.Warning)
-			}
-			if !rc.failed() && rc.benchout != "" {
-				if err := res.WriteJSON(rc.benchout); err != nil {
-					rc.fail("bench: %v", err)
-					return
-				}
-				fmt.Fprintf(rc.stderr, "[bench report written to %s]\n", rc.benchout)
-			}
-		}},
 	{"micro", "group: every microbenchmark table", false, false, nil},
 	{"all", "group: every experiment", false, false, nil},
 	{"trace", "record one observed app run as a Chrome trace", false, false, nil},
@@ -233,7 +210,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 1, "engine shards per run (1 = sequential kernel, -1 = one per CPU)")
 	optimistic := fs.Bool("optimistic", false, "sharded engines speculate past window edges (commit spans instead of lockstep windows)")
 	cores := fs.Int("cores", 1, "simulated cores per node (>1 enables multiactive dispatch where a compatibility matrix is declared)")
-	benchout := fs.String("benchout", "BENCH_kernel.json", "bench: where to write the JSON report")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fs.Usage = func() {
@@ -290,17 +266,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// trace/metrics are observed single-app runs with their own flags;
 	// they consume the rest of the command line.
 	if names[0] == "trace" || names[0] == "metrics" {
-		return runObserve(names[0], names[1:], scale, stdout, stderr)
+		if *shards != 0 && *shards != 1 {
+			fmt.Fprintf(stderr, "oamlab: %s runs on the sequential kernel only (its probes are not shard-safe); drop -shards %d\n",
+				names[0], *shards)
+			return 2
+		}
+		return runObserve(names[0], names[1:], exp.ObserveSpec{Quick: *quick, Cores: *cores}, stdout, stderr)
 	}
 
 	code := 0
-	rc := &runCtx{
-		scale:    scale,
-		benchout: *benchout,
-		stderr:   stderr,
-		failed:   func() bool { return code != 0 },
-	}
-	rc.fail = func(format string, args ...any) {
+	rc := &runCtx{scale: scale}
+	fail := func(format string, args ...any) {
 		if code == 0 {
 			fmt.Fprintf(stderr, "oamlab: "+format+"\n", args...)
 			code = 1
@@ -311,7 +287,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		if err != nil {
-			rc.fail("%v", err)
+			fail("%v", err)
 			return
 		}
 		if *csv {
@@ -326,7 +302,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		if err := exp.WriteFigSVGs(*svgdir, base, title, rows); err != nil {
-			rc.fail("svg: %v", err)
+			fail("svg: %v", err)
 			return
 		}
 		fmt.Fprintf(stderr, "[%s SVGs written to %s]\n", base, *svgdir)
@@ -367,7 +343,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // runObserve implements the trace and metrics subcommands: run one
 // application with an obs.Collector attached and write the selected
 // sink.
-func runObserve(kind string, args []string, scale exp.Scale, stdout, stderr io.Writer) int {
+func runObserve(kind string, args []string, spec exp.ObserveSpec, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("oamlab "+kind, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	p := fs.Int("p", 8, "machine size (processors)")
@@ -388,6 +364,7 @@ func runObserve(kind string, args []string, scale exp.Scale, stdout, stderr io.W
 		fmt.Fprintf(stderr, "oamlab: %v\n", err)
 		return 2
 	}
+	spec.App, spec.Sys, spec.Nodes = app, sys, *p
 
 	opts := obs.Options{Trace: kind == "trace"}
 	if kind == "metrics" {
@@ -395,7 +372,7 @@ func runObserve(kind string, args []string, scale exp.Scale, stdout, stderr io.W
 		opts.Profile = true
 	}
 	start := time.Now()
-	c, res, err := exp.RunObserved(exp.ObserveSpec{App: app, Sys: sys, Nodes: *p, Scale: scale}, opts)
+	c, res, err := exp.RunObserved(spec, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "oamlab: %s: %v\n", kind, err)
 		return 1

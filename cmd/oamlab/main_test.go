@@ -80,6 +80,36 @@ func TestSmokeUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestBenchCommandGone: the host-performance report moved to `go run
+// ./bench` and `go test -bench`; its subcommand is an unknown experiment
+// (the listing it gets back is generated from the command table) and its
+// -benchout flag an unknown flag.
+func TestBenchCommandGone(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-quick", "bench"}, &out, &errb); code != 2 {
+		t.Fatalf("bench: exit %d, want 2; stderr:\n%s", code, errb.String())
+	}
+	diag := errb.String()
+	if !strings.Contains(diag, `unknown experiment "bench"`) {
+		t.Errorf("missing diagnostic:\n%s", diag)
+	}
+	for _, c := range commands {
+		if !strings.Contains(diag, c.name) {
+			t.Errorf("diagnostic does not list subcommand %q:\n%s", c.name, diag)
+		}
+	}
+	errb.Reset()
+	if code := realMain([]string{"-benchout", "x.json", "table1"}, &out, &errb); code != 2 {
+		t.Fatalf("-benchout: exit %d, want 2; stderr:\n%s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "flag provided but not defined: -benchout") {
+		t.Errorf("missing diagnostic:\n%s", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected invocations wrote to stdout:\n%s", out.String())
+	}
+}
+
 // TestUnknownListsSubcommands: the unknown-name diagnostic names every
 // registered subcommand (including trace and metrics) so a typo is
 // self-correcting.
@@ -221,6 +251,27 @@ func TestObserveBadApp(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), `unknown app "nosuch"`) {
 		t.Errorf("missing diagnostic:\n%s", errb.String())
+	}
+}
+
+// TestObserveRejectsShards: trace and metrics cannot run sharded yet, so
+// -shards N with either is a usage error naming the flag — not a silent
+// sequential run.
+func TestObserveRejectsShards(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-shards", "2", "trace", "tsp"},
+		{"-quick", "-shards", "-1", "-optimistic", "metrics", "tsp"},
+	} {
+		var out, errb bytes.Buffer
+		if code := realMain(args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2; stderr:\n%s", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "-shards") {
+			t.Errorf("%v: diagnostic does not name the flag:\n%s", args, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", args, out.String())
+		}
 	}
 }
 

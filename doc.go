@@ -7,7 +7,7 @@
 // regenerates every table and figure of the evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The root-level
-// benchmarks (bench_test.go) exercise one experiment per table/figure;
-// cmd/oamlab runs them at full paper scale.
+// EXPERIMENTS.md for paper-versus-measured results. cmd/oamlab runs every
+// experiment at quick or full paper scale; bench/ is the host-time
+// benchmark.
 package repro

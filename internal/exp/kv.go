@@ -240,27 +240,27 @@ func KVTable(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// KVSaturation is the saturation-knee pass of the host bench: ORPC and
-// TRPC goodput over an offered-load sweep, the knee where TRPC stops
-// keeping up, ORPC's p999 at 70% of that knee, and the goodput ratio at
-// the top of the sweep. All virtual quantities — deterministic on any
-// host; Valid only gates whether the knee landed inside the sweep.
+// KVSaturation is the saturation-knee sweep: ORPC and TRPC goodput over
+// an offered-load sweep, the knee where TRPC stops keeping up, ORPC's p999
+// at 70% of that knee, and the goodput ratio at the top of the sweep. All
+// virtual quantities — deterministic on any host; Valid only gates whether
+// the knee landed inside the sweep.
 type KVSaturation struct {
-	Multipliers  []float64 `json:"multipliers"`
-	OfferedPerMs []float64 `json:"offered_per_ms"`
-	OrpcGoodput  []float64 `json:"orpc_goodput_per_ms"`
-	TrpcGoodput  []float64 `json:"trpc_goodput_per_ms"`
+	Multipliers  []float64
+	OfferedPerMs []float64
+	OrpcGoodput  []float64
+	TrpcGoodput  []float64
 	// KneeRateX is the first multiplier where TRPC goodput fell below
 	// 95% of the offered load; 0 when the sweep never saturated it.
-	KneeRateX float64 `json:"knee_rate_x"`
+	KneeRateX float64
 	// P999At70PctKneeUs is ORPC's p999 (microseconds) at 70% of the knee
 	// load — the SLO headroom claim: latency holds below the knee.
-	P999At70PctKneeUs float64 `json:"p999_at_70pct_knee_us"`
+	P999At70PctKneeUs float64
 	// GoodputRatioAtMax is ORPC goodput / TRPC goodput at the top
 	// multiplier: how much service the optimistic path keeps delivering
 	// after thread-per-call has collapsed.
-	GoodputRatioAtMax float64 `json:"goodput_ratio_at_max"`
-	Valid             bool    `json:"valid"`
+	GoodputRatioAtMax float64
+	Valid             bool
 }
 
 // KVSaturationBench sweeps ORPC and TRPC through the saturation knee.
@@ -376,41 +376,37 @@ func (p *kvOccProbe) Fraction() float64 {
 	return float64(area) / float64(capacity)
 }
 
-// KVMultiactive is the multiactive-dispatch pass of the host bench: one
-// read-heavy Zipf cell (gets dominate a skewed key space and their
-// service time is raised until the handler slot is the bottleneck) run
-// at 1, 2, and 4 simulated cores per server. Every reported quantity is
-// virtual time, so the pass is deterministic on any host — simulated
-// cores are free in host CPUs, they only parallelize virtual service
-// time — and Valid only says the single-active cell carried traffic.
+// KVMultiactive is the multiactive-dispatch sweep: one read-heavy Zipf
+// cell (gets dominate a skewed key space and their service time is raised
+// until the handler slot is the bottleneck) run at 1, 2, and 4 simulated
+// cores per server. Every reported quantity is virtual time, so the sweep
+// is deterministic on any host — simulated cores are free in host CPUs,
+// they only parallelize virtual service time — and Valid only says the
+// single-active cell carried traffic.
 type KVMultiactive struct {
-	// Mode tags the artifact scale ("quick" or "full"), mirroring the
-	// top-level report tag so the pass is self-describing when extracted.
-	Mode  string `json:"mode"`
-	Cores []int  `json:"cores"`
-	// The cell configuration is echoed so the artifact records which
-	// budgets and load shape produced the numbers: a fixed handler
+	Cores []int
+	// The cell configuration, for the table's notes: a fixed handler
 	// budget isolates the core count as the only variable.
-	HandlerBudgetUs float64 `json:"handler_budget_us"`
-	WorkGetUs       float64 `json:"work_get_us"`
-	RateX           float64 `json:"rate_x"`
-	ZipfS           float64 `json:"zipf_s"`
-	MixPerMille     [3]int  `json:"mix_per_mille"` // get, put, cas
+	HandlerBudgetUs float64
+	WorkGetUs       float64
+	RateX           float64
+	ZipfS           float64
+	MixPerMille     [3]int // get, put, cas
 
-	GoodputPerMs []float64 `json:"goodput_per_ms"`
-	P999Us       []float64 `json:"p999_us"`
+	GoodputPerMs []float64
+	P999Us       []float64
 	// OccupancyFrac is each cell's time-weighted busy-core fraction:
 	// busy-core time / (cores x active span), summed over servers. The
 	// cores=1 cell dispatches single-active, so its entry is 0.
-	OccupancyFrac  []float64 `json:"core_occupancy_frac"`
-	CompatAdmitted []uint64  `json:"compat_admitted"`
-	CompatQueued   []uint64  `json:"compat_queued"`
+	OccupancyFrac  []float64
+	CompatAdmitted []uint64
+	CompatQueued   []uint64
 	// SpeedupAtMax is goodput at the top core count over single-active
 	// goodput; P999RatioAtMax is the matching tail-latency ratio (< 1
 	// means multiactive shortened the tail).
-	SpeedupAtMax   float64 `json:"speedup_at_max"`
-	P999RatioAtMax float64 `json:"p999_ratio_at_max"`
-	Valid          bool    `json:"valid"`
+	SpeedupAtMax   float64
+	P999RatioAtMax float64
+	Valid          bool
 }
 
 // kvMultiactiveCores is the core-count sweep of the pass.
@@ -433,14 +429,11 @@ func KVMultiactiveBench(scale Scale) (KVMultiactive, error) {
 		mix     = [3]int{900, 60, 40}
 	)
 	dur := sim.Duration(sim.Micros(12000))
-	mode := "full"
 	if scale.Quick {
 		dur = sim.Duration(sim.Micros(6000))
-		mode = "quick"
 	}
 	n := len(kvMultiactiveCores)
 	m := KVMultiactive{
-		Mode:            mode,
 		Cores:           kvMultiactiveCores,
 		HandlerBudgetUs: float64(budget) / float64(sim.Microsecond),
 		WorkGetUs:       float64(workGet) / float64(sim.Microsecond),

@@ -81,8 +81,10 @@ func TestKVShardInvariance(t *testing.T) {
 	}
 }
 
-// TestKVSaturationQuick checks the bench pass finds the knee and the
-// goodput gap on the quick sweep — the numbers CI asserts against.
+// TestKVSaturationQuick is the service-level claim: the quick sweep finds
+// the TRPC knee, ORPC delivers strictly more goodput past it (the
+// handler-budget shed happens before thread creation), and ORPC's p999
+// below the knee is measured. All virtual time, so deterministic.
 func TestKVSaturationQuick(t *testing.T) {
 	sat, err := KVSaturationBench(Scale{Quick: true})
 	if err != nil {
@@ -99,7 +101,7 @@ func TestKVSaturationQuick(t *testing.T) {
 	}
 }
 
-// TestKVMultiactiveQuick checks the multiactive bench pass on the quick
+// TestKVMultiactiveQuick checks the multiactive sweep on the quick
 // cell: everything it reports is virtual time, so the assertions are
 // deterministic on any host.
 func TestKVMultiactiveQuick(t *testing.T) {

@@ -20,16 +20,15 @@ type ObserveSpec struct {
 	App   string      // triangle | tsp | sor | water | sched | kv
 	Sys   apps.System // communication system (default ORPC)
 	Nodes int         // machine size (0 = the app's default)
-	// Scale supplies Quick (shrink the problem like the quick figure
-	// runs) and Run.Cores; an observed run is a single cell on the
-	// sequential kernel, so the rest is not consulted.
-	Scale Scale
+	Quick bool        // shrink the problem like the quick figure runs
+	Cores int         // simulated cores per node (apps.RunOptions.Cores)
 }
 
 // run is the RunOptions of an observed run: the sequential kernel (the
-// collector's probes need it) with c attached.
+// collector's probes are not shard-safe, so the spec has no Shards to
+// ask for) with c attached.
 func (spec ObserveSpec) run(c *obs.Collector) apps.RunOptions {
-	return apps.RunOptions{Cores: spec.Scale.Run.Cores, Observe: c.Attach}
+	return apps.RunOptions{Cores: spec.Cores, Observe: c.Attach}
 }
 
 // ParseSystem maps a -sys flag value to an apps.System.
@@ -62,14 +61,14 @@ func ObservedApps() []string {
 var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Result, error){
 	"triangle": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, RunOptions: spec.run(c)}
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg.Side = 5
 		}
 		return triangle.Run(spec.Sys, spec.Nodes, cfg)
 	},
 	"tsp": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: spec.run(c)}
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg.Cities = 10
 		}
 		// -p counts processors; the master occupies node 0.
@@ -77,7 +76,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 	},
 	"sor": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := sor.DefaultConfig()
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
 		}
 		cfg.RunOptions = spec.run(c)
@@ -86,7 +85,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 	"water": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		cfg := water.DefaultConfig()
 		cfg.Seed = 103
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg.Mols = 64
 		}
 		cfg.RunOptions = spec.run(c)
@@ -97,7 +96,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 		// collector doubles as the control-plane probe, so the trace grows
 		// a "sched" track of heartbeats, outages, and lease spans.
 		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: spec.run(c), Probe: c}
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg.Jobs = 8
 		}
 		res, _, err := sched.Run(spec.Nodes-1, cfg)
@@ -120,7 +119,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 			RunOptions: spec.run(c),
 			Probe:      c,
 		}
-		if spec.Scale.Quick {
+		if spec.Quick {
 			cfg.Duration = sim.Micros(5000)
 		}
 		res, _, err := kv.Run(cfg)

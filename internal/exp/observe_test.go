@@ -21,7 +21,7 @@ const traceGoldenTSP uint64 = 0x5e6f7a6957a7db81
 func observedTSP(t *testing.T) (*obs.Collector, apps.Result) {
 	t.Helper()
 	c, res, err := RunObserved(
-		ObserveSpec{App: "tsp", Sys: apps.ORPC, Nodes: 4, Scale: Scale{Quick: true}},
+		ObserveSpec{App: "tsp", Sys: apps.ORPC, Nodes: 4, Quick: true},
 		obs.Options{Trace: true, Metrics: true, Profile: true})
 	if err != nil {
 		t.Fatalf("RunObserved: %v", err)
@@ -102,7 +102,7 @@ func TestTraceGoldenTSP(t *testing.T) {
 // scheduler.
 func TestObservedSchedTrace(t *testing.T) {
 	c, res, err := RunObserved(
-		ObserveSpec{App: "sched", Nodes: 4, Scale: Scale{Quick: true}},
+		ObserveSpec{App: "sched", Nodes: 4, Quick: true},
 		obs.Options{Trace: true, Metrics: true})
 	if err != nil {
 		t.Fatalf("RunObserved: %v", err)
@@ -181,7 +181,7 @@ func TestObservedAllApps(t *testing.T) {
 	}
 	for _, app := range ObservedApps() {
 		c, res, err := RunObserved(
-			ObserveSpec{App: app, Sys: apps.ORPC, Nodes: 4, Scale: Scale{Quick: true}},
+			ObserveSpec{App: app, Sys: apps.ORPC, Nodes: 4, Quick: true},
 			obs.Options{Metrics: true})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
@@ -218,7 +218,7 @@ func TestRunObservedErrors(t *testing.T) {
 // the metrics registry and their counter tracks in the trace.
 func TestObservedKVMultiactive(t *testing.T) {
 	c, res, err := RunObserved(
-		ObserveSpec{App: "kv", Sys: apps.ORPC, Nodes: 8, Scale: Scale{Quick: true, Run: apps.RunOptions{Cores: 2}}},
+		ObserveSpec{App: "kv", Sys: apps.ORPC, Nodes: 8, Quick: true, Cores: 2},
 		obs.Options{Trace: true, Metrics: true})
 	if err != nil {
 		t.Fatal(err)

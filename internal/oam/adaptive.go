@@ -13,6 +13,13 @@ import "repro/internal/sim"
 // between decisions.
 const ctlWindow = 32
 
+// The adapted budget stays within [HandlerBudget/budgetMinDiv,
+// HandlerBudget*budgetMaxMul].
+const (
+	budgetMinDiv = 4
+	budgetMaxMul = 8
+)
+
 // nodeCtl is one node's adaptive state.
 type nodeCtl struct {
 	// budget is the current handler budget; zero means "not yet
@@ -65,13 +72,7 @@ func (d *Dispatcher) adapt(node int, aborted bool, reason Reason, qdepth int) {
 		if ct.budget == 0 {
 			ct.budget = hb
 		}
-		lo, hi := d.opts.BudgetMin, d.opts.BudgetMax
-		if lo == 0 {
-			lo = hb / 4
-		}
-		if hi == 0 {
-			hi = hb * 8
-		}
+		lo, hi := hb/budgetMinDiv, hb*budgetMaxMul
 		switch {
 		case ct.tooLong*4 >= ct.window && qdepth <= 2 && ct.budget*2 <= hi:
 			// Mostly budget aborts with a shallow backlog: the budget is

@@ -30,11 +30,12 @@ func TestProbeReportsStrategyUsed(t *testing.T) {
 	const calls = ctlWindow + 8
 	budget := sim.Micros(10)
 	finished := 0
-	// BudgetMax pins the budget, so every call aborts TooLong and the
-	// first controller window ends with preferLazy set.
-	r := newRig(t, Options{Strategy: Rerun, Adaptive: true, HandlerBudget: budget, BudgetMax: budget},
+	// The handler outruns even the adaptive ceiling (budgetMaxMul times the
+	// budget), so every call aborts TooLong however far the controller
+	// raises it, and the first controller window ends with preferLazy set.
+	r := newRig(t, Options{Strategy: Rerun, Adaptive: true, HandlerBudget: budget},
 		func(e *Env, pkt *cm5.Packet) {
-			e.Compute(2 * budget)
+			e.Compute((budgetMaxMul + 1) * budget)
 			finished++
 		})
 	probe := &strategyProbe{}

@@ -55,15 +55,11 @@ type Options struct {
 	// admission. Nil means no two handlers are ever compatible.
 	Compat *CompatTable
 	// Adaptive replaces the fixed HandlerBudget with a per-node controller
-	// that adjusts the budget within [BudgetMin, BudgetMax] and the
-	// promote-vs-rerun choice from observed abort history and queue depth.
-	// The controller reads only deterministic per-node counters, so
-	// adapted schedules stay replayable.
+	// that adjusts the budget within [HandlerBudget/4, HandlerBudget*8]
+	// and the promote-vs-rerun choice from observed abort history and
+	// queue depth. The controller reads only deterministic per-node
+	// counters, so adapted schedules stay replayable.
 	Adaptive bool
-	// BudgetMin and BudgetMax bound the adaptive budget. Zero values
-	// default to HandlerBudget/4 and HandlerBudget*8.
-	BudgetMin sim.Duration
-	BudgetMax sim.Duration
 }
 
 // Outcome reports what happened to one optimistic dispatch.

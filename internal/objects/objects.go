@@ -64,9 +64,6 @@ func (r *Runtime) NewObject(name string, owner int, state any) *Object {
 	return o
 }
 
-// Owner returns the object's home node.
-func (o *Object) Owner() int { return o.owner }
-
 // Op is a guarded operation on an object. Guard is evaluated with the
 // object lock held; a false guard blocks the invocation (optimistically:
 // aborts it) until another operation changes the state. Body runs with

@@ -22,10 +22,6 @@ var kvLatBounds = []sim.Duration{
 	sim.Micros(100000),
 }
 
-// KVLatency exposes the service latency histogram (nil unless
-// Options.Metrics): feed it to Histogram.Percentiles for the SLO report.
-func (c *Collector) KVLatency() *Histogram { return c.hKVLat }
-
 // tidKV is the key-value service track: admission sheds and failed
 // arrivals, all on the node they happened on. Like the scheduler track,
 // its thread_name metadata is emitted lazily on the first service event,

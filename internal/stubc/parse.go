@@ -2,6 +2,7 @@ package stubc
 
 import (
 	"fmt"
+	"go/token"
 	"strings"
 )
 
@@ -382,8 +383,10 @@ func parseParams(f *File, s string, line int) ([]Param, error) {
 	return out, nil
 }
 
+// isIdent reports whether s can be emitted as a Go identifier: letters,
+// digits and underscores, not starting with a digit, and not a keyword.
 func isIdent(s string) bool {
-	if s == "" {
+	if s == "" || token.IsKeyword(s) {
 		return false
 	}
 	for i, r := range s {

@@ -62,6 +62,9 @@ func TestParseErrors(t *testing.T) {
 		{"package p", "no rpc declarations"},
 		{"", "missing package"},
 		{"package p\nrpc Foo(a)", "must be `name type`"},
+		// Go keywords pass the character test but cannot be emitted.
+		{"package func\nrpc Foo()", "bad package name"},
+		{"package p\nrpc Foo(type int32)", "bad parameter name"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)
