@@ -42,14 +42,16 @@
 //
 // -shards runs every simulation engine sharded: each run's nodes are
 // partitioned across N shards (-1 = one per CPU) that execute in
-// parallel over lockstep virtual-time windows. -optimistic switches the
-// sharded engines to speculative commit spans: shards run past the
-// window edge and a GVT-style resolve commits whole spans, replacing the
-// lockstep barrier. Results are bit-identical
-// to the sequential kernel at any value of either flag; the harness automatically
-// shrinks -par so cells x shards never exceeds GOMAXPROCS. The observed
-// trace/metrics subcommands need the single-threaded kernel (their probes
-// are not shard-safe) and reject -shards N rather than ignore it.
+// parallel over commit spans one network lookahead wide — the lockstep
+// schedule, a barrier per window. -optimistic widens the spans to 32
+// lookaheads: shards run ahead of each other up to a proven-safe horizon
+// and rendezvous only at span commits. It is the same scheduler at a
+// different width, so it is a usage error without -shards. Results are
+// bit-identical to the sequential kernel at any value of either flag; the
+// harness automatically shrinks -par so cells x shards never exceeds
+// GOMAXPROCS. The observed trace/metrics subcommands need the
+// single-threaded kernel (their probes are not shard-safe) and reject
+// -shards N rather than ignore it.
 //
 // -cores gives every simulated node K cores: services that declare a
 // compatibility matrix (kv) dispatch compatible handlers concurrently in
@@ -208,7 +210,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	svgdir := fs.String("svgdir", "", "also render figures as SVG into this directory")
 	par := fs.Int("par", 0, "concurrent experiment cells (0 = all CPUs, 1 = sequential)")
 	shards := fs.Int("shards", 1, "engine shards per run (1 = sequential kernel, -1 = one per CPU)")
-	optimistic := fs.Bool("optimistic", false, "sharded engines speculate past window edges (commit spans instead of lockstep windows)")
+	optimistic := fs.Bool("optimistic", false, "sharded engines commit spans 32 lookaheads wide instead of 1 (lockstep); needs -shards")
 	cores := fs.Int("cores", 1, "simulated cores per node (>1 enables multiactive dispatch where a compatibility matrix is declared)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -221,6 +223,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *optimistic && (*shards == 0 || *shards == 1) {
+		fmt.Fprintf(stderr, "oamlab: -optimistic only widens a sharded engine's commit spans; it needs -shards N (N > 1, or -1 for one per CPU)\n")
 		return 2
 	}
 

@@ -254,23 +254,31 @@ func TestObserveBadApp(t *testing.T) {
 	}
 }
 
-// TestObserveRejectsShards: trace and metrics cannot run sharded yet, so
-// -shards N with either is a usage error naming the flag — not a silent
-// sequential run.
+// TestObserveRejectsShards: an engine flag that cannot take effect is a
+// usage error naming the flag — not a silent sequential run. trace and
+// metrics cannot run sharded yet, so they reject -shards N; -optimistic
+// only sizes a sharded engine's commit spans, so it needs -shards to
+// resolve parallel (-shards -1 does, per host).
 func TestObserveRejectsShards(t *testing.T) {
-	for _, args := range [][]string{
-		{"-quick", "-shards", "2", "trace", "tsp"},
-		{"-quick", "-shards", "-1", "-optimistic", "metrics", "tsp"},
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-shards", []string{"-quick", "-shards", "2", "trace", "tsp"}},
+		{"-shards", []string{"-quick", "-shards", "-1", "-optimistic", "metrics", "tsp"}},
+		{"-optimistic", []string{"-quick", "-optimistic", "table1"}},
+		{"-optimistic", []string{"-quick", "-shards", "1", "-optimistic", "kv"}},
+		{"-optimistic", []string{"-quick", "-optimistic", "trace", "tsp"}},
 	} {
 		var out, errb bytes.Buffer
-		if code := realMain(args, &out, &errb); code != 2 {
-			t.Fatalf("%v: exit %d, want 2; stderr:\n%s", args, code, errb.String())
+		if code := realMain(c.args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2; stderr:\n%s", c.args, code, errb.String())
 		}
-		if !strings.Contains(errb.String(), "-shards") {
-			t.Errorf("%v: diagnostic does not name the flag:\n%s", args, errb.String())
+		if !strings.Contains(errb.String(), c.flag) {
+			t.Errorf("%v: diagnostic does not name %s:\n%s", c.args, c.flag, errb.String())
 		}
 		if out.Len() != 0 {
-			t.Errorf("%v: wrote to stdout:\n%s", args, out.String())
+			t.Errorf("%v: wrote to stdout:\n%s", c.args, out.String())
 		}
 	}
 }

@@ -43,8 +43,10 @@ type RunOptions struct {
 	// negative auto (one per CPU), clamped to the node count. Only
 	// wall-clock time changes.
 	Shards int
-	// Optimistic selects the engine's speculative span scheduler instead
-	// of lockstep windows when Shards resolves parallel.
+	// Optimistic widens a sharded engine's commit spans from one network
+	// lookahead (the lockstep schedule) to 32 (sim.Optimistic). It is the
+	// same scheduler either way and does nothing unless Shards resolves
+	// parallel.
 	Optimistic bool
 	// Cores gives each simulated node this many cores. Values > 1 route
 	// synchronous ORPC dispatches through the multiactive path

@@ -130,18 +130,16 @@ type Config struct {
 	// per-node cores. The object lock is dropped in this mode — the
 	// matrix is the exclusion.
 	apps.RunOptions
-	// System selects the communication system under test; Strategy,
-	// Adaptive and HandlerBudget configure the optimistic dispatcher for
-	// ORPC. Adaptive replaces the fixed HandlerBudget with the
+	// System selects the communication system under test; Adaptive and
+	// HandlerBudget configure the optimistic dispatcher for ORPC (abort
+	// strategy: rerun). Adaptive replaces the fixed HandlerBudget with the
 	// dispatcher's per-node congestion- and history-driven controller.
 	System        apps.System
-	Strategy      oam.Strategy
 	Adaptive      bool
 	HandlerBudget sim.Duration // default 8 us: CAS promotes, the rest commit inline
-	// Fault is the injected fault plan (nil for a perfect network); Rel
-	// tunes the reliable transport, which is always attached.
+	// Fault is the injected fault plan (nil for a perfect network). The
+	// reliable transport is always attached, with its default options.
 	Fault *cm5.FaultPlan
-	Rel   reliable.Options
 
 	// MeanIAT is each client's mean interarrival time at RateX=1
 	// (default 400 us); RateX scales the offered load (default 1); Mode
@@ -158,22 +156,16 @@ type Config struct {
 	// Duration is the arrival window (default 20 ms); the run then
 	// drains in-flight requests.
 	Duration sim.Duration
-	// MaxOutstanding caps each client's in-flight requests; an arrival
-	// over the cap is dropped at the source (default 8).
-	MaxOutstanding int
 
 	// Budget is the server admission threshold: a request is shed when
 	// the NIC queue plus in-flight thread work exceeds it (default 24).
-	// RetryBase is the retry-after hint a shed reply carries; clients
-	// back off linearly on it and give up after ShedRetries retries
-	// (defaults 200 us, 6).
+	// Clients back off linearly on a shed reply's retry-after hint
+	// (retryBase) and give up after ShedRetries retries (default 6).
 	Budget      int
-	RetryBase   sim.Duration
 	ShedRetries int
-	// CallTimeout / CallAttempts bound each idempotent call (defaults
-	// 1 ms, 3).
-	CallTimeout  sim.Duration
-	CallAttempts int
+	// CallTimeout bounds each of an idempotent call's callAttempts tries
+	// (default 1 ms).
+	CallTimeout sim.Duration
 
 	// LockTTL is the server-side lease lifetime; LockHold is how long a
 	// client sits on a granted lease before unlocking (defaults 2 ms,
@@ -181,18 +173,31 @@ type Config struct {
 	LockTTL  sim.Duration
 	LockHold sim.Duration
 
-	// Work* are the per-operation service CPU costs (defaults 2, 6, 10,
-	// 3 us). The CAS default deliberately exceeds HandlerBudget.
-	WorkGet  sim.Duration
-	WorkPut  sim.Duration
-	WorkCas  sim.Duration
-	WorkLock sim.Duration
+	// WorkGet is the service CPU cost of a get (default 2 us); the other
+	// operations' costs are the work* constants below.
+	WorkGet sim.Duration
 
-	// MaxTime aborts the drain if virtual time exceeds it (default 60 s).
-	MaxTime sim.Time
 	// Probe, when set, receives service transitions.
 	Probe Probe
 }
+
+// Service parameters no caller varies.
+const (
+	// maxOutstanding caps each client's in-flight requests; an arrival
+	// over the cap is dropped at the source.
+	maxOutstanding = 8
+	// retryBase is the retry-after hint a shed reply carries.
+	retryBase = 200 * sim.Microsecond
+	// callAttempts is how many times an idempotent call is tried.
+	callAttempts = 3
+	// Per-operation service CPU costs. CAS deliberately exceeds the
+	// default HandlerBudget, so it promotes.
+	workPut  = 6 * sim.Microsecond
+	workCas  = 10 * sim.Microsecond
+	workLock = 3 * sim.Microsecond
+	// maxTime aborts the drain if virtual time exceeds it.
+	maxTime = sim.Time(60 * sim.Second)
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Servers <= 0 {
@@ -216,9 +221,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Duration <= 0 {
 		cfg.Duration = sim.Micros(20000)
 	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 8
-	}
 	if cfg.MixGet <= 0 {
 		cfg.MixGet = 600
 	}
@@ -231,17 +233,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 24
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = sim.Micros(200)
-	}
 	if cfg.ShedRetries <= 0 {
 		cfg.ShedRetries = 6
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = sim.Micros(1000)
-	}
-	if cfg.CallAttempts <= 0 {
-		cfg.CallAttempts = 3
 	}
 	if cfg.LockTTL <= 0 {
 		cfg.LockTTL = sim.Micros(2000)
@@ -251,18 +247,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.WorkGet <= 0 {
 		cfg.WorkGet = sim.Micros(2)
-	}
-	if cfg.WorkPut <= 0 {
-		cfg.WorkPut = sim.Micros(6)
-	}
-	if cfg.WorkCas <= 0 {
-		cfg.WorkCas = sim.Micros(10)
-	}
-	if cfg.WorkLock <= 0 {
-		cfg.WorkLock = sim.Micros(3)
-	}
-	if cfg.MaxTime <= 0 {
-		cfg.MaxTime = sim.Time(60 * sim.Second)
 	}
 	return cfg
 }
@@ -405,7 +389,7 @@ func (r *kvRun) admit(e *oam.Env, s *serverState) uint32 {
 	if r.cfg.Probe != nil {
 		r.cfg.Probe.ServerShed(e.Ctx().P.Now(), s.id, depth)
 	}
-	return uint32(r.cfg.RetryBase / sim.Microsecond)
+	return uint32(retryBase / sim.Microsecond)
 }
 
 // enter/leave bracket the server critical section. In thread mode the
@@ -446,7 +430,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	defer eng.Shutdown()
 	// Unreachable NIC cap: the service's admission budget is this
 	// system's only backpressure. The machine's network-full refusal
-	// reserves against a window-boundary occupancy snapshot when
+	// reserves against a span-boundary occupancy snapshot when
 	// sharded, so any run where a queue touches the cap makes send
 	// admission snapshot-dependent — approximately, not bit-exactly,
 	// deterministic. A saturated server's queue grows past any
@@ -459,13 +443,13 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	cm.NICQueueCap = 1 << 20
 	u := am.NewUniverse(eng, nodes, cm)
 	u.Machine().SetFaultPlan(cfg.Fault)
-	tr := reliable.Attach(u, cfg.Rel)
+	tr := reliable.Attach(u, reliable.Options{})
 
 	// Multiactive only applies to optimistic dispatch: TRPC is threads,
 	// AM is atomic handlers; both keep the single implicit core.
 	multiactive := cfg.Cores > 1 && cfg.System != apps.TRPC && cfg.System != apps.AM
 	opts := rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{
-		Strategy:      cfg.Strategy,
+		Strategy:      oam.Rerun,
 		HandlerBudget: cfg.HandlerBudget,
 		Adaptive:      cfg.Adaptive,
 	}}
@@ -539,7 +523,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			r.leave(e, s)
 			return 0, v.u
 		}
-		e.Compute(cfg.WorkPut)
+		e.Compute(workPut)
 		ent := s.entry(key)
 		ent.ver++
 		ent.val = val
@@ -561,7 +545,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			r.leave(e, s)
 			return 0, v.u, v.b
 		}
-		e.Compute(cfg.WorkCas)
+		e.Compute(workCas)
 		ent := s.entry(key)
 		swapped := ent.ver == expect
 		if swapped {
@@ -586,7 +570,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			r.leave(e, s)
 			return 0, v.u
 		}
-		e.Compute(cfg.WorkLock)
+		e.Compute(workLock)
 		ent := s.entry(key)
 		now := e.Ctx().P.Now()
 		if ent.lockHeld && now >= ent.lockExpiry {
@@ -629,7 +613,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			r.leave(e, s)
 			return 0, v.b
 		}
-		e.Compute(cfg.WorkLock)
+		e.Compute(workLock)
 		released := false
 		ent := s.store[key]
 		if ent != nil && ent.lockHeld {
@@ -692,12 +676,12 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		switch op {
 		case OpGet:
 			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, _, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, cfg.CallAttempts)
+				st, _, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, callAttempts)
 				return st, err
 			})
 		case OpPut:
 			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, _, err := put.CallIdempotent(c, srv, key, req, val, cfg.CallTimeout, cfg.CallAttempts)
+				st, _, err := put.CallIdempotent(c, srv, key, req, val, cfg.CallTimeout, callAttempts)
 				return st, err
 			})
 		case OpCas:
@@ -705,7 +689,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			// a lost race (swapped=false) is still a completed answer.
 			var expect uint32
 			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, ver, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, cfg.CallAttempts)
+				st, ver, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, callAttempts)
 				if err == nil && st == 0 {
 					expect = ver
 				}
@@ -713,14 +697,14 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			})
 			if out == OutcomeOK {
 				out = withShedRetry(c, cs, func() (uint32, error) {
-					st, _, _, err := cas.CallIdempotent(c, srv, key, req, expect, val, cfg.CallTimeout, cfg.CallAttempts)
+					st, _, _, err := cas.CallIdempotent(c, srv, key, req, expect, val, cfg.CallTimeout, callAttempts)
 					return st, err
 				})
 			}
 		case OpLock:
 			var epoch uint32
 			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, ep, err := lock.CallIdempotent(c, srv, key, req, cfg.CallTimeout, cfg.CallAttempts)
+				st, ep, err := lock.CallIdempotent(c, srv, key, req, cfg.CallTimeout, callAttempts)
 				if err == nil && st == 0 {
 					epoch = ep
 				}
@@ -735,7 +719,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 				} else {
 					c.S.Sleep(c, cfg.LockHold)
 					rel := withShedRetry(c, cs, func() (uint32, error) {
-						st, ok, err := unlock.CallIdempotent(c, srv, key, req+1, epoch, cfg.CallTimeout, cfg.CallAttempts)
+						st, ok, err := unlock.CallIdempotent(c, srv, key, req+1, epoch, cfg.CallTimeout, callAttempts)
 						if err == nil && st == 0 && !ok {
 							cs.n.UnlockFails++
 						}
@@ -810,7 +794,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 				op = OpLock
 			}
 			cs.n.Arrivals++
-			if cs.outstanding >= cfg.MaxOutstanding {
+			if cs.outstanding >= maxOutstanding {
 				cs.n.Drops++
 				if cfg.Probe != nil {
 					cfg.Probe.RequestDone(now, me, op, OutcomeDrop, 0)
@@ -830,9 +814,9 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			if node.Crashed() {
 				return
 			}
-			if c.P.Now() > cfg.MaxTime {
+			if c.P.Now() > maxTime {
 				cs.err = fmt.Errorf("kv: client %d exceeded MaxTime %v with %d requests in flight",
-					cid, cfg.MaxTime, cs.outstanding)
+					cid, maxTime, cs.outstanding)
 				return
 			}
 			c.S.Sleep(c, sim.Micros(200))

@@ -57,13 +57,15 @@ type ctlRound struct {
 // collective implements one collective primitive (barrier, global OR, or
 // reduction) of the control network.
 //
-// Under a sharded engine, enters and waits performed during a parallel
-// window are buffered on the calling node's shard and applied at the
-// window barrier; the round's release is a global control event at
-// maxT + latency. Because every collective latency exceeds the data
-// network's wire latency (the lookahead bound), a release always lands
-// strictly after the window in which the round completed — so a node can
-// never observe a release that another shard has not yet made visible.
+// Enters and waits mutate the round at once — under Machine.ctlmu on a
+// sharded engine, where they arrive mid-span from every shard.
+// Contributions commute (they are combined in node order only at
+// release), so their host order never shows. The round's release is a
+// global control event at maxT + latency; because every collective
+// latency exceeds the data network's wire latency (the lookahead bound),
+// it lands strictly beyond every event execution in flight when the round
+// completes, and the engine cuts the running span just before it (see
+// sim.Engine.AtGlobal) — so releases only ever fire between spans.
 type collective struct {
 	m       *Machine
 	idx     int    // index into Node.ctlEnter/ctlWait
@@ -101,41 +103,9 @@ func (c *collective) round(epoch uint64) *ctlRound {
 	return r
 }
 
-// Buffered collective operations (sharded engines; see machineShard).
-const (
-	opEnter uint8 = iota
-	opWait
-	opConsume
-)
-
-// ctlOp is one collective operation buffered during a parallel window.
-type ctlOp struct {
-	c     *collective
-	kind  uint8
-	epoch uint64
-	node  int
-	t     sim.Time
-	or    bool
-	red   float64
-	op    ReduceOp
-	cb    func(or bool, red float64)
-}
-
-func (o *ctlOp) apply() {
-	switch o.kind {
-	case opEnter:
-		o.c.applyEnter(o.epoch, o.node, o.t, o.or, o.red, o.op)
-	case opWait:
-		o.c.applyWait(o.epoch, o.node, o.cb)
-	default:
-		o.c.consume(o.epoch)
-	}
-}
-
 // enter records node's contribution to its next round. The epoch
-// bookkeeping is node-local and immediate; the round mutation is applied
-// inline on a sequential engine and deferred to the window barrier on a
-// sharded one. It does not block.
+// bookkeeping is node-local; the round mutation is shared. It does not
+// block.
 func (c *collective) enter(n *Node, or bool, red float64, op ReduceOp) {
 	node := n.id
 	epoch := n.ctlEnter[c.idx]
@@ -143,25 +113,11 @@ func (c *collective) enter(n *Node, or bool, red float64, op ReduceOp) {
 		panic(fmt.Sprintf("cm5: node %d entered a collective twice without waiting", node))
 	}
 	n.ctlEnter[c.idx] = epoch + 1
-	now := n.sh.Now()
 	if c.m.sharded() {
-		if c.m.optimistic {
-			// Eager application: contributions are commutative (combined
-			// in node order only at release), so they can land mid-span
-			// from any shard under ctlmu. The release global this may
-			// schedule lands at maxT plus a collective latency that
-			// exceeds the lookahead, hence strictly beyond every event
-			// execution currently in flight — the engine cuts the running
-			// span just before it (see Engine.AtGlobal).
-			c.m.ctlmu.Lock()
-			c.applyEnter(epoch, node, now, or, red, op)
-			c.m.ctlmu.Unlock()
-			return
-		}
-		n.ms.ctlOps = append(n.ms.ctlOps, ctlOp{c: c, kind: opEnter, epoch: epoch, node: node, t: now, or: or, red: red, op: op})
-		return
+		c.m.ctlmu.Lock()
+		defer c.m.ctlmu.Unlock()
 	}
-	c.applyEnter(epoch, node, now, or, red, op)
+	c.applyEnter(epoch, node, n.sh.Now(), or, red, op)
 }
 
 // applyEnter lands one contribution in its round and, when the round is
@@ -220,17 +176,9 @@ func (c *collective) release(epoch uint64) {
 	}
 }
 
-// applyWait registers node's callback on its round.
+// applyWait registers node's callback on its not-yet-released round.
 func (c *collective) applyWait(epoch uint64, node int, cb func(or bool, red float64)) {
 	r := c.round(epoch)
-	if r.released {
-		// Defensive: releases land strictly after the window that
-		// buffered the wait, so this cannot fire under the lookahead
-		// invariant — but a zero-latency cost model would break that.
-		c.consume(epoch)
-		cb(r.orVal, r.redVal)
-		return
-	}
 	if r.waiters == nil {
 		r.waiters = make([]func(or bool, red float64), c.m.N())
 	}
@@ -238,9 +186,9 @@ func (c *collective) applyWait(epoch uint64, node int, cb func(or bool, red floa
 }
 
 // consume retires one of the round's N waits, dropping the round when the
-// last one is consumed. Called between windows (barrier, global or
-// sequential-kernel context) — or, in optimistic mode, mid-span under
-// ctlmu, which serializes every rounds-map mutation against the shards.
+// last one is consumed. Called in global or sequential-kernel context, or
+// mid-span under ctlmu, which serializes every rounds-map mutation
+// against the other shards.
 func (c *collective) consume(epoch uint64) {
 	r := c.rounds[epoch]
 	r.pendingWaits--
@@ -261,34 +209,13 @@ func (c *collective) waitAsync(n *Node, cb func(or bool, red float64)) (ready, o
 	}
 	n.ctlWait[c.idx] = epoch + 1
 	if c.m.sharded() {
-		if c.m.optimistic {
-			// Eager wait: releases only fire between spans (they are
-			// globals, and globals cut spans), so under ctlmu the round
-			// is either already released — take the values, retire the
-			// wait — or the callback registers for the release instant.
-			c.m.ctlmu.Lock()
-			r := c.rounds[epoch]
-			if r != nil && r.released {
-				or, red := r.orVal, r.redVal
-				c.consume(epoch)
-				c.m.ctlmu.Unlock()
-				return true, or, red
-			}
-			c.applyWait(epoch, node, cb)
-			c.m.ctlmu.Unlock()
-			return false, false, 0
-		}
-		// The rounds map only changes between windows, so this lookup is
-		// stable all window long: a released round stays released (take
-		// the values now, defer the bookkeeping); anything else waits.
-		r := c.rounds[epoch]
-		if r != nil && r.released {
-			n.ms.ctlOps = append(n.ms.ctlOps, ctlOp{c: c, kind: opConsume, epoch: epoch})
-			return true, r.orVal, r.redVal
-		}
-		n.ms.ctlOps = append(n.ms.ctlOps, ctlOp{c: c, kind: opWait, epoch: epoch, node: node, cb: cb})
-		return false, false, 0
+		c.m.ctlmu.Lock()
+		defer c.m.ctlmu.Unlock()
 	}
+	// The node entered this round and has not consumed its wait, so the
+	// round exists. Releases only fire between spans, so it is either
+	// already released — take the values, retire the wait — or the
+	// callback registers for the release instant.
 	r := c.rounds[epoch]
 	if r.released {
 		c.consume(epoch)

@@ -140,8 +140,8 @@ const (
 // and the mutable accounting (stats, per-node counters, the event trace)
 // lives in the per-shard machine state, merged canonically at read time.
 // What remains here is the immutable plan plus the crash flags, which
-// flip only at crash globals — between windows — and are therefore safe
-// to read from any shard mid-window.
+// flip only at crash globals — between spans — and are therefore safe
+// to read from any shard mid-span.
 type faultState struct {
 	plan     FaultPlan
 	linkDrop map[[2]int]float64

@@ -6,7 +6,7 @@ import (
 )
 
 // TestOptimisticEquivalenceApps: for all four applications, an optimistic
-// sharded run — speculative commit spans instead of lockstep windows — is
+// sharded run — commit spans 32 lookaheads wide instead of one — is
 // indistinguishable from the sequential one: same result struct, same
 // Charged(), and a canonical schedule trace that hashes identically.
 func TestOptimisticEquivalenceApps(t *testing.T) {

@@ -94,13 +94,25 @@ type Dec struct {
 func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
 func (d *Dec) need(n int) []byte {
-	if d.off+n > len(d.b) {
+	if n < 0 || n > d.Remaining() {
 		panic(fmt.Sprintf("rpc: decode past end of record (off %d, need %d, len %d)",
 			d.off, n, len(d.b)))
 	}
 	s := d.b[d.off : d.off+n]
 	d.off += n
 	return s
+}
+
+// count reads the length prefix of a buffer of size-byte elements and
+// checks that the record still holds them all, so a corrupt count fails
+// as the short record it is before it can size an allocation.
+func (d *Dec) count(size int) int {
+	n := int(d.U32())
+	if n < 0 || n > d.Remaining()/size {
+		panic(fmt.Sprintf("rpc: decode past end of record (off %d, need %d x %d, len %d)",
+			d.off, n, size, len(d.b)))
+	}
+	return n
 }
 
 func (d *Dec) U8() uint8   { return d.need(1)[0] }
@@ -128,8 +140,7 @@ func (d *Dec) String() string { return string(d.Buf()) }
 
 // F64s reads a length-prefixed []float64 buffer.
 func (d *Dec) F64s() []float64 {
-	n := int(d.U32())
-	out := make([]float64, n)
+	out := make([]float64, d.count(8))
 	for i := range out {
 		out[i] = d.F64()
 	}
@@ -138,8 +149,7 @@ func (d *Dec) F64s() []float64 {
 
 // I32s reads a length-prefixed []int32 buffer.
 func (d *Dec) I32s() []int32 {
-	n := int(d.U32())
-	out := make([]int32, n)
+	out := make([]int32, d.count(4))
 	for i := range out {
 		out[i] = d.I32()
 	}
@@ -148,8 +158,7 @@ func (d *Dec) I32s() []int32 {
 
 // U64s reads a length-prefixed []uint64 buffer.
 func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	out := make([]uint64, n)
+	out := make([]uint64, d.count(8))
 	for i := range out {
 		out[i] = d.U64()
 	}

@@ -19,7 +19,7 @@ package sim
 // numbers are monotone — append at the tail in O(1).
 //
 // The global minimum is cached in head and maintained eagerly on every
-// push and pop. That makes first() a pure read, which the optimistic mode
+// push and pop. That makes first() a pure read, which the span protocol
 // requires: awake shards read a sleeping shard's next-event time
 // (optState.advanceClaims, resolve) under the protocol's quiescence
 // guarantees, and a lazily repaired cache would turn those reads into

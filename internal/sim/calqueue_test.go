@@ -167,7 +167,8 @@ func TestQueueClearAndReuse(t *testing.T) {
 // TestEngineHintEvents checks that node-derived hints pre-size the
 // per-shard queues and that a populated queue ignores late hints.
 func TestEngineHintEvents(t *testing.T) {
-	e := NewShardedConfig(11, ShardConfig{Shards: 2, EventHint: 1 << 12})
+	e := NewSharded(11, 2)
+	e.HintEvents(1 << 12)
 	for _, sh := range e.shards {
 		if got := len(sh.heap.buckets); got < (1<<12)/2/2/2 {
 			t.Fatalf("shard %d: %d buckets for a %d-event hint", sh.idx, got, 1<<12)

@@ -14,7 +14,7 @@
 // and continues straight back into the process when its own event
 // surfaces. When another process's event surfaces instead, it records that
 // process in Shard.pending and switches to the shard's trampoline — the
-// goroutine that called Run, or the shard's window runner — which switches
+// goroutine that called Run, or the shard's span runner — which switches
 // on to it. That is the one invariant: one trampoline per shard, and the
 // kernel role moves by coroutine switch, never through a channel or the Go
 // scheduler. Finished processes park their coroutine on a free list for
@@ -25,6 +25,15 @@
 // reaches the dispatched process feeds back into it. Because only one
 // coroutine of a shard ever runs, shared state touched by processes and
 // kernel callbacks needs no locking. The package requires Go 1.23.
+//
+// A sharded engine (NewSharded) runs several such kernels in parallel, one
+// per shard, under one scheduler (optimistic.go): virtual time advances in
+// commit spans, within which a shard fires an event only once it is
+// provably earlier than anything another shard could still send it, and
+// between which the coordinator flushes traces and fires global events.
+// ShardMode picks the span width and nothing else — one lookahead
+// (Conservative, the lockstep schedule) or 32 (Optimistic) — and every
+// width gives the sequential kernel's results bit for bit.
 //
 // The package is the substrate for the CM-5 machine model (package cm5),
 // the user-level thread package (package threads), and everything above

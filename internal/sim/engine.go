@@ -9,13 +9,13 @@ import (
 	"time"
 )
 
-// defaultEventHint is the expected pending-event population a shard's
+// defaultQueueHint is the expected pending-event population a shard's
 // calendar queue is sized for when nothing better is known; layers that
-// know their node count plumb a real hint through ShardConfig.EventHint
-// or Engine.HintEvents instead (the cm5 machine does). eventChunk is the
-// slab size of the event free list.
+// know their node count pass a real hint to Engine.HintEvents instead
+// (the cm5 machine does). eventChunk is the slab size of the event free
+// list.
 const (
-	defaultEventHint = 1 << 10
+	defaultQueueHint = 1 << 10
 	eventChunk       = 256
 )
 
@@ -31,15 +31,28 @@ type Action interface {
 	Run()
 }
 
-// WindowHook lets the machine layer participate in sharded execution.
-// Lookahead(now) bounds the width of the next parallel window: no event
-// executed inside [now, now+Lookahead) may schedule work on another shard
-// earlier than the window's end. Barrier runs between windows, on the
-// coordinator goroutine with every shard quiescent; it is where
-// cross-shard traffic buffered during the window is merged and scheduled
-// in canonical order.
+// WindowHook is the machine layer's half of sharded execution; every
+// sharded run needs one (SetWindowHook).
+//
+// Lookahead(now) is a lower bound on the virtual-time latency of any
+// cross-shard effect of an event executed at or after now: nothing a shard
+// does at t can schedule work on another shard before t + Lookahead. It is
+// read once per commit span and must hold for the whole span, which is why
+// NextBound cuts spans: it returns the earliest instant after now where
+// network behavior changes (a fault-plan slow-window or partition edge),
+// or any time <= now when there is none.
+//
+// Arrive materializes one cross-shard arrival published with Shard.Inject
+// on its destination shard (reserve the NIC slot, schedule the delivery).
+// It runs on the destination shard's goroutine, so it may touch that
+// shard's pools and nodes freely.
+//
+// Barrier runs between spans, on the coordinator goroutine with every
+// shard quiescent and every inbox drained; it may touch any state.
 type WindowHook interface {
 	Lookahead(now Time) Duration
+	NextBound(now Time) Time
+	Arrive(sh *Shard, at Time, key uint64, payload any)
 	Barrier()
 }
 
@@ -53,31 +66,29 @@ type WindowHook interface {
 //
 // A sharded engine (NewSharded with S > 1) partitions the simulation
 // across S shards, each an independent kernel over its own event heap and
-// process table, advancing in lockstep virtual-time windows whose width
-// is bounded by the WindowHook's lookahead. Work must be scheduled on the
-// shard that owns it (Shard(i)); the Engine-level scheduling methods
+// process table, advancing through commit spans (see optimistic.go) whose
+// safety rests on the WindowHook's lookahead. Work must be scheduled on
+// the shard that owns it (Shard(i)); the Engine-level scheduling methods
 // delegate to shard 0 for setup convenience. The contract — enforced by
-// the canonical event order (see heap.go) and barrier-time merging — is
-// that a sharded run is bit-identical to the sequential one.
+// the canonical event order (see heap.go) — is that a sharded run is
+// bit-identical to the sequential one.
 type Engine struct {
 	shards []*Shard
 	seed   int64
 	rng    *rand.Rand
 	probe  Probe
 	hook   WindowHook
-	// arrive/spanHook are the hook's optional optimistic-mode facets
-	// (captured by type assertion in SetWindowHook).
-	arrive   ArrivalHook
-	spanHook SpanHook
 
-	// Optimistic-mode configuration (see ShardConfig); opt is nil for
-	// sequential and conservative engines.
-	mode ShardMode
-	ckpt Duration
-	opt  *optState
+	// Sharded engines only: mode picks the commit-span width (runSpans is
+	// its one reader), spanWidth overrides it with an exact width (tests
+	// only), and opt is the span protocol's shared state. opt is nil on a
+	// sequential engine.
+	mode      ShardMode
+	spanWidth Duration
+	opt       *optState
 
 	// userTracer receives trace records in sharded mode, where shards
-	// buffer transitions during windows and the coordinator flushes them
+	// buffer transitions during spans and the coordinator flushes them
 	// in canonical order at barriers. Sequential engines bypass this and
 	// trace straight from the kernel loop.
 	userTracer Tracer
@@ -87,20 +98,19 @@ type Engine struct {
 	// instants, collective releases — events that must fire at an exact
 	// instant before any shard's same-time work. Sequential engines keep
 	// these on the one shard's heap (classGlobal) instead. gmu guards it:
-	// optimistic runs schedule collective releases eagerly from inside
-	// spans, concurrently with the shards.
+	// collective releases are scheduled from inside spans, concurrently
+	// with the shards.
 	globals []globalEvent
 	gseq    uint64
 	gmu     sync.Mutex
 
 	stopFlag atomic.Bool
-	deadline Time
 
 	runnersStarted bool
-	runners        sync.WaitGroup // the window runners; Shutdown waits for them
-	windows        uint64
+	runners        sync.WaitGroup // the span runners; Shutdown waits for them
+	windows        uint64         // committed spans
 	barrierNs      int64
-	// windowWallNs is the host time spent inside parallel windows/spans
+	// windowWallNs is the host time spent inside parallel spans
 	// (handshake send to last completion); with the shards' own busy
 	// time it decomposes where a sharded run's wall clock went.
 	windowWallNs int64
@@ -124,19 +134,18 @@ func New(seed int64) *Engine {
 
 // NewSharded returns an engine with the given number of shards (clamped
 // below at 1). With one shard it is exactly the sequential kernel; with
-// more, Run executes the shards in parallel over lockstep virtual-time
-// windows. The same seed and workload yield the same simulation at any
-// shard count.
+// more, Run executes the shards in parallel over commit spans one
+// lookahead wide (Conservative). The same seed and workload yield the
+// same simulation at any shard count.
 func NewSharded(seed int64, shards int) *Engine {
 	return NewShardedConfig(seed, ShardConfig{Shards: shards})
 }
 
-// NewShardedConfig is NewSharded with the full shard configuration:
-// cfg.Mode == Optimistic selects speculative span execution (see
-// ShardMode and ShardConfig). A single-shard engine is always the plain
-// sequential kernel regardless of Mode. Every mode, shard count, and
-// checkpoint width yields the same simulation for the same seed and
-// workload; only wall-clock time changes.
+// NewShardedConfig is NewSharded with the span width chosen by cfg.Mode
+// (see ShardMode). A single-shard engine is always the plain sequential
+// kernel regardless of Mode. Every shard count and span width yields the
+// same simulation for the same seed and workload; only wall-clock time
+// changes.
 func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	shards := cfg.Shards
 	if shards < 1 {
@@ -150,13 +159,9 @@ func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
 	}
-	if cfg.Mode == Optimistic && shards > 1 {
-		e.mode = Optimistic
-		e.ckpt = cfg.CheckpointEvery
+	if shards > 1 {
+		e.mode = cfg.Mode
 		e.opt = newOptState(e)
-	}
-	if cfg.EventHint > 0 {
-		e.HintEvents(cfg.EventHint)
 	}
 	return e
 }
@@ -174,8 +179,8 @@ func (e *Engine) HintEvents(total int) {
 	}
 }
 
-// Mode reports the engine's shard mode (Conservative for sequential and
-// lockstep-sharded engines).
+// Mode reports the shard mode the engine was built with (Conservative
+// for a sequential engine, which has no spans to size).
 func (e *Engine) Mode() ShardMode { return e.mode }
 
 // sharded reports whether this engine runs more than one shard.
@@ -193,16 +198,16 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time. In a sharded run, shard clocks
-// agree at barriers; mid-window, use the owning shard's Now.
+// agree at barriers; mid-span, use the owning shard's Now.
 func (e *Engine) Now() Time { return e.shards[0].now }
 
 // Rand returns the engine's deterministic random source. Its draws depend
 // on call order, so sharded-safe code must not use it from inside
-// windows; derive per-stream generators from Seed instead.
+// spans; derive per-stream generators from Seed instead.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // SetTracer installs a tracer; pass nil to disable tracing. In a sharded
-// engine, records are buffered per shard during windows and flushed in
+// engine, records are buffered per shard during spans and flushed in
 // canonical (time, process name, transition) order at barriers.
 func (e *Engine) SetTracer(t Tracer) {
 	if !e.sharded() {
@@ -216,7 +221,7 @@ func (e *Engine) SetTracer(t Tracer) {
 }
 
 // SetProbe installs a process-accounting probe; pass nil to disable.
-// Probes see events mid-window from multiple goroutines, so they are
+// Probes see events mid-span from multiple goroutines, so they are
 // only supported on sequential engines.
 func (e *Engine) SetProbe(p Probe) {
 	if p != nil && e.sharded() {
@@ -226,15 +231,9 @@ func (e *Engine) SetProbe(p Probe) {
 	e.shards[0].probe = p
 }
 
-// SetWindowHook installs the machine layer's window hook (lookahead bound
-// and barrier merge). Only consulted by sharded runs. Hooks that also
-// implement ArrivalHook and/or SpanHook participate in optimistic mode
-// (eager cross-shard arrivals; span cuts at fault-plan boundaries).
-func (e *Engine) SetWindowHook(h WindowHook) {
-	e.hook = h
-	e.arrive, _ = h.(ArrivalHook)
-	e.spanHook, _ = h.(SpanHook)
-}
+// SetWindowHook installs the machine layer's window hook. A sharded
+// engine must have one before Run; a sequential engine never consults it.
+func (e *Engine) SetWindowHook(h WindowHook) { e.hook = h }
 
 // Charged reports the total virtual CPU time consumed by completed
 // charges so far, summed across shards.
@@ -287,18 +286,18 @@ func (e *Engine) Live() int {
 	return n
 }
 
-// WindowStats reports how many parallel windows (or, optimistic, commit
-// spans) a sharded run executed and the host time spent in barriers
-// (merging cross-shard traffic). Zero for sequential engines.
+// WindowStats reports how many commit spans (at the Conservative width:
+// lockstep windows) a sharded run executed and the host time spent in
+// the barriers between them. Zero for sequential engines.
 func (e *Engine) WindowStats() (windows uint64, barrier time.Duration) {
 	return e.windows, time.Duration(e.barrierNs)
 }
 
 // WindowOverhead decomposes where a sharded run's host time went, for
-// honest barrier accounting: BarrierNs is coordinator merge + trace-flush
-// time; WindowWallNs is the wall time of the parallel windows themselves
+// honest barrier accounting: BarrierNs is coordinator hook + trace-flush
+// time; WindowWallNs is the wall time of the parallel spans themselves
 // (handshake send to last shard done); ShardBusyNs sums every shard's
-// in-window kernel time. WindowWallNs minus ShardBusyNs/Shards
+// in-span kernel time. WindowWallNs minus ShardBusyNs/Shards
 // approximates the pure coordination loss — channel handshakes, straggler
 // imbalance, and scheduler latency — that BarrierFrac alone hides.
 type WindowOverhead struct {
@@ -348,14 +347,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // Crash points and collective releases use this so their position in the
 // total event order is identical in sequential and sharded runs. In a
 // sharded engine, globals run on the coordinator goroutine between
-// windows; they may touch any shard's state and schedule onto any shard.
-// Under a conservative engine AtGlobal must be called from setup code or
-// barrier/global context, not from inside a parallel window; under an
-// optimistic engine it may also be called from inside a span (eagerly
-// applied collectives do), in which case the running span is cut so the
-// global still fires between spans — every such instant provably exceeds
-// every event time any shard can reach this span (collective latencies
-// exceed the lookahead).
+// spans; they may touch any shard's state and schedule onto any shard.
+// AtGlobal may be called from setup code, from barrier/global context, or
+// from inside a span (collectives do), provided t is more than one
+// lookahead after the caller's clock: the running span is then cut so the
+// global still fires between spans, and t provably exceeds every event
+// time any shard has reached (collective latencies exceed the lookahead).
 func (e *Engine) AtGlobal(t Time, key uint64, fn func()) {
 	if !e.sharded() {
 		e.shards[0].schedule(t, classGlobal, key, evFunc, fn, nil, nil)
@@ -375,9 +372,7 @@ func (e *Engine) AtGlobal(t Time, key uint64, fn func()) {
 		return a.seq < b.seq
 	})
 	e.gmu.Unlock()
-	if e.opt != nil {
-		e.opt.cutSpan(t)
-	}
+	e.opt.cutSpan(t)
 }
 
 // Timer is a handle to a scheduled kernel callback that can be cancelled
@@ -411,10 +406,9 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Stop terminates Run after the current event completes (sequential), at
-// the next window barrier (conservative sharded), or at the next span
-// commit (optimistic). Call Shutdown to release the goroutines of any
-// still-live processes.
+// Stop terminates Run after the current event completes (sequential) or
+// at the next span commit (sharded). Call Shutdown to release the
+// goroutines of any still-live processes.
 func (e *Engine) Stop() {
 	if !e.sharded() {
 		e.shards[0].stopped = true
@@ -430,7 +424,7 @@ type killedSentinel struct{}
 // Shutdown forcibly terminates every live process and drops all pending
 // events, releasing the backing coroutines — including the pooled workers
 // of already-finished processes — and, in a sharded engine, the per-shard
-// window runners. It is synchronous: every coroutine has ended and every
+// span runners. It is synchronous: every coroutine has ended and every
 // runner has left its loop when Shutdown returns. It must be called from
 // outside Run (i.e., not from a process or kernel callback). The engine is
 // dead afterwards. Simulations that end with parked service processes
@@ -454,10 +448,9 @@ func (e *Engine) Shutdown() {
 		e.runnersStarted = false
 	}
 	// Reap every shard at the engine's final virtual time. Shards bump
-	// now at mode-dependent points (lockstep window starts vs optimistic
-	// span starts), so per-shard now here would leak the scheduling mode
+	// now at span starts, so per-shard now here would leak the span width
 	// into shutdown-time trace timestamps; the maximum across shards is
-	// the time of the last executed event, identical in every mode.
+	// the time of the last executed event, identical at every width.
 	var end Time
 	for _, sh := range e.shards {
 		if sh.now > end {
@@ -501,7 +494,7 @@ func (e *Engine) Run() error {
 		sh.runKernel()
 		return e.finishRun()
 	}
-	e.runWindows(maxTime)
+	e.runSpans(maxTime)
 	return e.finishRun()
 }
 
@@ -517,7 +510,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		}
 		return e.finishRun()
 	}
-	e.runWindows(deadline)
+	e.runSpans(deadline)
 	for _, sh := range e.shards {
 		if sh.now < deadline && sh.failure == nil && sh.kernelPanic == nil {
 			sh.now = deadline
@@ -526,21 +519,12 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return e.finishRun()
 }
 
-// runWindows drives a sharded run in the engine's configured mode.
-func (e *Engine) runWindows(deadline Time) {
-	if e.mode == Optimistic {
-		e.runOptimistic(deadline)
-		return
-	}
-	e.runSharded(deadline)
-}
-
-// dispatchWindow hands one window (or span) ending at last to every shard
-// runner and waits for all of them, accounting the wall time.
-func (e *Engine) dispatchWindow(last Time) {
+// dispatchWindow starts every shard runner on the span beginSpan just set
+// up and waits for all of them, accounting the wall time.
+func (e *Engine) dispatchWindow() {
 	start := time.Now()
 	for _, sh := range e.shards {
-		sh.windowCh <- last
+		sh.windowCh <- struct{}{}
 	}
 	for _, sh := range e.shards {
 		<-sh.windowDone
@@ -548,13 +532,12 @@ func (e *Engine) dispatchWindow(last Time) {
 	e.windowWallNs += time.Since(start).Nanoseconds()
 }
 
-// windowRunner is the per-shard worker of a sharded engine: it receives a
-// window's inclusive end time, runs the shard's kernel up to it, and
+// windowRunner is the per-shard worker of a sharded engine: on each
+// signal it runs the shard's kernel until the gate ends the span, and
 // reports back. It exits when the engine closes windowCh (Shutdown).
 func (sh *Shard) windowRunner() {
 	defer sh.eng.runners.Done()
-	for d := range sh.windowCh {
-		sh.deadline = d
+	for range sh.windowCh {
 		t0 := time.Now()
 		sh.runKernel()
 		sh.busyNs += time.Since(t0).Nanoseconds()
@@ -562,79 +545,18 @@ func (sh *Shard) windowRunner() {
 	}
 }
 
-// startRunners launches the per-shard window-runner goroutines (once).
+// startRunners launches the per-shard span-runner goroutines (once).
 func (e *Engine) startRunners() {
 	if e.runnersStarted {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.windowCh = make(chan Time)
+		sh.windowCh = make(chan struct{})
 		sh.windowDone = make(chan struct{})
 		e.runners.Add(1)
 		go sh.windowRunner()
 	}
 	e.runnersStarted = true
-}
-
-// runSharded is the window coordinator: it alternates barriers (merge
-// cross-shard traffic, flush traces, run due globals) with parallel
-// windows (every shard executes its own events up to the window's end).
-// The window width is bounded by the hook's lookahead and additionally
-// cut at the next global event, so no event can observe work another
-// shard has not yet made visible.
-func (e *Engine) runSharded(deadline Time) {
-	e.deadline = deadline
-	e.startRunners()
-	for {
-		e.barrier()
-		if e.stopFlag.Load() || e.anyDown() {
-			break
-		}
-		b, ok := e.nextTime()
-		if !ok || b > deadline {
-			break
-		}
-		for _, sh := range e.shards {
-			if sh.now < b {
-				sh.now = b
-			}
-		}
-		e.runGlobalsAt(b)
-		if e.anyDown() {
-			break
-		}
-		// Window [b, last], inclusive. The hook's lookahead bounds it;
-		// the next global event cuts it (globals fire between windows);
-		// the run deadline caps it.
-		last := deadline
-		if e.hook != nil {
-			la := e.hook.Lookahead(b)
-			if la < 1 {
-				la = 1
-			}
-			if wl := b.Add(la) - 1; wl < last {
-				last = wl
-			}
-		}
-		if len(e.globals) > 0 && e.globals[0].at-1 < last {
-			last = e.globals[0].at - 1
-		}
-		if last < b {
-			last = b
-		}
-		work := false
-		for _, sh := range e.shards {
-			if sh.heap.len() > 0 && sh.heap.first().at <= last {
-				work = true
-				break
-			}
-		}
-		if !work {
-			continue
-		}
-		e.windows++
-		e.dispatchWindow(last)
-	}
 }
 
 // anyDown reports whether any shard has failed, panicked in a kernel
@@ -666,14 +588,11 @@ func (e *Engine) nextTime() (Time, bool) {
 	return best, ok
 }
 
-// barrier runs the hook's merge step and flushes buffered traces. It is
-// the only point where cross-shard state moves; everything here runs on
-// the coordinator goroutine with all shards quiescent.
+// barrier runs the hook's between-spans step and flushes buffered traces,
+// on the coordinator goroutine with all shards quiescent.
 func (e *Engine) barrier() {
 	start := time.Now()
-	if e.hook != nil {
-		e.hook.Barrier()
-	}
+	e.hook.Barrier()
 	e.flushTrace()
 	e.barrierNs += time.Since(start).Nanoseconds()
 }

@@ -21,9 +21,10 @@ const (
 // identical in the sequential and sharded kernels for runs to be
 // bit-identical. At one instant: global control transitions first (crash
 // points, collective releases — the sharded kernel fires these between
-// windows), then packet arrivals in (source node, flight number) order
-// (the sharded kernel merges cross-shard flights in exactly this order at
-// window barriers), then everything else in scheduling order.
+// spans), then packet arrivals in (source node, flight number) order
+// (cross-shard flights carry that key, so the destination queue sorts
+// them whenever they were published), then everything else in scheduling
+// order.
 const (
 	classGlobal   uint8 = 0
 	classDelivery uint8 = 1

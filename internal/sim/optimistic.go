@@ -5,22 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// ShardMode selects how a sharded engine advances its shards through
-// virtual time.
+// ShardMode names the two commit-span widths a sharded engine ships.
+// Both run the one span protocol below and yield results bit-identical to
+// each other and to the sequential kernel; only host time differs.
 type ShardMode uint8
 
 const (
-	// Conservative is the lockstep mode: all shards advance through
-	// global virtual-time windows of width bounded by the hook's
-	// lookahead, with a coordinator barrier between every window.
+	// Conservative spans are exactly one lookahead wide: the lockstep
+	// schedule. Every horizon (min of the other shards' clocks plus the
+	// lookahead) then lies past the span end, so no shard ever waits
+	// mid-span or runs a speculative event, and there is a coordinator
+	// barrier per lookahead window.
 	Conservative ShardMode = iota
-	// Optimistic is the speculative mode: shards run asynchronously
-	// through much wider commit spans, racing ahead of each other up to a
-	// proven-safe horizon (min of the other shards' clocks plus the
-	// lookahead), publishing cross-shard flights eagerly, and
-	// rendezvousing only at span boundaries — the GVT commit points where
-	// buffered traces flush, NIC snapshots refresh, and globals fire.
-	// Results are bit-identical to Conservative and to sequential.
+	// Optimistic spans are 32 lookaheads wide: shards race ahead of each
+	// other up to their proven-safe horizons and rendezvous only at span
+	// boundaries — the GVT commit points where buffered traces flush, NIC
+	// snapshots refresh, and globals fire.
 	Optimistic
 )
 
@@ -28,50 +28,20 @@ const (
 type ShardConfig struct {
 	// Shards is the shard count (clamped below at 1).
 	Shards int
-	// Mode selects lockstep or speculative execution. Ignored (always
-	// Conservative) when Shards <= 1: a single shard is the sequential
-	// kernel.
+	// Mode selects the commit-span width. Ignored when Shards <= 1: a
+	// single shard is the sequential kernel.
 	Mode ShardMode
-	// CheckpointEvery is the virtual-time width of an optimistic commit
-	// span — the distance between GVT commit barriers. 0 means 32x the
-	// hook's lookahead, chosen at each span start. Spans are additionally
-	// cut at global events (crashes, collective releases), at the hook's
-	// NextBound (fault-plan slow/partition edges), and at the run
-	// deadline, so CheckpointEvery only bounds the barrier-free stretch.
-	CheckpointEvery Duration
-	// EventHint is the expected machine-wide pending-event population,
-	// used to pre-size the per-shard calendar queues (0 = default). See
-	// Engine.HintEvents.
-	EventHint int
 }
 
-// ArrivalHook materializes an eagerly published cross-shard arrival
-// (Shard.Inject) on its destination shard: the machine layer reserves the
-// NIC slot and schedules the delivery event. It runs on the destination
-// shard's goroutine, so it may touch that shard's pools and NICs freely.
-// Optimistic mode requires the window hook to also implement this.
-type ArrivalHook interface {
-	Arrive(sh *Shard, at Time, key uint64, payload any)
-}
-
-// SpanHook lets the machine layer cut optimistic commit spans at
-// fault-plan boundaries: NextBound returns the earliest instant after now
-// where network behavior changes (slow-window or partition edge), or any
-// time <= now when there is none. Optional; consulted only by optimistic
-// runs.
-type SpanHook interface {
-	NextBound(now Time) Time
-}
-
-// inbound is one eagerly published cross-shard arrival awaiting
-// materialization by the owning shard.
+// inbound is one published cross-shard arrival awaiting materialization
+// by the owning shard.
 type inbound struct {
 	at      Time
 	key     uint64
 	payload any
 }
 
-// optState is the shared coordination state of an optimistic run. The
+// optState is the shared coordination state of a sharded run. The
 // design constraint it lives under: processes are coroutine stacks and
 // application state mutates in place, so — unlike a classic Time Warp —
 // no executed event can ever be undone. Speculation therefore happens in
@@ -90,11 +60,11 @@ type optState struct {
 	// span. Constant per span (spans are cut at fault-plan edges).
 	la Duration
 	// specStart is spanStart + la: events at or after it ran beyond the
-	// first conservative window of the span, i.e. needed speculation.
+	// first lookahead of the span, i.e. needed speculation.
 	specStart Time
 	// spanEnd is the span's inclusive last instant. Shrunk mid-span
-	// (atomically) when an eagerly applied collective schedules a release
-	// global inside the span; every such release provably lands after
+	// (atomically) when a collective schedules a release global inside
+	// the span; every such release provably lands after
 	// all in-flight event executions, so the cut never invalidates one.
 	spanEnd atomic.Int64
 	// clocks[i] is shard i's published claim: a promise that it will not
@@ -198,8 +168,8 @@ func (o *optState) horizon(j int) Time {
 	return minPeer.Add(o.la)
 }
 
-// gate is the optimistic scheduling decision, taken by each shard before
-// every event: drain eagerly published arrivals, then execute the next
+// gate is the sharded scheduling decision, taken by each shard before
+// every event: drain published arrivals, then execute the next
 // event only if it is provably safe (before the horizon), otherwise block
 // until the situation changes. It returns false when the span is over for
 // this shard.
@@ -363,8 +333,8 @@ func (o *optState) advanceClaims(self int) bool {
 // is quiescent, so the span's LBTS — the exact minimum next-event time
 // across all shards — is computable. Past the span end, the span is over;
 // otherwise every claim jumps to min(its next event, LBTS + la) and the
-// LBTS owner resumes. This is what replaces the conservative mode's
-// per-lookahead global barrier: a rendezvous only when everyone is idle.
+// LBTS owner resumes: a rendezvous only when everyone is idle, in place of
+// a global barrier per lookahead.
 // Returns false when the caller should sleep instead of rechecking: a
 // sleeper still has undrained traffic (it must wake and drain before its
 // next-event time can be trusted), or nothing changed and the woken LBTS
@@ -432,11 +402,11 @@ func (o *optState) resolve() bool {
 	return true
 }
 
-// Inject publishes a cross-shard arrival into this shard's inbox: the
-// optimistic-mode replacement for the conservative outbox-and-barrier
-// route. Called from the sending shard mid-span; the owning shard
-// materializes the arrival (via the engine's ArrivalHook) at its next
-// gate pass. The payload travels as-is — receivers cast it back.
+// Inject publishes a cross-shard arrival into this shard's inbox — the
+// one route by which a shard schedules work on another. Called from the
+// sending shard mid-span (the arrival time is already final); the owning
+// shard materializes it (WindowHook.Arrive) at its next gate pass. The
+// payload travels as-is — receivers cast it back.
 func (sh *Shard) Inject(at Time, key uint64, payload any) {
 	sh.inmu.Lock()
 	wasPending := sh.inboxPending.Load()
@@ -471,10 +441,7 @@ func (sh *Shard) drainInbox(o *optState) {
 		sh.inboxSpare = items
 		return
 	}
-	hook := sh.eng.arrive
-	if hook == nil {
-		panic("sim: optimistic cross-shard traffic requires the window hook to implement ArrivalHook")
-	}
+	hook := sh.eng.hook
 	minAt := maxTime
 	for i := range items {
 		if items[i].at < minAt {
@@ -492,13 +459,15 @@ func (sh *Shard) drainInbox(o *optState) {
 	}
 }
 
-// OptStats reports the speculative-execution counters of an optimistic
-// run (all zero otherwise). Spans and SpecEvents are deterministic for a
-// given workload and shard count; Reopens, Stalls, and Jumps depend on
-// host scheduling and belong in benchmarks, never in equivalence goldens.
+// OptStats reports the span-protocol counters of a sharded run (all zero
+// on a sequential engine). Spans and SpecEvents are deterministic for a
+// given workload, shard count and span width; Reopens, Stalls, and Jumps
+// depend on host scheduling and belong in benchmarks, never in
+// equivalence goldens. At the Conservative width SpecEvents and Reopens
+// are zero by construction.
 type OptStats struct {
-	// Spans is the number of committed spans (GVT advances) — the
-	// optimistic analogue of the conservative window count.
+	// Spans is the number of committed spans (GVT advances); the same
+	// count WindowStats reports.
 	Spans uint64
 	// Reopens counts retracted span-completion claims: a shard had
 	// tentatively finished its span when a straggler flight landed back
@@ -507,8 +476,8 @@ type OptStats struct {
 	// are.
 	Reopens uint64
 	// SpecEvents counts events executed at or beyond their span's first
-	// lookahead — each would have cost a global barrier in conservative
-	// mode. The speculation win.
+	// lookahead — each would have cost a global barrier at the
+	// Conservative width. The speculation win.
 	SpecEvents uint64
 	// Stalls counts shard blocks (condition-variable waits).
 	Stalls uint64
@@ -516,8 +485,8 @@ type OptStats struct {
 	Jumps uint64
 }
 
-// OptStats returns the optimistic-run counters; zero for sequential and
-// conservative engines.
+// OptStats returns the span-protocol counters; zero for a sequential
+// engine.
 func (e *Engine) OptStats() OptStats {
 	var s OptStats
 	if e.opt == nil {
@@ -533,17 +502,24 @@ func (e *Engine) OptStats() OptStats {
 	return s
 }
 
-// runOptimistic is the optimistic coordinator: like runSharded it
-// alternates barriers with parallel execution, but the parallel stretch
-// is a whole commit span (CheckpointEvery wide, default 32 lookaheads)
-// instead of a single lookahead window, and within a span the shards
-// synchronize among themselves through clocks and horizons instead of
-// returning to the coordinator. Spans are cut at global events, at
-// fault-plan boundaries (SpanHook), and at the deadline, so the commit
+// runSpans is the sharded coordinator: it alternates barriers (hook
+// step, trace flush, due globals) with parallel commit spans, within which
+// the shards synchronize among themselves through clocks and horizons
+// instead of returning here. A span is one lookahead wide (Conservative)
+// or 32 (Optimistic), and is additionally cut at global events, at
+// fault-plan boundaries (NextBound), and at the deadline, so the commit
 // sequence — where traces flush, NIC snapshots refresh, and globals
 // fire — is a deterministic function of virtual state alone.
-func (e *Engine) runOptimistic(deadline Time) {
-	e.deadline = deadline
+//
+// Width 1 is lockstep. Every clock starts at the span start b, so every
+// horizon is at least b + la — past the span's last instant b + la - 1:
+// no shard waits mid-span, specStart is never reached, every flight sent
+// in-span lands after it (no reopens), and the barriers fall exactly on
+// the lookahead-window boundaries.
+func (e *Engine) runSpans(deadline Time) {
+	if e.hook == nil {
+		panic("sim: a sharded engine needs a WindowHook before Run")
+	}
 	e.startRunners()
 	o := e.opt
 	for {
@@ -564,25 +540,23 @@ func (e *Engine) runOptimistic(deadline Time) {
 		if e.anyDown() {
 			break
 		}
-		la := Duration(1)
-		if e.hook != nil {
-			la = e.hook.Lookahead(b)
-			if la < 1 {
-				la = 1
-			}
+		la := e.hook.Lookahead(b)
+		if la < 1 {
+			la = 1
 		}
-		width := e.ckpt
+		width := e.spanWidth
 		if width <= 0 {
-			width = 32 * la
+			width = la
+			if e.mode == Optimistic {
+				width = 32 * la
+			}
 		}
 		last := deadline
 		if wl := b.Add(width) - 1; wl < last {
 			last = wl
 		}
-		if e.spanHook != nil {
-			if nb := e.spanHook.NextBound(b); nb > b && nb-1 < last {
-				last = nb - 1
-			}
+		if nb := e.hook.NextBound(b); nb > b && nb-1 < last {
+			last = nb - 1
 		}
 		if len(e.globals) > 0 && e.globals[0].at-1 < last {
 			last = e.globals[0].at - 1
@@ -602,6 +576,6 @@ func (e *Engine) runOptimistic(deadline Time) {
 		}
 		e.windows++
 		o.beginSpan(b, last, la)
-		e.dispatchWindow(last)
+		e.dispatchWindow()
 	}
 }

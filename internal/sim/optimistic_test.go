@@ -16,36 +16,32 @@ func toyMix(x uint64) uint64 {
 
 // toyNet is a minimal cross-shard "machine" at the raw sim layer: N
 // virtual nodes partitioned across the engine's shards (same contiguous
-// blocks as cm5), exchanging flights whose latency is at least la. It
-// implements WindowHook (conservative outbox-and-barrier), ArrivalHook
-// (optimistic eager injection), and SpanHook (synthetic span-cut edges),
-// so the same workload runs sequentially, conservatively, and
-// optimistically — and must produce bit-identical per-node hash chains.
+// blocks as cm5), exchanging flights whose latency is at least la. It is
+// the engine's WindowHook, so the same workload runs sequentially and
+// sharded at any span width — and must produce bit-identical per-node
+// hash chains.
 type toyNet struct {
-	e          *Engine
-	la         Duration
-	nodes      int
-	optimistic bool
-	hopLimit   int
+	e        *Engine
+	la       Duration
+	nodes    int
+	hopLimit int
 	// jitterMod > 0 adds a deterministic per-hop extra latency in
 	// [0, jitterMod); 0 keeps every flight at exactly la, so arrivals
 	// land exactly on lookahead (and checkpoint) boundaries.
 	jitterMod Duration
-	// globalEvery > 0 schedules an eager mid-span global every that many
-	// hops (the collective-release analogue). Sequential/optimistic only:
-	// conservative mode forbids AtGlobal from inside a window.
+	// globalEvery > 0 schedules a mid-span global every that many hops
+	// (the collective-release analogue).
 	globalEvery int
 
-	// bounds are synthetic SpanHook edges (fault-plan boundary stand-ins).
+	// bounds are synthetic NextBound edges (fault-plan boundary stand-ins).
 	bounds []Time
 
-	// Per-shard conservative outboxes; per-node state below is only ever
-	// touched by the node's owning shard (or the quiescent coordinator).
-	outbox [][]*toyFlight
-	hash   []uint64
-	hops   []uint64
-	seq    []uint64
-	dead   []bool
+	// Per-node state is only ever touched by the node's owning shard (or
+	// the quiescent coordinator).
+	hash []uint64
+	hops []uint64
+	seq  []uint64
+	dead []bool
 }
 
 // toyFlight is one flight (or, with do set, an arbitrary remote action).
@@ -70,13 +66,11 @@ func (fl *toyFlight) Run() {
 func newToyNet(e *Engine, nodes int, la Duration, hopLimit int) *toyNet {
 	tn := &toyNet{
 		e: e, la: la, nodes: nodes, hopLimit: hopLimit,
-		optimistic: e.Mode() == Optimistic,
-		jitterMod:  3 * la,
-		outbox:     make([][]*toyFlight, e.Shards()),
-		hash:       make([]uint64, nodes),
-		hops:       make([]uint64, nodes),
-		seq:        make([]uint64, nodes),
-		dead:       make([]bool, nodes),
+		jitterMod: 3 * la,
+		hash:      make([]uint64, nodes),
+		hops:      make([]uint64, nodes),
+		seq:       make([]uint64, nodes),
+		dead:      make([]bool, nodes),
 	}
 	if e.Shards() > 1 {
 		e.SetWindowHook(tn)
@@ -91,23 +85,15 @@ func (tn *toyNet) shardOf(node int) *Shard {
 // Lookahead implements WindowHook.
 func (tn *toyNet) Lookahead(now Time) Duration { return tn.la }
 
-// Barrier implements WindowHook: flush the conservative outboxes. In
-// optimistic mode they are always empty (flights crossed eagerly).
-func (tn *toyNet) Barrier() {
-	for si := range tn.outbox {
-		for _, fl := range tn.outbox[si] {
-			tn.shardOf(fl.node).AtDelivery(fl.at, fl.key, fl)
-		}
-		tn.outbox[si] = tn.outbox[si][:0]
-	}
-}
+// Barrier implements WindowHook: the toy keeps no between-spans state.
+func (tn *toyNet) Barrier() {}
 
-// Arrive implements ArrivalHook.
+// Arrive implements WindowHook.
 func (tn *toyNet) Arrive(sh *Shard, at Time, key uint64, payload any) {
 	sh.AtDelivery(at, key, payload.(*toyFlight))
 }
 
-// NextBound implements SpanHook.
+// NextBound implements WindowHook.
 func (tn *toyNet) NextBound(now Time) Time {
 	b := now
 	for _, e := range tn.bounds {
@@ -118,19 +104,15 @@ func (tn *toyNet) NextBound(now Time) Time {
 	return b
 }
 
-// send routes a flight from node from: inline when same-shard, eagerly
-// injected when optimistic, via the outbox otherwise.
+// send routes a flight from node from: inline when same-shard, injected
+// into the destination shard's inbox otherwise.
 func (tn *toyNet) send(from int, fl *toyFlight) {
 	src, dst := tn.shardOf(from), tn.shardOf(fl.node)
 	if dst == src {
 		src.AtDelivery(fl.at, fl.key, fl)
 		return
 	}
-	if tn.optimistic {
-		dst.Inject(fl.at, fl.key, fl)
-		return
-	}
-	tn.outbox[src.Index()] = append(tn.outbox[src.Index()], fl)
+	dst.Inject(fl.at, fl.key, fl)
 }
 
 // nextKey returns the canonical delivery key for node n's next flight.
@@ -155,7 +137,7 @@ func (tn *toyNet) deliver(fl *toyFlight) {
 		return
 	}
 	if tn.globalEvery > 0 && fl.hop%tn.globalEvery == 0 {
-		// Eager global two lookaheads out — beyond any event another
+		// Mid-span global two lookaheads out — beyond any event another
 		// shard can be executing right now (the horizon bound), like a
 		// collective release. Its instant and key are pure virtual state.
 		gt := now.Add(2 * tn.la)
@@ -186,29 +168,34 @@ func (tn *toyNet) start(balls int) {
 
 // toyResult is everything a toy run pins for equivalence.
 type toyResult struct {
-	hash   []uint64
-	hops   []uint64
-	events uint64
-	spans  uint64
-	spec   uint64
+	hash    []uint64
+	hops    []uint64
+	events  uint64
+	spans   uint64
+	spec    uint64
+	reopens uint64
 }
 
 func runToy(t *testing.T, cfg ShardConfig, mut func(*toyNet)) toyResult {
 	t.Helper()
-	e := NewShardedConfig(99, cfg)
-	tn := newToyNet(e, 8, Micros(2), 120)
+	return runToyOn(t, NewShardedConfig(99, cfg), mut)
+}
+
+func runToyOn(t *testing.T, e *Engine, mut func(*toyNet)) toyResult {
+	t.Helper()
+	tn := newToyNet(e, 8, toyLA, 120)
 	if mut != nil {
 		mut(tn)
 	}
 	tn.start(12)
 	if err := e.Run(); err != nil {
-		t.Fatalf("run (%+v): %v", cfg, err)
+		t.Fatalf("run (shards=%d mode=%d width=%d): %v", e.Shards(), e.mode, e.spanWidth, err)
 	}
 	e.Shutdown()
 	st := e.OptStats()
-	t.Logf("cfg=%+v events=%d spans=%d spec=%d reopens=%d stalls=%d jumps=%d",
-		cfg, e.Events(), st.Spans, st.SpecEvents, st.Reopens, st.Stalls, st.Jumps)
-	return toyResult{hash: tn.hash, hops: tn.hops, events: e.Events(), spans: st.Spans, spec: st.SpecEvents}
+	t.Logf("shards=%d mode=%d width=%d events=%d spans=%d spec=%d reopens=%d stalls=%d jumps=%d",
+		e.Shards(), e.mode, e.spanWidth, e.Events(), st.Spans, st.SpecEvents, st.Reopens, st.Stalls, st.Jumps)
+	return toyResult{hash: tn.hash, hops: tn.hops, events: e.Events(), spans: st.Spans, spec: st.SpecEvents, reopens: st.Reopens}
 }
 
 func checkToyEqual(t *testing.T, label string, want, got toyResult) {
@@ -224,59 +211,77 @@ func checkToyEqual(t *testing.T, label string, want, got toyResult) {
 	}
 }
 
-// TestOptimisticEquivalence runs the toy ping-pong sequentially,
-// conservatively, and optimistically (several checkpoint widths) and
-// requires bit-identical per-node hash chains, hop counts, and event
-// totals everywhere.
-func TestOptimisticEquivalence(t *testing.T) {
-	seq := runToy(t, ShardConfig{Shards: 1}, nil)
-	la := Micros(2)
+// toyLA is the toy network's lookahead.
+const toyLA = 2 * Microsecond
+
+// toyEngineAt builds a sharded engine whose spans are las lookaheads wide.
+// 1 and 32 are the widths production runs and are reached as production
+// reaches them, through Mode alone; the others set the width directly.
+func toyEngineAt(shards int, las Duration) *Engine {
+	switch las {
+	case 1:
+		return NewShardedConfig(99, ShardConfig{Shards: shards, Mode: Conservative})
+	case 32:
+		return NewShardedConfig(99, ShardConfig{Shards: shards, Mode: Optimistic})
+	}
+	e := NewShardedConfig(99, ShardConfig{Shards: shards, Mode: Optimistic})
+	e.spanWidth = las * toyLA
+	return e
+}
+
+// checkToyWidths runs the toy ping-pong sequentially and at shards {2, 4}
+// x span width {1, 2, 8, 32, 64} lookaheads, and requires bit-identical
+// per-node hash chains, hop counts, and event totals everywhere. Width 1
+// is the lockstep schedule: it must never speculate or reopen. Every wider
+// span must speculate.
+func checkToyWidths(t *testing.T, mut func(*toyNet)) {
+	t.Helper()
+	seq := runToy(t, ShardConfig{Shards: 1}, mut)
 	for _, shards := range []int{2, 4} {
-		cons := runToy(t, ShardConfig{Shards: shards}, nil)
-		checkToyEqual(t, fmt.Sprintf("conservative/%d", shards), seq, cons)
-		for _, cfg := range []ShardConfig{
-			{Shards: shards, Mode: Optimistic},
-			{Shards: shards, Mode: Optimistic, CheckpointEvery: 8 * la},
-			{Shards: shards, Mode: Optimistic, CheckpointEvery: 64 * la},
-		} {
-			opt := runToy(t, cfg, nil)
-			checkToyEqual(t, fmt.Sprintf("optimistic/%d/%+v", shards, cfg), seq, opt)
-			if opt.spans == 0 || opt.spec == 0 {
-				t.Errorf("optimistic/%d/%+v: spans=%d specEvents=%d, expected speculation",
-					shards, cfg, opt.spans, opt.spec)
+		for _, las := range []Duration{1, 2, 8, 32, 64} {
+			label := fmt.Sprintf("shards=%d width=%dla", shards, las)
+			got := runToyOn(t, toyEngineAt(shards, las), mut)
+			checkToyEqual(t, label, seq, got)
+			if got.spans == 0 {
+				t.Errorf("%s: ran no spans", label)
+			}
+			if las == 1 && (got.spec != 0 || got.reopens != 0) {
+				t.Errorf("%s: specEvents=%d reopens=%d, lockstep must have neither", label, got.spec, got.reopens)
+			}
+			if las > 1 && got.spec == 0 {
+				t.Errorf("%s: specEvents=0, expected speculation", label)
 			}
 		}
 	}
 }
 
+// TestOptimisticEquivalence: sequential, lockstep and every wider span
+// agree on the jittered toy ping-pong.
+func TestOptimisticEquivalence(t *testing.T) {
+	checkToyWidths(t, nil)
+}
+
 // TestOptimisticSingleShardIsSequential pins that Mode is ignored at one
-// shard: the engine reports Conservative and runs the plain kernel.
+// shard: the engine reports Conservative, has no span state, and runs the
+// plain kernel.
 func TestOptimisticSingleShardIsSequential(t *testing.T) {
 	e := NewShardedConfig(1, ShardConfig{Shards: 1, Mode: Optimistic})
-	if e.Mode() != Conservative {
-		t.Fatalf("single-shard engine mode = %v, want Conservative", e.Mode())
+	if e.Mode() != Conservative || e.opt != nil || e.shards[0].opt != nil {
+		t.Fatalf("single-shard engine mode = %v, opt = %v, want Conservative and no span state", e.Mode(), e.opt)
 	}
 	e.Shutdown()
 }
 
-// TestOptimisticBoundaryStraggler removes all jitter and sets the
-// checkpoint width to exactly one lookahead, so every flight lands
-// exactly on a span-commit timestamp — the straggler-at-the-checkpoint
-// edge case. Wider exact multiples put arrivals both inside spans and on
-// their edges.
+// TestOptimisticBoundaryStraggler removes all jitter, so with spans an
+// exact multiple of the lookahead every flight lands exactly on a
+// lookahead boundary: at width 1 on a span-commit timestamp — the
+// straggler-at-the-checkpoint edge case — and at wider multiples both
+// inside spans and on their edges.
 func TestOptimisticBoundaryStraggler(t *testing.T) {
-	noJitter := func(tn *toyNet) { tn.jitterMod = 0 }
-	seq := runToy(t, ShardConfig{Shards: 1}, noJitter)
-	la := Micros(2)
-	for _, ckpt := range []Duration{la, 2 * la, 32 * la} {
-		for _, shards := range []int{2, 4} {
-			got := runToy(t, ShardConfig{Shards: shards, Mode: Optimistic, CheckpointEvery: ckpt}, noJitter)
-			checkToyEqual(t, fmt.Sprintf("ckpt=%d shards=%d", ckpt, shards), seq, got)
-		}
-	}
+	checkToyWidths(t, func(tn *toyNet) { tn.jitterMod = 0 })
 }
 
-// TestOptimisticSpanBounds checks that synthetic SpanHook cut points
+// TestOptimisticSpanBounds checks that synthetic NextBound cut points
 // (the fault-plan slow-window/partition-edge stand-ins) change only the
 // span structure, never the results.
 func TestOptimisticSpanBounds(t *testing.T) {
@@ -297,11 +302,9 @@ func TestOptimisticSpanBounds(t *testing.T) {
 }
 
 // TestOptimisticGlobalMidSpeculation drives the two global-event paths
-// under speculation: a crash-style global scheduled at setup that kills a
-// node mid-run, and eager in-span globals (the collective-release
-// analogue) that must cut the running span. Conservative mode forbids
-// in-window AtGlobal, so the eager case compares sequential vs
-// optimistic only.
+// at both shipped widths: a crash-style global scheduled at setup that
+// kills a node mid-run, and in-span globals (the collective-release
+// analogue) that must cut the running span when they land inside it.
 func TestOptimisticGlobalMidSpeculation(t *testing.T) {
 	crash := func(tn *toyNet) {
 		tn.e.AtGlobal(40_000, 3, func() {
@@ -320,8 +323,10 @@ func TestOptimisticGlobalMidSpeculation(t *testing.T) {
 	eager := func(tn *toyNet) { tn.globalEvery = 7 }
 	seqE := runToy(t, ShardConfig{Shards: 1}, eager)
 	for _, shards := range []int{2, 4} {
+		cons := runToy(t, ShardConfig{Shards: shards}, eager)
+		checkToyEqual(t, fmt.Sprintf("eager-global/conservative/%d", shards), seqE, cons)
 		opt := runToy(t, ShardConfig{Shards: shards, Mode: Optimistic}, eager)
-		checkToyEqual(t, fmt.Sprintf("eager-global/%d", shards), seqE, opt)
+		checkToyEqual(t, fmt.Sprintf("eager-global/optimistic/%d", shards), seqE, opt)
 	}
 }
 

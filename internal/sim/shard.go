@@ -10,13 +10,13 @@ import (
 // Shard is one partition of the simulation kernel: an event heap, a live
 // process table, and the migrating kernel loop that drives them.
 // A sequential engine (New) is exactly one shard; a sharded engine
-// (NewSharded) runs S of them over lockstep virtual-time windows, each
-// shard owning a disjoint subset of the simulated nodes.
+// (NewSharded) runs S of them over commit spans, each shard owning a
+// disjoint subset of the simulated nodes.
 //
 // All Shard methods must be called from that shard's own simulation
 // context (its processes and kernel callbacks), from engine setup code
-// before Run, or — for the window machinery — from the engine's
-// coordinator between windows. Shards never touch each other's state.
+// before Run, or from the engine's coordinator between spans. Shards
+// never touch each other's state; Inject is the one cross-shard call.
 type Shard struct {
 	eng *Engine
 	idx int
@@ -29,9 +29,9 @@ type Shard struct {
 	// pending is the process the kernel loop dispatched onto another
 	// coroutine: the loop's holder sets it and switches to the trampoline
 	// (runKernel), which clears it and switches on. Nil when a tenure
-	// ended the run or window instead.
+	// ended the run or span instead.
 	pending  *Proc
-	deadline Time // event horizon of the current run or window
+	deadline Time // event horizon of the current run (sequential engine)
 	tracer   Tracer
 	probe    Probe
 	procs    []*Proc // live (spawned, not yet finished) processes, unordered
@@ -52,26 +52,26 @@ type Shard struct {
 	// virtual-time profiler checks its totals against this.
 	chargedTotal Duration
 
-	// Window plumbing (sharded engines only). The runner goroutine blocks
-	// on windowCh for the next window's end time, runs the kernel loop up
-	// to it, and reports completion on windowDone.
-	windowCh   chan Time
+	// Span plumbing (sharded engines only). The runner goroutine blocks
+	// on windowCh for the next span's start signal, runs the kernel loop
+	// until the gate ends the span, and reports completion on windowDone.
+	windowCh   chan struct{}
 	windowDone chan struct{}
-	// trbuf buffers tracer records during parallel windows; the engine
+	// trbuf buffers tracer records during parallel spans; the engine
 	// flushes it in canonical order at each barrier.
 	trbuf []traceRec
 	// buffered reports that tracer output must be buffered (sharded mode
 	// with a tracer installed).
 	buffered bool
-	// busyNs accumulates host time spent inside window/span kernel
-	// tenures; part of the WindowOverhead decomposition.
+	// busyNs accumulates host time spent inside span kernel tenures; part
+	// of the WindowOverhead decomposition.
 	busyNs int64
 
-	// Optimistic-mode state (see optimistic.go); opt is nil otherwise
-	// and none of this is touched.
+	// Span-protocol state (see optimistic.go); opt is nil on a sequential
+	// engine and none of this is touched.
 	opt  *optState
 	inmu sync.Mutex // guards inbox/inboxSpare appends from sender shards
-	// inbox holds eagerly published cross-shard arrivals awaiting
+	// inbox holds published cross-shard arrivals awaiting
 	// materialization by this shard; inboxSpare is the drain-time double
 	// buffer. inboxPending mirrors len(inbox) > 0 for lock-free checks.
 	inbox        []inbound
@@ -92,7 +92,7 @@ type Shard struct {
 
 func newShard(e *Engine, idx int) *Shard {
 	sh := &Shard{eng: e, idx: idx}
-	sh.heap.init(defaultEventHint)
+	sh.heap.init(defaultQueueHint)
 	return sh
 }
 
@@ -102,9 +102,9 @@ func (sh *Shard) Engine() *Engine { return sh.eng }
 // Index returns the shard's index in [0, Engine.Shards()).
 func (sh *Shard) Index() int { return sh.idx }
 
-// Now returns the shard's current virtual time. Within a window a shard's
-// clock may trail other shards by up to the lookahead; at barriers all
-// clocks agree.
+// Now returns the shard's current virtual time. Within a span shard
+// clocks drift apart (each stays below the others' plus the lookahead);
+// at barriers all clocks agree.
 func (sh *Shard) Now() Time { return sh.now }
 
 // alloc takes an event from the free list, refilling it a slab at a time.
@@ -177,9 +177,9 @@ func (sh *Shard) AfterAction(d Duration, a Action) { sh.AtAction(sh.now.Add(d), 
 // the canonical delivery order: at any instant, deliveries fire after
 // global control transitions, before ordinary events, and among
 // themselves in ascending key — (source node, flight number), packed by
-// the machine layer. The coordinator uses the same key to merge
-// cross-shard flights at window barriers, which is what makes sharded
-// runs bit-identical to sequential ones.
+// the machine layer. Cross-shard flights carry the same key through
+// Inject, so when and in what order they were published never shows:
+// that is what makes sharded runs bit-identical to sequential ones.
 func (sh *Shard) AtDelivery(t Time, key uint64, a Action) {
 	sh.schedule(t, classDelivery, key, evAction, nil, a, nil)
 }
@@ -236,7 +236,7 @@ func (sh *Shard) traceExit(p *Proc) {
 func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
 
 // loop runs the kernel on the calling coroutine: it pops and fires events
-// until the run (or window) ends — heap empty, deadline passed, Stop,
+// until the run (or span) ends — heap empty, deadline passed, Stop,
 // failure, or a kernel-callback panic — or a process is dispatched. It
 // reports true when that process is self, whose caller then continues
 // straight back into process context on the live stack with zero
@@ -245,7 +245,7 @@ func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
 func (sh *Shard) loop(self *Proc) bool {
 	for {
 		if o := sh.opt; o != nil {
-			// Optimistic mode: the gate drains eager arrivals and decides
+			// Sharded: the gate drains published arrivals and decides
 			// whether the next event is provably safe to fire, blocking
 			// mid-span when it is not (see optimistic.go).
 			if !o.gate(sh) {
@@ -317,7 +317,7 @@ func (sh *Shard) fireCallback(fn func(), act Action) {
 
 // runKernel is the shard's trampoline: it starts a kernel tenure on the
 // calling goroutine and then switches onto whichever process the loop
-// dispatched, again and again, until a tenure ends the run (or window)
+// dispatched, again and again, until a tenure ends the run (or span)
 // instead of dispatching. Every process switch in the shard is one
 // coroutine switch out of here and one back.
 func (sh *Shard) runKernel() {
