@@ -163,6 +163,10 @@ type Endpoint struct {
 	sched *threads.Scheduler
 	depth int // nested handler executions on this node
 	stats Stats
+	// polling marks a PollUntil inside WaitPacket since pollingSince;
+	// still set after Run, the message never came (see SPMD).
+	polling      bool
+	pollingSince sim.Time
 }
 
 // Node returns the endpoint's node.
@@ -277,6 +281,29 @@ func (ep *Endpoint) sendDraining(c threads.Ctx, pkt *cm5.Packet) {
 // on this context, and reports whether one was handled. Applications and
 // the thread scheduler's idle loop call this; so does Send while draining.
 func (ep *Endpoint) Poll(c threads.Ctx) bool { return ep.pollOnce(c) }
+
+// PollUntil is the hand-coded wait for a message, CMAM_wait: spin on a
+// flag that a handler raises. It is exactly
+//
+//	for !done() { Poll(c) }
+//
+// for a done that only handlers dispatched by these polls can change (the
+// caller holds the node's CPU, so nothing else on the node runs). Every
+// poll of an empty queue is then a foregone conclusion, and a stretch of
+// them is one cm5.Node.WaitPacket: same virtual time and counters, no host
+// work. A message that never arrives leaves the engine quiescent and SPMD
+// reports the node as polling — except under a sim tracer or probe, where
+// the wait really steps and never ends. A loop whose body does more than
+// poll (poll-and-yield: the ready queue is a second wake source) stays a
+// loop.
+func (ep *Endpoint) PollUntil(c threads.Ctx, done func() bool) {
+	for !done() {
+		ep.polling, ep.pollingSince = true, c.P.Now()
+		ep.node.WaitPacket(c.P)
+		ep.polling = false
+		ep.pollOnce(c)
+	}
+}
 
 // PollAll services incoming messages until the input queue is empty,
 // returning the number handled.

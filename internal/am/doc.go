@@ -12,5 +12,6 @@
 // buffer is full, the sender drains its own incoming messages while
 // retrying, which avoids distributed buffer deadlock. TrySend exposes the
 // non-blocking variant whose failure is the OAM "network busy" abort
-// condition.
+// condition. PollUntil is CMAM_wait, the hand-coded program's wait for a
+// reply: poll until a handler raises the flag.
 package am

@@ -42,9 +42,12 @@ func (u *Universe) SPMD(body func(c threads.Ctx, node int)) (sim.Time, error) {
 		var report []string
 		for i := 0; i < n; i++ {
 			if !fin[i] {
+				state := fmt.Sprintf("blocked: %v", u.Scheduler(i).Blocked())
+				if ep := u.Endpoint(i); ep.polling {
+					state += fmt.Sprintf(", polling an empty NIC since %v", ep.pollingSince)
+				}
 				report = append(report,
-					fmt.Sprintf("node %d (blocked: %v, %d queued packets)",
-						i, u.Scheduler(i).Blocked(), u.m.Node(i).Pending()))
+					fmt.Sprintf("node %d (%s, %d queued packets)", i, state, u.m.Node(i).Pending()))
 			}
 		}
 		return 0, fmt.Errorf("am: SPMD quiesced with %d of %d mains unfinished: deadlock at %s",

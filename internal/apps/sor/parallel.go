@@ -145,9 +145,7 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 		}
 		waitRow = func(c threads.Ctx, me int, side int32, ghost []float64) {
 			ns := states[me]
-			for !ns.present[side] {
-				u.Endpoint(me).Poll(c)
-			}
+			u.Endpoint(me).PollUntil(c, func() bool { return ns.present[side] })
 			ns.present[side] = false
 		}
 		oams = func() uint64 { return 0 }

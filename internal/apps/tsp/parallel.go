@@ -140,9 +140,7 @@ func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
 			s := slots[me]
 			s.flag = false
 			u.Endpoint(me).Send(c, 0, reqH, [4]uint64{}, nil)
-			for !s.flag {
-				u.Endpoint(me).Poll(c)
-			}
+			u.Endpoint(me).PollUntil(c, func() bool { return s.flag })
 			return s.route, s.ok
 		}
 		api.sendBest = func(c threads.Ctx, me int, tour int64) {

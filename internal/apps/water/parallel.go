@@ -177,17 +177,13 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 		}
 		waitPos = func(c threads.Ctx, me, src int) {
 			ns := states[me]
-			for !ns.posSlots[src].full {
-				u.Endpoint(me).Poll(c)
-			}
+			u.Endpoint(me).PollUntil(c, func() bool { return ns.posSlots[src].full })
 			ns.posSlots[src].full = false
 		}
 		waitUpd = func(c threads.Ctx, me, src int) {
 			ns := states[me]
 			sl := ns.updSlots[src]
-			for !sl.full {
-				u.Endpoint(me).Poll(c)
-			}
+			u.Endpoint(me).PollUntil(c, func() bool { return sl.full })
 			applyUpd(ns, sl.data)
 			sl.full = false
 		}

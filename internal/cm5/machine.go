@@ -291,6 +291,9 @@ func (m *Machine) completeDelivery(pkt *Packet) {
 	if dst.wake != nil {
 		dst.wake()
 	}
+	if dst.waiter != nil {
+		dst.waiter.StepWake()
+	}
 }
 
 // Node is one processor of the machine. The node itself is passive: the
@@ -329,6 +332,8 @@ type Node struct {
 	// delivered into this node's input queue. The thread scheduler
 	// registers its idle process here so delivery can end an idle wait.
 	wake func()
+	// waiter is the process in WaitPacket, to be woken by a delivery.
+	waiter *sim.Proc
 }
 
 // ID returns the node number, 0-based.
@@ -550,6 +555,25 @@ func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
 		n.launch(dst, pkt, dupWire)
 	}
 	return true
+}
+
+// WaitPacket polls an empty input queue until it is not: exactly
+//
+//	for n.Pending() == 0 { p.Charge(cost.PollEmpty) }
+//
+// as one sim.Proc.StepWait that completeDelivery wakes, so polls that
+// cannot succeed cost the host nothing. p must hold this node's CPU, which
+// makes a second concurrent waiter a bug, not a queue.
+func (n *Node) WaitPacket(p *sim.Proc) {
+	if n.waiter != nil {
+		panic(fmt.Sprintf("cm5: node %d has two processes in WaitPacket", n.id))
+	}
+	if n.nic.pending() > 0 {
+		return
+	}
+	n.waiter = p
+	p.StepWait(n.m.cost.PollEmpty)
+	n.waiter = nil
 }
 
 // PollPacket checks the input queue, charging poll cost. If a packet is

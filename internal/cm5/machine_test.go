@@ -254,3 +254,48 @@ func TestNetworkFullObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWaitPacket: the wait returns on the poll grid it started — the first
+// instant start + k*PollEmpty at or after the arrival — with the k polls
+// charged and counted but only one of them executed; it returns at once
+// when a packet is already queued; and a node has one CPU, so a second
+// process waiting on it is a bug that panics.
+func TestWaitPacket(t *testing.T) {
+	eng, m := testMachine(t, 2)
+	cost := m.Cost()
+	const start = 1300 * sim.Nanosecond // off the sender's grid
+	var woke, again sim.Time
+	eng.Spawn("sender", func(p *sim.Proc) {
+		m.Node(0).TryInject(p, &Packet{Src: 0, Dst: 1, Kind: Small})
+	})
+	eng.Spawn("receiver", func(p *sim.Proc) {
+		p.Charge(start)
+		m.Node(1).WaitPacket(p)
+		woke = p.Now()
+		m.Node(1).WaitPacket(p) // the packet is still queued
+		again = p.Now()
+	})
+	eng.Spawn("intruder", func(p *sim.Proc) {
+		p.Charge(2 * start)
+		defer func() {
+			if recover() == nil {
+				t.Error("second waiter on one node did not panic")
+			}
+		}()
+		m.Node(1).WaitPacket(p)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	arrival := cost.PacketSendOverhead + cost.WireLatency
+	k := (arrival - start + cost.PollEmpty - 1) / cost.PollEmpty
+	if want := sim.Time(start + k*cost.PollEmpty); woke != want || again != want {
+		t.Fatalf("woke at %v, then %v; want both %v (arrival %v, k=%d)", woke, again, want, arrival, k)
+	}
+	if got, want := eng.Charged(), cost.PacketSendOverhead+start+k*cost.PollEmpty+2*start; got != want {
+		t.Errorf("Charged() = %v, want %v", got, want)
+	}
+	if eng.Elided() != uint64(k-1) {
+		t.Errorf("Elided() = %d, want %d", eng.Elided(), k-1)
+	}
+}

@@ -96,9 +96,7 @@ func nullAM(busyServer bool, trips int) sim.Duration {
 		for i := 0; i < trips; i++ {
 			gotReply = false
 			ep.Send(c, 1, reqH, [4]uint64{}, nil)
-			for !gotReply {
-				ep.Poll(c)
-			}
+			ep.PollUntil(c, func() bool { return gotReply })
 		}
 		total = c.P.Now().Sub(start)
 		ep.Send(c, 1, doneH, [4]uint64{}, nil)
@@ -197,9 +195,7 @@ func bulkAM(size, trips int) sim.Duration {
 		for i := 0; i < trips; i++ {
 			gotReply = false
 			ep.SendBulk(c, 1, reqH, [4]uint64{}, data)
-			for !gotReply {
-				ep.Poll(c)
-			}
+			ep.PollUntil(c, func() bool { return gotReply })
 		}
 		total = c.P.Now().Sub(start)
 	})
@@ -289,9 +285,7 @@ func nullAbortingRPC(busy bool) sim.Duration {
 				// optimistic attempt aborts and its thread queues.
 				mu.Lock(c)
 				base := aborted()
-				for aborted() == base && !stop {
-					ep.Poll(c)
-				}
+				ep.PollUntil(c, func() bool { return aborted() != base || stop })
 				mu.Unlock(c)
 				if stop {
 					return

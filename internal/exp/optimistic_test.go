@@ -5,33 +5,11 @@ import (
 	"testing"
 )
 
-// TestOptimisticEquivalenceApps: for all four applications, an optimistic
-// sharded run — commit spans 32 lookaheads wide instead of one — is
-// indistinguishable from the sequential one: same result struct, same
-// Charged(), and a canonical schedule trace that hashes identically.
+// TestOptimisticEquivalenceApps: the application equivalence matrix with
+// commit spans 32 lookaheads wide instead of one (see checkAppCells).
 func TestOptimisticEquivalenceApps(t *testing.T) {
 	t.Parallel()
-	for _, app := range []string{"triangle", "tsp", "sor", "water"} {
-		seq := runShardedApp(t, app, 1, false)
-		if seq.traceLen == 0 {
-			t.Fatalf("%s: sequential run produced an empty schedule trace", app)
-		}
-		for _, s := range shardCounts[1:] {
-			got := runShardedApp(t, app, s, true)
-			if got.res != seq.res {
-				t.Errorf("%s: optimistic result at shards=%d differs from sequential:\n got %+v\nwant %+v",
-					app, s, got.res, seq.res)
-			}
-			if got.charged != seq.charged {
-				t.Errorf("%s: optimistic Charged() at shards=%d = %v, want %v",
-					app, s, got.charged, seq.charged)
-			}
-			if got.traceHash != seq.traceHash || got.traceLen != seq.traceLen {
-				t.Errorf("%s: optimistic schedule trace at shards=%d (hash %#x, %d bytes) differs from sequential (hash %#x, %d bytes)",
-					app, s, got.traceHash, got.traceLen, seq.traceHash, seq.traceLen)
-			}
-		}
-	}
+	checkAppCells(t, true)
 	checkScaleExperiments(t, true)
 }
 

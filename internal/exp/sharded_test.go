@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -20,55 +21,119 @@ var shardCounts = []int{1, 2, 4}
 
 // appRecord captures everything the equivalence contract pins for one
 // run: the application's own result (answer, virtual elapsed, every
-// statistic), the engine's charged virtual CPU time, and the FNV hash of
-// the canonical schedule trace (every process resume/yield/exit with its
-// timestamp — a byte-exact transcript of the schedule).
+// statistic), the engine's charged virtual CPU time and event count, and
+// — for a traced run — the FNV hash of the canonical schedule trace (every
+// process resume/yield/exit with its timestamp: a byte-exact transcript of
+// the schedule). elided is not pinned; it says which wait path ran.
 type appRecord struct {
 	res       apps.Result
 	charged   sim.Duration
+	events    uint64
+	elided    uint64
 	traceHash uint64
 	traceLen  int
 }
 
-// runShardedApp runs one app under ORPC at the given shard count and
-// scheduling mode with a canonical tracer attached.
-func runShardedApp(t *testing.T, app string, shards int, optimistic bool) appRecord {
+// appCell is one row of the application equivalence matrix.
+type appCell struct {
+	app string
+	sys apps.System
+}
+
+func (c appCell) String() string { return c.app + "/" + c.sys.String() }
+
+// appCells: every application under ORPC, and under hand-coded AM the
+// three whose mains wait in am.Endpoint.PollUntil (triangle/AM never
+// waits for a message).
+var appCells = []appCell{
+	{"triangle", apps.ORPC}, {"tsp", apps.ORPC}, {"sor", apps.ORPC}, {"water", apps.ORPC},
+	{"tsp", apps.AM}, {"sor", apps.AM}, {"water", apps.AM},
+}
+
+// runShardedApp runs one cell at the given shard count and span width,
+// with a canonical tracer attached or not. The tracer is more than an
+// observer here: it forces every PollUntil wait through the stepwise
+// path, so the two settings exercise the two implementations of the wait.
+func runShardedApp(t *testing.T, cell appCell, shards int, optimistic, traced bool) appRecord {
 	t.Helper()
 	tr := sim.NewCanonicalTracer()
 	var eng *sim.Engine
 	ro := apps.RunOptions{Shards: shards, Optimistic: optimistic, Observe: func(u *am.Universe, _ *rpc.Runtime) {
 		eng = u.Machine().Engine()
-		eng.SetTracer(tr)
+		if traced {
+			eng.SetTracer(tr)
+		}
 	}}
 	var res apps.Result
 	var err error
-	switch app {
+	switch cell.app {
 	case "triangle":
-		res, err = triangle.Run(apps.ORPC, 4, triangle.Config{
+		res, err = triangle.Run(cell.sys, 4, triangle.Config{
 			Side: 5, Empty: -1, Seed: 101, RunOptions: ro})
 	case "tsp":
-		res, err = tsp.Run(apps.ORPC, 3, tsp.Config{
+		res, err = tsp.Run(cell.sys, 3, tsp.Config{
 			Cities: 9, Seed: 102, RunOptions: ro})
 	case "sor":
-		res, err = sor.Run(apps.ORPC, 4, sor.Config{
+		res, err = sor.Run(cell.sys, 4, sor.Config{
 			Rows: 24, Cols: 16, Iters: 4, Seed: 11, RunOptions: ro})
 	case "water":
-		res, err = water.Run(apps.ORPC, 4, true, water.Config{
+		res, err = water.Run(cell.sys, 4, true, water.Config{
 			Mols: 64, Iters: 2, Seed: 103, RunOptions: ro})
 	default:
-		t.Fatalf("unknown app %q", app)
+		t.Fatalf("unknown app %q", cell.app)
 	}
 	if err != nil {
-		t.Fatalf("%s (shards=%d): %v", app, shards, err)
+		t.Fatalf("%v (shards=%d): %v", cell, shards, err)
 	}
 	if eng == nil {
-		t.Fatalf("%s (shards=%d): Observe hook never ran", app, shards)
+		t.Fatalf("%v (shards=%d): Observe hook never ran", cell, shards)
 	}
 	if eng.Shards() != shards {
-		t.Fatalf("%s: engine has %d shards, want %d", app, eng.Shards(), shards)
+		t.Fatalf("%v: engine has %d shards, want %d", cell, eng.Shards(), shards)
 	}
-	text := tr.Text()
-	return appRecord{res: res, charged: eng.Charged(), traceHash: tr.Hash(), traceLen: len(text)}
+	return appRecord{res: res, charged: eng.Charged(), events: eng.Events(), elided: eng.Elided(),
+		traceHash: tr.Hash(), traceLen: len(tr.Text())}
+}
+
+// checkAppCells is the application equivalence matrix at one span width:
+// every cell at every shard count, traced and — for the AM cells —
+// untraced, against the sequential traced run: same result struct (answer,
+// elapsed virtual time, every counter), same Charged() and Events(), and
+// for the traced runs a canonical schedule trace that hashes identically.
+// Traced against untraced is the stepwise wait against the elided one.
+func checkAppCells(t *testing.T, optimistic bool) {
+	t.Helper()
+	for _, cell := range appCells {
+		seq := runShardedApp(t, cell, 1, false, true)
+		if seq.traceLen == 0 {
+			t.Fatalf("%v: sequential run produced an empty schedule trace", cell)
+		}
+		for _, s := range shardCounts {
+			for _, traced := range []bool{true, false} {
+				if (s == 1 && traced) || (!traced && cell.sys != apps.AM) {
+					continue // the first is seq; ORPC never waits in PollUntil
+				}
+				got := runShardedApp(t, cell, s, optimistic && s > 1, traced)
+				label := fmt.Sprintf("%v shards=%d optimistic=%v traced=%v", cell, s, optimistic, traced)
+				if got.res != seq.res {
+					t.Errorf("%s: result differs from sequential:\n got %+v\nwant %+v", label, got.res, seq.res)
+				}
+				if got.charged != seq.charged || got.events != seq.events {
+					t.Errorf("%s: Charged() %v Events() %d, want %v %d", label, got.charged, got.events, seq.charged, seq.events)
+				}
+				if traced && (got.traceHash != seq.traceHash || got.traceLen != seq.traceLen) {
+					t.Errorf("%s: schedule trace (hash %#x, %d bytes) differs from sequential (hash %#x, %d bytes)",
+						label, got.traceHash, got.traceLen, seq.traceHash, seq.traceLen)
+				}
+				if traced && got.elided != 0 {
+					t.Errorf("%s: %d events elided under a tracer, which is owed every one", label, got.elided)
+				}
+				if !traced && got.elided == 0 {
+					t.Errorf("%s: nothing elided: the untraced run did not take the wait it is here to cover", label)
+				}
+			}
+		}
+	}
 }
 
 // shardedScale is the quick scale at the given engine configuration. The
@@ -121,33 +186,40 @@ func checkScaleExperiments(t *testing.T, optimistic bool) {
 	}
 }
 
-// TestShardedEquivalenceApps: for all four applications, a sharded run is
-// indistinguishable from the sequential one — same result struct (answer,
-// elapsed virtual time, every counter), same Charged(), and a canonical
-// schedule trace that hashes identically.
+// TestShardedEquivalenceApps: for every application cell, a sharded run
+// at the lockstep width is indistinguishable from the sequential one, and
+// an untraced run from a traced one (see checkAppCells).
 func TestShardedEquivalenceApps(t *testing.T) {
 	t.Parallel()
-	for _, app := range []string{"triangle", "tsp", "sor", "water"} {
-		seq := runShardedApp(t, app, 1, false)
-		if seq.traceLen == 0 {
-			t.Fatalf("%s: sequential run produced an empty schedule trace", app)
+	checkAppCells(t, false)
+	checkScaleExperiments(t, false)
+}
+
+// TestElisionIsLive: Figure 2's quick tsp/AM cell at 7 slaves — the kind
+// of run the benchmark's apps_quick used to spend most of its host time
+// in — is almost nothing but polls that cannot succeed, and the kernel
+// executes none of them; under a tracer it executes them all.
+func TestElisionIsLive(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		var eng *sim.Engine
+		cfg := tsp.Config{Cities: 10, Seed: 102}
+		cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) {
+			eng = u.Machine().Engine()
+			if traced {
+				eng.SetTracer(sim.NewHashTracer())
+			}
 		}
-		for _, s := range shardCounts[1:] {
-			got := runShardedApp(t, app, s, false)
-			if got.res != seq.res {
-				t.Errorf("%s: result at shards=%d differs from sequential:\n got %+v\nwant %+v",
-					app, s, got.res, seq.res)
-			}
-			if got.charged != seq.charged {
-				t.Errorf("%s: Charged() at shards=%d = %v, want %v", app, s, got.charged, seq.charged)
-			}
-			if got.traceHash != seq.traceHash || got.traceLen != seq.traceLen {
-				t.Errorf("%s: schedule trace at shards=%d (hash %#x, %d bytes) differs from sequential (hash %#x, %d bytes)",
-					app, s, got.traceHash, got.traceLen, seq.traceHash, seq.traceLen)
-			}
+		if _, err := tsp.Run(apps.AM, 7, cfg); err != nil {
+			t.Fatal(err)
+		}
+		events, elided := eng.Events(), eng.Elided()
+		if traced && elided != 0 {
+			t.Errorf("traced: %d of %d events elided, want none", elided, events)
+		}
+		if !traced && 10*elided < 9*events {
+			t.Errorf("untraced: %d of %d events elided, want at least 90%%", elided, events)
 		}
 	}
-	checkScaleExperiments(t, false)
 }
 
 // TestShardedEquivalenceChaos: the full quick chaos sweep — loss,

@@ -8,17 +8,19 @@
 //
 // Processes are runtime coroutines (iter.Pull), not scheduled goroutines:
 // a process runs until it yields by charging virtual time (Charge),
-// parking (Park), or returning. The event loop then migrates onto the
-// yielding process's stack: it pops the next event off the (time, class,
-// key, sequence) ordered queue in place, fires kernel callbacks inline,
-// and continues straight back into the process when its own event
-// surfaces. When another process's event surfaces instead, it records that
-// process in Shard.pending and switches to the shard's trampoline — the
-// goroutine that called Run, or the shard's span runner — which switches
-// on to it. That is the one invariant: one trampoline per shard, and the
-// kernel role moves by coroutine switch, never through a channel or the Go
-// scheduler. Finished processes park their coroutine on a free list for
-// reuse by Spawn, and Shutdown ends every coroutine before it returns.
+// parking (Park), step-waiting (StepWait: a charge loop whose steps the
+// kernel does not execute until StepWake), or returning. The event loop
+// then migrates onto the yielding process's stack: it pops the next event
+// off the (time, class, key, sequence) ordered queue in place, fires
+// kernel callbacks inline, and continues straight back into the process
+// when its own event surfaces. When another process's event surfaces
+// instead, it records that process in Shard.pending and switches to the
+// shard's trampoline — the goroutine that called Run, or the shard's span
+// runner — which switches on to it. That is the one invariant: one
+// trampoline per shard, and the kernel role moves by coroutine switch,
+// never through a channel or the Go scheduler. Finished processes park
+// their coroutine on a free list for reuse by Spawn, and Shutdown ends
+// every coroutine before it returns.
 //
 // The switch mechanism is invisible to the simulation: the order in which
 // events leave the queue is the schedule, and nothing about how control

@@ -245,8 +245,9 @@ func (e *Engine) Charged() Duration {
 	return d
 }
 
-// Events reports the number of events executed so far, summed across
-// shards.
+// Events reports the number of simulated events so far, summed across
+// shards: the same count at every shard count and span width. Events
+// minus Elided were executed by a kernel loop.
 func (e *Engine) Events() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -273,6 +274,17 @@ func (e *Engine) Handoffs() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
 		n += sh.handoffs
+	}
+	return n
+}
+
+// Elided reports how many of Events were step-wait resumes StepWake
+// credited and no kernel loop executed. Like Handoffs it measures the
+// host's work, not the simulation: zero under a tracer or probe.
+func (e *Engine) Elided() uint64 {
+	var n uint64
+	for _, sh := range e.shards {
+		n += sh.elided
 	}
 	return n
 }

@@ -43,6 +43,12 @@ type Proc struct {
 	intTimer    Timer
 	intStart    Time
 	interrupted bool
+
+	// Step-wait state: stepWaiting from StepWait to its StepWake; step and
+	// stepStart (the grid) only while suspended with no pending event.
+	stepWaiting bool
+	step        Duration
+	stepStart   Time
 }
 
 // PanicError wraps a panic raised inside a process body so that Run can
@@ -295,14 +301,62 @@ func (p *Proc) Unpark() {
 	p.sh.atProc(p.sh.now, p)
 }
 
-// UnparkAfter makes a parked process runnable d from now.
-func (p *Proc) UnparkAfter(d Duration) {
-	if p.dead {
+// StepWait is exactly
+//
+//	for !woken { p.Charge(step) }
+//
+// with woken raised by StepWake: a poll loop whose polls cannot succeed
+// until a kernel callback says so. It returns at the first grid instant
+// start + k*step (k >= 1) at or after the wake, having charged k steps.
+// The k-1 resumes that would only have armed the next step are not
+// executed: the process suspends with no pending event, and the wake
+// schedules its one resume and credits the rest to Charged, Events and
+// Dispatches (Elided counts them). Credits land at the wake, so a wait
+// still open when Run or RunUntil returns has contributed nothing yet, and
+// one never woken leaves the engine quiescent where the loop would have
+// made events for ever.
+//
+// A Tracer or Probe is owed one record per step, in time order: while
+// either is installed the wait is the loop above, endlessness included.
+func (p *Proc) StepWait(step Duration) {
+	if step <= 0 {
+		panic("sim: StepWait needs a positive step")
+	}
+	sh := p.sh
+	sh.checkRunning(p, "StepWait")
+	p.stepWaiting = true
+	if sh.tracing() || sh.probe != nil {
+		for p.stepWaiting {
+			p.Charge(step)
+		}
 		return
 	}
-	if !p.parked {
-		panic(fmt.Sprintf("sim: UnparkAfter of non-parked process %q", p.Name()))
+	p.step, p.stepStart = step, sh.now
+	sh.yieldToKernel(p)
+}
+
+// StepWake ends p's StepWait at the next step boundary — at this instant
+// if it is one, which matches the loop when the caller fires before the
+// instant's ordinary events, as a delivery does. It is a no-op unless p is
+// in a StepWait not yet woken. Call it from p's own shard.
+func (p *Proc) StepWake() {
+	if !p.stepWaiting {
+		return
 	}
-	p.parked = false
-	p.sh.atProc(p.sh.now.Add(d), p)
+	p.stepWaiting = false
+	step := p.step
+	if step == 0 {
+		return // stepping through Charge: the loop sees the flag
+	}
+	p.step = 0
+	sh := p.sh
+	k := (sh.now.Sub(p.stepStart) + step - 1) / step
+	if k < 1 {
+		k = 1 // woken at the start instant: the first step is already under way
+	}
+	sh.chargedTotal += k * step
+	sh.events += uint64(k - 1)
+	sh.dispatches += uint64(k - 1)
+	sh.elided += uint64(k - 1)
+	sh.atProc(p.stepStart.Add(k*step), p)
 }

@@ -48,6 +48,7 @@ type Shard struct {
 	events     uint64
 	dispatches uint64
 	handoffs   uint64
+	elided     uint64 // of events: credited by a StepWake, never executed
 	// chargedTotal accumulates every completed virtual-CPU charge; the
 	// virtual-time profiler checks its totals against this.
 	chargedTotal Duration

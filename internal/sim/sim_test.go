@@ -89,22 +89,6 @@ func TestParkUnpark(t *testing.T) {
 	}
 }
 
-func TestUnparkAfter(t *testing.T) {
-	e := New(1)
-	var woke Time
-	waiter := e.Spawn("waiter", func(p *Proc) {
-		p.Park()
-		woke = p.Now()
-	})
-	e.After(Micros(1), func() { waiter.UnparkAfter(Micros(9)) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != Time(Micros(10)) {
-		t.Fatalf("woke at %v, want 10us", woke)
-	}
-}
-
 func TestQuiescenceLeavesParkedProcs(t *testing.T) {
 	e := New(1)
 	e.Spawn("stuck", func(p *Proc) { p.Park() })

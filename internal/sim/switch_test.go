@@ -20,9 +20,10 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestShutdownLeavesNoGoroutines: Shutdown is synchronous. Every process
-// coroutine — pooled worker, parked, mid-charge, never dispatched — is gone
-// when it returns, not whenever the Go scheduler next gets to it, so the
-// goroutine count is back where it was before New with no settling time.
+// coroutine — pooled worker, parked, mid-charge, step-waiting, never
+// dispatched — is gone when it returns, not whenever the Go scheduler next
+// gets to it, so the goroutine count is back where it was before New with
+// no settling time.
 // A sharded engine's window runners are ordinary goroutines: Shutdown
 // waits until each has run its last statement, which is as much as Go lets
 // anyone wait for, so up to Shards of them may still be on their way out.
@@ -52,6 +53,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				}
 				sh.Spawn("parked", func(p *Proc) { p.Park() })
 				sh.Spawn("charging", func(p *Proc) { p.ChargeInterruptible(Second) })
+				sh.Spawn("polling", func(p *Proc) { p.StepWait(Micros(1)) })
 			}
 			if err := e.RunUntil(Time(Micros(50))); err != nil {
 				t.Fatal(err)
