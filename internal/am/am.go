@@ -321,11 +321,11 @@ func (ep *Endpoint) PollAll(c threads.Ctx) int {
 func (ep *Endpoint) PollOnce(c threads.Ctx) bool { return ep.pollOnce(c) }
 
 func (ep *Endpoint) pollOnce(c threads.Ctx) bool {
-	pkt := ep.node.PollPacket(c.P)
+	pkt := ep.node.PollPacketThen(c.P, ep.u.m.Cost().HandlerDispatch)
 	if pkt == nil {
 		return false
 	}
-	ep.dispatch(c, pkt)
+	ep.run(c, pkt)
 	// The wire-path packet is done once its handler returns: recycle the
 	// struct (the payload buffer is handed off, not reused). Packets a
 	// transport hands up via Deliver are the transport's to manage.
@@ -336,18 +336,21 @@ func (ep *Endpoint) pollOnce(c threads.Ctx) bool {
 // Deliver runs pkt's handler inline on this endpoint, exactly as if the
 // packet had just been polled off the wire. Transports use it to hand a
 // de-framed inner message up to the application layer.
-func (ep *Endpoint) Deliver(c threads.Ctx, pkt *cm5.Packet) { ep.dispatch(c, pkt) }
+func (ep *Endpoint) Deliver(c threads.Ctx, pkt *cm5.Packet) {
+	c.P.Charge(ep.u.m.Cost().HandlerDispatch)
+	ep.run(c, pkt)
+}
 
-// dispatch runs pkt's handler inline. The handler context is derived from
-// the polling context but has no thread: handlers are not schedulable.
-func (ep *Endpoint) dispatch(c threads.Ctx, pkt *cm5.Packet) {
+// run runs pkt's handler inline, HandlerDispatch already charged (pollOnce
+// joins it to the ejection). The handler context is derived from the
+// polling context but has no thread: handlers are not schedulable.
+func (ep *Endpoint) run(c threads.Ctx, pkt *cm5.Packet) {
 	h := ep.u.handlers[pkt.Handler]
 	hc := threads.Ctx{P: c.P, T: nil, S: ep.sched}
 	ep.depth++
 	if ep.depth > ep.stats.MaxDepth {
 		ep.stats.MaxDepth = ep.depth
 	}
-	c.P.Charge(ep.u.m.Cost().HandlerDispatch)
 	ep.stats.HandlersRun++
 	start := c.P.Now()
 	if ep.u.probe != nil {

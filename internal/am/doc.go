@@ -6,7 +6,8 @@
 // beyond the network interface itself. Handlers run with a handler
 // execution context (threads.Ctx with a nil Thread), so any attempt to
 // block panics: that is the Active Messages restriction. Optimistic Active
-// Messages (package oam) lifts it by promoting handlers to threads.
+// Messages (package oam) lifts it by promoting handlers to threads. A poll
+// charges the ejection and the handler dispatch as one sim.Proc.ChargeSeq.
 //
 // Send follows the CM-5 CMMD convention: when the destination's input
 // buffer is full, the sender drains its own incoming messages while

@@ -114,3 +114,79 @@ func TestPollUntilMatchesHandLoop(t *testing.T) {
 		t.Errorf("PollUntil is not the hand loop:\n loop %+v\n wait %+v", loop, wait)
 	}
 }
+
+// TestPollDispatchIsOneSwitch runs one 4-node program twice — every poll
+// written out as cm5's PollPacket, then Deliver (two plain charges with the
+// process resumed in between), and as Poll, which joins the ejection and
+// the handler dispatch in one sim.Proc.ChargeSeq — and requires the same
+// elapsed time, handler start times, Stats and engine counters, and fewer
+// coroutine switches. Input queues hold two packets, so sends from inside
+// handlers drain and dispatch nested handlers on the way.
+func TestPollDispatchIsOneSwitch(t *testing.T) {
+	type outcome struct {
+		elapsed            sim.Time
+		starts             handlerStarts
+		stats              Stats
+		charged            sim.Duration
+		events, dispatches uint64
+	}
+	run := func(poll func(ep *Endpoint, c threads.Ctx) bool) (outcome, uint64) {
+		const nodes, rounds = 4, 6
+		u := universe(t, nodes, func(c *cm5.CostModel) { c.NICQueueCap = 2 })
+		var out outcome
+		u.SetProbe(&out.starts)
+		send := func(c threads.Ctx, dst int, h HandlerID, w0 uint64) {
+			for ep := u.Endpoint(c.Node().ID()); !ep.TrySend(c, dst, h, [4]uint64{w0}, nil); {
+				poll(ep, c)
+			}
+		}
+		replies := 0
+		var reply HandlerID
+		req := u.Register("req", func(c threads.Ctx, pkt *cm5.Packet) {
+			c.P.Charge(sim.Micros(0.7))
+			send(c, pkt.Src, reply, pkt.W0)
+		})
+		reply = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) { replies++ })
+		var err error
+		out.elapsed, err = u.SPMD(func(c threads.Ctx, node int) {
+			for r := 0; r < rounds; r++ {
+				c.P.Charge(sim.Micros(1.1*float64(node) + 0.3*float64(r)))
+				for d := 1; d < nodes; d++ {
+					send(c, (node+d)%nodes, req, uint64(r))
+				}
+			}
+			// Every main polls until the last reply anywhere is in, so no
+			// message is left to the scheduler's idle loop, which is Poll.
+			for ep := u.Endpoint(node); replies < nodes*rounds*(nodes-1); {
+				poll(ep, c)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := u.Machine().Engine()
+		out.stats, out.charged = u.Stats(), eng.Charged()
+		out.events, out.dispatches = eng.Events(), eng.Dispatches()
+		return out, eng.Handoffs()
+	}
+	two, twoHandoffs := run(func(ep *Endpoint, c threads.Ctx) bool {
+		pkt := ep.node.PollPacket(c.P)
+		if pkt == nil {
+			return false
+		}
+		ep.Deliver(c, pkt)
+		ep.node.ReleasePacket(pkt)
+		return true
+	})
+	one, oneHandoffs := run((*Endpoint).Poll)
+	if !reflect.DeepEqual(two, one) {
+		t.Errorf("Poll is not PollPacket + Deliver:\n two %+v\n one %+v", two, one)
+	}
+	if one.stats.MaxDepth < 2 || one.stats.HandlerTime == 0 {
+		t.Errorf("MaxDepth %d, HandlerTime %v: the program did not nest a drain", one.stats.MaxDepth, one.stats.HandlerTime)
+	}
+	if oneHandoffs >= twoHandoffs {
+		t.Errorf("%d handoffs with Poll, %d with two charges; want fewer", oneHandoffs, twoHandoffs)
+	}
+	t.Logf("%d events, %d dispatches, handoffs %d -> %d", one.events, one.dispatches, twoHandoffs, oneHandoffs)
+}

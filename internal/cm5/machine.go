@@ -580,13 +580,21 @@ func (n *Node) WaitPacket(p *sim.Proc) {
 // waiting it is ejected (charging the receive overhead) and returned;
 // otherwise PollPacket returns nil. Dispatching the packet to a handler is
 // the caller's job (package am).
-func (n *Node) PollPacket(p *sim.Proc) *Packet {
+func (n *Node) PollPacket(p *sim.Proc) *Packet { return n.PollPacketThen(p, -1) }
+
+// PollPacketThen is PollPacket followed, when a packet was ejected and then
+// is not negative, by p.Charge(then): the caller's fixed per-message cost,
+// joined to the ejection in one sim.Proc.ChargeSeq.
+func (n *Node) PollPacketThen(p *sim.Proc, then sim.Duration) *Packet {
 	cost := &n.m.cost
 	pkt := n.nic.pop()
-	if pkt == nil {
+	switch {
+	case pkt == nil:
 		p.Charge(cost.PollEmpty)
-		return nil
+	case then < 0:
+		p.Charge(cost.PacketRecvOverhead)
+	default:
+		p.ChargeSeq(cost.PacketRecvOverhead, then)
 	}
-	p.Charge(cost.PacketRecvOverhead)
 	return pkt
 }

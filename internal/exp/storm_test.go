@@ -6,8 +6,12 @@ import (
 	"time"
 
 	"repro/internal/am"
+	"repro/internal/apps"
+	"repro/internal/apps/kv"
 	"repro/internal/cm5"
+	"repro/internal/oam"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -232,5 +236,101 @@ func BenchmarkRingStorm(b *testing.B) {
 			b.ReportMetric(float64(p.dispatchLossNs(cfg.shards)), "dispatch_loss_ns")
 			b.ReportMetric(float64(p.opt.Stalls), "stalls")
 		})
+	}
+}
+
+// kernelCounts is what a run cost the simulation (events, charged: exact
+// and engine-independent) and the host (handoffs: coroutine switches).
+type kernelCounts struct {
+	events, handoffs uint64
+	charged          sim.Duration
+}
+
+func countsOf(eng *sim.Engine) kernelCounts {
+	return kernelCounts{eng.Events(), eng.Handoffs(), eng.Charged()}
+}
+
+// nullLoopCounts is nullRPC's loop — Table 1's null call against an idle
+// or a poll-and-yield server — with the engine read around the calls.
+func nullLoopCounts(t *testing.T, mode rpc.Mode, busyServer bool, trips int) kernelCounts {
+	t.Helper()
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	rt := rpc.New(u, rpc.Options{Mode: mode})
+	inc := rt.Define("inc", func(e *oam.Env, caller int, arg []byte) []byte { return nil })
+	stop := false
+	done := rt.DefineAsync("done", func(e *oam.Env, caller int, arg []byte) []byte {
+		stop = true
+		return nil
+	})
+	var before, after kernelCounts
+	_, err := u.SPMD(func(c threads.Ctx, node int) {
+		if node == 1 {
+			for ep := u.Endpoint(1); busyServer && !stop; {
+				ep.Poll(c)
+				c.S.Yield(c)
+			}
+			return
+		}
+		inc.Call(c, 1, nil) // the first call also starts the server's scheduler
+		before = countsOf(eng)
+		for i := 0; i < trips; i++ {
+			inc.Call(c, 1, nil)
+		}
+		after = countsOf(eng)
+		done.CallAsync(c, 1, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kernelCounts{after.events - before.events, after.handoffs - before.handoffs, after.charged - before.charged}
+}
+
+// TestHandoffBudget locks the switch count of the message path in the way
+// the allocation budgets lock its garbage: per null call and for the quick
+// kv cell, Events and Charged are the simulation's and equal the constants
+// read off the kernel that queued every charge and switched to a process
+// between a packet's ejection and its handler dispatch; Handoffs may not
+// exceed what one switch per polled message leaves. A change that brings a
+// switch per message back fails here, not only in the benchmark.
+func TestHandoffBudget(t *testing.T) {
+	const trips = 1000
+	for _, tc := range []struct {
+		name string
+		mode rpc.Mode
+		busy bool
+		// events and charged exact; handoffs a ceiling, 2 per call below
+		// the parent's on the busy rows (10, 12) and 997 on the kv cell (7890)
+		want kernelCounts
+	}{
+		{"null ORPC, idle server", rpc.ORPC, false, kernelCounts{12 * trips, 2 * trips, trips * sim.Micros(9)}},
+		{"null ORPC, busy server", rpc.ORPC, true, kernelCounts{32 * trips, 8 * trips, trips * sim.Micros(18.5)}},
+		{"null TRPC, idle server", rpc.TRPC, false, kernelCounts{15 * trips, 4 * trips, trips * sim.Micros(16)}},
+		{"null TRPC, busy server", rpc.TRPC, true, kernelCounts{38 * trips, 10 * trips, trips * sim.Micros(78.4)}},
+	} {
+		got := nullLoopCounts(t, tc.mode, tc.busy, trips)
+		if got.events != tc.want.events || got.charged != tc.want.charged {
+			t.Errorf("%s: %d events, %v charged; the simulation is %d and %v", tc.name, got.events, got.charged, tc.want.events, tc.want.charged)
+		}
+		if got.handoffs > tc.want.handoffs {
+			t.Errorf("%s: %d handoffs over %d calls, budget %d", tc.name, got.handoffs, trips, tc.want.handoffs)
+		}
+	}
+
+	// The quick grid's steady ORPC cell at half the knee, whole run,
+	// Shutdown's kills included.
+	var eng *sim.Engine
+	cfg := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 32, Duration: sim.Micros(8000), RateX: 0.5}
+	cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) { eng = u.Machine().Engine() }
+	if _, _, err := kv.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, want := countsOf(eng), kernelCounts{12196, 6893, sim.Micros(20335.8)}
+	if got.events != want.events || got.charged != want.charged {
+		t.Errorf("kv quick cell: %d events, %v charged; the simulation is %d and %v", got.events, got.charged, want.events, want.charged)
+	}
+	if got.handoffs > want.handoffs {
+		t.Errorf("kv quick cell: %d handoffs, budget %d", got.handoffs, want.handoffs)
 	}
 }

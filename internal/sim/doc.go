@@ -13,7 +13,9 @@
 // then migrates onto the yielding process's stack: it pops the next event
 // off the (time, class, key, sequence) ordered queue in place, fires
 // kernel callbacks inline, and continues straight back into the process
-// when its own event surfaces. When another process's event surfaces
+// when its own event surfaces (a Charge with nothing due before its resume
+// skips even that, advancing the clock in place, and ChargeSeq has the loop
+// arm a second charge itself). When another process's event surfaces
 // instead, it records that process in Shard.pending and switches to the
 // shard's trampoline — the goroutine that called Run, or the shard's span
 // runner — which switches on to it. That is the one invariant: one

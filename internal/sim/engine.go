@@ -256,8 +256,8 @@ func (e *Engine) Events() uint64 {
 	return n
 }
 
-// Dispatches reports the number of process control transfers so far,
-// summed across shards.
+// Dispatches reports the number of process resumes so far, summed across
+// shards: in place, armed by the kernel for a ChargeSeq, or switched to.
 func (e *Engine) Dispatches() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -268,8 +268,8 @@ func (e *Engine) Dispatches() uint64 {
 
 // Handoffs reports how many dispatches crossed coroutines (one switch to
 // the shard's trampoline and one out of it). Dispatches minus Handoffs is
-// the number of resumes a yielding process served to itself on its live
-// stack with no switch at all.
+// the number of resumes that cost no switch: served by a process to itself
+// on its live stack, or re-armed by the kernel loop (ChargeSeq).
 func (e *Engine) Handoffs() uint64 {
 	var n uint64
 	for _, sh := range e.shards {

@@ -107,6 +107,7 @@ func newOptState(e *Engine) *optState {
 	o.spanOver = true // no span running yet
 	for i := range e.shards {
 		e.shards[i].opt = o
+		e.shards[i].queueOnly = true
 	}
 	return o
 }

@@ -49,6 +49,10 @@ type Proc struct {
 	stepWaiting bool
 	step        Duration
 	stepStart   Time
+	// ChargeSeq state: chained while the first charge's resume is queued,
+	// then the second charge, which the kernel loop arms.
+	chained bool
+	then    Duration
 }
 
 // PanicError wraps a panic raised inside a process body so that Run can
@@ -216,11 +220,25 @@ func (p *Proc) Charge(d Duration) {
 	}
 	sh := p.sh
 	sh.checkRunning(p, "Charge")
-	sh.chargedTotal += d
-	if sh.probe != nil {
-		sh.probe.Charged(p, sh.now, d)
+	if !sh.charge(p, d) {
+		sh.yieldToKernel(p)
 	}
-	sh.atProc(sh.now.Add(d), p)
+}
+
+// ChargeSeq is exactly Charge(a); Charge(b) for a caller that does nothing
+// in between: when a's resume surfaces, the kernel loop arms b on p's
+// behalf (see Shard.loop) and p is switched to once, after both.
+func (p *Proc) ChargeSeq(a, b Duration) {
+	if a < 0 || b < 0 {
+		panic("sim: negative charge")
+	}
+	sh := p.sh
+	sh.checkRunning(p, "ChargeSeq")
+	if sh.charge(p, a) {
+		p.Charge(b)
+		return
+	}
+	p.chained, p.then = true, b
 	sh.yieldToKernel(p)
 }
 

@@ -87,21 +87,82 @@ func BenchmarkDispatchPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchSelfResume measures the live-stack fast path: a lone
-// charging process pops its own resume event and continues inline, with
-// no coroutine switch at all.
-func BenchmarkDispatchSelfResume(b *testing.B) {
+// runAllocFree times e.Run and fails the benchmark if the run allocated:
+// no charge grade makes garbage. The slack is for the runtime's own strays.
+func runAllocFree(b *testing.B, e *Engine) {
+	b.Helper()
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > 16+uint64(b.N)/100 {
+		b.Fatalf("%d allocations over %d charges, want none", n, b.N)
+	}
+}
+
+// benchLoneCharger is a lone process that only charges: nothing is ever
+// due before its resume.
+func benchLoneCharger(b *testing.B, queueOnly bool) {
 	e := New(1)
 	defer e.Shutdown()
+	e.Shard(0).queueOnly = queueOnly
 	e.Spawn("solo", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Charge(Microsecond)
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+	runAllocFree(b, e)
+	if h := e.Handoffs(); h != 1 {
+		b.Fatalf("%d handoffs, want the spawn's alone", h)
+	}
+}
+
+// BenchmarkChargeInPlace measures the cheapest charge: the clock advances
+// on the live stack, no event, no loop.
+func BenchmarkChargeInPlace(b *testing.B) { benchLoneCharger(b, false) }
+
+// BenchmarkChargeQueued measures the same charge taking the queue — a
+// pooled event pushed, popped and found to be the caller's own — which is
+// what it costs whenever anything is due at or before the resume.
+func BenchmarkChargeQueued(b *testing.B) { benchLoneCharger(b, true) }
+
+// BenchmarkChargeSeq measures a pair of charges against a second process
+// charging out of phase, as ChargeSeq (the kernel arms the second charge
+// and a handoff becomes an inline event) and as two Charges.
+func BenchmarkChargeSeq(b *testing.B) {
+	for _, chain := range []bool{true, false} {
+		name := "two-charges"
+		if chain {
+			name = "chain"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := New(1)
+			defer e.Shutdown()
+			done := false
+			e.Spawn("p", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					if chain {
+						p.ChargeSeq(10, 10)
+					} else {
+						p.Charge(10)
+						p.Charge(10)
+					}
+				}
+				done = true
+			})
+			e.Spawn("q", func(q *Proc) {
+				for q.Charge(5); !done; {
+					q.Charge(10)
+				}
+			})
+			runAllocFree(b, e)
+			b.ReportMetric(float64(e.Handoffs())/float64(b.N), "handoffs/op")
+		})
 	}
 }
 

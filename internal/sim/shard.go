@@ -43,6 +43,10 @@ type Shard struct {
 	// or Action). It ends the run and is re-raised from Run/RunUntil on
 	// the caller's goroutine.
 	kernelPanic any
+	// queueOnly keeps every charge on the queue: set on the shards of a
+	// sharded engine, whose span gate must see each event to publish the
+	// shard's clock, and by this package's tests for a reference run.
+	queueOnly bool
 
 	// Stats counters, cheap enough to keep always-on.
 	events     uint64
@@ -188,6 +192,35 @@ func (sh *Shard) AtDelivery(t Time, key uint64, a Action) {
 // atProc schedules the resumption of p at time t without any closure.
 func (sh *Shard) atProc(t Time, p *Proc) { sh.schedule(t, classNormal, 0, evProc, nil, nil, p) }
 
+// charge is p's half of Charge(d), done by p or, for the second leg of a
+// ChargeSeq, by the kernel loop: account d and arrange the resume at now+d.
+// It reports false when the resume was queued, so p must now be suspended.
+// A resume that would be the very next event popped — nothing pending at or
+// before it (a tie goes to the queued event's lower seq), inside the
+// deadline, no stop or shutdown — happens in place: same seq, no event.
+func (sh *Shard) charge(p *Proc, d Duration) bool {
+	sh.chargedTotal += d
+	if sh.probe != nil {
+		sh.probe.Charged(p, sh.now, d)
+	}
+	t := sh.now.Add(d)
+	if h := sh.heap.first(); sh.queueOnly || sh.stopped || sh.killing || t > sh.deadline || h != nil && h.at <= t {
+		sh.atProc(t, p)
+		return false
+	}
+	sh.seq++
+	if sh.tracing() {
+		sh.traceYield(p)
+	}
+	sh.now = t
+	sh.events++
+	sh.dispatches++
+	if sh.tracing() {
+		sh.traceResume(p)
+	}
+	return true
+}
+
 // AtTimer is At returning a cancellable handle. Timers are plain values
 // (the cancellation state lives in the event, guarded by its recycle
 // generation), so arming a timer costs no allocation.
@@ -283,10 +316,21 @@ func (sh *Shard) loop(self *Proc) bool {
 				panic("sim: dispatch while a process is running")
 			}
 			sh.dispatches++
-			sh.running = p
 			if sh.tracing() {
 				sh.traceResume(p)
 			}
+			if p.chained {
+				// ChargeSeq: p would only charge again, so do that here and
+				// switch to it once, when the second resume surfaces.
+				p.chained = false
+				if !sh.charge(p, p.then) {
+					if sh.tracing() {
+						sh.traceYield(p)
+					}
+					continue
+				}
+			}
+			sh.running = p
 			if p == self {
 				return true
 			}

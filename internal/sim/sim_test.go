@@ -24,6 +24,27 @@ func TestKernelCallbackOrdering(t *testing.T) {
 	}
 }
 
+// TestMicrosRounds: a cost written to two decimals is that many tens of
+// nanoseconds, whatever its binary fraction; truncation lost one from 590
+// of these values (2.01, 8.03, ...).
+func TestMicrosRounds(t *testing.T) {
+	bad := 0
+	for i := 1; i <= 100000; i++ {
+		us := float64(i) / 100
+		if want := time.Duration(i) * 10; Micros(us) != want || Micros(-us) != -want {
+			if bad++; bad <= 5 {
+				t.Errorf("Micros(±%v) = %d, %d; want ±%d", us, Micros(us), Micros(-us), want)
+			}
+		}
+	}
+	if bad > 5 {
+		t.Errorf("%d of 100000 two-decimal values are off", bad)
+	}
+	if Micros(0) != 0 || Micros(0.0004) != 0 || Micros(0.0005) != 1 || Micros(-0.0005) != -1 {
+		t.Errorf("halves do not round away from zero: %d %d %d", Micros(0.0004), Micros(0.0005), Micros(-0.0005))
+	}
+}
+
 func TestChargeAdvancesTime(t *testing.T) {
 	e := New(1)
 	var at1, at2 Time

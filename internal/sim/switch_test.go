@@ -20,8 +20,8 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestShutdownLeavesNoGoroutines: Shutdown is synchronous. Every process
-// coroutine — pooled worker, parked, mid-charge, step-waiting, never
-// dispatched — is gone when it returns, not whenever the Go scheduler next
+// coroutine — pooled worker, parked, mid-charge, mid-ChargeSeq, step-waiting,
+// never dispatched — is gone when it returns, not whenever the Go scheduler next
 // gets to it, so the goroutine count is back where it was before New with
 // no settling time.
 // A sharded engine's window runners are ordinary goroutines: Shutdown
@@ -54,6 +54,9 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				sh.Spawn("parked", func(p *Proc) { p.Park() })
 				sh.Spawn("charging", func(p *Proc) { p.ChargeInterruptible(Second) })
 				sh.Spawn("polling", func(p *Proc) { p.StepWait(Micros(1)) })
+				// Mid-chain, in the first charge and in the kernel-armed second.
+				sh.Spawn("chaining", func(p *Proc) { p.ChargeSeq(Second, Micros(1)) })
+				sh.Spawn("chained", func(p *Proc) { p.ChargeSeq(Micros(1), Second) })
 			}
 			if err := e.RunUntil(Time(Micros(50))); err != nil {
 				t.Fatal(err)

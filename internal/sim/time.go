@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -19,9 +20,10 @@ const (
 )
 
 // Micros converts a (possibly fractional) number of microseconds into a
-// duration. It is the unit used throughout the CM-5 cost model.
+// duration, rounded to the nearest nanosecond (2.01 is 2010 ns, not 2009).
+// It is the unit used throughout the CM-5 cost model.
 func Micros(us float64) time.Duration {
-	return time.Duration(us * float64(time.Microsecond))
+	return time.Duration(math.Round(us * float64(time.Microsecond)))
 }
 
 // Add returns the time d after t.
