@@ -240,14 +240,15 @@ func BenchmarkRingStorm(b *testing.B) {
 }
 
 // kernelCounts is what a run cost the simulation (events, charged: exact
-// and engine-independent) and the host (handoffs: coroutine switches).
+// and engine-independent) and the host (handoffs: dispatches that crossed
+// coroutines; switches: the next and yield calls that took).
 type kernelCounts struct {
-	events, handoffs uint64
-	charged          sim.Duration
+	events, handoffs, switches uint64
+	charged                    sim.Duration
 }
 
 func countsOf(eng *sim.Engine) kernelCounts {
-	return kernelCounts{eng.Events(), eng.Handoffs(), eng.Charged()}
+	return kernelCounts{eng.Events(), eng.Handoffs(), eng.Switches(), eng.Charged()}
 }
 
 // nullLoopCounts is nullRPC's loop — Table 1's null call against an idle
@@ -284,7 +285,7 @@ func nullLoopCounts(t *testing.T, mode rpc.Mode, busyServer bool, trips int) ker
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kernelCounts{after.events - before.events, after.handoffs - before.handoffs, after.charged - before.charged}
+	return kernelCounts{after.events - before.events, after.handoffs - before.handoffs, after.switches - before.switches, after.charged - before.charged}
 }
 
 // TestHandoffBudget locks the switch count of the message path in the way
@@ -292,8 +293,11 @@ func nullLoopCounts(t *testing.T, mode rpc.Mode, busyServer bool, trips int) ker
 // kv cell, Events and Charged are the simulation's and equal the constants
 // read off the kernel that queued every charge and switched to a process
 // between a packet's ejection and its handler dispatch; Handoffs may not
-// exceed what one switch per polled message leaves. A change that brings a
-// switch per message back fails here, not only in the benchmark.
+// exceed what one switch per polled message leaves, nor Switches what a
+// handoff costs when the holder of the kernel calls the next process
+// itself: one each on the null rows, where every handoff returns the way it
+// came, against two by way of the trampoline. A change that brings a switch
+// per message back, or the hop home, fails here, not only in the benchmark.
 func TestHandoffBudget(t *testing.T) {
 	const trips = 1000
 	for _, tc := range []struct {
@@ -301,20 +305,22 @@ func TestHandoffBudget(t *testing.T) {
 		mode rpc.Mode
 		busy bool
 		// events and charged exact; handoffs a ceiling, 2 per call below
-		// the parent's on the busy rows (10, 12) and 997 on the kv cell (7890)
+		// PR 18's on the busy rows (10, 12) and 997 on the kv cell (7890);
+		// switches a ceiling, half the trampoline's 2 per handoff on the null
+		// rows and 4664 below it on the kv cell
 		want kernelCounts
 	}{
-		{"null ORPC, idle server", rpc.ORPC, false, kernelCounts{12 * trips, 2 * trips, trips * sim.Micros(9)}},
-		{"null ORPC, busy server", rpc.ORPC, true, kernelCounts{32 * trips, 8 * trips, trips * sim.Micros(18.5)}},
-		{"null TRPC, idle server", rpc.TRPC, false, kernelCounts{15 * trips, 4 * trips, trips * sim.Micros(16)}},
-		{"null TRPC, busy server", rpc.TRPC, true, kernelCounts{38 * trips, 10 * trips, trips * sim.Micros(78.4)}},
+		{"null ORPC, idle server", rpc.ORPC, false, kernelCounts{12 * trips, 2 * trips, 2 * trips, trips * sim.Micros(9)}},
+		{"null ORPC, busy server", rpc.ORPC, true, kernelCounts{32 * trips, 8 * trips, 8 * trips, trips * sim.Micros(18.5)}},
+		{"null TRPC, idle server", rpc.TRPC, false, kernelCounts{15 * trips, 4 * trips, 4 * trips, trips * sim.Micros(16)}},
+		{"null TRPC, busy server", rpc.TRPC, true, kernelCounts{38 * trips, 10 * trips, 10 * trips, trips * sim.Micros(78.4)}},
 	} {
 		got := nullLoopCounts(t, tc.mode, tc.busy, trips)
 		if got.events != tc.want.events || got.charged != tc.want.charged {
 			t.Errorf("%s: %d events, %v charged; the simulation is %d and %v", tc.name, got.events, got.charged, tc.want.events, tc.want.charged)
 		}
-		if got.handoffs > tc.want.handoffs {
-			t.Errorf("%s: %d handoffs over %d calls, budget %d", tc.name, got.handoffs, trips, tc.want.handoffs)
+		if got.handoffs > tc.want.handoffs || got.switches > tc.want.switches {
+			t.Errorf("%s: %d handoffs, %d switches over %d calls, budget %d and %d", tc.name, got.handoffs, got.switches, trips, tc.want.handoffs, tc.want.switches)
 		}
 	}
 
@@ -326,11 +332,11 @@ func TestHandoffBudget(t *testing.T) {
 	if _, _, err := kv.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, want := countsOf(eng), kernelCounts{12196, 6893, sim.Micros(20335.8)}
+	got, want := countsOf(eng), kernelCounts{12196, 6893, 9122, sim.Micros(20335.8)}
 	if got.events != want.events || got.charged != want.charged {
 		t.Errorf("kv quick cell: %d events, %v charged; the simulation is %d and %v", got.events, got.charged, want.events, want.charged)
 	}
-	if got.handoffs > want.handoffs {
-		t.Errorf("kv quick cell: %d handoffs, budget %d", got.handoffs, want.handoffs)
+	if got.handoffs > want.handoffs || got.switches > want.switches {
+		t.Errorf("kv quick cell: %d handoffs, %d switches, budget %d and %d", got.handoffs, got.switches, want.handoffs, want.switches)
 	}
 }

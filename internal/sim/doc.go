@@ -16,13 +16,16 @@
 // when its own event surfaces (a Charge with nothing due before its resume
 // skips even that, advancing the clock in place, and ChargeSeq has the loop
 // arm a second charge itself). When another process's event surfaces
-// instead, it records that process in Shard.pending and switches to the
-// shard's trampoline — the goroutine that called Run, or the shard's span
-// runner — which switches on to it. That is the one invariant: one
-// trampoline per shard, and the kernel role moves by coroutine switch,
-// never through a channel or the Go scheduler. Finished processes park
-// their coroutine on a free list for reuse by Spawn, and Shutdown ends
-// every coroutine before it returns.
+// instead, it records that process in Shard.pending and resumes it by
+// calling its next, staying suspended in that call until the process
+// yields — or, if that process is itself waiting in such a call, yields so
+// that the unwind reaches it (Shard.relay). That is the one invariant: one
+// resume chain per shard — at its root the trampoline, the goroutine that
+// called Run or the shard's span runner; at its tip the holder of the
+// kernel role; empty whenever Run or a span has returned — and the kernel
+// role moves by coroutine switch, never through a channel or the Go
+// scheduler. Finished processes park their coroutine on a free list for
+// reuse by Spawn, and Shutdown ends every coroutine before it returns.
 //
 // The switch mechanism is invisible to the simulation: the order in which
 // events leave the queue is the schedule, and nothing about how control

@@ -105,6 +105,7 @@ type Engine struct {
 	gmu     sync.Mutex
 
 	stopFlag atomic.Bool
+	inRun    bool // Run or RunUntil in progress: Shutdown refuses
 
 	runnersStarted bool
 	runners        sync.WaitGroup // the span runners; Shutdown waits for them
@@ -266,14 +267,25 @@ func (e *Engine) Dispatches() uint64 {
 	return n
 }
 
-// Handoffs reports how many dispatches crossed coroutines (one switch to
-// the shard's trampoline and one out of it). Dispatches minus Handoffs is
-// the number of resumes that cost no switch: served by a process to itself
-// on its live stack, or re-armed by the kernel loop (ChargeSeq).
+// Handoffs reports how many dispatches crossed coroutines (one switch or an
+// unwind, see Switches). Dispatches minus Handoffs is the number of resumes
+// that cost no switch: served by a process to itself on its live stack, or
+// re-armed by the kernel loop (ChargeSeq).
 func (e *Engine) Handoffs() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
 		n += sh.handoffs
+	}
+	return n
+}
+
+// Switches reports the coroutine switches made so far, Shutdown's aside:
+// every next and yield call (see Shard.relay). One per handoff while
+// control keeps returning the way it went; never more than two.
+func (e *Engine) Switches() uint64 {
+	var n uint64
+	for _, sh := range e.shards {
+		n += sh.switches
 	}
 	return n
 }
@@ -447,10 +459,8 @@ type killedSentinel struct{}
 // (spawn) order, so shutdown-time tracer output is deterministic run to
 // run and shard-count-independent for processes spawned at setup.
 func (e *Engine) Shutdown() {
-	for _, sh := range e.shards {
-		if sh.running != nil {
-			panic("sim: Shutdown from inside the simulation")
-		}
+	if e.inRun {
+		panic("sim: Shutdown from inside the simulation")
 	}
 	if e.runnersStarted {
 		for _, sh := range e.shards {
@@ -495,34 +505,31 @@ func (e *Engine) finishRun() error {
 	return nil
 }
 
+// runTo executes events with timestamps <= deadline on every shard.
+func (e *Engine) runTo(deadline Time) {
+	e.inRun = true
+	defer func() { e.inRun = false }()
+	if !e.sharded() {
+		e.shards[0].deadline = deadline
+		e.shards[0].runKernel()
+		return
+	}
+	e.runSpans(deadline)
+}
+
 // Run executes events until every heap is empty, Stop is called, or a
 // process panics. It returns the first process failure, if any. A
 // non-empty set of parked processes with an empty heap is quiescence, not
 // an error; callers that consider it a deadlock can check Live.
 func (e *Engine) Run() error {
-	if !e.sharded() {
-		sh := e.shards[0]
-		sh.deadline = maxTime
-		sh.runKernel()
-		return e.finishRun()
-	}
-	e.runSpans(maxTime)
+	e.runTo(maxTime)
 	return e.finishRun()
 }
 
 // RunUntil executes events with timestamps <= deadline. It returns the
 // first process failure, if any.
 func (e *Engine) RunUntil(deadline Time) error {
-	if !e.sharded() {
-		sh := e.shards[0]
-		sh.deadline = deadline
-		sh.runKernel()
-		if sh.now < deadline && sh.failure == nil && sh.kernelPanic == nil {
-			sh.now = deadline
-		}
-		return e.finishRun()
-	}
-	e.runSpans(deadline)
+	e.runTo(deadline)
 	for _, sh := range e.shards {
 		if sh.now < deadline && sh.failure == nil && sh.kernelPanic == nil {
 			sh.now = deadline

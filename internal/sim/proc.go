@@ -23,9 +23,9 @@ type Duration = time.Duration
 type Proc struct {
 	sh   *Shard
 	name string
-	// The process is an iter.Pull coroutine. Only the shard's trampoline
-	// (and Shutdown) calls next, which switches onto the process's stack;
-	// yield, called on that stack, switches back. stop ends a coroutine
+	// The process is an iter.Pull coroutine. Only Shard.relay (and Shutdown)
+	// calls next, which switches onto the process's stack; yield, called on
+	// that stack, switches back to that caller. stop ends a coroutine
 	// suspended in yield. None of them involves the Go scheduler.
 	next     func() (struct{}, bool)
 	stop     func()
@@ -34,6 +34,7 @@ type Proc struct {
 	runner   Runner        // SpawnRunner's body and name, in place of body and name
 	parked   bool
 	dead     bool
+	calling  bool // inside relay's next call: un-resumable until it returns
 	id       uint64
 	slot     int   // index in the shard's live-proc table
 	nextFree *Proc // free-list link while pooled
@@ -120,8 +121,8 @@ func (sh *Shard) spawn(name string, body func(p *Proc), r Runner) *Proc {
 // procLoop is the lifetime of a worker coroutine: one process incarnation
 // per iteration. After a body returns, the coroutine — which at that
 // moment holds the kernel role the dead process gave up — parks its Proc
-// for reuse, keeps firing events until the kernel role moves on, then
-// yields to the trampoline until a later Spawn's dispatch resumes it.
+// for reuse, keeps firing events until the kernel role moves on, relays it,
+// then yields to its caller until a later Spawn's dispatch resumes it.
 func (p *Proc) procLoop(yield func(struct{}) bool) {
 	sh := p.sh
 	p.yield = yield
@@ -131,14 +132,17 @@ func (p *Proc) procLoop(yield func(struct{}) bool) {
 			return // Shutdown dispatched us to unwind: finish the coroutine
 		}
 		// Pool the proc before continuing as the kernel: the free list
-		// is only ever touched by the kernel-role holder. A respawn and
-		// dispatch within our own tenure leaves us in sh.pending, and
-		// the trampoline switches straight back here.
+		// is only ever touched by the kernel-role holder. A respawn
+		// dispatched within our own tenure, or while we wait in relay,
+		// leaves us in sh.pending, and relay says to run it.
 		sh.running = nil
 		sh.releaseProc(p)
 		sh.loop(nil)
-		if !yield(struct{}{}) {
-			return // Shutdown drained the worker pool
+		if !sh.relay(p) {
+			sh.switches++
+			if !yield(struct{}{}) {
+				return // Shutdown drained the worker pool
+			}
 		}
 	}
 }

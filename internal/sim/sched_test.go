@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -57,15 +58,17 @@ func TestDispatchCounters(t *testing.T) {
 		t.Fatalf("dispatches = %d, want %d", got, rounds+1)
 	}
 	// Only the spawn dispatch is a switch (Run's trampoline switches onto
-	// the proc); every charge resume is served in place.
-	if got := e.Handoffs(); got != 1 {
-		t.Fatalf("handoffs = %d, want 1 (self-resumes must be inline)", got)
+	// the proc); every charge resume is served in place. The second switch
+	// is the yield that ends the run.
+	if h, s := e.Handoffs(), e.Switches(); h != 1 || s != 2 {
+		t.Fatalf("handoffs/switches = %d/%d, want 1/2 (self-resumes must be inline)", h, s)
 	}
 }
 
 // BenchmarkDispatchPingPong measures the cost of a process switch: two
 // processes charge in lockstep, so every dispatch hands the kernel role
-// to the other process's coroutine by way of the trampoline.
+// to the other process's coroutine — the first calls the second's next, the
+// second yields back: one switch a dispatch.
 func BenchmarkDispatchPingPong(b *testing.B) {
 	e := New(1)
 	defer e.Shutdown()
@@ -84,6 +87,38 @@ func BenchmarkDispatchPingPong(b *testing.B) {
 	b.StopTimer()
 	if d := e.Dispatches(); d > 0 {
 		b.ReportMetric(float64(e.Handoffs())/float64(d), "handoffs/dispatch")
+		b.ReportMetric(float64(e.Switches())/float64(d), "switches/dispatch")
+	}
+}
+
+// BenchmarkDispatchRing is the resume chain's worst case: n tickers in
+// strict rotation, so control never returns the way it went. The first
+// ticker of a round is reached by unwinding the whole chain and every other
+// by a call: 2 - 2/n switches a handoff, against the two a trampoline makes
+// of every handoff, and a chain n deep.
+func BenchmarkDispatchRing(b *testing.B) {
+	for _, n := range []int{2, 8, 64, 1024, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := New(1)
+			defer e.Shutdown()
+			rounds := b.N/n + 1
+			for i := 0; i < n; i++ {
+				e.Spawn("ticker", func(p *Proc) {
+					for r := 0; r < rounds; r++ {
+						p.Charge(Microsecond)
+					}
+				})
+			}
+			// Start the coroutines and fill the queue outside the timer.
+			if err := e.RunUntil(0); err != nil {
+				b.Fatal(err)
+			}
+			h0, s0 := e.Handoffs(), e.Switches()
+			runAllocFree(b, e)
+			h := float64(e.Handoffs() - h0)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/h, "ns/handoff")
+			b.ReportMetric(float64(e.Switches()-s0)/h, "switches/handoff")
+		})
 	}
 }
 

@@ -27,9 +27,10 @@ type Shard struct {
 	free    *event // recycled events (shard-local: no locking)
 	running *Proc
 	// pending is the process the kernel loop dispatched onto another
-	// coroutine: the loop's holder sets it and switches to the trampoline
-	// (runKernel), which clears it and switches on. Nil when a tenure
-	// ended the run or span instead.
+	// coroutine. relay clears it when it resumes that process, or when the
+	// process finds itself there; it survives an unwind in between. Nil when
+	// a tenure ended the run or span instead, and whenever simulation code
+	// runs.
 	pending  *Proc
 	deadline Time // event horizon of the current run (sequential engine)
 	tracer   Tracer
@@ -52,6 +53,8 @@ type Shard struct {
 	events     uint64
 	dispatches uint64
 	handoffs   uint64
+	switches   uint64 // coroutine switches: every next and yield call
+	depth      int    // of the resume chain: next calls in progress
 	elided     uint64 // of events: credited by a StepWake, never executed
 	// chargedTotal accumulates every completed virtual-CPU charge; the
 	// virtual-time profiler checks its totals against this.
@@ -274,8 +277,8 @@ func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
 // failure, or a kernel-callback panic — or a process is dispatched. It
 // reports true when that process is self, whose caller then continues
 // straight back into process context on the live stack with zero
-// switches. Any other process is left in sh.pending for the trampoline,
-// to which the caller must now switch (or, being it, return).
+// switches. Any other process is left in sh.pending, for the caller to
+// relay.
 func (sh *Shard) loop(self *Proc) bool {
 	for {
 		if o := sh.opt; o != nil {
@@ -360,34 +363,70 @@ func (sh *Shard) fireCallback(fn func(), act Action) {
 	}
 }
 
-// runKernel is the shard's trampoline: it starts a kernel tenure on the
-// calling goroutine and then switches onto whichever process the loop
-// dispatched, again and again, until a tenure ends the run (or span)
-// instead of dispatching. Every process switch in the shard is one
-// coroutine switch out of here and one back.
+// runKernel is the shard's trampoline, the root of its resume chain: it
+// starts a kernel tenure on the calling goroutine and relays whatever the
+// loop dispatched until a tenure has ended the run (or span) and the chain
+// has unwound back here.
 func (sh *Shard) runKernel() {
 	sh.loop(nil)
-	for sh.pending != nil {
+	sh.relay(nil)
+}
+
+// maxChain bounds the resume chain: a holder that deep yields and its caller
+// makes the call, the trampoline's two switches, so an unwind never walks
+// more cold stacks than this. Unbounded, BenchmarkDispatchRing — control
+// never returns — read 10 % (n=64), 8 % (1024) and 20 % (16384) more
+// ns/handoff than the trampoline in 5 of 5 alternating runs; at 16 all three
+// are level and the six benchmark workloads switch as often as unbounded to
+// within 0.4 % (at 8 apps_quick switches 27 % more often).
+const maxChain = 16
+
+// relay ends a kernel tenure held by c's coroutine (nil: the trampoline) by
+// passing control to sh.pending. A process suspended in yield is resumed by
+// calling its next: c stays in that call, marked calling, until the process
+// yields, then looks at pending again. relay reports true when pending is c
+// itself, which simply runs, and false when c must yield to its own caller,
+// which repeats the test: the run or span is over (nil), c is maxChain deep,
+// or pending is calling — it sits further down this chain of calls — and
+// stays set until the unwind reaches it.
+func (sh *Shard) relay(c *Proc) bool {
+	for {
 		p := sh.pending
+		if p == nil || p.calling || p != c && sh.depth == maxChain {
+			return false
+		}
 		sh.pending = nil
+		if p == c {
+			return true
+		}
+		if c != nil {
+			c.calling = true
+		}
+		sh.switches++
+		sh.depth++
 		p.next()
+		sh.depth--
+		if c != nil {
+			c.calling = false
+		}
 	}
 }
 
 // yieldToKernel hands control from the running process to the kernel: the
 // process's own coroutine becomes the kernel and keeps firing events in
 // place. It returns when the process is next dispatched — directly, when
-// its own resume event surfaces during its tenure (no switch at all), or
-// after switching to the trampoline, which switches back whenever some
-// later tenure dispatches it. If the engine is being shut down when
-// control returns, the process unwinds via the kill sentinel, which the
-// spawn wrapper recovers.
+// its own resume event surfaces during its tenure or during one it was
+// waiting out inside relay (no switch at all), or after yielding to its
+// caller, when some later holder calls its next. If the engine is being
+// shut down when control returns, the process unwinds via the kill
+// sentinel, which the spawn wrapper recovers.
 func (sh *Shard) yieldToKernel(p *Proc) {
 	if sh.tracing() {
 		sh.traceYield(p)
 	}
 	sh.running = nil
-	if !sh.loop(p) {
+	if !sh.loop(p) && !sh.relay(p) {
+		sh.switches++
 		p.yield(struct{}{})
 	}
 	if sh.killing {

@@ -86,7 +86,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 // TestRespawnWithinPostExitTenure: a finished process's coroutine keeps
 // the kernel role; a callback it fires respawns onto its own pooled Proc,
 // and the loop it is running dispatches that Proc. The coroutine must find
-// itself in sh.pending, bounce off the trampoline and run the new body.
+// itself in sh.pending and run the new body: a handoff, but no switch.
 func TestRespawnWithinPostExitTenure(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		e := New(1)
@@ -110,11 +110,53 @@ func TestRespawnWithinPostExitTenure(t *testing.T) {
 		if !ran {
 			t.Fatal("respawned body did not run")
 		}
-		// first, second, and second's charge resume (inline).
-		if d, h := e.Dispatches(), e.Handoffs(); d != 3 || h != 2 {
-			t.Fatalf("dispatches/handoffs = %d/%d, want 3/2", d, h)
+		// first, second, and second's charge resume (inline); the only
+		// switches are the trampoline's next and the yield that ends the run.
+		if d, h, s := e.Dispatches(), e.Handoffs(), e.Switches(); d != 3 || h != 2 || s != 2 {
+			t.Fatalf("dispatches/handoffs/switches = %d/%d/%d, want 3/2/2", d, h, s)
 		}
 	})
+}
+
+// TestShutdownFromCallbackPanics: Shutdown from inside Run is refused before
+// anything is killed, from a kernel callback as from a process — the
+// coroutine holding the kernel, and every one below it in the chain, cannot
+// be resumed to unwind. Run re-raises the callback's panic; the engine is
+// intact, and a Shutdown from outside then reaps it.
+func TestShutdownFromCallbackPanics(t *testing.T) {
+	for _, cfg := range []ShardConfig{{Shards: 1}, {Shards: 2}} {
+		runners := 0
+		if cfg.Shards > 1 {
+			runners = cfg.Shards // may still be on their way out, as above
+		}
+		before := runtime.NumGoroutine()
+		e := NewShardedConfig(1, cfg)
+		newToyNet(e, e.Shards(), Micros(2), 0)
+		for i := 0; i < 2; i++ {
+			e.Spawn("ticker", func(p *Proc) {
+				for {
+					p.Charge(Micros(1))
+				}
+			})
+		}
+		e.After(Micros(2.5), e.Shutdown)
+		func() {
+			defer func() {
+				if r := recover(); r != "sim: Shutdown from inside the simulation" {
+					t.Fatalf("%+v: recovered %v, want the sim's refusal", cfg, r)
+				}
+			}()
+			e.Run()
+			t.Fatalf("%+v: Run returned instead of re-raising the refusal", cfg)
+		}()
+		if e.Live() != 2 {
+			t.Fatalf("%+v: live = %d after the refused Shutdown, want 2", cfg, e.Live())
+		}
+		e.Shutdown()
+		if after := runtime.NumGoroutine(); after > before+runners || e.Live() != 0 {
+			t.Fatalf("%+v: %d goroutines after Shutdown, %d before New; live = %d", cfg, after, before, e.Live())
+		}
+	}
 }
 
 // TestShutdownUnwindsEveryState: Shutdown unwinds a process suspended in
@@ -247,9 +289,11 @@ func TestRunUntilResumesSameCoroutines(t *testing.T) {
 				t.Fatalf("after call %d: %d goroutines, %d after the first", call, n, goroutines)
 			}
 		}
-		// The two tickers alternate, so every dispatch is a handoff.
-		if d, h := e.Dispatches(), e.Handoffs(); d != 102 || h != d {
-			t.Fatalf("dispatches/handoffs = %d/%d, want 102/102", d, h)
+		// The two tickers alternate, so every dispatch is a handoff, and one
+		// switch: the second ticker's next or its yield back to the first.
+		// Each deadline unwinds both.
+		if d, h, s := e.Dispatches(), e.Handoffs(), e.Switches(); d != 102 || h != d || s != h+5*2 {
+			t.Fatalf("dispatches/handoffs/switches = %d/%d/%d, want 102/102/112", d, h, s)
 		}
 	})
 }
