@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -308,5 +310,49 @@ func TestSmokeChaos(t *testing.T) {
 	}
 	if strings.Contains(got, "NO") {
 		t.Errorf("a chaos row failed validation:\n%s", got)
+	}
+}
+
+// TestMaxPFloor: -maxp truncates the sweeps, not the chaos experiment's
+// one fixed machine — whose crash, partition and flap rows remove the
+// last tsp slave and need a second to finish. Below that floor the whole
+// suite still exits 0 and the chaos table says the flag was overridden;
+// at the floor nothing is said and the output is the pinned one.
+func TestMaxPFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick suite twice")
+	}
+	for _, maxp := range []string{"1", "2"} {
+		var out, errb bytes.Buffer
+		if code := realMain([]string{"-quick", "-maxp", maxp, "all"}, &out, &errb); code != 0 {
+			t.Fatalf("-maxp %s all: exit %d, stderr:\n%s", maxp, code, errb.String())
+		}
+		if want := "note: -maxp " + maxp + " is below this sweep's floor: tsp ran on 2 slaves"; !strings.Contains(out.String(), want) {
+			t.Errorf("-maxp %s all: chaos table lacks %q", maxp, want)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-quick", "-maxp", "3", "chaos"}, &out, &errb); code != 0 {
+		t.Fatalf("-maxp 3 chaos: exit %d, stderr:\n%s", code, errb.String())
+	}
+	const want = "2ece5cfc36f6e6ddcd233a4b86f4c0fc8031cf5dd240dbd643cfe42e72dd4e4b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
+		t.Errorf("-maxp 3 chaos: stdout sha256 %s, want %s:\n%s", got, want, out.String())
+	}
+}
+
+// TestTable2FromFig2: table2 is a view of Figure 2's rows — asked for
+// after fig2 it reuses them, alone it runs the sweep itself, and both
+// print the same table.
+func TestTable2FromFig2(t *testing.T) {
+	run := func(args ...string) string {
+		var out, errb bytes.Buffer
+		if code := realMain(append([]string{"-quick"}, args...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	if both, want := run("fig2", "table2"), run("fig2")+run("table2"); both != want {
+		t.Errorf("fig2 table2 printed:\n%s\nwant fig2 then table2:\n%s", both, want)
 	}
 }

@@ -170,6 +170,26 @@ func Service(c threads.Ctx, ep *am.Endpoint) {
 	}
 }
 
+// Hash is an FNV-1a accumulator over 64-bit words (the same idiom as the
+// machine's fault-trace hash): the applications fold their event records
+// and answers into one, so equal hashes across engines mean identical
+// decisions at identical virtual times. Start from HashInit.
+type Hash uint64
+
+// HashInit is the FNV-1a offset basis.
+const HashInit Hash = 14695981039346656037
+
+// Mix folds v into the hash, low byte first.
+func (h Hash) Mix(v uint64) Hash {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		h ^= Hash(v & 0xff)
+		h *= prime
+		v >>= 8
+	}
+	return h
+}
+
 // FillResult populates the statistics fields of r from a finished run's
 // universe and dispatch counters.
 func FillResult(r *Result, u *am.Universe, oams, successes uint64) {

@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/sim"
 )
 
@@ -62,37 +63,24 @@ func (ev Event) String() string {
 	}
 }
 
-// FNV-1a, the same idiom as the machine's fault-trace hash.
-func fnvInit() uint64 { return 14695981039346656037 }
-
-func fnvMix(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime
-		v >>= 8
-	}
-	return h
-}
-
 // RecordHash folds the per-server event records into one FNV-1a word:
 // equal hashes across shard counts mean every server made identical
 // lease decisions at identical virtual times.
 func RecordHash(records [][]Event) uint64 {
-	h := fnvInit()
+	h := apps.HashInit
 	for srv, rec := range records {
-		h = fnvMix(h, uint64(srv))
-		h = fnvMix(h, uint64(len(rec)))
+		h = h.Mix(uint64(srv))
+		h = h.Mix(uint64(len(rec)))
 		for _, ev := range rec {
-			h = fnvMix(h, uint64(ev.T))
-			h = fnvMix(h, uint64(ev.Kind))
-			h = fnvMix(h, uint64(ev.Key))
-			h = fnvMix(h, uint64(ev.Client))
-			h = fnvMix(h, uint64(ev.Epoch))
-			h = fnvMix(h, uint64(ev.Expiry))
+			h = h.Mix(uint64(ev.T))
+			h = h.Mix(uint64(ev.Kind))
+			h = h.Mix(uint64(ev.Key))
+			h = h.Mix(uint64(ev.Client))
+			h = h.Mix(uint64(ev.Epoch))
+			h = h.Mix(uint64(ev.Expiry))
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // CheckInvariants replays a run's statistics and event records and

@@ -844,21 +844,21 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	}
 	st.PerServer = make([]ServerCounts, cfg.Servers)
 	st.Records = make([][]Event, cfg.Servers)
-	answer := fnvInit()
+	answer := apps.HashInit
 	for i, s := range r.srvs {
 		keys := make([]uint32, 0, len(s.store))
 		for k := range s.store {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		answer = fnvMix(answer, uint64(i))
+		answer = answer.Mix(uint64(i))
 		for _, k := range keys {
 			ent := s.store[k]
 			s.n.VerSum += uint64(ent.ver)
-			answer = fnvMix(answer, uint64(k))
-			answer = fnvMix(answer, uint64(ent.ver))
-			answer = fnvMix(answer, uint64(uint32(ent.val)))
-			answer = fnvMix(answer, uint64(ent.lockEpoch))
+			answer = answer.Mix(uint64(k))
+			answer = answer.Mix(uint64(ent.ver))
+			answer = answer.Mix(uint64(uint32(ent.val)))
+			answer = answer.Mix(uint64(ent.lockEpoch))
 		}
 		s.n.Keys = len(s.store)
 		st.PerServer[i] = s.n
@@ -891,7 +891,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		System:  cfg.System,
 		Nodes:   nodes,
 		Elapsed: sim.Duration(elapsed),
-		Answer:  answer,
+		Answer:  uint64(answer),
 	}
 	apps.FillResult(&res, u, oams, succ)
 	return res, st, nil

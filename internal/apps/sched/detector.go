@@ -5,7 +5,7 @@ import "repro/internal/sim"
 // detector is a phi-accrual-style failure detector reduced to its
 // deterministic core: per agent it keeps an EWMA of heartbeat
 // interarrival times and reports suspicion as the ratio of the current
-// silence to that mean. Crossing Config.PhiThreshold declares the agent
+// silence to that mean. Crossing phiThreshold declares the agent
 // dead; any later heartbeat readmits it. Ratios of virtual-time integers
 // are exact enough here — there is no measurement noise to model, only
 // fault-plan-induced silence.

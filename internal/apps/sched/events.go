@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/sim"
 )
 
@@ -100,33 +101,20 @@ func (ev Event) String() string {
 	}
 }
 
-// FNV-1a, the same idiom as the machine's fault-trace hash.
-func fnvInit() uint64 { return 14695981039346656037 }
-
-func fnvMix(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime
-		v >>= 8
-	}
-	return h
-}
-
 // RecordHash folds an event record into one FNV-1a word: equal hashes
 // across shard counts mean the control plane made identical decisions at
 // identical virtual times.
 func RecordHash(rec []Event) uint64 {
-	h := fnvInit()
+	h := apps.HashInit
 	for _, ev := range rec {
-		h = fnvMix(h, uint64(ev.T))
-		h = fnvMix(h, uint64(ev.Kind))
-		h = fnvMix(h, uint64(int64(ev.Job)))
-		h = fnvMix(h, uint64(ev.Agent))
-		h = fnvMix(h, uint64(ev.Epoch))
-		h = fnvMix(h, uint64(ev.Why))
+		h = h.Mix(uint64(ev.T))
+		h = h.Mix(uint64(ev.Kind))
+		h = h.Mix(uint64(int64(ev.Job)))
+		h = h.Mix(uint64(ev.Agent))
+		h = h.Mix(uint64(ev.Epoch))
+		h = h.Mix(uint64(ev.Why))
 	}
-	return h
+	return uint64(h)
 }
 
 // CheckInvariants replays an event record and verifies the control

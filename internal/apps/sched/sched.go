@@ -32,8 +32,8 @@ import (
 
 // JobSpec is one job's resource demand and runtime.
 type JobSpec struct {
-	CPU int // cpu units, out of Config.AgentCPU per agent
-	Mem int // memory units, out of Config.AgentMem per agent
+	CPU int // cpu units, out of agentCPU per agent
+	Mem int // memory units, out of agentMem per agent
 	Dur sim.Duration
 }
 
@@ -79,39 +79,40 @@ type Probe interface {
 	CompletionRejected(t sim.Time, job, agent, epoch int)
 }
 
-// Config parameterizes a scheduler run.
+// Service parameters no caller varies.
+const (
+	// agentCPU / agentMem are each agent's resource inventory.
+	agentCPU = 8
+	agentMem = 16
+	// phiThreshold is the detector's suspicion threshold, in units of
+	// mean heartbeat interarrival.
+	phiThreshold = 8
+	// callTimeout is the per-attempt RPC deadline; callAttempts bounds
+	// idempotent retries per call.
+	callTimeout  = 1 * sim.Millisecond
+	callAttempts = 4
+	// tick is the scheduler control-loop period.
+	tick = 100 * sim.Microsecond
+	// maxTime aborts the run if virtual time exceeds it — a safety net
+	// against fault plans with no recovery path.
+	maxTime = sim.Time(60 * sim.Second)
+)
+
+// Config parameterizes a scheduler run. The reliable transport is always
+// attached, at its defaults; aborted handlers rerun.
 type Config struct {
 	Jobs  int       // job count when Specs is nil (default 16)
 	Specs []JobSpec // explicit job table; overrides Jobs
 	Seed  int64
 	apps.RunOptions
-	Strategy oam.Strategy
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
-	// Rel tunes the reliable transport, which is always attached.
-	Rel reliable.Options
-	// AgentCPU / AgentMem are each agent's resource inventory
-	// (defaults 8 and 16).
-	AgentCPU int
-	AgentMem int
 	// HeartbeatEvery is the agent heartbeat period (default 500 us).
 	HeartbeatEvery sim.Duration
-	// PhiThreshold is the detector's suspicion threshold, in units of
-	// mean heartbeat interarrival (default 8).
-	PhiThreshold float64
 	// LeaseTimeout reclaims a placed job with no accepted completion
 	// (default 20 ms — generous enough that a fully loaded agent's
 	// round-robin job slices finish in time on a clean network).
 	LeaseTimeout sim.Duration
-	// CallTimeout is the per-attempt RPC deadline (default 1 ms).
-	CallTimeout sim.Duration
-	// CallAttempts bounds idempotent retries per call (default 4).
-	CallAttempts int
-	// Tick is the scheduler control-loop period (default 100 us).
-	Tick sim.Duration
-	// MaxTime aborts the run if virtual time exceeds it (default 60 s) —
-	// a safety net against fault plans with no recovery path.
-	MaxTime sim.Time
 	// Probe, when set, receives control-plane transitions.
 	Probe Probe
 }
@@ -120,32 +121,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 16
 	}
-	if cfg.AgentCPU <= 0 {
-		cfg.AgentCPU = 8
-	}
-	if cfg.AgentMem <= 0 {
-		cfg.AgentMem = 16
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = sim.Micros(500)
 	}
-	if cfg.PhiThreshold <= 0 {
-		cfg.PhiThreshold = 8
-	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = sim.Micros(20000)
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = sim.Micros(1000)
-	}
-	if cfg.CallAttempts <= 0 {
-		cfg.CallAttempts = 4
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = sim.Micros(100)
-	}
-	if cfg.MaxTime <= 0 {
-		cfg.MaxTime = sim.Time(60 * sim.Second)
 	}
 	return cfg
 }
@@ -331,7 +311,7 @@ const workSlice = 50 * sim.Microsecond
 //   - every message rides the reliable transport, so loss and
 //     duplication cost retransmits, not correctness;
 //   - agents heartbeat the scheduler's phi-style failure detector; an
-//     agent that falls silent past PhiThreshold mean intervals is
+//     agent that falls silent past phiThreshold mean intervals is
 //     declared dead and its leases migrate, and a heartbeat from a
 //     declared-dead agent readmits it;
 //   - leases expire: a placed job whose completion has not been accepted
@@ -352,10 +332,10 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 		if s.CPU < 1 || s.Mem < 0 || s.Dur <= 0 {
 			return apps.Result{}, Stats{}, fmt.Errorf("sched: job %d has invalid spec %+v", j, s)
 		}
-		if s.CPU > cfg.AgentCPU || s.Mem > cfg.AgentMem {
+		if s.CPU > agentCPU || s.Mem > agentMem {
 			return apps.Result{}, Stats{}, fmt.Errorf(
 				"sched: job %d (%d cpu, %d mem) exceeds the agent inventory (%d, %d)",
-				j, s.CPU, s.Mem, cfg.AgentCPU, cfg.AgentMem)
+				j, s.CPU, s.Mem, agentCPU, agentMem)
 		}
 	}
 
@@ -364,8 +344,8 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
-	tr := reliable.Attach(u, cfg.Rel)
-	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+	tr := reliable.Attach(u, reliable.Options{})
+	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: oam.Rerun, Cores: cfg.Cores}})
 
 	m := &master{
 		cfg:       cfg,
@@ -378,7 +358,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 		remaining: len(specs),
 	}
 	for i := 1; i <= agents; i++ {
-		m.books[i] = agentBook{freeCPU: cfg.AgentCPU, freeMem: cfg.AgentMem}
+		m.books[i] = agentBook{freeCPU: agentCPU, freeMem: agentMem}
 	}
 	for j := range specs {
 		m.queue = append(m.queue, j)
@@ -390,8 +370,8 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 			mu:      threads.NewMutex(u.Scheduler(i)),
 			node:    u.Endpoint(i).Node(),
 			ep:      u.Endpoint(i),
-			freeCPU: cfg.AgentCPU,
-			freeMem: cfg.AgentMem,
+			freeCPU: agentCPU,
+			freeMem: agentMem,
 			running: make(map[int]*runningJob),
 			seen:    make(map[placeKey]struct{}),
 		}
@@ -484,7 +464,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 		enc := rpc.NewEnc(8)
 		enc.U32(uint32(job))
 		enc.U32(uint32(epoch))
-		if _, err := complete.CallIdempotent(c, 0, enc.Bytes(), cfg.CallTimeout, cfg.CallAttempts); err != nil {
+		if _, err := complete.CallIdempotent(c, 0, enc.Bytes(), callTimeout, callAttempts); err != nil {
 			// The scheduler is unreachable: the lease will expire there
 			// and the job will migrate; this runner's work is lost.
 			a.mu.Lock(c)
@@ -556,7 +536,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 				m.mu.Lock(c)
 				now := c.P.Now()
 				for ag := 1; ag <= agents; ag++ {
-					if m.det.isAlive(ag) && m.det.phi(ag, now) >= cfg.PhiThreshold {
+					if m.det.isAlive(ag) && m.det.phi(ag, now) >= phiThreshold {
 						m.det.markDead(ag)
 						m.stats.DeadDeclared++
 						m.record(Event{T: now, Kind: EvDead, Job: -1, Agent: ag})
@@ -611,7 +591,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 					enc.U32(uint32(m.specs[in.job].CPU))
 					enc.U32(uint32(m.specs[in.job].Mem))
 					enc.I64(int64(m.specs[in.job].Dur))
-					res, err := place.CallIdempotent(c, in.agent, enc.Bytes(), cfg.CallTimeout, cfg.CallAttempts)
+					res, err := place.CallIdempotent(c, in.agent, enc.Bytes(), callTimeout, callAttempts)
 					if err == nil && rpc.NewDec(res).Bool() {
 						continue
 					}
@@ -622,15 +602,15 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 					}
 					m.mu.Unlock(c)
 				}
-				if c.P.Now() > cfg.MaxTime {
+				if c.P.Now() > maxTime {
 					m.mu.Lock(c)
 					runErr = fmt.Errorf("sched: exceeded MaxTime %v with %d jobs unfinished",
-						cfg.MaxTime, m.remaining)
+						maxTime, m.remaining)
 					m.done = true
 					m.mu.Unlock(c)
 					return
 				}
-				c.P.Charge(cfg.Tick)
+				c.P.Charge(tick)
 				apps.Service(c, ep)
 			}
 		}
@@ -693,17 +673,17 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 	// The answer is a checksum of the placement outcome — which agent ran
 	// each job's accepted completion, at which epoch. It must match
 	// across shard counts like any other application answer.
-	answer := fnvInit()
+	answer := apps.HashInit
 	for j := range m.jobs {
-		answer = fnvMix(answer, uint64(j))
-		answer = fnvMix(answer, uint64(m.jobs[j].doneEpoch))
-		answer = fnvMix(answer, uint64(m.jobs[j].doneAgent))
+		answer = answer.Mix(uint64(j))
+		answer = answer.Mix(uint64(m.jobs[j].doneEpoch))
+		answer = answer.Mix(uint64(m.jobs[j].doneAgent))
 	}
 	res := apps.Result{
 		System:  apps.ORPC,
 		Nodes:   nodes,
 		Elapsed: sim.Duration(elapsed),
-		Answer:  answer,
+		Answer:  uint64(answer),
 	}
 	oams := hbSt.OAMs + plSt.OAMs + cmSt.OAMs
 	succ := hbSt.Successes + plSt.Successes + cmSt.Successes

@@ -51,13 +51,6 @@ func partition(rows, n, i int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Run executes SOR on nodes processors with system sys. The answer is
 // the grid fingerprint, which must match SolveSeq bit for bit.
 func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {

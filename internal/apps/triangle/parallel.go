@@ -33,9 +33,6 @@ type Config struct {
 	Empty int   // initially empty cell; -1 selects the default center
 	Seed  int64 // simulation seed
 	apps.RunOptions
-	// Strategy selects the OAM abort strategy for the ORPC variant
-	// (default Rerun, the paper's prototype).
-	Strategy oam.Strategy
 	// Fault, if non-nil, injects the given deterministic fault plan.
 	// Loss or duplication requires Reliable, or the level quiesce
 	// (sent == received reductions) never converges. Triangle has no
@@ -146,7 +143,7 @@ func Run(sys apps.System, nodes int, cfg Config) (apps.Result, error) {
 		successes = func() uint64 { return 0 }
 
 	case apps.ORPC, apps.TRPC:
-		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+		rt := rpc.New(u, rpc.Options{Mode: sys.RPCMode(), OAM: oam.Options{Strategy: oam.Rerun, Cores: cfg.Cores}})
 		rtForObs = rt
 		insert := trigen.DefineInsert(rt, func(e *oam.Env, caller int, state, ways uint64) {
 			ns := states[e.Node()]

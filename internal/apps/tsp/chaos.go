@@ -14,42 +14,28 @@ import (
 	"repro/internal/threads"
 )
 
-// ChaosConfig parameterizes a fault-tolerant TSP run.
+// Service parameters no caller varies.
+const (
+	// callTimeout is the per-attempt GetJob deadline; callAttempts bounds
+	// idempotent retries per call.
+	callTimeout  = 2 * sim.Millisecond
+	callAttempts = 4
+	// leaseTimeout is how long the master lets a handed-out job stay
+	// unfinished before re-queueing it.
+	leaseTimeout = 20 * sim.Millisecond
+	// maxTime aborts the run if virtual time exceeds it — a safety net
+	// against pathological fault plans.
+	maxTime = sim.Time(120 * sim.Second)
+)
+
+// ChaosConfig parameterizes a fault-tolerant TSP run. The reliable
+// transport is always attached, at its defaults; aborted handlers rerun.
 type ChaosConfig struct {
 	Cities int
 	Seed   int64
 	apps.RunOptions
-	Strategy oam.Strategy
 	// Fault is the injected fault plan (nil for a perfect network).
 	Fault *cm5.FaultPlan
-	// Rel tunes the reliable transport, which is always attached.
-	Rel reliable.Options
-	// CallTimeout is the per-attempt GetJob/deadline window (default 2 ms).
-	CallTimeout sim.Duration
-	// CallAttempts bounds idempotent retries per call (default 4).
-	CallAttempts int
-	// LeaseTimeout is how long the master lets a handed-out job stay
-	// unfinished before re-queueing it (default 20 ms).
-	LeaseTimeout sim.Duration
-	// MaxTime aborts the run if virtual time exceeds it (default 120 s) —
-	// a safety net against pathological fault plans, not a tuning knob.
-	MaxTime sim.Time
-}
-
-func (cfg ChaosConfig) withDefaults() ChaosConfig {
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = sim.Micros(2000)
-	}
-	if cfg.CallAttempts <= 0 {
-		cfg.CallAttempts = 4
-	}
-	if cfg.LeaseTimeout <= 0 {
-		cfg.LeaseTimeout = sim.Micros(20000)
-	}
-	if cfg.MaxTime <= 0 {
-		cfg.MaxTime = sim.Time(120 * sim.Second)
-	}
-	return cfg
 }
 
 // ChaosStats reports what the robustness machinery did during a run.
@@ -91,21 +77,23 @@ const (
 //     partitioned master surfaces as an error, not a hang, and a crashed
 //     slave's own main exits instead of blocking the run;
 //   - the master leases jobs instead of giving them away: a job whose
-//     DoneJob has not arrived within LeaseTimeout is re-queued for a live
+//     DoneJob has not arrived within leaseTimeout is re-queued for a live
 //     slave, and DoneJob carries the finishing slave's best tour, so a
 //     completed subtree's optimum reaches the master even if every Best
 //     broadcast from that slave was lost — remaining == 0 then implies
 //     the master's best is the global optimum.
 func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
-	cfg = cfg.withDefaults()
+	if slaves < 1 {
+		return apps.Result{}, ChaosStats{}, fmt.Errorf("tsp: need at least one slave, got %d", slaves)
+	}
 	p := NewProblem(cfg.Cities, cfg.Seed)
 	nodes := slaves + 1
 	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
 	u.Machine().SetFaultPlan(cfg.Fault)
-	tr := reliable.Attach(u, cfg.Rel)
-	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: cfg.Strategy, Cores: cfg.Cores}})
+	tr := reliable.Attach(u, reliable.Options{})
+	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{Strategy: oam.Rerun, Cores: cfg.Cores}})
 
 	states := make([]*nodeState, nodes)
 	for i := range states {
@@ -201,7 +189,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 				}
 				now := eng.Now()
 				for idx := range lease {
-					if lease[idx] == leaseOut && now.Sub(leaseAt[idx]) > cfg.LeaseTimeout {
+					if lease[idx] == leaseOut && now.Sub(leaseAt[idx]) > leaseTimeout {
 						lease[idx] = leaseAvail
 						queue = append(queue, idx)
 						stats.Reissued++
@@ -212,8 +200,8 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 				if md {
 					return // the scheduler idle loop keeps answering jobDone
 				}
-				if eng.Now() > cfg.MaxTime {
-					runErr = fmt.Errorf("tsp/chaos: exceeded MaxTime %v with %d jobs outstanding", cfg.MaxTime, remaining)
+				if eng.Now() > maxTime {
+					runErr = fmt.Errorf("tsp/chaos: exceeded MaxTime %v with %d jobs outstanding", maxTime, remaining)
 					qmu.Lock(c)
 					masterDone = true
 					qmu.Unlock(c)
@@ -232,7 +220,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 			if node.Crashed() {
 				return
 			}
-			res, err := getJob.CallIdempotent(c, 0, nil, cfg.CallTimeout, cfg.CallAttempts)
+			res, err := getJob.CallIdempotent(c, 0, nil, callTimeout, callAttempts)
 			if err != nil {
 				// Crashed mid-call, or the master is unreachable. A live
 				// slave tolerates a bounded streak before giving up.

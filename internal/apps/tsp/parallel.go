@@ -9,7 +9,6 @@ import (
 	tspgen "repro/internal/apps/tsp/gen"
 	"repro/internal/cm5"
 	"repro/internal/oam"
-	"repro/internal/reliable"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/threads"
@@ -26,7 +25,8 @@ var (
 	CostPop = sim.Micros(2)
 )
 
-// Config parameterizes a run.
+// Config parameterizes a run on a perfect network; a fault plan needs
+// RunChaos, which knows how to re-issue a lost slave's work.
 type Config struct {
 	Cities int   // the paper's experiment uses 12
 	Seed   int64 // instance and simulation seed
@@ -34,14 +34,6 @@ type Config struct {
 	// Strategy selects the OAM abort strategy for the ORPC variant
 	// (default Rerun, the paper's prototype).
 	Strategy oam.Strategy
-	// Fault, if non-nil, injects the given deterministic fault plan into
-	// the data network. Plans that lose packets require Reliable, or calls
-	// hang; plans with crashes additionally require RunChaos, which knows
-	// how to re-issue a dead slave's work.
-	Fault *cm5.FaultPlan
-	// Reliable, if non-nil, attaches the reliable transport with these
-	// options so every message survives loss via ack/retransmit.
-	Reliable *reliable.Options
 }
 
 // SeqTime returns the simulated sequential running time implied by the
@@ -59,15 +51,14 @@ type nodeState struct {
 // the master). The answer is the optimal tour length, which branch and
 // bound finds regardless of schedule — so it must match SolveSeq.
 func Run(sys apps.System, slaves int, cfg Config) (apps.Result, error) {
+	if slaves < 1 {
+		return apps.Result{}, fmt.Errorf("tsp: need at least one slave, got %d", slaves)
+	}
 	p := NewProblem(cfg.Cities, cfg.Seed)
 	nodes := slaves + 1
 	eng := cfg.Engine(cfg.Seed, nodes)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
-	u.Machine().SetFaultPlan(cfg.Fault)
-	if cfg.Reliable != nil {
-		reliable.Attach(u, *cfg.Reliable)
-	}
 
 	states := make([]*nodeState, nodes)
 	for i := range states {

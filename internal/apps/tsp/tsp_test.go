@@ -145,3 +145,16 @@ func TestExpandVisitHook(t *testing.T) {
 		t.Fatalf("hook saw %d visits, Expand reports %d", hookVisits, visits)
 	}
 }
+
+// TestNeedsASlave: a machine with no slave is refused up front, by both
+// runners — the master alone would generate jobs nobody asks for and
+// report "no tour" as the answer.
+func TestNeedsASlave(t *testing.T) {
+	const want = "tsp: need at least one slave, got 0"
+	if _, err := Run(apps.ORPC, 0, Config{Cities: 8, Seed: 1}); err == nil || err.Error() != want {
+		t.Errorf("Run with 0 slaves: error %v, want %q", err, want)
+	}
+	if _, _, err := RunChaos(0, ChaosConfig{Cities: 8, Seed: 1}); err == nil || err.Error() != want {
+		t.Errorf("RunChaos with 0 slaves: error %v, want %q", err, want)
+	}
+}

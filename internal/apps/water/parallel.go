@@ -49,13 +49,6 @@ func molPartition(n, p, i int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // updTopology computes which nodes exchange phase-2 update messages:
 // sends[m][d] is true when some molecule owned by m has a half-shell
 // partner owned by d. Under the cyclic half-shell rule each node sends

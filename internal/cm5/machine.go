@@ -182,12 +182,6 @@ func (m *Machine) Stats() NetStats {
 // stays shard-local.
 func (n *Node) AllocPacket() *Packet { return n.ms.allocPacket() }
 
-// AllocPacket is the machine-level variant, drawing from shard 0's pool.
-// Safe on a sequential engine (where shard 0 is the whole machine) and in
-// setup code; in-simulation senders on a sharded engine must use
-// Node.AllocPacket.
-func (m *Machine) AllocPacket() *Packet { return m.shards[0].allocPacket() }
-
 func (ms *machineShard) allocPacket() *Packet {
 	p := ms.freePkt
 	if p == nil {
@@ -209,11 +203,6 @@ func (ms *machineShard) allocPacket() *Packet {
 // were allocated from; pools only recycle structs, so migration is
 // harmless.
 func (n *Node) ReleasePacket(p *Packet) { n.ms.releasePacket(p) }
-
-// ReleasePacket is the machine-level variant, returning to shard 0's
-// pool. Safe on a sequential engine and in setup code; in-simulation
-// receivers on a sharded engine must use Node.ReleasePacket.
-func (m *Machine) ReleasePacket(p *Packet) { m.shards[0].releasePacket(p) }
 
 func (ms *machineShard) releasePacket(p *Packet) {
 	if p == nil || !p.pooled {

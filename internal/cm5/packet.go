@@ -47,7 +47,7 @@ type Packet struct {
 
 	poolNext *Packet // machine free-list link
 	refs     int32   // outstanding deliveries (2 when the network duplicates)
-	pooled   bool    // came from Machine.AllocPacket
+	pooled   bool    // came from Node.AllocPacket
 }
 
 // Size returns the payload length in bytes.

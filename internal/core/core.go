@@ -35,19 +35,10 @@ type (
 	Thread = threads.Thread
 	// Proc is a defined remote procedure.
 	Proc = rpc.Proc
-	// CostModel carries the machine's virtual-time constants.
-	CostModel = cm5.CostModel
 	// Duration is virtual time.
 	Duration = sim.Duration
 	// Time is an absolute virtual timestamp.
 	Time = sim.Time
-)
-
-// Strategy aliases for Options.
-const (
-	Rerun        = oam.Rerun
-	Continuation = oam.Continuation
-	Nack         = oam.Nack
 )
 
 // Mode aliases for Options.
@@ -59,7 +50,9 @@ const (
 // Micros converts microseconds to a Duration.
 func Micros(us float64) Duration { return sim.Micros(us) }
 
-// Options configures a Cluster.
+// Options configures a Cluster. Like the paper's prototype it reruns
+// aborted handlers, has no handler time budget, and runs on the default
+// CM-5 cost model; build on rpc and oam directly to vary those.
 type Options struct {
 	// Nodes is the machine size (default 2).
 	Nodes int
@@ -67,14 +60,6 @@ type Options struct {
 	Seed int64
 	// Mode selects ORPC (default) or TRPC dispatch.
 	Mode rpc.Mode
-	// Strategy selects the OAM abort strategy (default Rerun, the
-	// paper's prototype choice).
-	Strategy oam.Strategy
-	// HandlerBudget, when positive, aborts optimistic executions that
-	// compute longer than this (the paper's "runs too long" check).
-	HandlerBudget Duration
-	// Cost overrides the default CM-5 cost model when non-nil.
-	Cost *cm5.CostModel
 }
 
 // Cluster is a ready-to-run simulated machine with an RPC runtime.
@@ -92,16 +77,9 @@ func NewCluster(opts Options) *Cluster {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	cost := cm5.DefaultCostModel()
-	if opts.Cost != nil {
-		cost = *opts.Cost
-	}
 	eng := sim.New(opts.Seed)
-	u := am.NewUniverse(eng, opts.Nodes, cost)
-	rt := rpc.New(u, rpc.Options{
-		Mode: opts.Mode,
-		OAM:  oam.Options{Strategy: opts.Strategy, HandlerBudget: opts.HandlerBudget},
-	})
+	u := am.NewUniverse(eng, opts.Nodes, cm5.DefaultCostModel())
+	rt := rpc.New(u, rpc.Options{Mode: opts.Mode, OAM: oam.Options{}})
 	return &Cluster{eng: eng, u: u, rt: rt}
 }
 

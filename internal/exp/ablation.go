@@ -298,10 +298,9 @@ type AppAblationRow struct {
 // actually blocks under load) under each abort strategy at a slave count
 // where contention matters.
 func AppAblation(s Scale) ([]AppAblationRow, error) {
-	cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: s.Run}
+	cfg := s.tsp()
 	slaves := 64
 	if s.Quick {
-		cfg.Cities = 10
 		slaves = 12
 	}
 	strats := []oam.Strategy{oam.Rerun, oam.Continuation, oam.Nack}

@@ -33,6 +33,25 @@ type ChaosRow struct {
 	FaultHash      uint64 // fault-trace hash (tsp only; 0 = no fault layer)
 }
 
+// chaosSlaves is the sweep's TSP machine. Chaos runs one fixed machine,
+// it is not a sweep MaxP truncates: the crash, partition and flap rows
+// take the last slave away, so a second one must be left to finish the
+// search. floored reports that this kept the machine above what MaxP
+// asked for.
+func chaosSlaves(scale Scale) (slaves int, floored bool) {
+	slaves = 8
+	if scale.Quick {
+		slaves = 3
+	}
+	if scale.MaxP > 0 {
+		slaves = min(slaves, scale.MaxP-1)
+	}
+	if slaves < 2 {
+		return 2, true
+	}
+	return slaves, false
+}
+
 // Chaos sweeps drop rate x crash count over the two irregular
 // applications and checks that reliable delivery plus graceful
 // degradation keep every answer bit-exact. Triangle runs loss-only (its
@@ -41,15 +60,16 @@ type ChaosRow struct {
 func Chaos(scale Scale) ([]ChaosRow, error) {
 	drops := []float64{0, 0.01, 0.02, 0.05}
 
-	triCfg := triangle.Config{Side: 6, Empty: -1, Seed: 7, RunOptions: scale.Run}
+	triCfg := scale.triangle()
+	triCfg.Seed = 7
 	triNodes := 8
-	tspCities, tspSlaves := 12, 8
+	tspCities := 12
+	tspSlaves, _ := chaosSlaves(scale)
 	crashAt := sim.Time(100 * sim.Millisecond)
 	flapFrom, flapTo := sim.Time(60*sim.Millisecond), sim.Time(120*sim.Millisecond)
 	if scale.Quick {
-		triCfg.Side = 5
 		triNodes = 4
-		tspCities, tspSlaves = 9, 3
+		tspCities = 9
 		// Early enough that the crashed slave always holds an unfinished
 		// lease, so every crash row exercises the watchdog re-issue path.
 		crashAt = sim.Time(15 * sim.Millisecond)
@@ -59,12 +79,7 @@ func Chaos(scale Scale) ([]ChaosRow, error) {
 		flapFrom, flapTo = sim.Time(10*sim.Millisecond), sim.Time(20*sim.Millisecond)
 	}
 	if scale.MaxP > 0 {
-		if triNodes > scale.MaxP {
-			triNodes = scale.MaxP
-		}
-		if tspSlaves+1 > scale.MaxP {
-			tspSlaves = scale.MaxP - 1
-		}
+		triNodes = min(triNodes, scale.MaxP)
 	}
 
 	// Flatten the sweep into an ordered job list so the cells can fan out
@@ -184,6 +199,11 @@ func ChaosTable(scale Scale) (*Table, error) {
 			"the Part row cuts one slave off entirely: senders exhaust MaxAttempts and give up",
 			"the Flap row cuts the slave off for a window that heals: it rejoins and the answer stays exact",
 		},
+	}
+	if slaves, floored := chaosSlaves(scale); floored {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"-maxp %d is below this sweep's floor: tsp ran on %d slaves, so that one survives the crash, Part and Flap rows",
+			scale.MaxP, slaves))
 	}
 	for _, r := range rows {
 		ok := "yes"

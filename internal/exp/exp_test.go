@@ -123,10 +123,7 @@ func TestFig2AndTable2Quick(t *testing.T) {
 	if len(rows) == 0 || len(tab.Rows) != len(rows) {
 		t.Fatal("row mismatch")
 	}
-	t2, err := Table2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := Table2(rows)
 	if len(t2.Rows) != 4 { // slaves 1,2,4,8
 		t.Fatalf("table2 rows = %d", len(t2.Rows))
 	}

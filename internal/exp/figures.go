@@ -13,15 +13,26 @@ import (
 
 // FigRow is one curve point of a runtime/speedup figure.
 type FigRow struct {
-	System   string
-	Nodes    int
-	Runtime  sim.Duration
-	Speedup  float64
-	OAMs     uint64
-	SuccPct  float64
-	LiveStk  float64
-	Threads  uint64
-	BulkSent uint64
+	System    string
+	Nodes     int
+	Runtime   sim.Duration
+	Speedup   float64
+	OAMs      uint64
+	Successes uint64
+	SuccPct   float64
+	LiveStk   float64
+	Threads   uint64
+}
+
+// figRow reduces one run to its curve point; seq is the sequential
+// running time the speedup is relative to.
+func figRow(name string, p int, res apps.Result, seq sim.Duration) FigRow {
+	return FigRow{
+		System: name, Nodes: p,
+		Runtime: res.Elapsed, Speedup: res.Speedup(seq),
+		OAMs: res.OAMs, Successes: res.Successes, SuccPct: res.SuccessPercent(),
+		LiveStk: res.LiveStackPct, Threads: res.ThreadsCreated,
+	}
 }
 
 // figTable renders curve points in the two-panel spirit of the figures:
@@ -45,10 +56,7 @@ func figTable(title string, rows []FigRow, notes ...string) *Table {
 // Fig1Triangle reproduces Figure 1: the Triangle puzzle on 1..128
 // processors under AM, ORPC, and TRPC.
 func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
-	cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, RunOptions: s.Run}
-	if s.Quick {
-		cfg.Side = 5
-	}
+	cfg := s.triangle()
 	seq := triangle.SeqTime(cfg.BoardCounts())
 	procs := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 128})
 	// Each (system, P) cell is an independent simulation with its own
@@ -61,12 +69,7 @@ func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = FigRow{
-			System: sys.String(), Nodes: p,
-			Runtime: res.Elapsed, Speedup: res.Speedup(seq),
-			OAMs: res.OAMs, SuccPct: res.SuccessPercent(),
-			LiveStk: res.LiveStackPct, Threads: res.ThreadsCreated,
-		}
+		rows[i] = figRow(sys.String(), p, res, seq)
 		return nil
 	})
 	if err != nil {
@@ -83,12 +86,8 @@ func Fig1Triangle(s Scale) (*Table, []FigRow, error) {
 // Fig2TSP reproduces Figure 2 (runtime/speedup vs slaves) and its data
 // also feeds Table 2.
 func Fig2TSP(s Scale) (*Table, []FigRow, error) {
-	cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: s.Run}
-	slavesList := []int{1, 2, 4, 8, 16, 32, 64, 127}
-	if s.Quick {
-		cfg.Cities = 10
-	}
-	slavesList = s.procs(slavesList)
+	cfg := s.tsp()
+	slavesList := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 127})
 	seq := tsp.SeqTime(tsp.NewProblem(cfg.Cities, cfg.Seed).SolveSeq())
 	rows := make([]FigRow, len(apps.Systems)*len(slavesList))
 	err := s.forEach(len(rows), func(i int) error {
@@ -97,12 +96,7 @@ func Fig2TSP(s Scale) (*Table, []FigRow, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = FigRow{
-			System: sys.String(), Nodes: sl,
-			Runtime: res.Elapsed, Speedup: res.Speedup(seq),
-			OAMs: res.OAMs, SuccPct: res.SuccessPercent(),
-			LiveStk: res.LiveStackPct, Threads: res.ThreadsCreated,
-		}
+		rows[i] = figRow(sys.String(), sl, res, seq)
 		return nil
 	})
 	if err != nil {
@@ -116,13 +110,9 @@ func Fig2TSP(s Scale) (*Table, []FigRow, error) {
 	return t, rows, nil
 }
 
-// Table2 reproduces Table 2: the percentage of TSP GetJob OAMs that
-// succeeded, against slave count.
-func Table2(s Scale) (*Table, error) {
-	_, rows, err := Fig2TSP(s)
-	if err != nil {
-		return nil, err
-	}
+// Table2 reproduces Table 2 from Figure 2's rows: the percentage of TSP
+// GetJob OAMs that succeeded, against slave count.
+func Table2(rows []FigRow) *Table {
 	t := &Table{
 		Title:   "Table 2: Optimistic Active Message successes in TSP (ORPC)",
 		Columns: []string{"# Slaves", "# OAMs", "Successes", "% Successes"},
@@ -134,19 +124,14 @@ func Table2(s Scale) (*Table, error) {
 		if r.System != apps.ORPC.String() {
 			continue
 		}
-		succ := uint64(float64(r.OAMs)*r.SuccPct/100 + 0.5)
-		t.Rows = append(t.Rows, []string{itoa(r.Nodes), u64(r.OAMs), u64(succ), f1(r.SuccPct)})
+		t.Rows = append(t.Rows, []string{itoa(r.Nodes), u64(r.OAMs), u64(r.Successes), f1(r.SuccPct)})
 	}
-	return t, nil
+	return t
 }
 
 // Fig3SOR reproduces Figure 3: SOR on 1..128 processors.
 func Fig3SOR(s Scale) (*Table, []FigRow, error) {
-	cfg := sor.DefaultConfig()
-	if s.Quick {
-		cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
-	}
-	cfg.RunOptions = s.Run
+	cfg := s.sor()
 	seqr := sor.SolveSeq(cfg)
 	procs := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 128})
 	variants := []struct {
@@ -170,13 +155,7 @@ func Fig3SOR(s Scale) (*Table, []FigRow, error) {
 		if res.Answer != seqr.Checksum {
 			return fmt.Errorf("sor/%v/%d: wrong grid", v.name, p)
 		}
-		rows[i] = FigRow{
-			System: v.name, Nodes: p,
-			Runtime: res.Elapsed, Speedup: res.Speedup(seqr.Time),
-			OAMs: res.OAMs, SuccPct: res.SuccessPercent(),
-			LiveStk: res.LiveStackPct, Threads: res.ThreadsCreated,
-			BulkSent: res.BulkSent,
-		}
+		rows[i] = figRow(v.name, p, res, seqr.Time)
 		return nil
 	})
 	if err != nil {
@@ -212,14 +191,8 @@ var WaterVariants = []WaterVariant{
 // the paper, the first iteration is discarded: the steady per-iteration
 // time is (T(iters) - T(1)) / (iters - 1).
 func Fig4Water(s Scale) (*Table, []FigRow, error) {
-	cfg := water.DefaultConfig()
-	cfg.Seed = 103
-	cfg.RunOptions = s.Run
-	procs := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	if s.Quick {
-		cfg.Mols = 64
-	}
-	procs = s.procs(procs)
+	cfg := s.water()
+	procs := s.procs([]int{1, 2, 4, 8, 16, 32, 64, 128})
 	seq := water.SolveSeq(water.Config{Mols: cfg.Mols, Iters: 1, Seed: cfg.Seed})
 	rows := make([]FigRow, len(WaterVariants)*len(procs))
 	err := s.forEach(len(rows), func(i int) error {
@@ -234,14 +207,9 @@ func Fig4Water(s Scale) (*Table, []FigRow, error) {
 		if err != nil {
 			return err
 		}
-		perIter := (resN.Elapsed - res1.Elapsed) / sim.Duration(cfg.Iters-1)
-		rows[i] = FigRow{
-			System: v.Name, Nodes: p,
-			Runtime: perIter,
-			Speedup: float64(seq.TimePerIter) / float64(perIter),
-			OAMs:    resN.OAMs, SuccPct: resN.SuccessPercent(),
-			LiveStk: resN.LiveStackPct, Threads: resN.ThreadsCreated,
-		}
+		// The row is the full run's counters at the steady per-iteration time.
+		resN.Elapsed = (resN.Elapsed - res1.Elapsed) / sim.Duration(cfg.Iters-1)
+		rows[i] = figRow(v.Name, p, resN, seq.TimePerIter)
 		return nil
 	})
 	if err != nil {
@@ -259,14 +227,8 @@ func Fig4Water(s Scale) (*Table, []FigRow, error) {
 // Table3 reproduces Table 3: OAM success percentage in barrier-free
 // ORPC Water, against machine size.
 func Table3(s Scale) (*Table, error) {
-	cfg := water.DefaultConfig()
-	cfg.Seed = 103
-	cfg.RunOptions = s.Run
-	procs := []int{2, 4, 8, 16, 32, 64, 128}
-	if s.Quick {
-		cfg.Mols = 64
-	}
-	procs = s.procs(procs)
+	cfg := s.water()
+	procs := s.procs([]int{2, 4, 8, 16, 32, 64, 128})
 	t := &Table{
 		Title:   "Table 3: Optimistic Active Message successes in Water (ORPC, no barriers)",
 		Columns: []string{"# Processors", "# OAMs", "Successes", "% Successes"},

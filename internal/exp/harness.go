@@ -52,20 +52,16 @@ func (s Scale) procs(def []int) []int {
 // and the host would thrash on oversubscription. Simulated cores cost no
 // host CPUs, so Run.Cores does not enter.
 func (s Scale) workers() int {
+	procs := runtime.GOMAXPROCS(0)
 	w := s.Workers
 	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
+		w = procs
 	}
-	sh := s.Run.Shards
-	if sh < 0 {
-		sh = runtime.NumCPU()
-	}
-	if sh > 1 {
-		if budget := runtime.GOMAXPROCS(0) / sh; budget < w {
+	// Shard runners beyond GOMAXPROCS add no host parallelism, so a cell
+	// counts for at most that many and the budget is at least one cell.
+	if sh := apps.ResolveShards(s.Run.Shards, procs); sh > 1 {
+		if budget := procs / sh; budget < w {
 			w = budget
-		}
-		if w < 1 {
-			w = 1
 		}
 	}
 	return w

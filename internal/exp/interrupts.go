@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/am"
+	"repro/internal/apps"
 	"repro/internal/cm5"
 	"repro/internal/oam"
 	"repro/internal/rpc"
@@ -69,7 +70,7 @@ func runInterrupts(useInterrupts bool, quantum sim.Duration) InterruptRow {
 				ep := u.Endpoint(0)
 				for done := sim.Duration(0); done < sim.Micros(totalWork); done += quantum {
 					sched.Compute(c, quantum)
-					apps0(c, ep)
+					apps.Service(c, ep)
 				}
 			}
 			workDone = true
@@ -100,14 +101,6 @@ func runInterrupts(useInterrupts bool, quantum sim.Duration) InterruptRow {
 		ShortWorst: worst,
 		WorkDone:   sim.Duration(workAt),
 		Interrupts: u.Scheduler(0).Stats().Interrupts,
-	}
-}
-
-// apps0 drains messages and runs any threads they created (a poll point).
-func apps0(c threads.Ctx, ep *am.Endpoint) {
-	ep.PollAll(c)
-	if c.T != nil {
-		c.S.Yield(c)
 	}
 }
 

@@ -94,9 +94,6 @@ func kvCell(ro apps.RunOptions, scenario string, sys apps.System, rateX float64,
 		shape(&cfg)
 	}
 	probe := newKVLatProbe(cfg.Servers + clients)
-	if probe == nil {
-		return KVRow{}, fmt.Errorf("kv %s/%v: probe", scenario, sys)
-	}
 	cfg.Probe = probe
 	res, st, err := kv.Run(cfg)
 	if err != nil {
@@ -238,84 +235,6 @@ func KVTable(scale Scale) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// KVSaturation is the saturation-knee sweep: ORPC and TRPC goodput over
-// an offered-load sweep, the knee where TRPC stops keeping up, ORPC's p999
-// at 70% of that knee, and the goodput ratio at the top of the sweep. All
-// virtual quantities — deterministic on any host; Valid only gates whether
-// the knee landed inside the sweep.
-type KVSaturation struct {
-	Multipliers  []float64
-	OfferedPerMs []float64
-	OrpcGoodput  []float64
-	TrpcGoodput  []float64
-	// KneeRateX is the first multiplier where TRPC goodput fell below
-	// 95% of the offered load; 0 when the sweep never saturated it.
-	KneeRateX float64
-	// P999At70PctKneeUs is ORPC's p999 (microseconds) at 70% of the knee
-	// load — the SLO headroom claim: latency holds below the knee.
-	P999At70PctKneeUs float64
-	// GoodputRatioAtMax is ORPC goodput / TRPC goodput at the top
-	// multiplier: how much service the optimistic path keeps delivering
-	// after thread-per-call has collapsed.
-	GoodputRatioAtMax float64
-	Valid             bool
-}
-
-// KVSaturationBench sweeps ORPC and TRPC through the saturation knee.
-func KVSaturationBench(scale Scale) (KVSaturation, error) {
-	clients, dur := 48, sim.Duration(sim.Micros(12000))
-	mults := []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 3}
-	if scale.Quick {
-		clients, dur = 32, sim.Duration(sim.Micros(8000))
-		mults = []float64{0.25, 0.75, 1.5, 3}
-	}
-	sat := KVSaturation{Multipliers: mults}
-	sat.OfferedPerMs = make([]float64, len(mults))
-	sat.OrpcGoodput = make([]float64, len(mults))
-	sat.TrpcGoodput = make([]float64, len(mults))
-	type point struct{ offered, orpc, trpc float64 }
-	pts := make([]point, len(mults))
-	err := scale.forEach(len(mults), func(i int) error {
-		ro, err := kvCell(scale.Run, "sat", apps.ORPC, mults[i], kvShape(nil), clients, dur)
-		if err != nil {
-			return err
-		}
-		rt, err := kvCell(scale.Run, "sat", apps.TRPC, mults[i], kvShape(nil), clients, dur)
-		if err != nil {
-			return err
-		}
-		pts[i] = point{ro.Offered, ro.Goodput, rt.Goodput}
-		return nil
-	})
-	if err != nil {
-		return sat, err
-	}
-	for i, p := range pts {
-		sat.OfferedPerMs[i] = p.offered
-		sat.OrpcGoodput[i] = p.orpc
-		sat.TrpcGoodput[i] = p.trpc
-	}
-	for i, p := range pts {
-		if p.trpc < 0.95*p.offered {
-			sat.KneeRateX = mults[i]
-			break
-		}
-	}
-	if sat.KneeRateX > 0 {
-		row, err := kvCell(scale.Run, "sat-p999", apps.ORPC, 0.7*sat.KneeRateX, kvShape(nil), clients, dur)
-		if err != nil {
-			return sat, err
-		}
-		sat.P999At70PctKneeUs = float64(row.P999) / float64(sim.Microsecond)
-	}
-	last := len(pts) - 1
-	if pts[last].trpc > 0 {
-		sat.GoodputRatioAtMax = pts[last].orpc / pts[last].trpc
-	}
-	sat.Valid = sat.KneeRateX > 0 && sat.GoodputRatioAtMax > 0
-	return sat, nil
 }
 
 // kvOccProbe integrates the dispatcher's multiactive core-occupancy

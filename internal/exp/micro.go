@@ -11,6 +11,15 @@ import (
 	"repro/internal/threads"
 )
 
+// serveBusy is the busy server of Table 1: a thread in a tight
+// poll-and-yield loop until *stop is set.
+func serveBusy(c threads.Ctx, ep *am.Endpoint, stop *bool) {
+	for !*stop {
+		ep.Poll(c)
+		c.S.Yield(c)
+	}
+}
+
 // nullRPC measures the average round-trip time of a null RPC (an
 // increment of a server variable) over trips calls, with the server
 // either idle (its only thread suspended on a condition) or busy (a
@@ -40,11 +49,7 @@ func nullRPC(mode rpc.Mode, busyServer bool, payload int, trips int) sim.Duratio
 			// condition-waiting thread — and the scheduler services the
 			// calls.
 			if busyServer {
-				ep := u.Endpoint(1)
-				for !experimentDone {
-					ep.Poll(c)
-					c.S.Yield(c)
-				}
+				serveBusy(c, u.Endpoint(1), &experimentDone)
 			}
 			return
 		}
@@ -64,11 +69,18 @@ func nullRPC(mode rpc.Mode, busyServer bool, payload int, trips int) sim.Duratio
 	return total / sim.Duration(trips)
 }
 
-// nullAM measures the hand-coded Active Messages baseline round trip.
-func nullAM(busyServer bool, trips int) sim.Duration {
+// nullAM measures the hand-coded Active Messages baseline: a request of
+// size bytes answered by an empty reply. Up to the 16-byte Active Message
+// payload limit the request rides the small path, whose cost does not
+// depend on the payload; above it, the bulk (scopy) path.
+func nullAM(busyServer bool, size, trips int) sim.Duration {
 	eng := sim.New(1)
 	defer eng.Shutdown()
 	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	var data []byte
+	if size > 16 {
+		data = make([]byte, size)
+	}
 	var replyH am.HandlerID
 	counter := 0
 	gotReply := false
@@ -83,11 +95,7 @@ func nullAM(busyServer bool, trips int) sim.Duration {
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
 		if node == 1 {
 			if busyServer {
-				ep := u.Endpoint(1)
-				for !expDone {
-					ep.Poll(c)
-					c.S.Yield(c)
-				}
+				serveBusy(c, u.Endpoint(1), &expDone)
 			}
 			return
 		}
@@ -95,7 +103,11 @@ func nullAM(busyServer bool, trips int) sim.Duration {
 		start := c.P.Now()
 		for i := 0; i < trips; i++ {
 			gotReply = false
-			ep.Send(c, 1, reqH, [4]uint64{}, nil)
+			if data != nil {
+				ep.SendBulk(c, 1, reqH, [4]uint64{}, data)
+			} else {
+				ep.Send(c, 1, reqH, [4]uint64{}, nil)
+			}
 			ep.PollUntil(c, func() bool { return gotReply })
 		}
 		total = c.P.Now().Sub(start)
@@ -124,7 +136,7 @@ func Table1() []Table1Row {
 	return []Table1Row{
 		{System: "TRPC", NoThread: nullRPC(rpc.TRPC, false, 0, trips), Busy: nullRPC(rpc.TRPC, true, 0, trips)},
 		{System: "ORPC", NoThread: nullRPC(rpc.ORPC, false, 0, trips), Busy: nullRPC(rpc.ORPC, true, 0, trips)},
-		{System: "AM", NoThread: nullAM(false, trips), Busy: nullAM(true, trips)},
+		{System: "AM", NoThread: nullAM(false, 0, trips), Busy: nullAM(true, 0, trips)},
 	}
 }
 
@@ -163,46 +175,10 @@ func Bulk() []BulkRow {
 			Bytes: size,
 			TRPC:  nullRPC(rpc.TRPC, false, size, trips),
 			ORPC:  nullRPC(rpc.ORPC, false, size, trips),
-			AM:    bulkAM(size, trips),
+			AM:    nullAM(false, size, trips),
 		}
 	}
 	return rows
-}
-
-// bulkAM measures a hand-coded AM data transfer of the given size with an
-// empty reply.
-func bulkAM(size, trips int) sim.Duration {
-	if size <= 16 {
-		return nullAM(false, trips) // small path regardless of payload
-	}
-	eng := sim.New(1)
-	defer eng.Shutdown()
-	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
-	var replyH am.HandlerID
-	gotReply := false
-	reqH := u.Register("req", func(c threads.Ctx, pkt *cm5.Packet) {
-		u.Endpoint(1).Send(c, pkt.Src, replyH, [4]uint64{}, nil)
-	})
-	replyH = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) { gotReply = true })
-	data := make([]byte, size)
-	var total sim.Duration
-	_, err := u.SPMD(func(c threads.Ctx, node int) {
-		if node != 0 {
-			return
-		}
-		ep := u.Endpoint(0)
-		start := c.P.Now()
-		for i := 0; i < trips; i++ {
-			gotReply = false
-			ep.SendBulk(c, 1, reqH, [4]uint64{}, data)
-			ep.PollUntil(c, func() bool { return gotReply })
-		}
-		total = c.P.Now().Sub(start)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: bulk AM deadlocked: %v", err))
-	}
-	return total / sim.Duration(trips)
 }
 
 // BulkTable formats the sweep.

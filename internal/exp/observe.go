@@ -24,11 +24,12 @@ type ObserveSpec struct {
 	Cores int         // simulated cores per node (apps.RunOptions.Cores)
 }
 
-// run is the RunOptions of an observed run: the sequential kernel (the
-// collector's probes are not shard-safe, so the spec has no Shards to
-// ask for) with c attached.
-func (spec ObserveSpec) run(c *obs.Collector) apps.RunOptions {
-	return apps.RunOptions{Cores: spec.Cores, Observe: c.Attach}
+// scale carries an observed run's size and RunOptions: the sequential
+// kernel (the collector's probes are not shard-safe, so the spec has no
+// Shards to ask for) with c attached. Its size methods (sizes.go)
+// configure the paper workloads.
+func (spec ObserveSpec) scale(c *obs.Collector) Scale {
+	return Scale{Quick: spec.Quick, Run: apps.RunOptions{Cores: spec.Cores, Observe: c.Attach}}
 }
 
 // ParseSystem maps a -sys flag value to an apps.System.
@@ -56,46 +57,26 @@ func ObservedApps() []string {
 
 // observedRuns maps app name to a runner that wires the collector in
 // (Attach for the universe/RPC layers, plus app-specific probes where the
-// app defines one). Seeds and sizes match the corresponding figure
-// experiments, so a trace shows the same schedule the figures measure.
+// app defines one).
 var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Result, error){
 	"triangle": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := triangle.Config{Side: 6, Empty: -1, Seed: 101, RunOptions: spec.run(c)}
-		if spec.Quick {
-			cfg.Side = 5
-		}
-		return triangle.Run(spec.Sys, spec.Nodes, cfg)
+		return triangle.Run(spec.Sys, spec.Nodes, spec.scale(c).triangle())
 	},
 	"tsp": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := tsp.Config{Cities: 12, Seed: 102, RunOptions: spec.run(c)}
-		if spec.Quick {
-			cfg.Cities = 10
-		}
 		// -p counts processors; the master occupies node 0.
-		return tsp.Run(spec.Sys, spec.Nodes-1, cfg)
+		return tsp.Run(spec.Sys, spec.Nodes-1, spec.scale(c).tsp())
 	},
 	"sor": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := sor.DefaultConfig()
-		if spec.Quick {
-			cfg = sor.Config{Rows: 66, Cols: 16, Iters: 30, Eps: 1e-9, Seed: 11}
-		}
-		cfg.RunOptions = spec.run(c)
-		return sor.Run(spec.Sys, spec.Nodes, cfg)
+		return sor.Run(spec.Sys, spec.Nodes, spec.scale(c).sor())
 	},
 	"water": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		cfg := water.DefaultConfig()
-		cfg.Seed = 103
-		if spec.Quick {
-			cfg.Mols = 64
-		}
-		cfg.RunOptions = spec.run(c)
-		return water.Run(spec.Sys, spec.Nodes, false, cfg)
+		return water.Run(spec.Sys, spec.Nodes, false, spec.scale(c).water())
 	},
 	"sched": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
 		// The control plane always runs ORPC; spec.Sys is ignored. The
 		// collector doubles as the control-plane probe, so the trace grows
 		// a "sched" track of heartbeats, outages, and lease spans.
-		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: spec.run(c), Probe: c}
+		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: spec.scale(c).Run, Probe: c}
 		if spec.Quick {
 			cfg.Jobs = 8
 		}
@@ -116,7 +97,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 			Seed:       105,
 			Servers:    servers,
 			Clients:    spec.Nodes - servers,
-			RunOptions: spec.run(c),
+			RunOptions: spec.scale(c).Run,
 			Probe:      c,
 		}
 		if spec.Quick {

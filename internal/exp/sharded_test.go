@@ -64,21 +64,26 @@ func runShardedApp(t *testing.T, cell appCell, shards int, optimistic, traced bo
 			eng.SetTracer(tr)
 		}
 	}}
+	// The quick sizes of sizes.go, shrunk further where a size run at every
+	// cell of the matrix would dominate the package's test time.
+	sc := Scale{Quick: true, Run: ro}
 	var res apps.Result
 	var err error
 	switch cell.app {
 	case "triangle":
-		res, err = triangle.Run(cell.sys, 4, triangle.Config{
-			Side: 5, Empty: -1, Seed: 101, RunOptions: ro})
+		res, err = triangle.Run(cell.sys, 4, sc.triangle())
 	case "tsp":
-		res, err = tsp.Run(cell.sys, 3, tsp.Config{
-			Cities: 9, Seed: 102, RunOptions: ro})
+		cfg := sc.tsp()
+		cfg.Cities = 9
+		res, err = tsp.Run(cell.sys, 3, cfg)
 	case "sor":
-		res, err = sor.Run(cell.sys, 4, sor.Config{
-			Rows: 24, Cols: 16, Iters: 4, Seed: 11, RunOptions: ro})
+		cfg := sc.sor()
+		cfg.Rows, cfg.Iters = 24, 4
+		res, err = sor.Run(cell.sys, 4, cfg)
 	case "water":
-		res, err = water.Run(cell.sys, 4, true, water.Config{
-			Mols: 64, Iters: 2, Seed: 103, RunOptions: ro})
+		cfg := sc.water()
+		cfg.Iters = 2
+		res, err = water.Run(cell.sys, 4, true, cfg)
 	default:
 		t.Fatalf("unknown app %q", cell.app)
 	}
@@ -202,7 +207,7 @@ func TestShardedEquivalenceApps(t *testing.T) {
 func TestElisionIsLive(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		var eng *sim.Engine
-		cfg := tsp.Config{Cities: 10, Seed: 102}
+		cfg := Scale{Quick: true}.tsp()
 		cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) {
 			eng = u.Machine().Engine()
 			if traced {

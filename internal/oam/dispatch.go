@@ -205,9 +205,6 @@ func (d *Dispatcher) nodeStats(node int) *Stats {
 	return &d.stats[node]
 }
 
-// Options returns the dispatcher's configuration.
-func (d *Dispatcher) Options() Options { return d.opts }
-
 // Stats returns a snapshot of the dispatch counters, summed across nodes.
 func (d *Dispatcher) Stats() Stats {
 	var out Stats

@@ -76,26 +76,13 @@ func (h *Histogram) Percentiles() (p50, p99, p999 sim.Duration) {
 	return
 }
 
-// Materialize pre-allocates the counter's per-node storage. Instruments
-// normally allocate lazily on first update, which is free on the
-// sequential kernel but is a data race when two shards of a sharded
-// engine first touch the same instrument inside one time window: call
-// Materialize (before the run) on any instrument that shard-parallel
-// code updates, so every update is a plain array store to a distinct
-// per-node slot.
-func (c *Counter) Materialize() { c.touch() }
-
-// Materialize pre-allocates the gauge's per-node storage (see
-// Counter.Materialize).
-func (g *Gauge) Materialize() {
-	if g.vals == nil {
-		g.vals = make([]int64, g.nodes)
-		g.max = make([]int64, g.nodes)
-	}
-}
-
 // Materialize pre-allocates the histogram's per-node storage including
-// every node's bucket row (see Counter.Materialize).
+// every node's bucket row. Instruments normally allocate lazily on first
+// update, which is free on the sequential kernel but is a data race when
+// two shards of a sharded engine first touch the same instrument inside
+// one time window: call Materialize (before the run) on a histogram that
+// shard-parallel code updates, so every update is a plain array store to
+// a distinct per-node slot.
 func (h *Histogram) Materialize() {
 	if h.counts == nil {
 		h.counts = make([][]uint64, h.nodes)

@@ -348,9 +348,6 @@ func (rt *Runtime) SetCompat(spec CompatSpec) {
 	}
 }
 
-// Name returns the procedure name.
-func (p *Proc) Name() string { return p.name }
-
 // Stats returns a snapshot of the per-procedure counters (the paper's
 // generated termination routine prints these), summed across nodes.
 func (p *Proc) Stats() ProcStats {

@@ -24,9 +24,6 @@ func NewEnc(n int) *Enc { return &Enc{buf: make([]byte, 0, n)} }
 // Bytes returns the marshaled record.
 func (e *Enc) Bytes() []byte { return e.buf }
 
-// Len returns the current record size.
-func (e *Enc) Len() int { return len(e.buf) }
-
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 func (e *Enc) Bool(v bool) {
 	if v {

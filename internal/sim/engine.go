@@ -354,10 +354,7 @@ func (e *Engine) AtAction(t Time, a Action) { e.shards[0].AtAction(t, a) }
 // AfterAction schedules a pre-allocated Action on shard 0, d from now.
 func (e *Engine) AfterAction(d Duration, a Action) { e.shards[0].AfterAction(d, a) }
 
-// AtTimer is At returning a cancellable handle.
-func (e *Engine) AtTimer(t Time, fn func()) Timer { return e.shards[0].AtTimer(t, fn) }
-
-// AfterTimer is After returning a cancellable handle.
+// AfterTimer is After returning a cancellable handle; see Shard.AtTimer.
 func (e *Engine) AfterTimer(d Duration, fn func()) Timer { return e.shards[0].AfterTimer(d, fn) }
 
 // Spawn creates a process on shard 0; see Shard.Spawn.

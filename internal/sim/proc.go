@@ -246,9 +246,6 @@ func (p *Proc) ChargeSeq(a, b Duration) {
 	sh.yieldToKernel(p)
 }
 
-// Sleep is Charge under a name that reads better for idle waits.
-func (p *Proc) Sleep(d Duration) { p.Charge(d) }
-
 // ChargeInterruptible consumes up to d of virtual CPU time like Charge,
 // but the charge can be cut short by Interrupt (hardware message
 // interrupts in the machine model). It returns the unconsumed remainder:
