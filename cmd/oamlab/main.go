@@ -434,7 +434,9 @@ func runObserve(kind string, args []string, spec exp.ObserveSpec, stdout, stderr
 			return 1
 		}
 	}
-	fmt.Fprintf(stderr, "[%s %s done in %v: %v on %d nodes ran %s of virtual time]\n",
-		kind, app, time.Since(start).Round(time.Millisecond), res.System, res.Nodes, res.Elapsed)
+	eng := c.Engine()
+	fmt.Fprintf(stderr, "[%s %s done in %v: %v on %d nodes ran %s of virtual time; kernel: %d events, %d dispatches, %d handoffs, %d switches, %d elided]\n",
+		kind, app, time.Since(start).Round(time.Millisecond), res.System, res.Nodes, res.Elapsed,
+		eng.Events(), eng.Dispatches(), eng.Handoffs(), eng.Switches(), eng.Elided())
 	return 0
 }

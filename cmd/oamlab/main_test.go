@@ -230,7 +230,8 @@ func TestSmokeTrace(t *testing.T) {
 }
 
 // TestSmokeMetrics: the metrics subcommand prints the instrument
-// registry and the virtual-time profile.
+// registry and the virtual-time profile, and on stderr, away from what the
+// goldens compare, what the run cost the kernel.
 func TestSmokeMetrics(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := realMain([]string{"-quick", "metrics", "triangle", "-p", "4"}, &out, &errb)
@@ -242,6 +243,12 @@ func TestSmokeMetrics(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, got)
 		}
+	}
+	var ev, d, h, sw, el uint64
+	if i := strings.Index(errb.String(), "kernel: "); i < 0 {
+		t.Errorf("no kernel counts on the closing line:\n%s", errb.String())
+	} else if _, err := fmt.Sscanf(errb.String()[i:], "kernel: %d events, %d dispatches, %d handoffs, %d switches, %d elided]", &ev, &d, &h, &sw, &el); err != nil || !(ev >= d && d > h && h > 0 && sw >= h) || strings.Contains(got, "kernel:") {
+		t.Errorf("kernel counts %d %d %d %d %d (%v) implausible, or on stdout:\n%s", ev, d, h, sw, el, err, errb.String())
 	}
 }
 

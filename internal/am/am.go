@@ -50,6 +50,7 @@ type Universe struct {
 	eps       []*Endpoint
 	handlers  []Handler
 	names     []string
+	atomic    []bool // per handler: registered with RegisterAtomic
 	transport Transport
 	probe     Probe
 }
@@ -148,7 +149,18 @@ func (u *Universe) SetTransport(t Transport) { u.transport = t }
 func (u *Universe) Register(name string, h Handler) HandlerID {
 	u.handlers = append(u.handlers, h)
 	u.names = append(u.names, name)
+	u.atomic = append(u.atomic, false)
 	return HandlerID(len(u.handlers) - 1)
+}
+
+// RegisterAtomic is Register for a handler that only does bookkeeping — it
+// never charges, sends or blocks — so a sleeping scheduler need not be
+// switched to for it: the kernel loop runs it (Eject), where a charge
+// panics as "not the running process".
+func (u *Universe) RegisterAtomic(name string, h Handler) HandlerID {
+	id := u.Register(name, h)
+	u.atomic[id] = true
+	return id
 }
 
 // HandlerName returns the registration name of id, for diagnostics.
@@ -236,11 +248,17 @@ func (ep *Endpoint) TrySendBulk(c threads.Ctx, dst int, h HandlerID, w [4]uint64
 // SendBulk. Transports call this to move their framed messages (and
 // retransmissions) without recursing into themselves.
 func (ep *Endpoint) SendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) {
+	ep.SendRawThen(c, dst, h, w, payload, bulk, -1)
+}
+
+// SendRawThen is SendRaw followed, unless then is negative, by
+// c.P.Charge(then), joined to the injection (cm5.Node.TryInjectThen).
+func (ep *Endpoint) SendRawThen(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, then sim.Duration) {
 	kind := cm5.Small
 	if bulk {
 		kind = cm5.Bulk
 	}
-	ep.sendDraining(c, ep.packet(dst, h, kind, w, payload))
+	ep.sendDraining(c, ep.packet(dst, h, kind, w, payload), then)
 	if bulk {
 		ep.stats.BulkSends++
 	} else {
@@ -267,20 +285,27 @@ func (ep *Endpoint) TrySendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64,
 	return false
 }
 
-func (ep *Endpoint) sendDraining(c threads.Ctx, pkt *cm5.Packet) {
-	for !ep.node.TryInject(c.P, pkt) {
+func (ep *Endpoint) sendDraining(c threads.Ctx, pkt *cm5.Packet, then sim.Duration) {
+	for !ep.node.TryInjectThen(c.P, pkt, then) {
 		ep.stats.DrainSpins++
 		// Drain our own input while waiting for room: handle one packet
 		// if present, otherwise burn a poll and retry. Time advances, the
 		// destination eventually polls, and space appears.
-		ep.pollOnce(c)
+		ep.Poll(c)
 	}
 }
 
 // Poll services at most one incoming message, running its handler inline
 // on this context, and reports whether one was handled. Applications and
 // the thread scheduler's idle loop call this; so does Send while draining.
-func (ep *Endpoint) Poll(c threads.Ctx) bool { return ep.pollOnce(c) }
+func (ep *Endpoint) Poll(c threads.Ctx) bool {
+	pkt := ep.node.PollPacketThen(c.P, ep.u.m.Cost().HandlerDispatch)
+	if pkt == nil {
+		return false
+	}
+	ep.Dispatch(c, pkt)
+	return true
+}
 
 // PollUntil is the hand-coded wait for a message, CMAM_wait: spin on a
 // flag that a handler raises. It is exactly
@@ -301,7 +326,7 @@ func (ep *Endpoint) PollUntil(c threads.Ctx, done func() bool) {
 		ep.polling, ep.pollingSince = true, c.P.Now()
 		ep.node.WaitPacket(c.P)
 		ep.polling = false
-		ep.pollOnce(c)
+		ep.Poll(c)
 	}
 }
 
@@ -310,7 +335,7 @@ func (ep *Endpoint) PollUntil(c threads.Ctx, done func() bool) {
 func (ep *Endpoint) PollAll(c threads.Ctx) int {
 	n := 0
 	for ep.node.Pending() > 0 {
-		if ep.pollOnce(c) {
+		if ep.Poll(c) {
 			n++
 		}
 	}
@@ -318,19 +343,23 @@ func (ep *Endpoint) PollAll(c threads.Ctx) int {
 }
 
 // PollOnce implements threads.Poller for the scheduler idle loop.
-func (ep *Endpoint) PollOnce(c threads.Ctx) bool { return ep.pollOnce(c) }
+func (ep *Endpoint) PollOnce(c threads.Ctx) bool { return ep.Poll(c) }
 
-func (ep *Endpoint) pollOnce(c threads.Ctx) bool {
-	pkt := ep.node.PollPacketThen(c.P, ep.u.m.Cost().HandlerDispatch)
-	if pkt == nil {
-		return false
-	}
-	ep.run(c, pkt)
-	// The wire-path packet is done once its handler returns: recycle the
-	// struct (the payload buffer is handed off, not reused). Packets a
-	// transport hands up via Deliver are the transport's to manage.
+// Eject and Dispatch are PollOnce in steps, for a scheduler that takes the
+// first in kernel context: Eject pops the head of the input queue, for
+// which the caller owes the ejection and the dispatch charge, and says
+// whether its handler is atomic, so that Dispatch may stay there too.
+func (ep *Endpoint) Eject() (pkt *cm5.Packet, atomic bool) {
+	pkt = ep.node.Eject()
+	return pkt, ep.u.atomic[pkt.Handler]
+}
+
+// Dispatch runs the handler of a packet off the wire, both charges paid,
+// and recycles the struct (the payload buffer is handed off, not reused).
+// Packets a transport hands up via Deliver are the transport's to manage.
+func (ep *Endpoint) Dispatch(c threads.Ctx, pkt *cm5.Packet) {
+	ep.Run(c, pkt)
 	ep.node.ReleasePacket(pkt)
-	return true
 }
 
 // Deliver runs pkt's handler inline on this endpoint, exactly as if the
@@ -338,13 +367,14 @@ func (ep *Endpoint) pollOnce(c threads.Ctx) bool {
 // de-framed inner message up to the application layer.
 func (ep *Endpoint) Deliver(c threads.Ctx, pkt *cm5.Packet) {
 	c.P.Charge(ep.u.m.Cost().HandlerDispatch)
-	ep.run(c, pkt)
+	ep.Run(c, pkt)
 }
 
-// run runs pkt's handler inline, HandlerDispatch already charged (pollOnce
-// joins it to the ejection). The handler context is derived from the
-// polling context but has no thread: handlers are not schedulable.
-func (ep *Endpoint) run(c threads.Ctx, pkt *cm5.Packet) {
+// Run runs pkt's handler inline, HandlerDispatch already charged: joined to
+// the ejection by Poll, to an ack's injection by a transport that used
+// SendRawThen. The handler context is derived from the polling context but
+// has no thread: handlers are not schedulable.
+func (ep *Endpoint) Run(c threads.Ctx, pkt *cm5.Packet) {
 	h := ep.u.handlers[pkt.Handler]
 	hc := threads.Ctx{P: c.P, T: nil, S: ep.sched}
 	ep.depth++

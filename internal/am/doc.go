@@ -7,7 +7,10 @@
 // execution context (threads.Ctx with a nil Thread), so any attempt to
 // block panics: that is the Active Messages restriction. Optimistic Active
 // Messages (package oam) lifts it by promoting handlers to threads. A poll
-// charges the ejection and the handler dispatch as one sim.Proc.ChargeSeq.
+// charges the ejection and the handler dispatch as one sim.Proc.ChargeSeq;
+// a sleeping scheduler's poll is taken in steps (Eject, Dispatch), the
+// first by the kernel loop, and so is the handler itself if it was
+// registered as bookkeeping only (RegisterAtomic).
 //
 // Send follows the CM-5 CMMD convention: when the destination's input
 // buffer is full, the sender drains its own incoming messages while

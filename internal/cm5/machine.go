@@ -323,6 +323,34 @@ type Node struct {
 	wake func()
 	// waiter is the process in WaitPacket, to be woken by a delivery.
 	waiter *sim.Proc
+	// inj is what TryInjectThen leaves for the instant its busy charge
+	// elapses — the copies to launch, then the caller's charge — while one
+	// is in progress (busy).
+	inj struct {
+		busy          bool
+		pkt           *Packet
+		wire, dupWire sim.Duration
+		dup           bool
+		then          sim.Duration
+	}
+}
+
+// injecting is a Node seen as the sim.Continuation of the process in
+// TryInjectThen.
+type injecting Node
+
+func (i *injecting) Continue(*sim.Proc) (sim.Next, sim.Duration) {
+	n := (*Node)(i)
+	in := &n.inj
+	if pkt := in.pkt; pkt != nil {
+		in.pkt = nil
+		n.launch(pkt, in.wire, in.dup, in.dupWire)
+		if in.then >= 0 {
+			return sim.NextCharge, in.then
+		}
+	}
+	in.busy = false
+	return sim.NextRun, 0
 }
 
 // ID returns the node number, 0-based.
@@ -393,20 +421,24 @@ func (n *Node) nextFlightKey() uint64 {
 	return uint64(n.id)<<40 | (n.flightSeq & (1<<40 - 1))
 }
 
-// launch schedules one delivery copy arriving wire after the current
-// instant: inline on the shared shard, or published into the destination
+// launch schedules a delivery of pkt arriving wire after the current
+// instant and, if the network forged a copy (dup), that one's at dupWire:
+// inline on the shared shard, or published into the destination
 // shard's inbox when it lives on another (the arrival time is already
 // final, so the flight can cross immediately). The destination node
 // itself is never touched here: it materializes on its own shard.
-func (n *Node) launch(dst int, pkt *Packet, wire sim.Duration) {
+func (n *Node) launch(pkt *Packet, wire sim.Duration, dup bool, dupWire sim.Duration) {
 	at := n.sh.Now().Add(wire)
 	key := n.nextFlightKey()
-	si := n.m.shardIndex(dst)
+	si := n.m.shardIndex(pkt.Dst)
 	if si == n.sh.Index() {
 		n.sh.AtDelivery(at, key, n.m.newDelivery(n.ms, pkt))
-		return
+	} else {
+		n.m.eng.Shard(si).Inject(at, key, pkt)
 	}
-	n.m.eng.Shard(si).Inject(at, key, pkt)
+	if dup {
+		n.launch(pkt, dupWire, false, 0)
+	}
 }
 
 // Arrive implements sim.WindowHook: materialize one published
@@ -428,7 +460,13 @@ func (m *Machine) Arrive(sh *sim.Shard, at sim.Time, key uint64, payload any) {
 // destination's input buffer is full it charges nothing and returns false.
 //
 // p must be the running process, executing on this node's CPU.
-func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
+func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool { return n.TryInjectThen(p, pkt, -1) }
+
+// TryInjectThen is TryInject followed, when the packet was injected and then
+// is not negative, by p.Charge(then). The kernel loop launches the flight
+// and arms that charge in p's place (injecting), unless a core worker of
+// this node is between the two already: then p takes the steps itself.
+func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
 	if pkt.Src != n.id {
 		panic(fmt.Sprintf("cm5: packet src %d injected from node %d", pkt.Src, n.id))
 	}
@@ -500,7 +538,7 @@ func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
 			n.m.probe.PacketLost(now, pkt.Src, pkt.Dst, lossKind)
 		}
 		n.ReleasePacket(pkt) // died in the network: nobody will deliver it
-		p.Charge(busy)
+		p.ChargeSeq(busy, then)
 		return true
 	}
 	n.reserveToward(dst)
@@ -538,10 +576,15 @@ func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
 	if n.m.probe != nil {
 		n.m.probe.PacketSent(now, pkt, busy, wire, dup, dupWire)
 	}
-	p.Charge(busy)
-	n.launch(dst, pkt, wire)
-	if dup {
-		n.launch(dst, pkt, dupWire)
+	if in := &n.inj; in.busy {
+		p.Charge(busy)
+		n.launch(pkt, wire, dup, dupWire)
+		if then >= 0 {
+			p.Charge(then)
+		}
+	} else {
+		in.busy, in.pkt, in.wire, in.dup, in.dupWire, in.then = true, pkt, wire, dup, dupWire, then
+		p.ChargeThen(busy, (*injecting)(n))
 	}
 	return true
 }
@@ -575,15 +618,15 @@ func (n *Node) PollPacket(p *sim.Proc) *Packet { return n.PollPacketThen(p, -1) 
 // is not negative, by p.Charge(then): the caller's fixed per-message cost,
 // joined to the ejection in one sim.Proc.ChargeSeq.
 func (n *Node) PollPacketThen(p *sim.Proc, then sim.Duration) *Packet {
-	cost := &n.m.cost
-	pkt := n.nic.pop()
-	switch {
-	case pkt == nil:
-		p.Charge(cost.PollEmpty)
-	case then < 0:
-		p.Charge(cost.PacketRecvOverhead)
-	default:
-		p.ChargeSeq(cost.PacketRecvOverhead, then)
+	pkt := n.Eject()
+	if pkt == nil {
+		p.Charge(n.m.cost.PollEmpty)
+	} else {
+		p.ChargeSeq(n.m.cost.PacketRecvOverhead, then)
 	}
 	return pkt
 }
+
+// Eject removes the head of the input queue, if any, and charges nothing:
+// the caller owes PacketRecvOverhead for it. Callable from kernel context.
+func (n *Node) Eject() *Packet { return n.nic.pop() }

@@ -144,7 +144,7 @@ func TestObservedSchedTrace(t *testing.T) {
 // exactly, and the rendered table is deterministic.
 func TestProfileMatchesCharged(t *testing.T) {
 	c1, _ := observedTSP(t)
-	if got, want := c1.Profile().Total(), c1.EngineCharged(); got != want {
+	if got, want := c1.Profile().Total(), c1.Engine().Charged(); got != want {
 		t.Errorf("profile total %v != engine charged %v", got, want)
 	}
 	if c1.Profile().Total() == 0 {

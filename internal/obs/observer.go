@@ -197,9 +197,10 @@ func (c *Collector) node(p *sim.Proc) (int, bool) {
 	return n, ok
 }
 
-// EngineCharged returns the engine's own total of charged virtual CPU
-// time — the ground truth the profiler's Total must match exactly.
-func (c *Collector) EngineCharged() sim.Duration { return c.eng.Charged() }
+// Engine returns the engine under observation: its Charged is the total the
+// profile must account for exactly, its event and switch counters are what
+// the run cost the host.
+func (c *Collector) Engine() *sim.Engine { return c.eng }
 
 // Registry returns the metrics sink (nil unless Options.Metrics).
 func (c *Collector) Registry() *Registry { return c.reg }

@@ -309,7 +309,7 @@ type Transport struct {
 func Attach(u *am.Universe, opts Options) *Transport {
 	t := &Transport{u: u, opts: opts.withDefaults()}
 	t.dataH = u.Register("reliable/data", t.handleData)
-	t.ackH = u.Register("reliable/ack", t.handleAck)
+	t.ackH = u.RegisterAtomic("reliable/ack", t.handleAck)
 	t.nodes = make([]*nodeState, u.N())
 	t.nstats = make([]NodeStats, u.N())
 	for i := 0; i < u.N(); i++ {
@@ -482,14 +482,19 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	il := &ns.peers.At(pkt.Src).in
 	dup := il.accept(seq)
 	ns.stats.AcksSent++
-	ns.ep.SendRaw(c, pkt.Src, t.ackH, [4]uint64{seq, il.cum, 0, 0}, nil, false)
+	// A first copy's handler dispatch is charged with the ack's injection.
+	then := sim.Duration(-1)
+	if !dup {
+		then = t.u.Machine().Cost().HandlerDispatch
+	}
+	ns.ep.SendRawThen(c, pkt.Src, t.ackH, [4]uint64{seq, il.cum, 0, 0}, nil, false, then)
 	if dup {
 		ns.stats.DupsSuppressed++
 		t.nstats[pkt.Dst].DupsSuppressed++
 		return
 	}
 	ns.stats.Delivered++
-	// De-frame into a pooled packet for the inner handler. Deliver leaves
+	// De-frame into a pooled packet for the inner handler. Run leaves
 	// ownership with us (the transport), so recycle the struct afterwards;
 	// the payload buffer passes to the application untouched.
 	node := ns.ep.Node()
@@ -498,7 +503,7 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	inner.Handler = int(pkt.W1)
 	inner.W0, inner.W1 = pkt.W2, pkt.W3
 	inner.Payload = pkt.Payload
-	ns.ep.Deliver(c, inner)
+	ns.ep.Run(c, inner)
 	node.ReleasePacket(inner)
 }
 

@@ -14,9 +14,12 @@
 // off the (time, class, key, sequence) ordered queue in place, fires
 // kernel callbacks inline, and continues straight back into the process
 // when its own event surfaces (a Charge with nothing due before its resume
-// skips even that, advancing the clock in place, and ChargeSeq has the loop
-// arm a second charge itself). When another process's event surfaces
-// instead, it records that process in Shard.pending and resumes it by
+// skips even that, advancing the clock in place). When another process's
+// event surfaces instead, the loop first asks the Continuation the process
+// may have left behind (ChargeThen, ParkThen, Then; ChargeSeq is one) and
+// does what it says in the process's place — charge again, park again —
+// for as long as that needs no stack; only when it says Run, or there is
+// none, does it record the process in Shard.pending and resume it by
 // calling its next, staying suspended in that call until the process
 // yields — or, if that process is itself waiting in such a call, yields so
 // that the unwind reaches it (Shard.relay). That is the one invariant: one

@@ -258,7 +258,7 @@ func (e *Engine) Events() uint64 {
 }
 
 // Dispatches reports the number of process resumes so far, summed across
-// shards: in place, armed by the kernel for a ChargeSeq, or switched to.
+// shards: in place, answered by a Continuation, or switched to.
 func (e *Engine) Dispatches() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -270,7 +270,7 @@ func (e *Engine) Dispatches() uint64 {
 // Handoffs reports how many dispatches crossed coroutines (one switch or an
 // unwind, see Switches). Dispatches minus Handoffs is the number of resumes
 // that cost no switch: served by a process to itself on its live stack, or
-// re-armed by the kernel loop (ChargeSeq).
+// by the kernel loop on its Continuation's word.
 func (e *Engine) Handoffs() uint64 {
 	var n uint64
 	for _, sh := range e.shards {

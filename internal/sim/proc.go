@@ -50,10 +50,33 @@ type Proc struct {
 	stepWaiting bool
 	step        Duration
 	stepStart   Time
-	// ChargeSeq state: chained while the first charge's resume is queued,
-	// then the second charge, which the kernel loop arms.
-	chained bool
-	then    Duration
+	// cont, when set, is asked at p's next resume what p does (see
+	// Continuation); second is ChargeSeq's second charge until it is armed.
+	cont   Continuation
+	second Duration
+}
+
+// Next is a Continuation's verdict on a process that has just been resumed.
+type Next uint8
+
+const (
+	NextRun    Next = iota // switch to the process: it needs its stack now
+	NextCharge             // charge the Duration for it, ask again when it elapses
+	NextPark               // park it, ask again at the next Unpark
+	nextAsk                // no verdict yet
+)
+
+// Continuation is the head of a process's code after a suspension, run by
+// the kernel loop in the process's place: where a resumed process would
+// only suspend again — charge once more, or look around and park — the loop
+// does that for it at the resume event's own instant and position, so seq,
+// pids, every counter, tracer record and Probe call are the process's own
+// and no observer needs a fallback. Continue runs in kernel context, also
+// when a process asks on its own stack (Then): it may do what a kernel
+// callback may, a Charge or Park inside it trips checkRunning, and a panic
+// ends the run like a callback's. It stays installed until it says Run.
+type Continuation interface {
+	Continue(p *Proc) (Next, Duration)
 }
 
 // PanicError wraps a panic raised inside a process body so that Run can
@@ -179,7 +202,7 @@ func (sh *Shard) releaseProc(p *Proc) {
 	p.parked = false
 	p.interrupted = false
 	p.intTimer = Timer{}
-	p.runner = nil
+	p.runner, p.cont = nil, nil
 	p.nextFree = sh.freeProc
 	sh.freeProc = p
 }
@@ -219,9 +242,6 @@ func (p *Proc) Now() Time { return p.sh.now }
 // resumes exactly d later. Charge(0) yields to other same-time events.
 // Must be called from the running process.
 func (p *Proc) Charge(d Duration) {
-	if d < 0 {
-		panic("sim: negative charge")
-	}
 	sh := p.sh
 	sh.checkRunning(p, "Charge")
 	if !sh.charge(p, d) {
@@ -230,19 +250,43 @@ func (p *Proc) Charge(d Duration) {
 }
 
 // ChargeSeq is exactly Charge(a); Charge(b) for a caller that does nothing
-// in between: when a's resume surfaces, the kernel loop arms b on p's
-// behalf (see Shard.loop) and p is switched to once, after both.
+// in between — or Charge(a) alone, if b is negative: p is its own
+// continuation for b, and is switched to once.
 func (p *Proc) ChargeSeq(a, b Duration) {
-	if a < 0 || b < 0 {
-		panic("sim: negative charge")
+	p.second = b
+	p.ChargeThen(a, (*secondLeg)(p))
+}
+
+// secondLeg is a Proc seen as the Continuation that arms ChargeSeq's b.
+type secondLeg Proc
+
+func (l *secondLeg) Continue(*Proc) (Next, Duration) {
+	if d := l.second; d >= 0 {
+		l.second = -1
+		return NextCharge, d
 	}
+	return NextRun, 0
+}
+
+// ChargeThen is Charge(d) followed by whatever k says, as Then(k).
+func (p *Proc) ChargeThen(d Duration, k Continuation) { p.then("ChargeThen", k, NextCharge, d) }
+
+// ParkThen is Park followed, at the Unpark, by whatever k says.
+func (p *Proc) ParkThen(k Continuation) { p.then("ParkThen", k, NextPark, 0) }
+
+// Then asks k what p does next, now, and returns once k has said Run:
+// straight away, or after the suspensions k ordered, at each of whose
+// resumes the kernel loop asked again without switching to p.
+func (p *Proc) Then(k Continuation) { p.then("Then", k, nextAsk, 0) }
+
+func (p *Proc) then(op string, k Continuation, next Next, d Duration) {
 	sh := p.sh
-	sh.checkRunning(p, "ChargeSeq")
-	if sh.charge(p, a) {
-		p.Charge(b)
+	sh.checkRunning(p, op)
+	sh.running = nil // k runs as the kernel
+	if sh.follow(p, k, next, d) {
+		sh.running = p
 		return
 	}
-	p.chained, p.then = true, b
 	sh.yieldToKernel(p)
 }
 

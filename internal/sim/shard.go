@@ -195,13 +195,16 @@ func (sh *Shard) AtDelivery(t Time, key uint64, a Action) {
 // atProc schedules the resumption of p at time t without any closure.
 func (sh *Shard) atProc(t Time, p *Proc) { sh.schedule(t, classNormal, 0, evProc, nil, nil, p) }
 
-// charge is p's half of Charge(d), done by p or, for the second leg of a
-// ChargeSeq, by the kernel loop: account d and arrange the resume at now+d.
+// charge is p's half of Charge(d), done by p or, on a Continuation's word,
+// by the kernel loop: account d and arrange the resume at now+d.
 // It reports false when the resume was queued, so p must now be suspended.
 // A resume that would be the very next event popped — nothing pending at or
 // before it (a tie goes to the queued event's lower seq), inside the
 // deadline, no stop or shutdown — happens in place: same seq, no event.
 func (sh *Shard) charge(p *Proc, d Duration) bool {
+	if d < 0 {
+		panic("sim: negative charge")
+	}
 	sh.chargedTotal += d
 	if sh.probe != nil {
 		sh.probe.Charged(p, sh.now, d)
@@ -222,6 +225,33 @@ func (sh *Shard) charge(p *Proc, d Duration) bool {
 		sh.traceResume(p)
 	}
 	return true
+}
+
+// follow carries out a verdict on p, then the ones k gives next, until p
+// must run (true) or is suspended again — mid-charge or parked — with k
+// installed for that resume. A panic in k is a kernel callback's: it ends
+// the run, p stays suspended.
+func (sh *Shard) follow(p *Proc, k Continuation, next Next, d Duration) (run bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.kernelPanic, run = r, false
+		}
+	}()
+	for {
+		switch next {
+		case NextRun:
+			return true
+		case NextCharge:
+			if !sh.charge(p, d) {
+				p.cont = k
+				return false
+			}
+		case NextPark:
+			p.parked, p.cont = true, k
+			return false
+		}
+		next, d = k.Continue(p)
+	}
 }
 
 // AtTimer is At returning a cancellable handle. Timers are plain values
@@ -322,11 +352,11 @@ func (sh *Shard) loop(self *Proc) bool {
 			if sh.tracing() {
 				sh.traceResume(p)
 			}
-			if p.chained {
-				// ChargeSeq: p would only charge again, so do that here and
-				// switch to it once, when the second resume surfaces.
-				p.chained = false
-				if !sh.charge(p, p.then) {
+			if k := p.cont; k != nil {
+				// p left word of what it does first: do that here, and
+				// switch to it only when that needs its stack.
+				p.cont = nil
+				if !sh.follow(p, k, nextAsk, 0) {
 					if sh.tracing() {
 						sh.traceYield(p)
 					}

@@ -56,7 +56,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 				sh.Spawn("polling", func(p *Proc) { p.StepWait(Micros(1)) })
 				// Mid-chain, in the first charge and in the kernel-armed second.
 				sh.Spawn("chaining", func(p *Proc) { p.ChargeSeq(Second, Micros(1)) })
-				sh.Spawn("chained", func(p *Proc) { p.ChargeSeq(Micros(1), Second) })
+				sh.Spawn("seq", func(p *Proc) { p.ChargeSeq(Micros(1), Second) })
 			}
 			if err := e.RunUntil(Time(Micros(50))); err != nil {
 				t.Fatal(err)
@@ -160,8 +160,10 @@ func TestShutdownFromCallbackPanics(t *testing.T) {
 }
 
 // TestShutdownUnwindsEveryState: Shutdown unwinds a process suspended in
-// an interruptible charge through its deferred calls, and retires a
-// process that was spawned but never dispatched without running its body.
+// an interruptible charge through its deferred calls, one parked with a
+// continuation and one mid kernel-armed charge without asking either
+// continuation again, and retires a process that was spawned but never
+// dispatched without running its body.
 func TestShutdownUnwindsEveryState(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		e := New(1)
@@ -171,6 +173,14 @@ func TestShutdownUnwindsEveryState(t *testing.T) {
 			p.ChargeInterruptible(Second)
 			t.Error("interruptible charge returned during Shutdown")
 		})
+		asked, unwoundK := 0, 0
+		for _, steps := range [][]contStep{{{'a', 0}, {'p', 0}}, {{'a', 0}, {'c', Second}}} {
+			e.Spawn("continued", func(p *Proc) {
+				defer func() { unwoundK++ }()
+				p.ChargeThen(Micros(1), &contScript{steps, func(contStep) { asked++ }})
+				t.Error("a continuation said Run during Shutdown")
+			})
+		}
 		if err := e.RunUntil(Time(Micros(5))); err != nil {
 			t.Fatal(err)
 		}
@@ -178,6 +188,9 @@ func TestShutdownUnwindsEveryState(t *testing.T) {
 		e.Shutdown()
 		if !unwound {
 			t.Fatal("deferred call of the charging process did not run")
+		}
+		if asked != 2 || unwoundK != 2 {
+			t.Fatalf("continuations asked %d times, %d of their processes unwound; want 2 and 2", asked, unwoundK)
 		}
 		if !charging.Dead() || !late.Dead() || e.Live() != 0 {
 			t.Fatalf("dead = %v/%v, live = %d after Shutdown", charging.Dead(), late.Dead(), e.Live())

@@ -16,6 +16,15 @@ type Poller interface {
 	PollOnce(c Ctx) bool
 }
 
+// stepPoller is a Poller whose PollOnce can be taken in steps: Eject, which
+// leaves PacketRecvOverhead and HandlerDispatch to be charged in that
+// order, then Dispatch. The first three, and for an atomic handler the
+// last, need no process (see Continue). Package am's is one.
+type stepPoller interface {
+	Eject() (pkt *cm5.Packet, atomic bool)
+	Dispatch(c Ctx, pkt *cm5.Packet)
+}
+
 // Stats counts scheduler activity; the paper reports the live-stack
 // fraction (sections 4.1.1, 4.2.1) so it is tracked explicitly.
 type Stats struct {
@@ -63,10 +72,20 @@ type Scheduler struct {
 	// actor is the process currently running the scheduler loop (polling,
 	// dispatching); nil while a thread has the CPU. Invariant: exactly
 	// one of cur/actor is non-nil except inside a CPU handoff.
-	actor      *sim.Proc
-	idle       *sim.Proc // scheduler-of-last-resort process
-	lent       []lendEntry
+	actor *sim.Proc
+	self  *Thread   // the blocked thread whose context actor is; nil for idle
+	idle  *sim.Proc // scheduler-of-last-resort process
+	lent  []lendEntry
+	// What the actor is in the middle of, between two answers of Continue:
+	// restoring is the thread whose restore half is being charged; ejected
+	// the packet being paid for, owed whether its dispatch charge is still
+	// to be armed, atomic whether its handler needs no process.
+	restoring  *Thread
+	ejected    *cm5.Packet
+	owed       bool
+	atomic     bool
 	poller     Poller
+	stepper    stepPoller // poller, when it is one
 	stats      Stats
 	stopped    bool
 	interrupts bool
@@ -125,7 +144,7 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 		cost: node.Machine().Cost(),
 	}
 	s.blocked.blockedPrev, s.blocked.blockedNext = &s.blocked, &s.blocked
-	s.idle = s.sh.Spawn(fmt.Sprintf("idle/%d", node.ID()), s.idleLoop)
+	s.idle = s.sh.Spawn(fmt.Sprintf("idle/%d", node.ID()), func(p *sim.Proc) { s.act(p, nil) })
 	// A packet arrival resumes the acting scheduler if it is parked with
 	// nothing to do; if a thread is running (or the CPU is lent to an
 	// optimistic execution) the packet waits in the input queue until the
@@ -141,7 +160,10 @@ func (s *Scheduler) Node() *cm5.Node { return s.node }
 func (s *Scheduler) Stats() Stats { return s.stats }
 
 // SetPoller installs the scheduler's network service hook.
-func (s *Scheduler) SetPoller(p Poller) { s.poller = p }
+func (s *Scheduler) SetPoller(p Poller) {
+	s.poller = p
+	s.stepper, _ = p.(stepPoller)
+}
 
 // Stop makes the idle process exit the next time it acts with nothing to
 // do. Threads still in the system are unaffected; the engine's Shutdown
@@ -215,53 +237,89 @@ func (s *Scheduler) wakeActor() {
 	}
 }
 
-// idleLoop is the body of the scheduler-of-last-resort process: it acts
-// as the scheduler whenever no blocked thread's context is available
-// (at start-up, and after a thread exits leaving nothing runnable).
-func (s *Scheduler) idleLoop(p *sim.Proc) {
-	for !s.stopped {
-		s.schedulerLoop(p, nil)
+// act runs the scheduler in the context of process p. self is the blocked
+// thread whose context p is, or nil for the idle process, which acts
+// whenever no such context is available (at start-up, and after a thread
+// exits leaving nothing runnable). It returns when self has the CPU again —
+// its wakeup came while p acted, the free resume, or p gave the CPU to
+// another thread and was restored — or, for the idle process, on Stop. What
+// to do next is Continue's to say; p itself only runs the handlers, which
+// need a stack.
+func (s *Scheduler) act(p *sim.Proc, self *Thread) {
+	s.actor, s.self = p, self
+	for p.Then(s); s.actor == p; p.Then(s) {
+		if pkt := s.ejected; pkt != nil {
+			s.ejected = nil
+			s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
+		} else {
+			s.poller.PollOnce(Ctx{P: p, S: s})
+		}
 	}
 }
 
-// schedulerLoop runs the scheduler in the context of process p. self is
-// the blocked thread whose context p is, or nil for the idle process.
-// The loop returns when either (a) self became runnable and resumed in
-// place — the free resume — or (b) the CPU was handed to another thread,
-// p parked, and p has now been resumed (for a thread: it was restored;
-// for the idle process: it is the actor again).
-func (s *Scheduler) schedulerLoop(p *sim.Proc, self *Thread) {
-	s.actor = p
-	for {
-		if next := s.ready.popFront(); next != nil {
-			s.noteReady()
-			if next == self {
-				// Our own wakeup arrived while we polled: return
-				// directly into the blocked thread. No switch, no cost —
-				// the scheduler was running on our stack all along.
-				s.stats.FreeResumes++
-				s.actor = nil
-				self.state = stateRunning
-				s.cur = self
-				return
-			}
-			s.actor = nil
-			s.startOrResume(p, next, false)
-			p.Park()
-			return
-		}
-		if s.poller != nil && s.node.Pending() > 0 {
-			s.poller.PollOnce(Ctx{P: p, S: s})
-			continue
-		}
-		if s.stopped && self == nil {
-			s.actor = nil
-			return
-		}
-		// Nothing runnable, nothing to poll: sleep until a packet
-		// delivery or a wakeup arrives.
-		p.Park()
+// Continue is the acting scheduler's decision, as the sim.Continuation of
+// the process p it acts in: asked when p starts to act, after each handler,
+// and by the kernel loop at each of p's wakeups and whenever a charge
+// ordered here elapses, with no switch to p unless the answer is Run. First
+// it finishes what is in progress: a restore half paid, it hands over the
+// CPU; a packet paid for, it runs an atomic handler here and leaves any
+// other to p. Then, in order: self at the front of the ready queue resumes;
+// another thread gets the CPU and p parks until restored (the idle process,
+// until a thread exit leaves nothing to run); a waiting packet is ejected
+// and charged for; Stop ends the idle process; else p sleeps until a
+// delivery or a wakeup.
+func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	switch pkt := s.ejected; {
+	case s.cur != nil && s.cur.proc == p:
+		return sim.NextRun, 0 // restored: p's thread has the CPU back
+	case s.restoring != nil:
+		t := s.restoring
+		s.restoring = nil
+		s.giveCPU(t, false)
+		return sim.NextPark, 0
+	case pkt != nil && s.owed:
+		s.owed = false
+		return sim.NextCharge, s.cost.HandlerDispatch
+	case pkt != nil && !s.atomic:
+		return sim.NextRun, 0
+	case pkt != nil:
+		s.ejected = nil
+		s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
+	case s.actor != p:
+		s.actor, s.self = p, nil // the idle process, woken by exitDispatch
 	}
+	if next := s.ready.popFront(); next != nil {
+		s.noteReady()
+		s.actor = nil
+		if next == s.self {
+			// Our own wakeup arrived while we polled: return directly into
+			// the blocked thread. No switch, no cost — the scheduler was
+			// running on our stack all along.
+			s.stats.FreeResumes++
+			next.state = stateRunning
+			s.cur = next
+			return sim.NextRun, 0
+		}
+		if s.owesRestore(next) {
+			s.restoring = next
+			return sim.NextCharge, s.cost.ContextSwitch / 2
+		}
+		s.giveCPU(next, false)
+		return sim.NextPark, 0
+	}
+	if s.poller != nil && s.node.Pending() > 0 {
+		if s.stepper == nil {
+			return sim.NextRun, 0 // p polls: the poller's only step is PollOnce
+		}
+		s.ejected, s.atomic = s.stepper.Eject()
+		s.owed = true
+		return sim.NextCharge, s.cost.PacketRecvOverhead
+	}
+	if s.stopped && s.self == nil {
+		s.actor = nil
+		return sim.NextRun, 0
+	}
+	return sim.NextPark, 0
 }
 
 // startOrResume hands the CPU to thread t, charging switch costs to p,
@@ -280,6 +338,29 @@ func (s *Scheduler) schedulerLoop(p *sim.Proc, self *Thread) {
 // beyond its creation cost. fromRunnable reports a yield handoff, which
 // is never a live-stack start.
 func (s *Scheduler) startOrResume(p *sim.Proc, t *Thread, fromRunnable bool) {
+	if s.owesRestore(t) {
+		p.Charge(s.cost.ContextSwitch / 2)
+	}
+	s.giveCPU(t, fromRunnable)
+}
+
+// owesRestore reports whether handing the CPU to t costs the restore half,
+// consuming a prepayment if not.
+func (s *Scheduler) owesRestore(t *Thread) bool {
+	if t.state != stateReady {
+		return false
+	}
+	if t.prepaid {
+		t.prepaid = false
+		return false
+	}
+	s.stats.SwitchHalves++
+	return true
+}
+
+// giveCPU makes t the running thread, every charge paid: it starts a new
+// thread's process or unparks a suspended one's.
+func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 	switch t.state {
 	case stateNew:
 		s.stats.Starts++
@@ -294,12 +375,6 @@ func (s *Scheduler) startOrResume(p *sim.Proc, t *Thread, fromRunnable bool) {
 			s.probe.ThreadStarted(s.sh.Now(), s.node.ID(), t, !fromRunnable)
 		}
 	case stateReady:
-		if t.prepaid {
-			t.prepaid = false
-		} else {
-			s.stats.SwitchHalves++
-			p.Charge(s.cost.ContextSwitch / 2)
-		}
 		t.state = stateRunning
 		s.cur = t
 		t.proc.Unpark()
@@ -440,7 +515,7 @@ func (s *Scheduler) blockCurrent(c Ctx) {
 	t.state = stateBlocked
 	s.noteBlocked(t)
 	s.cur = nil
-	s.schedulerLoop(c.P, t)
+	s.act(c.P, t)
 	if s.cur != t {
 		panic(fmt.Sprintf("threads: thread %q resumed without the CPU", t.Name()))
 	}
