@@ -241,7 +241,7 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 			}
 			// Eight waiters, two of which are woken again and finish: the
 			// report must list the other six and main, in block order.
-			var ws []*threads.Thread
+			var ws []threads.Handle
 			for _, name := range []string{"h", "b", "f", "d", "a", "g", "c", "e"} {
 				ws = append(ws, c.S.Create(c, name, false, func(c threads.Ctx) { c.S.Block(c) }))
 			}
@@ -263,6 +263,40 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 		if again := deadlock(); again != first {
 			t.Fatalf("deadlock report differs between identical runs:\n%s\n%s", first, again)
 		}
+	}
+}
+
+// TestDeadlockReportAfterRecycling: thread descriptors are recycled, and the
+// ring of blocked threads the report walks is linked through them. Three
+// generations on one descriptor — two that exit, a third that blocks for
+// good — must be reported as the third alone, under its own name.
+func TestDeadlockReportAfterRecycling(t *testing.T) {
+	u := universe(t, 2, nil)
+	var tenants []*threads.Thread
+	_, err := u.SPMD(func(c threads.Ctx, node int) {
+		if node == 1 {
+			return
+		}
+		for _, name := range []string{"first", "second", "third"} {
+			c.S.Create(c, name, false, func(c threads.Ctx) {
+				tenants = append(tenants, c.T)
+				c.S.Sleep(c, sim.Micros(5)) // through the ring and out again
+				if name == "third" {
+					c.S.Block(c)
+				}
+			})
+			c.S.Sleep(c, sim.Micros(50)) // the thread runs, and unless it is the third, exits
+		}
+		c.S.Block(c)
+	})
+	if err == nil {
+		t.Fatal("expected deadlock error")
+	}
+	if len(tenants) != 3 || tenants[0] != tenants[1] || tenants[1] != tenants[2] {
+		t.Fatalf("the three threads ran on descriptors %p: want one descriptor, three times", tenants)
+	}
+	if want := "(blocked: [third main/0], 0 queued packets)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock report %q, want %q", err, want)
 	}
 }
 

@@ -368,6 +368,19 @@ type clientState struct {
 	reqCtr      uint32
 	n           ClientCounts
 	err         error
+	free        *arrival
+}
+
+// arrival carries one request's arguments to its thread. Records recycle on
+// their client's free list, with body bound once per record (rpc's
+// call.expire pattern), so an arrival allocates no closure.
+type arrival struct {
+	op       Op
+	key, req uint32
+	val      int32
+	start    sim.Time
+	body     func(threads.Ctx)
+	next     *arrival
 }
 
 type kvRun struct {
@@ -748,6 +761,16 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		cs.outstanding--
 	}
 
+	newArrival := func(cs *clientState, me int) *arrival {
+		a := &arrival{}
+		a.body = func(c threads.Ctx) {
+			q := *a // started: the arguments are out and the record is free again
+			a.next, cs.free = cs.free, a
+			runReq(c, cs, me, q.op, q.key, q.val, q.req, q.start)
+		}
+		return a
+	}
+
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		if me < cfg.Servers {
 			return // servers serve from the scheduler idle loop
@@ -804,11 +827,15 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			cs.outstanding++
 			req := cs.reqCtr
 			cs.reqCtr += 2 // a lock cycle uses req and req+1
-			start := next  // SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
+			a := cs.free
+			if a == nil {
+				a = newArrival(cs, me)
+			}
+			cs.free = a.next
+			// SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
+			a.op, a.key, a.val, a.req, a.start = op, key, val, req, next
 			name := threads.Name{Prefix: "kv/req/", A: cid, B: int(req), Pair: true}
-			c.S.CreateNamed(c, name, false, func(c threads.Ctx) {
-				runReq(c, cs, me, op, key, val, req, start)
-			})
+			c.S.CreateNamed(c, name, false, a.body)
 		}
 		for cs.outstanding > 0 {
 			if node.Crashed() {

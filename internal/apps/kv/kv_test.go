@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -171,5 +172,29 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 	if unlockFails == 0 {
 		t.Fatal("no unlock failed despite server-side expiries")
+	}
+}
+
+// TestRequestAllocBudget: heap objects per request of a whole run of the
+// benchmark's kv_steady cell, machine set-up included. A
+// request's thread descriptor and its body come off free lists (the
+// scheduler's, the client's), so what is left is what outlives a call —
+// request and reply buffers — and the stub's retry closure.
+func TestRequestAllocBudget(t *testing.T) {
+	cfg := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 48, Duration: sim.Micros(24000), RateX: 1}
+	if _, _, err := kv.Run(cfg); err != nil { // warm: lazy runtime and package state
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, st, err := kv.Run(cfg)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(m1.Mallocs-m0.Mallocs) / float64(st.OK)
+	t.Logf("%.3f objects per completed request (%d requests)", got, st.OK)
+	if got > 4.6 {
+		t.Fatalf("a completed request allocates %.3f objects, want <= 4.6", got)
 	}
 }

@@ -27,7 +27,7 @@ type Problem struct {
 // random (seeded) on a 1000x1000 grid, with rounded Euclidean distances.
 // The paper's experiment uses 12 cities.
 func NewProblem(n int, seed int64) *Problem {
-	if n < 3 || n > 16 {
+	if n < 3 || n > maxCities {
 		panic("tsp: city count out of supported range [3,16]")
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -65,15 +65,24 @@ func NewProblem(n int, seed int64) *Problem {
 	return p
 }
 
+// maxCities bounds an instance, so a search's state has a fixed size.
+const maxCities = 16
+
 // JobDepth is the partial-route length the master generates. With 12
 // cities and depth 5 (start city plus four more), the master creates
 // 11*10*9*8 = 7920 jobs, matching the paper.
 const JobDepth = 5
 
 // Jobs enumerates the partial routes in deterministic (lexicographic)
-// order. Each job is a route of JobDepth cities starting at city 0.
+// order. Each job is a route of JobDepth cities starting at city 0; all of
+// them are cut from one backing array.
 func (p *Problem) Jobs() [][]uint8 {
-	var jobs [][]uint8
+	n := 1
+	for i := 1; i < JobDepth; i++ {
+		n *= max(p.N-i, 0)
+	}
+	jobs := make([][]uint8, 0, n)
+	flat := make([]uint8, 0, n*JobDepth)
 	route := make([]uint8, 1, JobDepth)
 	route[0] = 0
 	used := make([]bool, p.N)
@@ -81,7 +90,8 @@ func (p *Problem) Jobs() [][]uint8 {
 	var rec func()
 	rec = func() {
 		if len(route) == JobDepth {
-			jobs = append(jobs, append([]uint8(nil), route...))
+			flat = append(flat, route...)
+			jobs = append(jobs, flat[len(flat)-JobDepth:len(flat):len(flat)])
 			return
 		}
 		for c := 1; c < p.N; c++ {
@@ -112,55 +122,70 @@ func (p *Problem) RouteLen(route []uint8) int64 {
 // best. It returns the best complete tour length found (or the incoming
 // best) and the number of tree nodes visited. onVisit, if non-nil, is
 // called for every block of visited nodes — the hook the parallel slaves
-// use to charge compute time and poll the network.
+// use to charge compute time and poll the network. The search state is a
+// fixed-size value on the caller's stack: onVisit yields, so slaves are
+// inside Expand on one Problem together, and a job allocates nothing.
 func (p *Problem) Expand(route []uint8, best int64, onVisit func(n int) int64) (int64, uint64) {
-	var visits uint64
-	used := make([]bool, p.N)
+	x := expansion{p: p, best: best, onVisit: onVisit}
+	x.n = copy(x.path[:], route)
 	for _, c := range route {
-		used[c] = true
+		x.used[c] = true
 	}
-	path := append([]uint8(nil), route...)
-	length := p.RouteLen(route)
-	var pending int
-	var rec func(length int64)
-	rec = func(length int64) {
-		visits++
-		pending++
-		if onVisit != nil && pending >= 64 {
-			if nb := onVisit(pending); nb < best {
-				best = nb
-			}
-			pending = 0
-		}
-		if length >= best {
-			return
-		}
-		if len(path) == p.N {
-			total := length + p.Dist[path[p.N-1]][0]
-			if total < best {
-				best = total
-			}
-			return
-		}
-		last := path[len(path)-1]
-		for _, c := range p.NearOrder[last] {
-			if used[c] {
-				continue
-			}
-			used[c] = true
-			path = append(path, c)
-			rec(length + p.Dist[last][c])
-			path = path[:len(path)-1]
-			used[c] = false
-		}
+	x.rec(p.RouteLen(route))
+	if onVisit != nil && x.pending > 0 {
+		x.poll()
 	}
-	rec(length)
-	if onVisit != nil && pending > 0 {
-		if nb := onVisit(pending); nb < best {
-			best = nb
-		}
+	return x.best, x.visits
+}
+
+// expansion is the state of one Expand: the path so far and its cities.
+type expansion struct {
+	p       *Problem
+	best    int64
+	visits  uint64
+	pending int
+	onVisit func(n int) int64
+	used    [maxCities]bool
+	path    [maxCities]uint8
+	n       int // cities on path
+}
+
+// poll reports the visits since the last report and takes the bound back.
+func (x *expansion) poll() {
+	if nb := x.onVisit(x.pending); nb < x.best {
+		x.best = nb
 	}
-	return best, visits
+	x.pending = 0
+}
+
+func (x *expansion) rec(length int64) {
+	p := x.p
+	x.visits++
+	x.pending++
+	if x.onVisit != nil && x.pending >= 64 {
+		x.poll()
+	}
+	if length >= x.best {
+		return
+	}
+	last := x.path[x.n-1]
+	if x.n == p.N {
+		if total := length + p.Dist[last][0]; total < x.best {
+			x.best = total
+		}
+		return
+	}
+	for _, c := range p.NearOrder[last] {
+		if x.used[c] {
+			continue
+		}
+		x.used[c] = true
+		x.path[x.n] = c
+		x.n++
+		x.rec(length + p.Dist[last][c])
+		x.n--
+		x.used[c] = false
+	}
 }
 
 // SeqCounts reports a sequential solve.

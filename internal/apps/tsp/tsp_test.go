@@ -3,6 +3,7 @@ package tsp
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 )
@@ -143,6 +144,35 @@ func TestExpandVisitHook(t *testing.T) {
 	}
 	if hookVisits != visits {
 		t.Fatalf("hook saw %d visits, Expand reports %d", hookVisits, visits)
+	}
+}
+
+// TestSearchAllocBudget: the job list is cut from one array — its jobs lie
+// end to end, and appending to one copies it instead of running into the
+// next — and expanding a job, visit hook included, allocates nothing: the
+// search state is a fixed-size value on the caller's stack.
+func TestSearchAllocBudget(t *testing.T) {
+	p := NewProblem(9, 4)
+	jobs := p.Jobs()
+	for i := 1; i < len(jobs); i++ {
+		if unsafe.Add(unsafe.Pointer(&jobs[i-1][0]), JobDepth) != unsafe.Pointer(&jobs[i][0]) {
+			t.Fatalf("job %d does not follow job %d in one array", i, i-1)
+		}
+	}
+	if grown := append(jobs[0], 9); &grown[0] == &jobs[0][0] || jobs[1][0] != 0 {
+		t.Fatal("appending to a job wrote into its neighbour")
+	}
+	if got := testing.AllocsPerRun(10, func() { p.Jobs() }); got > 4 {
+		t.Errorf("Jobs allocates %v objects, want <= 4 (list, array, used, the walk's closure)", got)
+	}
+	best, polled := int64(math.MaxInt64), 0
+	got := testing.AllocsPerRun(10, func() {
+		for _, j := range jobs[:64] {
+			best, _ = p.Expand(j, best, func(n int) int64 { polled += n; return best })
+		}
+	})
+	if got != 0 || polled == 0 {
+		t.Errorf("expanding 64 jobs allocates %v objects (hook saw %d visits), want 0", got, polled)
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
+// waitFunc adapts a test callback to CtlWaiter.
+type waitFunc func(or bool, red float64)
+
+func (f waitFunc) Released(or bool, red float64) { f(or, red) }
+
 // TestBarrierAsyncAPI: the callback fires at release; a late waiter gets
 // ready=true immediately.
 func TestBarrierAsyncAPI(t *testing.T) {
@@ -13,7 +18,7 @@ func TestBarrierAsyncAPI(t *testing.T) {
 	fired := false
 	eng.Spawn("a", func(p *sim.Proc) {
 		m.Node(0).BarrierEnter()
-		if m.Node(0).BarrierWaitAsync(func() { fired = true }) {
+		if m.Node(0).BarrierWaitAsync(waitFunc(func(bool, float64) { fired = true })) {
 			t.Error("barrier released before all entered")
 		}
 		p.Park()
@@ -24,9 +29,9 @@ func TestBarrierAsyncAPI(t *testing.T) {
 		m.Node(1).BarrierEnter()
 		// Wait past the release, then consume the wait late.
 		p.Charge(sim.Micros(100))
-		lateReady = m.Node(1).BarrierWaitAsync(func() {
+		lateReady = m.Node(1).BarrierWaitAsync(waitFunc(func(bool, float64) {
 			t.Error("late waiter callback fired")
-		})
+		}))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -46,7 +51,7 @@ func TestReduceAsyncAPI(t *testing.T) {
 	var got0, got1 float64
 	eng.Spawn("a", func(p *sim.Proc) {
 		m.Node(0).ReduceEnter(3, ReduceSum)
-		if ready, _ := m.Node(0).ReduceWaitAsync(func(v float64) { got0 = v }); ready {
+		if ready, _ := m.Node(0).ReduceWaitAsync(waitFunc(func(_ bool, v float64) { got0 = v })); ready {
 			t.Error("reduce ready before all entered")
 		}
 		p.Park()
@@ -55,7 +60,7 @@ func TestReduceAsyncAPI(t *testing.T) {
 		p.Charge(sim.Micros(5))
 		m.Node(1).ReduceEnter(4, ReduceSum)
 		p.Charge(sim.Micros(100))
-		ready, v := m.Node(1).ReduceWaitAsync(func(float64) {})
+		ready, v := m.Node(1).ReduceWaitAsync(waitFunc(func(bool, float64) {}))
 		if !ready {
 			t.Error("late reduce waiter not ready")
 		}
@@ -76,7 +81,7 @@ func TestORWaitAsyncAPI(t *testing.T) {
 	var cbVal bool
 	eng.Spawn("a", func(p *sim.Proc) {
 		m.Node(0).OREnter(false)
-		if ready, _ := m.Node(0).ORWaitAsync(func(v bool) { cbVal = v }); ready {
+		if ready, _ := m.Node(0).ORWaitAsync(waitFunc(func(v bool, _ float64) { cbVal = v })); ready {
 			t.Error("or ready early")
 		}
 		p.Park()
@@ -85,7 +90,7 @@ func TestORWaitAsyncAPI(t *testing.T) {
 		p.Charge(sim.Micros(5))
 		m.Node(1).OREnter(true)
 		p.Charge(sim.Micros(100))
-		ready, v := m.Node(1).ORWaitAsync(func(bool) {})
+		ready, v := m.Node(1).ORWaitAsync(waitFunc(func(bool, float64) {}))
 		if !ready || !v {
 			t.Errorf("late or waiter: ready=%v v=%v", ready, v)
 		}

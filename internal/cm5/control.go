@@ -34,6 +34,14 @@ func (op ReduceOp) combine(a, b float64) float64 {
 	}
 }
 
+// CtlWaiter is what a collective wakes when a round releases: Released runs
+// in kernel context, at the release instant, with the round's combined
+// values. A long-lived object that implements it (a thread descriptor)
+// waits without allocating.
+type CtlWaiter interface {
+	Released(or bool, red float64)
+}
+
 // ctlRound is one round of a collective operation. Rounds are identified
 // by a per-primitive epoch; every node contributes exactly once per round
 // and waits exactly once per round (the barrier fuses the two).
@@ -41,6 +49,7 @@ func (op ReduceOp) combine(a, b float64) float64 {
 // time, so the result — including floating-point reductions — is
 // independent of arrival order and therefore of the shard count.
 type ctlRound struct {
+	epoch        uint64
 	entered      []bool
 	ors          []bool
 	vals         []float64
@@ -49,9 +58,11 @@ type ctlRound struct {
 	released     bool
 	orVal        bool
 	redVal       float64
-	redOp        ReduceOp                     // operator of this round (fixed per round)
-	waiters      []func(or bool, red float64) // per node; called in node order
+	redOp        ReduceOp    // operator of this round (fixed per round)
+	waiters      []CtlWaiter // per node; woken in node order
 	pendingWaits int
+	fire         func()    // the release action, bound once to this record
+	next         *ctlRound // free list
 }
 
 // collective implements one collective primitive (barrier, global OR, or
@@ -72,6 +83,7 @@ type collective struct {
 	rank    uint64 // key rank of this primitive's release globals
 	latency func(*CostModel) sim.Duration
 	rounds  map[uint64]*ctlRound
+	free    *ctlRound // retired rounds, slices and release action included
 }
 
 // numCollectives is the number of control-network primitives (barrier,
@@ -88,24 +100,38 @@ func newCollective(m *Machine, idx int, rank uint64, latency func(*CostModel) si
 	}
 }
 
+// round returns epoch's round, starting it on a recycled record if its
+// first contribution is only now arriving.
 func (c *collective) round(epoch uint64) *ctlRound {
 	r, ok := c.rounds[epoch]
 	if !ok {
-		n := c.m.N()
-		r = &ctlRound{
-			entered:      make([]bool, n),
-			ors:          make([]bool, n),
-			vals:         make([]float64, n),
-			pendingWaits: n,
+		if r = c.free; r == nil {
+			r = c.newRound()
 		}
+		c.free = r.next
+		r.epoch, r.pendingWaits = epoch, c.m.N()
 		c.rounds[epoch] = r
 	}
 	return r
 }
 
-// enter records node's contribution to its next round. The epoch
-// bookkeeping is node-local; the round mutation is shared. It does not
-// block.
+func (c *collective) newRound() *ctlRound {
+	n := c.m.N()
+	r := &ctlRound{
+		entered: make([]bool, n),
+		ors:     make([]bool, n),
+		vals:    make([]float64, n),
+		waiters: make([]CtlWaiter, n),
+	}
+	r.fire = func() { c.release(r) }
+	return r
+}
+
+// enter records node's contribution to its next round and, when the round
+// is complete, schedules the release as a global control event keyed by
+// (primitive rank, epoch) at the last contribution time plus the
+// primitive's latency. The epoch bookkeeping is node-local; the round
+// mutation is shared. It does not block.
 func (c *collective) enter(n *Node, or bool, red float64, op ReduceOp) {
 	node := n.id
 	epoch := n.ctlEnter[c.idx]
@@ -117,14 +143,6 @@ func (c *collective) enter(n *Node, or bool, red float64, op ReduceOp) {
 		c.m.ctlmu.Lock()
 		defer c.m.ctlmu.Unlock()
 	}
-	c.applyEnter(epoch, node, n.sh.Now(), or, red, op)
-}
-
-// applyEnter lands one contribution in its round and, when the round is
-// complete, schedules the release as a global control event keyed by
-// (primitive rank, epoch) at the last contribution time plus the
-// primitive's latency.
-func (c *collective) applyEnter(epoch uint64, node int, t sim.Time, or bool, red float64, op ReduceOp) {
 	r := c.round(epoch)
 	r.redOp = op
 	if r.entered[node] {
@@ -134,74 +152,58 @@ func (c *collective) applyEnter(epoch uint64, node int, t sim.Time, or bool, red
 	r.ors[node] = or
 	r.vals[node] = red
 	r.count++
-	if t > r.maxT {
+	if t := n.sh.Now(); t > r.maxT {
 		r.maxT = t
 	}
 	if r.count == c.m.N() {
-		c.m.eng.AtGlobal(r.maxT.Add(c.latency(&c.m.cost)), c.rank<<48|epoch, func() {
-			c.release(epoch)
-		})
+		c.m.eng.AtGlobal(r.maxT.Add(c.latency(&c.m.cost)), c.rank<<48|epoch, r.fire)
 	}
 }
 
-// release combines the round's contributions in node order and runs the
-// registered waiter callbacks, also in node order. It fires as a global
-// control event, so its position among same-time events is identical at
-// any shard count.
-func (c *collective) release(epoch uint64) {
-	r := c.rounds[epoch]
-	n := c.m.N()
+// release combines the round's contributions in node order and wakes the
+// registered waiters, also in node order. It fires as a global control
+// event, so its position among same-time events is identical at any shard
+// count.
+func (c *collective) release(r *ctlRound) {
 	or := false
-	red := 0.0
-	for i := 0; i < n; i++ {
+	red := r.vals[0]
+	for i, v := range r.vals {
 		or = or || r.ors[i]
-		if i == 0 {
-			red = r.vals[0]
-		} else {
-			red = r.redOp.combine(red, r.vals[i])
+		if i > 0 {
+			red = r.redOp.combine(red, v)
 		}
 	}
 	r.orVal, r.redVal = or, red
 	r.released = true
-	ws := r.waiters
-	r.waiters = nil
-	if ws == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		if w := ws[i]; w != nil {
-			c.consume(epoch)
-			w(or, red)
+	for i, w := range r.waiters {
+		if w != nil {
+			r.waiters[i] = nil
+			c.consume(r)
+			w.Released(or, red)
 		}
 	}
 }
 
-// applyWait registers node's callback on its not-yet-released round.
-func (c *collective) applyWait(epoch uint64, node int, cb func(or bool, red float64)) {
-	r := c.round(epoch)
-	if r.waiters == nil {
-		r.waiters = make([]func(or bool, red float64), c.m.N())
-	}
-	r.waiters[node] = cb
-}
-
-// consume retires one of the round's N waits, dropping the round when the
-// last one is consumed. Called in global or sequential-kernel context, or
-// mid-span under ctlmu, which serializes every rounds-map mutation
-// against the other shards.
-func (c *collective) consume(epoch uint64) {
-	r := c.rounds[epoch]
+// consume retires one of the round's N waits; the last one drops the round
+// and returns its record to the free list, reset: every enter overwrites
+// its ors and vals slot and release has emptied waiters. Called in global
+// or sequential-kernel context, or mid-span under ctlmu, which serializes
+// every rounds-map and free-list mutation against the other shards.
+func (c *collective) consume(r *ctlRound) {
 	r.pendingWaits--
 	if r.pendingWaits == 0 {
-		delete(c.rounds, epoch)
+		delete(c.rounds, r.epoch)
+		clear(r.entered)
+		r.count, r.maxT, r.released = 0, 0, false
+		r.next, c.free = c.free, r
 	}
 }
 
 // waitAsync consumes node's wait for its last-entered round. If the round
-// has already released, it returns (true, or, red) and cb is never
-// called. Otherwise it returns ready == false and cb fires — in kernel
+// has already released, it returns (true, or, red) and w is never woken.
+// Otherwise it returns ready == false and w.Released runs — in kernel
 // context, at the release instant — when the round releases.
-func (c *collective) waitAsync(n *Node, cb func(or bool, red float64)) (ready, or bool, red float64) {
+func (c *collective) waitAsync(n *Node, w CtlWaiter) (ready, or bool, red float64) {
 	node := n.id
 	epoch := n.ctlWait[c.idx]
 	if epoch >= n.ctlEnter[c.idx] {
@@ -215,30 +217,39 @@ func (c *collective) waitAsync(n *Node, cb func(or bool, red float64)) (ready, o
 	// The node entered this round and has not consumed its wait, so the
 	// round exists. Releases only fire between spans, so it is either
 	// already released — take the values, retire the wait — or the
-	// callback registers for the release instant.
+	// waiter registers for the release instant.
 	r := c.rounds[epoch]
 	if r.released {
-		c.consume(epoch)
-		return true, r.orVal, r.redVal
+		or, red = r.orVal, r.redVal
+		c.consume(r)
+		return true, or, red
 	}
-	c.applyWait(epoch, node, cb)
+	r.waiters[node] = w
 	return false, false, 0
+}
+
+// procWait is a raw process waiting on a collective.
+type procWait struct {
+	p   *sim.Proc
+	or  bool
+	red float64
+}
+
+func (w *procWait) Released(or bool, red float64) {
+	w.or, w.red = or, red
+	w.p.Unpark()
 }
 
 // wait blocks node (parking p) until the round it last entered is released,
 // then returns that round's combined values.
 func (c *collective) wait(p *sim.Proc, n *Node) (bool, float64) {
-	var orOut bool
-	var redOut float64
-	ready, or, red := c.waitAsync(n, func(o bool, r float64) {
-		orOut, redOut = o, r
-		p.Unpark()
-	})
+	w := procWait{p: p}
+	ready, or, red := c.waitAsync(n, &w)
 	if ready {
 		return or, red
 	}
 	p.Park()
-	return orOut, redOut
+	return w.or, w.red
 }
 
 // controlNetwork bundles the machine's collective primitives. The CM-5
@@ -282,10 +293,10 @@ func (n *Node) Barrier(p *sim.Proc) {
 func (n *Node) BarrierEnter() { n.m.ctl.barrier.enter(n, false, 0, ReduceSum) }
 
 // BarrierWaitAsync consumes the barrier wait: it reports true if the
-// round has already released; otherwise cb fires (in kernel context) on
+// round has already released; otherwise w is woken (in kernel context) on
 // release.
-func (n *Node) BarrierWaitAsync(cb func()) bool {
-	ready, _, _ := n.m.ctl.barrier.waitAsync(n, func(bool, float64) { cb() })
+func (n *Node) BarrierWaitAsync(w CtlWaiter) bool {
+	ready, _, _ := n.m.ctl.barrier.waitAsync(n, w)
 	return ready
 }
 
@@ -296,18 +307,18 @@ func (n *Node) ReduceEnter(val float64, op ReduceOp) {
 }
 
 // ReduceWaitAsync consumes the reduction wait: ready is true (with the
-// combined value) if the round has already released; otherwise cb fires
+// combined value) if the round has already released; otherwise w is woken
 // (in kernel context) with the combined value on release.
-func (n *Node) ReduceWaitAsync(cb func(float64)) (ready bool, val float64) {
-	ready, _, val = n.m.ctl.reduce.waitAsync(n, func(_ bool, red float64) { cb(red) })
+func (n *Node) ReduceWaitAsync(w CtlWaiter) (ready bool, val float64) {
+	ready, _, val = n.m.ctl.reduce.waitAsync(n, w)
 	return ready, val
 }
 
 // ORWaitAsync consumes the global-OR wait: ready is true (with the OR
-// value) if the round has already combined; otherwise cb fires (in
+// value) if the round has already combined; otherwise w is woken (in
 // kernel context) with the value on release.
-func (n *Node) ORWaitAsync(cb func(bool)) (ready, val bool) {
-	ready, val, _ = n.m.ctl.or.waitAsync(n, func(or bool, _ float64) { cb(or) })
+func (n *Node) ORWaitAsync(w CtlWaiter) (ready, val bool) {
+	ready, val, _ = n.m.ctl.or.waitAsync(n, w)
 	return ready, val
 }
 

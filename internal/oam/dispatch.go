@@ -218,7 +218,7 @@ func (d *Dispatcher) Stats() Stats {
 // Traditional RPC path): locks block, condition waits wait, sends go out
 // immediately. front selects the ready-queue end. It counts in no
 // dispatch statistic.
-func (d *Dispatcher) RunThread(c threads.Ctx, ep *am.Endpoint, name threads.Name, front bool, body func(*Env), f Frame) *threads.Thread {
+func (d *Dispatcher) RunThread(c threads.Ctx, ep *am.Endpoint, name threads.Name, front bool, body func(*Env), f Frame) threads.Handle {
 	env := d.acquire(c, ep, name.Base, body, f, false)
 	return c.S.CreateNamed(c, name, front, env.thread)
 }

@@ -240,7 +240,7 @@ type nodeState struct {
 	ep            *am.Endpoint
 	sh            *sim.Shard
 	peers         cm5.PeerTable[link]
-	daemon        *threads.Thread
+	daemon        threads.Handle
 	daemonBlocked bool
 	// due queues expired messages for the daemon, which drains it by
 	// cursor (dueHead) and rewinds both when it catches up, so the backing

@@ -62,8 +62,8 @@ func callAllocs(t *testing.T, mode Mode, deadline bool) float64 {
 // TestCallAllocBudget is the request path's allocation budget above am: an
 // ORPC round trip allocates only what outlives the call — the request and
 // reply buffers — whether or not it arms a deadline; a TRPC round trip
-// adds the thread descriptor and nothing else (the thread's body is the
-// pooled Env's, bound once).
+// adds nothing (the thread's descriptor is recycled by its scheduler and
+// its body is the pooled Env's, bound once).
 func TestCallAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -73,8 +73,8 @@ func TestCallAllocBudget(t *testing.T) {
 	}{
 		{"ORPC/Call", ORPC, false, 2},
 		{"ORPC/CallWithDeadline", ORPC, true, 2},
-		{"TRPC/Call", TRPC, false, 3},
-		{"TRPC/CallWithDeadline", TRPC, true, 3},
+		{"TRPC/Call", TRPC, false, 2},
+		{"TRPC/CallWithDeadline", TRPC, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := callAllocs(t, tc.mode, tc.deadline); got > tc.budget+0.01 {

@@ -23,7 +23,7 @@ func TestConcurrentOutstandingCalls(t *testing.T) {
 		if node != 0 {
 			return
 		}
-		var ts []*threads.Thread
+		var ts []threads.Handle
 		for w := 0; w < workers; w++ {
 			w := w
 			ts = append(ts, c.S.Create(c, "w", false, func(cc threads.Ctx) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,7 +102,6 @@ type Engine struct {
 	// collective releases are scheduled from inside spans, concurrently
 	// with the shards.
 	globals []globalEvent
-	gseq    uint64
 	gmu     sync.Mutex
 
 	stopFlag atomic.Bool
@@ -118,12 +118,11 @@ type Engine struct {
 }
 
 // globalEvent is one entry in the sharded engine's control queue, ordered
-// by (at, key, seq) — the same canonical order classGlobal events get on a
-// sequential heap.
+// by (at, key) and then by arrival — the same canonical order classGlobal
+// events get on a sequential heap.
 type globalEvent struct {
 	at  Time
 	key uint64
-	seq uint64
 	fn  func()
 }
 
@@ -380,18 +379,13 @@ func (e *Engine) AtGlobal(t Time, key uint64, fn func()) {
 		return
 	}
 	e.gmu.Lock()
-	e.gseq++
-	e.globals = append(e.globals, globalEvent{at: t, key: key, seq: e.gseq, fn: fn})
-	sort.SliceStable(e.globals, func(i, j int) bool {
-		a, b := e.globals[i], e.globals[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.seq < b.seq
-	})
+	// The place of (t, key) is after every entry not later than it: the
+	// queue stays sorted, ties in arrival order, with nothing allocated.
+	i := len(e.globals)
+	for i > 0 && (e.globals[i-1].at > t || e.globals[i-1].at == t && e.globals[i-1].key > key) {
+		i--
+	}
+	e.globals = slices.Insert(e.globals, i, globalEvent{at: t, key: key, fn: fn})
 	e.gmu.Unlock()
 	e.opt.cutSpan(t)
 }
@@ -614,12 +608,13 @@ func (e *Engine) barrier() {
 }
 
 // runGlobalsAt pops and fires every global event scheduled at exactly t,
-// in (key, seq) order (AtGlobal keeps the queue sorted). Global callbacks
+// in (key, arrival) order (AtGlobal keeps the queue sorted). Global callbacks
 // may schedule further globals.
 func (e *Engine) runGlobalsAt(t Time) {
 	for len(e.globals) > 0 && e.globals[0].at == t {
 		g := e.globals[0]
-		e.globals = e.globals[1:]
+		// Deleted in place: the queue keeps its storage.
+		e.globals = slices.Delete(e.globals, 0, 1)
 		e.shards[0].events++ // count globals once, on shard 0
 		g.fn()
 	}

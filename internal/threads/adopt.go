@@ -60,13 +60,10 @@ func (s *Scheduler) Adopt(name Name, p *sim.Proc) *Thread {
 		panic("threads: Adopt of a process that is not the current borrower")
 	}
 	p.Charge(s.cost.ThreadCreate)
-	s.stats.Created++
 	s.stats.Adopted++
-	t := &Thread{sched: s, name: name, proc: p, state: stateRunning}
+	t := s.newThread(name, nil, p, stateRunning)
 	if s.probe != nil {
-		now := s.sh.Now()
-		s.probe.ThreadCreated(now, s.node.ID(), t)
-		s.probe.ThreadStarted(now, s.node.ID(), t, true)
+		s.probe.ThreadStarted(s.sh.Now(), s.node.ID(), t, true)
 	}
 	return t
 }
@@ -123,16 +120,7 @@ func (s *Scheduler) FinishAdopted(c Ctx) {
 	if t == nil || s.cur != t {
 		panic("threads: FinishAdopted without an adopted current thread")
 	}
-	t.state = stateDead
-	t.done = true
-	if s.probe != nil {
-		s.probe.ThreadExited(s.sh.Now(), s.node.ID(), t)
-	}
-	for _, j := range t.joiners {
-		s.makeReady(j, false)
-	}
-	t.joiners = nil
-	s.exitDispatch(c.P)
+	s.exit(c.P, t)
 }
 
 // EnqueueWaiter appends t, an adopted thread about to detach, to the

@@ -64,7 +64,7 @@ func TestPollOnceOnlyPoller(t *testing.T) {
 // the CPU comes back the blocked thread resumes as the current thread.
 func TestKernelGivesAwayABlockedThreadsCPU(t *testing.T) {
 	eng, s := rig(t)
-	var a *Thread
+	var a Handle
 	var atWake, atStart uint64
 	resumed := false
 	a = s.Bootstrap("a", func(c Ctx) {
@@ -72,14 +72,14 @@ func TestKernelGivesAwayABlockedThreadsCPU(t *testing.T) {
 			atWake = eng.Handoffs()
 			s.Bootstrap("b", func(c Ctx) {
 				atStart = eng.Handoffs()
-				if s.actor != nil || !a.proc.Parked() {
+				if s.actor != nil || !a.t.proc.Parked() {
 					t.Error("a still acts, or is not parked, while b has the CPU")
 				}
 				a.Resume(true)
 			})
 		})
 		s.Block(c)
-		resumed = s.Running() == a && c.P.Now() == sim.Time(sim.Micros(10)+s.cost.ContextSwitch/2)
+		resumed = s.Running() == a.t && c.P.Now() == sim.Time(sim.Micros(10)+s.cost.ContextSwitch/2)
 	})
 	run(t, eng)
 	if atStart-atWake != 1 {

@@ -10,7 +10,7 @@ import (
 func TestMultipleJoiners(t *testing.T) {
 	eng, s := rig(t)
 	woken := 0
-	var target *Thread
+	var target Handle
 	s.Bootstrap("main", func(c Ctx) {
 		target = s.Create(c, "target", false, func(cc Ctx) {
 			cc.P.Charge(sim.Micros(50))

@@ -92,6 +92,7 @@ type Scheduler struct {
 	// blocked is the sentinel of the ring of suspended threads, linked
 	// through the descriptors in block order.
 	blocked Thread
+	free    *Thread     // dead descriptors, most recent first
 	cores   []*sim.Proc // bound multiactive core workers
 	probe   Probe
 }
@@ -286,7 +287,7 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 		s.ejected = nil
 		s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
 	case s.actor != p:
-		s.actor, s.self = p, nil // the idle process, woken by exitDispatch
+		s.actor, s.self = p, nil // the idle process, woken by exit
 	}
 	if next := s.ready.popFront(); next != nil {
 		s.noteReady()
@@ -383,20 +384,48 @@ func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 	}
 }
 
-// exitDispatch gives the CPU away from a dying thread: to the next ready
-// thread if any (started on the live stack when new), else to the idle
-// process, which becomes the acting scheduler. The calling process must
-// return (die) immediately afterwards.
-func (s *Scheduler) exitDispatch(p *sim.Proc) {
+// newThread is the one place a thread comes into existence: it takes a
+// dead descriptor if the node has one, wipes it — all that survives a
+// tenancy is the generation and the joiner list's storage — and tells the
+// probe.
+func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadState) *Thread {
+	s.stats.Created++
+	t := s.free
+	if t == nil {
+		t = &Thread{}
+	}
+	s.free = t.blockedNext
+	*t = Thread{sched: s, name: name, body: body, proc: p, state: st, gen: t.gen, joiners: t.joiners[:0]}
+	if s.probe != nil {
+		s.probe.ThreadCreated(s.sh.Now(), s.node.ID(), t)
+	}
+	return t
+}
+
+// exit is the epilogue of thread t, whose body has returned on p: wake the
+// joiners, give the CPU away — to the next ready thread if any (started on
+// the live stack when new), else to the idle process, which becomes the
+// acting scheduler — and only then retire the descriptor, closing every
+// handle to it; the name stays until reuse, for the exit records still to
+// be written. p must return (die) immediately afterwards.
+func (s *Scheduler) exit(p *sim.Proc, t *Thread) {
+	t.state = stateDead
+	if s.probe != nil {
+		s.probe.ThreadExited(s.sh.Now(), s.node.ID(), t)
+	}
+	for _, j := range t.joiners {
+		s.makeReady(j, false)
+	}
 	s.cur = nil
 	if next := s.ready.popFront(); next != nil {
 		s.noteReady()
 		s.startOrResume(p, next, false)
-		return
-	}
-	if s.idle.Parked() {
+	} else if s.idle.Parked() {
 		s.idle.Unpark()
 	}
+	t.gen++
+	t.body = nil // a caller's closure must not live as long as the free list
+	t.blockedNext, s.free = s.free, t
 }
 
 // makeReady puts t on the ready queue (front or back) and wakes the
@@ -434,35 +463,27 @@ func (s *Scheduler) enqueue(t *Thread, front bool) {
 // threads at the front). The creation cost (7 us) is charged to the
 // calling context. Create never switches; the new thread runs when the
 // scheduler next looks for work.
-func (s *Scheduler) Create(c Ctx, name string, front bool, body func(Ctx)) *Thread {
+func (s *Scheduler) Create(c Ctx, name string, front bool, body func(Ctx)) Handle {
 	return s.CreateNamed(c, Name{Base: name}, front, body)
 }
 
 // CreateNamed is Create with the name in parts, for hot paths that would
 // otherwise concatenate or format a string per thread.
-func (s *Scheduler) CreateNamed(c Ctx, name Name, front bool, body func(Ctx)) *Thread {
+func (s *Scheduler) CreateNamed(c Ctx, name Name, front bool, body func(Ctx)) Handle {
 	s.checkOnCPU(c, "Create")
-	s.stats.Created++
 	c.P.Charge(s.cost.ThreadCreate)
-	t := &Thread{sched: s, name: name, body: body, state: stateNew}
-	if s.probe != nil {
-		s.probe.ThreadCreated(s.sh.Now(), s.node.ID(), t)
-	}
+	t := s.newThread(name, body, nil, stateNew)
 	s.makeReady(t, front)
-	return t
+	return Handle{t, t.gen}
 }
 
 // Bootstrap creates a thread before the simulation starts (no context to
 // charge). Use it for each node's initial SPMD "main" thread; everything
 // after time zero should use Create.
-func (s *Scheduler) Bootstrap(name string, body func(Ctx)) *Thread {
-	s.stats.Created++
-	t := &Thread{sched: s, name: Name{Base: name}, body: body, state: stateNew}
-	if s.probe != nil {
-		s.probe.ThreadCreated(s.sh.Now(), s.node.ID(), t)
-	}
+func (s *Scheduler) Bootstrap(name string, body func(Ctx)) Handle {
+	t := s.newThread(Name{Base: name}, body, nil, stateNew)
 	s.makeReady(t, false)
-	return t
+	return Handle{t, t.gen}
 }
 
 // Yield gives other runnable threads the CPU; if none exist it returns

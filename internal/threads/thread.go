@@ -69,20 +69,26 @@ func (n Name) String() string {
 }
 
 // Thread is a user-level thread: a descriptor plus (in this model) a
-// simulation process standing in for its stack. Descriptors are not
-// recycled: Join and Done on a finished thread are legal for as long as
-// the caller keeps the pointer.
+// simulation process standing in for its stack. Descriptors are recycled
+// through their scheduler's free list when the thread exits; callers hold a
+// Handle, whose generation tells it from later tenants. Inside the package
+// raw pointers serve (Ctx.T, the ready queue, every wake source): a wake
+// source is registered by the thread that blocks on it and is consumed by the
+// wake — cleared or cancelled on resume — so none outlives its thread.
 type Thread struct {
 	sched   *Scheduler
 	name    Name
 	body    func(Ctx)
 	proc    *sim.Proc
 	state   threadState
-	prepaid bool // restore cost prepaid by a yield's full-switch charge
-	done    bool
+	prepaid bool   // restore cost prepaid by a yield's full-switch charge
+	or      bool   // with red, what the collective it waited on released
+	gen     uint32 // tenancy of the descriptor; see Handle
+	red     float64
 	joiners []*Thread
 	// blockedPrev/blockedNext link the scheduler's ring of suspended
-	// threads (deadlock diagnostics), in block order.
+	// threads (deadlock diagnostics), in block order; blockedNext also
+	// links the free list, which a thread enters dead.
 	blockedPrev, blockedNext *Thread
 }
 
@@ -93,8 +99,17 @@ func (t *Thread) Name() string { return t.name.String() }
 // "blocked", "dead") for diagnostics.
 func (t *Thread) State() string { return t.state.String() }
 
+// Handle names one thread for the code that created it: the descriptor and
+// the generation it had then. Once the thread has exited — whether or not
+// the descriptor has a new tenant — Done reports true, Join returns at once
+// and Resume panics, as they do for any dead thread.
+type Handle struct {
+	t   *Thread
+	gen uint32
+}
+
 // Done reports whether the thread's body has returned.
-func (t *Thread) Done() bool { return t.done }
+func (h Handle) Done() bool { return h.t.gen != h.gen || h.t.state == stateDead }
 
 // threadProc is a Thread seen as its process's sim.Runner: starting a
 // thread converts the descriptor pointer instead of allocating a closure.
@@ -105,28 +120,17 @@ func (r *threadProc) Name() string { return (*Thread)(r).Name() }
 // Run is the thread's process body.
 func (r *threadProc) Run(p *sim.Proc) {
 	t := (*Thread)(r)
-	c := Ctx{P: p, T: t, S: t.sched}
-	t.body(c)
-	t.state = stateDead
-	t.done = true
-	if s := t.sched; s.probe != nil {
-		s.probe.ThreadExited(s.sh.Now(), s.node.ID(), t)
-	}
-	for _, j := range t.joiners {
-		t.sched.makeReady(j, false)
-	}
-	t.joiners = nil
-	// The thread's stack is dead: the next ready thread, if new, starts
-	// via the live-stack optimization.
-	t.sched.exitDispatch(p)
+	t.body(Ctx{P: p, T: t, S: t.sched})
+	t.sched.exit(p, t)
 }
 
-// Join blocks the calling thread until t's body has returned.
-func (t *Thread) Join(c Ctx) {
+// Join blocks the calling thread until h's body has returned.
+func (h Handle) Join(c Ctx) {
+	t := h.t
 	if c.S != t.sched {
 		panic("threads: Join across nodes")
 	}
-	if t.done {
+	if h.Done() {
 		return
 	}
 	if c.T == nil {
@@ -169,6 +173,14 @@ func (w *sleepWake) Run() { (*Thread)(w).Resume(true) }
 // including handlers; it never preempts the caller.
 func (t *Thread) Resume(front bool) {
 	t.sched.makeReady(t, front)
+}
+
+// Resume is Thread.Resume for the holder of a handle.
+func (h Handle) Resume(front bool) {
+	if h.t.gen != h.gen {
+		panic("threads: Resume of a finished thread")
+	}
+	h.t.Resume(front)
 }
 
 // Flag is a single-waiter completion flag: the synchronization between an

@@ -422,7 +422,7 @@ func TestFlagBothOrders(t *testing.T) {
 
 func TestBlockResume(t *testing.T) {
 	eng, s := rig(t)
-	var blocked *Thread
+	var blocked Handle
 	var resumedAt sim.Time
 	blocked = s.Bootstrap("blocked", func(c Ctx) {
 		s.Block(c)
