@@ -83,61 +83,6 @@ func TestDedupUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence is the acceptance gate: the full results —
-// store answer, per-server lease records, fault trace, and every client
-// ledger — are bit-identical at shard counts 1, 2, and 4, under both
-// engine modes, on a faulty network with skewed bursty load.
-func TestShardedEquivalence(t *testing.T) {
-	base := kv.Config{
-		System:   apps.ORPC,
-		Seed:     11,
-		Clients:  16,
-		Duration: sim.Micros(8000),
-		Mode:     kv.Bursty,
-		ZipfS:    0.9,
-		Fault:    &cm5.FaultPlan{Seed: 5, DropProb: 0.02, DupProb: 0.01},
-	}
-	type fingerprint struct {
-		answer, rec, fault uint64
-		st                 kv.Stats
-	}
-	var want *fingerprint
-	for _, shards := range []int{1, 2, 4} {
-		for _, optimistic := range []bool{false, true} {
-			cfg := base
-			cfg.Shards, cfg.Optimistic = shards, optimistic
-			res, st, err := kv.Run(cfg)
-			if err != nil {
-				t.Fatalf("shards=%d optimistic=%v: %v", shards, optimistic, err)
-			}
-			if err := kv.CheckInvariants(&st); err != nil {
-				t.Fatalf("shards=%d optimistic=%v: %v", shards, optimistic, err)
-			}
-			got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
-			if want == nil {
-				want = got
-				continue
-			}
-			if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
-				t.Fatalf("shards=%d optimistic=%v diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
-					shards, optimistic, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
-			}
-			for i := range want.st.PerClient {
-				if got.st.PerClient[i] != want.st.PerClient[i] {
-					t.Fatalf("shards=%d optimistic=%v: client %d ledger diverged: %+v vs %+v",
-						shards, optimistic, i, got.st.PerClient[i], want.st.PerClient[i])
-				}
-			}
-			for i := range want.st.PerServer {
-				if got.st.PerServer[i] != want.st.PerServer[i] {
-					t.Fatalf("shards=%d optimistic=%v: server %d ledger diverged: %+v vs %+v",
-						shards, optimistic, i, got.st.PerServer[i], want.st.PerServer[i])
-				}
-			}
-		}
-	}
-}
-
 // TestLeaseLifecycle: with a hold longer than the TTL, leases expire on
 // the server and the late unlocks fail — and both sides agree on how
 // often.

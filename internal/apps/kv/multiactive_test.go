@@ -6,7 +6,6 @@ import (
 	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
-	"repro/internal/cm5"
 	"repro/internal/oam"
 	"repro/internal/rpc"
 	"repro/internal/sim"
@@ -39,63 +38,6 @@ func TestMultiactiveRun(t *testing.T) {
 		if ds.CompatAdmitted+ds.CompatQueued != ds.Total {
 			t.Fatalf("cores=%d: admitted %d + queued %d != total %d",
 				cores, ds.CompatAdmitted, ds.CompatQueued, ds.Total)
-		}
-	}
-}
-
-// TestMultiactiveShardedEquivalence: the cores 2/4 equivalence golden —
-// multiactive results are bit-identical across shard counts and engine
-// modes, exactly like the single-active gate above.
-func TestMultiactiveShardedEquivalence(t *testing.T) {
-	base := kv.Config{
-		System:   apps.ORPC,
-		Seed:     11,
-		Clients:  16,
-		Duration: sim.Micros(8000),
-		Mode:     kv.Bursty,
-		ZipfS:    0.9,
-		Fault:    &cm5.FaultPlan{Seed: 5, DropProb: 0.02, DupProb: 0.01},
-	}
-	type fingerprint struct {
-		answer, rec, fault uint64
-		st                 kv.Stats
-	}
-	for _, cores := range []int{2, 4} {
-		var want *fingerprint
-		for _, shards := range []int{1, 2, 4} {
-			for _, optimistic := range []bool{false, true} {
-				cfg := base
-				cfg.Cores = cores
-				cfg.Shards, cfg.Optimistic = shards, optimistic
-				res, st, err := kv.Run(cfg)
-				if err != nil {
-					t.Fatalf("cores=%d shards=%d optimistic=%v: %v", cores, shards, optimistic, err)
-				}
-				if err := kv.CheckInvariants(&st); err != nil {
-					t.Fatalf("cores=%d shards=%d optimistic=%v: %v", cores, shards, optimistic, err)
-				}
-				got := &fingerprint{res.Answer, st.RecordHash, st.FaultHash, st}
-				if want == nil {
-					want = got
-					continue
-				}
-				if got.answer != want.answer || got.rec != want.rec || got.fault != want.fault {
-					t.Fatalf("cores=%d shards=%d optimistic=%v diverged: answer %016x/%016x record %016x/%016x fault %016x/%016x",
-						cores, shards, optimistic, got.answer, want.answer, got.rec, want.rec, got.fault, want.fault)
-				}
-				for i := range want.st.PerClient {
-					if got.st.PerClient[i] != want.st.PerClient[i] {
-						t.Fatalf("cores=%d shards=%d optimistic=%v: client %d ledger diverged: %+v vs %+v",
-							cores, shards, optimistic, i, got.st.PerClient[i], want.st.PerClient[i])
-					}
-				}
-				for i := range want.st.PerServer {
-					if got.st.PerServer[i] != want.st.PerServer[i] {
-						t.Fatalf("cores=%d shards=%d optimistic=%v: server %d ledger diverged: %+v vs %+v",
-							cores, shards, optimistic, i, got.st.PerServer[i], want.st.PerServer[i])
-					}
-				}
-			}
 		}
 	}
 }

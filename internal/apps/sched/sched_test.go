@@ -145,40 +145,6 @@ func TestFlappingPartitionRecovers(t *testing.T) {
 	}
 }
 
-// TestShardEquivalence: result, control-plane record hash, and fault
-// trace are bit-identical at shards 1, 2, and 4 — under chaos.
-func TestShardEquivalence(t *testing.T) {
-	run := func(shards int) (apps.Result, Stats) {
-		return mustRun(t, 3, Config{
-			Jobs: 10, Seed: 5, RunOptions: apps.RunOptions{Shards: shards},
-			Fault: &cm5.FaultPlan{
-				Seed: 77, DropProb: 0.02, DupProb: 0.02,
-				Partitions: []cm5.Partition{
-					{Src: 2, Dst: 0, From: sim.Time(3 * sim.Millisecond), To: sim.Time(9 * sim.Millisecond)},
-					{Src: 0, Dst: 2, From: sim.Time(3 * sim.Millisecond), To: sim.Time(9 * sim.Millisecond)},
-				},
-			},
-			LeaseTimeout: sim.Micros(10000),
-		})
-	}
-	seqRes, seqSt := run(1)
-	for _, s := range []int{2, 4} {
-		res, st := run(s)
-		if res != seqRes {
-			t.Errorf("result at shards=%d differs:\n got %+v\nwant %+v", s, res, seqRes)
-		}
-		if st.RecordHash != seqSt.RecordHash {
-			t.Errorf("record hash at shards=%d = %#x, want %#x", s, st.RecordHash, seqSt.RecordHash)
-		}
-		if st.FaultHash != seqSt.FaultHash {
-			t.Errorf("fault hash at shards=%d = %#x, want %#x", s, st.FaultHash, seqSt.FaultHash)
-		}
-		if len(st.Record) != len(seqSt.Record) {
-			t.Errorf("record length at shards=%d = %d, want %d", s, len(st.Record), len(seqSt.Record))
-		}
-	}
-}
-
 // --- CheckInvariants unit tests on synthetic records ---
 
 func TestCheckInvariantsViolations(t *testing.T) {

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestSchedQuick runs the quick control-plane chaos grid. Sched itself
 // replays every cell's event record through the invariant checker, so a
@@ -49,34 +46,6 @@ func TestSchedQuick(t *testing.T) {
 		}
 		if r.Events == 0 {
 			t.Errorf("%s cell lease=%v: empty event record", r.Fault, r.Lease)
-		}
-	}
-}
-
-// TestShardedEquivalenceSched: the whole control-plane chaos grid —
-// including the event-record hashes and fault-trace hashes — is
-// byte-identical at every shard count.
-func TestShardedEquivalenceSched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sched sweep three times")
-	}
-	var seq []SchedRow
-	for _, s := range shardCounts {
-		rows, err := Sched(shardedScale(s, false))
-		if err != nil {
-			t.Fatalf("sched sweep (shards=%d): %v", s, err)
-		}
-		if s == 1 {
-			seq = rows
-			continue
-		}
-		if !reflect.DeepEqual(rows, seq) {
-			for i := range rows {
-				if rows[i] != seq[i] {
-					t.Errorf("sched row %d at shards=%d differs from sequential:\n got %+v\nwant %+v",
-						i, s, rows[i], seq[i])
-				}
-			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // The four paper workloads' problem sizes and seeds, written once: the
 // figures, Table 3, the application ablation, the observed runs behind
-// `oamlab trace|metrics` and the equivalence tests all take their configs
+// `oamlab trace|metrics` and FuzzEquivalence's presets take their configs
 // from these methods, so a trace shows the schedule a figure measures.
 // Each returns the paper's size, or the quick one, with RunOptions set.
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +76,6 @@ type Engine struct {
 	shards []*Shard
 	seed   int64
 	rng    *rand.Rand
-	probe  Probe
 	hook   WindowHook
 
 	// Sharded engines only: mode picks the commit-span width (runSpans is
@@ -227,7 +225,6 @@ func (e *Engine) SetProbe(p Probe) {
 	if p != nil && e.sharded() {
 		panic("sim: probes require a sequential engine (shards=1)")
 	}
-	e.probe = p
 	e.shards[0].probe = p
 }
 
@@ -638,16 +635,7 @@ func (e *Engine) flushTrace() {
 		recs = append(recs, sh.trbuf...)
 		sh.trbuf = sh.trbuf[:0]
 	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		return a.kind < b.kind
-	})
+	sortCanonical(recs)
 	for _, r := range recs {
 		e.scratch.name = r.name
 		switch r.kind {

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -90,7 +91,7 @@ func (h *HashTracer) Sum() uint64 { return h.h }
 // the canonical (time, process name, transition) order, independent of
 // the execution interleaving within an instant. A sequential run and a
 // sharded run of the same simulation produce byte-identical canonical
-// text; the shard-equivalence tests compare exactly this.
+// text; exp's FuzzEquivalence compares exactly this.
 type CanonicalTracer struct {
 	recs []traceRec
 }
@@ -108,21 +109,20 @@ func (c *CanonicalTracer) Exit(t Time, p *Proc) {
 	c.recs = append(c.recs, traceRec{t, 2, p.Name()})
 }
 
+// sortCanonical puts trace records in the canonical (time, process name,
+// transition) order, the one a sequential and a sharded run share; records
+// equal on all three keep their order.
+func sortCanonical(recs []traceRec) {
+	slices.SortStableFunc(recs, func(a, b traceRec) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), strings.Compare(a.name, b.name), cmp.Compare(a.kind, b.kind))
+	})
+}
+
 // Text returns the buffered transitions sorted canonically, formatted
 // like WriterTracer output.
 func (c *CanonicalTracer) Text() string {
-	recs := make([]traceRec, len(c.recs))
-	copy(recs, c.recs)
-	sort.SliceStable(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		return a.kind < b.kind
-	})
+	recs := slices.Clone(c.recs)
+	sortCanonical(recs)
 	var sb strings.Builder
 	for _, r := range recs {
 		switch r.kind {
