@@ -29,10 +29,10 @@ type Stats struct {
 
 // Transport intercepts outgoing Active Messages. When one is installed on
 // a Universe every Endpoint send routes through it instead of injecting
-// directly; the transport eventually moves bytes with SendRaw/TrySendRaw
-// and hands received messages back with Endpoint.Deliver. This is the seam
-// the reliable-delivery layer plugs into; a nil transport (the default)
-// keeps the original direct path with zero overhead.
+// directly; the transport moves bytes with SendRaw, TrySendRaw and
+// InjectThen, and hands received messages up with Endpoint.Run. This is
+// the seam the reliable-delivery layer plugs into; a nil transport (the
+// default) keeps the original direct path with zero overhead.
 type Transport interface {
 	// Send must eventually inject the message (it may drain, buffer, and
 	// retransmit along the way).
@@ -40,6 +40,8 @@ type Transport interface {
 	// TrySend attempts a non-blocking send and reports whether the message
 	// was accepted for (eventual) delivery.
 	TrySend(c threads.Ctx, ep *Endpoint, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) bool
+	// SendThen is Send's kernel spelling (see Endpoint.SendThen).
+	SendThen(p *sim.Proc, ep *Endpoint, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool)
 }
 
 // Universe bundles a machine, one thread scheduler per node, and the
@@ -184,18 +186,22 @@ type Endpoint struct {
 // Node returns the endpoint's node.
 func (ep *Endpoint) Node() *cm5.Node { return ep.node }
 
-// packet assembles an outgoing packet from the machine's pool. Ownership
-// passes to the network on successful injection; the receiving endpoint
-// recycles the struct after the handler runs (see Packet's ownership
-// rules — the payload buffer itself is handed off, never reused).
-func (ep *Endpoint) packet(dst int, h HandlerID, kind cm5.PacketKind, w [4]uint64, payload []byte) *cm5.Packet {
+// packet assembles an outgoing packet, bulk or small, from the machine's
+// pool. Ownership passes to the network on successful injection; the
+// receiving endpoint recycles the struct after the handler runs (see
+// Packet's ownership rules — the payload buffer itself is handed off,
+// never reused).
+func (ep *Endpoint) packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload []byte) *cm5.Packet {
 	if int(h) < 0 || int(h) >= len(ep.u.handlers) {
 		panic(fmt.Sprintf("am: send to unregistered handler %d", h))
 	}
 	pkt := ep.node.AllocPacket()
 	pkt.Src = ep.node.ID()
 	pkt.Dst = dst
-	pkt.Kind = kind
+	pkt.Kind = cm5.Small
+	if bulk {
+		pkt.Kind = cm5.Bulk
+	}
 	pkt.Handler = int(h)
 	pkt.W0, pkt.W1, pkt.W2, pkt.W3 = w[0], w[1], w[2], w[3]
 	pkt.Payload = payload
@@ -235,12 +241,17 @@ func (ep *Endpoint) SendBulk(c threads.Ctx, dst int, h HandlerID, w [4]uint64, p
 	ep.SendRaw(c, dst, h, w, payload, true)
 }
 
-// TrySendBulk is the non-blocking bulk variant.
-func (ep *Endpoint) TrySendBulk(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte) bool {
+// SendThen is Send (bulk: SendBulk) in kernel context, for a
+// sim.Continuation of p, the process holding this node's CPU: it injects
+// the message and returns p's verdict, the injection's charge, at whose end
+// the message leaves and k decides. When the destination's buffer is full
+// it changes nothing and returns false: p must Send on its own stack,
+// which drains.
+func (ep *Endpoint) SendThen(p *sim.Proc, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
 	if t := ep.u.transport; t != nil {
-		return t.TrySend(c, ep, dst, h, w, payload, true)
+		return t.SendThen(p, ep, dst, h, w, payload, bulk, k)
 	}
-	return ep.TrySendRaw(c, dst, h, w, payload, true)
+	return ep.InjectThen(p, dst, h, w, payload, bulk, k)
 }
 
 // SendRaw transmits directly on the wire, bypassing any installed
@@ -254,11 +265,12 @@ func (ep *Endpoint) SendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64, pa
 // SendRawThen is SendRaw followed, unless then is negative, by
 // c.P.Charge(then), joined to the injection (cm5.Node.TryInjectThen).
 func (ep *Endpoint) SendRawThen(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, then sim.Duration) {
-	kind := cm5.Small
-	if bulk {
-		kind = cm5.Bulk
-	}
-	ep.sendDraining(c, ep.packet(dst, h, kind, w, payload), then)
+	ep.sendDraining(c, ep.packet(dst, h, bulk, w, payload), then)
+	ep.sent(bulk)
+}
+
+// sent counts one message injected.
+func (ep *Endpoint) sent(bulk bool) {
 	if bulk {
 		ep.stats.BulkSends++
 	} else {
@@ -266,23 +278,34 @@ func (ep *Endpoint) SendRawThen(c threads.Ctx, dst int, h HandlerID, w [4]uint64
 	}
 }
 
-// TrySendRaw is the non-blocking direct-wire send.
+// InjectThen is SendThen bypassing any installed transport: SendRaw's
+// kernel spelling.
+func (ep *Endpoint) InjectThen(p *sim.Proc, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
+	pkt := ep.packet(dst, h, bulk, w, payload)
+	busy, in, ok := ep.node.Inject(pkt, -1, k)
+	if !ep.offered(pkt, bulk, ok) {
+		return sim.NextRun, 0, false
+	}
+	p.Pass(in)
+	return sim.NextCharge, busy, true
+}
+
+// TrySendRaw is the non-blocking direct-wire send: InjectThen on c.P's
+// stack.
 func (ep *Endpoint) TrySendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) bool {
-	kind := cm5.Small
-	if bulk {
-		kind = cm5.Bulk
+	pkt := ep.packet(dst, h, bulk, w, payload)
+	return ep.offered(pkt, bulk, ep.node.TryInject(c.P, pkt))
+}
+
+// offered ends the offer of a fresh packet to the network: counted if it
+// was injected (ok), back to the pool if not.
+func (ep *Endpoint) offered(pkt *cm5.Packet, bulk, ok bool) bool {
+	if !ok {
+		ep.node.ReleasePacket(pkt) // never entered the network
+		return false
 	}
-	pkt := ep.packet(dst, h, kind, w, payload)
-	if ep.node.TryInject(c.P, pkt) {
-		if bulk {
-			ep.stats.BulkSends++
-		} else {
-			ep.stats.Sends++
-		}
-		return true
-	}
-	ep.node.ReleasePacket(pkt) // never entered the network
-	return false
+	ep.sent(bulk)
+	return true
 }
 
 func (ep *Endpoint) sendDraining(c threads.Ctx, pkt *cm5.Packet, then sim.Duration) {
@@ -356,24 +379,16 @@ func (ep *Endpoint) Eject() (pkt *cm5.Packet, atomic bool) {
 
 // Dispatch runs the handler of a packet off the wire, both charges paid,
 // and recycles the struct (the payload buffer is handed off, not reused).
-// Packets a transport hands up via Deliver are the transport's to manage.
 func (ep *Endpoint) Dispatch(c threads.Ctx, pkt *cm5.Packet) {
 	ep.Run(c, pkt)
 	ep.node.ReleasePacket(pkt)
 }
 
-// Deliver runs pkt's handler inline on this endpoint, exactly as if the
-// packet had just been polled off the wire. Transports use it to hand a
-// de-framed inner message up to the application layer.
-func (ep *Endpoint) Deliver(c threads.Ctx, pkt *cm5.Packet) {
-	c.P.Charge(ep.u.m.Cost().HandlerDispatch)
-	ep.Run(c, pkt)
-}
-
 // Run runs pkt's handler inline, HandlerDispatch already charged: joined to
 // the ejection by Poll, to an ack's injection by a transport that used
-// SendRawThen. The handler context is derived from the polling context but
-// has no thread: handlers are not schedulable.
+// SendRawThen, and hands a transport's de-framed inner message up, the
+// packet staying the transport's to recycle. The handler context is derived
+// from the polling context but has no thread: handlers are not schedulable.
 func (ep *Endpoint) Run(c threads.Ctx, pkt *cm5.Packet) {
 	h := ep.u.handlers[pkt.Handler]
 	hc := threads.Ctx{P: c.P, T: nil, S: ep.sched}

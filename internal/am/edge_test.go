@@ -101,8 +101,8 @@ func TestTrySendSemantics(t *testing.T) {
 		if ep.TrySend(c, 1, h, [4]uint64{}, nil) {
 			t.Error("second TrySend accepted into a full queue")
 		}
-		if ep.TrySendBulk(c, 1, h, [4]uint64{}, make([]byte, 100)) {
-			t.Error("TrySendBulk accepted into a full queue")
+		if ep.TrySendRaw(c, 1, h, [4]uint64{}, make([]byte, 100), true) {
+			t.Error("bulk TrySendRaw accepted into a full queue")
 		}
 	})
 	if err != nil {

@@ -116,9 +116,10 @@ func TestPollUntilMatchesHandLoop(t *testing.T) {
 }
 
 // TestPollDispatchIsOneSwitch runs one 4-node program twice — every poll
-// written out as cm5's PollPacket, then Deliver (two plain charges with the
-// process resumed in between), and as Poll, which joins the ejection and
-// the handler dispatch in one sim.Proc.ChargeSeq — and requires the same
+// written out as cm5's PollPacket, a HandlerDispatch charge and Dispatch
+// (two plain charges with the process resumed in between), and as Poll,
+// which joins the ejection and the handler dispatch in one
+// sim.Proc.ChargeSeq — and requires the same
 // elapsed time, handler start times, Stats and engine counters, and fewer
 // coroutine switches. Input queues hold two packets, so sends from inside
 // handlers drain and dispatch nested handlers on the way.
@@ -174,13 +175,13 @@ func TestPollDispatchIsOneSwitch(t *testing.T) {
 		if pkt == nil {
 			return false
 		}
-		ep.Deliver(c, pkt)
-		ep.node.ReleasePacket(pkt)
+		c.P.Charge(ep.u.m.Cost().HandlerDispatch)
+		ep.Dispatch(c, pkt)
 		return true
 	})
 	one, oneHandoffs := run((*Endpoint).Poll)
 	if !reflect.DeepEqual(two, one) {
-		t.Errorf("Poll is not PollPacket + Deliver:\n two %+v\n one %+v", two, one)
+		t.Errorf("Poll is not PollPacket + a dispatch charge:\n two %+v\n one %+v", two, one)
 	}
 	if one.stats.MaxDepth < 2 || one.stats.HandlerTime == 0 {
 		t.Errorf("MaxDepth %d, HandlerTime %v: the program did not nest a drain", one.stats.MaxDepth, one.stats.HandlerTime)

@@ -323,34 +323,45 @@ type Node struct {
 	wake func()
 	// waiter is the process in WaitPacket, to be woken by a delivery.
 	waiter *sim.Proc
-	// inj is what TryInjectThen leaves for the instant its busy charge
-	// elapses — the copies to launch, then the caller's charge — while one
-	// is in progress (busy).
-	inj struct {
-		busy          bool
-		pkt           *Packet
-		wire, dupWire sim.Duration
-		dup           bool
-		then          sim.Duration
-	}
+	// inj is what Inject leaves for the instant its busy charge elapses
+	// while one is in progress (busy).
+	inj injection
 }
 
-// injecting is a Node seen as the sim.Continuation of the process in
-// TryInjectThen.
+// injection is one injection's second half: the copies to launch, then
+// the caller's charge, then its continuation.
+type injection struct {
+	pkt           *Packet // nil: lost in the network, nothing to launch
+	wire, dupWire sim.Duration
+	then          sim.Duration
+	k             sim.Continuation
+	busy, dup     bool
+}
+
+// injecting is a Node seen as the sim.Continuation of the process whose
+// injection holds inj.
 type injecting Node
 
-func (i *injecting) Continue(*sim.Proc) (sim.Next, sim.Duration) {
+// Continue launches the flight, arms the caller's charge, then frees inj
+// and passes p on to k (no k: p runs).
+func (i *injecting) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	n := (*Node)(i)
 	in := &n.inj
 	if pkt := in.pkt; pkt != nil {
 		in.pkt = nil
 		n.launch(pkt, in.wire, in.dup, in.dupWire)
-		if in.then >= 0 {
-			return sim.NextCharge, in.then
-		}
 	}
-	in.busy = false
-	return sim.NextRun, 0
+	if d := in.then; d >= 0 {
+		in.then = -1
+		return sim.NextCharge, d
+	}
+	k := in.k
+	in.busy, in.k = false, nil
+	if k == nil {
+		return sim.NextRun, 0
+	}
+	p.Pass(k)
+	return k.Continue(p)
 }
 
 // ID returns the node number, 0-based.
@@ -454,19 +465,70 @@ func (m *Machine) Arrive(sh *sim.Shard, at sim.Time, key uint64, payload any) {
 }
 
 // TryInject attempts to send pkt from this node. On success it charges the
-// sending process the CPU cost of the injection (including, for bulk
-// transfers, the streaming time — the CM-5 scopy keeps the sending
-// processor busy), schedules delivery, and returns true. If the
-// destination's input buffer is full it charges nothing and returns false.
+// sending process the CPU cost of the injection, schedules delivery, and
+// returns true. If the destination's input buffer is full it charges
+// nothing and returns false.
 //
 // p must be the running process, executing on this node's CPU.
 func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool { return n.TryInjectThen(p, pkt, -1) }
 
 // TryInjectThen is TryInject followed, when the packet was injected and then
-// is not negative, by p.Charge(then). The kernel loop launches the flight
-// and arms that charge in p's place (injecting), unless a core worker of
-// this node is between the two already: then p takes the steps itself.
+// is not negative, by p.Charge(then): Inject, whose continuation the kernel
+// loop asks in p's place, and on a full buffer the refused attempt's count.
+// While a core worker of this node is between the halves of its own
+// injection, p takes the steps itself.
 func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
+	if !n.inj.busy {
+		if busy, k, ok := n.Inject(pkt, then, nil); ok {
+			p.ChargeThen(busy, k)
+			return true
+		}
+	} else {
+		var in injection
+		if busy, ok := n.inject(pkt, &in); ok {
+			p.Charge(busy)
+			if in.pkt != nil {
+				n.launch(in.pkt, in.wire, in.dup, in.dupWire)
+			}
+			if then >= 0 {
+				p.Charge(then)
+			}
+			return true
+		}
+	}
+	*n.attempts.At(pkt.Dst)++
+	n.ms.stats.FullRejects++
+	if n.m.probe != nil {
+		n.m.probe.Backpressure(n.sh.Now(), pkt.Src, pkt.Dst)
+	}
+	return false
+}
+
+// Inject is the injection in kernel context, on behalf of the process
+// holding this node's CPU. It returns the busy charge that process owes
+// and the continuation to ask when it elapses, which launches the flight,
+// charges then unless it is negative, and passes on to k (nil: the process
+// runs). If the destination's input buffer is full, or a core worker of
+// this node holds inj, it changes nothing and returns false: the process
+// must take the steps on its stack (TryInjectThen).
+func (n *Node) Inject(pkt *Packet, then sim.Duration, k sim.Continuation) (sim.Duration, sim.Continuation, bool) {
+	in := &n.inj
+	if in.busy {
+		return 0, nil, false
+	}
+	busy, ok := n.inject(pkt, in)
+	if !ok {
+		return 0, nil, false
+	}
+	in.busy, in.then, in.k = true, then, k
+	return busy, (*injecting)(n), true
+}
+
+// inject is the injection core. It fills in with the copies to launch and
+// returns the CPU cost of the injection — for bulk transfers including the
+// streaming time (the CM-5 scopy keeps the sending processor busy). If the
+// destination's input buffer is full it changes nothing and returns false.
+func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	if pkt.Src != n.id {
 		panic(fmt.Sprintf("cm5: packet src %d injected from node %d", pkt.Src, n.id))
 	}
@@ -478,7 +540,6 @@ func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
 	now := n.sh.Now()
 	ctr := n.attempts.At(dst)
 	attempt := *ctr
-	*ctr = attempt + 1
 	var fr flightRNG
 	var lossKind FaultKind
 	lost := false
@@ -492,12 +553,9 @@ func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
 		lossKind, lost = f.lossKind(&fr, now, pkt.Src, pkt.Dst)
 	}
 	if !lost && n.dstFull(dst) {
-		n.ms.stats.FullRejects++
-		if n.m.probe != nil {
-			n.m.probe.Backpressure(now, pkt.Src, pkt.Dst)
-		}
-		return false
+		return 0, false
 	}
+	*ctr = attempt + 1
 	cost := &n.m.cost
 	var busy sim.Duration
 	switch pkt.Kind {
@@ -538,8 +596,8 @@ func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
 			n.m.probe.PacketLost(now, pkt.Src, pkt.Dst, lossKind)
 		}
 		n.ReleasePacket(pkt) // died in the network: nobody will deliver it
-		p.ChargeSeq(busy, then)
-		return true
+		in.pkt = nil
+		return busy, true
 	}
 	n.reserveToward(dst)
 	wire := cost.WireLatency
@@ -576,17 +634,8 @@ func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
 	if n.m.probe != nil {
 		n.m.probe.PacketSent(now, pkt, busy, wire, dup, dupWire)
 	}
-	if in := &n.inj; in.busy {
-		p.Charge(busy)
-		n.launch(pkt, wire, dup, dupWire)
-		if then >= 0 {
-			p.Charge(then)
-		}
-	} else {
-		in.busy, in.pkt, in.wire, in.dup, in.dupWire, in.then = true, pkt, wire, dup, dupWire, then
-		p.ChargeThen(busy, (*injecting)(n))
-	}
-	return true
+	in.pkt, in.wire, in.dup, in.dupWire = pkt, wire, dup, dupWire
+	return busy, true
 }
 
 // WaitPacket polls an empty input queue until it is not: exactly

@@ -299,3 +299,42 @@ func TestWaitPacket(t *testing.T) {
 		t.Errorf("Elided() = %d, want %d", eng.Elided(), k-1)
 	}
 }
+
+// TestOverlappingInjections: two processes on one node — a multiactive
+// core worker beside the node's thread, say — inject with overlapping busy
+// windows, the second with a charge joined after. The first holds inj, so
+// the second takes its steps on its own stack; each flight leaves at the
+// end of its own charge, and inj is free again.
+func TestOverlappingInjections(t *testing.T) {
+	eng, m := testMachine(t, 3)
+	cost := m.Cost()
+	n := m.Node(0)
+	var arrived [3]sim.Time
+	for _, d := range []int{1, 2} {
+		m.Node(d).SetWake(func() { arrived[d] = eng.Now() })
+	}
+	var bulkDone, smallDone sim.Time
+	eng.Spawn("bulk", func(p *sim.Proc) {
+		n.TryInject(p, &Packet{Src: 0, Dst: 1, Kind: Bulk, Payload: make([]byte, 100)})
+		bulkDone = p.Now()
+	})
+	eng.Spawn("small", func(p *sim.Proc) {
+		p.Charge(sim.Micros(1))
+		n.TryInjectThen(p, &Packet{Src: 0, Dst: 2, Kind: Small}, sim.Micros(5))
+		smallDone = p.Now()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bulk := sim.Time(0).Add(cost.BulkSetup + 100*cost.BulkPerByte)
+	small := sim.Time(0).Add(sim.Micros(1) + cost.PacketSendOverhead)
+	if bulkDone != bulk || arrived[1] != bulk.Add(cost.WireLatency) {
+		t.Errorf("bulk: sender free at %v, arrival %v; want %v and %v", bulkDone, arrived[1], bulk, bulk.Add(cost.WireLatency))
+	}
+	if smallDone != small.Add(sim.Micros(5)) || arrived[2] != small.Add(cost.WireLatency) {
+		t.Errorf("small: sender free at %v, arrival %v; want %v and %v", smallDone, arrived[2], small.Add(sim.Micros(5)), small.Add(cost.WireLatency))
+	}
+	if n.inj.busy {
+		t.Error("inj still held after both injections")
+	}
+}

@@ -305,15 +305,16 @@ func TestHandoffBudget(t *testing.T) {
 		name string
 		mode rpc.Mode
 		busy bool
-		// events and charged exact; handoffs and switches ceilings: per call
-		// 2 below PR 20's on the busy rows (8, 10) and 1 on idle TRPC, whose
-		// one unwind a call keeps its switches at 4
+		// events and charged exact; handoffs and switches ceilings, per call:
+		// the busy rows read 6 and 8 before the client stub's send and wait
+		// ran in the kernel loop, and the idle TRPC row's one unwind a call
+		// keeps its switches at 4
 		want kernelCounts
 	}{
 		{"null ORPC, idle server", rpc.ORPC, false, kernelCounts{12 * trips, 2 * trips, 2 * trips, trips * sim.Micros(9)}},
-		{"null ORPC, busy server", rpc.ORPC, true, kernelCounts{32 * trips, 6 * trips, 6 * trips, trips * sim.Micros(18.5)}},
+		{"null ORPC, busy server", rpc.ORPC, true, kernelCounts{32 * trips, 2 * trips, 2 * trips, trips * sim.Micros(18.5)}},
 		{"null TRPC, idle server", rpc.TRPC, false, kernelCounts{15 * trips, 3 * trips, 4 * trips, trips * sim.Micros(16)}},
-		{"null TRPC, busy server", rpc.TRPC, true, kernelCounts{38 * trips, 8 * trips, 8 * trips, trips * sim.Micros(78.4)}},
+		{"null TRPC, busy server", rpc.TRPC, true, kernelCounts{38 * trips, 4 * trips, 4 * trips, trips * sim.Micros(78.4)}},
 	} {
 		got := nullLoopCounts(t, tc.mode, tc.busy, trips)
 		if got.events != tc.want.events || got.charged != tc.want.charged {
@@ -325,9 +326,10 @@ func TestHandoffBudget(t *testing.T) {
 	}
 
 	// The quick grid's steady ORPC cell at half the knee, then the
-	// benchmark's kv_steady (2869 arrivals: 15.0 handoffs and 20.5 switches
-	// an operation, from 24.86 and 36.24); whole runs, Shutdown's kills
-	// included. PR 20's kernel read 6893 and 9122 on the first.
+	// benchmark's kv_steady (2869 arrivals: 12.0 handoffs and 16.0 switches
+	// an operation; 11.43 and 15.65 read, from 13.41 and 18.19 before the
+	// client stub's chain); whole runs, Shutdown's kills included. Before
+	// the kernel continuation the first read 6893 and 9122.
 	quick := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 32, Duration: sim.Micros(8000), RateX: 0.5}
 	steady := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 48, Duration: sim.Micros(24000), RateX: 1}
 	for _, tc := range []struct {
@@ -335,8 +337,8 @@ func TestHandoffBudget(t *testing.T) {
 		cfg  kv.Config
 		want kernelCounts
 	}{
-		{"kv quick cell", quick, kernelCounts{12196, 3500, 4400, sim.Micros(20335.8)}},
-		{"kv_steady", steady, kernelCounts{106849, 43035, 58814, sim.Micros(191682.2)}},
+		{"kv quick cell", quick, kernelCounts{12196, 3000, 3800, sim.Micros(20335.8)}},
+		{"kv_steady", steady, kernelCounts{106849, 12 * 2869, 16 * 2869, sim.Micros(191682.2)}},
 	} {
 		var eng *sim.Engine
 		tc.cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) { eng = u.Machine().Engine() }

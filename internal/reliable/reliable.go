@@ -11,8 +11,8 @@
 // carries the sequence number and W1 the inner handler id; the inner
 // message's W0/W1 move to W2/W3 (messages using W2/W3 themselves do not
 // fit and panic loudly). Receivers ack every data packet (per-seq plus a
-// cumulative floor), deliver first copies up through Endpoint.Deliver,
-// and drop the rest.
+// cumulative floor), deliver first copies up through Endpoint.Run, and
+// drop the rest.
 //
 // Retransmission runs in a per-node daemon thread: timers fire in kernel
 // context, which cannot inject packets (injection charges a CPU), so
@@ -87,28 +87,28 @@ type NodeStats struct {
 }
 
 // pendingMsg is one unacknowledged message. The structs are recycled on
-// their node's free list, so steady-state sends allocate nothing: expire
-// is bound once per struct, not once per armed timer.
+// their node's free list, and each is its own retransmit timer's action
+// (Run), so steady-state sends allocate nothing.
 type pendingMsg struct {
 	ns       *nodeState
-	expire   func() // pm.onExpire, the retransmit timer's callback
 	dst      int
 	seq      uint64
 	h        am.HandlerID
 	w0, w1   uint64
 	payload  []byte
-	bulk     bool
-	attempts int // transmissions so far
 	backoff  sim.Duration
 	timer    sim.Timer
+	attempts int32 // transmissions so far
+	bulk     bool
 	done     bool
 	// busy marks a struct somebody besides ol.pending still refers to: it
-	// sits in ns.due, or Send or the daemon is inside a yielding SendRaw
-	// on its behalf. A retire that finds it busy leaves the release to
-	// whoever clears the flag, so a struct never changes identity under
-	// the daemon's `ol.pending.get(seq) == pm` check.
+	// sits in ns.due, or a send or the daemon is inside a yielding
+	// injection on its behalf. A retire that finds it busy leaves the
+	// release to whoever clears the flag, so a struct never changes
+	// identity under the daemon's `ol.pending.get(seq) == pm` check.
 	busy bool
-	next *pendingMsg // free-list link
+	k    sim.Continuation // SendThen's caller, asked once pm is sent
+	next *pendingMsg      // free-list link
 }
 
 // outLink is the sender half of one directed link.
@@ -147,6 +147,12 @@ func (r *pendingRing) put(seq uint64, pm *pendingMsg) {
 	}
 	r.buf[seq&uint64(len(r.buf)-1)] = pm
 	r.n++
+}
+
+// unput undoes the last put.
+func (r *pendingRing) unput() {
+	r.n--
+	r.buf[(r.base+r.n)&uint64(len(r.buf)-1)] = nil
 }
 
 // get returns the message pending under seq, or nil.
@@ -258,12 +264,10 @@ func (ns *nodeState) track(ol *outLink, dst int, seq uint64, h am.HandlerID, w [
 	if pm != nil {
 		ns.freePM = pm.next
 	} else {
-		pm = &pendingMsg{ns: ns}
-		pm.expire = pm.onExpire
+		pm = &pendingMsg{}
 	}
 	*pm = pendingMsg{
-		ns: ns, expire: pm.expire,
-		dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
+		ns: ns, dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
 		payload: payload, bulk: bulk, attempts: 1, backoff: rto,
 	}
 	ol.pending.put(seq, pm)
@@ -352,50 +356,97 @@ func envelopeWords(seq uint64, h am.HandlerID, w [4]uint64) [4]uint64 {
 	return [4]uint64{seq, uint64(h), w[0], w[1]}
 }
 
-// Send implements am.Transport: frame, transmit (draining), track, arm.
-func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) {
+// frame gives the message (h, w) to dst the link's next sequence number
+// and tracks it, busy, for its first transmission; it returns the message,
+// its link and its envelope. Every send tracks before it injects: a
+// draining send runs handlers, which may send on the same link behind it.
+func (t *Transport) frame(ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) (*pendingMsg, *outLink, [4]uint64) {
 	ew := envelopeWords(0, h, w)
 	ns := t.nodes[ep.Node().ID()]
 	ol := &ns.peers.At(dst).out
 	ol.nextSeq++
-	seq := ol.nextSeq
-	ew[0] = seq
-	pm := ns.track(ol, dst, seq, h, w, payload, bulk, t.opts.RTO)
+	ew[0] = ol.nextSeq
+	pm := ns.track(ol, dst, ew[0], h, w, payload, bulk, t.opts.RTO)
 	pm.busy = true
-	ep.SendRaw(c, dst, t.dataH, ew, payload, bulk)
-	// The draining send may already have serviced this message's ack.
-	if !ns.settle(pm) {
-		pm.arm(t.opts.RTO)
+	return pm, ol, ew
+}
+
+// untrack undoes track for pm, the last message entered in ol, which the
+// network refused at once, with nothing run in between.
+func (ns *nodeState) untrack(ol *outLink, pm *pendingMsg) {
+	ol.pending.unput()
+	ol.nextSeq--
+	ns.stats.DataSent--
+	ns.release(pm)
+}
+
+// launched ends a first transmission's busy stretch: the message has left.
+// A draining send may already have serviced its ack; if not, it is armed.
+func (pm *pendingMsg) launched() {
+	if !pm.ns.settle(pm) {
+		pm.arm(pm.backoff)
 	}
+}
+
+// Send implements am.Transport: frame, transmit (draining), arm.
+func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) {
+	pm, _, ew := t.frame(ep, dst, h, w, payload, bulk)
+	ep.SendRaw(c, dst, t.dataH, ew, payload, bulk)
+	pm.launched()
 }
 
 // TrySend implements am.Transport: a non-blocking reliable send. Rejection
 // means the first transmission could not be injected; nothing is tracked.
 func (t *Transport) TrySend(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) bool {
-	ew := envelopeWords(0, h, w)
-	ns := t.nodes[ep.Node().ID()]
-	ol := &ns.peers.At(dst).out
-	seq := ol.nextSeq + 1
-	ew[0] = seq
-	// TrySendRaw cannot yield, so a failed probe has no side effects and
-	// the sequence number is only committed on success.
+	pm, ol, ew := t.frame(ep, dst, h, w, payload, bulk)
 	if !ep.TrySendRaw(c, dst, t.dataH, ew, payload, bulk) {
+		pm.ns.untrack(ol, pm)
 		return false
 	}
-	ol.nextSeq = seq
-	ns.track(ol, dst, seq, h, w, payload, bulk, t.opts.RTO).arm(t.opts.RTO)
+	pm.launched()
 	return true
+}
+
+// SendThen implements am.Transport: Send in kernel context. The message
+// is launched (sent) when the injection's charge has elapsed; a refused
+// injection is untracked, and the caller sends on its stack.
+func (t *Transport) SendThen(p *sim.Proc, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
+	pm, ol, ew := t.frame(ep, dst, h, w, payload, bulk)
+	next, d, ok := ep.InjectThen(p, dst, t.dataH, ew, payload, bulk, (*sent)(pm))
+	if !ok {
+		pm.ns.untrack(ol, pm)
+		return next, d, false
+	}
+	pm.k = k
+	return next, d, true
+}
+
+// sent is a pendingMsg seen as the sim.Continuation that follows its
+// injection in SendThen.
+type sent pendingMsg
+
+func (s *sent) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	pm := (*pendingMsg)(s)
+	k := pm.k
+	pm.k = nil
+	pm.launched()
+	if k == nil {
+		return sim.NextRun, 0
+	}
+	p.Pass(k)
+	return k.Continue(p)
 }
 
 // arm schedules pm's retransmit timer on the node's shard.
 func (pm *pendingMsg) arm(d sim.Duration) {
-	pm.timer = pm.ns.sh.AfterTimer(d, pm.expire)
+	sh := pm.ns.sh
+	pm.timer = sh.AtActionTimer(sh.Now().Add(d), pm)
 }
 
-// onExpire is the retransmit timer's callback. It runs in kernel context,
-// which cannot send; it queues the message and wakes the node's daemon.
-// (A retired message never gets here: retiring cancels the timer.)
-func (pm *pendingMsg) onExpire() {
+// Run is the retransmit timer's action. It runs in kernel context, which
+// cannot send; it queues the message and wakes the node's daemon. (A
+// retired message never gets here: retiring cancels the timer.)
+func (pm *pendingMsg) Run() {
 	ns := pm.ns
 	pm.timer = sim.Timer{}
 	pm.busy = true
@@ -422,7 +473,7 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 			if ol.pending.get(pm.seq) != pm {
 				panic("reliable: due message is not the pending one")
 			}
-			if pm.attempts >= t.opts.MaxAttempts {
+			if int(pm.attempts) >= t.opts.MaxAttempts {
 				pm.done = true
 				ol.pending.remove(pm.seq)
 				ns.stats.GaveUp++

@@ -53,7 +53,7 @@ func callAllocs(t *testing.T, mode Mode, deadline bool) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rt.nodes[0].slots); n != 1 {
+	if n := 1 + len(rt.nodes[0].slots); n != 1 {
 		t.Fatalf("one caller used %d call records, want 1 recycled throughout", n)
 	}
 	return float64(m1.Mallocs-m0.Mallocs) / calls

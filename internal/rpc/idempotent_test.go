@@ -164,7 +164,7 @@ func TestLateReplyAfterGiveUpNotMisdelivered(t *testing.T) {
 	if got := rt.StaleReplies(); got != 2 {
 		t.Fatalf("StaleReplies = %d, want 2 (one per abandoned attempt)", got)
 	}
-	if n := len(rt.nodes[0].slots); n != 1 {
+	if n := 1 + len(rt.nodes[0].slots); n != 1 {
 		t.Fatalf("the caller used %d call records, want every attempt on one recycled record", n)
 	}
 }
@@ -180,14 +180,16 @@ func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
 		if node != 0 {
 			return
 		}
-		ns := &rt.nodes[0]
+		ns := rt.node(0)
 		sh := c.Node().Shard()
-		old := ns.begin()
+		old := ns.take(nil, c, 0, nil)
+		ns.begin(old)
 		oldID := old.id
-		old.timer = sh.AtTimer(sh.Now().Add(sim.Micros(50)), old.expire)
+		old.timer = sh.AtActionTimer(sh.Now().Add(sim.Micros(50)), old)
 		ns.end(old)
 
-		cur := ns.begin()
+		cur := ns.take(nil, c, 0, nil)
+		ns.begin(cur)
 		if cur != old {
 			t.Fatal("the pool did not hand the released record straight back")
 		}
@@ -197,7 +199,7 @@ func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: oldID, Payload: []byte{9}})
 		rt.handleNack(c, &cm5.Packet{Dst: 0, W0: oldID})
 		c.S.Sleep(c, sim.Micros(100)) // past the previous tenant's deadline
-		if cur.flag.IsSet() || cur.reply != nil || cur.nacked || cur.timedOut {
+		if cur.flag.IsSet() || cur.msg != nil || cur.nacked || cur.timedOut {
 			t.Fatalf("a stale resolver reached the new call: %+v", cur)
 		}
 		if got := rt.StaleReplies(); got != 2 {
@@ -206,13 +208,13 @@ func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
 		// An id whose slot this node never made is stale too, not a crash.
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id + 1})
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{7}})
-		if !cur.flag.IsSet() || len(cur.reply) != 1 || cur.reply[0] != 7 {
+		if !cur.flag.IsSet() || len(cur.msg) != 1 || cur.msg[0] != 7 {
 			t.Fatalf("the new call's own reply did not resolve it: %+v", cur)
 		}
 		// A duplicate of that reply finds the call already answered.
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{8}})
-		if cur.reply[0] != 7 || rt.StaleReplies() != 4 {
-			t.Fatalf("duplicate reply: reply %v, StaleReplies %d", cur.reply, rt.StaleReplies())
+		if cur.msg[0] != 7 || rt.StaleReplies() != 4 {
+			t.Fatalf("duplicate reply: reply %v, StaleReplies %d", cur.msg, rt.StaleReplies())
 		}
 		ns.end(cur)
 	})

@@ -60,7 +60,7 @@ type Runtime struct {
 	dAsync *oam.Dispatcher // async procedures never nack; see doc.go
 	replyH am.HandlerID
 	nackH  am.HandlerID
-	nodes  []nodeState
+	nodes  []*nodeState // made at each node's first call
 	procs  []*Proc
 	probe  Probe
 }
@@ -85,17 +85,19 @@ func (rt *Runtime) SetProbe(p Probe) { rt.probe = p }
 
 // nodeState is the client-side call table of one node. It is only ever
 // touched from code running on that node, so it needs no locking under a
-// sharded engine.
+// sharded engine, not even to make it (Runtime.node).
 type nodeState struct {
 	seq   uint64  // attempts started; the high part of the next call id
-	slots []*call // every call record this node has made, by slot
+	slots []*call // every call record this node has made, by slot - 1
 	free  *call   // idle records, most recently released first
 	stale uint64  // replies/nacks for calls no longer waiting
+	first call    // slot 0: a node with one call at a time needs no other record
 }
 
-// call is one outstanding attempt of a synchronous call. Records are
-// recycled on their node's free list, with expire bound once per record,
-// so steady-state calls allocate nothing here.
+// call is one attempt of a call: its client stub in progress, then, if
+// synchronous, the outstanding attempt. Records are recycled on their
+// node's free list, and each is its own deadline timer's action (Run), so
+// steady-state calls allocate nothing here.
 //
 // A call id is (attempt sequence number << slotBits | slot): the slot
 // finds the record without a table lookup, and the sequence number tells
@@ -103,15 +105,20 @@ type nodeState struct {
 // record, so a late reply, nack or duplicate never resolves a call it was
 // not sent for, however quickly the record was reused.
 type call struct {
-	id       uint64 // the attempt in flight; 0 while the record is idle
-	slot     uint64
-	flag     threads.Flag
-	reply    []byte
+	id    uint64 // the attempt in flight; its slot alone until begun, and while idle
+	flag  threads.Flag
+	msg   []byte // the request until the stub sends it, then the reply
+	timer sim.Timer
+	next  *call // free-list link
+	// The stub, for Continue: whose, on which node's CPU, to whom, by when
+	// (zero: no deadline).
+	proc     *Proc
+	s        *threads.Scheduler
+	deadline sim.Time
+	server   int32
 	nacked   bool
 	timedOut bool
-	timer    sim.Timer
-	expire   func() // cl.onDeadline, the deadline timer's callback
-	next     *call  // free-list link
+	sent     bool // the stub's kernel chain sent the request
 }
 
 const (
@@ -119,48 +126,97 @@ const (
 	slotMask = 1<<slotBits - 1
 )
 
-// begin takes an idle call record (or makes one) and gives it a fresh id.
-func (ns *nodeState) begin() *call {
+// node returns node i's call table, made at its first use.
+func (rt *Runtime) node(i int) *nodeState {
+	ns := rt.nodes[i]
+	if ns == nil {
+		ns = &nodeState{}
+		ns.free = &ns.first
+		rt.nodes[i] = ns
+	}
+	return ns
+}
+
+// take takes an idle call record, or makes one, for pr's stub: c calls
+// server with arg.
+func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg []byte) *call {
 	cl := ns.free
 	if cl != nil {
 		ns.free = cl.next
 		cl.next = nil
 	} else {
-		if len(ns.slots) > slotMask {
+		if len(ns.slots) >= slotMask {
 			panic("rpc: too many concurrent calls from one node")
 		}
-		cl = &call{slot: uint64(len(ns.slots))}
-		cl.expire = cl.onDeadline
+		cl = &call{id: uint64(len(ns.slots)) + 1}
 		ns.slots = append(ns.slots, cl)
 	}
-	ns.seq++
-	cl.id = ns.seq<<slotBits | cl.slot
+	cl.proc, cl.s, cl.server, cl.msg = pr, c.S, int32(server), arg
 	return cl
+}
+
+// begin gives cl a fresh id.
+func (ns *nodeState) begin(cl *call) {
+	ns.seq++
+	cl.id = ns.seq<<slotBits | cl.id&slotMask
+}
+
+// Continue is the client stub in kernel context, asked in the calling
+// process's place from the end of the stub's charge: it begins a
+// synchronous attempt, arms its deadline and sends the request. Once that
+// has left — the injection's charge — the synchronous call waits for its
+// reply (threads.Flag.Await); an asynchronous one is over. A request that
+// meets a full buffer is the process's to send on its own stack.
+func (cl *call) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	pr, s := cl.proc, cl.s
+	if cl.sent {
+		return cl.flag.Await(p, s)
+	}
+	me := s.Node().ID()
+	var id uint64
+	var k sim.Continuation
+	if !pr.async {
+		pr.rt.node(me).begin(cl)
+		if cl.deadline > 0 {
+			cl.timer = s.Node().Shard().AtActionTimer(cl.deadline, cl)
+		}
+		id, k = cl.id, cl
+	}
+	arg := cl.msg
+	cl.msg = nil
+	bulk := len(arg) > pr.rt.u.Machine().Cost().MaxPayload
+	next, d, ok := pr.rt.u.Endpoint(me).SendThen(p, int(cl.server), pr.h, [4]uint64{id}, arg, bulk, k)
+	cl.sent = ok
+	return next, d
 }
 
 // end recycles cl once its caller has read the outcome. Cancelling the
 // deadline here is what keeps a recycled record's timer from firing.
 func (ns *nodeState) end(cl *call) {
 	cl.timer.Cancel() // no-op on the zero Timer
-	*cl = call{slot: cl.slot, expire: cl.expire, next: ns.free}
+	*cl = call{id: cl.id & slotMask, next: ns.free}
 	ns.free = cl
 }
 
 // waiting returns the call id was issued for if it still waits for its
 // outcome, else nil: the caller gave up (deadline), already has an answer,
-// or moved on long ago and the record serves another call.
+// or moved on long ago and the record serves another call. No call is
+// issued the id of a slot alone.
 func (ns *nodeState) waiting(id uint64) *call {
-	slot := id & slotMask
-	if slot >= uint64(len(ns.slots)) {
+	cl := &ns.first
+	if slot := id & slotMask; id == slot || slot > uint64(len(ns.slots)) {
 		return nil
+	} else if slot > 0 {
+		cl = ns.slots[slot-1]
 	}
-	if cl := ns.slots[slot]; cl.id == id && !cl.flag.IsSet() {
+	if cl.id == id && !cl.flag.IsSet() {
 		return cl
 	}
 	return nil
 }
 
-func (cl *call) onDeadline() {
+// Run is the deadline timer's action: the call gives up unless answered.
+func (cl *call) Run() {
 	if !cl.flag.IsSet() {
 		cl.timedOut = true
 		cl.flag.Set()
@@ -177,15 +233,7 @@ func New(u *am.Universe, opts Options) *Runtime {
 		opts.NackBackoffMax = sim.Micros(320)
 	}
 	rt := &Runtime{u: u, opts: opts}
-	rt.d = oam.NewDispatcher(opts.OAM)
-	asyncOpts := opts.OAM
-	if asyncOpts.Strategy == oam.Nack {
-		asyncOpts.Strategy = oam.Rerun
-	}
-	rt.dAsync = oam.NewDispatcher(asyncOpts)
-	rt.d.SetNodes(u.N())
-	rt.dAsync.SetNodes(u.N())
-	rt.nodes = make([]nodeState, u.N())
+	rt.nodes = make([]*nodeState, u.N())
 	rt.replyH = u.Register("rpc/reply", rt.handleReply)
 	rt.nackH = u.Register("rpc/nack", rt.handleNack)
 	return rt
@@ -198,14 +246,32 @@ func (rt *Runtime) Universe() *am.Universe { return rt.u }
 func (rt *Runtime) Mode() Mode { return rt.opts.Mode }
 
 // Dispatcher exposes the OAM dispatcher (for statistics).
-func (rt *Runtime) Dispatcher() *oam.Dispatcher { return rt.d }
+func (rt *Runtime) Dispatcher() *oam.Dispatcher { return rt.dispatcher(false) }
 
 // AsyncDispatcher exposes the dispatcher used by asynchronous procedures.
-func (rt *Runtime) AsyncDispatcher() *oam.Dispatcher { return rt.dAsync }
+func (rt *Runtime) AsyncDispatcher() *oam.Dispatcher { return rt.dispatcher(true) }
+
+// dispatcher returns the dispatcher for synchronous or asynchronous
+// procedures, made on first use. Define sizes the one its procedure runs
+// on (TRPC runs every procedure on the synchronous one); the other stays
+// bare, its counters zero, with no per-node tables.
+func (rt *Runtime) dispatcher(async bool) *oam.Dispatcher {
+	d, opts := &rt.d, rt.opts.OAM
+	if async {
+		d = &rt.dAsync
+		if opts.Strategy == oam.Nack {
+			opts.Strategy = oam.Rerun
+		}
+	}
+	if *d == nil {
+		*d = oam.NewDispatcher(opts)
+	}
+	return *d
+}
 
 func (rt *Runtime) handleReply(c threads.Ctx, pkt *cm5.Packet) {
 	if cl := rt.resolving(c, pkt); cl != nil {
-		cl.reply = pkt.Payload
+		cl.msg = pkt.Payload
 		cl.flag.Set()
 	}
 }
@@ -222,7 +288,7 @@ func (rt *Runtime) handleNack(c threads.Ctx, pkt *cm5.Packet) {
 // or already completed: on a faulty network late replies are normal, not
 // a protocol violation.
 func (rt *Runtime) resolving(c threads.Ctx, pkt *cm5.Packet) *call {
-	ns := &rt.nodes[pkt.Dst]
+	ns := rt.node(pkt.Dst)
 	cl := ns.waiting(pkt.W0)
 	if cl == nil {
 		ns.stale++
@@ -238,8 +304,10 @@ func (rt *Runtime) resolving(c threads.Ctx, pkt *cm5.Packet) *call {
 // a fault-free network.
 func (rt *Runtime) StaleReplies() uint64 {
 	var n uint64
-	for i := range rt.nodes {
-		n += rt.nodes[i].stale
+	for _, ns := range rt.nodes {
+		if ns != nil {
+			n += ns.stale
+		}
 	}
 	return n
 }
@@ -312,6 +380,7 @@ func (rt *Runtime) define(name string, async bool, impl Impl) *Proc {
 	p.body, p.settle = p.run, p.settled
 	p.h = rt.u.Register("rpc/"+name, p.serve)
 	rt.procs = append(rt.procs, p)
+	rt.dispatcher(async && rt.opts.Mode != TRPC).SetNodes(rt.u.N())
 	return p
 }
 
@@ -335,8 +404,8 @@ type CompatSpec struct {
 // dispatchers consult spec.Table for multiactive admission. Call it after
 // the Define calls, before the simulation starts.
 func (rt *Runtime) SetCompat(spec CompatSpec) {
-	rt.d.SetCompat(spec.Table)
-	rt.dAsync.SetCompat(spec.Table)
+	rt.Dispatcher().SetCompat(spec.Table)
+	rt.AsyncDispatcher().SetCompat(spec.Table)
 	for i := range spec.Methods {
 		m := &spec.Methods[i]
 		for _, p := range rt.procs {
@@ -488,7 +557,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 	cost := rt.u.Machine().Cost()
 	sh := c.Node().Shard() // deadline timers are node-local state
 	me := c.Node().ID()
-	ns := &rt.nodes[me]
+	ns := rt.node(me)
 	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
 	backoff := rt.opts.NackBackoffBase
@@ -498,14 +567,16 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 	var retries uint64
 	for {
 		st.Calls++
-		c.P.Charge(cost.StubClient)
-		cl := ns.begin()
+		cl := ns.take(p, c, server, arg)
 		if timeout > 0 {
-			cl.timer = sh.AtTimer(deadline, cl.expire)
+			cl.deadline = deadline
 		}
-		p.sendRequest(c, server, cl.id, arg)
+		c.P.ChargeThen(cost.StubClient, cl)
+		if !cl.sent {
+			p.sendRequest(c, server, cl.id, arg)
+		}
 		cl.flag.Wait(c)
-		reply, nacked, timedOut := cl.reply, cl.nacked, cl.timedOut
+		reply, nacked, timedOut := cl.msg, cl.nacked, cl.timedOut
 		ns.end(cl)
 		if !timedOut && !nacked {
 			if rt.probe != nil {
@@ -566,13 +637,19 @@ func (p *Proc) CallAsync(c threads.Ctx, server int, arg []byte) {
 	if p.rt.probe != nil {
 		p.rt.probe.CallStart(c.P.Now(), me, p.name)
 	}
-	c.P.Charge(p.rt.u.Machine().Cost().StubClient)
-	p.sendRequest(c, server, 0, arg)
+	ns := p.rt.node(me)
+	cl := ns.take(p, c, server, arg)
+	c.P.ChargeThen(p.rt.u.Machine().Cost().StubClient, cl)
+	if !cl.sent {
+		p.sendRequest(c, server, 0, arg)
+	}
+	ns.end(cl)
 	if p.rt.probe != nil {
 		p.rt.probe.CallEnd(c.P.Now(), me, p.name, false, 0)
 	}
 }
 
+// sendRequest is the stub's send on the process's own stack.
 func (p *Proc) sendRequest(c threads.Ctx, server int, id uint64, arg []byte) {
 	ep := p.rt.u.Endpoint(c.Node().ID())
 	if len(arg) <= p.rt.u.Machine().Cost().MaxPayload {

@@ -15,6 +15,7 @@ import (
 //	'a' log, and schedule a logging callback arg later
 //	'n' spawn a child that logs its pid and charges arg
 //	'w' unpark r, if parked, which logs and charges arg
+//	'h' pass the steps left to a new continuation (Proc.Pass)
 type contStep struct {
 	kind byte
 	arg  Duration
@@ -37,7 +38,7 @@ type contScript struct {
 	do    func(contStep)
 }
 
-func (k *contScript) Continue(*Proc) (Next, Duration) {
+func (k *contScript) Continue(p *Proc) (Next, Duration) {
 	for len(k.steps) > 0 {
 		s := k.steps[0]
 		k.steps = k.steps[1:]
@@ -46,6 +47,11 @@ func (k *contScript) Continue(*Proc) (Next, Duration) {
 			return NextCharge, s.arg
 		case 'p':
 			return NextPark, 0
+		case 'h':
+			rest := &contScript{k.steps, k.do}
+			k.steps = nil // asked again, k would say Run
+			p.Pass(rest)
+			return rest.Continue(p)
 		}
 		k.do(s)
 	}
@@ -261,9 +267,16 @@ func TestContinuationMatchesTheProcess(t *testing.T) {
 		{"nothing else pending: every leg in place, actions between them",
 			contScenario{segs: []contSeg{{enter: 'C', arg: 5, steps: steps(contStep{'a', 4}, contStep{'c', 7})}}},
 			"5 act|9 acted|12 p.0|12 z pid 8", 0},
+		{"passed on, then a leg in place: the second continuation is asked next",
+			contScenario{segs: []contSeg{{enter: 'C', arg: 5, steps: steps(contStep{'h', 0}, contStep{'c', 2}, contStep{'a', 4})}}},
+			"7 act|7 p.0|7 z pid 8|11 acted", 0},
 		{"run, charge, park, charge: a wake, the restore half, the hand-over",
 			contScenario{qSteps: q, calls: []seqCall{{at: 10, kind: 'v'}},
 				segs: []contSeg{{enter: 'T'}, {enter: 'C', arg: 2, steps: steps(contStep{'p', 0}, contStep{'c', 4}, contStep{'w', 1})}}},
+			"0 p.0|3 q.0|6 q.1|9 q.2|10 wake p|12 q.3|14 p.1|14 r woke|14 z pid 17|15 q.4|18 q.5", 4},
+		{"the same, the steps after the park passed on to a second continuation",
+			contScenario{qSteps: q, calls: []seqCall{{at: 10, kind: 'v'}},
+				segs: []contSeg{{enter: 'T'}, {enter: 'C', arg: 2, steps: steps(contStep{'p', 0}, contStep{'h', 0}, contStep{'c', 4}, contStep{'w', 1})}}},
 			"0 p.0|3 q.0|6 q.1|9 q.2|10 wake p|12 q.3|14 p.1|14 r woke|14 z pid 17|15 q.4|18 q.5", 4},
 		{"parked with nothing to do: woken to park again is no switch",
 			contScenario{qSteps: q, calls: []seqCall{{at: 4, kind: 'v'}, {at: 7, kind: 'v'}, {at: 11, kind: 'v'}},
@@ -444,6 +457,9 @@ func fuzzContScenario(prog, stream []byte, qStep, qPhase uint8) contScenario {
 		}
 		seg := &sc.segs[len(sc.segs)-1]
 		if seg.enter != 'S' {
+			if prog[i+1] >= 0x80 { // the rest of the chain from a second continuation
+				seg.steps = append(seg.steps, contStep{'h', 0})
+			}
 			seg.steps = append(seg.steps, contStep{"ccpanw"[op-4], arg})
 		}
 	}

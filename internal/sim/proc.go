@@ -74,10 +74,16 @@ const (
 // and no observer needs a fallback. Continue runs in kernel context, also
 // when a process asks on its own stack (Then): it may do what a kernel
 // callback may, a Charge or Park inside it trips checkRunning, and a panic
-// ends the run like a callback's. It stays installed until it says Run.
+// ends the run like a callback's. It stays installed until it says Run or
+// passes the rest of the decision on (Pass).
 type Continuation interface {
 	Continue(p *Proc) (Next, Duration)
 }
+
+// Pass, called inside a Continuation's Continue, installs k in its place:
+// from the caller's verdict on, the kernel asks k. Layers chain their
+// continuations this way; return k.Continue(p) to ask k at once.
+func (p *Proc) Pass(k Continuation) { p.cont = k }
 
 // PanicError wraps a panic raised inside a process body so that Run can
 // report it as an error with the originating process's name.

@@ -227,30 +227,32 @@ func (sh *Shard) charge(p *Proc, d Duration) bool {
 	return true
 }
 
-// follow carries out a verdict on p, then the ones k gives next, until p
-// must run (true) or is suspended again — mid-charge or parked — with k
-// installed for that resume. A panic in k is a kernel callback's: it ends
-// the run, p stays suspended.
+// follow installs k, carries out a verdict on p, then the ones the
+// installed continuation gives next (k, or what it passed to), until p
+// must run (true) or is suspended again — mid-charge or parked — with that
+// continuation installed for the resume. A panic in it is a kernel
+// callback's: it ends the run, p stays suspended.
 func (sh *Shard) follow(p *Proc, k Continuation, next Next, d Duration) (run bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.kernelPanic, run = r, false
 		}
 	}()
+	p.cont = k
 	for {
 		switch next {
 		case NextRun:
+			p.cont = nil
 			return true
 		case NextCharge:
 			if !sh.charge(p, d) {
-				p.cont = k
 				return false
 			}
 		case NextPark:
-			p.parked, p.cont = true, k
+			p.parked = true
 			return false
 		}
-		next, d = k.Continue(p)
+		next, d = p.cont.Continue(p)
 	}
 }
 
@@ -259,6 +261,13 @@ func (sh *Shard) follow(p *Proc, k Continuation, next Next, d Duration) (run boo
 // generation), so arming a timer costs no allocation.
 func (sh *Shard) AtTimer(t Time, fn func()) Timer {
 	ev := sh.schedule(t, classNormal, 0, evFunc, fn, nil, nil)
+	return Timer{ev: ev, sh: sh, gen: ev.gen}
+}
+
+// AtActionTimer is AtTimer for a pre-allocated Action: a pooled record can
+// be its own timer's callback instead of holding a bound closure.
+func (sh *Shard) AtActionTimer(t Time, a Action) Timer {
+	ev := sh.schedule(t, classNormal, 0, evAction, nil, a, nil)
 	return Timer{ev: ev, sh: sh, gen: ev.gen}
 }
 
@@ -355,7 +364,6 @@ func (sh *Shard) loop(self *Proc) bool {
 			if k := p.cont; k != nil {
 				// p left word of what it does first: do that here, and
 				// switch to it only when that needs its stack.
-				p.cont = nil
 				if !sh.follow(p, k, nextAsk, 0) {
 					if sh.tracing() {
 						sh.traceYield(p)

@@ -248,13 +248,22 @@ func (s *Scheduler) wakeActor() {
 // need a stack.
 func (s *Scheduler) act(p *sim.Proc, self *Thread) {
 	s.actor, s.self = p, self
-	for p.Then(s); s.actor == p; p.Then(s) {
+	p.Then(s)
+	s.serve(p)
+}
+
+// serve is act from Continue's first answer on: while p acts, it runs what
+// Continue left to its stack — the handler of the packet paid for, or
+// PollOnce — and asks again.
+func (s *Scheduler) serve(p *sim.Proc) {
+	for s.actor == p {
 		if pkt := s.ejected; pkt != nil {
 			s.ejected = nil
 			s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
 		} else {
 			s.poller.PollOnce(Ctx{P: p, S: s})
 		}
+		p.Then(s)
 	}
 }
 
@@ -526,6 +535,13 @@ func (s *Scheduler) Yield(c Ctx) {
 // and resumes for free if its own wakeup arrives first. Used by Mutex,
 // Cond, Flag, Join, barriers, and OAM promotion.
 func (s *Scheduler) blockCurrent(c Ctx) {
+	s.block(c)
+	s.act(c.P, c.T)
+	s.resumed(c.T)
+}
+
+// block is blockCurrent's bookkeeping: c.T leaves the CPU, blocked.
+func (s *Scheduler) block(c Ctx) {
 	t := c.T
 	if t == nil {
 		panic("threads: blocking operation from handler context; " +
@@ -536,7 +552,10 @@ func (s *Scheduler) blockCurrent(c Ctx) {
 	t.state = stateBlocked
 	s.noteBlocked(t)
 	s.cur = nil
-	s.act(c.P, t)
+}
+
+// resumed checks that t, back from a block, has the CPU.
+func (s *Scheduler) resumed(t *Thread) {
 	if s.cur != t {
 		panic(fmt.Sprintf("threads: thread %q resumed without the CPU", t.Name()))
 	}

@@ -192,11 +192,44 @@ type Flag struct {
 }
 
 // Wait blocks the calling thread until the flag is set. If the flag is
-// already set it returns immediately.
+// already set it returns immediately. A wait Await began goes on where it
+// is, set or not: c.P was switched to because the scheduler acting in its
+// place needed the stack, and it acts until c.T has the CPU back.
 func (f *Flag) Wait(c Ctx) {
-	if f.set {
+	switch s := c.S; {
+	case c.T != nil && s.actor == c.P && s.self == c.T:
+		s.serve(c.P)
+		s.resumed(c.T)
+		return
+	case f.set:
 		return
 	}
+	f.await(c)
+	c.S.blockCurrent(c)
+}
+
+// Await is Wait as the last step of a sim.Continuation of p, whose thread
+// holds s's CPU: the flag set, it says Run; otherwise the thread blocks
+// here, as blockCurrent would, and the scheduler acts in p's place
+// (Scheduler.Continue). When p next runs, its Wait returns once the
+// thread has the CPU back.
+func (f *Flag) Await(p *sim.Proc, s *Scheduler) (sim.Next, sim.Duration) {
+	if f.set {
+		return sim.NextRun, 0
+	}
+	c := Ctx{P: p, S: s}
+	if t := s.cur; t != nil && t.proc == p {
+		c.T = t
+	}
+	f.await(c)
+	s.block(c)
+	s.actor, s.self = p, c.T
+	p.Pass(s)
+	return s.Continue(p)
+}
+
+// await registers c.T as the flag's waiter.
+func (f *Flag) await(c Ctx) {
 	if c.T == nil {
 		panic("threads: Flag.Wait from handler context")
 	}
@@ -204,7 +237,6 @@ func (f *Flag) Wait(c Ctx) {
 		panic("threads: Flag has two waiters")
 	}
 	f.waiter = c.T
-	c.S.blockCurrent(c)
 }
 
 // Set sets the flag and wakes the waiter, if any, scheduling it at the
