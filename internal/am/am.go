@@ -29,32 +29,36 @@ type Stats struct {
 
 // Transport intercepts outgoing Active Messages. When one is installed on
 // a Universe every Endpoint send routes through it instead of injecting
-// directly; the transport moves bytes with SendRaw, TrySendRaw and
-// InjectThen, and hands received messages up with Endpoint.Run. This is
-// the seam the reliable-delivery layer plugs into; a nil transport (the
-// default) keeps the original direct path with zero overhead.
+// directly; the transport puts bytes on the wire with Endpoint.Injection
+// and hands received messages up with Endpoint.Run. This is the seam the
+// reliable-delivery layer plugs into; a nil transport (the default) keeps
+// the direct path with zero overhead.
 type Transport interface {
-	// Send must eventually inject the message (it may drain, buffer, and
-	// retransmit along the way).
-	Send(c threads.Ctx, ep *Endpoint, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool)
-	// TrySend attempts a non-blocking send and reports whether the message
-	// was accepted for (eventual) delivery.
-	TrySend(c threads.Ctx, ep *Endpoint, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) bool
-	// SendThen is Send's kernel spelling (see Endpoint.SendThen).
-	SendThen(p *sim.Proc, ep *Endpoint, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool)
+	// SendThen is Endpoint.SendThen: the transport may reframe pkt in
+	// place before it injects.
+	SendThen(p *sim.Proc, ep *Endpoint, pkt *cm5.Packet, k sim.Continuation) (sim.Next, sim.Duration)
 }
 
 // Universe bundles a machine, one thread scheduler per node, and the
 // shared handler table. It is the program image of an SPMD run.
 type Universe struct {
 	m         *cm5.Machine
-	scheds    []*threads.Scheduler
 	eps       []*Endpoint
 	handlers  []Handler
 	names     []string
 	atomic    []bool // per handler: registered with RegisterAtomic
 	transport Transport
 	probe     Probe
+	out       []handoff // one per engine shard
+}
+
+// handoff is a message between a sender on the stack and the continuation
+// it asks at once, or between a refused injection and the Drive of the
+// process it ran for, which takes it at once. It never spans anything
+// else on its shard, so the shard's nodes share one.
+type handoff struct {
+	pkt *cm5.Packet
+	k   sim.Continuation
 }
 
 // Probe observes handler dispatch. Probes are pure observers — they must
@@ -80,8 +84,8 @@ func (u *Universe) SetProbe(p Probe) { u.probe = p }
 // pays endpoint, scheduler, and idle-process cost for k nodes, not n.
 func NewUniverse(eng *sim.Engine, n int, cost cm5.CostModel) *Universe {
 	u := &Universe{m: cm5.NewMachine(eng, n, cost)}
-	u.scheds = make([]*threads.Scheduler, n)
 	u.eps = make([]*Endpoint, n)
+	u.out = make([]handoff, eng.Shards())
 	return u
 }
 
@@ -89,9 +93,9 @@ func NewUniverse(eng *sim.Engine, n int, cost cm5.CostModel) *Universe {
 // cm5.Machine.Node, call only from the owning shard's simulation context
 // or with the shards quiescent (setup, barriers).
 func (u *Universe) materializeNode(i int) {
-	s := threads.NewScheduler(u.m.Node(i))
-	u.scheds[i] = s
-	ep := &Endpoint{u: u, node: u.m.Node(i), sched: s}
+	nd := u.m.Node(i)
+	s := threads.NewScheduler(nd)
+	ep := &Endpoint{u: u, node: nd, sched: s, out: &u.out[nd.Shard().Index()]}
 	u.eps[i] = ep
 	s.SetPoller(ep)
 }
@@ -104,12 +108,7 @@ func (u *Universe) N() int { return u.m.N() }
 
 // Scheduler returns node i's thread scheduler, materializing it on
 // first touch.
-func (u *Universe) Scheduler(i int) *threads.Scheduler {
-	if u.scheds[i] == nil {
-		u.materializeNode(i)
-	}
-	return u.scheds[i]
-}
+func (u *Universe) Scheduler(i int) *threads.Scheduler { return u.Endpoint(i).sched }
 
 // Endpoint returns node i's Active Message endpoint, materializing it on
 // first touch.
@@ -175,8 +174,9 @@ type Endpoint struct {
 	u     *Universe
 	node  *cm5.Node
 	sched *threads.Scheduler
-	depth int // nested handler executions on this node
+	out   *handoff // the hand-off of the node's shard
 	stats Stats
+	depth int32 // nested handler executions on this node
 	// polling marks a PollUntil inside WaitPacket since pollingSince;
 	// still set after Run, the message never came (see SPMD).
 	polling      bool
@@ -186,12 +186,12 @@ type Endpoint struct {
 // Node returns the endpoint's node.
 func (ep *Endpoint) Node() *cm5.Node { return ep.node }
 
-// packet assembles an outgoing packet, bulk or small, from the machine's
-// pool. Ownership passes to the network on successful injection; the
-// receiving endpoint recycles the struct after the handler runs (see
-// Packet's ownership rules — the payload buffer itself is handed off,
-// never reused).
-func (ep *Endpoint) packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload []byte) *cm5.Packet {
+// Packet assembles an outgoing packet, bulk or small, from the machine's
+// pool. Ownership passes to the network on injection; the receiving
+// endpoint recycles the struct after the handler runs (see Packet's
+// ownership rules — the payload buffer itself is handed off, never
+// reused).
+func (ep *Endpoint) Packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload []byte) *cm5.Packet {
 	if int(h) < 0 || int(h) >= len(ep.u.handlers) {
 		panic(fmt.Sprintf("am: send to unregistered handler %d", h))
 	}
@@ -208,113 +208,99 @@ func (ep *Endpoint) packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload
 	return pkt
 }
 
-// TrySend attempts a non-blocking send of a small Active Message and
-// reports whether it was injected. Failure means the destination's input
-// buffer is full — the "network busy" condition that makes an optimistic
-// execution abort.
-func (ep *Endpoint) TrySend(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte) bool {
-	if t := ep.u.transport; t != nil {
-		return t.TrySend(c, ep, dst, h, w, payload, false)
-	}
-	return ep.TrySendRaw(c, dst, h, w, payload, false)
-}
-
 // Send transmits a small Active Message, draining incoming messages while
 // the destination's buffer is full (the CMMD deadlock-avoidance protocol:
-// the send routine polls the network before sending).
+// the send routine polls the network before sending): SendThen, driven
+// from c's stack.
 func (ep *Endpoint) Send(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte) {
-	if t := ep.u.transport; t != nil {
-		t.Send(c, ep, dst, h, w, payload, false)
-		return
-	}
-	ep.SendRaw(c, dst, h, w, payload, false)
+	ep.send(c, ep.Packet(dst, h, false, w, payload))
 }
 
-// SendBulk transmits a block transfer (the scopy path), draining while the
-// destination's buffer is full. The sending CPU is busy for the setup and
-// streaming time.
+// SendBulk is Send for a block transfer (the scopy path). The sending CPU
+// is busy for the setup and streaming time.
 func (ep *Endpoint) SendBulk(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte) {
+	ep.send(c, ep.Packet(dst, h, true, w, payload))
+}
+
+func (ep *Endpoint) send(c threads.Ctx, pkt *cm5.Packet) {
+	ep.out.pkt = pkt
+	ep.Drive(c, -1, (*sending)(ep))
+}
+
+// SendThen is the one send of a message, pkt (built with Packet), asked in
+// kernel context for p, the process holding this node's CPU, through the
+// installed transport: it injects the message and returns p's verdict, the
+// injection's charge, at whose end the message leaves and k decides (nil:
+// p runs). A message the destination's full buffer refuses goes back to
+// p's stack, which must be in Drive: it drains and injects it there, then
+// goes on with k.
+func (ep *Endpoint) SendThen(p *sim.Proc, pkt *cm5.Packet, k sim.Continuation) (sim.Next, sim.Duration) {
 	if t := ep.u.transport; t != nil {
-		t.Send(c, ep, dst, h, w, payload, true)
-		return
+		return t.SendThen(p, ep, pkt, k)
 	}
-	ep.SendRaw(c, dst, h, w, payload, true)
+	return ep.Injection(pkt, k).Continue(p)
 }
 
-// SendThen is Send (bulk: SendBulk) in kernel context, for a
-// sim.Continuation of p, the process holding this node's CPU: it injects
-// the message and returns p's verdict, the injection's charge, at whose end
-// the message leaves and k decides. When the destination's buffer is full
-// it changes nothing and returns false: p must Send on its own stack,
-// which drains.
-func (ep *Endpoint) SendThen(p *sim.Proc, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
-	if t := ep.u.transport; t != nil {
-		return t.SendThen(p, ep, dst, h, w, payload, bulk, k)
+// Injection is the send of pkt bypassing any installed transport, as the
+// sim.Continuation to ask at once: by Drive, or by SendThen and a
+// transport's SendThen (Continue). Transports move their framed messages
+// with it, and so do their retransmissions and acknowledgments.
+func (ep *Endpoint) Injection(pkt *cm5.Packet, k sim.Continuation) sim.Continuation {
+	*ep.out = handoff{pkt, k}
+	return (*injecting)(ep)
+}
+
+// sending and injecting are an Endpoint seen as the sim.Continuation that
+// takes the message its caller handed over and sends it, or injects it as
+// it is.
+type (
+	sending   Endpoint
+	injecting Endpoint
+)
+
+func (s *sending) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	ep := (*Endpoint)(s)
+	h := ep.out
+	pkt := h.pkt
+	h.pkt = nil
+	return ep.SendThen(p, pkt, nil)
+}
+
+func (i *injecting) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	ep := (*Endpoint)(i)
+	h := ep.out
+	busy, in, ok := ep.node.Inject(h.pkt, h.k)
+	if !ok {
+		return sim.NextRun, 0 // the refused message stays for Drive
 	}
-	return ep.InjectThen(p, dst, h, w, payload, bulk, k)
-}
-
-// SendRaw transmits directly on the wire, bypassing any installed
-// transport: the draining-send path of the original Endpoint.Send /
-// SendBulk. Transports call this to move their framed messages (and
-// retransmissions) without recursing into themselves.
-func (ep *Endpoint) SendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) {
-	ep.SendRawThen(c, dst, h, w, payload, bulk, -1)
-}
-
-// SendRawThen is SendRaw followed, unless then is negative, by
-// c.P.Charge(then), joined to the injection (cm5.Node.TryInjectThen).
-func (ep *Endpoint) SendRawThen(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, then sim.Duration) {
-	ep.sendDraining(c, ep.packet(dst, h, bulk, w, payload), then)
-	ep.sent(bulk)
-}
-
-// sent counts one message injected.
-func (ep *Endpoint) sent(bulk bool) {
-	if bulk {
+	if h.pkt.Kind == cm5.Bulk {
 		ep.stats.BulkSends++
 	} else {
 		ep.stats.Sends++
 	}
-}
-
-// InjectThen is SendThen bypassing any installed transport: SendRaw's
-// kernel spelling.
-func (ep *Endpoint) InjectThen(p *sim.Proc, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
-	pkt := ep.packet(dst, h, bulk, w, payload)
-	busy, in, ok := ep.node.Inject(pkt, -1, k)
-	if !ep.offered(pkt, bulk, ok) {
-		return sim.NextRun, 0, false
-	}
+	*h = handoff{}
 	p.Pass(in)
-	return sim.NextCharge, busy, true
+	return sim.NextCharge, busy
 }
 
-// TrySendRaw is the non-blocking direct-wire send: InjectThen on c.P's
-// stack.
-func (ep *Endpoint) TrySendRaw(c threads.Ctx, dst int, h HandlerID, w [4]uint64, payload []byte, bulk bool) bool {
-	pkt := ep.packet(dst, h, bulk, w, payload)
-	return ep.offered(pkt, bulk, ep.node.TryInject(c.P, pkt))
-}
-
-// offered ends the offer of a fresh packet to the network: counted if it
-// was injected (ok), back to the pool if not.
-func (ep *Endpoint) offered(pkt *cm5.Packet, bulk, ok bool) bool {
-	if !ok {
-		ep.node.ReleasePacket(pkt) // never entered the network
-		return false
+// Drive runs k on c's stack, after a charge of d unless d is negative, as
+// sim.Proc.ChargeThen: the one way to run a chain with a send in it. A send
+// the chain's injection finds refused is retried here, draining our own
+// input meanwhile — handle one packet if present, otherwise burn a poll —
+// until the destination has polled and there is room; the chain then goes
+// on from the injection.
+func (ep *Endpoint) Drive(c threads.Ctx, d sim.Duration, k sim.Continuation) {
+	if d < 0 {
+		c.P.Then(k)
+	} else {
+		c.P.ChargeThen(d, k)
 	}
-	ep.sent(bulk)
-	return true
-}
-
-func (ep *Endpoint) sendDraining(c threads.Ctx, pkt *cm5.Packet, then sim.Duration) {
-	for !ep.node.TryInjectThen(c.P, pkt, then) {
+	for h := ep.out; h.pkt != nil; {
+		refused := *h
+		*h = handoff{}
 		ep.stats.DrainSpins++
-		// Drain our own input while waiting for room: handle one packet
-		// if present, otherwise burn a poll and retry. Time advances, the
-		// destination eventually polls, and space appears.
 		ep.Poll(c)
+		c.P.Then(ep.Injection(refused.pkt, refused.k))
 	}
 }
 
@@ -385,28 +371,26 @@ func (ep *Endpoint) Dispatch(c threads.Ctx, pkt *cm5.Packet) {
 }
 
 // Run runs pkt's handler inline, HandlerDispatch already charged: joined to
-// the ejection by Poll, to an ack's injection by a transport that used
-// SendRawThen, and hands a transport's de-framed inner message up, the
+// the ejection by Poll, to an ack's injection by a transport, and hands a transport's de-framed inner message up, the
 // packet staying the transport's to recycle. The handler context is derived
 // from the polling context but has no thread: handlers are not schedulable.
 func (ep *Endpoint) Run(c threads.Ctx, pkt *cm5.Packet) {
 	h := ep.u.handlers[pkt.Handler]
 	hc := threads.Ctx{P: c.P, T: nil, S: ep.sched}
 	ep.depth++
-	if ep.depth > ep.stats.MaxDepth {
-		ep.stats.MaxDepth = ep.depth
-	}
+	depth := int(ep.depth)
+	ep.stats.MaxDepth = max(ep.stats.MaxDepth, depth)
 	ep.stats.HandlersRun++
 	start := c.P.Now()
 	if ep.u.probe != nil {
-		ep.u.probe.HandlerStart(start, ep.node.ID(), HandlerID(pkt.Handler), ep.depth)
+		ep.u.probe.HandlerStart(start, ep.node.ID(), HandlerID(pkt.Handler), depth)
 	}
 	h(hc, pkt)
 	// Nested dispatches (drains inside sends) double-count into their
 	// enclosing handler's window; MaxDepth reports when that happens.
 	ep.stats.HandlerTime += c.P.Now().Sub(start)
 	if ep.u.probe != nil {
-		ep.u.probe.HandlerEnd(c.P.Now(), ep.node.ID(), HandlerID(pkt.Handler), ep.depth)
+		ep.u.probe.HandlerEnd(c.P.Now(), ep.node.ID(), HandlerID(pkt.Handler), depth)
 	}
 	ep.depth--
 }

@@ -12,10 +12,11 @@
 // first by the kernel loop, and so is the handler itself if it was
 // registered as bookkeeping only (RegisterAtomic).
 //
-// Send follows the CM-5 CMMD convention: when the destination's input
-// buffer is full, the sender drains its own incoming messages while
-// retrying, which avoids distributed buffer deadlock. TrySend exposes the
-// non-blocking variant whose failure is the OAM "network busy" abort
-// condition. PollUntil is CMAM_wait, the hand-coded program's wait for a
-// reply: poll until a handler raises the flag.
+// A send is one sim.Continuation, SendThen, which Send, SendBulk and Drive
+// run from the sender's stack. It follows the CM-5 CMMD convention: when
+// the destination's input buffer is full, the sender's Drive drains its
+// own incoming messages while retrying, which avoids distributed buffer
+// deadlock (the OAM "network busy" abort reads cm5.Node.NetworkFull).
+// PollUntil is CMAM_wait, the hand-coded program's wait for a reply: poll
+// until a handler raises the flag.
 package am

@@ -83,36 +83,6 @@ func TestSendToUnregisteredHandlerPanics(t *testing.T) {
 	}
 }
 
-// TestTrySendRefusesWhenFull and succeeds after draining.
-func TestTrySendSemantics(t *testing.T) {
-	u := universe(t, 2, func(c *cm5.CostModel) { c.NICQueueCap = 1 })
-	got := 0
-	h := u.Register("sink", func(c threads.Ctx, pkt *cm5.Packet) { got++ })
-	_, err := u.SPMD(func(c threads.Ctx, node int) {
-		ep := u.Endpoint(node)
-		if node == 1 {
-			c.P.Charge(sim.Micros(200))
-			ep.PollAll(c)
-			return
-		}
-		if !ep.TrySend(c, 1, h, [4]uint64{}, nil) {
-			t.Error("first TrySend refused")
-		}
-		if ep.TrySend(c, 1, h, [4]uint64{}, nil) {
-			t.Error("second TrySend accepted into a full queue")
-		}
-		if ep.TrySendRaw(c, 1, h, [4]uint64{}, make([]byte, 100), true) {
-			t.Error("bulk TrySendRaw accepted into a full queue")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("got = %d", got)
-	}
-}
-
 // TestHandlerNames: registration names are retrievable for diagnostics.
 func TestHandlerNames(t *testing.T) {
 	u := universe(t, 1, nil)

@@ -137,7 +137,8 @@ func TestPollDispatchIsOneSwitch(t *testing.T) {
 		var out outcome
 		u.SetProbe(&out.starts)
 		send := func(c threads.Ctx, dst int, h HandlerID, w0 uint64) {
-			for ep := u.Endpoint(c.Node().ID()); !ep.TrySend(c, dst, h, [4]uint64{w0}, nil); {
+			ep := u.Endpoint(c.Node().ID())
+			for pkt := ep.Packet(dst, h, false, [4]uint64{w0}, nil); !ep.node.TryInject(c.P, pkt); {
 				poll(ep, c)
 			}
 		}

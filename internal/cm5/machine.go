@@ -42,7 +42,7 @@ type NetStats struct {
 	SmallSent    uint64
 	BulkSent     uint64
 	BytesSent    uint64
-	FullRejects  uint64 // TryInject calls rejected because the NIC was full
+	FullRejects  uint64 // injections refused because the NIC was full
 	MaxQueueSeen int    // high-water mark across all NIC input queues
 }
 
@@ -65,7 +65,7 @@ type Probe interface {
 	// PacketDelivered fires when a packet lands in dst's input queue;
 	// queueDepth is the queue occupancy after the delivery.
 	PacketDelivered(t sim.Time, pkt *Packet, queueDepth int)
-	// Backpressure fires when TryInject refuses a send because the
+	// Backpressure fires when Inject refuses a send because the
 	// destination NIC is full.
 	Backpressure(t sim.Time, src, dst int)
 }
@@ -304,7 +304,7 @@ type Node struct {
 	// with the node id it is the canonical delivery key that totally
 	// orders same-instant packet arrivals machine-wide.
 	flightSeq uint64
-	// attempts counts TryInject calls per destination; it seeds the
+	// attempts counts injection attempts per destination; it seeds the
 	// per-flight RNG streams, so a draw's value depends only on
 	// (src, dst, attempt), never on unrelated event order. Sparse: a
 	// dense per-destination array here was the machine's O(nodes²).
@@ -323,40 +323,38 @@ type Node struct {
 	wake func()
 	// waiter is the process in WaitPacket, to be woken by a delivery.
 	waiter *sim.Proc
-	// inj is what Inject leaves for the instant its busy charge elapses
-	// while one is in progress (busy).
+	// inj is the node's own injection record, in use while inj.n is set.
+	// An injection beside it takes a spare from the shard's pool.
 	inj injection
 }
 
-// injection is one injection's second half: the copies to launch, then
-// the caller's charge, then its continuation.
+// injection is one injection's second half, the sim.Continuation of the
+// injecting process while its busy charge elapses: the copies to launch,
+// then the caller's continuation. Each injection under way has its own
+// record, so processes sharing the node (a multiactive core worker beside
+// its thread) inject side by side.
 type injection struct {
-	pkt           *Packet // nil: lost in the network, nothing to launch
-	wire, dupWire sim.Duration
-	then          sim.Duration
-	k             sim.Continuation
-	busy, dup     bool
+	n       *Node
+	pkt     *Packet // nil: lost in the network, nothing to launch
+	wire    sim.Duration
+	dupWire sim.Duration // the forged copy's flight; negative: no copy
+	k       sim.Continuation
+	next    *injection // the shard's spare-pool link
 }
 
-// injecting is a Node seen as the sim.Continuation of the process whose
-// injection holds inj.
-type injecting Node
-
-// Continue launches the flight, arms the caller's charge, then frees inj
-// and passes p on to k (no k: p runs).
-func (i *injecting) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
-	n := (*Node)(i)
-	in := &n.inj
-	if pkt := in.pkt; pkt != nil {
-		in.pkt = nil
-		n.launch(pkt, in.wire, in.dup, in.dupWire)
+// Continue launches the flight, frees the record and passes p on to k (no
+// k: p runs).
+func (in *injection) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	n, k := in.n, in.k
+	if in.pkt != nil {
+		n.launch(in.pkt, in.wire, in.dupWire)
 	}
-	if d := in.then; d >= 0 {
-		in.then = -1
-		return sim.NextCharge, d
+	if in == &n.inj {
+		*in = injection{}
+	} else {
+		*in = injection{next: n.ms.freeInj}
+		n.ms.freeInj = in
 	}
-	k := in.k
-	in.busy, in.k = false, nil
 	if k == nil {
 		return sim.NextRun, 0
 	}
@@ -387,12 +385,7 @@ func (n *Node) Pending() int { return n.nic.pending() }
 func (n *Node) InFlight() bool { return n.nic.reserved > 0 }
 
 // NetworkFull reports whether an injection toward dst would be refused
-// right now. This is the OAM "network busy" abort condition.
-func (n *Node) NetworkFull(dst int) bool {
-	return n.dstFull(dst)
-}
-
-// dstFull is the sender-side "network full" predicate, working from the
+// right now: the OAM "network busy" abort condition. It works from the
 // destination index alone so aiming at a node never materializes it (an
 // unmaterialized node has an empty NIC by construction). For a
 // destination on the sender's own shard it reads the NIC exactly, as
@@ -403,7 +396,7 @@ func (n *Node) NetworkFull(dst int) bool {
 // execution is approximate — workloads that saturate a NIC within a
 // single commit span should run with one shard. Every NIC has
 // capacity cost.NICQueueCap, so the remote check needs no remote state.
-func (n *Node) dstFull(dst int) bool {
+func (n *Node) NetworkFull(dst int) bool {
 	if n.m.shardIndex(dst) == n.sh.Index() {
 		if nd := n.m.nodes[dst]; nd != nil {
 			return nd.nic.full()
@@ -433,12 +426,12 @@ func (n *Node) nextFlightKey() uint64 {
 }
 
 // launch schedules a delivery of pkt arriving wire after the current
-// instant and, if the network forged a copy (dup), that one's at dupWire:
-// inline on the shared shard, or published into the destination
+// instant and, if the network forged a copy (dupWire >= 0), that one's at
+// dupWire: inline on the shared shard, or published into the destination
 // shard's inbox when it lives on another (the arrival time is already
 // final, so the flight can cross immediately). The destination node
 // itself is never touched here: it materializes on its own shard.
-func (n *Node) launch(pkt *Packet, wire sim.Duration, dup bool, dupWire sim.Duration) {
+func (n *Node) launch(pkt *Packet, wire, dupWire sim.Duration) {
 	at := n.sh.Now().Add(wire)
 	key := n.nextFlightKey()
 	si := n.m.shardIndex(pkt.Dst)
@@ -447,8 +440,8 @@ func (n *Node) launch(pkt *Packet, wire sim.Duration, dup bool, dupWire sim.Dura
 	} else {
 		n.m.eng.Shard(si).Inject(at, key, pkt)
 	}
-	if dup {
-		n.launch(pkt, dupWire, false, 0)
+	if dupWire >= 0 {
+		n.launch(pkt, dupWire, -1)
 	}
 }
 
@@ -464,64 +457,49 @@ func (m *Machine) Arrive(sh *sim.Shard, at sim.Time, key uint64, payload any) {
 	sh.AtDelivery(at, key, m.newDelivery(dst.ms, pkt))
 }
 
-// TryInject attempts to send pkt from this node. On success it charges the
-// sending process the CPU cost of the injection, schedules delivery, and
-// returns true. If the destination's input buffer is full it charges
-// nothing and returns false.
+// TryInject attempts to send pkt from this node: Inject, driven from p's
+// stack. On success p is charged the CPU cost of the injection, the flight
+// is launched, and TryInject returns true. If the destination's input
+// buffer is full it charges nothing and returns false.
 //
 // p must be the running process, executing on this node's CPU.
-func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool { return n.TryInjectThen(p, pkt, -1) }
-
-// TryInjectThen is TryInject followed, when the packet was injected and then
-// is not negative, by p.Charge(then): Inject, whose continuation the kernel
-// loop asks in p's place, and on a full buffer the refused attempt's count.
-// While a core worker of this node is between the halves of its own
-// injection, p takes the steps itself.
-func (n *Node) TryInjectThen(p *sim.Proc, pkt *Packet, then sim.Duration) bool {
-	if !n.inj.busy {
-		if busy, k, ok := n.Inject(pkt, then, nil); ok {
-			p.ChargeThen(busy, k)
-			return true
-		}
-	} else {
-		var in injection
-		if busy, ok := n.inject(pkt, &in); ok {
-			p.Charge(busy)
-			if in.pkt != nil {
-				n.launch(in.pkt, in.wire, in.dup, in.dupWire)
-			}
-			if then >= 0 {
-				p.Charge(then)
-			}
-			return true
-		}
+func (n *Node) TryInject(p *sim.Proc, pkt *Packet) bool {
+	busy, in, ok := n.Inject(pkt, nil)
+	if ok {
+		p.ChargeThen(busy, in)
 	}
-	*n.attempts.At(pkt.Dst)++
-	n.ms.stats.FullRejects++
-	if n.m.probe != nil {
-		n.m.probe.Backpressure(n.sh.Now(), pkt.Src, pkt.Dst)
-	}
-	return false
+	return ok
 }
 
-// Inject is the injection in kernel context, on behalf of the process
-// holding this node's CPU. It returns the busy charge that process owes
-// and the continuation to ask when it elapses, which launches the flight,
-// charges then unless it is negative, and passes on to k (nil: the process
-// runs). If the destination's input buffer is full, or a core worker of
-// this node holds inj, it changes nothing and returns false: the process
-// must take the steps on its stack (TryInjectThen).
-func (n *Node) Inject(pkt *Packet, then sim.Duration, k sim.Continuation) (sim.Duration, sim.Continuation, bool) {
-	in := &n.inj
-	if in.busy {
-		return 0, nil, false
+// Inject is the one injection, asked in kernel context (or driven by
+// TryInject) on behalf of the process holding this node's CPU. It returns
+// the busy charge that process owes and the continuation to ask when it
+// elapses, which launches the flight and passes on to k (nil: the process
+// runs). If the destination's input buffer is full it counts the refused
+// attempt, changes nothing else and returns false.
+func (n *Node) Inject(pkt *Packet, k sim.Continuation) (sim.Duration, sim.Continuation, bool) {
+	r := &n.inj
+	if r.n != nil { // another injection of this node is under way
+		if r = n.ms.freeInj; r != nil {
+			n.ms.freeInj = r.next
+		} else {
+			r = new(injection)
+		}
 	}
-	busy, ok := n.inject(pkt, in)
+	busy, ok := n.inject(pkt, r)
 	if !ok {
+		if r != &n.inj {
+			r.next, n.ms.freeInj = n.ms.freeInj, r
+		}
+		*n.attempts.At(pkt.Dst)++
+		n.ms.stats.FullRejects++
+		if n.m.probe != nil {
+			n.m.probe.Backpressure(n.sh.Now(), pkt.Src, pkt.Dst)
+		}
 		return 0, nil, false
 	}
-	in.busy, in.then, in.k = true, then, k
-	return busy, (*injecting)(n), true
+	r.n, r.k = n, k
+	return busy, r, true
 }
 
 // inject is the injection core. It fills in with the copies to launch and
@@ -552,7 +530,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 		fr = newFlightRNG(uint64(f.plan.Seed), pkt.Src, pkt.Dst, attempt, 0)
 		lossKind, lost = f.lossKind(&fr, now, pkt.Src, pkt.Dst)
 	}
-	if !lost && n.dstFull(dst) {
+	if !lost && n.NetworkFull(dst) {
 		return 0, false
 	}
 	*ctr = attempt + 1
@@ -596,7 +574,6 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 			n.m.probe.PacketLost(now, pkt.Src, pkt.Dst, lossKind)
 		}
 		n.ReleasePacket(pkt) // died in the network: nobody will deliver it
-		in.pkt = nil
 		return busy, true
 	}
 	n.reserveToward(dst)
@@ -614,7 +591,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	var dupWire sim.Duration
 	if f != nil {
 		wire += f.extraLatency(&fr, n.ms, now, pkt.Src, pkt.Dst)
-		if f.duplicate(&fr) && !n.dstFull(dst) {
+		if f.duplicate(&fr) && !n.NetworkFull(dst) {
 			// The network forged a second copy; it takes its own slot and
 			// its own (possibly different) path latency.
 			dup = true
@@ -634,7 +611,10 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	if n.m.probe != nil {
 		n.m.probe.PacketSent(now, pkt, busy, wire, dup, dupWire)
 	}
-	in.pkt, in.wire, in.dup, in.dupWire = pkt, wire, dup, dupWire
+	in.pkt, in.wire, in.dupWire = pkt, wire, -1
+	if dup {
+		in.dupWire = dupWire
+	}
 	return busy, true
 }
 

@@ -302,9 +302,8 @@ func TestWaitPacket(t *testing.T) {
 
 // TestOverlappingInjections: two processes on one node — a multiactive
 // core worker beside the node's thread, say — inject with overlapping busy
-// windows, the second with a charge joined after. The first holds inj, so
-// the second takes its steps on its own stack; each flight leaves at the
-// end of its own charge, and inj is free again.
+// windows, each with its own injection record; each flight leaves at the
+// end of its own charge, and both records are idle again afterwards.
 func TestOverlappingInjections(t *testing.T) {
 	eng, m := testMachine(t, 3)
 	cost := m.Cost()
@@ -320,7 +319,8 @@ func TestOverlappingInjections(t *testing.T) {
 	})
 	eng.Spawn("small", func(p *sim.Proc) {
 		p.Charge(sim.Micros(1))
-		n.TryInjectThen(p, &Packet{Src: 0, Dst: 2, Kind: Small}, sim.Micros(5))
+		n.TryInject(p, &Packet{Src: 0, Dst: 2, Kind: Small})
+		p.Charge(sim.Micros(5))
 		smallDone = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -334,7 +334,7 @@ func TestOverlappingInjections(t *testing.T) {
 	if smallDone != small.Add(sim.Micros(5)) || arrived[2] != small.Add(cost.WireLatency) {
 		t.Errorf("small: sender free at %v, arrival %v; want %v and %v", smallDone, arrived[2], small.Add(sim.Micros(5)), small.Add(cost.WireLatency))
 	}
-	if n.inj.busy {
-		t.Error("inj still held after both injections")
+	if in := n.ms.freeInj; n.inj.n != nil || in == nil || in.next != nil {
+		t.Error("the two injection records are not both idle")
 	}
 }

@@ -15,6 +15,7 @@ type machineShard struct {
 	// touch them between spans).
 	freePkt   *Packet
 	freeDeliv *delivery
+	freeInj   *injection // spare injection records (Node.inj is in use)
 
 	// live lists this shard's materialized nodes, in materialization
 	// order. Barrier-time per-node work (occupancy snapshots) walks these

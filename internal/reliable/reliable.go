@@ -5,9 +5,9 @@
 // duplicate suppression at the receiver.
 //
 // The transport installs itself on a Universe via am.SetTransport, so
-// every Endpoint.Send / TrySend — RPC requests, replies, OAM outbox
-// commits — rides the reliable channel without any change to the layers
-// above. Each outgoing message is framed in an envelope packet whose W0
+// every Endpoint send — RPC requests, replies, OAM outbox commits — rides
+// the reliable channel without any change to the layers above. Each
+// outgoing message is framed in an envelope packet whose W0
 // carries the sequence number and W1 the inner handler id; the inner
 // message's W0/W1 move to W2/W3 (messages using W2/W3 themselves do not
 // fit and panic loudly). Receivers ack every data packet (per-seq plus a
@@ -149,12 +149,6 @@ func (r *pendingRing) put(seq uint64, pm *pendingMsg) {
 	r.n++
 }
 
-// unput undoes the last put.
-func (r *pendingRing) unput() {
-	r.n--
-	r.buf[(r.base+r.n)&uint64(len(r.buf)-1)] = nil
-}
-
 // get returns the message pending under seq, or nil.
 func (r *pendingRing) get(seq uint64) *pendingMsg {
 	if seq-r.base >= r.n { // also true for seq < base: the difference wraps
@@ -242,9 +236,7 @@ type link struct {
 // expiry on the node's shard), so per-node counters and timers stay
 // shard-local under a sharded engine.
 type nodeState struct {
-	id            int
 	ep            *am.Endpoint
-	sh            *sim.Shard
 	peers         cm5.PeerTable[link]
 	daemon        threads.Handle
 	daemonBlocked bool
@@ -318,7 +310,7 @@ func Attach(u *am.Universe, opts Options) *Transport {
 	t.nstats = make([]NodeStats, u.N())
 	for i := 0; i < u.N(); i++ {
 		ns := &nodeState{
-			id: i, ep: u.Endpoint(i), sh: u.Endpoint(i).Node().Shard(),
+			ep: u.Endpoint(i),
 		}
 		t.nodes[i] = ns
 		ns.daemon = u.Scheduler(i).Bootstrap(fmt.Sprintf("reliable/retx/%d", i),
@@ -349,87 +341,40 @@ func (t *Transport) Stats() Stats {
 // NodeStats returns the counters attributed to node i.
 func (t *Transport) NodeStats(i int) NodeStats { return t.nstats[i] }
 
-func envelopeWords(seq uint64, h am.HandlerID, w [4]uint64) [4]uint64 {
-	if w[2] != 0 || w[3] != 0 {
+// SendThen implements am.Transport: it gives the message the link's next
+// sequence number, tracks it and reframes pkt in place as its envelope —
+// W0 the sequence number, W1 the inner handler, W2/W3 the inner W0/W1 —
+// then injects it. The message is launched (sent) when the injection's
+// charge has elapsed. It is tracked before it is injected: a refused
+// injection's drain runs handlers, which may send on the same link behind
+// it.
+func (t *Transport) SendThen(p *sim.Proc, ep *am.Endpoint, pkt *cm5.Packet, k sim.Continuation) (sim.Next, sim.Duration) {
+	if pkt.W2 != 0 || pkt.W3 != 0 {
 		panic("reliable: message uses W2/W3, which the envelope needs for the inner W0/W1")
 	}
-	return [4]uint64{seq, uint64(h), w[0], w[1]}
-}
-
-// frame gives the message (h, w) to dst the link's next sequence number
-// and tracks it, busy, for its first transmission; it returns the message,
-// its link and its envelope. Every send tracks before it injects: a
-// draining send runs handlers, which may send on the same link behind it.
-func (t *Transport) frame(ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) (*pendingMsg, *outLink, [4]uint64) {
-	ew := envelopeWords(0, h, w)
 	ns := t.nodes[ep.Node().ID()]
-	ol := &ns.peers.At(dst).out
+	ol := &ns.peers.At(pkt.Dst).out
 	ol.nextSeq++
-	ew[0] = ol.nextSeq
-	pm := ns.track(ol, dst, ew[0], h, w, payload, bulk, t.opts.RTO)
-	pm.busy = true
-	return pm, ol, ew
+	h := am.HandlerID(pkt.Handler)
+	pm := ns.track(ol, pkt.Dst, ol.nextSeq, h, [4]uint64{pkt.W0, pkt.W1}, pkt.Payload, pkt.Kind == cm5.Bulk, t.opts.RTO)
+	pm.busy, pm.k = true, k
+	pkt.Handler = int(t.dataH)
+	pkt.W0, pkt.W1, pkt.W2, pkt.W3 = pm.seq, uint64(h), pkt.W0, pkt.W1
+	return ep.Injection(pkt, (*sent)(pm)).Continue(p)
 }
 
-// untrack undoes track for pm, the last message entered in ol, which the
-// network refused at once, with nothing run in between.
-func (ns *nodeState) untrack(ol *outLink, pm *pendingMsg) {
-	ol.pending.unput()
-	ol.nextSeq--
-	ns.stats.DataSent--
-	ns.release(pm)
-}
-
-// launched ends a first transmission's busy stretch: the message has left.
-// A draining send may already have serviced its ack; if not, it is armed.
-func (pm *pendingMsg) launched() {
-	if !pm.ns.settle(pm) {
-		pm.arm(pm.backoff)
-	}
-}
-
-// Send implements am.Transport: frame, transmit (draining), arm.
-func (t *Transport) Send(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) {
-	pm, _, ew := t.frame(ep, dst, h, w, payload, bulk)
-	ep.SendRaw(c, dst, t.dataH, ew, payload, bulk)
-	pm.launched()
-}
-
-// TrySend implements am.Transport: a non-blocking reliable send. Rejection
-// means the first transmission could not be injected; nothing is tracked.
-func (t *Transport) TrySend(c threads.Ctx, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool) bool {
-	pm, ol, ew := t.frame(ep, dst, h, w, payload, bulk)
-	if !ep.TrySendRaw(c, dst, t.dataH, ew, payload, bulk) {
-		pm.ns.untrack(ol, pm)
-		return false
-	}
-	pm.launched()
-	return true
-}
-
-// SendThen implements am.Transport: Send in kernel context. The message
-// is launched (sent) when the injection's charge has elapsed; a refused
-// injection is untracked, and the caller sends on its stack.
-func (t *Transport) SendThen(p *sim.Proc, ep *am.Endpoint, dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bool, k sim.Continuation) (sim.Next, sim.Duration, bool) {
-	pm, ol, ew := t.frame(ep, dst, h, w, payload, bulk)
-	next, d, ok := ep.InjectThen(p, dst, t.dataH, ew, payload, bulk, (*sent)(pm))
-	if !ok {
-		pm.ns.untrack(ol, pm)
-		return next, d, false
-	}
-	pm.k = k
-	return next, d, true
-}
-
-// sent is a pendingMsg seen as the sim.Continuation that follows its
-// injection in SendThen.
+// sent is a pendingMsg seen as the sim.Continuation that follows its first
+// injection: the message has left. An ack serviced by the drain of a
+// refused injection may have retired it; if not, it is armed.
 type sent pendingMsg
 
 func (s *sent) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	pm := (*pendingMsg)(s)
 	k := pm.k
 	pm.k = nil
-	pm.launched()
+	if !pm.ns.settle(pm) {
+		pm.arm(pm.backoff)
+	}
 	if k == nil {
 		return sim.NextRun, 0
 	}
@@ -439,7 +384,7 @@ func (s *sent) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 
 // arm schedules pm's retransmit timer on the node's shard.
 func (pm *pendingMsg) arm(d sim.Duration) {
-	sh := pm.ns.sh
+	sh := pm.ns.ep.Node().Shard()
 	pm.timer = sh.AtActionTimer(sh.Now().Add(d), pm)
 }
 
@@ -460,6 +405,7 @@ func (pm *pendingMsg) Run() {
 // daemonLoop is the per-node retransmit daemon: woken by timer expiry, it
 // resends every due message on the node's CPU, backs off, and re-arms.
 func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
+	me := c.Node().ID()
 	for {
 		for ns.dueHead < len(ns.due) {
 			pm := ns.due[ns.dueHead]
@@ -477,23 +423,23 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 				pm.done = true
 				ol.pending.remove(pm.seq)
 				ns.stats.GaveUp++
-				t.nstats[ns.id].GaveUp++
+				t.nstats[me].GaveUp++
 				ns.settle(pm)
 				continue
 			}
 			pm.attempts++
 			ns.stats.Retransmits++
-			t.nstats[ns.id].Retransmits++
-			ns.ep.SendRaw(c, pm.dst, t.dataH,
-				[4]uint64{pm.seq, uint64(pm.h), pm.w0, pm.w1}, pm.payload, pm.bulk)
+			t.nstats[me].Retransmits++
+			w := [4]uint64{pm.seq, uint64(pm.h), pm.w0, pm.w1}
+			ns.ep.Drive(c, -1, ns.ep.Injection(ns.ep.Packet(pm.dst, t.dataH, pm.bulk, w, pm.payload), nil))
 			if ns.settle(pm) {
-				continue // the drain inside SendRaw serviced the ack
+				continue // the drain of a refused injection serviced the ack
 			}
 			pm.backoff *= 2
 			if pm.backoff > t.opts.RTOMax {
 				pm.backoff = t.opts.RTOMax
 			}
-			pm.arm(t.jittered(ns.id, pm))
+			pm.arm(t.jittered(me, pm))
 		}
 		ns.due, ns.dueHead = ns.due[:0], 0
 		ns.daemonBlocked = true
@@ -534,11 +480,12 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	dup := il.accept(seq)
 	ns.stats.AcksSent++
 	// A first copy's handler dispatch is charged with the ack's injection.
-	then := sim.Duration(-1)
+	var k sim.Continuation
 	if !dup {
-		then = t.u.Machine().Cost().HandlerDispatch
+		k = (*dispatchCharge)(t)
 	}
-	ns.ep.SendRawThen(c, pkt.Src, t.ackH, [4]uint64{seq, il.cum, 0, 0}, nil, false, then)
+	ack := ns.ep.Packet(pkt.Src, t.ackH, false, [4]uint64{seq, il.cum}, nil)
+	ns.ep.Drive(c, -1, ns.ep.Injection(ack, k))
 	if dup {
 		ns.stats.DupsSuppressed++
 		t.nstats[pkt.Dst].DupsSuppressed++
@@ -556,6 +503,14 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	inner.Payload = pkt.Payload
 	ns.ep.Run(c, inner)
 	node.ReleasePacket(inner)
+}
+
+// dispatchCharge is a Transport seen as the sim.Continuation that charges
+// a handler dispatch.
+type dispatchCharge Transport
+
+func (d *dispatchCharge) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	return p.ChargeLast(d.u.Machine().Cost().HandlerDispatch)
 }
 
 // handleAck retires pending messages: the per-seq ack plus everything at

@@ -326,12 +326,16 @@ func TestPartitionGiveUpBounded(t *testing.T) {
 // TestEnvelopeW2W3Panic documents the framing limit: messages already
 // using W2/W3 cannot ride the reliable channel.
 func TestEnvelopeW2W3Panic(t *testing.T) {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	tr := Attach(u, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic for W2/W3 user")
 		}
 	}()
-	envelopeWords(1, 0, [4]uint64{0, 0, 7, 0})
+	tr.SendThen(nil, u.Endpoint(0), &cm5.Packet{Src: 0, Dst: 1, W2: 7}, nil)
 }
 
 // TestDeterminism runs the lossy burst twice and compares trace hashes,

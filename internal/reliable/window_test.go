@@ -98,15 +98,6 @@ func (p *senderPair) send() {
 	p.ref.pending[p.ol.nextSeq] = true
 }
 
-// refused tracks the next sequence number and untracks it at once, as a
-// send does whose first injection the network refuses.
-func (p *senderPair) refused() {
-	p.ol.nextSeq++
-	pm := p.ns.track(&p.ol, 1, p.ol.nextSeq, 0, [4]uint64{}, nil, false, 0)
-	p.made[pm] = true
-	p.ns.untrack(&p.ol, pm)
-}
-
 // ack delivers one acknowledgement; the retire verdicts must agree.
 func (p *senderPair) ack(seq, cum uint64) error {
 	if got, want := p.ns.acked(&p.ol, seq, cum), p.ref.acked(seq, cum); got != want {
@@ -158,7 +149,7 @@ func (p *senderPair) checkNoneLost() error {
 }
 
 // TestPendingRingMapEquivalence drives the sender half of a link — track,
-// acknowledge, give up, take back a refused send — through the real nodeState code over the ring
+// acknowledge, give up — through the real nodeState code over the ring
 // and through the old map, with acks that arrive out of order, repeat,
 // name sequence numbers never sent, and carry cumulative floors that
 // jump over stretches still pending, and with give-ups that punch holes
@@ -175,8 +166,6 @@ func TestPendingRingMapEquivalence(t *testing.T) {
 			switch op := rng.Intn(11); {
 			case op < 5 || next == 0:
 				p.send()
-			case op == 10:
-				p.refused()
 			case op < 9:
 				var seq uint64
 				switch rng.Intn(4) {

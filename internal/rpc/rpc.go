@@ -118,7 +118,6 @@ type call struct {
 	server   int32
 	nacked   bool
 	timedOut bool
-	sent     bool // the stub's kernel chain sent the request
 }
 
 const (
@@ -165,13 +164,11 @@ func (ns *nodeState) begin(cl *call) {
 // process's place from the end of the stub's charge: it begins a
 // synchronous attempt, arms its deadline and sends the request. Once that
 // has left — the injection's charge — the synchronous call waits for its
-// reply (threads.Flag.Await); an asynchronous one is over. A request that
-// meets a full buffer is the process's to send on its own stack.
+// reply (replyWait); an asynchronous one is over. It is asked once: a
+// request that meets a full buffer is retried by the caller's
+// am.Endpoint.Drive, which goes on from the injection.
 func (cl *call) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	pr, s := cl.proc, cl.s
-	if cl.sent {
-		return cl.flag.Await(p, s)
-	}
 	me := s.Node().ID()
 	var id uint64
 	var k sim.Continuation
@@ -180,14 +177,20 @@ func (cl *call) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 		if cl.deadline > 0 {
 			cl.timer = s.Node().Shard().AtActionTimer(cl.deadline, cl)
 		}
-		id, k = cl.id, cl
+		id, k = cl.id, (*replyWait)(cl)
 	}
 	arg := cl.msg
 	cl.msg = nil
+	ep := pr.rt.u.Endpoint(me)
 	bulk := len(arg) > pr.rt.u.Machine().Cost().MaxPayload
-	next, d, ok := pr.rt.u.Endpoint(me).SendThen(p, int(cl.server), pr.h, [4]uint64{id}, arg, bulk, k)
-	cl.sent = ok
-	return next, d
+	return ep.SendThen(p, ep.Packet(int(cl.server), pr.h, bulk, [4]uint64{id}, arg), k)
+}
+
+// replyWait is a call seen as the sim.Continuation that waits for its reply.
+type replyWait call
+
+func (w *replyWait) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	return w.flag.Await(p, w.s)
 }
 
 // end recycles cl once its caller has read the outcome. Cancelling the
@@ -558,6 +561,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 	sh := c.Node().Shard() // deadline timers are node-local state
 	me := c.Node().ID()
 	ns := rt.node(me)
+	ep := rt.u.Endpoint(me)
 	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
 	backoff := rt.opts.NackBackoffBase
@@ -571,10 +575,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 		if timeout > 0 {
 			cl.deadline = deadline
 		}
-		c.P.ChargeThen(cost.StubClient, cl)
-		if !cl.sent {
-			p.sendRequest(c, server, cl.id, arg)
-		}
+		ep.Drive(c, cost.StubClient, cl)
 		cl.flag.Wait(c)
 		reply, nacked, timedOut := cl.msg, cl.nacked, cl.timedOut
 		ns.end(cl)
@@ -639,22 +640,9 @@ func (p *Proc) CallAsync(c threads.Ctx, server int, arg []byte) {
 	}
 	ns := p.rt.node(me)
 	cl := ns.take(p, c, server, arg)
-	c.P.ChargeThen(p.rt.u.Machine().Cost().StubClient, cl)
-	if !cl.sent {
-		p.sendRequest(c, server, 0, arg)
-	}
+	p.rt.u.Endpoint(me).Drive(c, p.rt.u.Machine().Cost().StubClient, cl)
 	ns.end(cl)
 	if p.rt.probe != nil {
 		p.rt.probe.CallEnd(c.P.Now(), me, p.name, false, 0)
-	}
-}
-
-// sendRequest is the stub's send on the process's own stack.
-func (p *Proc) sendRequest(c threads.Ctx, server int, id uint64, arg []byte) {
-	ep := p.rt.u.Endpoint(c.Node().ID())
-	if len(arg) <= p.rt.u.Machine().Cost().MaxPayload {
-		ep.Send(c, server, p.h, [4]uint64{id}, arg)
-	} else {
-		ep.SendBulk(c, server, p.h, [4]uint64{id}, arg)
 	}
 }

@@ -52,10 +52,10 @@ func stubUniverse(t *testing.T, n, cap int, mode Mode, rel bool, body func(c thr
 
 // TestStubMeetsFullNIC: two clients call a server that computes before it
 // polls, behind a one-packet input queue, so one request finds the queue
-// full. The client stub's kernel chain then hands the send back unchanged
-// and the caller drains on its own stack, exactly as before there was a
-// chain: the latencies, DrainSpins, refusals, Events and Charged are the
-// ones the stack-only stub gave.
+// full. The client stub's kernel chain then hands the refused request to
+// the caller's am.Endpoint.Drive, which drains and retries it and goes on
+// with the chain: the latencies, DrainSpins, refusals, Events and Charged
+// are the ones the stack-only stub gave.
 func TestStubMeetsFullNIC(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
@@ -89,10 +89,9 @@ func TestStubMeetsFullNIC(t *testing.T) {
 
 // TestStubOverlapsAnotherInjection: when the caller's stub comes to inject
 // its request, a second process on the same node — a multiactive core
-// worker's place — is in the middle of a bulk injection of its own and
-// holds the node's injection slot. The kernel chain then hands the send
-// to the caller's stack, which injects beside it; the results are the
-// stack-only stub's.
+// worker's place — is in the middle of a bulk injection of its own. The
+// kernel chain injects beside it, with an injection record of its own;
+// the results are the stack-only stub's.
 func TestStubOverlapsAnotherInjection(t *testing.T) {
 	const want = "lat [13.6µs 13.6µs 13.6µs 13.6µs 13.6µs 13.6µs] drain 0 rejects 0 events 100 charged 262.2µs"
 	got := stubUniverse(t, 3, 128, ORPC, false, func(c threads.Ctx, node int, null *Proc, r *stubRun) {

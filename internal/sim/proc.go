@@ -274,6 +274,15 @@ func (l *secondLeg) Continue(*Proc) (Next, Duration) {
 	return NextRun, 0
 }
 
+// ChargeLast, returned by a Continuation's Continue, is the verdict "charge
+// d, then run": the kernel arms the charge and, when it elapses, switches
+// to p without asking the continuation again.
+func (p *Proc) ChargeLast(d Duration) (Next, Duration) {
+	p.second = -1
+	p.cont = (*secondLeg)(p)
+	return NextCharge, d
+}
+
 // ChargeThen is Charge(d) followed by whatever k says, as Then(k).
 func (p *Proc) ChargeThen(d Duration, k Continuation) { p.then("ChargeThen", k, NextCharge, d) }
 

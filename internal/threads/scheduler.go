@@ -86,6 +86,7 @@ type Scheduler struct {
 	atomic     bool
 	poller     Poller
 	stepper    stepPoller // poller, when it is one
+	waitFor    *Flag      // the flag Wait hands to its first ask (flagWait)
 	stats      Stats
 	stopped    bool
 	interrupts bool

@@ -191,26 +191,40 @@ type Flag struct {
 	waiter *Thread
 }
 
-// Wait blocks the calling thread until the flag is set. If the flag is
-// already set it returns immediately. A wait Await began goes on where it
-// is, set or not: c.P was switched to because the scheduler acting in its
-// place needed the stack, and it acts until c.T has the CPU back.
+// Wait blocks the calling thread until the flag is set: Await, driven
+// from c's stack. If the flag is already set it returns immediately. A
+// wait Await began in a chain goes on where it is, set or not: c.P was
+// switched to because the scheduler acting in its place needed the stack,
+// and it acts until c.T has the CPU back.
 func (f *Flag) Wait(c Ctx) {
-	switch s := c.S; {
-	case c.T != nil && s.actor == c.P && s.self == c.T:
+	if c.T == nil {
+		panic("threads: Flag.Wait from handler context")
+	}
+	s := c.S
+	if s.actor != c.P || s.self != c.T {
+		s.waitFor = f
+		c.P.Then((*flagWait)(s))
+	}
+	if s.actor == c.P {
 		s.serve(c.P)
 		s.resumed(c.T)
-		return
-	case f.set:
-		return
 	}
-	f.await(c)
-	c.S.blockCurrent(c)
 }
 
-// Await is Wait as the last step of a sim.Continuation of p, whose thread
-// holds s's CPU: the flag set, it says Run; otherwise the thread blocks
-// here, as blockCurrent would, and the scheduler acts in p's place
+// flagWait is a Scheduler seen as the sim.Continuation that takes the flag
+// Wait handed over in waitFor and awaits it.
+type flagWait Scheduler
+
+func (w *flagWait) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	s := (*Scheduler)(w)
+	f := s.waitFor
+	s.waitFor = nil
+	return f.Await(p, s)
+}
+
+// Await is the one wait for the flag, asked in kernel context for p, whose
+// thread holds s's CPU: the flag set, it says Run; otherwise the thread
+// blocks here, as blockCurrent would, and the scheduler acts in p's place
 // (Scheduler.Continue). When p next runs, its Wait returns once the
 // thread has the CPU back.
 func (f *Flag) Await(p *sim.Proc, s *Scheduler) (sim.Next, sim.Duration) {
@@ -221,22 +235,14 @@ func (f *Flag) Await(p *sim.Proc, s *Scheduler) (sim.Next, sim.Duration) {
 	if t := s.cur; t != nil && t.proc == p {
 		c.T = t
 	}
-	f.await(c)
-	s.block(c)
-	s.actor, s.self = p, c.T
-	p.Pass(s)
-	return s.Continue(p)
-}
-
-// await registers c.T as the flag's waiter.
-func (f *Flag) await(c Ctx) {
-	if c.T == nil {
-		panic("threads: Flag.Wait from handler context")
-	}
 	if f.waiter != nil {
 		panic("threads: Flag has two waiters")
 	}
 	f.waiter = c.T
+	s.block(c)
+	s.actor, s.self = p, c.T
+	p.Pass(s)
+	return s.Continue(p)
 }
 
 // Set sets the flag and wakes the waiter, if any, scheduling it at the
