@@ -1,6 +1,7 @@
 package am
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -327,6 +328,7 @@ func TestHandlerRunsOnIdleLoopWhenMainBlocked(t *testing.T) {
 func TestUniverseDeterminism(t *testing.T) {
 	runOnce := func() (sim.Time, uint64) {
 		eng := sim.New(21)
+		rng := rand.New(rand.NewSource(21))
 		u := NewUniverse(eng, 4, cm5.DefaultCostModel())
 		defer eng.Shutdown()
 		counts := make([]int, 4)
@@ -335,7 +337,7 @@ func TestUniverseDeterminism(t *testing.T) {
 			me := c.Node().ID()
 			counts[me]++
 			if pkt.W0 > 0 {
-				u.Endpoint(me).Send(c, int(pkt.W1), h, [4]uint64{pkt.W0 - 1, uint64(eng.Rand().Intn(4))}, nil)
+				u.Endpoint(me).Send(c, int(pkt.W1), h, [4]uint64{pkt.W0 - 1, uint64(rng.Intn(4))}, nil)
 			}
 		})
 		end, err := u.SPMD(func(c threads.Ctx, node int) {

@@ -2,6 +2,7 @@ package am
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sim"
@@ -23,7 +24,7 @@ func (u *Universe) SPMD(body func(c threads.Ctx, node int)) (sim.Time, error) {
 	fin := make([]bool, n)
 	for i := 0; i < n; i++ {
 		i := i
-		u.Scheduler(i).Bootstrap(fmt.Sprintf("main/%d", i), func(c threads.Ctx) {
+		u.Scheduler(i).Bootstrap("main/"+strconv.Itoa(i), func(c threads.Ctx) {
 			body(c, i)
 			done[i] = c.P.Now()
 			fin[i] = true

@@ -1,6 +1,7 @@
 package cm5
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -167,13 +168,14 @@ func TestWaitWithoutEnterPanics(t *testing.T) {
 func TestControlDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		eng := sim.New(5)
+		rng := rand.New(rand.NewSource(5))
 		m := NewMachine(eng, 8, DefaultCostModel())
 		defer eng.Shutdown()
 		for i := 0; i < 8; i++ {
 			i := i
 			eng.Spawn("node", func(p *sim.Proc) {
 				for r := 0; r < 10; r++ {
-					p.Charge(sim.Duration(eng.Rand().Intn(100)) * sim.Microsecond)
+					p.Charge(sim.Duration(rng.Intn(100)) * sim.Microsecond)
 					m.Node(i).Barrier(p)
 					m.Node(i).Reduce(p, float64(i), ReduceSum)
 				}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
+	"repro/internal/apps/triangle"
 	"repro/internal/cm5"
 	"repro/internal/oam"
 	"repro/internal/obs"
@@ -351,6 +352,66 @@ func TestHandoffBudget(t *testing.T) {
 		}
 		if got.handoffs > tc.want.handoffs || got.switches > tc.want.switches {
 			t.Errorf("%s: %d handoffs, %d switches, budget %d and %d", tc.name, got.handoffs, got.switches, tc.want.handoffs, tc.want.switches)
+		}
+	}
+}
+
+// builtCell ends an application run at Observe: everything before it is
+// the build.
+type builtCell struct{}
+
+// buildCost is what one warm build costs the host: heap objects
+// (testing.AllocsPerRun) and bytes.
+func buildCost(build func()) (allocs, bytes float64) {
+	const runs = 100
+	allocs = testing.AllocsPerRun(runs, build)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&m1)
+	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+}
+
+// TestBuildBudget pins the build the way TestHandoffBudget pins the run:
+// Table 1's two-node null-RPC universe, built and shut down, and one
+// 8-node apps_quick cell up to Observe. A build allocates what a run
+// reads and no more: an engine holds no random source, a shard's event
+// ring is allocated at the first hint or push, and its first event slab
+// is small. Bringing back any of them costs kilobytes per build. Objects
+// are exact; bytes read 4 888 and 23 079 (4 912 and 23 664 under -race)
+// and vary by a few bytes from run to run, so they have ceilings.
+func TestBuildBudget(t *testing.T) {
+	null := func() {
+		eng := sim.New(17)
+		u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+		rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC})
+		rt.Define("inc", func(e *oam.Env, caller int, arg []byte) []byte { return nil })
+		rt.DefineAsync("done", func(e *oam.Env, caller int, arg []byte) []byte { return nil })
+		eng.Shutdown()
+	}
+	cell := func() {
+		defer func() {
+			if r := recover(); r != (builtCell{}) {
+				panic(r)
+			}
+		}()
+		cfg := triangle.Config{Side: 5, Empty: -1, Seed: 118}
+		cfg.Observe = func(*am.Universe, *rpc.Runtime) { panic(builtCell{}) }
+		triangle.Run(apps.ORPC, 8, cfg)
+	}
+	for _, tc := range []struct {
+		name          string
+		build         func()
+		allocs, bytes float64
+	}{
+		{"null ORPC universe", null, 53, 5 << 10},
+		{"apps_quick triangle/ORPC", cell, 253, 24 << 10},
+	} {
+		if allocs, bytes := buildCost(tc.build); allocs != tc.allocs || bytes > tc.bytes {
+			t.Errorf("%s: %.0f allocs and %.0f B per build, want %.0f and at most %.0f", tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
 }

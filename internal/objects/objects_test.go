@@ -1,6 +1,7 @@
 package objects
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/am"
@@ -158,6 +159,7 @@ func TestDuplicateObjectPanics(t *testing.T) {
 func TestObjectDeterminism(t *testing.T) {
 	runOnce := func() (sim.Time, uint64) {
 		eng := sim.New(23)
+		rng := rand.New(rand.NewSource(23))
 		u := am.NewUniverse(eng, 3, cm5.DefaultCostModel())
 		defer eng.Shutdown()
 		rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC})
@@ -173,7 +175,7 @@ func TestObjectDeterminism(t *testing.T) {
 			}
 			for i := 0; i < 8; i++ {
 				inc.Invoke(c, nil)
-				c.P.Charge(sim.Duration(eng.Rand().Intn(30)) * sim.Microsecond)
+				c.P.Charge(sim.Duration(rng.Intn(30)) * sim.Microsecond)
 			}
 		})
 		if err != nil {

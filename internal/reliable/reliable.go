@@ -23,7 +23,7 @@
 package reliable
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/am"
 	"repro/internal/cm5"
@@ -313,7 +313,7 @@ func Attach(u *am.Universe, opts Options) *Transport {
 			ep: u.Endpoint(i),
 		}
 		t.nodes[i] = ns
-		ns.daemon = u.Scheduler(i).Bootstrap(fmt.Sprintf("reliable/retx/%d", i),
+		ns.daemon = u.Scheduler(i).Bootstrap("reliable/retx/"+strconv.Itoa(i),
 			func(c threads.Ctx) { t.daemonLoop(c, ns) })
 	}
 	u.SetTransport(t)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/am"
@@ -387,6 +388,7 @@ func TestCallToSelf(t *testing.T) {
 func TestRPCDeterminism(t *testing.T) {
 	runOnce := func() (sim.Time, uint64) {
 		eng := sim.New(23)
+		rng := rand.New(rand.NewSource(23))
 		u := am.NewUniverse(eng, 4, cm5.DefaultCostModel())
 		defer eng.Shutdown()
 		rt := New(u, Options{Mode: ORPC})
@@ -395,7 +397,7 @@ func TestRPCDeterminism(t *testing.T) {
 		total := uint64(0)
 		add := rt.Define("add", func(e *oam.Env, caller int, arg []byte) []byte {
 			e.Lock(mu)
-			e.Compute(sim.Duration(eng.Rand().Intn(10)) * sim.Microsecond)
+			e.Compute(sim.Duration(rng.Intn(10)) * sim.Microsecond)
 			total += NewDec(arg).U64()
 			e.Unlock(mu)
 			return nil

@@ -126,10 +126,11 @@ func idealShift(span Time, n int) uint {
 	return sh
 }
 
-// init sizes the queue for roughly hint pending events. Buckets are kept
-// near half the expected population: growth triggers at n > 2·buckets,
-// so this leaves headroom without paying bucket-array memory up front
-// for events that never materialize.
+// init sizes the queue for roughly hint pending events. The zero value is
+// an empty queue with no ring: hint or the first push sizes it, once.
+// Buckets are kept near half the expected population: growth triggers at
+// n > 2·buckets, so this leaves headroom without paying bucket-array
+// memory up front for events that never materialize.
 func (q *eventQueue) init(hint int) {
 	nb := minQueueBuckets
 	for nb < hint/2 && nb < maxQueueBuckets {
@@ -416,11 +417,15 @@ func (q *eventQueue) clear() {
 	q.n = 0
 }
 
-// queueStats snapshots the queue's counters.
+// queueStats snapshots the queue's counters. A queue whose ring is not
+// allocated yet reports the default width its first init picks.
 func (q *eventQueue) queueStats() QueueStats {
 	s := q.stats
 	s.Buckets = len(q.buckets)
-	s.BucketWidth = Duration(1) << q.shift
+	s.BucketWidth = Duration(1) << defaultQueueShift
+	if q.shift != 0 {
+		s.BucketWidth = Duration(1) << q.shift
+	}
 	return s
 }
 

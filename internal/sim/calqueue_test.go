@@ -164,10 +164,14 @@ func TestQueueClearAndReuse(t *testing.T) {
 	}
 }
 
-// TestEngineHintEvents checks that node-derived hints pre-size the
-// per-shard queues and that a populated queue ignores late hints.
+// TestEngineHintEvents checks that a new engine allocates no ring yet
+// still reports the default day width, that node-derived hints pre-size
+// the per-shard queues, and that a populated queue ignores late hints.
 func TestEngineHintEvents(t *testing.T) {
 	e := NewSharded(11, 2)
+	if qs := e.QueueStats(); qs.Buckets != 0 || qs.BucketWidth != Duration(1)<<defaultQueueShift {
+		t.Fatalf("new engine: %d buckets, day width %v; want no ring and the default width", qs.Buckets, qs.BucketWidth)
+	}
 	e.HintEvents(1 << 12)
 	for _, sh := range e.shards {
 		if got := len(sh.heap.buckets); got < (1<<12)/2/2/2 {

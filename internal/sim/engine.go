@@ -2,21 +2,18 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// defaultQueueHint is the expected pending-event population a shard's
-// calendar queue is sized for when nothing better is known; layers that
-// know their node count pass a real hint to Engine.HintEvents instead
-// (the cm5 machine does). eventChunk is the slab size of the event free
-// list.
+// eventChunk is the largest slab of the event free list; a shard's slabs
+// start at firstChunk events and double up to it, so a small run does
+// not zero a full slab it never fills.
 const (
-	defaultQueueHint = 1 << 10
-	eventChunk       = 256
+	firstChunk = 16
+	eventChunk = 256
 )
 
 // maxTime is the deadline used by Run: no event timestamp can exceed it.
@@ -75,7 +72,6 @@ type WindowHook interface {
 type Engine struct {
 	shards []*Shard
 	seed   int64
-	rng    *rand.Rand
 	hook   WindowHook
 
 	// Sharded engines only: mode picks the commit-span width (runSpans is
@@ -124,8 +120,8 @@ type globalEvent struct {
 	fn  func()
 }
 
-// New returns a sequential engine whose random source is seeded with
-// seed. The same seed always yields the same simulation.
+// New returns a sequential engine for seed (see Seed). The same seed
+// always yields the same simulation.
 func New(seed int64) *Engine {
 	return NewSharded(seed, 1)
 }
@@ -149,10 +145,7 @@ func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	if shards < 1 {
 		shards = 1
 	}
-	e := &Engine{
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	e := &Engine{seed: seed}
 	e.shards = make([]*Shard, shards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
@@ -164,12 +157,12 @@ func NewShardedConfig(seed int64, cfg ShardConfig) *Engine {
 	return e
 }
 
-// HintEvents re-sizes every shard's event queue for roughly total
-// pending events machine-wide (split evenly across shards). It only
-// matters before events are scheduled; afterwards the queues size
-// themselves adaptively. The machine layer calls it with a node-derived
-// hint so big-N runs don't regrow their queues from scratch and small
-// runs don't over-allocate.
+// HintEvents sizes every shard's event queue for roughly total pending
+// events machine-wide (split evenly across shards). It only matters
+// before events are scheduled; a queue given no hint allocates its ring
+// at the first push, and afterwards every queue sizes itself adaptively.
+// The machine layer calls it with a node-derived hint so big-N runs don't
+// regrow their queues from scratch and small runs don't over-allocate.
 func (e *Engine) HintEvents(total int) {
 	per := total/len(e.shards) + 1
 	for _, sh := range e.shards {
@@ -190,19 +183,15 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // Shard returns shard i. Shard 0 always exists.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
-// Seed returns the seed the engine was created with. Layers that need
-// order-independent randomness (per-flight jitter streams) derive their
-// own counter-seeded generators from it instead of sharing Rand.
+// Seed returns the seed the engine was created with. The engine draws
+// nothing from it; layers that need randomness (per-flight jitter
+// streams) derive their own counter-seeded generators from it, so no
+// draw depends on the order of another's.
 func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time. In a sharded run, shard clocks
 // agree at barriers; mid-span, use the owning shard's Now.
 func (e *Engine) Now() Time { return e.shards[0].now }
-
-// Rand returns the engine's deterministic random source. Its draws depend
-// on call order, so sharded-safe code must not use it from inside
-// spans; derive per-stream generators from Seed instead.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // SetTracer installs a tracer; pass nil to disable tracing. In a sharded
 // engine, records are buffered per shard during spans and flushed in

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -14,6 +15,7 @@ import (
 // bit-for-bit.
 func goldenWorkload() (events, dispatches, hash uint64, final Time) {
 	e := New(42)
+	rng := rand.New(rand.NewSource(42))
 	h := NewHashTracer()
 	e.SetTracer(h)
 
@@ -25,7 +27,7 @@ func goldenWorkload() (events, dispatches, hash uint64, final Time) {
 	})
 	e.Spawn("waker", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			p.Charge(Duration(e.Rand().Intn(500)))
+			p.Charge(Duration(rng.Intn(500)))
 			parked.Unpark()
 		}
 	})
@@ -43,10 +45,10 @@ func goldenWorkload() (events, dispatches, hash uint64, final Time) {
 	e.Spawn("spawner", func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			e.Spawn("child", func(q *Proc) {
-				q.Charge(Duration(e.Rand().Intn(200)))
+				q.Charge(Duration(rng.Intn(200)))
 				q.Charge(0)
 			})
-			p.Charge(Duration(e.Rand().Intn(100)))
+			p.Charge(Duration(rng.Intn(100)))
 		}
 	})
 
@@ -56,8 +58,8 @@ func goldenWorkload() (events, dispatches, hash uint64, final Time) {
 	for i := 0; i < 4; i++ {
 		e.Spawn("w", func(p *Proc) {
 			for j := 0; j < 30; j++ {
-				p.Charge(Duration(e.Rand().Intn(1000)))
-				if e.Rand().Intn(3) == 0 {
+				p.Charge(Duration(rng.Intn(1000)))
+				if rng.Intn(3) == 0 {
 					p.Charge(0)
 				}
 			}

@@ -25,6 +25,7 @@ type Shard struct {
 	seq     uint64
 	heap    eventQueue
 	free    *event // recycled events (shard-local: no locking)
+	slab    int    // events in the last slab alloc made; 0 before the first
 	running *Proc
 	// pending is the process the kernel loop dispatched onto another
 	// coroutine. relay clears it when it resumes that process, or when the
@@ -99,9 +100,7 @@ type Shard struct {
 }
 
 func newShard(e *Engine, idx int) *Shard {
-	sh := &Shard{eng: e, idx: idx}
-	sh.heap.init(defaultQueueHint)
-	return sh
+	return &Shard{eng: e, idx: idx}
 }
 
 // Engine returns the engine this shard belongs to.
@@ -115,11 +114,13 @@ func (sh *Shard) Index() int { return sh.idx }
 // at barriers all clocks agree.
 func (sh *Shard) Now() Time { return sh.now }
 
-// alloc takes an event from the free list, refilling it a slab at a time.
+// alloc takes an event from the free list, refilling it a slab at a time:
+// firstChunk events, then twice the last slab, up to eventChunk.
 func (sh *Shard) alloc() *event {
 	ev := sh.free
 	if ev == nil {
-		chunk := make([]event, eventChunk)
+		sh.slab = min(max(2*sh.slab, firstChunk), eventChunk)
+		chunk := make([]event, sh.slab)
 		for i := range chunk {
 			chunk[i].next = sh.free
 			sh.free = &chunk[i]

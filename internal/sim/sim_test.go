@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -205,14 +206,15 @@ func TestStop(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, Time) {
 		e := New(99)
+		rng := rand.New(rand.NewSource(99))
 		h := NewHashTracer()
 		e.SetTracer(h)
 		var procs []*Proc
 		for i := 0; i < 8; i++ {
 			p := e.Spawn("w", func(p *Proc) {
 				for j := 0; j < 20; j++ {
-					p.Charge(Duration(e.Rand().Intn(1000)))
-					if e.Rand().Intn(4) == 0 {
+					p.Charge(Duration(rng.Intn(1000)))
+					if rng.Intn(4) == 0 {
 						p.Charge(0)
 					}
 				}

@@ -3,6 +3,7 @@ package threads
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/cm5"
 	"repro/internal/sim"
@@ -146,7 +147,7 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 		cost: node.Machine().Cost(),
 	}
 	s.blocked.blockedPrev, s.blocked.blockedNext = &s.blocked, &s.blocked
-	s.idle = s.sh.Spawn(fmt.Sprintf("idle/%d", node.ID()), func(p *sim.Proc) { s.act(p, nil) })
+	s.idle = s.sh.Spawn("idle/"+strconv.Itoa(node.ID()), func(p *sim.Proc) { s.act(p, nil) })
 	// A packet arrival resumes the acting scheduler if it is parked with
 	// nothing to do; if a thread is running (or the CPU is lent to an
 	// optimistic execution) the packet waits in the input queue until the

@@ -1,6 +1,7 @@
 package threads
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cm5"
@@ -462,6 +463,7 @@ func TestManyThreadsStress(t *testing.T) {
 func TestSchedulerDeterminism(t *testing.T) {
 	runOnce := func() sim.Time {
 		eng := sim.New(3)
+		rng := rand.New(rand.NewSource(3))
 		m := cm5.NewMachine(eng, 1, cm5.DefaultCostModel())
 		s := NewScheduler(m.Node(0))
 		defer eng.Shutdown()
@@ -471,7 +473,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			s.Bootstrap("w", func(c Ctx) {
 				for r := 0; r < 10; r++ {
-					c.P.Charge(sim.Duration(eng.Rand().Intn(50)) * sim.Microsecond)
+					c.P.Charge(sim.Duration(rng.Intn(50)) * sim.Microsecond)
 					mu.Lock(c)
 					if r%3 == 0 && waiting < 2 {
 						waiting++
