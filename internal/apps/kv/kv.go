@@ -130,12 +130,10 @@ type Config struct {
 	// per-node cores. The object lock is dropped in this mode — the
 	// matrix is the exclusion.
 	apps.RunOptions
-	// System selects the communication system under test; Adaptive and
-	// HandlerBudget configure the optimistic dispatcher for ORPC (abort
-	// strategy: rerun). Adaptive replaces the fixed HandlerBudget with the
-	// dispatcher's per-node congestion- and history-driven controller.
+	// System selects the communication system under test; HandlerBudget
+	// configures the optimistic dispatcher for ORPC (abort strategy:
+	// rerun).
 	System        apps.System
-	Adaptive      bool
 	HandlerBudget sim.Duration // default 8 us: CAS promotes, the rest commit inline
 	// Fault is the injected fault plan (nil for a perfect network). The
 	// reliable transport is always attached, with its default options.
@@ -464,7 +462,6 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	opts := rpc.Options{Mode: rpc.ORPC, OAM: oam.Options{
 		Strategy:      oam.Rerun,
 		HandlerBudget: cfg.HandlerBudget,
-		Adaptive:      cfg.Adaptive,
 	}}
 	if multiactive {
 		opts.OAM.Cores = cfg.Cores

@@ -3,6 +3,7 @@ package kv
 import (
 	"math"
 
+	"repro/internal/cm5"
 	"repro/internal/sim"
 )
 
@@ -35,31 +36,22 @@ func (m LoadMode) String() string {
 	}
 }
 
-// rng is one client's private splitmix64 stream (the same idiom as the
-// fault RNG and sched's job table). Each client seeds from (run seed,
-// client id), so the arrival and op sequences are independent of shard
-// count, scheduling order, and every other client.
-type rng struct{ s uint64 }
+// rng is one client's private cm5.SplitMix stream. Each client seeds from
+// (run seed, client id), so the arrival and op sequences are independent
+// of shard count, scheduling order, and every other client.
+type rng struct{ cm5.SplitMix }
 
 func newRNG(seed int64, client int) *rng {
-	return &rng{s: uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(client)<<32 ^ 0xd1b54a32d192ed03}
-}
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &rng{cm5.SplitMix(uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(client)<<32 ^ 0xd1b54a32d192ed03)}
 }
 
 // uniform returns a float in (0, 1]: never zero, so -log(u) is finite.
 func (r *rng) uniform() float64 {
-	return float64(r.next()>>11+1) / float64(1<<53)
+	return float64(r.Next()>>11+1) / float64(1<<53)
 }
 
 // intn returns a uniform integer in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
 const (
 	burstPeriod   = sim.Duration(2000 * sim.Microsecond) // 1 ms on, 1 ms off

@@ -6,9 +6,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
-	"repro/internal/oam"
 	"repro/internal/rpc"
-	"repro/internal/sim"
 )
 
 // TestMultiactiveRun: with Cores > 1 the service still satisfies every
@@ -39,34 +37,5 @@ func TestMultiactiveRun(t *testing.T) {
 			t.Fatalf("cores=%d: admitted %d + queued %d != total %d",
 				cores, ds.CompatAdmitted, ds.CompatQueued, ds.Total)
 		}
-	}
-}
-
-// TestMultiactiveAdaptive: the adaptive controller engages under
-// multiactive load and its decisions replay bit-identically.
-func TestMultiactiveAdaptive(t *testing.T) {
-	cfg := smallCfg(apps.ORPC)
-	cfg.Cores = 2
-	cfg.Adaptive = true
-	cfg.RateX = 3
-	cfg.Duration = sim.Micros(8000)
-	run := func(shards int) (uint64, oam.Stats) {
-		c := cfg
-		c.Shards = shards
-		var rt *rpc.Runtime
-		c.Observe = func(_ *am.Universe, r *rpc.Runtime) { rt = r }
-		res, st, err := kv.Run(c)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := kv.CheckInvariants(&st); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return res.Answer, rt.Dispatcher().Stats()
-	}
-	a1, d1 := run(1)
-	a2, d2 := run(2)
-	if a1 != a2 || d1 != d2 {
-		t.Fatalf("adaptive run diverged across shards: answer %016x/%016x stats %v vs %v", a1, a2, d1, d2)
 	}
 }

@@ -37,21 +37,14 @@ type JobSpec struct {
 	Dur sim.Duration
 }
 
-// GenJobs derives a deterministic job table from a seed (splitmix64, the
-// same idiom as the fault RNG): demands that fit a single default agent
-// inventory, runtimes of 200 us to 1.5 ms.
+// GenJobs derives a deterministic job table from a seed (a cm5.SplitMix
+// stream): demands that fit a single default agent inventory, runtimes of
+// 200 us to 1.5 ms.
 func GenJobs(n int, seed int64) []JobSpec {
 	out := make([]JobSpec, n)
-	s := uint64(seed) ^ 0x6a09e667f3bcc909
-	next := func() uint64 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	s := cm5.SplitMix(uint64(seed) ^ 0x6a09e667f3bcc909)
 	for i := range out {
-		z := next()
+		z := s.Next()
 		out[i] = JobSpec{
 			CPU: 1 + int(z%4),
 			Mem: 1 + int((z>>8)%8),

@@ -136,7 +136,7 @@ const (
 
 // faultState is the installed plan plus its runtime bookkeeping. All
 // randomness is drawn from per-flight counter-seeded streams (see
-// flightRNG), so a draw's value depends only on the flight's identity,
+// SplitMix), so a draw's value depends only on the flight's identity,
 // and the mutable accounting (stats, per-node counters, the event trace)
 // lives in the per-shard machine state, merged canonically at read time.
 // What remains here is the immutable plan plus the crash flags, which
@@ -195,7 +195,7 @@ func (f *faultState) partitioned(now sim.Time, src, dst int) bool {
 // flight's own stream, in a fixed order (loss, then — for delivered
 // packets — jitter, duplicate, duplicate jitter), so the outcome is a
 // pure function of (plan, src, dst, attempt, time).
-func (f *faultState) lossKind(fr *flightRNG, now sim.Time, src, dst int) (FaultKind, bool) {
+func (f *faultState) lossKind(fr *SplitMix, now sim.Time, src, dst int) (FaultKind, bool) {
 	if f.crashed[src] || f.crashed[dst] {
 		return FaultBlackhole, true
 	}
@@ -211,7 +211,7 @@ func (f *faultState) lossKind(fr *flightRNG, now sim.Time, src, dst int) (FaultK
 // extraLatency returns the additional delivery latency for a packet to dst
 // injected now: slow-window extras (recorded into the sender's shard)
 // plus an ExtraJitter draw from the flight's stream.
-func (f *faultState) extraLatency(fr *flightRNG, ms *machineShard, now sim.Time, src, dst int) sim.Duration {
+func (f *faultState) extraLatency(fr *SplitMix, ms *machineShard, now sim.Time, src, dst int) sim.Duration {
 	var extra sim.Duration
 	for _, w := range f.plan.Slow {
 		if w.Node == dst && now >= w.From && now < w.To {
@@ -226,7 +226,7 @@ func (f *faultState) extraLatency(fr *flightRNG, ms *machineShard, now sim.Time,
 	return extra
 }
 
-func (f *faultState) duplicate(fr *flightRNG) bool {
+func (f *faultState) duplicate(fr *SplitMix) bool {
 	return f.plan.DupProb > 0 && fr.float64() < f.plan.DupProb
 }
 

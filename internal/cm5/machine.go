@@ -518,7 +518,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	now := n.sh.Now()
 	ctr := n.attempts.At(dst)
 	attempt := *ctr
-	var fr flightRNG
+	var fr SplitMix
 	var lossKind FaultKind
 	lost := false
 	if f != nil {

@@ -54,8 +54,7 @@ func (d *Dispatcher) budgetFor(node int) sim.Duration {
 
 // adapt folds one settled dispatch into node's controller and, every
 // ctlWindow settles, re-evaluates the budget and the promote choice.
-// qdepth is the node's backlog: the compatibility-queue length under
-// multiactive dispatch, the pending-packet count otherwise.
+// qdepth is the node's backlog, its pending-packet count.
 func (d *Dispatcher) adapt(node int, aborted bool, reason Reason, qdepth int) {
 	ct := d.nodeCtl(node)
 	ct.window++

@@ -263,10 +263,8 @@ func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body 
 // workers both end here and differ only in ent and hook:
 //
 //   - ent is the compatibility slot the execution occupies, nil under
-//     single-active dispatch. With a slot, the backlog the controller
-//     sees is the compatibility queue instead of the NIC queue, and a
-//     rerun thread releases the slot when it finishes (the caller drops
-//     it for every other outcome).
+//     single-active dispatch. A rerun thread releases the slot when it
+//     finishes (the caller drops it for every other outcome).
 //   - hook, if non-nil, hears the outcome on c. Multiactive callers need
 //     it because a queued execution settles after RunMulti has returned;
 //     Run's caller reads the return value instead.
@@ -291,11 +289,7 @@ func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat S
 		}
 	}
 	if d.opts.Adaptive {
-		backlog := ep.Node().Pending()
-		if ent != nil {
-			backlog = len(d.multi[node].queue)
-		}
-		d.adapt(node, aborted, reason, backlog)
+		d.adapt(node, aborted, reason, ep.Node().Pending())
 	}
 	switch outcome {
 	case NackNeeded:

@@ -453,21 +453,16 @@ const retxSalt = 0x3c6ef372fe94f82b
 
 // jittered returns pm's next retransmit wait: the capped backoff plus a
 // deterministic per-flight fraction of it in [0, Jitter). The draw is
-// counter-seeded splitmix64 keyed by (src, dst, seq, attempt) — the same
-// idiom as the fault layer's flight RNG — so its value depends only on
+// a cm5.SplitMix stream keyed by (src, dst, seq, attempt), like the fault
+// layer's flight streams, so its value depends only on
 // which flight it belongs to, never on how unrelated events interleave,
 // and the retransmit schedule stays bit-identical at any shard count.
 func (t *Transport) jittered(src int, pm *pendingMsg) sim.Duration {
 	if t.opts.Jitter <= 0 {
 		return pm.backoff
 	}
-	s := uint64(src)<<32 ^ uint64(pm.dst)<<16 ^ pm.seq<<40 ^ uint64(pm.attempts) ^ retxSalt
-	s += 0x9e3779b97f4a7c15
-	z := s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z>>11) / (1 << 53)
+	s := cm5.SplitMix(uint64(src)<<32 ^ uint64(pm.dst)<<16 ^ pm.seq<<40 ^ uint64(pm.attempts) ^ retxSalt)
+	frac := float64(s.Next()>>11) / (1 << 53)
 	return pm.backoff + sim.Duration(float64(pm.backoff)*t.opts.Jitter*frac)
 }
 

@@ -32,109 +32,3 @@ func TestTimerCancelAfterFire(t *testing.T) {
 		t.Fatal("cancel of fired timer succeeded")
 	}
 }
-
-func TestChargeInterruptibleCompletes(t *testing.T) {
-	e := New(1)
-	var rem Duration = -1
-	e.Spawn("w", func(p *Proc) {
-		rem = p.ChargeInterruptible(Micros(20))
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rem != 0 {
-		t.Fatalf("remainder = %v, want 0", rem)
-	}
-	if e.Now() != Time(Micros(20)) {
-		t.Fatalf("time = %v, want 20us", e.Now())
-	}
-}
-
-func TestChargeInterruptiblePreempted(t *testing.T) {
-	e := New(1)
-	var rem Duration = -1
-	var resumedAt Time
-	w := e.Spawn("w", func(p *Proc) {
-		rem = p.ChargeInterruptible(Micros(100))
-		resumedAt = p.Now()
-	})
-	e.After(Micros(30), func() {
-		if !w.Interrupt() {
-			t.Error("interrupt failed")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rem != Micros(70) {
-		t.Fatalf("remainder = %v, want 70us", rem)
-	}
-	if resumedAt != Time(Micros(30)) {
-		t.Fatalf("resumed at %v, want 30us", resumedAt)
-	}
-}
-
-func TestInterruptOutsideChargeFails(t *testing.T) {
-	e := New(1)
-	w := e.Spawn("w", func(p *Proc) { p.Park() })
-	e.After(Micros(5), func() {
-		if w.Interrupt() {
-			t.Error("interrupt of parked proc succeeded")
-		}
-		w.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterruptTwiceOnlyFirstCounts(t *testing.T) {
-	e := New(1)
-	hits := 0
-	w := e.Spawn("w", func(p *Proc) {
-		p.ChargeInterruptible(Micros(50))
-	})
-	e.After(Micros(10), func() {
-		if w.Interrupt() {
-			hits++
-		}
-		if w.Interrupt() {
-			hits++
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 1 {
-		t.Fatalf("hits = %d, want 1", hits)
-	}
-}
-
-// TestInterruptResumeLoop: a process repeatedly re-charging the remainder
-// makes progress across multiple interrupts.
-func TestInterruptResumeLoop(t *testing.T) {
-	e := New(1)
-	interrupts := 0
-	var w *Proc
-	w = e.Spawn("w", func(p *Proc) {
-		rem := Micros(90)
-		for rem > 0 {
-			rem = p.ChargeInterruptible(rem)
-			if rem > 0 {
-				interrupts++
-			}
-		}
-		if got := p.Now(); got != Time(Micros(90)) {
-			t.Errorf("finished at %v, want 90us (no time lost)", got)
-		}
-	})
-	for _, at := range []float64{20, 50} {
-		e.After(Micros(at), func() { w.Interrupt() })
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if interrupts != 2 {
-		t.Fatalf("interrupts = %d, want 2", interrupts)
-	}
-}

@@ -46,118 +46,6 @@ func TestMicrosRounds(t *testing.T) {
 	}
 }
 
-func TestChargeAdvancesTime(t *testing.T) {
-	e := New(1)
-	var at1, at2 Time
-	e.Spawn("worker", func(p *Proc) {
-		p.Charge(Micros(10))
-		at1 = p.Now()
-		p.Charge(Micros(2.5))
-		at2 = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at1 != Time(Micros(10)) {
-		t.Errorf("after first charge: %v, want 10us", at1)
-	}
-	if at2 != Time(Micros(12.5)) {
-		t.Errorf("after second charge: %v, want 12.5us", at2)
-	}
-}
-
-func TestChargeZeroYields(t *testing.T) {
-	e := New(1)
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Charge(0)
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-		p.Charge(0)
-		order = append(order, "b2")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "a1 b1 a2 b2"
-	if got := strings.Join(order, " "); got != want {
-		t.Fatalf("order = %q, want %q", got, want)
-	}
-}
-
-func TestParkUnpark(t *testing.T) {
-	e := New(1)
-	var woke Time
-	var waiter *Proc
-	waiter = e.Spawn("waiter", func(p *Proc) {
-		p.Park()
-		woke = p.Now()
-	})
-	e.Spawn("waker", func(p *Proc) {
-		p.Charge(Micros(42))
-		waiter.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != Time(Micros(42)) {
-		t.Fatalf("woke at %v, want 42us", woke)
-	}
-	if e.Live() != 0 {
-		t.Fatalf("live procs = %d, want 0", e.Live())
-	}
-}
-
-func TestQuiescenceLeavesParkedProcs(t *testing.T) {
-	e := New(1)
-	e.Spawn("stuck", func(p *Proc) { p.Park() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Live() != 1 {
-		t.Fatalf("live = %d, want 1 parked proc", e.Live())
-	}
-	e.Shutdown()
-	if e.Live() != 0 {
-		t.Fatalf("live after Shutdown = %d, want 0", e.Live())
-	}
-}
-
-func TestShutdownReleasesChargeWaiters(t *testing.T) {
-	e := New(1)
-	e.Spawn("sleeper", func(p *Proc) { p.Charge(Second) })
-	if err := e.RunUntil(Time(Micros(1))); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	if e.Live() != 0 {
-		t.Fatalf("live after Shutdown = %d, want 0", e.Live())
-	}
-}
-
-func TestPanicPropagates(t *testing.T) {
-	e := New(1)
-	e.Spawn("bad", func(p *Proc) {
-		p.Charge(Micros(1))
-		panic("boom")
-	})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("expected error from panicking proc")
-	}
-	pe, ok := err.(*PanicError)
-	if !ok {
-		t.Fatalf("error type %T, want *PanicError", err)
-	}
-	if pe.Proc != "bad" || pe.Value != "boom" {
-		t.Fatalf("unexpected panic error: %v / %v", pe.Proc, pe.Value)
-	}
-	e.Shutdown()
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New(1)
 	ticks := 0
@@ -252,25 +140,6 @@ func TestChargeFromWrongContextPanics(t *testing.T) {
 	e.Shutdown()
 }
 
-func TestSpawnFromProc(t *testing.T) {
-	e := New(1)
-	var childTime Time
-	e.Spawn("parent", func(p *Proc) {
-		p.Charge(Micros(5))
-		e.Spawn("child", func(c *Proc) {
-			c.Charge(Micros(3))
-			childTime = c.Now()
-		})
-		p.Charge(Micros(100))
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if childTime != Time(Micros(8)) {
-		t.Fatalf("child finished at %v, want 8us", childTime)
-	}
-}
-
 func TestTimeHelpers(t *testing.T) {
 	if Micros(1.5) != 1500*time.Nanosecond {
 		t.Errorf("Micros(1.5) = %v", Micros(1.5))
@@ -303,19 +172,5 @@ func TestUnparkNonParkedPanics(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	e := New(1)
-	e.Spawn("w", func(p *Proc) {
-		p.Charge(Micros(1))
-		p.Charge(Micros(1))
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Events() == 0 || e.Dispatches() < 3 {
-		t.Fatalf("counters not advancing: events=%d dispatches=%d", e.Events(), e.Dispatches())
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -83,41 +82,6 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestRespawnWithinPostExitTenure: a finished process's coroutine keeps
-// the kernel role; a callback it fires respawns onto its own pooled Proc,
-// and the loop it is running dispatches that Proc. The coroutine must find
-// itself in sh.pending and run the new body: a handoff, but no switch.
-func TestRespawnWithinPostExitTenure(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		e := New(1)
-		defer e.Shutdown()
-		var second *Proc
-		ran := false
-		first := e.Spawn("first", func(p *Proc) {
-			p.Shard().After(0, func() {
-				second = e.Spawn("second", func(p *Proc) {
-					p.Charge(Micros(1))
-					ran = true
-				})
-			})
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if second != first {
-			t.Fatal("respawn did not recycle the pooled Proc")
-		}
-		if !ran {
-			t.Fatal("respawned body did not run")
-		}
-		// first, second, and second's charge resume (inline); the only
-		// switches are the trampoline's next and the yield that ends the run.
-		if d, h, s := e.Dispatches(), e.Handoffs(), e.Switches(); d != 3 || h != 2 || s != 2 {
-			t.Fatalf("dispatches/handoffs/switches = %d/%d/%d, want 3/2/2", d, h, s)
-		}
-	})
-}
-
 // TestShutdownFromCallbackPanics: Shutdown from inside Run is refused before
 // anything is killed, from a kernel callback as from a process — the
 // coroutine holding the kernel, and every one below it in the chain, cannot
@@ -174,10 +138,10 @@ func TestShutdownUnwindsEveryState(t *testing.T) {
 			t.Error("interruptible charge returned during Shutdown")
 		})
 		asked, unwoundK := 0, 0
-		for _, steps := range [][]contStep{{{'a', 0}, {'p', 0}}, {{'a', 0}, {'c', Second}}} {
+		for _, next := range []Next{NextPark, NextCharge} {
 			e.Spawn("continued", func(p *Proc) {
 				defer func() { unwoundK++ }()
-				p.ChargeThen(Micros(1), &contScript{steps, func(contStep) { asked++ }})
+				p.ChargeThen(Micros(1), kFunc(func(*Proc) (Next, Duration) { asked++; return next, Second }))
 				t.Error("a continuation said Run during Shutdown")
 			})
 		}
@@ -194,119 +158,6 @@ func TestShutdownUnwindsEveryState(t *testing.T) {
 		}
 		if !charging.Dead() || !late.Dead() || e.Live() != 0 {
 			t.Fatalf("dead = %v/%v, live = %d after Shutdown", charging.Dead(), late.Dead(), e.Live())
-		}
-	})
-}
-
-// TestPanicsStayOffTheSwitch: a body panic is reported by Run as a
-// *PanicError and a kernel-callback panic is re-raised by Run on its
-// caller's goroutine, also when they happen on a process coroutine several
-// switches deep. Neither may travel through next().
-func TestPanicsStayOffTheSwitch(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		// Body panic, after the process has been switched out and back.
-		e := New(1)
-		e.Spawn("other", func(p *Proc) { p.Charge(Micros(2)) })
-		e.Spawn("bad", func(p *Proc) {
-			p.Charge(Micros(1))
-			panic("boom")
-		})
-		var pe *PanicError
-		if err := e.Run(); !errors.As(err, &pe) || pe.Proc != "bad" || pe.Value != "boom" {
-			t.Fatalf("Run = %v, want *PanicError from bad", err)
-		}
-		e.Shutdown()
-
-		// Kernel-callback panic fired during a process's tenure as kernel.
-		e = New(1)
-		e.Spawn("host", func(p *Proc) {
-			p.Shard().After(Micros(1), func() { panic("kboom") })
-			p.Charge(Micros(5))
-			t.Error("process resumed after the kernel panic ended the run")
-		})
-		func() {
-			defer func() {
-				if r := recover(); r != "kboom" {
-					t.Fatalf("recovered %v, want the kernel callback's panic", r)
-				}
-			}()
-			e.Run()
-			t.Fatal("Run returned instead of re-raising the kernel panic")
-		}()
-		e.Shutdown()
-		if e.Live() != 0 {
-			t.Fatalf("live after Shutdown = %d", e.Live())
-		}
-	})
-}
-
-// TestStopFromProcess: Stop called by the running process ends the run at
-// its next yield, leaving it and its peers suspended for Shutdown.
-func TestStopFromProcess(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		e := New(1)
-		rounds := 0
-		e.Spawn("peer", func(p *Proc) {
-			for {
-				p.Charge(Micros(1))
-			}
-		})
-		e.Spawn("stopper", func(p *Proc) {
-			for {
-				p.Charge(Micros(1))
-				if rounds++; rounds == 3 {
-					p.Engine().Stop()
-				}
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if rounds != 3 || e.Now() != Time(Micros(3)) || e.Live() != 2 {
-			t.Fatalf("rounds = %d, now = %v, live = %d; want 3, 3us, 2", rounds, e.Now(), e.Live())
-		}
-		e.Shutdown()
-		if e.Live() != 0 {
-			t.Fatalf("live after Shutdown = %d", e.Live())
-		}
-	})
-}
-
-// TestRunUntilResumesSameCoroutines: every RunUntil starts a fresh
-// trampoline over the same suspended coroutines — processes carry on where
-// they stopped and no goroutine is created or lost between calls.
-func TestRunUntilResumesSameCoroutines(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		e := New(1)
-		defer e.Shutdown()
-		var ticks [2]int
-		for i := range ticks {
-			e.Spawn("ticker", func(p *Proc) {
-				for {
-					p.Charge(Micros(1))
-					ticks[i]++
-				}
-			})
-		}
-		goroutines := 0
-		for call := 1; call <= 5; call++ {
-			if err := e.RunUntil(Time(Micros(float64(10 * call)))); err != nil {
-				t.Fatal(err)
-			}
-			if ticks[0] != 10*call || ticks[1] != 10*call {
-				t.Fatalf("after call %d: ticks = %v, want %d each", call, ticks, 10*call)
-			}
-			if n := runtime.NumGoroutine(); call == 1 {
-				goroutines = n
-			} else if n != goroutines {
-				t.Fatalf("after call %d: %d goroutines, %d after the first", call, n, goroutines)
-			}
-		}
-		// The two tickers alternate, so every dispatch is a handoff, and one
-		// switch: the second ticker's next or its yield back to the first.
-		// Each deadline unwinds both.
-		if d, h, s := e.Dispatches(), e.Handoffs(), e.Switches(); d != 102 || h != d || s != h+5*2 {
-			t.Fatalf("dispatches/handoffs/switches = %d/%d/%d, want 102/102/112", d, h, s)
 		}
 	})
 }
