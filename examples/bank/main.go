@@ -49,15 +49,15 @@ func main() {
 		case 1: // the impatient withdrawer: asks before the money exists
 			arg := core.Enc(8)
 			arg.I64(300)
-			rep := core.Dec(withdraw.Call(ctx, bankNode, arg.Bytes()))
+			rep := withdraw.Call(ctx, bankNode, arg)
 			fmt.Printf("node 1: withdrew 300, balance now %d (at t=%v)\n",
-				rep.I64(), ctx.P.Now())
+				core.Dec(rep.Bytes()).I64(), ctx.P.Now())
 		case 2: // the slow depositor
 			for i := 0; i < 3; i++ {
 				ctx.P.Charge(core.Micros(500))
 				arg := core.Enc(8)
 				arg.I64(150)
-				deposit.Call(ctx, bankNode, arg.Bytes())
+				deposit.Call(ctx, bankNode, arg)
 				fmt.Printf("node 2: deposited 150 (at t=%v)\n", ctx.P.Now())
 			}
 		}

@@ -77,7 +77,7 @@ func main() {
 				arg := core.Enc(9)
 				arg.U8(side)
 				arg.F64(v)
-				store.CallAsync(ctx, dst, arg.Bytes())
+				store.CallAsync(ctx, dst, arg)
 			}
 			sendEdge(left, 1, vec[0])
 			sendEdge(right, 0, vec[width-1])

@@ -57,7 +57,7 @@ func run(mode rpc.Mode) {
 			for i := int64(0); i < jobs/2; i++ {
 				e := rpc.NewEnc(8)
 				e.I64(int64(node)*1000 + i)
-				put.Invoke(c, e.Bytes())
+				put.Invoke(c, e)
 			}
 		case 3: // consumer, slower than the producers
 			for consumed < jobs {

@@ -14,7 +14,8 @@ type HandlerID int
 
 // Handler is an Active Message handler. It runs inline on the polling
 // context c (c.T == nil): it must not block, and should be short. pkt is
-// the delivered packet; Payload is the sender's marshaled data.
+// the delivered packet; Payload is the sender's marshaled data, valid for
+// the handler's duration when it is small (see cm5.Packet).
 type Handler func(c threads.Ctx, pkt *cm5.Packet)
 
 // Stats counts per-universe Active Message activity.
@@ -189,8 +190,8 @@ func (ep *Endpoint) Node() *cm5.Node { return ep.node }
 // Packet assembles an outgoing packet, bulk or small, from the machine's
 // pool. Ownership passes to the network on injection; the receiving
 // endpoint recycles the struct after the handler runs (see Packet's
-// ownership rules — the payload buffer itself is handed off, never
-// reused).
+// ownership rules — a payload of cm5.MaxPayload bytes or less is copied
+// into the packet, a longer buffer is handed off, never reused).
 func (ep *Endpoint) Packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload []byte) *cm5.Packet {
 	if int(h) < 0 || int(h) >= len(ep.u.handlers) {
 		panic(fmt.Sprintf("am: send to unregistered handler %d", h))
@@ -204,7 +205,7 @@ func (ep *Endpoint) Packet(dst int, h HandlerID, bulk bool, w [4]uint64, payload
 	}
 	pkt.Handler = int(h)
 	pkt.W0, pkt.W1, pkt.W2, pkt.W3 = w[0], w[1], w[2], w[3]
-	pkt.Payload = payload
+	pkt.SetPayload(payload)
 	return pkt
 }
 
@@ -364,7 +365,7 @@ func (ep *Endpoint) Eject() (pkt *cm5.Packet, atomic bool) {
 }
 
 // Dispatch runs the handler of a packet off the wire, both charges paid,
-// and recycles the struct (the payload buffer is handed off, not reused).
+// and recycles the struct (a bulk payload buffer is handed off, not reused).
 func (ep *Endpoint) Dispatch(c threads.Ctx, pkt *cm5.Packet) {
 	ep.Run(c, pkt)
 	ep.node.ReleasePacket(pkt)

@@ -27,7 +27,7 @@ func DefineGet(rt *rpc.Runtime, impl GetImpl) GetProc {
 		enc.U32(r_status)
 		enc.U32(r_ver)
 		enc.I32(r_val)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return GetProc{p}
 }
@@ -36,11 +36,12 @@ func DefineGet(rt *rpc.Runtime, impl GetImpl) GetProc {
 func (h GetProc) Call(c threads.Ctx, server int, key uint32) (uint32, uint32, int32) {
 	enc := rpc.NewEnc(4)
 	enc.U32(key)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_status := rep.U32()
-	r_ver := rep.U32()
-	r_val := rep.I32()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_status := dec.U32()
+	r_ver := dec.U32()
+	r_val := dec.I32()
+	dec.Done()
 	return r_status, r_ver, r_val
 }
 
@@ -51,11 +52,11 @@ func (h GetProc) Call(c threads.Ctx, server int, key uint32) (uint32, uint32, in
 func (h GetProc) CallIdempotent(c threads.Ctx, server int, key uint32, per sim.Duration, attempts int) (r_status uint32, r_ver uint32, r_val int32, err error) {
 	enc := rpc.NewEnc(4)
 	enc.U32(key)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	r_val = dec.I32()
@@ -85,7 +86,7 @@ func DefinePut(rt *rpc.Runtime, impl PutImpl) PutProc {
 		enc := rpc.NewEnc(8)
 		enc.U32(r_status)
 		enc.U32(r_ver)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return PutProc{p}
 }
@@ -96,10 +97,11 @@ func (h PutProc) Call(c threads.Ctx, server int, key uint32, req uint32, val int
 	enc.U32(key)
 	enc.U32(req)
 	enc.I32(val)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_status := rep.U32()
-	r_ver := rep.U32()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_status := dec.U32()
+	r_ver := dec.U32()
+	dec.Done()
 	return r_status, r_ver
 }
 
@@ -112,11 +114,11 @@ func (h PutProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint3
 	enc.U32(key)
 	enc.U32(req)
 	enc.I32(val)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	dec.Done()
@@ -147,7 +149,7 @@ func DefineCas(rt *rpc.Runtime, impl CasImpl) CasProc {
 		enc.U32(r_status)
 		enc.U32(r_ver)
 		enc.Bool(r_swapped)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return CasProc{p}
 }
@@ -159,11 +161,12 @@ func (h CasProc) Call(c threads.Ctx, server int, key uint32, req uint32, expect 
 	enc.U32(req)
 	enc.U32(expect)
 	enc.I32(val)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_status := rep.U32()
-	r_ver := rep.U32()
-	r_swapped := rep.Bool()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_status := dec.U32()
+	r_ver := dec.U32()
+	r_swapped := dec.Bool()
+	dec.Done()
 	return r_status, r_ver, r_swapped
 }
 
@@ -177,11 +180,11 @@ func (h CasProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint3
 	enc.U32(req)
 	enc.U32(expect)
 	enc.I32(val)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	r_swapped = dec.Bool()
@@ -210,7 +213,7 @@ func DefineLock(rt *rpc.Runtime, impl LockImpl) LockProc {
 		enc := rpc.NewEnc(8)
 		enc.U32(r_status)
 		enc.U32(r_epoch)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return LockProc{p}
 }
@@ -220,10 +223,11 @@ func (h LockProc) Call(c threads.Ctx, server int, key uint32, req uint32) (uint3
 	enc := rpc.NewEnc(8)
 	enc.U32(key)
 	enc.U32(req)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_status := rep.U32()
-	r_epoch := rep.U32()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_status := dec.U32()
+	r_epoch := dec.U32()
+	dec.Done()
 	return r_status, r_epoch
 }
 
@@ -235,11 +239,11 @@ func (h LockProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint
 	enc := rpc.NewEnc(8)
 	enc.U32(key)
 	enc.U32(req)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_status = dec.U32()
 	r_epoch = dec.U32()
 	dec.Done()
@@ -268,7 +272,7 @@ func DefineUnlock(rt *rpc.Runtime, impl UnlockImpl) UnlockProc {
 		enc := rpc.NewEnc(5)
 		enc.U32(r_status)
 		enc.Bool(r_released)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return UnlockProc{p}
 }
@@ -279,10 +283,11 @@ func (h UnlockProc) Call(c threads.Ctx, server int, key uint32, req uint32, epoc
 	enc.U32(key)
 	enc.U32(req)
 	enc.U32(epoch)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_status := rep.U32()
-	r_released := rep.Bool()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_status := dec.U32()
+	r_released := dec.Bool()
+	dec.Done()
 	return r_status, r_released
 }
 
@@ -295,11 +300,11 @@ func (h UnlockProc) CallIdempotent(c threads.Ctx, server int, key uint32, req ui
 	enc.U32(key)
 	enc.U32(req)
 	enc.U32(epoch)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_status = dec.U32()
 	r_released = dec.Bool()
 	dec.Done()

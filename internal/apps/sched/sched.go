@@ -457,7 +457,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 		enc := rpc.NewEnc(8)
 		enc.U32(uint32(job))
 		enc.U32(uint32(epoch))
-		if _, err := complete.CallIdempotent(c, 0, enc.Bytes(), callTimeout, callAttempts); err != nil {
+		if _, err := complete.CallIdempotent(c, 0, enc, callTimeout, callAttempts); err != nil {
 			// The scheduler is unreachable: the lease will expire there
 			// and the job will migrate; this runner's work is lost.
 			a.mu.Lock(c)
@@ -584,8 +584,8 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 					enc.U32(uint32(m.specs[in.job].CPU))
 					enc.U32(uint32(m.specs[in.job].Mem))
 					enc.I64(int64(m.specs[in.job].Dur))
-					res, err := place.CallIdempotent(c, in.agent, enc.Bytes(), callTimeout, callAttempts)
-					if err == nil && rpc.NewDec(res).Bool() {
+					res, err := place.CallIdempotent(c, in.agent, enc, callTimeout, callAttempts)
+					if err == nil && rpc.NewDec(res.Bytes()).Bool() {
 						continue
 					}
 					m.mu.Lock(c)
@@ -621,7 +621,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 			seq++
 			enc := rpc.NewEnc(8)
 			enc.U64(seq)
-			res, err := heartbeat.CallWithDeadline(c, 0, enc.Bytes(), cfg.HeartbeatEvery)
+			res, err := heartbeat.CallWithDeadline(c, 0, enc, cfg.HeartbeatEvery)
 			if err != nil {
 				// Partitioned or slowed: keep beating — readmission is the
 				// detector's job — but bound the streak so a run with an
@@ -632,7 +632,7 @@ func Run(agents int, cfg Config) (apps.Result, Stats, error) {
 				}
 			} else {
 				errs = 0
-				if rpc.NewDec(res).Bool() {
+				if rpc.NewDec(res.Bytes()).Bool() {
 					return
 				}
 			}

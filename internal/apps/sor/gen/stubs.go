@@ -33,7 +33,7 @@ func (h StoreProc) CallAsync(c threads.Ctx, server int, side int32, row []float6
 	enc := rpc.NewEnc(8 + 8*len(row))
 	enc.I32(side)
 	enc.F64s(row)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Store's counters (the termination routine's report).

@@ -1,7 +1,9 @@
 package sor
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -268,13 +270,15 @@ func run(sys apps.System, nodes int, cfg Config, senderSpecified bool) (apps.Res
 }
 
 // encodeRow and decodeRow move float64 rows through packet payloads (the
-// AM variant bypasses the RPC wire format but still ships bytes).
+// AM variant bypasses the RPC stubs but still ships their wire format;
+// encodeRow appends it to a plain buffer, since an rpc.Enc whose bytes
+// are returned is a heap object of its own).
 func encodeRow(row []float64) []byte {
-	e := rpc.NewEnc(8 * len(row))
+	b := make([]byte, 0, 8*len(row))
 	for _, v := range row {
-		e.F64(v)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return e.Bytes()
+	return b
 }
 
 func decodeRow(b []byte, into []float64) {

@@ -33,7 +33,7 @@ func (h InsertProc) CallAsync(c threads.Ctx, server int, state uint64, ways uint
 	enc := rpc.NewEnc(16)
 	enc.U64(state)
 	enc.U64(ways)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Insert's counters (the termination routine's report).

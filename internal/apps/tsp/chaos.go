@@ -231,7 +231,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 				continue
 			}
 			errs = 0
-			dec := rpc.NewDec(res)
+			dec := rpc.NewDec(res.Bytes())
 			switch dec.U8() {
 			case jobDone:
 				return
@@ -241,7 +241,7 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 				continue
 			}
 			idx := int(dec.U32())
-			route := append([]uint8(nil), dec.Buf()...)
+			route := dec.Buf()
 			nb, _ := p.Expand(route, ns.best, func(n int) int64 {
 				c.P.Charge(sim.Duration(n) * CostVisit)
 				apps.Service(c, ep)
@@ -260,14 +260,14 @@ func RunChaos(slaves int, cfg ChaosConfig) (apps.Result, ChaosStats, error) {
 					if n != me {
 						enc := rpc.NewEnc(8)
 						enc.I64(nb)
-						best.CallAsync(c, n, enc.Bytes())
+						best.CallAsync(c, n, enc)
 					}
 				}
 			}
 			enc := rpc.NewEnc(12)
 			enc.U32(uint32(idx))
 			enc.I64(ns.best)
-			doneJob.CallAsync(c, 0, enc.Bytes())
+			doneJob.CallAsync(c, 0, enc)
 		}
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func DefineGetJob(rt *rpc.Runtime, impl GetJobImpl) GetJobProc {
 		enc := rpc.NewEnc(5 + len(r_route))
 		enc.Buf(r_route)
 		enc.Bool(r_ok)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return GetJobProc{p}
 }
@@ -33,10 +33,11 @@ func DefineGetJob(rt *rpc.Runtime, impl GetJobImpl) GetJobProc {
 // Call invokes GetJob on node server and blocks for the reply.
 func (h GetJobProc) Call(c threads.Ctx, server int) ([]byte, bool) {
 	enc := rpc.NewEnc(0)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_route := rep.Buf()
-	r_ok := rep.Bool()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_route := dec.Buf()
+	r_ok := dec.Bool()
+	dec.Done()
 	return r_route, r_ok
 }
 
@@ -46,11 +47,11 @@ func (h GetJobProc) Call(c threads.Ctx, server int) ([]byte, bool) {
 // error the results are zero values.
 func (h GetJobProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (r_route []byte, r_ok bool, err error) {
 	enc := rpc.NewEnc(0)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_route = dec.Buf()
 	r_ok = dec.Bool()
 	dec.Done()
@@ -83,7 +84,7 @@ func DefineBest(rt *rpc.Runtime, impl BestImpl) BestProc {
 func (h BestProc) CallAsync(c threads.Ctx, server int, tour int64) {
 	enc := rpc.NewEnc(8)
 	enc.I64(tour)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Best's counters (the termination routine's report).

@@ -31,7 +31,7 @@ func DefinePositions(rt *rpc.Runtime, impl PositionsImpl) PositionsProc {
 func (h PositionsProc) CallAsync(c threads.Ctx, server int, data []float64) {
 	enc := rpc.NewEnc(4 + 8*len(data))
 	enc.F64s(data)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Positions's counters (the termination routine's report).
@@ -60,7 +60,7 @@ func DefineUpdates(rt *rpc.Runtime, impl UpdatesImpl) UpdatesProc {
 func (h UpdatesProc) CallAsync(c threads.Ctx, server int, data []float64) {
 	enc := rpc.NewEnc(4 + 8*len(data))
 	enc.F64s(data)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Updates's counters (the termination routine's report).

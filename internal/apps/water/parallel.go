@@ -1,7 +1,9 @@
 package water
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -312,12 +314,14 @@ func Run(sys apps.System, nodes int, useBarrier bool, cfg Config) (apps.Result, 
 	return res, nil
 }
 
+// encodeF64s writes data in the RPC wire format to a plain buffer, as
+// sor's encodeRow does.
 func encodeF64s(data []float64) []byte {
-	e := rpc.NewEnc(8 * len(data))
+	b := make([]byte, 0, 8*len(data))
 	for _, v := range data {
-		e.F64(v)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return e.Bytes()
+	return b
 }
 
 func decodeF64s(b []byte, into []float64) {

@@ -26,7 +26,6 @@ type CostModel struct {
 	// larger than MaxPayload bytes must use the bulk path.
 	BulkSetup   sim.Duration // fixed port-allocation/setup cost
 	BulkPerByte sim.Duration // per-byte streaming cost (sender CPU is busy)
-	MaxPayload  int          // largest small-packet payload, bytes
 
 	// Thread package.
 	ThreadCreate  sim.Duration // find + initialize a thread structure
@@ -62,7 +61,6 @@ func DefaultCostModel() CostModel {
 
 		BulkSetup:   sim.Micros(40),
 		BulkPerByte: sim.Micros(0.12),
-		MaxPayload:  16,
 
 		ThreadCreate:  sim.Micros(7),
 		ContextSwitch: sim.Micros(52),

@@ -198,10 +198,10 @@ func (ms *machineShard) allocPacket() *Packet {
 // ReleasePacket returns a pooled packet to this node's shard pool once
 // its last delivery has been handled. Hand-built packets (pooled ==
 // false) and duplicated packets with deliveries still outstanding are
-// left alone. The payload buffer is dropped, never reused: receivers may
-// retain it. Packets may retire to a different shard's pool than they
-// were allocated from; pools only recycle structs, so migration is
-// harmless.
+// left alone. A small payload is cleared with the struct; a bulk buffer is
+// dropped, never reused: receivers may retain it. Packets may retire to a
+// different shard's pool than they were allocated from; pools only
+// recycle structs, so migration is harmless.
 func (n *Node) ReleasePacket(p *Packet) { n.ms.releasePacket(p) }
 
 func (ms *machineShard) releasePacket(p *Packet) {
@@ -538,8 +538,8 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	var busy sim.Duration
 	switch pkt.Kind {
 	case Small:
-		if len(pkt.Payload) > cost.MaxPayload {
-			panic(fmt.Sprintf("cm5: small packet payload %d exceeds max %d", len(pkt.Payload), cost.MaxPayload))
+		if len(pkt.Payload) > MaxPayload {
+			panic(fmt.Sprintf("cm5: small packet payload %d exceeds max %d", len(pkt.Payload), MaxPayload))
 		}
 		busy = cost.PacketSendOverhead
 		n.ms.stats.SmallSent++

@@ -56,7 +56,8 @@ func TestClusterBlockingProcedure(t *testing.T) {
 			mu.Unlock(ctx)
 			return
 		}
-		rep := Dec(get.Call(ctx, 1, nil))
+		res := get.Call(ctx, 1, nil)
+		rep := Dec(res.Bytes())
 		if rep.U64() != 5 {
 			t.Error("wrong reply")
 		}

@@ -40,7 +40,10 @@ func nullRPC(mode rpc.Mode, busyServer bool, payload int, trips int) sim.Duratio
 		return nil
 	})
 	var total sim.Duration
-	arg := make([]byte, payload)
+	arg := rpc.NewEnc(payload)
+	for range payload {
+		arg.U8(0)
+	}
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
 		if node == 1 {
 			// Busy server: a thread spins in a tight poll-and-yield loop

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/am"
+	"repro/internal/cm5"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -47,7 +48,7 @@ type bufferedSend struct {
 	dst     int
 	h       am.HandlerID
 	w       [4]uint64
-	payload []byte
+	payload cm5.Record
 	bulk    bool
 }
 
@@ -79,9 +80,11 @@ type Env struct {
 	spent      sim.Duration
 	held       []*threads.Mutex
 	outbox     []bufferedSend
-	// Inline backing for the common procedure: a lock or two, one reply.
-	heldBuf [2]*threads.Mutex
-	outBuf  [1]bufferedSend
+	// Inline backing for the common procedure: a lock or two, one reply,
+	// its argument (Frame.Arg) and its result record (Result).
+	heldBuf  [2]*threads.Mutex
+	outBuf   [1]bufferedSend
+	arg, res cm5.Record
 
 	ent    *runEntry         // multiactive slot a rerun thread releases at its end
 	thread func(threads.Ctx) // e.runThread, bound once per record
@@ -111,6 +114,8 @@ func (d *Dispatcher) acquire(c threads.Ctx, ep *am.Endpoint, name string, body f
 		e.thread = e.runThread
 		e.held, e.outbox = e.heldBuf[:0], e.outBuf[:0]
 	}
+	e.arg.Set(f.Arg) // its packet is recycled when the handler returns, before a thread runs
+	f.Arg = e.arg.Bytes()
 	e.C, e.Frame, e.ep, e.name, e.body, e.optimistic = c, f, ep, name, body, optimistic
 	return e
 }
@@ -120,6 +125,7 @@ func (d *Dispatcher) acquire(c threads.Ctx, ep *am.Endpoint, name string, body f
 func (d *Dispatcher) release(e *Env) {
 	node := e.ep.Node().ID()
 	e.body, e.Frame, e.ent = nil, Frame{}, nil
+	e.arg, e.res = cm5.Record{}, cm5.Record{}
 	e.spent, e.lent, e.settled = 0, false, false
 	e.held = e.held[:0]
 	e.next = d.free[node]
@@ -173,18 +179,25 @@ func (e *Env) flushOutbox() {
 	for i := range e.outbox {
 		b := &e.outbox[i]
 		if b.bulk {
-			e.ep.SendBulk(e.C, b.dst, b.h, b.w, b.payload)
+			e.ep.SendBulk(e.C, b.dst, b.h, b.w, b.payload.Bytes())
 		} else {
-			e.ep.Send(e.C, b.dst, b.h, b.w, b.payload)
+			e.ep.Send(e.C, b.dst, b.h, b.w, b.payload.Bytes())
 		}
 	}
 	e.dropOutbox()
 }
 
-// dropOutbox empties the outbox, letting go of the payload buffers.
+// dropOutbox empties the outbox, letting go of the bulk payload buffers.
 func (e *Env) dropOutbox() {
 	clear(e.outbox)
 	e.outbox = e.outbox[:0]
+}
+
+// Result keeps r as the execution's result record and returns its bytes,
+// valid until the Env is released: a body may return them to be sent.
+func (e *Env) Result(r *cm5.Record) []byte {
+	e.res = *r
+	return e.res.Bytes()
 }
 
 // Optimistic reports whether the body is executing inside a handler. The
@@ -343,7 +356,9 @@ func (e *Env) send(dst int, h am.HandlerID, w [4]uint64, payload []byte, bulk bo
 			}
 			return
 		}
-		e.outbox = append(e.outbox, bufferedSend{dst: dst, h: h, w: w, payload: payload, bulk: bulk})
+		b := bufferedSend{dst: dst, h: h, w: w, bulk: bulk}
+		b.payload.Set(payload)
+		e.outbox = append(e.outbox, b)
 		return
 	}
 	if bulk {

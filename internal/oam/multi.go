@@ -2,6 +2,7 @@ package oam
 
 import (
 	"repro/internal/am"
+	"repro/internal/cm5"
 	"repro/internal/sim"
 	"repro/internal/threads"
 )
@@ -32,11 +33,14 @@ type runEntry struct {
 	next   *runEntry // free-list link
 }
 
-// queuedExec is a dispatch waiting for a compatible admission slot.
+// queuedExec is a dispatch waiting for a compatible admission slot, or
+// admitted and not yet started. It holds its frame's argument by value:
+// the packet it came in is recycled when RunMulti returns.
 type queuedExec struct {
 	ent    runEntry
 	body   func(*Env)
 	frame  Frame
+	arg    cm5.Record
 	settle func(threads.Ctx, Frame, Outcome, Reason)
 }
 
@@ -138,16 +142,18 @@ func (d *Dispatcher) RunMulti(c threads.Ctx, ep *am.Endpoint, name string, class
 	st := d.nodeStats(node)
 	st.Total++
 	mn := d.multiAt(node)
-	ent := runEntry{name: name, class: class, key: key, hasKey: hasKey}
+	q := queuedExec{body: body, frame: f, settle: settle,
+		ent: runEntry{name: name, class: class, key: key, hasKey: hasKey}}
+	q.arg.Set(f.Arg)
 	// Head-only FIFO: an arrival may jump straight onto a core only when
 	// nothing is already waiting, so admission order is arrival order.
-	if len(mn.queue) == 0 && mn.freeCore() >= 0 && mn.admissible(d.opts.Compat, &ent) {
+	if len(mn.queue) == 0 && mn.freeCore() >= 0 && mn.admissible(d.opts.Compat, &q.ent) {
 		st.CompatAdmitted++
-		d.startCore(c, ep, mn, queuedExec{ent: ent, body: body, frame: f, settle: settle})
+		d.startCore(c, ep, mn, q)
 		return
 	}
 	st.CompatQueued++
-	mn.queue = append(mn.queue, queuedExec{ent: ent, body: body, frame: f, settle: settle})
+	mn.queue = append(mn.queue, q)
 	d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
 }
 
@@ -191,7 +197,9 @@ func (w *coreWorker) Run(p *sim.Proc) {
 	w.s.BindCore(p)
 	c := threads.Ctx{P: p, T: nil, S: w.s}
 	for {
-		d.runOnCore(c, w.ep, mn, w.ent, w.q.body, w.q.frame, w.q.settle)
+		f := w.q.frame
+		f.Arg = w.q.arg.Bytes()
+		d.runOnCore(c, w.ep, mn, w.ent, w.q.body, f, w.q.settle)
 		var ok bool
 		if w.q, ok = mn.takeHead(d.opts.Compat); !ok {
 			break

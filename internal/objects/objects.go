@@ -102,8 +102,9 @@ func (o *Object) DefineOp(name string,
 // Invoke performs the operation from the calling thread, wherever it
 // runs; the invocation is a remote procedure call to the owner (possibly
 // the caller's own node — Orca invocations are location-transparent).
-func (op *Op) Invoke(c threads.Ctx, arg []byte) []byte {
-	return op.proc.Call(c, op.obj.owner, arg)
+func (op *Op) Invoke(c threads.Ctx, arg *rpc.Enc) []byte {
+	res := op.proc.Call(c, op.obj.owner, arg)
+	return res.Bytes()
 }
 
 // Stats exposes the operation's RPC/OAM counters.

@@ -91,7 +91,7 @@ func TestGuardedBuffer(t *testing.T) {
 				for i := int64(0); i < 6; i++ {
 					e := rpc.NewEnc(8)
 					e.I64(i * 10)
-					put.Invoke(c, e.Bytes())
+					put.Invoke(c, e)
 				}
 			case 2: // consumer, slower
 				for i := 0; i < 6; i++ {

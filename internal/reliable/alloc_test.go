@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -53,5 +54,50 @@ func TestPerfectLinkZeroAllocs(t *testing.T) {
 	}
 	if got := float64(m1.Mallocs-m0.Mallocs) / msgs; got >= 0.01 {
 		t.Fatalf("reliable send + ack allocates %.4f objects/message, want 0", got)
+	}
+}
+
+// TestSmallRoundTripZeroAllocs: a request and its reply, each carrying a
+// cm5.MaxPayload-byte payload, make a reliable round trip that allocates
+// nothing once warm: the payload is copied into each packet, and into the
+// pending message that keeps it for retransmission.
+func TestSmallRoundTripZeroAllocs(t *testing.T) {
+	const warm, trips = 2_000, 10_000
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	tr := Attach(u, Options{})
+	var back uint64
+	backH := u.Register("back", func(c threads.Ctx, pkt *cm5.Packet) {
+		back = binary.LittleEndian.Uint64(pkt.Payload[8:])
+	})
+	echoH := u.Register("echo", func(c threads.Ctx, pkt *cm5.Packet) {
+		u.Endpoint(1).Send(c, 0, backH, [4]uint64{}, pkt.Payload)
+	})
+	payload := make([]byte, cm5.MaxPayload)
+	var m0, m1 runtime.MemStats
+	_, err := u.SPMD(func(c threads.Ctx, node int) {
+		if node == 1 {
+			return // echoes from its idle loop
+		}
+		ep := u.Endpoint(0)
+		for i := uint64(1); i <= warm+trips; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&m0)
+			}
+			binary.LittleEndian.PutUint64(payload[8:], i)
+			ep.Send(c, 1, echoH, [4]uint64{}, payload)
+			ep.PollUntil(c, func() bool { return back == i })
+		}
+		runtime.ReadMemStats(&m1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Retransmits != 0 || st.Delivered != 2*(warm+trips) {
+		t.Fatalf("the link was not perfect: %+v", st)
+	}
+	if got := float64(m1.Mallocs-m0.Mallocs) / trips; got >= 0.01 {
+		t.Fatalf("a small reliable round trip allocates %.4f objects, want 0", got)
 	}
 }

@@ -88,14 +88,15 @@ type NodeStats struct {
 
 // pendingMsg is one unacknowledged message. The structs are recycled on
 // their node's free list, and each is its own retransmit timer's action
-// (Run), so steady-state sends allocate nothing.
+// (Run), so steady-state sends allocate nothing: a small payload is kept
+// by value, since its packet is recycled once the first copy is handled.
 type pendingMsg struct {
 	ns       *nodeState
 	dst      int
 	seq      uint64
 	h        am.HandlerID
 	w0, w1   uint64
-	payload  []byte
+	payload  cm5.Record
 	backoff  sim.Duration
 	timer    sim.Timer
 	attempts int32 // transmissions so far
@@ -260,8 +261,9 @@ func (ns *nodeState) track(ol *outLink, dst int, seq uint64, h am.HandlerID, w [
 	}
 	*pm = pendingMsg{
 		ns: ns, dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
-		payload: payload, bulk: bulk, attempts: 1, backoff: rto,
+		bulk: bulk, attempts: 1, backoff: rto,
 	}
+	pm.payload.Set(payload)
 	ol.pending.put(seq, pm)
 	ns.stats.DataSent++
 	return pm
@@ -283,7 +285,7 @@ func (ns *nodeState) settle(pm *pendingMsg) bool {
 // refers to it any more: it is out of ol.pending, not busy, and its timer
 // has fired or been cancelled.
 func (ns *nodeState) release(pm *pendingMsg) {
-	pm.payload = nil
+	pm.payload = cm5.Record{}
 	pm.next = ns.freePM
 	ns.freePM = pm
 }
@@ -431,7 +433,7 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 			ns.stats.Retransmits++
 			t.nstats[me].Retransmits++
 			w := [4]uint64{pm.seq, uint64(pm.h), pm.w0, pm.w1}
-			ns.ep.Drive(c, -1, ns.ep.Injection(ns.ep.Packet(pm.dst, t.dataH, pm.bulk, w, pm.payload), nil))
+			ns.ep.Drive(c, -1, ns.ep.Injection(ns.ep.Packet(pm.dst, t.dataH, pm.bulk, w, pm.payload.Bytes()), nil))
 			if ns.settle(pm) {
 				continue // the drain of a refused injection serviced the ack
 			}
@@ -489,13 +491,14 @@ func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	ns.stats.Delivered++
 	// De-frame into a pooled packet for the inner handler. Run leaves
 	// ownership with us (the transport), so recycle the struct afterwards;
-	// the payload buffer passes to the application untouched.
+	// a small payload is copied, a bulk buffer passes to the application
+	// untouched.
 	node := ns.ep.Node()
 	inner := node.AllocPacket()
 	inner.Src, inner.Dst, inner.Kind = pkt.Src, pkt.Dst, pkt.Kind
 	inner.Handler = int(pkt.W1)
 	inner.W0, inner.W1 = pkt.W2, pkt.W3
-	inner.Payload = pkt.Payload
+	inner.SetPayload(pkt.Payload)
 	ns.ep.Run(c, inner)
 	node.ReleasePacket(inner)
 }

@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/am"
@@ -428,7 +429,7 @@ func TestPendingMsgRecycled(t *testing.T) {
 			t.Fatal("pendingMsg released twice: the free list has a cycle")
 		}
 		seen[pm] = true
-		if !pm.done || pm.busy || pm.payload != nil || pm.timer != (sim.Timer{}) {
+		if !pm.done || pm.busy || len(pm.payload.Bytes()) != 0 || pm.timer != (sim.Timer{}) {
 			t.Fatalf("free-listed pendingMsg seq %d still in use: %+v", pm.seq, pm)
 		}
 	}
@@ -436,4 +437,56 @@ func TestPendingMsgRecycled(t *testing.T) {
 		t.Fatalf("%d pendingMsg structs made for %d messages, want a small pool", len(seen), msgs)
 	}
 	t.Logf("sent=%d retx=%d pool=%d", st.DataSent, st.Retransmits, len(seen))
+}
+
+// TestRetransmitKeepsSmallPayload: a small payload rides in its packet,
+// which goes back to the pool — zeroed, then reused by later sends — as
+// soon as the network drops it; the retransmission must still carry the
+// bytes that were sent.
+func TestRetransmitKeepsSmallPayload(t *testing.T) {
+	const msgs = 100
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
+	u.Machine().SetFaultPlan(&cm5.FaultPlan{Seed: 7, DropProb: 0.3})
+	tr := Attach(u, Options{})
+	got := make([]int, msgs)
+	recvd := 0
+	h := u.Register("check", func(c threads.Ctx, pkt *cm5.Packet) {
+		i := binary.LittleEndian.Uint64(pkt.Payload)
+		if len(pkt.Payload) != cm5.MaxPayload || i >= msgs || binary.LittleEndian.Uint64(pkt.Payload[8:]) != ^i {
+			t.Errorf("delivered payload %x was never sent", pkt.Payload)
+			return
+		}
+		got[i]++
+		recvd++
+	})
+	_, err := u.SPMD(func(c threads.Ctx, node int) {
+		ep := u.Endpoint(node)
+		if node == 0 {
+			var payload [cm5.MaxPayload]byte // one buffer, rewritten for every send
+			for i := uint64(0); i < msgs; i++ {
+				binary.LittleEndian.PutUint64(payload[:], i)
+				binary.LittleEndian.PutUint64(payload[8:], ^i)
+				ep.Send(c, 1, h, [4]uint64{}, payload[:])
+				c.P.Charge(sim.Micros(1))
+			}
+		}
+		for recvd < msgs {
+			ep.Poll(c)
+			c.P.Charge(sim.Micros(5))
+			c.S.Yield(c)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats().Retransmits == 0 {
+		t.Fatal("nothing was retransmitted: the test lost its subject")
+	}
+	for i, n := range got {
+		if n != 1 {
+			t.Fatalf("message %d delivered %d times", i, n)
+		}
+	}
 }

@@ -21,12 +21,12 @@ func TestCallWithDeadlineSuccess(t *testing.T) {
 		}
 		arg := NewEnc(8)
 		arg.U64(77)
-		res, err := echo.CallWithDeadline(c, 1, arg.Bytes(), sim.Micros(1000))
+		res, err := echo.CallWithDeadline(c, 1, arg, sim.Micros(1000))
 		if err != nil {
 			t.Errorf("deadline call failed: %v", err)
 			return
 		}
-		if NewDec(res).U64() != 77 {
+		if NewDec(res.Bytes()).U64() != 77 {
 			t.Errorf("wrong reply")
 		}
 	})
@@ -138,10 +138,10 @@ func TestCallIdempotentRecoversAfterPartition(t *testing.T) {
 		}
 		arg := NewEnc(8)
 		arg.U64(5)
-		res, err := echo.CallIdempotent(c, 1, arg.Bytes(), sim.Micros(150), 5)
+		res, err := echo.CallIdempotent(c, 1, arg, sim.Micros(150), 5)
 		if err != nil {
 			t.Errorf("call through healed partition failed: %v", err)
-		} else if NewDec(res).U64() != 5 {
+		} else if NewDec(res.Bytes()).U64() != 5 {
 			t.Errorf("wrong reply")
 		}
 		stop.CallAsync(c, 1, nil)

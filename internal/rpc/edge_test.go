@@ -29,7 +29,8 @@ func TestConcurrentOutstandingCalls(t *testing.T) {
 			ts = append(ts, c.S.Create(c, "w", false, func(cc threads.Ctx) {
 				arg := NewEnc(8)
 				arg.U64(uint64(1000 + w))
-				rep := NewDec(echo.Call(cc, 1, arg.Bytes()))
+				res := echo.Call(cc, 1, arg)
+				rep := NewDec(res.Bytes())
 				results[w] = rep.U64()
 			}))
 		}

@@ -40,12 +40,12 @@ func TestCallIdempotentDuplicatedReplies(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			arg := NewEnc(8)
 			arg.U64(uint64(100 + i))
-			res, err := echo.CallIdempotent(c, 1, arg.Bytes(), sim.Micros(500), 4)
+			res, err := echo.CallIdempotent(c, 1, arg, sim.Micros(500), 4)
 			if err != nil {
 				t.Errorf("call %d failed: %v", i, err)
 				break
 			}
-			if got := NewDec(res).U64(); got != uint64(100+i) {
+			if got := NewDec(res.Bytes()).U64(); got != uint64(100+i) {
 				t.Errorf("call %d: reply %d — a duplicate was mis-delivered", i, got)
 			}
 		}
@@ -136,17 +136,17 @@ func TestLateReplyAfterGiveUpNotMisdelivered(t *testing.T) {
 		}
 		argA := NewEnc(8)
 		argA.U64(111)
-		if _, err := slow.CallIdempotent(c, 1, argA.Bytes(), sim.Micros(100), 2); !errors.Is(err, ErrDeadline) {
+		if _, err := slow.CallIdempotent(c, 1, argA, sim.Micros(100), 2); !errors.Is(err, ErrDeadline) {
 			t.Errorf("slow call: err = %v, want ErrDeadline", err)
 		}
 		// Both abandoned attempts are still executing on the server; their
 		// replies will arrive while this next call is waiting.
 		argB := NewEnc(8)
 		argB.U64(222)
-		res, err := echo.CallWithDeadline(c, 1, argB.Bytes(), sim.Micros(5000))
+		res, err := echo.CallWithDeadline(c, 1, argB, sim.Micros(5000))
 		if err != nil {
 			t.Errorf("live call failed: %v", err)
-		} else if got := NewDec(res).U64(); got != 222 {
+		} else if got := NewDec(res.Bytes()).U64(); got != 222 {
 			t.Errorf("live call resolved with %d — an abandoned attempt's reply", got)
 		}
 		stop.CallAsync(c, 1, nil)
@@ -199,7 +199,7 @@ func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: oldID, Payload: []byte{9}})
 		rt.handleNack(c, &cm5.Packet{Dst: 0, W0: oldID})
 		c.S.Sleep(c, sim.Micros(100)) // past the previous tenant's deadline
-		if cur.flag.IsSet() || cur.msg != nil || cur.nacked || cur.timedOut {
+		if cur.flag.IsSet() || len(cur.msg.Bytes()) != 0 || cur.nacked || cur.timedOut {
 			t.Fatalf("a stale resolver reached the new call: %+v", cur)
 		}
 		if got := rt.StaleReplies(); got != 2 {
@@ -208,13 +208,13 @@ func TestRecycledCallRecordIgnoresStaleResolvers(t *testing.T) {
 		// An id whose slot this node never made is stale too, not a crash.
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id + 1})
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{7}})
-		if !cur.flag.IsSet() || len(cur.msg) != 1 || cur.msg[0] != 7 {
+		if !cur.flag.IsSet() || len(cur.msg.Bytes()) != 1 || cur.msg.Bytes()[0] != 7 {
 			t.Fatalf("the new call's own reply did not resolve it: %+v", cur)
 		}
 		// A duplicate of that reply finds the call already answered.
 		rt.handleReply(c, &cm5.Packet{Dst: 0, W0: cur.id, Payload: []byte{8}})
-		if cur.msg[0] != 7 || rt.StaleReplies() != 4 {
-			t.Fatalf("duplicate reply: reply %v, StaleReplies %d", cur.msg, rt.StaleReplies())
+		if cur.msg.Bytes()[0] != 7 || rt.StaleReplies() != 4 {
+			t.Fatalf("duplicate reply: reply %v, StaleReplies %d", cur.msg.Bytes(), rt.StaleReplies())
 		}
 		ns.end(cur)
 	})

@@ -96,8 +96,9 @@ type nodeState struct {
 
 // call is one attempt of a call: its client stub in progress, then, if
 // synchronous, the outstanding attempt. Records are recycled on their
-// node's free list, and each is its own deadline timer's action (Run), so
-// steady-state calls allocate nothing here.
+// node's free list, each is its own deadline timer's action (Run), and
+// each holds its request and reply by value, so steady-state calls
+// allocate nothing here.
 //
 // A call id is (attempt sequence number << slotBits | slot): the slot
 // finds the record without a table lookup, and the sequence number tells
@@ -107,7 +108,7 @@ type nodeState struct {
 type call struct {
 	id    uint64 // the attempt in flight; its slot alone until begun, and while idle
 	flag  threads.Flag
-	msg   []byte // the request until the stub sends it, then the reply
+	msg   cm5.Record // the request until the stub sends it, then the reply
 	timer sim.Timer
 	next  *call // free-list link
 	// The stub, for Continue: whose, on which node's CPU, to whom, by when
@@ -137,8 +138,8 @@ func (rt *Runtime) node(i int) *nodeState {
 }
 
 // take takes an idle call record, or makes one, for pr's stub: c calls
-// server with arg.
-func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg []byte) *call {
+// server with arg (nil: an empty record).
+func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg *Enc) *call {
 	cl := ns.free
 	if cl != nil {
 		ns.free = cl.next
@@ -150,7 +151,10 @@ func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg []byte) *call
 		cl = &call{id: uint64(len(ns.slots)) + 1}
 		ns.slots = append(ns.slots, cl)
 	}
-	cl.proc, cl.s, cl.server, cl.msg = pr, c.S, int32(server), arg
+	cl.proc, cl.s, cl.server = pr, c.S, int32(server)
+	if arg != nil {
+		cl.msg = arg.rec
+	}
 	return cl
 }
 
@@ -179,11 +183,11 @@ func (cl *call) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 		}
 		id, k = cl.id, (*replyWait)(cl)
 	}
-	arg := cl.msg
-	cl.msg = nil
 	ep := pr.rt.u.Endpoint(me)
-	bulk := len(arg) > pr.rt.u.Machine().Cost().MaxPayload
-	return ep.SendThen(p, ep.Packet(int(cl.server), pr.h, bulk, [4]uint64{id}, arg), k)
+	arg := cl.msg.Bytes()
+	pkt := ep.Packet(int(cl.server), pr.h, len(arg) > cm5.MaxPayload, [4]uint64{id}, arg)
+	cl.msg = cm5.Record{}
+	return ep.SendThen(p, pkt, k)
 }
 
 // replyWait is a call seen as the sim.Continuation that waits for its reply.
@@ -274,7 +278,7 @@ func (rt *Runtime) dispatcher(async bool) *oam.Dispatcher {
 
 func (rt *Runtime) handleReply(c threads.Ctx, pkt *cm5.Packet) {
 	if cl := rt.resolving(c, pkt); cl != nil {
-		cl.msg = pkt.Payload
+		cl.msg.Set(pkt.Payload)
 		cl.flag.Set()
 	}
 }
@@ -340,9 +344,15 @@ func (s *ProcStats) SuccessPercent() float64 {
 // Impl is the server-side body of a remote procedure. It runs against e
 // (optimistically or as a thread, depending on mode and luck), with
 // caller identifying the client node. arg is the marshaled argument
-// record; the returned record is marshaled results (ignored for
-// asynchronous procedures).
+// record, valid until the execution ends (a small one lives in e); the
+// returned record is marshaled results (ignored for asynchronous
+// procedures), which Result keeps in e.
 type Impl func(e *oam.Env, caller int, arg []byte) []byte
+
+// Result hands enc to e as its execution's result record and returns the
+// record, for an Impl to return: a small one then rides in e, not on the
+// heap.
+func Result(e *oam.Env, enc *Enc) []byte { return e.Result(&enc.rec) }
 
 // Proc is a defined remote procedure. Counters are kept per node (the
 // node whose context increments them) so client and server sides never
@@ -506,7 +516,7 @@ func (p *Proc) settled(c threads.Ctx, f oam.Frame, outcome oam.Outcome, _ oam.Re
 // sendReply routes the result record back to the caller, using the bulk
 // path when it does not fit an Active Message packet.
 func (p *Proc) sendReply(e *oam.Env, caller int, callID uint64, res []byte) {
-	if len(res) <= p.rt.u.Machine().Cost().MaxPayload {
+	if len(res) <= cm5.MaxPayload {
 		e.Send(caller, p.rt.replyH, [4]uint64{callID}, res)
 	} else {
 		e.SendBulk(caller, p.rt.replyH, [4]uint64{callID}, res)
@@ -514,9 +524,10 @@ func (p *Proc) sendReply(e *oam.Env, caller int, callID uint64, res []byte) {
 }
 
 // Call performs a synchronous remote procedure call from a thread context
-// and returns the marshaled result record. If the server nacks, Call
-// backs off and retries transparently.
-func (p *Proc) Call(c threads.Ctx, server int, arg []byte) []byte {
+// with the marshaled argument record arg (nil: empty), which it copies,
+// and returns the marshaled result record. If the server nacks, Call backs
+// off and retries transparently.
+func (p *Proc) Call(c threads.Ctx, server int, arg *Enc) Enc {
 	res, _ := p.call(c, server, arg, 0)
 	return res
 }
@@ -541,7 +552,7 @@ func nextBackoff(cur, max sim.Duration) sim.Duration {
 // The deadline is best effort in one direction only: a timed-out call may
 // still have executed on the server (the reply, not the request, may be
 // what was lost). Use CallIdempotent when re-execution is safe.
-func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg []byte, timeout sim.Duration) ([]byte, error) {
+func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (Enc, error) {
 	if timeout <= 0 {
 		panic(fmt.Sprintf("rpc: non-positive deadline for %q", p.name))
 	}
@@ -549,7 +560,7 @@ func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg []byte, timeout s
 }
 
 // call is the client side of a synchronous call; timeout 0 means none.
-func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration) ([]byte, error) {
+func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (Enc, error) {
 	if p.async {
 		panic(fmt.Sprintf("rpc: synchronous Call of asynchronous procedure %q", p.name))
 	}
@@ -583,7 +594,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 			if rt.probe != nil {
 				rt.probe.CallEnd(c.P.Now(), me, p.name, false, retries)
 			}
-			return reply, nil
+			return Enc{reply}, nil
 		}
 		if nacked {
 			// Nacked: back off (bounded exponential) and retry.
@@ -599,7 +610,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 		if rt.probe != nil {
 			rt.probe.CallEnd(c.P.Now(), me, p.name, true, retries)
 		}
-		return nil, ErrDeadline
+		return Enc{}, ErrDeadline
 	}
 }
 
@@ -611,25 +622,25 @@ func (p *Proc) call(c threads.Ctx, server int, arg []byte, timeout sim.Duration)
 // Every attempt uses a fresh call id, so a reply to an abandoned attempt
 // that surfaces later (healed partition, duplicated packet) is counted in
 // StaleReplies and dropped — it can never resolve a subsequent call.
-func (p *Proc) CallIdempotent(c threads.Ctx, server int, arg []byte, per sim.Duration, attempts int) ([]byte, error) {
+func (p *Proc) CallIdempotent(c threads.Ctx, server int, arg *Enc, per sim.Duration, attempts int) (Enc, error) {
 	if attempts < 1 {
 		panic(fmt.Sprintf("rpc: CallIdempotent of %q with %d attempts", p.name, attempts))
 	}
 	var err error
 	for i := 0; i < attempts; i++ {
-		var res []byte
+		var res Enc
 		res, err = p.CallWithDeadline(c, server, arg, per)
 		if err == nil {
 			return res, nil
 		}
 	}
 	p.stats[c.Node().ID()].GiveUps++
-	return nil, err
+	return Enc{}, err
 }
 
 // CallAsync fires an asynchronous call and returns as soon as the request
 // has been injected into the network.
-func (p *Proc) CallAsync(c threads.Ctx, server int, arg []byte) {
+func (p *Proc) CallAsync(c threads.Ctx, server int, arg *Enc) {
 	if !p.async {
 		panic(fmt.Sprintf("rpc: CallAsync of synchronous procedure %q", p.name))
 	}

@@ -113,7 +113,8 @@ func TestArgsAndResults(t *testing.T) {
 		arg := NewEnc(16)
 		arg.I64(40)
 		arg.I64(2)
-		rep := NewDec(add.Call(c, 1, arg.Bytes()))
+		res := add.Call(c, 1, arg)
+		rep := NewDec(res.Bytes())
 		if got := rep.I64(); got != 42 {
 			t.Errorf("add = %d, want 42", got)
 		}
@@ -148,7 +149,8 @@ func TestBulkArgs(t *testing.T) {
 		}
 		arg := NewEnc(len(data) + 4)
 		arg.Buf(data)
-		rep := NewDec(rev.Call(c, 1, arg.Bytes()))
+		res := rev.Call(c, 1, arg)
+		rep := NewDec(res.Bytes())
 		out := rep.Buf()
 		for i := range out {
 			if out[i] != data[len(data)-1-i] {
@@ -180,7 +182,7 @@ func TestAsyncCall(t *testing.T) {
 		for i := uint64(0); i < 10; i++ {
 			arg := NewEnc(8)
 			arg.U64(i)
-			sink.CallAsync(c, 1, arg.Bytes())
+			sink.CallAsync(c, 1, arg)
 		}
 	})
 	if err != nil {
@@ -235,7 +237,8 @@ func TestBlockingProcPromotes(t *testing.T) {
 				mu.Unlock(c)
 				return
 			}
-			rep := NewDec(get.Call(c, 1, nil))
+			res := get.Call(c, 1, nil)
+			rep := NewDec(res.Bytes())
 			if rep.U64() != 77 {
 				t.Errorf("%v: wrong reply", mode)
 			}
@@ -375,7 +378,8 @@ func TestCallToSelf(t *testing.T) {
 		}
 		arg := NewEnc(8)
 		arg.U64(99)
-		rep := NewDec(echo.Call(c, 0, arg.Bytes()))
+		res := echo.Call(c, 0, arg)
+		rep := NewDec(res.Bytes())
 		if rep.U64() != 99 {
 			t.Errorf("self echo = %d", rep.U64())
 		}
@@ -409,7 +413,7 @@ func TestRPCDeterminism(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				arg := NewEnc(8)
 				arg.U64(uint64(node*100 + i))
-				add.Call(c, 0, arg.Bytes())
+				add.Call(c, 0, arg)
 			}
 		})
 		if err != nil {

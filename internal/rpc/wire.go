@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/cm5"
 )
 
 // The wire format is little-endian with no self-description: the stub
@@ -13,18 +15,25 @@ import (
 // uint32, mirroring the paper's rule that a buffer argument carries an
 // explicit size argument.
 
-// Enc builds a marshaled argument or result record.
+// Enc builds a marshaled argument or result record. It is a value: a
+// record of cm5.MaxPayload bytes or less is written into the Enc itself,
+// so an Enc on a stub's stack allocates nothing, and a longer one spills
+// to one heap buffer. The zero Enc is an empty record.
 type Enc struct {
-	buf []byte
+	rec cm5.Record
 }
 
 // NewEnc returns an encoder with capacity for n bytes.
-func NewEnc(n int) *Enc { return &Enc{buf: make([]byte, 0, n)} }
+func NewEnc(n int) *Enc {
+	e := &Enc{}
+	e.rec.Grow(n)
+	return e
+}
 
-// Bytes returns the marshaled record.
-func (e *Enc) Bytes() []byte { return e.buf }
+// Bytes returns the marshaled record; a small one aliases e.
+func (e *Enc) Bytes() []byte { return e.rec.Bytes() }
 
-func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) U8(v uint8) { e.rec.Extend(1)[0] = v }
 func (e *Enc) Bool(v bool) {
 	if v {
 		e.U8(1)
@@ -32,8 +41,8 @@ func (e *Enc) Bool(v bool) {
 		e.U8(0)
 	}
 }
-func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Enc) U32(v uint32) { binary.LittleEndian.PutUint32(e.rec.Extend(4), v) }
+func (e *Enc) U64(v uint64) { binary.LittleEndian.PutUint64(e.rec.Extend(8), v) }
 func (e *Enc) I32(v int32)  { e.U32(uint32(v)) }
 func (e *Enc) I64(v int64)  { e.U64(uint64(v)) }
 func (e *Enc) F32(v float32) {
@@ -46,36 +55,39 @@ func (e *Enc) F64(v float64) {
 // Buf appends a length-prefixed byte buffer.
 func (e *Enc) Buf(v []byte) {
 	e.U32(uint32(len(v)))
-	e.buf = append(e.buf, v...)
+	copy(e.rec.Extend(len(v)), v)
 }
 
 // String appends a length-prefixed string.
 func (e *Enc) String(v string) {
 	e.U32(uint32(len(v)))
-	e.buf = append(e.buf, v...)
+	copy(e.rec.Extend(len(v)), v)
 }
 
 // F64s appends a length-prefixed []float64 buffer.
 func (e *Enc) F64s(v []float64) {
 	e.U32(uint32(len(v)))
-	for _, f := range v {
-		e.F64(f)
+	b := e.rec.Extend(8 * len(v))
+	for i, f := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
 	}
 }
 
 // I32s appends a length-prefixed []int32 buffer.
 func (e *Enc) I32s(v []int32) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I32(x)
+	b := e.rec.Extend(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
 // U64s appends a length-prefixed []uint64 buffer.
 func (e *Enc) U64s(v []uint64) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U64(x)
+	b := e.rec.Extend(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
@@ -125,15 +137,13 @@ func (d *Dec) F64() float64 {
 	return math.Float64frombits(d.U64())
 }
 
-// Buf reads a length-prefixed byte buffer. The returned slice aliases the
-// record; callers must treat it as immutable.
-func (d *Dec) Buf() []byte {
-	n := int(d.U32())
-	return d.need(n)
-}
+// Buf reads a length-prefixed byte buffer into a slice of its own: a
+// small record lives in a packet, an oam.Env or a caller's Enc, none of
+// which outlives the call.
+func (d *Dec) Buf() []byte { return append([]byte(nil), d.need(int(d.U32()))...) }
 
 // String reads a length-prefixed string.
-func (d *Dec) String() string { return string(d.Buf()) }
+func (d *Dec) String() string { return string(d.need(int(d.U32()))) }
 
 // F64s reads a length-prefixed []float64 buffer.
 func (d *Dec) F64s() []float64 {

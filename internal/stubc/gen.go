@@ -213,7 +213,7 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "\t\t%s := %s\n", names(p.Outs, "r_"), callExpr)
 		fmt.Fprintf(b, "\t\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Outs, "r_"))
 		g.genMarshal(b, "enc", p.Outs, "r_")
-		fmt.Fprintf(b, "\t\treturn enc.Bytes()\n")
+		fmt.Fprintf(b, "\t\treturn rpc.Result(e, enc)\n")
 	} else {
 		fmt.Fprintf(b, "\t\t%s\n", callExpr)
 		fmt.Fprintf(b, "\t\treturn nil\n")
@@ -229,7 +229,7 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 			p.Name, prependComma(g.goSig(p.Ins)))
 		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
 		g.genMarshal(b, "enc", p.Ins, "")
-		fmt.Fprintf(b, "\th.p.CallAsync(c, server, enc.Bytes())\n")
+		fmt.Fprintf(b, "\th.p.CallAsync(c, server, enc)\n")
 		fmt.Fprintf(b, "}\n\n")
 	} else {
 		fmt.Fprintf(b, "// Call invokes %s on node server and blocks for the reply.\n", p.Name)
@@ -241,12 +241,13 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
 		g.genMarshal(b, "enc", p.Ins, "")
 		if len(p.Outs) > 0 {
-			fmt.Fprintf(b, "\trep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))\n")
-			g.genUnmarshal(b, "rep", p.Outs, "r_")
-			fmt.Fprintf(b, "\trep.Done()\n")
+			fmt.Fprintf(b, "\trep := h.p.Call(c, server, enc)\n")
+			fmt.Fprintf(b, "\tdec := rpc.NewDec(rep.Bytes())\n")
+			g.genUnmarshal(b, "dec", p.Outs, "r_")
+			fmt.Fprintf(b, "\tdec.Done()\n")
 			fmt.Fprintf(b, "\treturn %s\n", names(p.Outs, "r_"))
 		} else {
-			fmt.Fprintf(b, "\th.p.Call(c, server, enc.Bytes())\n")
+			fmt.Fprintf(b, "\th.p.Call(c, server, enc)\n")
 		}
 		fmt.Fprintf(b, "}\n\n")
 
@@ -269,15 +270,15 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
 		g.genMarshal(b, "enc", p.Ins, "")
 		if len(p.Outs) > 0 {
-			fmt.Fprintf(b, "\trep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)\n")
+			fmt.Fprintf(b, "\trep, err := h.p.CallIdempotent(c, server, enc, per, attempts)\n")
 			fmt.Fprintf(b, "\tif err != nil {\n")
 			fmt.Fprintf(b, "\t\treturn\n")
 			fmt.Fprintf(b, "\t}\n")
-			fmt.Fprintf(b, "\tdec := rpc.NewDec(rep)\n")
+			fmt.Fprintf(b, "\tdec := rpc.NewDec(rep.Bytes())\n")
 			g.genUnmarshalOp(b, "dec", p.Outs, "r_", "=")
 			fmt.Fprintf(b, "\tdec.Done()\n")
 		} else {
-			fmt.Fprintf(b, "\t_, err = h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)\n")
+			fmt.Fprintf(b, "\t_, err = h.p.CallIdempotent(c, server, enc, per, attempts)\n")
 		}
 		fmt.Fprintf(b, "\treturn\n")
 		fmt.Fprintf(b, "}\n\n")

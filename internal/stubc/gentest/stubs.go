@@ -83,7 +83,7 @@ func DefineEcho(rt *rpc.Runtime, impl EchoImpl) EchoProc {
 		enc.U64(r_ou64)
 		enc.F32(r_of32)
 		enc.F64(r_of64)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return EchoProc{p}
 }
@@ -98,15 +98,16 @@ func (h EchoProc) Call(c threads.Ctx, server int, b bool, i32 int32, i64 int64, 
 	enc.U64(u64)
 	enc.F32(f32)
 	enc.F64(f64)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_ob := rep.Bool()
-	r_oi32 := rep.I32()
-	r_oi64 := rep.I64()
-	r_ou32 := rep.U32()
-	r_ou64 := rep.U64()
-	r_of32 := rep.F32()
-	r_of64 := rep.F64()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_ob := dec.Bool()
+	r_oi32 := dec.I32()
+	r_oi64 := dec.I64()
+	r_ou32 := dec.U32()
+	r_ou64 := dec.U64()
+	r_of32 := dec.F32()
+	r_of64 := dec.F64()
+	dec.Done()
 	return r_ob, r_oi32, r_oi64, r_ou32, r_ou64, r_of32, r_of64
 }
 
@@ -123,11 +124,11 @@ func (h EchoProc) CallIdempotent(c threads.Ctx, server int, b bool, i32 int32, i
 	enc.U64(u64)
 	enc.F32(f32)
 	enc.F64(f64)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_ob = dec.Bool()
 	r_oi32 = dec.I32()
 	r_oi64 = dec.I64()
@@ -166,7 +167,7 @@ func DefineBuffers(rt *rpc.Runtime, impl BuffersImpl) BuffersProc {
 		enc.F64s(r_ofs)
 		enc.I32s(r_ois)
 		enc.U64s(r_ous)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return BuffersProc{p}
 }
@@ -179,13 +180,14 @@ func (h BuffersProc) Call(c threads.Ctx, server int, raw []byte, s string, fs []
 	enc.F64s(fs)
 	enc.I32s(is)
 	enc.U64s(us)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_oraw := rep.Buf()
-	r_os := rep.String()
-	r_ofs := rep.F64s()
-	r_ois := rep.I32s()
-	r_ous := rep.U64s()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_oraw := dec.Buf()
+	r_os := dec.String()
+	r_ofs := dec.F64s()
+	r_ois := dec.I32s()
+	r_ous := dec.U64s()
+	dec.Done()
 	return r_oraw, r_os, r_ofs, r_ois, r_ous
 }
 
@@ -200,11 +202,11 @@ func (h BuffersProc) CallIdempotent(c threads.Ctx, server int, raw []byte, s str
 	enc.F64s(fs)
 	enc.I32s(is)
 	enc.U64s(us)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_oraw = dec.Buf()
 	r_os = dec.String()
 	r_ofs = dec.F64s()
@@ -232,7 +234,7 @@ func DefineNoArgs(rt *rpc.Runtime, impl NoArgsImpl) NoArgsProc {
 		r_x := impl(e, caller)
 		enc := rpc.NewEnc(8)
 		enc.I64(r_x)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return NoArgsProc{p}
 }
@@ -240,9 +242,10 @@ func DefineNoArgs(rt *rpc.Runtime, impl NoArgsImpl) NoArgsProc {
 // Call invokes NoArgs on node server and blocks for the reply.
 func (h NoArgsProc) Call(c threads.Ctx, server int) int64 {
 	enc := rpc.NewEnc(0)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_x := rep.I64()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_x := dec.I64()
+	dec.Done()
 	return r_x
 }
 
@@ -252,11 +255,11 @@ func (h NoArgsProc) Call(c threads.Ctx, server int) int64 {
 // error the results are zero values.
 func (h NoArgsProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (r_x int64, err error) {
 	enc := rpc.NewEnc(0)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_x = dec.I64()
 	dec.Done()
 	return
@@ -288,7 +291,7 @@ func DefineNoResults(rt *rpc.Runtime, impl NoResultsImpl) NoResultsProc {
 func (h NoResultsProc) Call(c threads.Ctx, server int, x int64) {
 	enc := rpc.NewEnc(8)
 	enc.I64(x)
-	h.p.Call(c, server, enc.Bytes())
+	h.p.Call(c, server, enc)
 }
 
 // CallIdempotent invokes NoResults on node server with a per-attempt
@@ -298,7 +301,7 @@ func (h NoResultsProc) Call(c threads.Ctx, server int, x int64) {
 func (h NoResultsProc) CallIdempotent(c threads.Ctx, server int, x int64, per sim.Duration, attempts int) (err error) {
 	enc := rpc.NewEnc(8)
 	enc.I64(x)
-	_, err = h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	_, err = h.p.CallIdempotent(c, server, enc, per, attempts)
 	return
 }
 
@@ -326,7 +329,7 @@ func DefineNothing(rt *rpc.Runtime, impl NothingImpl) NothingProc {
 // Call invokes Nothing on node server and blocks for the reply.
 func (h NothingProc) Call(c threads.Ctx, server int) {
 	enc := rpc.NewEnc(0)
-	h.p.Call(c, server, enc.Bytes())
+	h.p.Call(c, server, enc)
 }
 
 // CallIdempotent invokes Nothing on node server with a per-attempt
@@ -335,7 +338,7 @@ func (h NothingProc) Call(c threads.Ctx, server int) {
 // error the results are zero values.
 func (h NothingProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (err error) {
 	enc := rpc.NewEnc(0)
-	_, err = h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	_, err = h.p.CallIdempotent(c, server, enc, per, attempts)
 	return
 }
 
@@ -365,7 +368,7 @@ func DefineFire(rt *rpc.Runtime, impl FireImpl) FireProc {
 func (h FireProc) CallAsync(c threads.Ctx, server int, tag uint64) {
 	enc := rpc.NewEnc(8)
 	enc.U64(tag)
-	h.p.CallAsync(c, server, enc.Bytes())
+	h.p.CallAsync(c, server, enc)
 }
 
 // Stats returns Fire's counters (the termination routine's report).
@@ -388,7 +391,7 @@ func DefineDot(rt *rpc.Runtime, impl DotImpl) DotProc {
 		r_d := impl(e, caller, a_a, a_b)
 		enc := rpc.NewEnc(8)
 		enc.F64(r_d)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return DotProc{p}
 }
@@ -398,9 +401,10 @@ func (h DotProc) Call(c threads.Ctx, server int, a Vec, b Vec) float64 {
 	enc := rpc.NewEnc(48)
 	encVec(enc, a)
 	encVec(enc, b)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_d := rep.F64()
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_d := dec.F64()
+	dec.Done()
 	return r_d
 }
 
@@ -412,11 +416,11 @@ func (h DotProc) CallIdempotent(c threads.Ctx, server int, a Vec, b Vec, per sim
 	enc := rpc.NewEnc(48)
 	encVec(enc, a)
 	encVec(enc, b)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_d = dec.F64()
 	dec.Done()
 	return
@@ -441,7 +445,7 @@ func DefineTag(rt *rpc.Runtime, impl TagImpl) TagProc {
 		r_out := impl(e, caller, a_r)
 		enc := rpc.NewEnc(16 + len(r_out.Label) + len(r_out.Payload))
 		encRecord(enc, r_out)
-		return enc.Bytes()
+		return rpc.Result(e, enc)
 	})
 	return TagProc{p}
 }
@@ -450,9 +454,10 @@ func DefineTag(rt *rpc.Runtime, impl TagImpl) TagProc {
 func (h TagProc) Call(c threads.Ctx, server int, r Record) Record {
 	enc := rpc.NewEnc(16 + len(r.Label) + len(r.Payload))
 	encRecord(enc, r)
-	rep := rpc.NewDec(h.p.Call(c, server, enc.Bytes()))
-	r_out := decRecord(rep)
-	rep.Done()
+	rep := h.p.Call(c, server, enc)
+	dec := rpc.NewDec(rep.Bytes())
+	r_out := decRecord(dec)
+	dec.Done()
 	return r_out
 }
 
@@ -463,11 +468,11 @@ func (h TagProc) Call(c threads.Ctx, server int, r Record) Record {
 func (h TagProc) CallIdempotent(c threads.Ctx, server int, r Record, per sim.Duration, attempts int) (r_out Record, err error) {
 	enc := rpc.NewEnc(16 + len(r.Label) + len(r.Payload))
 	encRecord(enc, r)
-	rep, err := h.p.CallIdempotent(c, server, enc.Bytes(), per, attempts)
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
 	if err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep)
+	dec := rpc.NewDec(rep.Bytes())
 	r_out = decRecord(dec)
 	dec.Done()
 	return
