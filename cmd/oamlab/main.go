@@ -56,7 +56,7 @@
 // bit-identical to the sequential kernel at any value of either flag; the
 // harness automatically shrinks -par so cells x shards never exceeds
 // GOMAXPROCS. The observed trace/metrics subcommands need the
-// single-threaded kernel (their probes are not shard-safe) and reject
+// single-threaded kernel (their collector is not shard-safe) and reject
 // -shards N rather than ignore it.
 //
 // -cores gives every simulated node K cores: services that declare a
@@ -291,7 +291,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// they consume the rest of the command line.
 	if names[0] == "trace" || names[0] == "metrics" {
 		if *shards != 0 && *shards != 1 {
-			fmt.Fprintf(stderr, "oamlab: %s runs on the sequential kernel only (its probes are not shard-safe); drop -shards %d\n",
+			fmt.Fprintf(stderr, "oamlab: %s runs on the sequential kernel only (its collector is not shard-safe); drop -shards %d\n",
 				names[0], *shards)
 			return 2
 		}

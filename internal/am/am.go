@@ -49,7 +49,6 @@ type Universe struct {
 	names     []string
 	atomic    []bool // per handler: registered with RegisterAtomic
 	transport Transport
-	probe     Probe
 	out       []handoff // one per engine shard
 }
 
@@ -62,20 +61,16 @@ type handoff struct {
 	k   sim.Continuation
 }
 
-// Probe observes handler dispatch. Probes are pure observers — they must
-// not schedule events or charge virtual time; the hooks are skipped when
-// no probe is installed, keeping the disabled path allocation-free.
-type Probe interface {
-	// HandlerStart fires after the dispatch overhead is charged, just
-	// before the handler body runs; depth is the nesting level (1 = not
-	// nested inside another handler).
-	HandlerStart(t sim.Time, node int, h HandlerID, depth int)
-	// HandlerEnd fires when the handler body returns.
-	HandlerEnd(t sim.Time, node int, h HandlerID, depth int)
-}
-
-// SetProbe installs a dispatch probe; pass nil to disable.
-func (u *Universe) SetProbe(p Probe) { u.probe = p }
+// The dispatcher's records (sim.LayerAM): a handler run on Node, by Proc.
+// ID is the handler, N the nesting depth (1 = not nested inside another
+// handler).
+const (
+	// RecHandlerStart: the dispatch overhead is charged and the body is
+	// about to run.
+	RecHandlerStart sim.Kind = iota
+	// RecHandlerEnd: the body returned.
+	RecHandlerEnd
+)
 
 // NewUniverse builds an n-node machine whose schedulers and Active
 // Message endpoints materialize on first touch: Endpoint(i)/Scheduler(i)
@@ -327,8 +322,8 @@ func (ep *Endpoint) Poll(c threads.Ctx) bool {
 // poll of an empty queue is then a foregone conclusion, and a stretch of
 // them is one cm5.Node.WaitPacket: same virtual time and counters, no host
 // work. A message that never arrives leaves the engine quiescent and SPMD
-// reports the node as polling — except under a sim tracer or probe, where
-// the wait really steps and never ends. A loop whose body does more than
+// reports the node as polling — except under a sim.Sink, where the wait
+// really steps and never ends. A loop whose body does more than
 // poll (poll-and-yield: the ready queue is a second wake source) stays a
 // loop.
 func (ep *Endpoint) PollUntil(c threads.Ctx, done func() bool) {
@@ -383,15 +378,16 @@ func (ep *Endpoint) Run(c threads.Ctx, pkt *cm5.Packet) {
 	ep.stats.MaxDepth = max(ep.stats.MaxDepth, depth)
 	ep.stats.HandlersRun++
 	start := c.P.Now()
-	if ep.u.probe != nil {
-		ep.u.probe.HandlerStart(start, ep.node.ID(), HandlerID(pkt.Handler), depth)
+	k := c.P.Shard().Sink()
+	if k != nil {
+		k.Observe(sim.Record{T: start, Layer: sim.LayerAM, Kind: RecHandlerStart, Node: ep.node.ID(), Proc: c.P, ID: uint64(pkt.Handler), N: depth})
 	}
 	h(hc, pkt)
 	// Nested dispatches (drains inside sends) double-count into their
 	// enclosing handler's window; MaxDepth reports when that happens.
 	ep.stats.HandlerTime += c.P.Now().Sub(start)
-	if ep.u.probe != nil {
-		ep.u.probe.HandlerEnd(c.P.Now(), ep.node.ID(), HandlerID(pkt.Handler), depth)
+	if k != nil {
+		k.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerAM, Kind: RecHandlerEnd, Node: ep.node.ID(), Proc: c.P, ID: uint64(pkt.Handler), N: depth})
 	}
 	ep.depth--
 }

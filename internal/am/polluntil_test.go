@@ -43,13 +43,14 @@ func TestPollUntilLostReply(t *testing.T) {
 }
 
 // handlerStarts records when and where every handler began: the schedule
-// of the program as its messages saw it.
+// of the program as its messages saw it. Each handler notes its start
+// first thing, where the dispatcher emits RecHandlerStart: a sink would
+// make PollUntil step through its wait, which is what it is compared with.
 type handlerStarts []string
 
-func (hs *handlerStarts) HandlerStart(t sim.Time, node int, h HandlerID, depth int) {
-	*hs = append(*hs, fmt.Sprintf("%v n%d h%d d%d", t, node, h, depth))
+func (hs *handlerStarts) note(c threads.Ctx, u *Universe, pkt *cm5.Packet) {
+	*hs = append(*hs, fmt.Sprintf("%v n%d h%d d%d", c.P.Now(), pkt.Dst, pkt.Handler, u.Endpoint(pkt.Dst).depth))
 }
-func (hs *handlerStarts) HandlerEnd(sim.Time, int, HandlerID, int) {}
 
 // TestPollUntilMatchesHandLoop runs one 4-node program twice — its waits
 // written out as the loop PollUntil replaces, then as PollUntil — and
@@ -69,10 +70,10 @@ func TestPollUntilMatchesHandLoop(t *testing.T) {
 		const nodes, rounds = 4, 6
 		u := universe(t, nodes, nil)
 		var out outcome
-		u.SetProbe(&out.starts)
 		replies := make([]int, nodes)
 		var reply HandlerID
 		req := u.Register("req", func(c threads.Ctx, pkt *cm5.Packet) {
+			out.starts.note(c, u, pkt)
 			c.P.Charge(sim.Micros(0.7))
 			me := c.Node().ID()
 			if pkt.W0%2 == 1 {
@@ -81,7 +82,10 @@ func TestPollUntilMatchesHandLoop(t *testing.T) {
 				u.Endpoint(me).Send(c, pkt.Src, reply, [4]uint64{}, nil)
 			}
 		})
-		reply = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) { replies[c.Node().ID()]++ })
+		reply = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) {
+			out.starts.note(c, u, pkt)
+			replies[c.Node().ID()]++
+		})
 		var err error
 		out.elapsed, err = u.SPMD(func(c threads.Ctx, node int) {
 			ep := u.Endpoint(node)
@@ -135,7 +139,6 @@ func TestPollDispatchIsOneSwitch(t *testing.T) {
 		const nodes, rounds = 4, 6
 		u := universe(t, nodes, func(c *cm5.CostModel) { c.NICQueueCap = 2 })
 		var out outcome
-		u.SetProbe(&out.starts)
 		send := func(c threads.Ctx, dst int, h HandlerID, w0 uint64) {
 			ep := u.Endpoint(c.Node().ID())
 			for pkt := ep.Packet(dst, h, false, [4]uint64{w0}, nil); !ep.node.TryInject(c.P, pkt); {
@@ -145,10 +148,14 @@ func TestPollDispatchIsOneSwitch(t *testing.T) {
 		replies := 0
 		var reply HandlerID
 		req := u.Register("req", func(c threads.Ctx, pkt *cm5.Packet) {
+			out.starts.note(c, u, pkt)
 			c.P.Charge(sim.Micros(0.7))
 			send(c, pkt.Src, reply, pkt.W0)
 		})
-		reply = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) { replies++ })
+		reply = u.Register("reply", func(c threads.Ctx, pkt *cm5.Packet) {
+			out.starts.note(c, u, pkt)
+			replies++
+		})
 		var err error
 		out.elapsed, err = u.SPMD(func(c threads.Ctx, node int) {
 			for r := 0; r < rounds; r++ {

@@ -42,7 +42,7 @@ func sendProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary s
 	var buf bytes.Buffer
 	u := universe(t, 3, func(c *cm5.CostModel) { c.NICQueueCap = nicCap })
 	eng := u.Machine().Engine()
-	eng.SetTracer(sim.NewWriterTracer(&buf))
+	eng.SetSink(sim.NewWriterTracer(&buf))
 	answers := make([]int, 3)
 	var answer HandlerID
 	request := u.Register("request", func(c threads.Ctx, pkt *cm5.Packet) {

@@ -57,7 +57,7 @@ type RunOptions struct {
 	Cores int
 	// Observe, if non-nil, is called once the universe and the RPC
 	// runtime (nil under hand-coded AM) are built, before the program
-	// starts, so an observer can attach its probes.
+	// starts, so an observer can install its sink.
 	Observe func(*am.Universe, *rpc.Runtime)
 }
 

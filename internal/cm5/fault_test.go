@@ -12,7 +12,7 @@ func trafficRun(t *testing.T, seed int64, jitter sim.Duration, plan *FaultPlan, 
 	t.Helper()
 	eng := sim.New(seed)
 	ht := sim.NewHashTracer()
-	eng.SetTracer(ht)
+	eng.SetSink(ht)
 	cost := DefaultCostModel()
 	cost.WireJitter = jitter
 	m := NewMachine(eng, 2, cost)

@@ -27,7 +27,7 @@ func lazyChaosRun(t *testing.T, shards int, pretouch bool) lazyChaosResult {
 	t.Helper()
 	eng := sim.NewSharded(17, shards)
 	tr := sim.NewCanonicalTracer()
-	eng.SetTracer(tr)
+	eng.SetSink(tr)
 	cost := DefaultCostModel()
 	cost.WireJitter = sim.Micros(3)
 	m := NewMachine(eng, 64, cost)

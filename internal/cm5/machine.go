@@ -21,7 +21,6 @@ type Machine struct {
 	nodes []*Node
 	ctl   *controlNetwork
 	fault *faultState // nil = perfect network (the default)
-	probe Probe       // nil = no observer (the default, allocation-free)
 
 	// shards holds the per-engine-shard slice of machine state (stats,
 	// pools, span-local reservations). Exactly one entry on a sequential
@@ -46,37 +45,27 @@ type NetStats struct {
 	MaxQueueSeen int    // high-water mark across all NIC input queues
 }
 
-// Probe observes data-network traffic: injections, wire flights, losses,
-// deliveries, and backpressure. Probes are pure observers — they must not
-// schedule events or charge virtual time. All hooks run only when a probe
-// is installed, so the disabled path stays allocation-free. Probes see
-// mid-span state from multiple goroutines under a sharded engine, so
-// they are only supported with one shard (sim.Engine.SetProbe enforces
-// the same rule for its own probes).
-type Probe interface {
-	// PacketSent fires at injection time, before the sender is charged:
-	// the sender's CPU is busy for busy, then the packet flies for wire.
-	// When the network forged a duplicate, dup is true and the copy's own
-	// flight takes dupWire.
-	PacketSent(t sim.Time, pkt *Packet, busy, wire sim.Duration, dup bool, dupWire sim.Duration)
-	// PacketLost fires when the network eats a packet (drop, partition,
-	// blackhole at send time, or a late drop into a crashed receiver).
-	PacketLost(t sim.Time, src, dst int, kind FaultKind)
-	// PacketDelivered fires when a packet lands in dst's input queue;
-	// queueDepth is the queue occupancy after the delivery.
-	PacketDelivered(t sim.Time, pkt *Packet, queueDepth int)
-	// Backpressure fires when Inject refuses a send because the
-	// destination NIC is full.
-	Backpressure(t sim.Time, src, dst int)
-}
-
-// SetProbe installs a traffic probe; pass nil to disable.
-func (m *Machine) SetProbe(p Probe) {
-	if p != nil && len(m.shards) > 1 {
-		panic("cm5: traffic probes require a sequential engine (shards=1)")
-	}
-	m.probe = p
-}
+// The data network's records (sim.LayerCM5). Node is the sending node and
+// Peer the receiving one, except for RecDelivered, which the receiver
+// emits (Node the receiver, Peer the sender).
+const (
+	// RecSent: a packet was injected, before the sender is charged; the
+	// sender's CPU is busy for A, then the packet flies for B. ID is its
+	// handler, N its payload bytes.
+	RecSent sim.Kind = iota
+	// RecDup follows RecSent when the network forged a duplicate: the
+	// copy's flight, its own wire time in B.
+	RecDup
+	// RecLost: the network ate a packet (drop, partition, blackhole at
+	// send time, or a late drop into a crashed receiver); ID is its
+	// FaultKind.
+	RecLost
+	// RecDelivered: a packet landed in the input queue, N deep after it.
+	RecDelivered
+	// RecBackpressure: Inject refused a send because the destination NIC
+	// is full.
+	RecBackpressure
+)
 
 // NewMachine creates a machine with n nodes. The nodes are partitioned
 // across the engine's shards in contiguous blocks (node i on shard
@@ -264,8 +253,8 @@ func (m *Machine) completeDelivery(pkt *Packet) {
 		dst.ms.fstats.LateDrops++
 		dst.ms.faultNode(pkt.Dst).Blackholed++
 		dst.ms.recordFault(FaultEvent{T: now, Kind: FaultLateDrop, Src: pkt.Src, Dst: pkt.Dst})
-		if m.probe != nil {
-			m.probe.PacketLost(now, pkt.Src, pkt.Dst, FaultLateDrop)
+		if k := dst.sh.Sink(); k != nil {
+			k.Observe(sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecLost, Node: pkt.Src, Peer: pkt.Dst, ID: uint64(FaultLateDrop)})
 		}
 		dst.ReleasePacket(pkt)
 		return
@@ -274,8 +263,8 @@ func (m *Machine) completeDelivery(pkt *Packet) {
 	if q := dst.nic.pending(); q > dst.ms.stats.MaxQueueSeen {
 		dst.ms.stats.MaxQueueSeen = q
 	}
-	if m.probe != nil {
-		m.probe.PacketDelivered(now, pkt, dst.nic.pending())
+	if k := dst.sh.Sink(); k != nil {
+		k.Observe(sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecDelivered, Node: pkt.Dst, Peer: pkt.Src, N: dst.nic.pending()})
 	}
 	if dst.wake != nil {
 		dst.wake()
@@ -493,8 +482,8 @@ func (n *Node) Inject(pkt *Packet, k sim.Continuation) (sim.Duration, sim.Contin
 		}
 		*n.attempts.At(pkt.Dst)++
 		n.ms.stats.FullRejects++
-		if n.m.probe != nil {
-			n.m.probe.Backpressure(n.sh.Now(), pkt.Src, pkt.Dst)
+		if k := n.sh.Sink(); k != nil {
+			k.Observe(sim.Record{T: n.sh.Now(), Layer: sim.LayerCM5, Kind: RecBackpressure, Node: pkt.Src, Peer: pkt.Dst})
 		}
 		return 0, nil, false
 	}
@@ -570,8 +559,8 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 			n.ms.faultNode(pkt.Src).Dropped++
 		}
 		n.ms.recordFault(FaultEvent{T: now, Kind: lossKind, Src: pkt.Src, Dst: pkt.Dst})
-		if n.m.probe != nil {
-			n.m.probe.PacketLost(now, pkt.Src, pkt.Dst, lossKind)
+		if k := n.sh.Sink(); k != nil {
+			k.Observe(sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecLost, Node: pkt.Src, Peer: pkt.Dst, ID: uint64(lossKind)})
 		}
 		n.ReleasePacket(pkt) // died in the network: nobody will deliver it
 		return busy, true
@@ -608,8 +597,14 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	// The sender's CPU is busy for the injection; the packet leaves at the
 	// end of that window and lands WireLatency later. The flight is a
 	// pooled typed event, not a closure: nothing on this path allocates.
-	if n.m.probe != nil {
-		n.m.probe.PacketSent(now, pkt, busy, wire, dup, dupWire)
+	if k := n.sh.Sink(); k != nil {
+		r := sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecSent, Node: pkt.Src, Peer: pkt.Dst,
+			ID: uint64(pkt.Handler), N: len(pkt.Payload), A: int64(busy), B: int64(wire)}
+		k.Observe(r)
+		if dup {
+			r.Kind, r.B = RecDup, int64(dupWire)
+			k.Observe(r)
+		}
 	}
 	in.pkt, in.wire, in.dupWire = pkt, wire, -1
 	if dup {

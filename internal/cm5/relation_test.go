@@ -37,7 +37,7 @@ func injectProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary
 	var buf bytes.Buffer
 	eng := sim.New(1)
 	t.Cleanup(eng.Shutdown)
-	eng.SetTracer(sim.NewWriterTracer(&buf))
+	eng.SetSink(sim.NewWriterTracer(&buf))
 	cost := DefaultCostModel()
 	cost.NICQueueCap = nicCap
 	m := NewMachine(eng, 3, cost)

@@ -145,7 +145,7 @@ func decodeTuple(b []byte) tuple {
 	if tp.shards == 1 {
 		tp.wide = false
 	} else if tp.observer == collected {
-		tp.observer = traced // the collector's probes are not shard-safe
+		tp.observer = traced // the collector is not shard-safe
 	}
 	return tp
 }
@@ -302,7 +302,7 @@ func (tp tuple) observe() (fingerprint, error) {
 		fired++
 		eng, noRT = u.Machine().Engine(), rt == nil
 		if tr != nil {
-			eng.SetTracer(tr)
+			eng.SetSink(tr)
 		}
 		if c != nil {
 			c.Attach(u, rt)
@@ -444,7 +444,7 @@ func TestElisionIsLive(t *testing.T) {
 		cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) {
 			eng = u.Machine().Engine()
 			if traced {
-				eng.SetTracer(sim.NewHashTracer())
+				eng.SetSink(sim.NewHashTracer())
 			}
 		}
 		if _, err := tsp.Run(apps.AM, 7, cfg); err != nil {

@@ -238,10 +238,10 @@ func KVTable(scale Scale) (*Table, error) {
 }
 
 // kvOccProbe integrates the dispatcher's multiactive core-occupancy
-// track. Rows are pre-materialized per node and each node's row is only
-// touched from its own engine shard, so the probe is shard-safe the same
-// way kvLatProbe's histogram is. The Probe half is a no-op: only the
-// MultiProbe callbacks matter here.
+// track, a filter on the engine's records. Rows are pre-materialized per
+// node and each node's row is only touched from its own engine shard,
+// where its records arrive live, so the probe is shard-safe the same way
+// kvLatProbe's histogram is.
 type kvOccProbe struct {
 	cores int
 	nodes []occWindow
@@ -261,13 +261,12 @@ func newKVOccProbe(nodes, cores int) *kvOccProbe {
 	return &kvOccProbe{cores: cores, nodes: make([]occWindow, nodes)}
 }
 
-func (p *kvOccProbe) Attempt(sim.Time, int, string, oam.Strategy) {}
-func (p *kvOccProbe) Settled(sim.Time, int, string, oam.Outcome, oam.Reason, oam.Strategy) {
-}
-func (p *kvOccProbe) CompatQueueDepth(sim.Time, int, int) {}
-
-func (p *kvOccProbe) CoreOccupancy(t sim.Time, node int, busy int) {
-	w := &p.nodes[node]
+func (p *kvOccProbe) Observe(r sim.Record) {
+	if r.Layer != sim.LayerOAM || r.Kind != oam.RecCores {
+		return
+	}
+	t, busy := r.T, r.N
+	w := &p.nodes[r.Node]
 	if !w.started {
 		w.started, w.first = true, t
 	} else {
@@ -376,9 +375,9 @@ func KVMultiactiveBench(scale Scale) (KVMultiactive, error) {
 			c.MixGet, c.MixPut, c.MixCas = mix[0], mix[1], mix[2]
 			c.WorkGet = workGet
 			c.HandlerBudget = budget
-			c.Observe = func(_ *am.Universe, r *rpc.Runtime) {
+			c.Observe = func(u *am.Universe, r *rpc.Runtime) {
 				rt = r
-				r.Dispatcher().SetProbe(probe)
+				u.Machine().Engine().SetSink(probe)
 			}
 		}
 		row, err := kvCell(scale.Run, "multiactive", apps.ORPC, rateX, shape, clients, dur)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
 	"repro/internal/apps/sched"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/apps/tsp"
 	"repro/internal/apps/water"
 	"repro/internal/obs"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
@@ -25,11 +27,11 @@ type ObserveSpec struct {
 }
 
 // scale carries an observed run's size and RunOptions: the sequential
-// kernel (the collector's probes are not shard-safe, so the spec has no
-// Shards to ask for) with c attached. Its size methods (sizes.go)
+// kernel (the collector is not shard-safe, so the spec has no Shards to
+// ask for) with attach as the Observe hook. Its size methods (sizes.go)
 // configure the paper workloads.
-func (spec ObserveSpec) scale(c *obs.Collector) Scale {
-	return Scale{Quick: spec.Quick, Run: apps.RunOptions{Cores: spec.Cores, Observe: c.Attach}}
+func (spec ObserveSpec) scale(attach func(*am.Universe, *rpc.Runtime)) Scale {
+	return Scale{Quick: spec.Quick, Run: apps.RunOptions{Cores: spec.Cores, Observe: attach}}
 }
 
 // ParseSystem maps a -sys flag value to an apps.System.
@@ -55,35 +57,35 @@ func ObservedApps() []string {
 	return names
 }
 
-// observedRuns maps app name to a runner that wires the collector in
-// (Attach for the universe/RPC layers, plus app-specific probes where the
-// app defines one).
-var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Result, error){
-	"triangle": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		return triangle.Run(spec.Sys, spec.Nodes, spec.scale(c).triangle())
+// observedRuns maps app name to a runner over sc, whose Observe hook
+// attaches the collector, that adds the collector as the app's own probe
+// where the app defines one.
+var observedRuns = map[string]func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error){
+	"triangle": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
+		return triangle.Run(spec.Sys, spec.Nodes, sc.triangle())
 	},
-	"tsp": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
+	"tsp": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
 		// -p counts processors; the master occupies node 0.
-		return tsp.Run(spec.Sys, spec.Nodes-1, spec.scale(c).tsp())
+		return tsp.Run(spec.Sys, spec.Nodes-1, sc.tsp())
 	},
-	"sor": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		return sor.Run(spec.Sys, spec.Nodes, spec.scale(c).sor())
+	"sor": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
+		return sor.Run(spec.Sys, spec.Nodes, sc.sor())
 	},
-	"water": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
-		return water.Run(spec.Sys, spec.Nodes, false, spec.scale(c).water())
+	"water": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
+		return water.Run(spec.Sys, spec.Nodes, false, sc.water())
 	},
-	"sched": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
+	"sched": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
 		// The control plane always runs ORPC; spec.Sys is ignored. The
 		// collector doubles as the control-plane probe, so the trace grows
 		// a "sched" track of heartbeats, outages, and lease spans.
-		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: spec.scale(c).Run, Probe: c}
+		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: sc.Run, Probe: c}
 		if spec.Quick {
 			cfg.Jobs = 8
 		}
 		res, _, err := sched.Run(spec.Nodes-1, cfg)
 		return res, err
 	},
-	"kv": func(spec ObserveSpec, c *obs.Collector) (apps.Result, error) {
+	"kv": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
 		// -p counts total nodes; a quarter (at least one) serve, the rest
 		// are clients. The collector doubles as the service probe, so the
 		// trace grows a "kv" track of sheds and failed arrivals and the
@@ -97,7 +99,7 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 			Seed:       105,
 			Servers:    servers,
 			Clients:    spec.Nodes - servers,
-			RunOptions: spec.scale(c).Run,
+			RunOptions: sc.Run,
 			Probe:      c,
 		}
 		if spec.Quick {
@@ -112,20 +114,26 @@ var observedRuns = map[string]func(spec ObserveSpec, c *obs.Collector) (apps.Res
 // returns the collector (holding whichever sinks opts selected) alongside
 // the application result.
 func RunObserved(spec ObserveSpec, opts obs.Options) (*obs.Collector, apps.Result, error) {
+	c := obs.New(opts)
+	res, err := runObserved(spec, c, c.Attach)
+	if err != nil {
+		return nil, apps.Result{}, err
+	}
+	return c, res, nil
+}
+
+// runObserved is RunObserved with the collector made and attach as the
+// Observe hook.
+func runObserved(spec ObserveSpec, c *obs.Collector, attach func(*am.Universe, *rpc.Runtime)) (apps.Result, error) {
 	run, ok := observedRuns[spec.App]
 	if !ok {
-		return nil, apps.Result{}, fmt.Errorf("unknown app %q (have %v)", spec.App, ObservedApps())
+		return apps.Result{}, fmt.Errorf("unknown app %q (have %v)", spec.App, ObservedApps())
 	}
 	if spec.Nodes <= 0 {
 		spec.Nodes = 8
 	}
 	if (spec.App == "tsp" || spec.App == "sched" || spec.App == "kv") && spec.Nodes < 2 {
-		return nil, apps.Result{}, fmt.Errorf("%s needs at least 2 nodes (a master and a worker)", spec.App)
+		return apps.Result{}, fmt.Errorf("%s needs at least 2 nodes (a master and a worker)", spec.App)
 	}
-	c := obs.New(opts)
-	res, err := run(spec, c)
-	if err != nil {
-		return nil, apps.Result{}, err
-	}
-	return c, res, nil
+	return run(spec, spec.scale(attach), c)
 }

@@ -3,12 +3,16 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"strings"
 	"testing"
 
+	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/obs"
+	"repro/internal/rpc"
+	"repro/internal/sim"
 )
 
 // traceGoldenTSP pins the FNV-1a hash of the quick TSP trace (4 nodes,
@@ -199,6 +203,64 @@ func TestObservedAllApps(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), "am/handlers_run") {
 			t.Errorf("%s: metrics missing handler counter:\n%s", app, buf.String())
+		}
+	}
+}
+
+// streamCheck hands every record to a collector, holding the stream to
+// non-decreasing T and counting each layer's records.
+type streamCheck struct {
+	*obs.Collector
+	last   sim.Record
+	late   int    // records earlier than the one before them
+	first  string // the first of them
+	layers [sim.LayerRPC + 1]int
+}
+
+func (s *streamCheck) Observe(r sim.Record) {
+	if r.T < s.last.T {
+		if s.late == 0 {
+			s.first = fmt.Sprintf("%+v after %+v", r, s.last)
+		}
+		s.late++
+	}
+	s.last = r
+	s.layers[r.Layer]++
+	s.Collector.Observe(r)
+}
+
+// TestObservedStreamOrder: on a sequential engine the records of every
+// layer are one stream in time order — every observed app under each
+// system at one and four cores — and an observed tsp ORPC run hears from
+// all six layers.
+func TestObservedStreamOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every app six times")
+	}
+	for _, app := range ObservedApps() {
+		for _, sys := range apps.Systems {
+			for _, cores := range []int{1, 4} {
+				c := obs.New(obs.Options{Metrics: true})
+				s := &streamCheck{Collector: c}
+				spec := ObserveSpec{App: app, Sys: sys, Quick: true, Cores: cores}
+				if _, err := runObserved(spec, c, func(u *am.Universe, rt *rpc.Runtime) {
+					c.Attach(u, rt)
+					u.Machine().Engine().SetSink(s)
+				}); err != nil {
+					t.Fatalf("%s %v %d cores: %v", app, sys, cores, err)
+				}
+				if s.late > 0 {
+					t.Errorf("%s %v %d cores: %d records out of time order, the first %s", app, sys, cores, s.late, s.first)
+				}
+				if app != "tsp" || sys != apps.ORPC || cores != 1 {
+					continue
+				}
+				for l, n := range s.layers {
+					if n == 0 {
+						t.Errorf("tsp %v: no record of layer %d", sys, l)
+					}
+				}
+			}
 		}
 	}
 }

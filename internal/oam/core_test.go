@@ -9,22 +9,25 @@ import (
 	"repro/internal/threads"
 )
 
-// strategyProbe records the strategy each Attempt and Settled reports.
+// strategyProbe records the strategy each attempt and settling record
+// reports.
 type strategyProbe struct {
 	attempts, settles []Strategy
 }
 
-func (p *strategyProbe) Attempt(_ sim.Time, _ int, _ string, s Strategy) {
-	p.attempts = append(p.attempts, s)
-}
-
-func (p *strategyProbe) Settled(_ sim.Time, _ int, _ string, _ Outcome, _ Reason, s Strategy) {
-	p.settles = append(p.settles, s)
+func (p *strategyProbe) Observe(r sim.Record) {
+	switch {
+	case r.Layer != sim.LayerOAM:
+	case r.Kind == RecAttempt:
+		p.attempts = append(p.attempts, Strategy(r.A))
+	case r.Kind <= RecNacked:
+		p.settles = append(p.settles, Strategy(r.A))
+	}
 }
 
 // TestProbeReportsStrategyUsed: the strategy a dispatch settles with is
 // the one it attempted with, also when the adaptive controller has
-// switched the node from Rerun to Continuation — Settled used to report
+// switched the node from Rerun to Continuation — settling used to report
 // the configured strategy instead of the one that ran.
 func TestProbeReportsStrategyUsed(t *testing.T) {
 	const calls = ctlWindow + 8
@@ -39,7 +42,7 @@ func TestProbeReportsStrategyUsed(t *testing.T) {
 			finished++
 		})
 	probe := &strategyProbe{}
-	r.d.SetProbe(probe)
+	r.u.Machine().Engine().SetSink(probe)
 	_, err := r.u.SPMD(func(c threads.Ctx, node int) {
 		ep := r.u.Endpoint(node)
 		if node == 0 {
@@ -78,7 +81,7 @@ func TestProbeReportsStrategyUsed(t *testing.T) {
 func TestProbeReportsMultiactiveFallback(t *testing.T) {
 	r := newMultiRig(t, Options{Strategy: Continuation, Cores: 2}, func(e *Env, tag uint64) {})
 	probe := &strategyProbe{}
-	r.d.SetProbe(probe)
+	r.u.Machine().Engine().SetSink(probe)
 	_, err := r.u.SPMD(func(c threads.Ctx, node int) {
 		if node == 0 {
 			r.send(c, 0, 0, 1)

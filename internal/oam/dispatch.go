@@ -134,45 +134,40 @@ func (s *Stats) Add(o *Stats) {
 // own node's polling context — so dispatches on different engine shards
 // never contend; Stats sums them.
 type Dispatcher struct {
-	opts   Options
-	stats  []Stats
-	multi  []multiNode
-	ctls   []nodeCtl
-	free   []*Env // per-node free lists of recycled Envs
-	probe  Probe
-	mprobe MultiProbe
+	opts  Options
+	stats []Stats
+	multi []multiNode
+	ctls  []nodeCtl
+	free  []*Env // per-node free lists of recycled Envs
 }
 
-// Probe observes optimistic dispatches. Probes are pure observers — they
-// must not schedule events or charge virtual time; hooks are skipped when
-// no probe is installed.
-type Probe interface {
-	// Attempt fires when an optimistic dispatch begins on node.
-	Attempt(t sim.Time, node int, name string, strategy Strategy)
-	// Settled fires when the dispatch outcome is known on the polling
-	// context: completed inline, promoted to a thread (reason says why),
-	// or nacked back to the sender.
-	Settled(t sim.Time, node int, name string, outcome Outcome, reason Reason, strategy Strategy)
+// The dispatcher's records (sim.LayerOAM), all about Node. An attempt and
+// its settling carry the procedure's Name, the Proc that dispatched it
+// and, in A, the Strategy it ran with; a settling names its outcome by
+// its kind and, for an abort, the Reason in B.
+const (
+	// RecAttempt: an optimistic dispatch begins.
+	RecAttempt sim.Kind = iota
+	// RecCompleted, RecPromoted and RecNacked: the dispatch settled on
+	// the polling context — completed inline, promoted to a thread, or
+	// nacked back to the sender.
+	RecCompleted
+	RecPromoted
+	RecNacked
+	// RecCores: N simulated cores are now busy (multiactive dispatch).
+	RecCores
+	// RecCompatQueue: the compatibility queue is now N long.
+	RecCompatQueue
+)
+
+// observe emits an attempt's record of kind k for the procedure name on
+// the context c, whose shard has a sink.
+func observe(c threads.Ctx, node int, k sim.Kind, name string, strat Strategy, reason Reason) {
+	c.P.Shard().Sink().Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerOAM, Kind: k, Node: node, Proc: c.P, Name: name, A: int64(strat), B: int64(reason)})
 }
 
-// MultiProbe is the optional multiactive extension of Probe: a probe that
-// also implements it receives core-occupancy and compatibility-queue
-// tracks. Kept separate so existing Probe implementations stay valid.
-type MultiProbe interface {
-	// CoreOccupancy fires when the number of busy simulated cores on node
-	// changes.
-	CoreOccupancy(t sim.Time, node int, busy int)
-	// CompatQueueDepth fires when node's compatibility queue changes
-	// length.
-	CompatQueueDepth(t sim.Time, node int, depth int)
-}
-
-// SetProbe installs a dispatch probe; pass nil to disable. A probe that
-// also implements MultiProbe receives the multiactive tracks.
-func (d *Dispatcher) SetProbe(p Probe) {
-	d.probe = p
-	d.mprobe, _ = p.(MultiProbe)
-}
+// settled is the record kind of outcome o.
+func settled(o Outcome) sim.Kind { return RecCompleted + sim.Kind(o) }
 
 // NewDispatcher returns a dispatcher with the given options.
 func NewDispatcher(opts Options) *Dispatcher { return &Dispatcher{opts: opts} }
@@ -258,8 +253,8 @@ func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body 
 // inline is the one optimistic-attempt core: it attempts body on the
 // context c and settles the result — commit or undo, the node's counters,
 // the adaptive controller, a nack verdict or a rerun thread, then the
-// caller's hook and the probe, in that order (observed traces depend on
-// it). strat is Rerun or Nack. Single-active Run and the multiactive core
+// caller's hook and the settling record, in that order (observed traces
+// depend on it). strat is Rerun or Nack. Single-active Run and the multiactive core
 // workers both end here and differ only in ent and hook:
 //
 //   - ent is the compatibility slot the execution occupies, nil under
@@ -271,8 +266,8 @@ func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body 
 func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat Strategy, body func(*Env), f Frame, ent *runEntry, hook func(threads.Ctx, Frame, Outcome, Reason)) (Outcome, Reason) {
 	node := ep.Node().ID()
 	st := d.nodeStats(node)
-	if d.probe != nil {
-		d.probe.Attempt(c.P.Now(), node, name, strat)
+	if c.P.Shard().Sink() != nil {
+		observe(c, node, RecAttempt, name, strat, 0)
 	}
 	env := d.acquire(c, ep, name, body, f, true)
 	reason, aborted := attempt(env, body)
@@ -307,8 +302,8 @@ func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat S
 	if hook != nil {
 		hook(c, f, outcome, reason)
 	}
-	if d.probe != nil {
-		d.probe.Settled(c.P.Now(), node, name, outcome, reason, strat)
+	if c.P.Shard().Sink() != nil {
+		observe(c, node, settled(outcome), name, strat, reason)
 	}
 	return outcome, reason
 }
@@ -336,8 +331,8 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 // the polling context resumes immediately.
 func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env), f Frame) (Outcome, Reason) {
 	node := ep.Node().ID()
-	if d.probe != nil {
-		d.probe.Attempt(c.P.Now(), node, name, Continuation)
+	if c.P.Shard().Sink() != nil {
+		observe(c, node, RecAttempt, name, Continuation, 0)
 	}
 	env := d.acquire(threads.Ctx{S: c.S}, ep, name, body, f, true)
 	env.lent = true
@@ -352,8 +347,8 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 	if outcome == Completed {
 		d.release(env)
 	}
-	if d.probe != nil {
-		d.probe.Settled(c.P.Now(), node, name, outcome, reason, Continuation)
+	if c.P.Shard().Sink() != nil {
+		observe(c, node, settled(outcome), name, Continuation, reason)
 	}
 	return outcome, reason
 }

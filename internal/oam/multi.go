@@ -119,15 +119,11 @@ func (d *Dispatcher) multiAt(node int) *multiNode {
 	return mn
 }
 
-func (d *Dispatcher) noteOccupancy(t sim.Time, node int, busy int) {
-	if d.mprobe != nil {
-		d.mprobe.CoreOccupancy(t, node, busy)
-	}
-}
-
-func (d *Dispatcher) noteQueueDepth(t sim.Time, node int, depth int) {
-	if d.mprobe != nil {
-		d.mprobe.CompatQueueDepth(t, node, depth)
+// note emits a multiactive track record of kind k, n busy cores or
+// queued executions on node, if sh has a sink.
+func note(sh *sim.Shard, k sim.Kind, node, n int) {
+	if sink := sh.Sink(); sink != nil {
+		sink.Observe(sim.Record{T: sh.Now(), Layer: sim.LayerOAM, Kind: k, Node: node, N: n})
 	}
 }
 
@@ -154,7 +150,7 @@ func (d *Dispatcher) RunMulti(c threads.Ctx, ep *am.Endpoint, name string, class
 	}
 	st.CompatQueued++
 	mn.queue = append(mn.queue, q)
-	d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
+	note(c.P.Shard(), RecCompatQueue, node, len(mn.queue))
 }
 
 // coreWorker is the process that runs admitted executions on one core: the
@@ -188,7 +184,7 @@ func (d *Dispatcher) startCore(c threads.Ctx, ep *am.Endpoint, mn *multiNode, q 
 	mn.coreBusy[w.core] = true
 	mn.busy++
 	w.ent = mn.admit(&q.ent)
-	d.noteOccupancy(c.P.Now(), ep.Node().ID(), mn.busy)
+	note(c.P.Shard(), RecCores, ep.Node().ID(), mn.busy)
 	c.P.Shard().SpawnRunner(w)
 }
 
@@ -204,13 +200,13 @@ func (w *coreWorker) Run(p *sim.Proc) {
 		if w.q, ok = mn.takeHead(d.opts.Compat); !ok {
 			break
 		}
-		d.noteQueueDepth(p.Now(), node, len(mn.queue))
+		note(p.Shard(), RecCompatQueue, node, len(mn.queue))
 		w.ent = mn.admit(&w.q.ent)
 	}
 	w.s.UnbindCore(p)
 	mn.coreBusy[w.core] = false
 	mn.busy--
-	d.noteOccupancy(p.Now(), node, mn.busy)
+	note(p.Shard(), RecCores, node, mn.busy)
 	w.ent, w.next = nil, mn.freeWorker
 	mn.freeWorker = w
 }
@@ -245,8 +241,8 @@ func (d *Dispatcher) runOnCore(c2 threads.Ctx, ep *am.Endpoint, mn *multiNode, e
 	if strat == Continuation {
 		strat = Rerun
 	}
-	// The attempt probe fires here, at core-run start, not at arrival, so
-	// its attempt/settle pairing stays balanced per node.
+	// The attempt record is emitted here, at core-run start, not at
+	// arrival, so its attempt/settle pairing stays balanced per node.
 	if o, _ := d.inline(c2, ep, ent.name, strat, body, f, ent, settle); o != Promoted {
 		mn.remove(ent)
 	}
@@ -271,7 +267,7 @@ func (d *Dispatcher) pump(c threads.Ctx, ep *am.Endpoint, node int, mn *multiNod
 		if !ok {
 			return
 		}
-		d.noteQueueDepth(c.P.Now(), node, len(mn.queue))
+		note(c.P.Shard(), RecCompatQueue, node, len(mn.queue))
 		d.startCore(c, ep, mn, q)
 	}
 }

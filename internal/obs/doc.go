@@ -1,12 +1,13 @@
 // Package obs is the deterministic observability subsystem of the ORPC
 // stack: a typed per-node metrics bus, a Chrome trace-event (Perfetto)
-// timeline exporter, and a virtual-time profiler, all fed by the probe
-// hooks of the sim, cm5, threads, am, oam and rpc packages.
+// timeline exporter, and a virtual-time profiler, all fed by the records
+// (sim.Record) the sim, cm5, threads, am, oam and rpc packages emit to the
+// engine's one sink, which a Collector is.
 //
-// Three rules make it safe to leave the hooks compiled into every layer:
+// Three rules make it safe to leave the records compiled into every layer:
 //
-//  1. Zero overhead when disabled. Every hook is guarded by a nil check
-//     on the installed probe; with no collector attached the hot paths
+//  1. Zero overhead when disabled. Every record is guarded by one nil
+//     check of the shard's sink; with no collector attached the hot paths
 //     (packet injection, handler dispatch, spawn/exit) allocate nothing
 //     and the per-event cost is a predicted-not-taken branch. The alloc
 //     and ns/event budget tests pin this.

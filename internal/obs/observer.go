@@ -21,10 +21,10 @@ type Options struct {
 	Profile bool // attribute virtual CPU time to procedure names
 }
 
-// Collector implements every layer's probe interface (and sim.Tracer)
-// and funnels the observations into the selected sinks. Create one with
-// New, wire it with Attach before the simulation starts, and read the
-// sinks after the run.
+// Collector is the sim.Sink of a whole stack: it routes every layer's
+// records into the selected sinks. Create one with New, wire it with
+// Attach before the simulation starts, and read the sinks after the run.
+// It also implements the kv and sched application probes.
 type Collector struct {
 	opts Options
 	u    *am.Universe
@@ -34,10 +34,10 @@ type Collector struct {
 	prof *Profile
 	tb   *traceBuilder
 
-	procNode map[uint64]int // sim proc id → node (from threads.ProcBound)
-	threadID map[*threads.Thread]uint64
-	nextID   uint64 // thread-lifetime async ids
-	flightID uint64 // packet-flight async ids
+	procNode map[uint64]int       // sim proc id → node (from threads.RecBound)
+	threadID map[threadKey]uint64 // live thread → its async span id
+	nextID   uint64               // thread-lifetime async ids
+	flightID uint64               // packet-flight async ids
 
 	handlerStart [][]sim.Time // per node, stack of open handler runs
 	oamStart     [][]sim.Time // per node, stack of open optimistic dispatches
@@ -78,6 +78,12 @@ type callKey struct {
 	proc string
 }
 
+// threadKey names a live thread: its node and descriptor number.
+type threadKey struct {
+	node int
+	slot uint64
+}
+
 // abortReasons enumerates oam.Reason values in order, for per-reason
 // counters and trace tags.
 var abortReasons = [4]oam.Reason{oam.LockBusy, oam.CondFalse, oam.NetworkFull, oam.TooLong}
@@ -87,7 +93,7 @@ func New(opts Options) *Collector {
 	c := &Collector{
 		opts:      opts,
 		procNode:  make(map[uint64]int),
-		threadID:  make(map[*threads.Thread]uint64),
+		threadID:  make(map[threadKey]uint64),
 		callStart: make(map[callKey][]sim.Time),
 		leaseID:   make(map[leaseKey]uint64),
 		outageID:  make(map[int]uint64),
@@ -101,12 +107,17 @@ func New(opts Options) *Collector {
 	return c
 }
 
-// Attach wires the collector into every layer of a universe (and, when
-// non-nil, its RPC runtime). Call it after construction and before the
-// simulation starts; rt may be nil for plain Active Message programs.
-func (c *Collector) Attach(u *am.Universe, rt *rpc.Runtime) {
+// Attach installs the collector as the sink of u's engine, before the
+// simulation starts. The runtime needs no wiring of its own: its records
+// reach the engine's sink like every layer's, and the parameter keeps
+// Attach an apps.RunOptions.Observe hook. The collector keeps per-node
+// state unguarded, so the engine must be sequential.
+func (c *Collector) Attach(u *am.Universe, _ *rpc.Runtime) {
 	c.u = u
 	c.eng = u.Machine().Engine()
+	if c.eng.Shards() > 1 {
+		panic("obs: a collector requires a sequential engine (shards=1)")
+	}
 	n := u.N()
 	c.handlerStart = make([][]sim.Time, n)
 	c.oamStart = make([][]sim.Time, n)
@@ -175,17 +186,11 @@ func (c *Collector) Attach(u *am.Universe, rt *rpc.Runtime) {
 		}
 	}
 
-	c.eng.SetProbe(c)
-	c.eng.SetTracer(c)
-	u.Machine().SetProbe(c)
-	u.SetProbe(c)
+	// Observed from here: a node's scheduler is made on first use, its
+	// idle process spawned then.
+	c.eng.SetSink(c)
 	for i := 0; i < n; i++ {
-		u.Scheduler(i).SetProbe(c)
-	}
-	if rt != nil {
-		rt.SetProbe(c)
-		rt.Dispatcher().SetProbe(c)
-		rt.AsyncDispatcher().SetProbe(c)
+		c.procNode[u.Scheduler(i).Idle().ID()] = i
 	}
 }
 
@@ -232,183 +237,202 @@ func (c *Collector) WriteProfile(w io.Writer, n int) error {
 	return c.prof.Write(w, n)
 }
 
-// --- sim.Tracer ---
+// Observe routes one record to its layer's instruments.
+func (c *Collector) Observe(r sim.Record) {
+	switch r.Layer {
+	case sim.LayerSim:
+		c.observeSim(r)
+	case sim.LayerCM5:
+		c.observeNet(r)
+	case sim.LayerThreads:
+		c.observeThreads(r)
+	case sim.LayerAM:
+		c.observeHandler(r)
+	case sim.LayerOAM:
+		c.observeOAM(r)
+	case sim.LayerRPC:
+		c.observeRPC(r)
+	}
+}
 
-func (c *Collector) Resume(t sim.Time, p *sim.Proc) {
-	if c.cResumes != nil {
-		if n, ok := c.node(p); ok {
-			c.cResumes.Inc(n)
+func (c *Collector) observeSim(r sim.Record) {
+	switch r.Kind {
+	case sim.RecResume:
+		if c.cResumes != nil {
+			if n, ok := c.node(r.Proc); ok {
+				c.cResumes.Inc(n)
+			}
+		}
+	case sim.RecExit:
+		if c.cExits != nil {
+			if n, ok := c.node(r.Proc); ok {
+				c.cExits.Inc(n)
+			}
+		}
+	case sim.RecCharge:
+		start, d := sim.Time(r.A), sim.Duration(r.B)
+		if c.prof != nil {
+			c.prof.Add(r.Proc.Name(), d)
+		}
+		if c.tb != nil && d > 0 {
+			if n, ok := c.node(r.Proc); ok {
+				c.tb.span(r.Proc.Name(), "cpu", start, d, n, tidCPU, "")
+			}
+		}
+	case sim.RecSpawn:
+		if c.cSpawns != nil {
+			if n, ok := c.node(r.Proc); ok {
+				c.cSpawns.Inc(n)
+			} else {
+				c.cSpawns.Inc(0) // pre-binding spawns count against node 0
+			}
 		}
 	}
 }
 
-func (c *Collector) Yield(t sim.Time, p *sim.Proc) {}
-
-func (c *Collector) Exit(t sim.Time, p *sim.Proc) {
-	if c.cExits != nil {
-		if n, ok := c.node(p); ok {
-			c.cExits.Inc(n)
+func (c *Collector) observeNet(r sim.Record) {
+	switch r.Kind {
+	case cm5.RecSent, cm5.RecDup:
+		busy, wire := sim.Duration(r.A), sim.Duration(r.B)
+		if c.cSent != nil && r.Kind == cm5.RecSent {
+			c.cSent.Inc(r.Node)
+			c.hWire.Observe(r.Node, wire)
 		}
-	}
-}
-
-// --- sim.Probe ---
-
-func (c *Collector) Charged(p *sim.Proc, start sim.Time, d sim.Duration) {
-	if c.prof != nil {
-		c.prof.Add(p.Name(), d)
-	}
-	if c.tb != nil && d > 0 {
-		if n, ok := c.node(p); ok {
-			c.tb.span(p.Name(), "cpu", start, d, n, tidCPU, "")
-		}
-	}
-}
-
-func (c *Collector) Spawned(p *sim.Proc) {
-	if c.cSpawns != nil {
-		if n, ok := c.node(p); ok {
-			c.cSpawns.Inc(n)
-		} else {
-			c.cSpawns.Inc(0) // pre-binding spawns count against node 0
-		}
-	}
-}
-
-// --- cm5.Probe ---
-
-func (c *Collector) PacketSent(t sim.Time, pkt *cm5.Packet, busy, wire sim.Duration, dup bool, dupWire sim.Duration) {
-	if c.cSent != nil {
-		c.cSent.Inc(pkt.Src)
-		c.hWire.Observe(pkt.Src, wire)
-	}
-	if c.tb != nil {
-		name := c.u.HandlerName(am.HandlerID(pkt.Handler))
-		args := fmt.Sprintf(`{"src":%d,"dst":%d,"bytes":%d}`, pkt.Src, pkt.Dst, len(pkt.Payload))
-		// The flight's timestamps are fully determined at injection time:
-		// the packet leaves when the sender's busy window ends and lands
-		// wire later, so both async endpoints are emitted here.
-		c.flightID++
-		c.tb.asyncBegin(name, "flight", t.Add(busy), pkt.Src, tidNet, c.flightID, args)
-		c.tb.asyncEnd(name, "flight", t.Add(busy+wire), pkt.Src, tidNet, c.flightID)
-		if dup {
+		if c.tb != nil {
+			name := c.u.HandlerName(am.HandlerID(r.ID))
+			if r.Kind == cm5.RecDup {
+				name += " (dup)"
+			}
+			args := fmt.Sprintf(`{"src":%d,"dst":%d,"bytes":%d}`, r.Node, r.Peer, r.N)
+			// The flight's timestamps are fully determined at injection
+			// time: the packet leaves when the sender's busy window ends
+			// and lands wire later, so both async endpoints are emitted here.
 			c.flightID++
-			c.tb.asyncBegin(name+" (dup)", "flight", t.Add(busy), pkt.Src, tidNet, c.flightID, args)
-			c.tb.asyncEnd(name+" (dup)", "flight", t.Add(busy+dupWire), pkt.Src, tidNet, c.flightID)
+			c.tb.asyncBegin(name, "flight", r.T.Add(busy), r.Node, tidNet, c.flightID, args)
+			c.tb.asyncEnd(name, "flight", r.T.Add(busy+wire), r.Node, tidNet, c.flightID)
+		}
+	case cm5.RecDelivered:
+		if c.cDelivered != nil {
+			c.cDelivered.Inc(r.Node)
+			c.gNicDepth.Set(r.Node, int64(r.N))
+		}
+		if c.tb != nil {
+			c.tb.counter("nic_depth", r.T, r.Node, int64(r.N))
+		}
+	case cm5.RecLost:
+		if c.cLost != nil {
+			c.cLost.Inc(r.Node)
+		}
+		if c.tb != nil {
+			c.tb.instant("lost: "+cm5.FaultKind(r.ID).String(), "fault", r.T, r.Node, tidNet,
+				fmt.Sprintf(`{"dst":%d}`, r.Peer))
+		}
+	case cm5.RecBackpressure:
+		if c.cBackpress != nil {
+			c.cBackpress.Inc(r.Node)
+		}
+		if c.tb != nil {
+			c.tb.instant("backpressure", "fault", r.T, r.Node, tidNet,
+				fmt.Sprintf(`{"dst":%d}`, r.Peer))
 		}
 	}
 }
 
-func (c *Collector) PacketDelivered(t sim.Time, pkt *cm5.Packet, queueDepth int) {
-	if c.cDelivered != nil {
-		c.cDelivered.Inc(pkt.Dst)
-		c.gNicDepth.Set(pkt.Dst, int64(queueDepth))
-	}
-	if c.tb != nil {
-		c.tb.counter("nic_depth", t, pkt.Dst, int64(queueDepth))
-	}
-}
-
-func (c *Collector) PacketLost(t sim.Time, src, dst int, kind cm5.FaultKind) {
-	if c.cLost != nil {
-		c.cLost.Inc(src)
-	}
-	if c.tb != nil {
-		c.tb.instant("lost: "+kind.String(), "fault", t, src, tidNet,
-			fmt.Sprintf(`{"dst":%d}`, dst))
-	}
-}
-
-func (c *Collector) Backpressure(t sim.Time, src, dst int) {
-	if c.cBackpress != nil {
-		c.cBackpress.Inc(src)
-	}
-	if c.tb != nil {
-		c.tb.instant("backpressure", "fault", t, src, tidNet,
-			fmt.Sprintf(`{"dst":%d}`, dst))
-	}
-}
-
-// --- threads.Probe ---
-
-func (c *Collector) ThreadCreated(t sim.Time, node int, th *threads.Thread) {
-	if c.cThCreated != nil {
-		c.cThCreated.Inc(node)
-	}
-	if c.tb != nil {
-		c.nextID++
-		c.threadID[th] = c.nextID
-		c.tb.asyncBegin(th.Name(), "thread", t, node, tidThreads, c.nextID, "")
-	}
-}
-
-func (c *Collector) ThreadStarted(t sim.Time, node int, th *threads.Thread, liveStack bool) {
-	if c.cThStarted != nil {
-		c.cThStarted.Inc(node)
-		if liveStack {
-			c.cThLive.Inc(node)
+func (c *Collector) observeThreads(r sim.Record) {
+	switch r.Kind {
+	case threads.RecCreated:
+		if c.cThCreated != nil {
+			c.cThCreated.Inc(r.Node)
 		}
-	}
-}
-
-func (c *Collector) ThreadExited(t sim.Time, node int, th *threads.Thread) {
-	if c.cThExited != nil {
-		c.cThExited.Inc(node)
-	}
-	if c.tb != nil {
-		if id, ok := c.threadID[th]; ok {
-			c.tb.asyncEnd(th.Name(), "thread", t, node, tidThreads, id)
-			delete(c.threadID, th)
+		if c.tb != nil {
+			c.nextID++
+			c.threadID[threadKey{r.Node, r.ID}] = c.nextID
+			c.tb.asyncBegin(r.Name, "thread", r.T, r.Node, tidThreads, c.nextID, "")
 		}
+	case threads.RecStarted, threads.RecStartedLive:
+		if c.cThStarted != nil {
+			c.cThStarted.Inc(r.Node)
+			if r.Kind == threads.RecStartedLive {
+				c.cThLive.Inc(r.Node)
+			}
+		}
+	case threads.RecExited:
+		if c.cThExited != nil {
+			c.cThExited.Inc(r.Node)
+		}
+		if c.tb != nil {
+			k := threadKey{r.Node, r.ID}
+			if id, ok := c.threadID[k]; ok {
+				c.tb.asyncEnd(r.Name, "thread", r.T, r.Node, tidThreads, id)
+				delete(c.threadID, k)
+			}
+		}
+	case threads.RecReady:
+		if c.gReadyDepth != nil {
+			c.gReadyDepth.Set(r.Node, int64(r.N))
+		}
+		if c.tb != nil {
+			c.tb.counter("ready_depth", r.T, r.Node, int64(r.N))
+		}
+	case threads.RecBound:
+		c.procNode[r.Proc.ID()] = r.Node
 	}
 }
 
-func (c *Collector) ReadyDepth(t sim.Time, node, depth int) {
-	if c.gReadyDepth != nil {
-		c.gReadyDepth.Set(node, int64(depth))
+func (c *Collector) observeHandler(r sim.Record) {
+	node := r.Node
+	if r.Kind == am.RecHandlerStart {
+		c.handlerStart[node] = append(c.handlerStart[node], r.T)
+		return
 	}
-	if c.tb != nil {
-		c.tb.counter("ready_depth", t, node, int64(depth))
-	}
-}
-
-func (c *Collector) ProcBound(node int, p *sim.Proc) {
-	c.procNode[p.ID()] = node
-}
-
-// --- am.Probe ---
-
-func (c *Collector) HandlerStart(t sim.Time, node int, h am.HandlerID, depth int) {
-	c.handlerStart[node] = append(c.handlerStart[node], t)
-}
-
-func (c *Collector) HandlerEnd(t sim.Time, node int, h am.HandlerID, depth int) {
 	st := c.handlerStart[node]
 	start := st[len(st)-1]
 	c.handlerStart[node] = st[:len(st)-1]
 	if c.cHandlers != nil {
 		c.cHandlers.Inc(node)
-		c.hHandler.Observe(node, t.Sub(start))
+		c.hHandler.Observe(node, r.T.Sub(start))
 	}
 	if c.tb != nil {
-		c.tb.span(c.u.HandlerName(h), "handler", start, t.Sub(start), node, tidHandler,
-			fmt.Sprintf(`{"depth":%d}`, depth))
+		c.tb.span(c.u.HandlerName(am.HandlerID(r.ID)), "handler", start, r.T.Sub(start), node, tidHandler,
+			fmt.Sprintf(`{"depth":%d}`, r.N))
 	}
 }
 
-// --- oam.Probe ---
-
-func (c *Collector) Attempt(t sim.Time, node int, name string, strategy oam.Strategy) {
-	if c.cAttempts != nil {
-		c.cAttempts.Inc(node)
+func (c *Collector) observeOAM(r sim.Record) {
+	node := r.Node
+	switch r.Kind {
+	case oam.RecAttempt:
+		if c.cAttempts != nil {
+			c.cAttempts.Inc(node)
+		}
+		c.oamStart[node] = append(c.oamStart[node], r.T)
+	case oam.RecCompleted, oam.RecPromoted, oam.RecNacked:
+		c.settled(r)
+	case oam.RecCores:
+		if c.gCoresBusy != nil {
+			c.gCoresBusy.Set(node, int64(r.N))
+		}
+		if c.tb != nil {
+			c.tb.counter("cores_busy", r.T, node, int64(r.N))
+		}
+	case oam.RecCompatQueue:
+		if c.gCompatQueue != nil {
+			c.gCompatQueue.Set(node, int64(r.N))
+		}
+		if c.tb != nil {
+			c.tb.counter("compat_queue", r.T, node, int64(r.N))
+		}
 	}
-	c.oamStart[node] = append(c.oamStart[node], t)
 }
 
-func (c *Collector) Settled(t sim.Time, node int, name string, outcome oam.Outcome, reason oam.Reason, strategy oam.Strategy) {
+// settled closes an optimistic dispatch's span with its outcome.
+func (c *Collector) settled(r sim.Record) {
+	node := r.Node
 	st := c.oamStart[node]
 	start := st[len(st)-1]
 	c.oamStart[node] = st[:len(st)-1]
+	outcome := oam.Outcome(r.Kind - oam.RecCompleted)
+	reason, strategy := oam.Reason(r.B), oam.Strategy(r.A)
 	aborted := outcome != oam.Completed
 	if c.cAttempts != nil {
 		switch outcome {
@@ -431,31 +455,11 @@ func (c *Collector) Settled(t sim.Time, node int, name string, outcome oam.Outco
 		} else {
 			args = fmt.Sprintf(`{"outcome":"completed","strategy":"%s"}`, strategy.String())
 		}
-		c.tb.span("oam "+name, "oam", start, t.Sub(start), node, tidOAM, args)
+		c.tb.span("oam "+r.Name, "oam", start, r.T.Sub(start), node, tidOAM, args)
 		if aborted {
-			c.tb.instant("abort: "+reason.String(), "abort", t, node, tidOAM,
-				fmt.Sprintf(`{"proc":"%s","strategy":"%s"}`, jsonString(name), strategy.String()))
+			c.tb.instant("abort: "+reason.String(), "abort", r.T, node, tidOAM,
+				fmt.Sprintf(`{"proc":"%s","strategy":"%s"}`, jsonString(r.Name), strategy.String()))
 		}
-	}
-}
-
-// --- oam.MultiProbe (multiactive dispatch tracks) ---
-
-func (c *Collector) CoreOccupancy(t sim.Time, node int, busy int) {
-	if c.gCoresBusy != nil {
-		c.gCoresBusy.Set(node, int64(busy))
-	}
-	if c.tb != nil {
-		c.tb.counter("cores_busy", t, node, int64(busy))
-	}
-}
-
-func (c *Collector) CompatQueueDepth(t sim.Time, node int, depth int) {
-	if c.gCompatQueue != nil {
-		c.gCompatQueue.Set(node, int64(depth))
-	}
-	if c.tb != nil {
-		c.tb.counter("compat_queue", t, node, int64(depth))
 	}
 }
 
@@ -473,37 +477,36 @@ func outcomeString(o oam.Outcome) string {
 	}
 }
 
-// --- rpc.Probe ---
-
-func (c *Collector) CallStart(t sim.Time, node int, proc string) {
-	k := callKey{node, proc}
-	c.callStart[k] = append(c.callStart[k], t)
-}
-
-func (c *Collector) CallEnd(t sim.Time, node int, proc string, timedOut bool, retries uint64) {
-	k := callKey{node, proc}
-	st := c.callStart[k]
-	start := st[len(st)-1]
-	c.callStart[k] = st[:len(st)-1]
-	if c.cCalls != nil {
-		c.cCalls.Inc(node)
-		c.cRetries.Add(node, retries)
-		if timedOut {
-			c.cTimeouts.Inc(node)
+func (c *Collector) observeRPC(r sim.Record) {
+	node := r.Node
+	switch r.Kind {
+	case rpc.RecCallStart:
+		k := callKey{node, r.Name}
+		c.callStart[k] = append(c.callStart[k], r.T)
+	case rpc.RecCallEnd, rpc.RecCallTimeout:
+		k := callKey{node, r.Name}
+		st := c.callStart[k]
+		start := st[len(st)-1]
+		c.callStart[k] = st[:len(st)-1]
+		timedOut, retries := r.Kind == rpc.RecCallTimeout, uint64(r.N)
+		if c.cCalls != nil {
+			c.cCalls.Inc(node)
+			c.cRetries.Add(node, retries)
+			if timedOut {
+				c.cTimeouts.Inc(node)
+			}
+			c.hCall.Observe(node, r.T.Sub(start))
 		}
-		c.hCall.Observe(node, t.Sub(start))
-	}
-	if c.tb != nil {
-		c.tb.span("call "+proc, "rpc", start, t.Sub(start), node, tidRPC,
-			fmt.Sprintf(`{"timed_out":%t,"retries":%d}`, timedOut, retries))
-	}
-}
-
-func (c *Collector) StaleReply(t sim.Time, node int) {
-	if c.cStale != nil {
-		c.cStale.Inc(node)
-	}
-	if c.tb != nil {
-		c.tb.instant("stale reply", "rpc", t, node, tidRPC, "")
+		if c.tb != nil {
+			c.tb.span("call "+r.Name, "rpc", start, r.T.Sub(start), node, tidRPC,
+				fmt.Sprintf(`{"timed_out":%t,"retries":%d}`, timedOut, retries))
+		}
+	case rpc.RecStale:
+		if c.cStale != nil {
+			c.cStale.Inc(node)
+		}
+		if c.tb != nil {
+			c.tb.instant("stale reply", "rpc", r.T, node, tidRPC, "")
+		}
 	}
 }

@@ -13,38 +13,39 @@ import (
 	"repro/internal/threads"
 )
 
-// reuseProbe is a Collector that also counts the thread creations it is
-// shown on a descriptor it has seen before.
-type reuseProbe struct {
+// reuseSink is a Collector's sink filter that also counts the thread
+// creations it is shown on a descriptor it has seen before.
+type reuseSink struct {
 	*Collector
-	seen   map[*threads.Thread]bool
+	seen   map[threadKey]bool
 	reused int
 }
 
-func (p *reuseProbe) ThreadCreated(t sim.Time, node int, th *threads.Thread) {
-	if p.seen[th] {
-		p.reused++
+func (p *reuseSink) Observe(r sim.Record) {
+	if r.Layer == sim.LayerThreads && r.Kind == threads.RecCreated {
+		k := threadKey{r.Node, r.ID}
+		if p.seen[k] {
+			p.reused++
+		}
+		p.seen[k] = true
 	}
-	p.seen[th] = true
-	p.Collector.ThreadCreated(t, node, th)
+	p.Collector.Observe(r)
 }
 
 // TestThreadSpansUnderRecycling: thread descriptors are recycled, so the
-// pointer the collector keys a thread's async span by names many threads in
-// turn, and deleting the key at ThreadExited is what keeps their spans
+// descriptor number the collector keys a thread's async span by names many
+// threads in turn, and deleting the key at ThreadExited is what keeps their spans
 // apart. On the cell `oamlab -quick trace kv` runs: every thread it is shown
 // exits (the retransmit daemons start before it attaches), so when the run
 // ends no key is left, and every begin has one end, under the same name.
 func TestThreadSpansUnderRecycling(t *testing.T) {
 	c := New(Options{Trace: true})
-	p := &reuseProbe{Collector: c, seen: make(map[*threads.Thread]bool)}
+	p := &reuseSink{Collector: c, seen: make(map[threadKey]bool)}
 	cfg := kv.Config{System: apps.ORPC, Seed: 105, Servers: 2, Clients: 6,
 		Duration: sim.Micros(5000), Probe: c}
 	cfg.Observe = func(u *am.Universe, rt *rpc.Runtime) {
 		c.Attach(u, rt)
-		for i := 0; i < u.N(); i++ {
-			u.Scheduler(i).SetProbe(p)
-		}
+		u.Machine().Engine().SetSink(p)
 	}
 	if _, _, err := kv.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -52,8 +53,8 @@ func TestThreadSpansUnderRecycling(t *testing.T) {
 	if p.reused == 0 {
 		t.Fatal("no descriptor was recycled: the run does not test what it is for")
 	}
-	for th := range c.threadID {
-		t.Errorf("thread %q is still keyed at the end: its key belongs to an earlier tenant", th.Name())
+	for k := range c.threadID {
+		t.Errorf("thread %+v is still keyed at the end: its key belongs to an earlier tenant", k)
 	}
 
 	var buf bytes.Buffer

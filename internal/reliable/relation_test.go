@@ -36,7 +36,7 @@ func framedProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary
 	var buf bytes.Buffer
 	eng := sim.New(3)
 	t.Cleanup(eng.Shutdown)
-	eng.SetTracer(sim.NewWriterTracer(&buf))
+	eng.SetSink(sim.NewWriterTracer(&buf))
 	cost := cm5.DefaultCostModel()
 	cost.NICQueueCap = nicCap
 	u := am.NewUniverse(eng, 3, cost)

@@ -346,7 +346,7 @@ func TestDeterminism(t *testing.T) {
 		eng := sim.New(11)
 		defer eng.Shutdown()
 		ht := sim.NewHashTracer()
-		eng.SetTracer(ht)
+		eng.SetSink(ht)
 		u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
 		u.Machine().SetFaultPlan(&cm5.FaultPlan{Seed: 5, DropProb: 0.1, DupProb: 0.05, ExtraJitter: sim.Micros(4)})
 		Attach(u, Options{})

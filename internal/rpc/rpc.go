@@ -62,26 +62,28 @@ type Runtime struct {
 	nackH  am.HandlerID
 	nodes  []*nodeState // made at each node's first call
 	procs  []*Proc
-	probe  Probe
 }
 
-// Probe observes client-side call lifecycles. Probes are pure observers —
-// they must not schedule events or charge virtual time; hooks are skipped
-// when no probe is installed.
-type Probe interface {
-	// CallStart fires when a client begins a synchronous call (before the
-	// first request is injected) or fires an asynchronous one.
-	CallStart(t sim.Time, node int, proc string)
-	// CallEnd fires when the call resolves; timedOut reports a deadline
-	// expiry, retries how many nack retries the call absorbed.
-	CallEnd(t sim.Time, node int, proc string, timedOut bool, retries uint64)
-	// StaleReply fires when a reply or nack arrives for a call no longer
-	// waiting (deadline abandonment or duplicate delivery).
-	StaleReply(t sim.Time, node int)
-}
+// The client side's records (sim.LayerRPC), all about Node. A call's
+// records carry the procedure's Name and the calling Proc.
+const (
+	// RecCallStart: a client begins a synchronous call (before the first
+	// request is injected) or fires an asynchronous one.
+	RecCallStart sim.Kind = iota
+	// RecCallEnd: the call resolved, after N nack retries.
+	RecCallEnd
+	// RecCallTimeout: the call's deadline expired, after N nack retries.
+	RecCallTimeout
+	// RecStale: a reply or nack arrived for a call no longer waiting
+	// (deadline abandonment or duplicate delivery).
+	RecStale
+)
 
-// SetProbe installs a call probe; pass nil to disable.
-func (rt *Runtime) SetProbe(p Probe) { rt.probe = p }
+// observe emits a record of kind k about a call of p from c, whose shard
+// has a sink.
+func (p *Proc) observe(c threads.Ctx, node int, k sim.Kind, retries uint64) {
+	c.P.Shard().Sink().Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerRPC, Kind: k, Node: node, Proc: c.P, Name: p.name, N: int(retries)})
+}
 
 // nodeState is the client-side call table of one node. It is only ever
 // touched from code running on that node, so it needs no locking under a
@@ -299,8 +301,8 @@ func (rt *Runtime) resolving(c threads.Ctx, pkt *cm5.Packet) *call {
 	cl := ns.waiting(pkt.W0)
 	if cl == nil {
 		ns.stale++
-		if rt.probe != nil {
-			rt.probe.StaleReply(c.P.Now(), pkt.Dst)
+		if sink := c.P.Shard().Sink(); sink != nil {
+			sink.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerRPC, Kind: RecStale, Node: pkt.Dst})
 		}
 	}
 	return cl
@@ -576,8 +578,8 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
 	backoff := rt.opts.NackBackoffBase
-	if rt.probe != nil {
-		rt.probe.CallStart(c.P.Now(), me, p.name)
+	if c.P.Shard().Sink() != nil {
+		p.observe(c, me, RecCallStart, 0)
 	}
 	var retries uint64
 	for {
@@ -591,8 +593,8 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 		reply, nacked, timedOut := cl.msg, cl.nacked, cl.timedOut
 		ns.end(cl)
 		if !timedOut && !nacked {
-			if rt.probe != nil {
-				rt.probe.CallEnd(c.P.Now(), me, p.name, false, retries)
+			if c.P.Shard().Sink() != nil {
+				p.observe(c, me, RecCallEnd, retries)
 			}
 			return Enc{reply}, nil
 		}
@@ -607,8 +609,8 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 			}
 		}
 		st.Timeouts++
-		if rt.probe != nil {
-			rt.probe.CallEnd(c.P.Now(), me, p.name, true, retries)
+		if c.P.Shard().Sink() != nil {
+			p.observe(c, me, RecCallTimeout, retries)
 		}
 		return Enc{}, ErrDeadline
 	}
@@ -646,14 +648,14 @@ func (p *Proc) CallAsync(c threads.Ctx, server int, arg *Enc) {
 	}
 	me := c.Node().ID()
 	p.stats[me].Calls++
-	if p.rt.probe != nil {
-		p.rt.probe.CallStart(c.P.Now(), me, p.name)
+	if c.P.Shard().Sink() != nil {
+		p.observe(c, me, RecCallStart, 0)
 	}
 	ns := p.rt.node(me)
 	cl := ns.take(p, c, server, arg)
 	p.rt.u.Endpoint(me).Drive(c, p.rt.u.Machine().Cost().StubClient, cl)
 	ns.end(cl)
-	if p.rt.probe != nil {
-		p.rt.probe.CallEnd(c.P.Now(), me, p.name, false, 0)
+	if c.P.Shard().Sink() != nil {
+		p.observe(c, me, RecCallEnd, 0)
 	}
 }

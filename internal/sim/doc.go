@@ -40,12 +40,14 @@
 // per shard, under one scheduler (optimistic.go): virtual time advances in
 // commit spans, within which a shard fires an event only once it is
 // provably earlier than anything another shard could still send it, and
-// between which the coordinator flushes traces and fires global events.
+// between which the coordinator flushes the buffered scheduling records
+// and fires global events.
 // ShardMode picks the span width and nothing else — one lookahead
 // (Conservative, the lockstep schedule) or 32 (Optimistic) — and every
 // width gives the sequential kernel's results bit for bit.
 //
 // The package is the substrate for the CM-5 machine model (package cm5),
 // the user-level thread package (package threads), and everything above
-// them. It knows nothing about nodes, networks, or threads.
+// them. It knows nothing about nodes, networks, or threads, beyond naming
+// the layers whose records (Record) its one Sink receives.
 package sim

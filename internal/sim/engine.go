@@ -82,13 +82,6 @@ type Engine struct {
 	spanWidth Duration
 	opt       *optState
 
-	// userTracer receives trace records in sharded mode, where shards
-	// buffer transitions during spans and the coordinator flushes them
-	// in canonical order at barriers. Sequential engines bypass this and
-	// trace straight from the kernel loop.
-	userTracer Tracer
-	scratch    Proc // reusable carrier for flushed trace records
-
 	// globals is the cross-shard control queue of a sharded run: crash
 	// instants, collective releases — events that must fire at an exact
 	// instant before any shard's same-time work. Sequential engines keep
@@ -193,28 +186,15 @@ func (e *Engine) Seed() int64 { return e.seed }
 // agree at barriers; mid-span, use the owning shard's Now.
 func (e *Engine) Now() Time { return e.shards[0].now }
 
-// SetTracer installs a tracer; pass nil to disable tracing. In a sharded
-// engine, records are buffered per shard during spans and flushed in
-// canonical (time, process name, transition) order at barriers.
-func (e *Engine) SetTracer(t Tracer) {
-	if !e.sharded() {
-		e.shards[0].tracer = t
-		return
-	}
-	e.userTracer = t
+// SetSink installs the sink that receives every layer's records; pass nil
+// to stop observing. A sharded engine buffers the scheduling records per
+// shard during spans and delivers them at barriers in canonical (time,
+// process name, transition) order; every other record reaches the sink
+// live, on the shard that emits it.
+func (e *Engine) SetSink(s Sink) {
 	for _, sh := range e.shards {
-		sh.buffered = t != nil
+		sh.sink, sh.buffered = s, s != nil && e.sharded()
 	}
-}
-
-// SetProbe installs a process-accounting probe; pass nil to disable.
-// Probes see events mid-span from multiple goroutines, so they are
-// only supported on sequential engines.
-func (e *Engine) SetProbe(p Probe) {
-	if p != nil && e.sharded() {
-		panic("sim: probes require a sequential engine (shards=1)")
-	}
-	e.shards[0].probe = p
 }
 
 // SetWindowHook installs the machine layer's window hook. A sharded
@@ -277,7 +257,7 @@ func (e *Engine) Switches() uint64 {
 
 // Elided reports how many of Events were step-wait resumes StepWake
 // credited and no kernel loop executed. Like Handoffs it measures the
-// host's work, not the simulation: zero under a tracer or probe.
+// host's work, not the simulation: zero under a sink.
 func (e *Engine) Elided() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -433,7 +413,7 @@ type killedSentinel struct{}
 // leaks.
 //
 // Victims are killed in shard order, and within a shard in ascending pid
-// (spawn) order, so shutdown-time tracer output is deterministic run to
+// (spawn) order, so shutdown-time records are deterministic run to
 // run and shard-count-independent for processes spawned at setup.
 func (e *Engine) Shutdown() {
 	if e.inRun {
@@ -606,12 +586,9 @@ func (e *Engine) runGlobalsAt(t Time) {
 	}
 }
 
-// flushTrace drains every shard's buffered trace records into the user
-// tracer in canonical (time, process name, transition) order.
+// flushTrace drains every shard's buffered scheduling records into the
+// sink in canonical (time, process name, transition) order.
 func (e *Engine) flushTrace() {
-	if e.userTracer == nil {
-		return
-	}
 	n := 0
 	for _, sh := range e.shards {
 		n += len(sh.trbuf)
@@ -619,21 +596,13 @@ func (e *Engine) flushTrace() {
 	if n == 0 {
 		return
 	}
-	recs := make([]traceRec, 0, n)
+	recs := make([]Record, 0, n)
 	for _, sh := range e.shards {
 		recs = append(recs, sh.trbuf...)
 		sh.trbuf = sh.trbuf[:0]
 	}
 	sortCanonical(recs)
 	for _, r := range recs {
-		e.scratch.name = r.name
-		switch r.kind {
-		case 0:
-			e.userTracer.Resume(r.t, &e.scratch)
-		case 1:
-			e.userTracer.Yield(r.t, &e.scratch)
-		default:
-			e.userTracer.Exit(r.t, &e.scratch)
-		}
+		e.shards[0].sink.Observe(r)
 	}
 }

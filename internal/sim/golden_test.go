@@ -17,7 +17,7 @@ func goldenWorkload() (events, dispatches, hash uint64, final Time) {
 	e := New(42)
 	rng := rand.New(rand.NewSource(42))
 	h := NewHashTracer()
-	e.SetTracer(h)
+	e.SetSink(h)
 
 	var parked *Proc
 	parked = e.Spawn("parked", func(p *Proc) {
@@ -118,7 +118,7 @@ const goldenTrace = `0.000us resume a
 func TestGoldenTraceText(t *testing.T) {
 	e := New(1)
 	var buf bytes.Buffer
-	e.SetTracer(NewWriterTracer(&buf))
+	e.SetSink(NewWriterTracer(&buf))
 	var s *Proc
 	e.Spawn("a", func(p *Proc) {
 		p.Charge(Micros(1))

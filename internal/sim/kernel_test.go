@@ -224,8 +224,8 @@ type kOracle struct {
 	evs             []*oEv
 	procs           []*oProc
 	log             []string
-	trace           strings.Builder // tracer and probe records, as kRecorder writes them
-	recs            []traceRec      // the tracer's, for a sharded run's canonical text
+	trace           strings.Builder // the kernel's records, as kRecorder writes them
+	recs            []Record        // the scheduling ones, for a sharded run's canonical text
 	snaps           []kSnap
 	snap            kSnap
 	halt            byte   // 'S' stop, '!' process failure, 'K' kernel panic, 'G' Goexit
@@ -279,9 +279,9 @@ func (o *kOracle) logf(format string, args ...any) {
 	o.log = append(o.log, fmt.Sprintf("%d "+format, append([]any{o.now}, args...)...))
 }
 
-// rec writes a tracer record: kind 0 resume, 1 yield, 2 exit.
-func (o *kOracle) rec(kind uint8, pr *oProc) {
-	o.recs = append(o.recs, traceRec{o.now, kind, pr.name})
+// rec writes a scheduling record: kind 0 resume, 1 yield, 2 exit.
+func (o *kOracle) rec(kind Kind, pr *oProc) {
+	o.recs = append(o.recs, Record{T: o.now, Layer: LayerSim, Kind: kind, Name: pr.name})
 	fmt.Fprintf(&o.trace, "%d %s %s\n", o.now, [...]string{"resume", "yield", "exit"}[kind], pr.name)
 }
 
@@ -514,17 +514,21 @@ type kMode struct {
 	cfg                   ShardConfig
 }
 
-// kRecorder writes tracer and probe records into one transcript, so the
-// order of tracer records against probe records is compared too.
+// kRecorder writes every kernel record into one transcript, so the order
+// of the scheduling records against the charge and spawn ones is compared
+// too.
 type kRecorder struct{ strings.Builder }
 
-func (r *kRecorder) Resume(t Time, p *Proc) { fmt.Fprintf(r, "%d resume %s\n", t, p.Name()) }
-func (r *kRecorder) Yield(t Time, p *Proc)  { fmt.Fprintf(r, "%d yield %s\n", t, p.Name()) }
-func (r *kRecorder) Exit(t Time, p *Proc)   { fmt.Fprintf(r, "%d exit %s\n", t, p.Name()) }
-func (r *kRecorder) Charged(p *Proc, t Time, d Duration) {
-	fmt.Fprintf(r, "%d charged %s %d\n", t, p.Name(), d)
+func (r *kRecorder) Observe(rec Record) {
+	switch p := rec.Proc; rec.Kind {
+	case RecCharge:
+		fmt.Fprintf(r, "%d charged %s %d\n", rec.A, p.Name(), rec.B)
+	case RecSpawn:
+		fmt.Fprintf(r, "spawned %s %d\n", p.Name(), p.ID())
+	default:
+		fmt.Fprintf(r, "%d %s %s\n", rec.T, [...]string{"resume", "yield", "exit"}[rec.Kind], p.Name())
+	}
 }
-func (r *kRecorder) Spawned(p *Proc) { fmt.Fprintf(r, "spawned %s %d\n", p.Name(), p.ID()) }
 
 // kShard plays a program on one shard: a sharded engine runs a copy on each.
 type kShard struct {
@@ -766,8 +770,8 @@ func (m *kChain) replay(gains []kGain) {
 type kRun struct {
 	shards             []*kShard
 	snaps              []kSnap
-	trace              string     // sequential: tracer and probe records
-	recs               []traceRec // sharded: the tracer's, in canonical order
+	trace              string   // sequential: the kernel's records
+	recs               []Record // sharded: the scheduling ones, in canonical order
 	chain              kChain
 	switches, handoffs uint64
 	outcome            string // "", "fail pN: V", "panic V" or "goexit"
@@ -792,10 +796,9 @@ func (prog *kProg) run(t testing.TB, m kMode) *kRun {
 	}
 	rec, canon := &kRecorder{}, NewCanonicalTracer()
 	if m.observed && e.sharded() {
-		e.SetTracer(canon)
+		e.SetSink(canon)
 	} else if m.observed {
-		e.SetTracer(rec)
-		e.SetProbe(rec)
+		e.SetSink(rec)
 	}
 	for i := 0; i < e.Shards(); i++ {
 		ks := &kShard{sh: e.Shard(i), prog: prog, slow: m.slow, made: map[*Proc]bool{}}
@@ -996,7 +999,7 @@ func checkKernel(t testing.TB, prog *kProg, cfgs ...ShardConfig) *kCheck {
 				for i := range r.snaps {
 					r.snaps[i].now = 0
 				}
-				var recs []traceRec
+				var recs []Record
 				for _, rec := range o.recs {
 					for range n {
 						recs = append(recs, rec)

@@ -70,7 +70,7 @@ const (
 // the kernel loop in the process's place: where a resumed process would
 // only suspend again — charge once more, or look around and park — the loop
 // does that for it at the resume event's own instant and position, so seq,
-// pids, every counter, tracer record and Probe call are the process's own
+// pids, every counter and every record are the process's own
 // and no observer needs a fallback. Continue runs in kernel context, also
 // when a process asks on its own stack (Then): it may do what a kernel
 // callback may, a Charge or Park inside it trips checkRunning, and a panic
@@ -111,7 +111,7 @@ func (sh *Shard) Spawn(name string, body func(p *Proc)) *Proc {
 // Runner is a process body that carries its own name: what Action is to
 // At's func. A long-lived object that implements it (a thread descriptor)
 // spawns its process with no closure, and builds the name only if a
-// tracer, probe or panic report reads it.
+// sink or panic report reads it.
 type Runner interface {
 	Run(p *Proc)
 	Name() string
@@ -141,8 +141,8 @@ func (sh *Shard) spawn(name string, body func(p *Proc), r Runner) *Proc {
 	}
 	sh.addProc(p)
 	sh.atProc(sh.now, p)
-	if sh.probe != nil {
-		sh.probe.Spawned(p)
+	if sh.sink != nil {
+		sh.sink.Observe(Record{T: sh.now, Layer: LayerSim, Kind: RecSpawn, Proc: p})
 	}
 	return p
 }
@@ -189,8 +189,8 @@ func (sh *Shard) runBody(p *Proc) {
 				sh.failure = &PanicError{Proc: p.Name(), Value: r, Stack: debug.Stack()}
 			}
 		}
-		if sh.tracing() {
-			sh.traceExit(p)
+		if sh.sink != nil {
+			sh.trace(RecExit, p)
 		}
 	}()
 	if sh.killing {
@@ -327,8 +327,8 @@ func (p *Proc) ChargeInterruptible(d Duration) Duration {
 	sh.yieldToKernel(p)
 	consumed := Duration(sh.now - p.intStart)
 	sh.chargedTotal += consumed
-	if sh.probe != nil {
-		sh.probe.Charged(p, p.intStart, consumed)
+	if sh.sink != nil {
+		sh.sink.Observe(Record{T: sh.now, Layer: LayerSim, Kind: RecCharge, Proc: p, A: int64(p.intStart), B: int64(consumed)})
 	}
 	if !p.interrupted {
 		return 0
@@ -394,8 +394,8 @@ func (p *Proc) Unpark() {
 // one never woken leaves the engine quiescent where the loop would have
 // made events for ever.
 //
-// A Tracer or Probe is owed one record per step, in time order: while
-// either is installed the wait is the loop above, endlessness included.
+// A Sink is owed one record per step, in time order: while one is
+// installed the wait is the loop above, endlessness included.
 func (p *Proc) StepWait(step Duration) {
 	if step <= 0 {
 		panic("sim: StepWait needs a positive step")
@@ -403,7 +403,7 @@ func (p *Proc) StepWait(step Duration) {
 	sh := p.sh
 	sh.checkRunning(p, "StepWait")
 	p.stepWaiting = true
-	if sh.tracing() || sh.probe != nil {
+	if sh.sink != nil {
 		for p.stepWaiting {
 			p.Charge(step)
 		}

@@ -34,8 +34,7 @@ type Shard struct {
 	// runs.
 	pending  *Proc
 	deadline Time // event horizon of the current run (sequential engine)
-	tracer   Tracer
-	probe    Probe
+	sink     Sink
 	procs    []*Proc // live (spawned, not yet finished) processes, unordered
 	freeProc *Proc   // finished procs whose coroutines await reuse
 	stopped  bool    // set by Stop (sequential engine only)
@@ -66,11 +65,11 @@ type Shard struct {
 	// until the gate ends the span, and reports completion on windowDone.
 	windowCh   chan struct{}
 	windowDone chan struct{}
-	// trbuf buffers tracer records during parallel spans; the engine
+	// trbuf buffers scheduling records during parallel spans; the engine
 	// flushes it in canonical order at each barrier.
-	trbuf []traceRec
-	// buffered reports that tracer output must be buffered (sharded mode
-	// with a tracer installed).
+	trbuf []Record
+	// buffered reports that scheduling records must be buffered (sharded
+	// mode with a sink installed).
 	buffered bool
 	// busyNs accumulates host time spent inside span kernel tenures; part
 	// of the WindowOverhead decomposition.
@@ -207,8 +206,8 @@ func (sh *Shard) charge(p *Proc, d Duration) bool {
 		panic("sim: negative charge")
 	}
 	sh.chargedTotal += d
-	if sh.probe != nil {
-		sh.probe.Charged(p, sh.now, d)
+	if sh.sink != nil {
+		sh.sink.Observe(Record{T: sh.now, Layer: LayerSim, Kind: RecCharge, Proc: p, A: int64(sh.now), B: int64(d)})
 	}
 	t := sh.now.Add(d)
 	if h := sh.heap.first(); sh.queueOnly || sh.stopped || sh.killing || t > sh.deadline || h != nil && h.at <= t {
@@ -216,14 +215,14 @@ func (sh *Shard) charge(p *Proc, d Duration) bool {
 		return false
 	}
 	sh.seq++
-	if sh.tracing() {
-		sh.traceYield(p)
+	if sh.sink != nil {
+		sh.trace(RecYield, p)
 	}
 	sh.now = t
 	sh.events++
 	sh.dispatches++
-	if sh.tracing() {
-		sh.traceResume(p)
+	if sh.sink != nil {
+		sh.trace(RecResume, p)
 	}
 	return true
 }
@@ -277,40 +276,19 @@ func (sh *Shard) AfterTimer(d Duration, fn func()) Timer {
 	return sh.AtTimer(sh.now.Add(d), fn)
 }
 
-// traceRec is one buffered scheduling transition (sharded mode). The name
-// is captured eagerly because pooled Procs are renamed on reuse.
-type traceRec struct {
-	t    Time
-	kind uint8 // 0 resume, 1 yield, 2 exit — the canonical same-instant order
-	name string
-}
-
-func (sh *Shard) traceResume(p *Proc) {
+// trace emits the scheduling record of kind k for p: live, or into the
+// shard's buffer with p's name, which a pooled Proc loses on reuse.
+func (sh *Shard) trace(k Kind, p *Proc) {
 	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 0, p.Name()})
+		sh.trbuf = append(sh.trbuf, Record{T: sh.now, Layer: LayerSim, Kind: k, Name: p.Name()})
 		return
 	}
-	sh.tracer.Resume(sh.now, p)
+	sh.sink.Observe(Record{T: sh.now, Layer: LayerSim, Kind: k, Proc: p})
 }
 
-func (sh *Shard) traceYield(p *Proc) {
-	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 1, p.Name()})
-		return
-	}
-	sh.tracer.Yield(sh.now, p)
-}
-
-func (sh *Shard) traceExit(p *Proc) {
-	if sh.buffered {
-		sh.trbuf = append(sh.trbuf, traceRec{sh.now, 2, p.Name()})
-		return
-	}
-	sh.tracer.Exit(sh.now, p)
-}
-
-// tracing reports whether scheduling transitions must be recorded.
-func (sh *Shard) tracing() bool { return sh.tracer != nil || sh.buffered }
+// Sink returns the engine's installed sink, nil when none. A layer checks
+// it on the shard it holds and, when set, makes one Observe call.
+func (sh *Shard) Sink() Sink { return sh.sink }
 
 // loop runs the kernel on the calling coroutine: it pops and fires events
 // until the run (or span) ends — heap empty, deadline passed, Stop,
@@ -359,15 +337,15 @@ func (sh *Shard) loop(self *Proc) bool {
 				panic("sim: dispatch while a process is running")
 			}
 			sh.dispatches++
-			if sh.tracing() {
-				sh.traceResume(p)
+			if sh.sink != nil {
+				sh.trace(RecResume, p)
 			}
 			if k := p.cont; k != nil {
 				// p left word of what it does first: do that here, and
 				// switch to it only when that needs its stack.
 				if !sh.follow(p, k, nextAsk, 0) {
-					if sh.tracing() {
-						sh.traceYield(p)
+					if sh.sink != nil {
+						sh.trace(RecYield, p)
 					}
 					continue
 				}
@@ -460,8 +438,8 @@ func (sh *Shard) relay(c *Proc) bool {
 // shut down when control returns, the process unwinds via the kill
 // sentinel, which the spawn wrapper recovers.
 func (sh *Shard) yieldToKernel(p *Proc) {
-	if sh.tracing() {
-		sh.traceYield(p)
+	if sh.sink != nil {
+		sh.trace(RecYield, p)
 	}
 	sh.running = nil
 	if !sh.loop(p) && !sh.relay(p) {
@@ -516,8 +494,8 @@ func (sh *Shard) shutdown() {
 		sh.dispatches++
 		sh.handoffs++
 		sh.running = p
-		if sh.tracing() {
-			sh.traceResume(p)
+		if sh.sink != nil {
+			sh.trace(RecResume, p)
 		}
 		p.next() // returns once the victim has unwound and its coroutine is gone
 		sh.running = nil

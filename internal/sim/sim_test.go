@@ -96,7 +96,7 @@ func TestDeterminism(t *testing.T) {
 		e := New(99)
 		rng := rand.New(rand.NewSource(99))
 		h := NewHashTracer()
-		e.SetTracer(h)
+		e.SetSink(h)
 		var procs []*Proc
 		for i := 0; i < 8; i++ {
 			p := e.Spawn("w", func(p *Proc) {

@@ -9,13 +9,79 @@ import (
 	"strings"
 )
 
-// Tracer observes kernel scheduling decisions. Implementations must be
-// cheap; they run on the hot path of every dispatch.
-type Tracer interface {
-	Resume(t Time, p *Proc) // process gains the (virtual) CPU
-	Yield(t Time, p *Proc)  // process yields back to the kernel
-	Exit(t Time, p *Proc)   // process body returned or panicked
+// Record is one observation: what one layer of the stack saw, at the
+// instant T it was emitted. Layer says who emitted it and Kind, one of that
+// layer's Rec constants, what happened; the layer's constants say which of
+// the other fields they fill. Extra values ride in A and B (a charge's
+// start and length, a flight's busy and wire times, an abort's strategy
+// and reason).
+type Record struct {
+	T     Time
+	Layer Layer
+	Kind  Kind
+	Node  int    // the node it happened on (layers above sim)
+	Peer  int    // the other end: a packet's destination or source
+	Proc  *Proc  // the process it is about, or that emitted it; nil when none
+	Name  string // a procedure, thread or (in a sharded flush) process name
+	ID    uint64 // a code: a handler, a fault kind, a thread descriptor
+	N     int    // a count: bytes, a queue depth, a nesting depth, retries
+	A, B  int64
 }
+
+// Layer names the stack layer that emitted a Record.
+type Layer uint8
+
+const (
+	LayerSim Layer = iota
+	LayerCM5
+	LayerThreads
+	LayerAM
+	LayerOAM
+	LayerRPC
+)
+
+// Kind is a layer's own record kind.
+type Kind uint8
+
+// The kernel's records. The first three are the scheduling records, in
+// their canonical same-instant order; a sharded engine buffers them per
+// shard and delivers them at barriers, with Proc nil and Name set (a
+// pooled Proc is renamed on reuse). Every other record, of any layer, is
+// delivered live on its own shard.
+const (
+	RecResume Kind = iota // Proc gains the (virtual) CPU
+	RecYield              // Proc yields back to the kernel
+	RecExit               // Proc's body returned or panicked
+	// RecCharge: Proc burned B of virtual CPU starting at A. A plain
+	// Charge emits it at charge time; an interruptible charge at resume
+	// time, with the amount actually consumed.
+	RecCharge
+	RecSpawn // Proc is a new process incarnation
+)
+
+// Sink receives the observation records of every layer of an engine's
+// stack (Engine.SetSink). A sink is a pure observer: it must not schedule
+// events, charge time, or otherwise perturb the simulation. On a sharded
+// engine the live records arrive mid-span from the shards' goroutines.
+type Sink interface {
+	Observe(Record)
+}
+
+// scheduling reports whether r is one of the kernel's scheduling records.
+func (r *Record) scheduling() bool { return r.Layer == LayerSim && r.Kind <= RecExit }
+
+// procName is the name of r's process, read from Proc where the record
+// has one.
+func (r *Record) procName() string {
+	if r.Proc != nil {
+		return r.Proc.Name()
+	}
+	return r.Name
+}
+
+// transitions are the scheduling kinds' names, padded as WriterTracer
+// prints them.
+var transitions = [...]string{RecResume: "resume", RecYield: "yield ", RecExit: "exit  "}
 
 // WriterTracer logs every scheduling transition to an io.Writer; intended
 // for debugging small simulations. Write errors are sticky: the first one
@@ -32,32 +98,13 @@ func NewWriterTracer(w io.Writer) *WriterTracer { return &WriterTracer{W: w} }
 // Err returns the first write error encountered, or nil.
 func (w *WriterTracer) Err() error { return w.err }
 
-func (w *WriterTracer) printf(format string, t Time, name string) {
-	if w.err != nil {
+func (w *WriterTracer) Observe(r Record) {
+	if w.err != nil || !r.scheduling() {
 		return
 	}
-	if _, err := fmt.Fprintf(w.W, format, t, name); err != nil {
+	if _, err := fmt.Fprintf(w.W, "%v %s %s\n", r.T, transitions[r.Kind], r.procName()); err != nil {
 		w.err = err
 	}
-}
-
-func (w *WriterTracer) Resume(t Time, p *Proc) { w.printf("%v resume %s\n", t, p.Name()) }
-func (w *WriterTracer) Yield(t Time, p *Proc)  { w.printf("%v yield  %s\n", t, p.Name()) }
-func (w *WriterTracer) Exit(t Time, p *Proc)   { w.printf("%v exit   %s\n", t, p.Name()) }
-
-// Probe observes process accounting beyond the scheduling transitions a
-// Tracer sees: virtual-CPU charges (with their start time, so observers
-// can reconstruct burn intervals) and process spawns. Probes are pure
-// observers — they must not schedule events, charge time, or otherwise
-// perturb the simulation; the kernel calls them only when one is
-// installed, so the disabled path stays allocation-free.
-type Probe interface {
-	// Charged reports that p burned d of virtual CPU starting at start.
-	// For a plain Charge it fires at charge time; for an interruptible
-	// charge it fires at resume time with the actually-consumed amount.
-	Charged(p *Proc, start Time, d Duration)
-	// Spawned reports a new process incarnation at spawn time.
-	Spawned(p *Proc)
 }
 
 // HashTracer folds every scheduling transition into an FNV-1a hash. Two
@@ -73,16 +120,19 @@ func NewHashTracer() *HashTracer {
 	return &HashTracer{h: f.Sum64()}
 }
 
-func (h *HashTracer) mix(kind byte, t Time, p *Proc) {
+func (h *HashTracer) Observe(r Record) {
+	if !r.scheduling() {
+		return
+	}
 	const prime = 1099511628211
-	h.h = (h.h ^ uint64(kind)) * prime
-	h.h = (h.h ^ uint64(t)) * prime
-	h.h = (h.h ^ p.id) * prime
+	var id uint64 // a sharded engine's flushed records have no Proc
+	if r.Proc != nil {
+		id = r.Proc.id
+	}
+	h.h = (h.h ^ uint64("ryx"[r.Kind])) * prime
+	h.h = (h.h ^ uint64(r.T)) * prime
+	h.h = (h.h ^ id) * prime
 }
-
-func (h *HashTracer) Resume(t Time, p *Proc) { h.mix('r', t, p) }
-func (h *HashTracer) Yield(t Time, p *Proc)  { h.mix('y', t, p) }
-func (h *HashTracer) Exit(t Time, p *Proc)   { h.mix('x', t, p) }
 
 // Sum returns the accumulated schedule hash.
 func (h *HashTracer) Sum() uint64 { return h.h }
@@ -93,28 +143,25 @@ func (h *HashTracer) Sum() uint64 { return h.h }
 // sharded run of the same simulation produce byte-identical canonical
 // text; exp's FuzzEquivalence compares exactly this.
 type CanonicalTracer struct {
-	recs []traceRec
+	recs []Record
 }
 
 // NewCanonicalTracer returns an empty canonical tracer.
 func NewCanonicalTracer() *CanonicalTracer { return &CanonicalTracer{} }
 
-func (c *CanonicalTracer) Resume(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 0, p.Name()})
-}
-func (c *CanonicalTracer) Yield(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 1, p.Name()})
-}
-func (c *CanonicalTracer) Exit(t Time, p *Proc) {
-	c.recs = append(c.recs, traceRec{t, 2, p.Name()})
+func (c *CanonicalTracer) Observe(r Record) {
+	if r.scheduling() {
+		r.Name, r.Proc = r.procName(), nil
+		c.recs = append(c.recs, r)
+	}
 }
 
-// sortCanonical puts trace records in the canonical (time, process name,
-// transition) order, the one a sequential and a sharded run share; records
-// equal on all three keep their order.
-func sortCanonical(recs []traceRec) {
-	slices.SortStableFunc(recs, func(a, b traceRec) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), strings.Compare(a.name, b.name), cmp.Compare(a.kind, b.kind))
+// sortCanonical puts scheduling records, their names captured, in the
+// canonical (time, process name, transition) order, the one a sequential
+// and a sharded run share; records equal on all three keep their order.
+func sortCanonical(recs []Record) {
+	slices.SortStableFunc(recs, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), strings.Compare(a.Name, b.Name), cmp.Compare(a.Kind, b.Kind))
 	})
 }
 
@@ -125,14 +172,7 @@ func (c *CanonicalTracer) Text() string {
 	sortCanonical(recs)
 	var sb strings.Builder
 	for _, r := range recs {
-		switch r.kind {
-		case 0:
-			fmt.Fprintf(&sb, "%v resume %s\n", r.t, r.name)
-		case 1:
-			fmt.Fprintf(&sb, "%v yield  %s\n", r.t, r.name)
-		default:
-			fmt.Fprintf(&sb, "%v exit   %s\n", r.t, r.name)
-		}
+		fmt.Fprintf(&sb, "%v %s %s\n", r.T, transitions[r.Kind], r.Name)
 	}
 	return sb.String()
 }

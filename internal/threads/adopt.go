@@ -25,8 +25,8 @@ type lendEntry struct {
 // holder. Lending nests: a lent execution that polls the network can lend
 // onward to another optimistic execution.
 func (s *Scheduler) Lend(p *sim.Proc) {
-	if s.probe != nil {
-		s.probe.ProcBound(s.node.ID(), p)
+	if s.sh.Sink() != nil {
+		s.note(RecBound, nil, p)
 	}
 	s.lent = append(s.lent, lendEntry{p: p, lender: s.cpuProc()})
 }
@@ -62,8 +62,8 @@ func (s *Scheduler) Adopt(name Name, p *sim.Proc) *Thread {
 	p.Charge(s.cost.ThreadCreate)
 	s.stats.Adopted++
 	t := s.newThread(name, nil, p, stateRunning)
-	if s.probe != nil {
-		s.probe.ThreadStarted(s.sh.Now(), s.node.ID(), t, true)
+	if s.sh.Sink() != nil {
+		s.note(RecStartedLive, t, p)
 	}
 	return t
 }

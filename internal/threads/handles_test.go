@@ -96,14 +96,14 @@ func encode(scripts ...[]hop) []byte {
 // the kernel reads it at that moment, into one hash.
 type nameTracer struct{ sum uint64 }
 
-func (n *nameTracer) mix(kind byte, t sim.Time, p *sim.Proc) {
+func (n *nameTracer) Observe(r sim.Record) {
+	if r.Layer != sim.LayerSim || r.Kind > sim.RecExit {
+		return
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %c %d %s", n.sum, kind, t, p.Name())
+	fmt.Fprintf(h, "%d %c %d %s", n.sum, "ryx"[r.Kind], r.T, r.Proc.Name())
 	n.sum = h.Sum64()
 }
-func (n *nameTracer) Resume(t sim.Time, p *sim.Proc) { n.mix('r', t, p) }
-func (n *nameTracer) Yield(t sim.Time, p *sim.Proc)  { n.mix('y', t, p) }
-func (n *nameTracer) Exit(t sim.Time, p *sim.Proc)   { n.mix('x', t, p) }
 
 // handleRun is one execution of a program.
 type handleRun struct {
@@ -384,7 +384,7 @@ func runHandles(data []byte, recycle bool) (res handleResult, err error) {
 		}
 	}()
 	tr := &nameTracer{}
-	eng.SetTracer(tr)
+	eng.SetSink(tr)
 	m := cm5.NewMachine(eng, 2, cm5.DefaultCostModel())
 	r := &handleRun{eng: eng, s: NewScheduler(m.Node(0)), scripts: scripts, recycle: recycle,
 		tenant: make(map[*Thread]int)}

@@ -33,7 +33,7 @@ func waitProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary s
 	var buf bytes.Buffer
 	eng := sim.New(5)
 	t.Cleanup(eng.Shutdown)
-	eng.SetTracer(sim.NewWriterTracer(&buf))
+	eng.SetSink(sim.NewWriterTracer(&buf))
 	cost := cm5.DefaultCostModel()
 	cost.NICQueueCap = nicCap
 	u := am.NewUniverse(eng, 3, cost)

@@ -96,44 +96,45 @@ type Scheduler struct {
 	blocked Thread
 	free    *Thread     // dead descriptors, most recent first
 	cores   []*sim.Proc // bound multiactive core workers
-	probe   Probe
+	slots   uint32      // descriptors made, the next one's number
 }
 
-// Probe observes scheduler activity: thread lifetimes, ready-queue depth,
-// and which simulation processes execute on this node's CPU (so observers
-// can attribute per-process costs to nodes). Probes are pure observers —
-// they must not schedule events or charge virtual time; every hook is
-// skipped when no probe is installed.
-type Probe interface {
-	// ThreadCreated fires when a thread descriptor comes into existence
-	// (Create, Bootstrap, or lazy promotion via Adopt).
-	ThreadCreated(t sim.Time, node int, th *Thread)
-	// ThreadStarted fires at a thread's first run; liveStack reports
-	// whether the start used the live-stack optimization. Adopted threads
-	// start implicitly (their execution state already exists).
-	ThreadStarted(t sim.Time, node int, th *Thread, liveStack bool)
-	// ThreadExited fires when a thread's body has returned.
-	ThreadExited(t sim.Time, node int, th *Thread)
-	// ReadyDepth fires whenever the node's ready-queue occupancy changes.
-	ReadyDepth(t sim.Time, node int, depth int)
-	// ProcBound associates a simulation process with this node: the idle
-	// process, each thread's process, and lent (optimistic) executions.
-	ProcBound(node int, p *sim.Proc)
-}
+// The scheduler's records (sim.LayerThreads), all about Node. A thread's
+// records carry its Name and, in ID, its descriptor's number on the node:
+// descriptors are recycled, so an ID names one thread from its RecCreated
+// to its RecExited, and later ones after that.
+const (
+	// RecCreated: a thread descriptor came into existence (Create,
+	// Bootstrap, or lazy promotion via Adopt).
+	RecCreated sim.Kind = iota
+	// RecStarted: a thread's first run. Adopted threads start implicitly
+	// (their execution state already exists), on the live stack.
+	RecStarted
+	// RecStartedLive is RecStarted on the live-stack optimization.
+	RecStartedLive
+	// RecExited: a thread's body has returned.
+	RecExited
+	// RecReady: the ready queue is now N deep.
+	RecReady
+	// RecBound: Proc executes on Node's CPU: a thread's process, a lent
+	// (optimistic) execution or a core worker. The idle process is
+	// Scheduler.Idle.
+	RecBound
+)
 
-// SetProbe installs a scheduler probe; pass nil to disable. The node's
-// already-running processes (the idle process) are reported immediately.
-func (s *Scheduler) SetProbe(p Probe) {
-	s.probe = p
-	if p != nil {
-		p.ProcBound(s.node.ID(), s.idle)
+// note emits a record of kind k about thread t (nil for none) with proc p.
+func (s *Scheduler) note(k sim.Kind, t *Thread, p *sim.Proc) {
+	r := sim.Record{T: s.sh.Now(), Layer: sim.LayerThreads, Kind: k, Node: s.node.ID(), Proc: p}
+	if t != nil {
+		r.Name, r.ID = t.Name(), uint64(t.slot)
 	}
+	s.sh.Sink().Observe(r)
 }
 
-// noteReady reports a ready-queue occupancy change to the probe.
+// noteReady reports a ready-queue occupancy change.
 func (s *Scheduler) noteReady() {
-	if s.probe != nil {
-		s.probe.ReadyDepth(s.sh.Now(), s.node.ID(), s.ready.len())
+	if k := s.sh.Sink(); k != nil {
+		k.Observe(sim.Record{T: s.sh.Now(), Layer: sim.LayerThreads, Kind: RecReady, Node: s.node.ID(), N: s.ready.len()})
 	}
 }
 
@@ -155,6 +156,10 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 	node.SetWake(s.wakeActor)
 	return s
 }
+
+// Idle returns the node's idle process, which acts as the scheduler when
+// no thread context is available.
+func (s *Scheduler) Idle() *sim.Proc { return s.idle }
 
 // Node returns the node this scheduler runs.
 func (s *Scheduler) Node() *cm5.Node { return s.node }
@@ -212,8 +217,8 @@ func (s *Scheduler) Blocked() []string {
 // for synchronization primitives and thread creation.
 func (s *Scheduler) BindCore(p *sim.Proc) {
 	s.cores = append(s.cores, p)
-	if s.probe != nil {
-		s.probe.ProcBound(s.node.ID(), p)
+	if s.sh.Sink() != nil {
+		s.note(RecBound, nil, p)
 	}
 }
 
@@ -382,9 +387,13 @@ func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 		t.state = stateRunning
 		s.cur = t
 		t.proc = s.sh.SpawnRunner((*threadProc)(t))
-		if s.probe != nil {
-			s.probe.ProcBound(s.node.ID(), t.proc)
-			s.probe.ThreadStarted(s.sh.Now(), s.node.ID(), t, !fromRunnable)
+		if s.sh.Sink() != nil {
+			s.note(RecBound, nil, t.proc)
+			k := RecStarted
+			if !fromRunnable {
+				k = RecStartedLive
+			}
+			s.note(k, t, t.proc)
 		}
 	case stateReady:
 		t.state = stateRunning
@@ -397,18 +406,19 @@ func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 
 // newThread is the one place a thread comes into existence: it takes a
 // dead descriptor if the node has one, wipes it — all that survives a
-// tenancy is the generation and the joiner list's storage — and tells the
-// probe.
+// tenancy is the number, the generation and the joiner list's storage —
+// and emits its record.
 func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadState) *Thread {
 	s.stats.Created++
 	t := s.free
 	if t == nil {
-		t = &Thread{}
+		t = &Thread{slot: s.slots}
+		s.slots++
 	}
 	s.free = t.blockedNext
-	*t = Thread{sched: s, name: name, body: body, proc: p, state: st, gen: t.gen, joiners: t.joiners[:0]}
-	if s.probe != nil {
-		s.probe.ThreadCreated(s.sh.Now(), s.node.ID(), t)
+	*t = Thread{sched: s, name: name, body: body, proc: p, state: st, gen: t.gen, slot: t.slot, joiners: t.joiners[:0]}
+	if s.sh.Sink() != nil {
+		s.note(RecCreated, t, p)
 	}
 	return t
 }
@@ -421,8 +431,8 @@ func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadS
 // be written. p must return (die) immediately afterwards.
 func (s *Scheduler) exit(p *sim.Proc, t *Thread) {
 	t.state = stateDead
-	if s.probe != nil {
-		s.probe.ThreadExited(s.sh.Now(), s.node.ID(), t)
+	if s.sh.Sink() != nil {
+		s.note(RecExited, t, p)
 	}
 	for _, j := range t.joiners {
 		s.makeReady(j, false)

@@ -52,8 +52,8 @@ func (c Ctx) Node() *cm5.Node { return c.S.Node() }
 func (c Ctx) IsHandler() bool { return c.T == nil }
 
 // Name is a thread name kept in parts, so that creating a thread never
-// formats one: the string is built only when a tracer, probe or deadlock
-// report reads it. It reads Prefix+Base, followed by "A.B" when Pair is
+// formats one: the string is built only for an observed node's records
+// or a deadlock report. It reads Prefix+Base, followed by "A.B" when Pair is
 // set ("oam/" + procedure, "kv/req/" + client.request).
 type Name struct {
 	Prefix, Base string
@@ -84,6 +84,7 @@ type Thread struct {
 	prepaid bool   // restore cost prepaid by a yield's full-switch charge
 	or      bool   // with red, what the collective it waited on released
 	gen     uint32 // tenancy of the descriptor; see Handle
+	slot    uint32 // the descriptor's number on its node; see RecCreated
 	red     float64
 	joiners []*Thread
 	// blockedPrev/blockedNext link the scheduler's ring of suspended
