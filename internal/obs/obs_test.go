@@ -3,9 +3,15 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/am"
+	"repro/internal/cm5"
+	"repro/internal/oam"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
@@ -262,5 +268,58 @@ func TestCollectorSinkGating(t *testing.T) {
 	}
 	if err := c.WriteProfile(&buf, 10); err != nil {
 		t.Fatalf("WriteProfile with a profile sink: %v", err)
+	}
+}
+
+// TestOverlappingSpansPairByProc: two calls of one procedure on one node
+// overlap and end first-in-first-out, as two client threads' calls do; so
+// do two optimistic dispatches on two cores. Each end closes the span its
+// own process opened, not the node's latest.
+func TestOverlappingSpansPairByProc(t *testing.T) {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	c := New(Options{Trace: true})
+	c.Attach(am.NewUniverse(eng, 1, cm5.DefaultCostModel()), nil)
+	a := eng.Spawn("a", func(*sim.Proc) {})
+	b := eng.Spawn("b", func(*sim.Proc) {})
+	for _, k := range []struct {
+		layer      sim.Layer
+		start, end sim.Kind
+	}{
+		{sim.LayerRPC, rpc.RecCallStart, rpc.RecCallEnd},
+		{sim.LayerOAM, oam.RecAttempt, oam.RecCompleted},
+	} {
+		for _, r := range []struct {
+			us   float64
+			kind sim.Kind
+			p    *sim.Proc
+		}{{0, k.start, a}, {5, k.start, b}, {20, k.end, a}, {200, k.end, b}} {
+			c.Observe(sim.Record{T: sim.Time(sim.Micros(r.us)), Layer: k.layer, Kind: r.kind, Proc: r.p, Name: "get"})
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts, Dur  float64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string][]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			spans[ev.Name] = append(spans[ev.Name], fmt.Sprintf("%g+%g", ev.Ts, ev.Dur))
+		}
+	}
+	want := []string{"0+20", "5+195"}
+	for _, name := range []string{"call get", "oam get"} {
+		if got := spans[name]; !slices.Equal(got, want) {
+			t.Errorf("%q spans %v, want %v", name, got, want)
+		}
 	}
 }

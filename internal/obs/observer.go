@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/am"
 	"repro/internal/cm5"
@@ -39,9 +40,9 @@ type Collector struct {
 	nextID   uint64               // thread-lifetime async ids
 	flightID uint64               // packet-flight async ids
 
-	handlerStart [][]sim.Time // per node, stack of open handler runs
-	oamStart     [][]sim.Time // per node, stack of open optimistic dispatches
-	callStart    map[callKey][]sim.Time
+	// Per node, the open handler runs, optimistic dispatches and calls;
+	// each closes the latest one its own process opened.
+	handlers, dispatches, calls [][]openSpan
 
 	// Metrics instruments (nil sink ⇒ all nil).
 	cResumes, cExits, cSpawns            *Counter
@@ -73,9 +74,28 @@ type Collector struct {
 	kvMeta map[int]bool // per node, kv track metadata emitted
 }
 
-type callKey struct {
-	node int
-	proc string
+// openSpan is a span not yet closed: the process that opened it, and when.
+type openSpan struct {
+	proc  uint64
+	start sim.Time
+}
+
+// begin opens a span of r's process on r's node.
+func begin(spans [][]openSpan, r sim.Record) {
+	spans[r.Node] = append(spans[r.Node], openSpan{r.Proc.ID(), r.T})
+}
+
+// end closes the latest span r's process opened on r's node and returns
+// its start.
+func end(spans [][]openSpan, r sim.Record) sim.Time {
+	st := spans[r.Node]
+	i := len(st) - 1
+	for st[i].proc != r.Proc.ID() {
+		i--
+	}
+	start := st[i].start
+	spans[r.Node] = slices.Delete(st, i, i+1)
+	return start
 }
 
 // threadKey names a live thread: its node and descriptor number.
@@ -91,12 +111,11 @@ var abortReasons = [4]oam.Reason{oam.LockBusy, oam.CondFalse, oam.NetworkFull, o
 // New returns a collector with the selected sinks.
 func New(opts Options) *Collector {
 	c := &Collector{
-		opts:      opts,
-		procNode:  make(map[uint64]int),
-		threadID:  make(map[threadKey]uint64),
-		callStart: make(map[callKey][]sim.Time),
-		leaseID:   make(map[leaseKey]uint64),
-		outageID:  make(map[int]uint64),
+		opts:     opts,
+		procNode: make(map[uint64]int),
+		threadID: make(map[threadKey]uint64),
+		leaseID:  make(map[leaseKey]uint64),
+		outageID: make(map[int]uint64),
 	}
 	if opts.Profile {
 		c.prof = NewProfile()
@@ -119,8 +138,9 @@ func (c *Collector) Attach(u *am.Universe, _ *rpc.Runtime) {
 		panic("obs: a collector requires a sequential engine (shards=1)")
 	}
 	n := u.N()
-	c.handlerStart = make([][]sim.Time, n)
-	c.oamStart = make([][]sim.Time, n)
+	c.handlers = make([][]openSpan, n)
+	c.dispatches = make([][]openSpan, n)
+	c.calls = make([][]openSpan, n)
 
 	if c.opts.Metrics {
 		r := NewRegistry(n)
@@ -382,12 +402,10 @@ func (c *Collector) observeThreads(r sim.Record) {
 func (c *Collector) observeHandler(r sim.Record) {
 	node := r.Node
 	if r.Kind == am.RecHandlerStart {
-		c.handlerStart[node] = append(c.handlerStart[node], r.T)
+		begin(c.handlers, r)
 		return
 	}
-	st := c.handlerStart[node]
-	start := st[len(st)-1]
-	c.handlerStart[node] = st[:len(st)-1]
+	start := end(c.handlers, r)
 	if c.cHandlers != nil {
 		c.cHandlers.Inc(node)
 		c.hHandler.Observe(node, r.T.Sub(start))
@@ -405,7 +423,7 @@ func (c *Collector) observeOAM(r sim.Record) {
 		if c.cAttempts != nil {
 			c.cAttempts.Inc(node)
 		}
-		c.oamStart[node] = append(c.oamStart[node], r.T)
+		begin(c.dispatches, r)
 	case oam.RecCompleted, oam.RecPromoted, oam.RecNacked:
 		c.settled(r)
 	case oam.RecCores:
@@ -428,9 +446,7 @@ func (c *Collector) observeOAM(r sim.Record) {
 // settled closes an optimistic dispatch's span with its outcome.
 func (c *Collector) settled(r sim.Record) {
 	node := r.Node
-	st := c.oamStart[node]
-	start := st[len(st)-1]
-	c.oamStart[node] = st[:len(st)-1]
+	start := end(c.dispatches, r)
 	outcome := oam.Outcome(r.Kind - oam.RecCompleted)
 	reason, strategy := oam.Reason(r.B), oam.Strategy(r.A)
 	aborted := outcome != oam.Completed
@@ -481,13 +497,9 @@ func (c *Collector) observeRPC(r sim.Record) {
 	node := r.Node
 	switch r.Kind {
 	case rpc.RecCallStart:
-		k := callKey{node, r.Name}
-		c.callStart[k] = append(c.callStart[k], r.T)
+		begin(c.calls, r)
 	case rpc.RecCallEnd, rpc.RecCallTimeout:
-		k := callKey{node, r.Name}
-		st := c.callStart[k]
-		start := st[len(st)-1]
-		c.callStart[k] = st[:len(st)-1]
+		start := end(c.calls, r)
 		timedOut, retries := r.Kind == rpc.RecCallTimeout, uint64(r.N)
 		if c.cCalls != nil {
 			c.cCalls.Inc(node)
