@@ -265,6 +265,26 @@ func TestObservedStreamOrder(t *testing.T) {
 	}
 }
 
+// TestSpawnsCountedWhereBound: a process's spawn counts on the node it is
+// bound to, so no node has started more threads than it spawned processes.
+func TestSpawnsCountedWhereBound(t *testing.T) {
+	for _, app := range ObservedApps() {
+		for _, sys := range apps.Systems {
+			c, res, err := RunObserved(ObserveSpec{App: app, Sys: sys, Quick: true}, obs.Options{Metrics: true})
+			if err != nil {
+				t.Fatalf("%s %v: %v", app, sys, err)
+			}
+			reg := c.Registry()
+			spawns, started := reg.Counter("sim/spawns"), reg.Counter("threads/started")
+			for n := 0; n < res.Nodes; n++ {
+				if spawns.Value(n) < started.Value(n) {
+					t.Errorf("%s %v: node %d spawned %d processes and started %d threads", app, sys, n, spawns.Value(n), started.Value(n))
+				}
+			}
+		}
+	}
+}
+
 // TestRunObservedErrors: unknown apps and impossible sizes are rejected.
 func TestRunObservedErrors(t *testing.T) {
 	if _, _, err := RunObserved(ObserveSpec{App: "nosuch"}, obs.Options{}); err == nil {

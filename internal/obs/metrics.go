@@ -77,13 +77,28 @@ func (c *Counter) Total() uint64 {
 	return t
 }
 
+// move shifts one count from node from to node to.
+func (c *Counter) move(from, to int) {
+	v := c.touch()
+	v[from]--
+	v[to]++
+}
+
+// Counter returns the named counter, or nil when none is registered.
+func (r *Registry) Counter(name string) *Counter {
+	for _, c := range r.counters {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
+
 // CounterTotal returns the all-node total of the named counter, or 0
 // when no such counter is registered.
 func (r *Registry) CounterTotal(name string) uint64 {
-	for _, c := range r.counters {
-		if c.name == name {
-			return c.Total()
-		}
+	if c := r.Counter(name); c != nil {
+		return c.Total()
 	}
 	return 0
 }

@@ -36,6 +36,7 @@ type Collector struct {
 	tb   *traceBuilder
 
 	procNode map[uint64]int       // sim proc id → node (from threads.RecBound)
+	unbound  map[uint64]bool      // spawned procs not bound yet, counted on node 0
 	threadID map[threadKey]uint64 // live thread → its async span id
 	nextID   uint64               // thread-lifetime async ids
 	flightID uint64               // packet-flight async ids
@@ -113,6 +114,7 @@ func New(opts Options) *Collector {
 	c := &Collector{
 		opts:     opts,
 		procNode: make(map[uint64]int),
+		unbound:  make(map[uint64]bool),
 		threadID: make(map[threadKey]uint64),
 		leaseID:  make(map[leaseKey]uint64),
 		outageID: make(map[int]uint64),
@@ -210,7 +212,17 @@ func (c *Collector) Attach(u *am.Universe, _ *rpc.Runtime) {
 	// idle process spawned then.
 	c.eng.SetSink(c)
 	for i := 0; i < n; i++ {
-		c.procNode[u.Scheduler(i).Idle().ID()] = i
+		c.bind(i, u.Scheduler(i).Idle())
+	}
+}
+
+// bind records that p runs on node; a spawn counted on node 0 while p
+// was unbound moves there.
+func (c *Collector) bind(node int, p *sim.Proc) {
+	c.procNode[p.ID()] = node
+	if c.unbound[p.ID()] {
+		delete(c.unbound, p.ID())
+		c.cSpawns.move(0, node)
 	}
 }
 
@@ -284,6 +296,7 @@ func (c *Collector) observeSim(r sim.Record) {
 			}
 		}
 	case sim.RecExit:
+		delete(c.unbound, r.Proc.ID()) // never bound: its spawn stays on node 0
 		if c.cExits != nil {
 			if n, ok := c.node(r.Proc); ok {
 				c.cExits.Inc(n)
@@ -300,12 +313,11 @@ func (c *Collector) observeSim(r sim.Record) {
 			}
 		}
 	case sim.RecSpawn:
+		// Counted where the process is bound, which comes after the spawn;
+		// until then, and for good if it never is, on node 0.
 		if c.cSpawns != nil {
-			if n, ok := c.node(r.Proc); ok {
-				c.cSpawns.Inc(n)
-			} else {
-				c.cSpawns.Inc(0) // pre-binding spawns count against node 0
-			}
+			c.cSpawns.Inc(0)
+			c.unbound[r.Proc.ID()] = true
 		}
 	}
 }
@@ -395,7 +407,7 @@ func (c *Collector) observeThreads(r sim.Record) {
 			c.tb.counter("ready_depth", r.T, r.Node, int64(r.N))
 		}
 	case threads.RecBound:
-		c.procNode[r.Proc.ID()] = r.Node
+		c.bind(r.Node, r.Proc)
 	}
 }
 
