@@ -26,14 +26,6 @@ type ObserveSpec struct {
 	Cores int         // simulated cores per node (apps.RunOptions.Cores)
 }
 
-// scale carries an observed run's size and RunOptions: the sequential
-// kernel (the collector is not shard-safe, so the spec has no Shards to
-// ask for) with attach as the Observe hook. Its size methods (sizes.go)
-// configure the paper workloads.
-func (spec ObserveSpec) scale(attach func(*am.Universe, *rpc.Runtime)) Scale {
-	return Scale{Quick: spec.Quick, Run: apps.RunOptions{Cores: spec.Cores, Observe: attach}}
-}
-
 // ParseSystem maps a -sys flag value to an apps.System.
 func ParseSystem(s string) (apps.System, error) {
 	switch s {
@@ -135,5 +127,8 @@ func runObserved(spec ObserveSpec, c *obs.Collector, attach func(*am.Universe, *
 	if (spec.App == "tsp" || spec.App == "sched" || spec.App == "kv") && spec.Nodes < 2 {
 		return apps.Result{}, fmt.Errorf("%s needs at least 2 nodes (a master and a worker)", spec.App)
 	}
-	return run(spec, spec.scale(attach), c)
+	// The sequential kernel: the collector is not shard-safe, so the spec
+	// has no Shards to ask for. Scale's size methods (sizes.go) configure
+	// the paper workloads.
+	return run(spec, Scale{Quick: spec.Quick, Run: apps.RunOptions{Cores: spec.Cores, Observe: attach}}, c)
 }

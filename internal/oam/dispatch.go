@@ -161,9 +161,11 @@ const (
 )
 
 // observe emits an attempt's record of kind k for the procedure name on
-// the context c, whose shard has a sink.
+// the context c, if its shard has a sink.
 func observe(c threads.Ctx, node int, k sim.Kind, name string, strat Strategy, reason Reason) {
-	c.P.Shard().Sink().Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerOAM, Kind: k, Node: node, Proc: c.P, Name: name, A: int64(strat), B: int64(reason)})
+	if sink := c.P.Shard().Sink(); sink != nil {
+		sink.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerOAM, Kind: k, Node: node, Proc: c.P, Name: name, A: int64(strat), B: int64(reason)})
+	}
 }
 
 // settled is the record kind of outcome o.
@@ -266,9 +268,7 @@ func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body 
 func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat Strategy, body func(*Env), f Frame, ent *runEntry, hook func(threads.Ctx, Frame, Outcome, Reason)) (Outcome, Reason) {
 	node := ep.Node().ID()
 	st := d.nodeStats(node)
-	if c.P.Shard().Sink() != nil {
-		observe(c, node, RecAttempt, name, strat, 0)
-	}
+	observe(c, node, RecAttempt, name, strat, 0)
 	env := d.acquire(c, ep, name, body, f, true)
 	reason, aborted := attempt(env, body)
 	outcome := Completed
@@ -302,9 +302,7 @@ func (d *Dispatcher) inline(c threads.Ctx, ep *am.Endpoint, name string, strat S
 	if hook != nil {
 		hook(c, f, outcome, reason)
 	}
-	if c.P.Shard().Sink() != nil {
-		observe(c, node, settled(outcome), name, strat, reason)
-	}
+	observe(c, node, settled(outcome), name, strat, reason)
 	return outcome, reason
 }
 
@@ -331,9 +329,7 @@ func attempt(env *Env, body func(*Env)) (reason Reason, aborted bool) {
 // the polling context resumes immediately.
 func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body func(*Env), f Frame) (Outcome, Reason) {
 	node := ep.Node().ID()
-	if c.P.Shard().Sink() != nil {
-		observe(c, node, RecAttempt, name, Continuation, 0)
-	}
+	observe(c, node, RecAttempt, name, Continuation, 0)
 	env := d.acquire(threads.Ctx{S: c.S}, ep, name, body, f, true)
 	env.lent = true
 	c.S.Lend(c.P.Shard().SpawnRunner((*lentExec)(env)))
@@ -347,9 +343,7 @@ func (d *Dispatcher) runLent(c threads.Ctx, ep *am.Endpoint, name string, body f
 	if outcome == Completed {
 		d.release(env)
 	}
-	if c.P.Shard().Sink() != nil {
-		observe(c, node, settled(outcome), name, Continuation, reason)
-	}
+	observe(c, node, settled(outcome), name, Continuation, reason)
 	return outcome, reason
 }
 

@@ -47,11 +47,9 @@ func (c *Collector) kvTrack(node int) {
 // their rpc spans already tell that story — but every failed arrival is
 // marked where it failed.
 func (c *Collector) RequestDone(t sim.Time, client int, op kv.Op, out kv.Outcome, lat sim.Duration) {
-	if c.cKVDone[0] != nil {
-		c.cKVDone[int(out)].Inc(client)
-		if out != kv.OutcomeDrop {
-			c.hKVLat.Observe(client, lat)
-		}
+	c.cKVDone[int(out)].Inc(client)
+	if out != kv.OutcomeDrop {
+		c.hKVLat.Observe(client, lat)
 	}
 	if c.tb != nil && out != kv.OutcomeOK {
 		c.kvTrack(client)
@@ -62,9 +60,7 @@ func (c *Collector) RequestDone(t sim.Time, client int, op kv.Op, out kv.Outcome
 
 // ServerShed counts one admission rejection on the shedding server.
 func (c *Collector) ServerShed(t sim.Time, server, depth int) {
-	if c.cKVSheds != nil {
-		c.cKVSheds.Inc(server)
-	}
+	c.cKVSheds.Inc(server)
 	if c.tb != nil {
 		c.kvTrack(server)
 		c.tb.instant("kv shed", "kv", t, server, tidKV,

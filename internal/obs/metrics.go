@@ -55,10 +55,15 @@ func (c *Counter) touch() []uint64 {
 }
 
 // Inc adds one to node's count.
-func (c *Counter) Inc(node int) { c.touch()[node]++ }
+func (c *Counter) Inc(node int) { c.Add(node, 1) }
 
-// Add adds delta to node's count.
-func (c *Counter) Add(node int, delta uint64) { c.touch()[node] += delta }
+// Add adds delta to node's count. Updating a nil instrument (an
+// unselected metrics sink's) does nothing, as for Gauge and Histogram.
+func (c *Counter) Add(node int, delta uint64) {
+	if c != nil {
+		c.touch()[node] += delta
+	}
+}
 
 // Value returns node's count.
 func (c *Counter) Value(node int) uint64 {
@@ -79,9 +84,10 @@ func (c *Counter) Total() uint64 {
 
 // move shifts one count from node from to node to.
 func (c *Counter) move(from, to int) {
-	v := c.touch()
-	v[from]--
-	v[to]++
+	if c != nil {
+		c.touch()[from]--
+		c.vals[to]++
+	}
 }
 
 // Counter returns the named counter, or nil when none is registered.
@@ -121,6 +127,9 @@ func (r *Registry) NewGauge(name string) *Gauge {
 
 // Set records node's current value.
 func (g *Gauge) Set(node int, v int64) {
+	if g == nil {
+		return
+	}
 	if g.vals == nil {
 		g.vals = make([]int64, g.nodes)
 		g.max = make([]int64, g.nodes)
@@ -175,6 +184,9 @@ func (r *Registry) NewHistogram(name string, bounds ...sim.Duration) *Histogram 
 
 // Observe records one duration sample on node.
 func (h *Histogram) Observe(node int, d sim.Duration) {
+	if h == nil {
+		return
+	}
 	if h.counts == nil {
 		h.counts = make([][]uint64, h.nodes)
 		h.sums = make([]sim.Duration, h.nodes)

@@ -45,7 +45,8 @@ type Collector struct {
 	// each closes the latest one its own process opened.
 	handlers, dispatches, calls [][]openSpan
 
-	// Metrics instruments (nil sink ⇒ all nil).
+	// Metrics instruments: all nil, and so updated as no-ops, without
+	// Options.Metrics.
 	cResumes, cExits, cSpawns            *Counter
 	cSent, cDelivered, cLost, cBackpress *Counter
 	cHandlers                            *Counter
@@ -290,17 +291,13 @@ func (c *Collector) Observe(r sim.Record) {
 func (c *Collector) observeSim(r sim.Record) {
 	switch r.Kind {
 	case sim.RecResume:
-		if c.cResumes != nil {
-			if n, ok := c.node(r.Proc); ok {
-				c.cResumes.Inc(n)
-			}
+		if n, ok := c.node(r.Proc); ok {
+			c.cResumes.Inc(n)
 		}
 	case sim.RecExit:
 		delete(c.unbound, r.Proc.ID()) // never bound: its spawn stays on node 0
-		if c.cExits != nil {
-			if n, ok := c.node(r.Proc); ok {
-				c.cExits.Inc(n)
-			}
+		if n, ok := c.node(r.Proc); ok {
+			c.cExits.Inc(n)
 		}
 	case sim.RecCharge:
 		start, d := sim.Time(r.A), sim.Duration(r.B)
@@ -315,10 +312,8 @@ func (c *Collector) observeSim(r sim.Record) {
 	case sim.RecSpawn:
 		// Counted where the process is bound, which comes after the spawn;
 		// until then, and for good if it never is, on node 0.
-		if c.cSpawns != nil {
-			c.cSpawns.Inc(0)
-			c.unbound[r.Proc.ID()] = true
-		}
+		c.cSpawns.Inc(0)
+		c.unbound[r.Proc.ID()] = true
 	}
 }
 
@@ -326,7 +321,7 @@ func (c *Collector) observeNet(r sim.Record) {
 	switch r.Kind {
 	case cm5.RecSent, cm5.RecDup:
 		busy, wire := sim.Duration(r.A), sim.Duration(r.B)
-		if c.cSent != nil && r.Kind == cm5.RecSent {
+		if r.Kind == cm5.RecSent {
 			c.cSent.Inc(r.Node)
 			c.hWire.Observe(r.Node, wire)
 		}
@@ -344,25 +339,19 @@ func (c *Collector) observeNet(r sim.Record) {
 			c.tb.asyncEnd(name, "flight", r.T.Add(busy+wire), r.Node, tidNet, c.flightID)
 		}
 	case cm5.RecDelivered:
-		if c.cDelivered != nil {
-			c.cDelivered.Inc(r.Node)
-			c.gNicDepth.Set(r.Node, int64(r.N))
-		}
+		c.cDelivered.Inc(r.Node)
+		c.gNicDepth.Set(r.Node, int64(r.N))
 		if c.tb != nil {
 			c.tb.counter("nic_depth", r.T, r.Node, int64(r.N))
 		}
 	case cm5.RecLost:
-		if c.cLost != nil {
-			c.cLost.Inc(r.Node)
-		}
+		c.cLost.Inc(r.Node)
 		if c.tb != nil {
 			c.tb.instant("lost: "+cm5.FaultKind(r.ID).String(), "fault", r.T, r.Node, tidNet,
 				fmt.Sprintf(`{"dst":%d}`, r.Peer))
 		}
 	case cm5.RecBackpressure:
-		if c.cBackpress != nil {
-			c.cBackpress.Inc(r.Node)
-		}
+		c.cBackpress.Inc(r.Node)
 		if c.tb != nil {
 			c.tb.instant("backpressure", "fault", r.T, r.Node, tidNet,
 				fmt.Sprintf(`{"dst":%d}`, r.Peer))
@@ -373,25 +362,19 @@ func (c *Collector) observeNet(r sim.Record) {
 func (c *Collector) observeThreads(r sim.Record) {
 	switch r.Kind {
 	case threads.RecCreated:
-		if c.cThCreated != nil {
-			c.cThCreated.Inc(r.Node)
-		}
+		c.cThCreated.Inc(r.Node)
 		if c.tb != nil {
 			c.nextID++
 			c.threadID[threadKey{r.Node, r.ID}] = c.nextID
 			c.tb.asyncBegin(r.Name, "thread", r.T, r.Node, tidThreads, c.nextID, "")
 		}
 	case threads.RecStarted, threads.RecStartedLive:
-		if c.cThStarted != nil {
-			c.cThStarted.Inc(r.Node)
-			if r.Kind == threads.RecStartedLive {
-				c.cThLive.Inc(r.Node)
-			}
+		c.cThStarted.Inc(r.Node)
+		if r.Kind == threads.RecStartedLive {
+			c.cThLive.Inc(r.Node)
 		}
 	case threads.RecExited:
-		if c.cThExited != nil {
-			c.cThExited.Inc(r.Node)
-		}
+		c.cThExited.Inc(r.Node)
 		if c.tb != nil {
 			k := threadKey{r.Node, r.ID}
 			if id, ok := c.threadID[k]; ok {
@@ -400,9 +383,7 @@ func (c *Collector) observeThreads(r sim.Record) {
 			}
 		}
 	case threads.RecReady:
-		if c.gReadyDepth != nil {
-			c.gReadyDepth.Set(r.Node, int64(r.N))
-		}
+		c.gReadyDepth.Set(r.Node, int64(r.N))
 		if c.tb != nil {
 			c.tb.counter("ready_depth", r.T, r.Node, int64(r.N))
 		}
@@ -418,10 +399,8 @@ func (c *Collector) observeHandler(r sim.Record) {
 		return
 	}
 	start := end(c.handlers, r)
-	if c.cHandlers != nil {
-		c.cHandlers.Inc(node)
-		c.hHandler.Observe(node, r.T.Sub(start))
-	}
+	c.cHandlers.Inc(node)
+	c.hHandler.Observe(node, r.T.Sub(start))
 	if c.tb != nil {
 		c.tb.span(c.u.HandlerName(am.HandlerID(r.ID)), "handler", start, r.T.Sub(start), node, tidHandler,
 			fmt.Sprintf(`{"depth":%d}`, r.N))
@@ -432,23 +411,17 @@ func (c *Collector) observeOAM(r sim.Record) {
 	node := r.Node
 	switch r.Kind {
 	case oam.RecAttempt:
-		if c.cAttempts != nil {
-			c.cAttempts.Inc(node)
-		}
+		c.cAttempts.Inc(node)
 		begin(c.dispatches, r)
 	case oam.RecCompleted, oam.RecPromoted, oam.RecNacked:
 		c.settled(r)
 	case oam.RecCores:
-		if c.gCoresBusy != nil {
-			c.gCoresBusy.Set(node, int64(r.N))
-		}
+		c.gCoresBusy.Set(node, int64(r.N))
 		if c.tb != nil {
 			c.tb.counter("cores_busy", r.T, node, int64(r.N))
 		}
 	case oam.RecCompatQueue:
-		if c.gCompatQueue != nil {
-			c.gCompatQueue.Set(node, int64(r.N))
-		}
+		c.gCompatQueue.Set(node, int64(r.N))
 		if c.tb != nil {
 			c.tb.counter("compat_queue", r.T, node, int64(r.N))
 		}
@@ -462,18 +435,16 @@ func (c *Collector) settled(r sim.Record) {
 	outcome := oam.Outcome(r.Kind - oam.RecCompleted)
 	reason, strategy := oam.Reason(r.B), oam.Strategy(r.A)
 	aborted := outcome != oam.Completed
-	if c.cAttempts != nil {
-		switch outcome {
-		case oam.Completed:
-			c.cCompleted.Inc(node)
-		case oam.Promoted:
-			c.cPromoted.Inc(node)
-		case oam.NackNeeded:
-			c.cNacked.Inc(node)
-		}
-		if aborted {
-			c.cAbortReason[int(reason)].Inc(node)
-		}
+	switch outcome {
+	case oam.Completed:
+		c.cCompleted.Inc(node)
+	case oam.Promoted:
+		c.cPromoted.Inc(node)
+	case oam.NackNeeded:
+		c.cNacked.Inc(node)
+	}
+	if aborted {
+		c.cAbortReason[int(reason)].Inc(node)
 	}
 	if c.tb != nil {
 		var args string
@@ -513,22 +484,18 @@ func (c *Collector) observeRPC(r sim.Record) {
 	case rpc.RecCallEnd, rpc.RecCallTimeout:
 		start := end(c.calls, r)
 		timedOut, retries := r.Kind == rpc.RecCallTimeout, uint64(r.N)
-		if c.cCalls != nil {
-			c.cCalls.Inc(node)
-			c.cRetries.Add(node, retries)
-			if timedOut {
-				c.cTimeouts.Inc(node)
-			}
-			c.hCall.Observe(node, r.T.Sub(start))
+		c.cCalls.Inc(node)
+		c.cRetries.Add(node, retries)
+		if timedOut {
+			c.cTimeouts.Inc(node)
 		}
+		c.hCall.Observe(node, r.T.Sub(start))
 		if c.tb != nil {
 			c.tb.span("call "+r.Name, "rpc", start, r.T.Sub(start), node, tidRPC,
 				fmt.Sprintf(`{"timed_out":%t,"retries":%d}`, timedOut, retries))
 		}
 	case rpc.RecStale:
-		if c.cStale != nil {
-			c.cStale.Inc(node)
-		}
+		c.cStale.Inc(node)
 		if c.tb != nil {
 			c.tb.instant("stale reply", "rpc", r.T, node, tidRPC, "")
 		}

@@ -35,9 +35,7 @@ func (c *Collector) schedTrack() {
 // --- sched.Probe ---
 
 func (c *Collector) Heartbeat(t sim.Time, agent int) {
-	if c.cSchedBeats != nil {
-		c.cSchedBeats.Inc(agent)
-	}
+	c.cSchedBeats.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		c.tb.instant("heartbeat", "sched", t, 0, tidSched,
@@ -49,9 +47,7 @@ func (c *Collector) Heartbeat(t sim.Time, agent int) {
 // never recovers (a real crash) leaves its span open to the end of the
 // trace, which is exactly what the outage looked like.
 func (c *Collector) AgentDead(t sim.Time, agent int) {
-	if c.cSchedDead != nil {
-		c.cSchedDead.Inc(agent)
-	}
+	c.cSchedDead.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		c.schedSeq++
@@ -61,9 +57,7 @@ func (c *Collector) AgentDead(t sim.Time, agent int) {
 }
 
 func (c *Collector) AgentAlive(t sim.Time, agent int) {
-	if c.cSchedAlive != nil {
-		c.cSchedAlive.Inc(agent)
-	}
+	c.cSchedAlive.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		if id, ok := c.outageID[agent]; ok {
@@ -74,9 +68,7 @@ func (c *Collector) AgentAlive(t sim.Time, agent int) {
 }
 
 func (c *Collector) LeasePlaced(t sim.Time, job, agent, epoch int) {
-	if c.cSchedPlaced != nil {
-		c.cSchedPlaced.Inc(agent)
-	}
+	c.cSchedPlaced.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		c.schedSeq++
@@ -87,7 +79,7 @@ func (c *Collector) LeasePlaced(t sim.Time, job, agent, epoch int) {
 }
 
 func (c *Collector) LeaseReclaimed(t sim.Time, job, agent, epoch int, why sched.ReclaimReason) {
-	if c.cSchedReclaims[0] != nil && why != sched.ReasonNone {
+	if why != sched.ReasonNone {
 		c.cSchedReclaims[int(why)-1].Inc(agent)
 	}
 	if c.tb != nil {
@@ -102,9 +94,7 @@ func (c *Collector) LeaseReclaimed(t sim.Time, job, agent, epoch int, why sched.
 }
 
 func (c *Collector) CompletionAccepted(t sim.Time, job, agent, epoch int) {
-	if c.cSchedAccepted != nil {
-		c.cSchedAccepted.Inc(agent)
-	}
+	c.cSchedAccepted.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		if id, ok := c.leaseID[leaseKey{job, epoch}]; ok {
@@ -115,9 +105,7 @@ func (c *Collector) CompletionAccepted(t sim.Time, job, agent, epoch int) {
 }
 
 func (c *Collector) CompletionRejected(t sim.Time, job, agent, epoch int) {
-	if c.cSchedRejected != nil {
-		c.cSchedRejected.Inc(agent)
-	}
+	c.cSchedRejected.Inc(agent)
 	if c.tb != nil {
 		c.schedTrack()
 		c.tb.instant("fenced completion", "sched", t, 0, tidSched,

@@ -79,10 +79,12 @@ const (
 	RecStale
 )
 
-// observe emits a record of kind k about a call of p from c, whose shard
+// observe emits a record of kind k about a call of p from c, if its shard
 // has a sink.
 func (p *Proc) observe(c threads.Ctx, node int, k sim.Kind, retries uint64) {
-	c.P.Shard().Sink().Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerRPC, Kind: k, Node: node, Proc: c.P, Name: p.name, N: int(retries)})
+	if sink := c.P.Shard().Sink(); sink != nil {
+		sink.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerRPC, Kind: k, Node: node, Proc: c.P, Name: p.name, N: int(retries)})
+	}
 }
 
 // nodeState is the client-side call table of one node. It is only ever
@@ -578,9 +580,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
 	backoff := rt.opts.NackBackoffBase
-	if c.P.Shard().Sink() != nil {
-		p.observe(c, me, RecCallStart, 0)
-	}
+	p.observe(c, me, RecCallStart, 0)
 	var retries uint64
 	for {
 		st.Calls++
@@ -593,9 +593,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 		reply, nacked, timedOut := cl.msg, cl.nacked, cl.timedOut
 		ns.end(cl)
 		if !timedOut && !nacked {
-			if c.P.Shard().Sink() != nil {
-				p.observe(c, me, RecCallEnd, retries)
-			}
+			p.observe(c, me, RecCallEnd, retries)
 			return Enc{reply}, nil
 		}
 		if nacked {
@@ -609,9 +607,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 			}
 		}
 		st.Timeouts++
-		if c.P.Shard().Sink() != nil {
-			p.observe(c, me, RecCallTimeout, retries)
-		}
+		p.observe(c, me, RecCallTimeout, retries)
 		return Enc{}, ErrDeadline
 	}
 }
@@ -648,14 +644,10 @@ func (p *Proc) CallAsync(c threads.Ctx, server int, arg *Enc) {
 	}
 	me := c.Node().ID()
 	p.stats[me].Calls++
-	if c.P.Shard().Sink() != nil {
-		p.observe(c, me, RecCallStart, 0)
-	}
+	p.observe(c, me, RecCallStart, 0)
 	ns := p.rt.node(me)
 	cl := ns.take(p, c, server, arg)
 	p.rt.u.Endpoint(me).Drive(c, p.rt.u.Machine().Cost().StubClient, cl)
 	ns.end(cl)
-	if c.P.Shard().Sink() != nil {
-		p.observe(c, me, RecCallEnd, 0)
-	}
+	p.observe(c, me, RecCallEnd, 0)
 }

@@ -25,9 +25,7 @@ type lendEntry struct {
 // holder. Lending nests: a lent execution that polls the network can lend
 // onward to another optimistic execution.
 func (s *Scheduler) Lend(p *sim.Proc) {
-	if s.sh.Sink() != nil {
-		s.note(RecBound, nil, p)
-	}
+	s.note(RecBound, nil, p, 0)
 	s.lent = append(s.lent, lendEntry{p: p, lender: s.cpuProc()})
 }
 
@@ -62,9 +60,7 @@ func (s *Scheduler) Adopt(name Name, p *sim.Proc) *Thread {
 	p.Charge(s.cost.ThreadCreate)
 	s.stats.Adopted++
 	t := s.newThread(name, nil, p, stateRunning)
-	if s.sh.Sink() != nil {
-		s.note(RecStartedLive, t, p)
-	}
+	s.note(RecStartedLive, t, p, 0)
 	return t
 }
 

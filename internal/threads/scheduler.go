@@ -122,21 +122,22 @@ const (
 	RecBound
 )
 
-// note emits a record of kind k about thread t (nil for none) with proc p.
-func (s *Scheduler) note(k sim.Kind, t *Thread, p *sim.Proc) {
-	r := sim.Record{T: s.sh.Now(), Layer: sim.LayerThreads, Kind: k, Node: s.node.ID(), Proc: p}
+// note emits a record of kind k about thread t (nil for none), proc p and
+// count n, if the node is observed.
+func (s *Scheduler) note(k sim.Kind, t *Thread, p *sim.Proc, n int) {
+	sink := s.sh.Sink()
+	if sink == nil {
+		return
+	}
+	r := sim.Record{T: s.sh.Now(), Layer: sim.LayerThreads, Kind: k, Node: s.node.ID(), Proc: p, N: n}
 	if t != nil {
 		r.Name, r.ID = t.Name(), uint64(t.slot)
 	}
-	s.sh.Sink().Observe(r)
+	sink.Observe(r)
 }
 
 // noteReady reports a ready-queue occupancy change.
-func (s *Scheduler) noteReady() {
-	if k := s.sh.Sink(); k != nil {
-		k.Observe(sim.Record{T: s.sh.Now(), Layer: sim.LayerThreads, Kind: RecReady, Node: s.node.ID(), N: s.ready.len()})
-	}
-}
+func (s *Scheduler) noteReady() { s.note(RecReady, nil, nil, s.ready.len()) }
 
 // NewScheduler creates the scheduler for node and starts its idle
 // process, which acts as the scheduler whenever no thread context is
@@ -217,9 +218,7 @@ func (s *Scheduler) Blocked() []string {
 // for synchronization primitives and thread creation.
 func (s *Scheduler) BindCore(p *sim.Proc) {
 	s.cores = append(s.cores, p)
-	if s.sh.Sink() != nil {
-		s.note(RecBound, nil, p)
-	}
+	s.note(RecBound, nil, p, 0)
 }
 
 // UnbindCore releases a core worker registered with BindCore.
@@ -387,14 +386,12 @@ func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 		t.state = stateRunning
 		s.cur = t
 		t.proc = s.sh.SpawnRunner((*threadProc)(t))
-		if s.sh.Sink() != nil {
-			s.note(RecBound, nil, t.proc)
-			k := RecStarted
-			if !fromRunnable {
-				k = RecStartedLive
-			}
-			s.note(k, t, t.proc)
+		s.note(RecBound, nil, t.proc, 0)
+		k := RecStartedLive
+		if fromRunnable {
+			k = RecStarted
 		}
+		s.note(k, t, t.proc, 0)
 	case stateReady:
 		t.state = stateRunning
 		s.cur = t
@@ -417,9 +414,7 @@ func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadS
 	}
 	s.free = t.blockedNext
 	*t = Thread{sched: s, name: name, body: body, proc: p, state: st, gen: t.gen, slot: t.slot, joiners: t.joiners[:0]}
-	if s.sh.Sink() != nil {
-		s.note(RecCreated, t, p)
-	}
+	s.note(RecCreated, t, p, 0)
 	return t
 }
 
@@ -431,9 +426,7 @@ func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadS
 // be written. p must return (die) immediately afterwards.
 func (s *Scheduler) exit(p *sim.Proc, t *Thread) {
 	t.state = stateDead
-	if s.sh.Sink() != nil {
-		s.note(RecExited, t, p)
-	}
+	s.note(RecExited, t, p, 0)
 	for _, j := range t.joiners {
 		s.makeReady(j, false)
 	}
