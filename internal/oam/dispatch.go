@@ -256,8 +256,8 @@ func (d *Dispatcher) RunFrame(c threads.Ctx, ep *am.Endpoint, name string, body 
 // context c and settles the result — commit or undo, the node's counters,
 // the adaptive controller, a nack verdict or a rerun thread, then the
 // caller's hook and the settling record, in that order (observed traces
-// depend on it). strat is Rerun or Nack. Single-active Run and the multiactive core
-// workers both end here and differ only in ent and hook:
+// depend on it). strat is Rerun or Nack. Single-active Run and the
+// multiactive core workers both end here and differ only in ent and hook:
 //
 //   - ent is the compatibility slot the execution occupies, nil under
 //     single-active dispatch. A rerun thread releases the slot when it
