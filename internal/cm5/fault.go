@@ -1,8 +1,9 @@
 package cm5
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -95,9 +96,9 @@ func (k FaultKind) String() string {
 	return "unknown"
 }
 
-// FaultEvent records one injected fault. For FaultCrash, Src == Dst ==
+// faultEvent records one injected fault. For FaultCrash, Src == Dst ==
 // the crashed node.
-type FaultEvent struct {
+type faultEvent struct {
 	T    sim.Time
 	Kind FaultKind
 	Src  int
@@ -137,20 +138,72 @@ const (
 // faultState is the installed plan plus its runtime bookkeeping. All
 // randomness is drawn from per-flight counter-seeded streams (see
 // SplitMix), so a draw's value depends only on the flight's identity,
-// and the mutable accounting (stats, per-node counters, the event trace)
-// lives in the per-shard machine state, merged canonically at read time.
-// What remains here is the immutable plan plus the crash flags, which
-// flip only at crash globals — between spans — and are therefore safe
-// to read from any shard mid-span.
+// and the mutable accounting (stats, per-node counters) lives in the
+// per-shard machine state, merged canonically at read time. What
+// remains here is the immutable plan, the crash flags, which flip only
+// at crash globals — between spans — and are therefore safe to read from
+// any shard mid-span, and the fault trace of a one-shard machine.
 type faultState struct {
 	plan     FaultPlan
 	linkDrop map[[2]int]float64
 	crashed  []bool
+
+	// serial is set on a one-shard machine. There every fault is recorded
+	// at the engine's current instant, so the trace folds into hash as it
+	// is recorded: pending holds the faults of the latest instant, and a
+	// fault at a later instant folds them in canonical order first. A
+	// sharded machine records into each shard's fevents instead, merged
+	// at read.
+	serial  bool
+	hash    uint64
+	pending []faultEvent
 }
 
-// recordFault appends one fault to this shard's slice of the trace.
-func (ms *machineShard) recordFault(ev FaultEvent) {
-	ms.fevents = append(ms.fevents, ev)
+// record adds one fault to the trace: folded online on a one-shard
+// machine, appended to shard ms's slice otherwise.
+func (f *faultState) record(ms *machineShard, ev faultEvent) {
+	if !f.serial {
+		ms.fevents = append(ms.fevents, ev)
+		return
+	}
+	if len(f.pending) > 0 {
+		at := f.pending[0].T
+		if ev.T < at {
+			panic(fmt.Sprintf("cm5: fault at %v recorded after a fault at %v", ev.T, at))
+		}
+		if ev.T > at {
+			f.hash = foldFaults(f.hash, f.pending)
+			f.pending = f.pending[:0]
+		}
+	}
+	f.pending = append(f.pending, ev)
+}
+
+// foldFaults sorts evs into canonical (time, src, dst, kind) order and
+// folds them into the FNV-1a state h. Events equal in all four fields
+// fold to the same bytes, so the sort need not be stable.
+func foldFaults(h uint64, evs []faultEvent) uint64 {
+	slices.SortFunc(evs, func(a, b faultEvent) int {
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
+	})
+	for _, ev := range evs {
+		for _, v := range [4]uint64{uint64(ev.T), uint64(ev.Kind), uint64(ev.Src), uint64(ev.Dst)} {
+			for i := 0; i < 8; i++ {
+				h ^= (v >> (8 * i)) & 0xff
+				h *= fnvPrime64
+			}
+		}
+	}
+	return h
 }
 
 // faultNode returns this shard's counters for node. The table is a map
@@ -217,7 +270,7 @@ func (f *faultState) extraLatency(fr *SplitMix, ms *machineShard, now sim.Time, 
 		if w.Node == dst && now >= w.From && now < w.To {
 			extra += w.Extra
 			ms.fstats.Slowed++
-			ms.recordFault(FaultEvent{T: now, Kind: FaultSlow, Src: src, Dst: dst})
+			f.record(ms, faultEvent{T: now, Kind: FaultSlow, Src: src, Dst: dst})
 		}
 	}
 	if f.plan.ExtraJitter > 0 {
@@ -242,6 +295,8 @@ func (m *Machine) SetFaultPlan(plan *FaultPlan) {
 	f := &faultState{
 		plan:    *plan,
 		crashed: make([]bool, len(m.nodes)),
+		serial:  !m.sharded(),
+		hash:    fnvOffset64,
 	}
 	if len(plan.Links) > 0 {
 		f.linkDrop = make(map[[2]int]float64, len(plan.Links))
@@ -264,7 +319,7 @@ func (m *Machine) SetFaultPlan(plan *FaultPlan) {
 			}
 			f.crashed[cr.Node] = true
 			m.shards[0].fstats.Crashes++
-			m.shards[0].recordFault(FaultEvent{T: cr.At, Kind: FaultCrash, Src: cr.Node, Dst: cr.Node})
+			f.record(&m.shards[0], faultEvent{T: cr.At, Kind: FaultCrash, Src: cr.Node, Dst: cr.Node})
 		})
 	}
 	m.fault = f
@@ -301,52 +356,22 @@ func (m *Machine) NodeFaults(i int) NodeFaultStats {
 	return out
 }
 
-// FaultEvents returns the record of every injected fault in canonical
-// (time, src, dst, kind) order. The canonical order — rather than raw
-// recording order — is what both the sequential and the sharded kernel
-// expose, so the trace (and its hash) is shard-count-independent.
-func (m *Machine) FaultEvents() []FaultEvent {
-	n := 0
-	for i := range m.shards {
-		n += len(m.shards[i].fevents)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]FaultEvent, 0, n)
-	for i := range m.shards {
-		out = append(out, m.shards[i].fevents...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Kind < b.Kind
-	})
-	return out
-}
-
-// FaultTraceHash folds the canonical fault-event record into a single
-// FNV-1a hash: two runs with the same seed and the same plan must agree
-// on it, at any shard count.
+// FaultTraceHash folds the fault trace, in canonical (time, src, dst,
+// kind) order, into a single FNV-1a hash: two runs with the same seed and
+// the same plan must agree on it, at any shard count.
 func (m *Machine) FaultTraceHash() uint64 {
-	h := uint64(fnvOffset64)
-	for _, ev := range m.FaultEvents() {
-		for _, v := range [4]uint64{uint64(ev.T), uint64(ev.Kind), uint64(ev.Src), uint64(ev.Dst)} {
-			for i := 0; i < 8; i++ {
-				h ^= (v >> (8 * i)) & 0xff
-				h *= fnvPrime64
-			}
-		}
+	f := m.fault
+	if f == nil {
+		return fnvOffset64
 	}
-	return h
+	if f.serial {
+		return foldFaults(f.hash, f.pending)
+	}
+	var evs []faultEvent
+	for i := range m.shards {
+		evs = append(evs, m.shards[i].fevents...)
+	}
+	return foldFaults(fnvOffset64, evs)
 }
 
 // Crashed reports whether node i has fail-stopped.

@@ -199,8 +199,8 @@ func TestSlowWindowDelays(t *testing.T) {
 	}
 }
 
-// TestFaultTraceHashStable: same plan, same seed — identical fault event
-// records; different fault seed — different record.
+// TestFaultTraceHashStable: same plan, same seed — identical fault trace
+// and counters; different fault seed — different trace.
 func TestFaultTraceHashStable(t *testing.T) {
 	plan := &FaultPlan{Seed: 8, DropProb: 0.2, DupProb: 0.1}
 	m1, _, _ := trafficRun(t, 9, 0, plan, 60)
@@ -208,8 +208,8 @@ func TestFaultTraceHashStable(t *testing.T) {
 	if m1.FaultTraceHash() != m2.FaultTraceHash() {
 		t.Fatalf("fault hash diverged: %x vs %x", m1.FaultTraceHash(), m2.FaultTraceHash())
 	}
-	if len(m1.FaultEvents()) != len(m2.FaultEvents()) {
-		t.Fatalf("event counts diverged")
+	if s1, s2 := m1.FaultStats(), m2.FaultStats(); s1 != s2 {
+		t.Fatalf("fault counters diverged: %+v vs %+v", s1, s2)
 	}
 	other := &FaultPlan{Seed: 1234, DropProb: 0.2, DupProb: 0.1}
 	m3, _, _ := trafficRun(t, 9, 0, other, 60)

@@ -252,7 +252,7 @@ func (m *Machine) completeDelivery(pkt *Packet) {
 		dst.nic.abandon()
 		dst.ms.fstats.LateDrops++
 		dst.ms.faultNode(pkt.Dst).Blackholed++
-		dst.ms.recordFault(FaultEvent{T: now, Kind: FaultLateDrop, Src: pkt.Src, Dst: pkt.Dst})
+		f.record(dst.ms, faultEvent{T: now, Kind: FaultLateDrop, Src: pkt.Src, Dst: pkt.Dst})
 		if k := dst.sh.Sink(); k != nil {
 			k.Observe(sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecLost, Node: pkt.Src, Peer: pkt.Dst, ID: uint64(FaultLateDrop)})
 		}
@@ -558,7 +558,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 			n.ms.fstats.Dropped++
 			n.ms.faultNode(pkt.Src).Dropped++
 		}
-		n.ms.recordFault(FaultEvent{T: now, Kind: lossKind, Src: pkt.Src, Dst: pkt.Dst})
+		f.record(n.ms, faultEvent{T: now, Kind: lossKind, Src: pkt.Src, Dst: pkt.Dst})
 		if k := n.sh.Sink(); k != nil {
 			k.Observe(sim.Record{T: now, Layer: sim.LayerCM5, Kind: RecLost, Node: pkt.Src, Peer: pkt.Dst, ID: uint64(lossKind)})
 		}
@@ -591,7 +591,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 			dupWire = cost.WireLatency + f.extraLatency(&fr, n.ms, now, pkt.Src, pkt.Dst)
 			n.ms.fstats.Duplicated++
 			n.ms.faultNode(pkt.Src).Duplicated++
-			n.ms.recordFault(FaultEvent{T: now, Kind: FaultDuplicate, Src: pkt.Src, Dst: pkt.Dst})
+			f.record(n.ms, faultEvent{T: now, Kind: FaultDuplicate, Src: pkt.Src, Dst: pkt.Dst})
 		}
 	}
 	// The sender's CPU is busy for the injection; the packet leaves at the

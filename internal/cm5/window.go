@@ -35,7 +35,7 @@ type machineShard struct {
 	// fault.go), so injection sites never contend.
 	fstats   FaultStats
 	fperNode map[int32]*NodeFaultStats
-	fevents  []FaultEvent
+	fevents  []faultEvent
 }
 
 // reserveCross records a span-local NIC-slot claim toward cross-shard
