@@ -376,12 +376,14 @@ func buildCost(build func()) (allocs, bytes float64) {
 }
 
 // TestBuildBudget pins the build the way TestHandoffBudget pins the run:
-// Table 1's two-node null-RPC universe, built and shut down, and one
-// 8-node apps_quick cell up to Observe. A build allocates what a run
-// reads and no more: an engine holds no random source, a shard's event
-// ring is allocated at the first hint or push, and its first event slab
-// is small. Bringing back any of them costs kilobytes per build. Objects
-// are exact; bytes read 4 888 and 23 079 (4 912 and 23 664 under -race)
+// Table 1's two-node null-RPC universe, built and shut down, and the
+// 8-node apps_quick cell and the benchmark's 52-node kv_steady service up
+// to Observe. A build allocates what a run reads and no more: an engine
+// holds no random source, a shard's event ring is allocated at the first
+// hint or push, and its first event slab is small. Bringing back any of
+// them costs kilobytes per build; per-peer and per-key state is made on
+// first touch, so it shows in the run, not here. Objects are exact; bytes
+// read 4 888, 23 079 and 171 168 (4 912, 23 664 and 175 328 under -race)
 // and vary by a few bytes from run to run, so they have ceilings.
 func TestBuildBudget(t *testing.T) {
 	null := func() {
@@ -402,6 +404,16 @@ func TestBuildBudget(t *testing.T) {
 		cfg.Observe = func(*am.Universe, *rpc.Runtime) { panic(builtCell{}) }
 		triangle.Run(apps.ORPC, 8, cfg)
 	}
+	kvSteady := func() {
+		defer func() {
+			if r := recover(); r != (builtCell{}) {
+				panic(r)
+			}
+		}()
+		cfg := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 48, Duration: sim.Micros(24000), RateX: 1}
+		cfg.Observe = func(*am.Universe, *rpc.Runtime) { panic(builtCell{}) }
+		kv.Run(cfg)
+	}
 	for _, tc := range []struct {
 		name          string
 		build         func()
@@ -409,6 +421,7 @@ func TestBuildBudget(t *testing.T) {
 	}{
 		{"null ORPC universe", null, 53, 5 << 10},
 		{"apps_quick triangle/ORPC", cell, 253, 24 << 10},
+		{"kv_steady up to Observe", kvSteady, 1523, 172 << 10},
 	} {
 		if allocs, bytes := buildCost(tc.build); allocs != tc.allocs || bytes > tc.bytes {
 			t.Errorf("%s: %.0f allocs and %.0f B per build, want %.0f and at most %.0f", tc.name, allocs, bytes, tc.allocs, tc.bytes)
