@@ -33,7 +33,6 @@ package kv
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -313,18 +312,22 @@ type Stats struct {
 
 // entry is one key's server-side state. Versions count applied
 // mutations; lease epochs are monotonic per key and fence stale unlocks.
+// live marks a key some mutation has touched: a get of any other key
+// materializes nothing.
 type entry struct {
 	val        int32
 	ver        uint32
+	live       bool
 	lockHeld   bool
 	lockEpoch  uint32
 	lockOwner  int
 	lockExpiry sim.Time
 }
 
-type dedupKey struct {
-	caller int
-	req    uint32
+// dedupKey packs a mutation's identity, the calling node and its request
+// number, into one map key.
+func dedupKey(caller int, req uint32) uint64 {
+	return uint64(caller)<<32 | uint64(req)
 }
 
 // cached is a dedup-cache reply: the union of the mutator reply shapes.
@@ -342,18 +345,32 @@ type serverState struct {
 	mu       *threads.Mutex
 	node     *cm5.Node
 	deferred int // thread-mode calls admitted but not yet finished
-	store    map[uint32]*entry
-	dedup    map[dedupKey]cached
-	rec      []Event
-	n        ServerCounts
+	// store[key/Servers] is key's entry: this server owns the keys equal
+	// to id mod Servers. It is allocated at the first mutation.
+	store []entry
+	// dedup holds every mutation's reply for the whole run, not for a
+	// window: a late retransmit of an attempt its client has long
+	// abandoned can still arrive and must not apply twice.
+	dedup map[uint64]cached
+	rec   []Event
+	n     ServerCounts
 }
 
-func (s *serverState) entry(key uint32) *entry {
-	ent := s.store[key]
-	if ent == nil {
-		ent = &entry{}
-		s.store[key] = ent
+// lookup returns key's entry, or nil if no mutation has touched it.
+func (r *kvRun) lookup(s *serverState, key uint32) *entry {
+	if i := int(key) / r.cfg.Servers; i < len(s.store) && s.store[i].live {
+		return &s.store[i]
 	}
+	return nil
+}
+
+// entry returns key's entry, materializing it on first touch.
+func (r *kvRun) entry(s *serverState, key uint32) *entry {
+	if s.store == nil {
+		s.store = make([]entry, (r.cfg.Keys+r.cfg.Servers-1)/r.cfg.Servers)
+	}
+	ent := &s.store[int(key)/r.cfg.Servers]
+	ent.live = true
 	return ent
 }
 
@@ -482,8 +499,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		s := &serverState{
 			id:    i,
 			node:  u.Endpoint(i).Node(),
-			store: make(map[uint32]*entry),
-			dedup: make(map[dedupKey]cached),
+			dedup: make(map[uint64]cached),
 		}
 		if cfg.System != apps.AM && !multiactive {
 			// Under multiactive ORPC the object lock is dropped: the
@@ -514,7 +530,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		e.Compute(cfg.WorkGet)
 		var ver uint32
 		var val int32
-		if ent := s.store[key]; ent != nil { // read-only: no entry materialized
+		if ent := r.lookup(s, key); ent != nil { // read-only: no entry materialized
 			ver, val = ent.ver, ent.val
 		}
 		r.leave(e, s)
@@ -527,14 +543,14 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			return retry, 0
 		}
 		r.enter(e, s)
-		k := dedupKey{caller, req}
+		k := dedupKey(caller, req)
 		if v, ok := s.dedup[k]; ok {
 			s.n.DedupHits++
 			r.leave(e, s)
 			return 0, v.u
 		}
 		e.Compute(workPut)
-		ent := s.entry(key)
+		ent := r.entry(s, key)
 		ent.ver++
 		ent.val = val
 		s.n.Applied++
@@ -549,14 +565,14 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			return retry, 0, false
 		}
 		r.enter(e, s)
-		k := dedupKey{caller, req}
+		k := dedupKey(caller, req)
 		if v, ok := s.dedup[k]; ok {
 			s.n.DedupHits++
 			r.leave(e, s)
 			return 0, v.u, v.b
 		}
 		e.Compute(workCas)
-		ent := s.entry(key)
+		ent := r.entry(s, key)
 		swapped := ent.ver == expect
 		if swapped {
 			ent.ver++
@@ -574,14 +590,14 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			return retry, 0
 		}
 		r.enter(e, s)
-		k := dedupKey{caller, req}
+		k := dedupKey(caller, req)
 		if v, ok := s.dedup[k]; ok {
 			s.n.DedupHits++
 			r.leave(e, s)
 			return 0, v.u
 		}
 		e.Compute(workLock)
-		ent := s.entry(key)
+		ent := r.entry(s, key)
 		now := e.Ctx().P.Now()
 		if ent.lockHeld && now >= ent.lockExpiry {
 			// Lazy reaping: the expired lease dies when the next grant
@@ -617,7 +633,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			return retry, false
 		}
 		r.enter(e, s)
-		k := dedupKey{caller, req}
+		k := dedupKey(caller, req)
 		if v, ok := s.dedup[k]; ok {
 			s.n.DedupHits++
 			r.leave(e, s)
@@ -625,7 +641,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		}
 		e.Compute(workLock)
 		released := false
-		ent := s.store[key]
+		ent := r.lookup(s, key)
 		if ent != nil && ent.lockHeld {
 			// The same lazy reaping as Lock: a lease past its TTL is dead
 			// and cannot be released, even by its own holder.
@@ -870,21 +886,19 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	st.Records = make([][]Event, cfg.Servers)
 	answer := apps.HashInit
 	for i, s := range r.srvs {
-		keys := make([]uint32, 0, len(s.store))
-		for k := range s.store {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 		answer = answer.Mix(uint64(i))
-		for _, k := range keys {
-			ent := s.store[k]
+		for j := range s.store { // ascending keys
+			ent := &s.store[j]
+			if !ent.live {
+				continue
+			}
+			s.n.Keys++
 			s.n.VerSum += uint64(ent.ver)
-			answer = answer.Mix(uint64(k))
+			answer = answer.Mix(uint64(j*cfg.Servers + i))
 			answer = answer.Mix(uint64(ent.ver))
 			answer = answer.Mix(uint64(uint32(ent.val)))
 			answer = answer.Mix(uint64(ent.lockEpoch))
 		}
-		s.n.Keys = len(s.store)
 		st.PerServer[i] = s.n
 		st.Sheds += s.n.Shed
 		st.Records[i] = s.rec

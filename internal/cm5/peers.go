@@ -10,18 +10,33 @@ package cm5
 // nothing. Memory is O(peers touched), plus one pointer per peerPage node
 // ids up to the largest peer for a node that outgrew the scan.
 //
+// Values are carved from chunks the table owns, sized 1, 1, 2, 4, 8 and
+// then peerChunk each, so a table makes O(log peers) objects up to 16
+// peers and one per peerChunk after, and never leaves more than
+// peerChunk-1 values unused. A chunk is never reallocated, which is what
+// keeps a value's address fixed.
+//
 // The zero PeerTable is empty and ready to use.
 type PeerTable[T any] struct {
-	keys  []int32 // peers in first-touch order, while there are few
-	vals  []*T
+	scan  []peerRef[T]    // peers in first-touch order, while there are few
 	pages []*[peerPage]*T // pages[peer/peerPage][peer%peerPage] once spilled
+	free  []T             // the newest chunk's values not yet handed out
+}
+
+// peerRef is one scan entry: a peer and its value.
+type peerRef[T any] struct {
+	peer int32
+	v    *T
 }
 
 const (
-	// peerInline is the peer count kept in the scan arrays before the
-	// table switches to pages.
+	// peerInline is the peer count kept in the scan before the table
+	// switches to pages.
 	peerInline = 8
 	peerPage   = 64
+	// peerChunk caps a value chunk: past it the table grows by one
+	// chunk per peerChunk peers.
+	peerChunk = 8
 )
 
 // At returns peer's slot, zero-valued on first touch. The pointer stays
@@ -30,26 +45,47 @@ func (t *PeerTable[T]) At(peer int) *T {
 	if t.pages != nil {
 		slot := t.slot(peer)
 		if *slot == nil {
-			*slot = new(T)
+			*slot = t.carve()
 		}
 		return *slot
 	}
-	for i, k := range t.keys {
-		if int(k) == peer {
-			return t.vals[i]
+	for i := range t.scan {
+		if int(t.scan[i].peer) == peer {
+			return t.scan[i].v
 		}
 	}
-	v := new(T)
-	if len(t.keys) < peerInline {
-		t.keys = append(t.keys, int32(peer))
-		t.vals = append(t.vals, v)
+	v := t.carve()
+	if n := len(t.scan); n < peerInline {
+		if n == cap(t.scan) {
+			// 1, then 4, then peerInline entries: no append per peer.
+			grown := make([]peerRef[T], n, min(max(4*n, 1), peerInline))
+			copy(grown, t.scan)
+			t.scan = grown
+		}
+		t.scan = append(t.scan, peerRef[T]{int32(peer), v})
 		return v
 	}
-	for i, k := range t.keys {
-		*t.slot(int(k)) = t.vals[i]
+	for _, r := range t.scan {
+		*t.slot(int(r.peer)) = r.v
 	}
-	t.keys, t.vals = nil, nil
+	t.scan = nil
 	*t.slot(peer) = v
+	return v
+}
+
+// carve hands out the next zero value, starting a chunk when the newest
+// is used up. Each peer has one value, so until the spill the values
+// handed out number len(t.scan), and the next chunk is that large.
+func (t *PeerTable[T]) carve() *T {
+	if len(t.free) == 0 {
+		size := peerChunk
+		if t.pages == nil {
+			size = min(max(len(t.scan), 1), peerChunk)
+		}
+		t.free = make([]T, size)
+	}
+	v := &t.free[0]
+	t.free = t.free[1:]
 	return v
 }
 

@@ -125,10 +125,15 @@ type outLink struct {
 // link's flight size. Slots inside the window may be nil (acknowledged
 // out of order, or given up); the slot at base never is, so the window
 // shrinks from the front as soon as its oldest message retires.
+//
+// The first ring is first, inline: a link allocates nothing until more
+// than len(first) messages are in flight on it. buf points into the ring
+// itself then, so a pendingRing in use must not be copied.
 type pendingRing struct {
-	buf  []*pendingMsg
-	base uint64 // lowest sequence number still pending; meaningless while n == 0
-	n    uint64 // window length
+	buf   []*pendingMsg
+	base  uint64 // lowest sequence number still pending; meaningless while n == 0
+	n     uint64 // window length
+	first [8]*pendingMsg
 }
 
 // put enters pm under seq, which must be the successor of the last
@@ -139,8 +144,10 @@ func (r *pendingRing) put(seq uint64, pm *pendingMsg) {
 	} else if seq != r.base+r.n {
 		panic("reliable: sequence numbers must be entered consecutively")
 	}
-	if r.n == uint64(len(r.buf)) {
-		grown := make([]*pendingMsg, max(2*len(r.buf), 8))
+	if r.buf == nil {
+		r.buf = r.first[:]
+	} else if r.n == uint64(len(r.buf)) {
+		grown := make([]*pendingMsg, 2*len(r.buf))
 		for q := r.base; q < r.base+r.n; q++ {
 			grown[q&uint64(len(grown)-1)] = r.buf[q&uint64(len(r.buf)-1)]
 		}
