@@ -56,11 +56,8 @@ func (t *PeerTable[T]) At(peer int) *T {
 	}
 	v := t.carve()
 	if n := len(t.scan); n < peerInline {
-		if n == cap(t.scan) {
-			// 1, then 4, then peerInline entries: no append per peer.
-			grown := make([]peerRef[T], n, min(max(4*n, 1), peerInline))
-			copy(grown, t.scan)
-			t.scan = grown
+		if n == cap(t.scan) { // 1, then 4, then peerInline entries
+			t.scan = append(make([]peerRef[T], 0, min(max(4*n, 1), peerInline)), t.scan...)
 		}
 		t.scan = append(t.scan, peerRef[T]{int32(peer), v})
 		return v

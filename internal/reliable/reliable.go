@@ -126,9 +126,9 @@ type outLink struct {
 // out of order, or given up); the slot at base never is, so the window
 // shrinks from the front as soon as its oldest message retires.
 //
-// The first ring is first, inline: a link allocates nothing until more
-// than len(first) messages are in flight on it. buf points into the ring
-// itself then, so a pendingRing in use must not be copied.
+// The first ring is inline (first): a link allocates nothing until more
+// than eight messages are in flight on it. buf then points into the
+// pendingRing itself, so one in use must not be copied.
 type pendingRing struct {
 	buf   []*pendingMsg
 	base  uint64 // lowest sequence number still pending; meaningless while n == 0
