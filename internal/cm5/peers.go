@@ -42,19 +42,27 @@ const (
 // At returns peer's slot, zero-valued on first touch. The pointer stays
 // valid for the life of the table, whatever is touched later.
 func (t *PeerTable[T]) At(peer int) *T {
-	if t.pages != nil {
-		slot := t.slot(peer)
-		if *slot == nil {
-			*slot = t.carve()
+	if t.pages == nil {
+		for i := range t.scan {
+			if int(t.scan[i].peer) == peer {
+				return t.scan[i].v
+			}
 		}
-		return *slot
-	}
-	for i := range t.scan {
-		if int(t.scan[i].peer) == peer {
-			return t.scan[i].v
+	} else if pg := peer / peerPage; pg < len(t.pages) && t.pages[pg] != nil {
+		if v := t.pages[pg][peer%peerPage]; v != nil {
+			return v
 		}
 	}
+	return t.add(peer)
+}
+
+// add enters peer, which is not in the table, and returns its new value.
+func (t *PeerTable[T]) add(peer int) *T {
 	v := t.carve()
+	if t.pages != nil {
+		*t.slot(peer) = v
+		return v
+	}
 	if n := len(t.scan); n < peerInline {
 		if n == cap(t.scan) { // 1, then 4, then peerInline entries
 			t.scan = append(make([]peerRef[T], 0, min(max(4*n, 1), peerInline)), t.scan...)
