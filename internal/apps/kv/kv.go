@@ -386,9 +386,10 @@ type clientState struct {
 	free        *arrival
 }
 
-// arrival carries one request's arguments to its thread. Records recycle on
-// their client's free list, with body bound once per record (rpc's
-// call.expire pattern), so an arrival allocates no closure.
+// arrival carries one request's arguments to its thread. Records are carved
+// on the client's shard and recycle on its free list, with body bound once
+// per record (rpc's call.expire pattern), so an arrival allocates no
+// closure once warm.
 type arrival struct {
 	op       Op
 	key, req uint32
@@ -774,8 +775,8 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		cs.outstanding--
 	}
 
-	newArrival := func(cs *clientState, me int) *arrival {
-		a := &arrival{}
+	newArrival := func(cs *clientState, me int, sh *sim.Shard) *arrival {
+		a := sim.Carve[arrival](sh)
 		a.body = func(c threads.Ctx) {
 			q := *a // started: the arguments are out and the record is free again
 			a.next, cs.free = cs.free, a
@@ -842,7 +843,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 			cs.reqCtr += 2 // a lock cycle uses req and req+1
 			a := cs.free
 			if a == nil {
-				a = newArrival(cs, me)
+				a = newArrival(cs, me, node.Shard())
 			}
 			cs.free = a.next
 			// SLO latency runs from the scheduled arrival, so client-side backlog counts against the service

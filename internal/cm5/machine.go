@@ -480,7 +480,7 @@ func (n *Node) Inject(pkt *Packet, k sim.Continuation) (sim.Duration, sim.Contin
 		if r != &n.inj {
 			r.next, n.ms.freeInj = n.ms.freeInj, r
 		}
-		*n.attempts.At(pkt.Dst)++
+		*n.attempts.At(n.sh, pkt.Dst)++
 		n.ms.stats.FullRejects++
 		if k := n.sh.Sink(); k != nil {
 			k.Observe(sim.Record{T: n.sh.Now(), Layer: sim.LayerCM5, Kind: RecBackpressure, Node: pkt.Src, Peer: pkt.Dst})
@@ -505,7 +505,7 @@ func (n *Node) inject(pkt *Packet, in *injection) (sim.Duration, bool) {
 	dst := pkt.Dst
 	f := n.m.fault
 	now := n.sh.Now()
-	ctr := n.attempts.At(dst)
+	ctr := n.attempts.At(n.sh, dst)
 	attempt := *ctr
 	var fr SplitMix
 	var lossKind FaultKind

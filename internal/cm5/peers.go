@@ -1,5 +1,7 @@
 package cm5
 
+import "repro/internal/sim"
+
 // PeerTable is the per-peer state one node keeps about the nodes it
 // actually talks to: injection counters here, link state in the reliable
 // transport. A dense array over all n peers made machine memory
@@ -10,17 +12,15 @@ package cm5
 // nothing. Memory is O(peers touched), plus one pointer per peerPage node
 // ids up to the largest peer for a node that outgrew the scan.
 //
-// Values are carved from chunks the table owns, sized 1, 1, 2, 4, 8 and
-// then peerChunk each, so a table makes O(log peers) objects up to 16
-// peers and one per peerChunk after, and never leaves more than
-// peerChunk-1 values unused. A chunk is never reallocated, which is what
-// keeps a value's address fixed.
+// The table holds pointers only: each value is carved on the node's shard
+// (sim.Carve), from chunks that every table of that value type on the
+// shard shares, so a table's own objects are its scan and its pages,
+// O(log peers), and a value's address is fixed for the engine's life.
 //
 // The zero PeerTable is empty and ready to use.
 type PeerTable[T any] struct {
 	scan  []peerRef[T]    // peers in first-touch order, while there are few
 	pages []*[peerPage]*T // pages[peer/peerPage][peer%peerPage] once spilled
-	free  []T             // the newest chunk's values not yet handed out
 }
 
 // peerRef is one scan entry: a peer and its value.
@@ -34,14 +34,12 @@ const (
 	// switches to pages.
 	peerInline = 8
 	peerPage   = 64
-	// peerChunk caps a value chunk: past it the table grows by one
-	// chunk per peerChunk peers.
-	peerChunk = 8
 )
 
-// At returns peer's slot, zero-valued on first touch. The pointer stays
-// valid for the life of the table, whatever is touched later.
-func (t *PeerTable[T]) At(peer int) *T {
+// At returns peer's slot, zero-valued on first touch, when it is carved on
+// sh, the shard of the node that owns the table. The pointer stays valid
+// for the life of the engine, whatever is touched later.
+func (t *PeerTable[T]) At(sh *sim.Shard, peer int) *T {
 	if t.pages == nil {
 		for i := range t.scan {
 			if int(t.scan[i].peer) == peer {
@@ -53,12 +51,12 @@ func (t *PeerTable[T]) At(peer int) *T {
 			return v
 		}
 	}
-	return t.add(peer)
+	return t.add(sh, peer)
 }
 
 // add enters peer, which is not in the table, and returns its new value.
-func (t *PeerTable[T]) add(peer int) *T {
-	v := t.carve()
+func (t *PeerTable[T]) add(sh *sim.Shard, peer int) *T {
+	v := sim.Carve[T](sh)
 	if t.pages != nil {
 		*t.slot(peer) = v
 		return v
@@ -75,22 +73,6 @@ func (t *PeerTable[T]) add(peer int) *T {
 	}
 	t.scan = nil
 	*t.slot(peer) = v
-	return v
-}
-
-// carve hands out the next zero value, starting a chunk when the newest
-// is used up. Each peer has one value, so until the spill the values
-// handed out number len(t.scan), and the next chunk is that large.
-func (t *PeerTable[T]) carve() *T {
-	if len(t.free) == 0 {
-		size := peerChunk
-		if t.pages == nil {
-			size = min(max(len(t.scan), 1), peerChunk)
-		}
-		t.free = make([]T, size)
-	}
-	v := &t.free[0]
-	t.free = t.free[1:]
 	return v
 }
 

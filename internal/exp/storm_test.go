@@ -383,10 +383,13 @@ func buildCost(build func()) (allocs, bytes float64) {
 // hint or push, and its first event slab is small. Bringing back any of
 // them costs kilobytes per build. Per-peer and per-key state is made on
 // first touch, so it shows in the run, not here (kv_steady read 1 523
-// objects while each server's store was a map made at build). Objects
-// are exact; bytes read 4 888, 23 079 and 171 040 (4 912, 23 664 and
-// 175 200 under -race) and vary by a few bytes from run to run, so they
-// have ceilings.
+// objects while each server's store was a map made at build). Processes
+// and thread descriptors are carved from the shard's slabs and an idle
+// process runs its scheduler, so a node's set-up makes no object per
+// process or descriptor and no idle closure or name (1 519 and 253
+// before). Objects are exact; bytes read 4 504, 22 568 and 170 368
+// (4 528, 23 095 and 174 112 under -race) and vary by a few bytes from
+// run to run, so they have ceilings.
 func TestBuildBudget(t *testing.T) {
 	null := func() {
 		eng := sim.New(17)
@@ -422,8 +425,8 @@ func TestBuildBudget(t *testing.T) {
 		allocs, bytes float64
 	}{
 		{"null ORPC universe", null, 53, 5 << 10},
-		{"apps_quick triangle/ORPC", cell, 253, 24 << 10},
-		{"kv_steady up to Observe", kvSteady, 1519, 172 << 10},
+		{"apps_quick triangle/ORPC", cell, 234, 24 << 10},
+		{"kv_steady up to Observe", kvSteady, 1326, 172 << 10},
 	} {
 		if allocs, bytes := buildCost(tc.build); allocs != tc.allocs || bytes > tc.bytes {
 			t.Errorf("%s: %.0f allocs and %.0f B per build, want %.0f and at most %.0f", tc.name, allocs, bytes, tc.allocs, tc.bytes)

@@ -33,7 +33,7 @@ func TestPerfectLinkZeroAllocs(t *testing.T) {
 					runtime.ReadMemStats(&m0)
 				}
 				ep.Send(c, 1, h, [4]uint64{uint64(i)}, nil)
-				for tr.nodes[0].peers.At(1).out.pending.n > 0 {
+				for tr.nodes[0].peers.At(tr.nodes[0].sh, 1).out.pending.n > 0 {
 					c.P.Charge(sim.Micros(2))
 					ep.PollAll(c) // take the ack
 				}
@@ -72,7 +72,7 @@ func TestLossyLinkAllocBudget(t *testing.T) {
 	tr := Attach(u, Options{})
 	received := 0
 	h := u.Register("sink", func(c threads.Ctx, pkt *cm5.Packet) { received++ })
-	pending := func() uint64 { return tr.nodes[0].peers.At(1).out.pending.n }
+	pending := func() uint64 { return tr.nodes[0].peers.At(tr.nodes[0].sh, 1).out.pending.n }
 	var m0, m1 runtime.MemStats
 	_, err := u.SPMD(func(c threads.Ctx, node int) {
 		ep := u.Endpoint(node)

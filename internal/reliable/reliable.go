@@ -245,6 +245,7 @@ type link struct {
 // shard-local under a sharded engine.
 type nodeState struct {
 	ep            *am.Endpoint
+	sh            *sim.Shard // the node's, which carves its records
 	peers         cm5.PeerTable[link]
 	daemon        threads.Handle
 	daemonBlocked bool
@@ -257,14 +258,14 @@ type nodeState struct {
 	stats   Stats
 }
 
-// track takes a pendingMsg off the free list (or makes one), fills it for
+// track takes a pendingMsg off the free list (or carves one), fills it for
 // a first transmission and enters it in ol.pending.
 func (ns *nodeState) track(ol *outLink, dst int, seq uint64, h am.HandlerID, w [4]uint64, payload []byte, bulk bool, rto sim.Duration) *pendingMsg {
 	pm := ns.freePM
 	if pm != nil {
 		ns.freePM = pm.next
 	} else {
-		pm = &pendingMsg{}
+		pm = sim.Carve[pendingMsg](ns.sh)
 	}
 	*pm = pendingMsg{
 		ns: ns, dst: dst, seq: seq, h: h, w0: w[0], w1: w[1],
@@ -318,9 +319,7 @@ func Attach(u *am.Universe, opts Options) *Transport {
 	t.nodes = make([]*nodeState, u.N())
 	t.nstats = make([]NodeStats, u.N())
 	for i := 0; i < u.N(); i++ {
-		ns := &nodeState{
-			ep: u.Endpoint(i),
-		}
+		ns := &nodeState{ep: u.Endpoint(i), sh: u.Machine().Node(i).Shard()}
 		t.nodes[i] = ns
 		ns.daemon = u.Scheduler(i).Bootstrap("reliable/retx/"+strconv.Itoa(i),
 			func(c threads.Ctx) { t.daemonLoop(c, ns) })
@@ -362,7 +361,7 @@ func (t *Transport) SendThen(p *sim.Proc, ep *am.Endpoint, pkt *cm5.Packet, k si
 		panic("reliable: message uses W2/W3, which the envelope needs for the inner W0/W1")
 	}
 	ns := t.nodes[ep.Node().ID()]
-	ol := &ns.peers.At(pkt.Dst).out
+	ol := &ns.peers.At(ns.sh, pkt.Dst).out
 	ol.nextSeq++
 	h := am.HandlerID(pkt.Handler)
 	pm := ns.track(ol, pkt.Dst, ol.nextSeq, h, [4]uint64{pkt.W0, pkt.W1}, pkt.Payload, pkt.Kind == cm5.Bulk, t.opts.RTO)
@@ -393,7 +392,7 @@ func (s *sent) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 
 // arm schedules pm's retransmit timer on the node's shard.
 func (pm *pendingMsg) arm(d sim.Duration) {
-	sh := pm.ns.ep.Node().Shard()
+	sh := pm.ns.sh
 	pm.timer = sh.AtActionTimer(sh.Now().Add(d), pm)
 }
 
@@ -424,7 +423,7 @@ func (t *Transport) daemonLoop(c threads.Ctx, ns *nodeState) {
 				ns.settle(pm) // acked while queued
 				continue
 			}
-			ol := &ns.peers.At(pm.dst).out
+			ol := &ns.peers.At(ns.sh, pm.dst).out
 			if ol.pending.get(pm.seq) != pm {
 				panic("reliable: due message is not the pending one")
 			}
@@ -480,7 +479,7 @@ func (t *Transport) jittered(src int, pm *pendingMsg) sim.Duration {
 func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
 	ns := t.nodes[pkt.Dst]
 	seq := pkt.W0
-	il := &ns.peers.At(pkt.Src).in
+	il := &ns.peers.At(ns.sh, pkt.Src).in
 	dup := il.accept(seq)
 	ns.stats.AcksSent++
 	// A first copy's handler dispatch is charged with the ack's injection.
@@ -523,7 +522,7 @@ func (d *dispatchCharge) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 func (t *Transport) handleAck(c threads.Ctx, pkt *cm5.Packet) {
 	ns := t.nodes[pkt.Dst]
 	ns.stats.AcksReceived++
-	if !ns.acked(&ns.peers.At(pkt.Src).out, pkt.W0, pkt.W1) {
+	if !ns.acked(&ns.peers.At(ns.sh, pkt.Src).out, pkt.W0, pkt.W1) {
 		ns.stats.StaleAcks++
 	}
 }

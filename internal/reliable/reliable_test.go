@@ -406,7 +406,7 @@ func TestPendingMsgRecycled(t *testing.T) {
 			}
 		}
 		// Poll until every message has arrived and been acknowledged.
-		for recvd < msgs || tr.nodes[0].peers.At(1).out.pending.n > 0 {
+		for recvd < msgs || tr.nodes[0].peers.At(tr.nodes[0].sh, 1).out.pending.n > 0 {
 			ep.Poll(c)
 			c.P.Charge(sim.Micros(5))
 			c.S.Yield(c)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // The map-based link state the pending ring and the receive window
@@ -88,7 +90,11 @@ type senderPair struct {
 }
 
 func newSenderPair() *senderPair {
-	return &senderPair{ref: refOutLink{pending: map[uint64]bool{}}, made: map[*pendingMsg]bool{}}
+	return &senderPair{
+		ns:   nodeState{sh: sim.New(1).Shard(0)}, // carves the pendingMsgs
+		ref:  refOutLink{pending: map[uint64]bool{}},
+		made: map[*pendingMsg]bool{},
+	}
 }
 
 // send tracks the next sequence number.

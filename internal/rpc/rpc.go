@@ -141,8 +141,8 @@ func (rt *Runtime) node(i int) *nodeState {
 	return ns
 }
 
-// take takes an idle call record, or makes one, for pr's stub: c calls
-// server with arg (nil: an empty record).
+// take takes an idle call record, or carves one on c's shard, for pr's
+// stub: c calls server with arg (nil: an empty record).
 func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg *Enc) *call {
 	cl := ns.free
 	if cl != nil {
@@ -152,7 +152,8 @@ func (ns *nodeState) take(pr *Proc, c threads.Ctx, server int, arg *Enc) *call {
 		if len(ns.slots) >= slotMask {
 			panic("rpc: too many concurrent calls from one node")
 		}
-		cl = &call{id: uint64(len(ns.slots)) + 1}
+		cl = sim.Carve[call](c.P.Shard())
+		cl.id = uint64(len(ns.slots)) + 1
 		ns.slots = append(ns.slots, cl)
 	}
 	cl.proc, cl.s, cl.server = pr, c.S, int32(server)

@@ -129,7 +129,8 @@ func (sh *Shard) spawn(name string, body func(p *Proc), r Runner) *Proc {
 		p.nextFree = nil
 		p.dead = false
 	} else {
-		p = &Proc{sh: sh}
+		p = Carve[Proc](sh)
+		p.sh = sh
 		p.next, p.stop = iter.Pull(p.procLoop)
 	}
 	p.name, p.body, p.runner = name, body, r

@@ -26,6 +26,7 @@ type Shard struct {
 	heap    eventQueue
 	free    *event // recycled events (shard-local: no locking)
 	slab    int    // events in the last slab alloc made; 0 before the first
+	slabs   []any  // a *slab[T] per record type carved here (see Carve)
 	running *Proc
 	// pending is the process the kernel loop dispatched onto another
 	// coroutine. relay clears it when it resumes that process, or when the
@@ -37,17 +38,22 @@ type Shard struct {
 	sink     Sink
 	procs    []*Proc // live (spawned, not yet finished) processes, unordered
 	freeProc *Proc   // finished procs whose coroutines await reuse
-	stopped  bool    // set by Stop (sequential engine only)
-	killing  bool    // set by Shutdown
+	// The flags sit together so that a Shard and its malloc header fit
+	// the 576-byte size class.
+	stopped bool // set by Stop (sequential engine only)
+	killing bool // set by Shutdown
+	// queueOnly keeps every charge on the queue: set on the shards of a
+	// sharded engine, whose span gate must see each event to publish the
+	// shard's clock, and by this package's tests for a reference run.
+	queueOnly bool
+	// buffered reports that scheduling records must be buffered into trbuf
+	// (sharded mode with a sink installed).
+	buffered bool
 	failure  error
 	// kernelPanic holds a panic raised by a kernel callback (At/After fn
 	// or Action). It ends the run and is re-raised from Run/RunUntil on
 	// the caller's goroutine.
 	kernelPanic any
-	// queueOnly keeps every charge on the queue: set on the shards of a
-	// sharded engine, whose span gate must see each event to publish the
-	// shard's clock, and by this package's tests for a reference run.
-	queueOnly bool
 
 	// Stats counters, cheap enough to keep always-on.
 	events     uint64
@@ -68,9 +74,6 @@ type Shard struct {
 	// trbuf buffers scheduling records during parallel spans; the engine
 	// flushes it in canonical order at each barrier.
 	trbuf []Record
-	// buffered reports that scheduling records must be buffered (sharded
-	// mode with a sink installed).
-	buffered bool
 	// busyNs accumulates host time spent inside span kernel tenures; part
 	// of the WindowOverhead decomposition.
 	busyNs int64
@@ -90,9 +93,9 @@ type Shard struct {
 	// cond.Wait — its heap is then quiescent and readable by the awake
 	// shards. tentDone marks a tentative claim that this shard finished
 	// the span; retracting it on a straggler drain counts a reopen.
-	cachedH    Time
 	asleep     bool
 	tentDone   bool
+	cachedH    Time
 	reopens    uint64
 	stalls     uint64
 	specEvents uint64

@@ -149,7 +149,7 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 		cost: node.Machine().Cost(),
 	}
 	s.blocked.blockedPrev, s.blocked.blockedNext = &s.blocked, &s.blocked
-	s.idle = s.sh.Spawn("idle/"+strconv.Itoa(node.ID()), func(p *sim.Proc) { s.act(p, nil) })
+	s.idle = s.sh.SpawnRunner((*idleProc)(s))
 	// A packet arrival resumes the acting scheduler if it is parked with
 	// nothing to do; if a thread is running (or the CPU is lent to an
 	// optimistic execution) the packet waits in the input queue until the
@@ -157,6 +157,15 @@ func NewScheduler(node *cm5.Node) *Scheduler {
 	node.SetWake(s.wakeActor)
 	return s
 }
+
+// idleProc is a Scheduler seen as its idle process's sim.Runner, which
+// acts as the scheduler with no thread of its own; its name is built only
+// for a sink or a panic report.
+type idleProc Scheduler
+
+func (r *idleProc) Name() string { return "idle/" + strconv.Itoa(r.node.ID()) }
+
+func (r *idleProc) Run(p *sim.Proc) { (*Scheduler)(r).act(p, nil) }
 
 // Idle returns the node's idle process, which acts as the scheduler when
 // no thread context is available.
@@ -409,7 +418,8 @@ func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadS
 	s.stats.Created++
 	t := s.free
 	if t == nil {
-		t = &Thread{slot: s.slots}
+		t = sim.Carve[Thread](s.sh)
+		t.slot = s.slots
 		s.slots++
 	}
 	s.free = t.blockedNext
