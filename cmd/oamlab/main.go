@@ -6,12 +6,6 @@
 // Run `oamlab -help` for the experiment list; it is generated from the
 // same command table that drives dispatch, so it cannot go stale.
 //
-// sched runs the cluster-scheduler control plane (internal/apps/sched)
-// over a fault-mix x lease-timeout x heartbeat-period grid and
-// replay-checks every cell's event record against the control plane's
-// safety and liveness invariants (placed-exactly-once, monotonic lease
-// epochs, no placement on dead agents, all jobs completed).
-//
 // kv runs the sharded key-value/lock service (internal/apps/kv) under
 // open-loop load through the saturation knee, comparing AM, ORPC and
 // TRPC goodput and SLO latency, and replay-checks every cell's lease
@@ -22,8 +16,8 @@
 //	oamlab [-quick] trace <app> [-p N] [-sys am|orpc|trpc] [-o file]
 //	oamlab [-quick] metrics <app> [-p N] [-sys am|orpc|trpc] [-top N]
 //
-// trace records one application run (triangle, tsp, sor, water, sched,
-// kv) and writes a Chrome trace-event JSON timeline — load it in
+// trace records one application run (triangle, tsp, sor, water, kv)
+// and writes a Chrome trace-event JSON timeline — load it in
 // Perfetto (https://ui.perfetto.dev) — with one process per node and
 // tracks for cpu burns, handler runs, optimistic dispatches/aborts, RPC
 // calls, packet flights and thread lifetimes. metrics prints the
@@ -37,9 +31,9 @@
 //
 // -maxp caps the machine sizes the figure and table sweeps visit. The
 // experiments that run one fixed machine ignore it or shrink to fit, but
-// never below what they need: chaos and sched remove a tsp slave or an
-// agent mid-run and keep a second one to finish (three nodes), and the
-// chaos table says so in a note when that floor overrode the flag.
+// never below what they need: chaos removes a tsp slave mid-run and keeps
+// a second one to finish (three nodes), and its table says so in a note
+// when that floor overrode the flag.
 //
 // -par sets how many experiment cells run concurrently (default: all
 // CPUs). Each cell owns a private simulation engine and results merge in
@@ -170,8 +164,6 @@ var commands = []command{
 			rc.emit(exp.ChaosTable(rc.scale))
 			rc.emit(exp.ChaosNodeTable(rc.scale))
 		}},
-	{"sched", "cluster-scheduler control plane under chaos", true, false,
-		func(rc *runCtx) { rc.emit(exp.SchedTable(rc.scale)) }},
 	{"kv", "sharded key-value service under open-loop load", true, false,
 		func(rc *runCtx) { rc.emit(exp.KVTable(rc.scale)) }},
 	{"kvmulti", "multiactive kv dispatch: goodput and p999 vs simulated cores", true, false,

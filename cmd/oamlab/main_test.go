@@ -176,7 +176,7 @@ func TestCommandTable(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"kv", "sched"} {
+	for _, name := range []string{"kv", "kvmulti"} {
 		c := findCommand(name)
 		if c == nil || c.run == nil {
 			t.Fatalf("subcommand %q not registered", name)

@@ -2,8 +2,8 @@ package cm5
 
 // SplitMix is a splitmix64 stream: its value is the state, and Next
 // advances it. It is the repository's one generator. The fault layer seeds
-// one per flight (newFlightRNG); reliable's retransmit jitter, kv's
-// clients and sched's job table seed their own from their own counters.
+// one per flight (newFlightRNG); reliable's retransmit jitter and kv's
+// clients seed their own from their own counters.
 // Every packet injection gets its own stream, so the value of any random
 // draw — loss roll, duplicate roll, jitter — depends only on which flight
 // it belongs to, never on how unrelated events interleave. That

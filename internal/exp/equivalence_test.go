@@ -11,7 +11,6 @@ import (
 	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
-	"repro/internal/apps/sched"
 	"repro/internal/apps/sor"
 	"repro/internal/apps/triangle"
 	"repro/internal/apps/tsp"
@@ -41,7 +40,7 @@ import (
 // An input is one byte per axis in this order, each taken modulo the
 // axis's size (a missing byte reads 0):
 //
-//	runner    kv sched sor triangle tsp tsp-chaos water
+//	runner    kv sor triangle tsp tsp-chaos water
 //	size      the runner's two presets, shrunk from the quick sizes
 //	seed      added to the preset's seed
 //	sys       AM ORPC TRPC (ORPC where the runner has no choice)
@@ -152,8 +151,8 @@ func decodeTuple(b []byte) tuple {
 
 // plan is the tuple's fault plan on a machine whose last node, victim, is
 // the one that crashes, is cut off or is slowed; at is an instant inside
-// the run. Lossy, partition, crash and flap are the plans Chaos and Sched
-// build; slow adds the fault-plan edge they lack, where spans are cut.
+// the run. Lossy, partition, crash and flap are the plans Chaos builds;
+// slow adds the fault-plan edge it lacks, where spans are cut.
 func (tp tuple) plan(victim int, at sim.Time) *cm5.FaultPlan {
 	seed := 42 + tp.seed
 	switch tp.fault {
@@ -182,7 +181,6 @@ type eqRunner struct {
 	name    string
 	systems bool    // takes a communication system (ORPC otherwise)
 	waits   bool    // its AM mains wait in am.Endpoint.PollUntil, so an unobserved AM run elides
-	placed  bool    // its answer is which agent ran each job, which cores (a model parameter) may move
 	faults  []fault // the plans it takes, none first
 	// run makes tp's run at s (its Run carries the engine options and the
 	// observer's hook) and returns the runner's own statistics, if any; c
@@ -208,24 +206,6 @@ var eqRunners = []eqRunner{
 		res, st, err := kv.Run(cfg)
 		if err == nil {
 			err = kv.CheckInvariants(&st)
-		}
-		return res, st, err
-	}},
-	{name: "sched", placed: true, faults: allFaults, run: func(tp tuple, s Scale, c *obs.Collector) (apps.Result, any, error) {
-		const agents = 3
-		cfg := sched.Config{Jobs: 6, Seed: 5 + tp.seed, RunOptions: s.Run, Fault: tp.plan(agents, sim.Time(2*sim.Millisecond))}
-		if tp.size == 1 {
-			cfg.Jobs, cfg.LeaseTimeout = 10, sim.Micros(10000)
-		}
-		if c != nil {
-			cfg.Probe = c
-		}
-		res, st, err := sched.Run(agents, cfg)
-		if err == nil {
-			err = sched.CheckInvariants(st.Record, cfg.Jobs, agents, true)
-		}
-		if err == nil && st.Accepted != uint64(cfg.Jobs) {
-			err = fmt.Errorf("accepted %d completions, want %d", st.Accepted, cfg.Jobs)
 		}
 		return res, st, err
 	}},
@@ -356,7 +336,7 @@ func checkEquivalence(t *testing.T, tp tuple) {
 			t.Errorf("%v differs from the sequential traced run:\n\t%s", tp, strings.Join(d, "\n\t"))
 		}
 	}
-	if tp.cores > 1 && tp.fault == noFault && !eqRunners[tp.runner].placed {
+	if tp.cores > 1 && tp.fault == noFault {
 		one := ref
 		one.cores = 1
 		base, err := one.observe()

@@ -13,15 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// kvLatBounds are the SLO buckets the sweep's latency probe uses —
-// quantiles resolve to bucket upper bounds, so these are the service's
-// reportable SLO levels.
-var kvLatBounds = []sim.Duration{
-	sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
-	sim.Micros(1000), sim.Micros(3000), sim.Micros(10000), sim.Micros(30000),
-	sim.Micros(100000),
-}
-
 // kvLatProbe feeds request latencies into a pre-materialized histogram.
 // Materialize matters: clients observe from their own engine shards
 // concurrently, so the per-node rows must exist before the run starts.
@@ -31,7 +22,7 @@ type kvLatProbe struct {
 
 func newKVLatProbe(nodes int) *kvLatProbe {
 	r := obs.NewRegistry(nodes)
-	h := r.NewHistogram("kv/latency", kvLatBounds...)
+	h := r.NewHistogram("kv/latency", obs.KVLatBounds...)
 	h.Materialize()
 	return &kvLatProbe{h: h}
 }

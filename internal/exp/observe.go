@@ -7,7 +7,6 @@ import (
 	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/kv"
-	"repro/internal/apps/sched"
 	"repro/internal/apps/sor"
 	"repro/internal/apps/triangle"
 	"repro/internal/apps/tsp"
@@ -19,7 +18,7 @@ import (
 
 // ObserveSpec selects one observed application run.
 type ObserveSpec struct {
-	App   string      // triangle | tsp | sor | water | sched | kv
+	App   string      // triangle | tsp | sor | water | kv
 	Sys   apps.System // communication system (default ORPC)
 	Nodes int         // machine size (0 = the app's default)
 	Quick bool        // shrink the problem like the quick figure runs
@@ -65,17 +64,6 @@ var observedRuns = map[string]func(spec ObserveSpec, sc Scale, c *obs.Collector)
 	},
 	"water": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
 		return water.Run(spec.Sys, spec.Nodes, false, sc.water())
-	},
-	"sched": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
-		// The control plane always runs ORPC; spec.Sys is ignored. The
-		// collector doubles as the control-plane probe, so the trace grows
-		// a "sched" track of heartbeats, outages, and lease spans.
-		cfg := sched.Config{Jobs: 16, Seed: 104, RunOptions: sc.Run, Probe: c}
-		if spec.Quick {
-			cfg.Jobs = 8
-		}
-		res, _, err := sched.Run(spec.Nodes-1, cfg)
-		return res, err
 	},
 	"kv": func(spec ObserveSpec, sc Scale, c *obs.Collector) (apps.Result, error) {
 		// -p counts total nodes; a quarter (at least one) serve, the rest
@@ -124,7 +112,7 @@ func runObserved(spec ObserveSpec, c *obs.Collector, attach func(*am.Universe, *
 	if spec.Nodes <= 0 {
 		spec.Nodes = 8
 	}
-	if (spec.App == "tsp" || spec.App == "sched" || spec.App == "kv") && spec.Nodes < 2 {
+	if (spec.App == "tsp" || spec.App == "kv") && spec.Nodes < 2 {
 		return apps.Result{}, fmt.Errorf("%s needs at least 2 nodes (a master and a worker)", spec.App)
 	}
 	// The sequential kernel: the collector is not shard-safe, so the spec

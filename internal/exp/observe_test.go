@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/apps"
+	"repro/internal/apps/kv"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/sim"
@@ -95,51 +96,6 @@ func TestTraceGoldenTSP(t *testing.T) {
 	h.Write(b1.Bytes())
 	if got := h.Sum64(); got != traceGoldenTSP {
 		t.Errorf("trace hash %#x, want golden %#x (re-record if the kernel changed deliberately)", got, traceGoldenTSP)
-	}
-}
-
-// TestObservedSchedTrace: the control-plane probe feeds the collector —
-// the trace grows a lazily-named "sched" track carrying lease spans and
-// heartbeat instants, and the metrics registry counts placements and
-// accepted completions. TestTraceGoldenTSP above doubles as the proof
-// that the lazy track metadata changes nothing for apps without a
-// scheduler.
-func TestObservedSchedTrace(t *testing.T) {
-	c, res, err := RunObserved(
-		ObserveSpec{App: "sched", Nodes: 4, Quick: true},
-		obs.Options{Trace: true, Metrics: true})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
-	if res.Nodes != 4 {
-		t.Fatalf("Nodes = %d, want 4", res.Nodes)
-	}
-	var b bytes.Buffer
-	if err := c.WriteTrace(&b); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	s := b.String()
-	for _, want := range []string{
-		`"name":"sched"`,     // the lazily-emitted track metadata
-		`"cat":"lease"`,      // lease lifetime async spans
-		`"name":"heartbeat"`, // accepted-heartbeat instants
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("trace missing %s", want)
-		}
-	}
-	reg := c.Registry()
-	if got := reg.CounterTotal("sched/leases_placed"); got != 8 {
-		t.Errorf("sched/leases_placed = %d, want 8 (one per quick job on a clean network)", got)
-	}
-	if got := reg.CounterTotal("sched/completions_accepted"); got != 8 {
-		t.Errorf("sched/completions_accepted = %d, want 8", got)
-	}
-	if reg.CounterTotal("sched/heartbeats") == 0 {
-		t.Error("no heartbeats counted")
-	}
-	if got := reg.CounterTotal("sched/agent_dead"); got != 0 {
-		t.Errorf("sched/agent_dead = %d on a clean network", got)
 	}
 }
 
@@ -297,7 +253,11 @@ func TestRunObservedErrors(t *testing.T) {
 
 // TestObservedKVMultiactive: with Cores > 1 the observed kv run populates
 // the multiactive probe tracks — the cores-busy and compat-queue gauges in
-// the metrics registry and their counter tracks in the trace.
+// the metrics registry and their counter tracks in the trace. Then the
+// quick grid's steady TRPC cell at 2x, which sheds, drops and times out,
+// runs with a collector as both the service probe and the Observe hook:
+// every kv instrument must equal the run's own ledger, so the test fails
+// if ServerShed or RequestDone stops feeding the collector.
 func TestObservedKVMultiactive(t *testing.T) {
 	c, res, err := RunObserved(
 		ObserveSpec{App: "kv", Sys: apps.ORPC, Nodes: 8, Quick: true, Cores: 2},
@@ -326,5 +286,45 @@ func TestObservedKVMultiactive(t *testing.T) {
 	}
 	if !json.Valid(tr.Bytes()) {
 		t.Error("trace is not valid JSON")
+	}
+
+	c = obs.New(obs.Options{Trace: true, Metrics: true})
+	cfg := kv.Config{System: apps.TRPC, Seed: 17, Clients: 32, Duration: sim.Micros(8000), RateX: 2,
+		RunOptions: apps.RunOptions{Observe: c.Attach}, Probe: c}
+	kvShape(nil)(&cfg)
+	_, st, err := kv.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sheds == 0 || st.Drops == 0 || st.TimeoutGiveUps == 0 {
+		t.Fatalf("steady TRPC 2.00: %d sheds, %d drops, %d timeout give-ups; the cell must exercise all three",
+			st.Sheds, st.Drops, st.TimeoutGiveUps)
+	}
+	r := c.Registry()
+	for name, want := range map[string]uint64{
+		"kv/sheds":        st.Sheds,
+		"kv/done/ok":      st.OK,
+		"kv/done/drop":    st.Drops,
+		"kv/done/shed":    st.ShedGiveUps,
+		"kv/done/timeout": st.TimeoutGiveUps,
+	} {
+		if got := r.CounterTotal(name); got != want {
+			t.Errorf("%s = %d, want the run's %d", name, got, want)
+		}
+	}
+	var m bytes.Buffer
+	if err := r.Write(&m); err != nil {
+		t.Fatal(err)
+	}
+	nonDrop := st.OK + st.ShedGiveUps + st.TimeoutGiveUps
+	if lat := fmt.Sprintf("hist    %-28s samples %-8d ", "kv/latency", nonDrop); !strings.Contains(m.String(), lat) {
+		t.Errorf("kv/latency does not hold exactly the %d non-drop outcomes:\n%s", nonDrop, m.String())
+	}
+	tr.Reset()
+	if err := c.WriteTrace(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tr.String(), `"name":"kv"`) {
+		t.Error("trace missing the lazily named kv track")
 	}
 }

@@ -13,20 +13,20 @@ var kvOutcomes = [4]kv.Outcome{
 	kv.OutcomeOK, kv.OutcomeDrop, kv.OutcomeShed, kv.OutcomeTimeout,
 }
 
-// kvLatBounds are the SLO-grade latency buckets: tight enough at the
+// KVLatBounds are the SLO-grade latency buckets: tight enough at the
 // bottom to resolve a healthy p50, wide enough at the top to hold the
-// retry-and-back-off tail without overflowing.
-var kvLatBounds = []sim.Duration{
+// retry-and-back-off tail without overflowing. Quantiles resolve to
+// bucket upper bounds, so these are the service's reportable SLO levels.
+var KVLatBounds = []sim.Duration{
 	sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
 	sim.Micros(1000), sim.Micros(3000), sim.Micros(10000), sim.Micros(30000),
 	sim.Micros(100000),
 }
 
 // tidKV is the key-value service track: admission sheds and failed
-// arrivals, all on the node they happened on. Like the scheduler track,
-// its thread_name metadata is emitted lazily on the first service event,
-// so traces of programs without the service are byte-identical to before
-// the track existed.
+// arrivals, all on the node they happened on. Its thread_name metadata is
+// emitted lazily on the first service event, so traces of programs
+// without the service are byte-identical to before the track existed.
 const tidKV = 8
 
 // kvTrack lazily names the service track on one node.

@@ -25,7 +25,7 @@ type Options struct {
 // Collector is the sim.Sink of a whole stack: it routes every layer's
 // records into the selected sinks. Create one with New, wire it with
 // Attach before the simulation starts, and read the sinks after the run.
-// It also implements the kv and sched application probes.
+// It also implements the kv application probe.
 type Collector struct {
 	opts Options
 	u    *am.Universe
@@ -56,21 +56,11 @@ type Collector struct {
 	cCalls, cTimeouts, cRetries, cStale  *Counter
 	cThCreated, cThStarted, cThLive      *Counter
 	cThExited                            *Counter
-	cSchedBeats, cSchedDead, cSchedAlive *Counter
-	cSchedPlaced                         *Counter
-	cSchedReclaims                       [3]*Counter
-	cSchedAccepted, cSchedRejected       *Counter
 	cKVDone                              [4]*Counter
 	cKVSheds                             *Counter
 	gNicDepth, gReadyDepth               *Gauge
 	gCoresBusy, gCompatQueue             *Gauge
 	hHandler, hWire, hCall, hKVLat       *Histogram
-
-	// Scheduler control-plane trace state (see sched.go).
-	schedMeta bool   // sched track metadata emitted
-	schedSeq  uint64 // lease/outage async span ids
-	leaseID   map[leaseKey]uint64
-	outageID  map[int]uint64
 
 	// KV service trace state (see kv.go).
 	kvMeta map[int]bool // per node, kv track metadata emitted
@@ -117,8 +107,6 @@ func New(opts Options) *Collector {
 		procNode: make(map[uint64]int),
 		unbound:  make(map[uint64]bool),
 		threadID: make(map[threadKey]uint64),
-		leaseID:  make(map[leaseKey]uint64),
-		outageID: make(map[int]uint64),
 	}
 	if opts.Profile {
 		c.prof = NewProfile()
@@ -167,15 +155,6 @@ func (c *Collector) Attach(u *am.Universe, _ *rpc.Runtime) {
 		c.cTimeouts = r.NewCounter("rpc/timeouts")
 		c.cRetries = r.NewCounter("rpc/retries")
 		c.cStale = r.NewCounter("rpc/stale_replies")
-		c.cSchedBeats = r.NewCounter("sched/heartbeats")
-		c.cSchedDead = r.NewCounter("sched/agent_dead")
-		c.cSchedAlive = r.NewCounter("sched/agent_recovered")
-		c.cSchedPlaced = r.NewCounter("sched/leases_placed")
-		for i, why := range reclaimReasons {
-			c.cSchedReclaims[i] = r.NewCounter("sched/reclaim/" + why.String())
-		}
-		c.cSchedAccepted = r.NewCounter("sched/completions_accepted")
-		c.cSchedRejected = r.NewCounter("sched/completions_fenced")
 		for i, out := range kvOutcomes {
 			c.cKVDone[i] = r.NewCounter("kv/done/" + out.String())
 		}
@@ -197,7 +176,7 @@ func (c *Collector) Attach(u *am.Universe, _ *rpc.Runtime) {
 		c.hCall = r.NewHistogram("rpc/call_time",
 			sim.Micros(10), sim.Micros(30), sim.Micros(100), sim.Micros(300),
 			sim.Micros(1000), sim.Micros(10000))
-		c.hKVLat = r.NewHistogram("kv/latency", kvLatBounds...)
+		c.hKVLat = r.NewHistogram("kv/latency", KVLatBounds...)
 	}
 
 	if c.tb != nil {

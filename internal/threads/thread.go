@@ -151,10 +151,8 @@ func (s *Scheduler) Block(c Ctx) { s.blockCurrent(c) }
 // and the idle loop answers incoming messages when everything blocks.
 // Charging the interval instead would model the wait as a busy spin:
 // every other thread's CPU share halves and each slice pays a 52 us
-// context switch to hand the CPU back to the spinning waiter — in the
-// sched control plane's worst case stretching a job past any lease
-// timeout and livelocking on migration ping-pong. The wakeup is the
-// thread descriptor itself, scheduled as a sim.Action, so sleeping
+// context switch to hand the CPU back to the spinning waiter. The wakeup
+// is the thread descriptor itself, scheduled as a sim.Action, so sleeping
 // allocates nothing.
 func (s *Scheduler) Sleep(c Ctx, d sim.Duration) {
 	if c.T == nil {
