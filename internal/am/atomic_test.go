@@ -29,7 +29,7 @@ func TestAtomicHandlerNeedsNoProcess(t *testing.T) {
 			register = u.RegisterAtomic
 		}
 		h := register("note", func(c threads.Ctx, pkt *cm5.Packet) {
-			if !c.IsHandler() || c.Node().ID() != 1 || pkt.W0 != 7 {
+			if c.T != nil || c.Node().ID() != 1 || pkt.W0 != 7 {
 				t.Errorf("handler context %+v, packet %+v", c, pkt)
 			}
 			got = reading{at: c.P.Now(), handoffs: eng.Handoffs() - sent}

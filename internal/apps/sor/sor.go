@@ -55,7 +55,6 @@ func newGrid(rows, cols int) *grid {
 	return &grid{rows: rows, cols: cols, v: make([]float64, rows*cols)}
 }
 
-func (g *grid) at(r, c int) float64     { return g.v[r*g.cols+c] }
 func (g *grid) set(r, c int, x float64) { g.v[r*g.cols+c] = x }
 func (g *grid) row(r int) []float64     { return g.v[r*g.cols : (r+1)*g.cols] }
 

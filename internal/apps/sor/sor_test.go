@@ -6,6 +6,8 @@ import (
 	"repro/internal/apps"
 )
 
+func (g *grid) at(r, c int) float64 { return g.v[r*g.cols+c] }
+
 // cfgSmall is a fast test configuration.
 var cfgSmall = Config{Rows: 34, Cols: 16, Iters: 20, Eps: 1e-9, Seed: 5}
 

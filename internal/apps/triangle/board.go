@@ -174,17 +174,6 @@ func (b *Board) Extensions(s State, dst []Ext) []Ext {
 	return dst
 }
 
-// MoveCount reports the number of legal moves from s.
-func (b *Board) MoveCount(s State) int {
-	n := 0
-	for _, m := range b.moves {
-		if legalMove(s, m) {
-			n++
-		}
-	}
-	return n
-}
-
 // SeqCounts is what a sequential solve reports besides the answer.
 type SeqCounts struct {
 	Positions  uint64 // distinct canonical positions expanded

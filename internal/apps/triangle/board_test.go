@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// MoveCount reports the number of legal moves from s.
+func (b *Board) MoveCount(s State) int {
+	n := 0
+	for _, m := range b.moves {
+		if legalMove(s, m) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBoardGeometry(t *testing.T) {
 	b := NewBoard(6)
 	if b.Cells != 21 {

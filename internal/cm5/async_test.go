@@ -106,7 +106,7 @@ func TestORWaitAsyncAPI(t *testing.T) {
 
 func TestPacketStringAndSize(t *testing.T) {
 	p := &Packet{Src: 1, Dst: 2, Kind: Bulk, Handler: 3, Payload: []byte{1, 2, 3}}
-	if p.Size() != 3 {
+	if len(p.Payload) != 3 {
 		t.Fatal("size")
 	}
 	if p.String() != "bulk 1->2 h=3 len=3" {
@@ -128,14 +128,14 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	eng.Spawn("s", func(p *sim.Proc) {
 		m.Node(0).TryInject(p, &Packet{Src: 0, Dst: 1, Kind: Small})
-		if !n.InFlight() {
+		if n.nic.reserved == 0 {
 			t.Error("no in-flight reservation after inject")
 		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.InFlight() {
+	if n.nic.reserved > 0 {
 		t.Fatal("reservation not cleared after delivery")
 	}
 }

@@ -44,7 +44,7 @@ type CtlWaiter interface {
 
 // ctlRound is one round of a collective operation. Rounds are identified
 // by a per-primitive epoch; every node contributes exactly once per round
-// and waits exactly once per round (the barrier fuses the two).
+// and waits exactly once per round.
 // Contributions are stored per node and combined in node order at release
 // time, so the result — including floating-point reductions — is
 // independent of arrival order and therefore of the shard count.
@@ -228,30 +228,6 @@ func (c *collective) waitAsync(n *Node, w CtlWaiter) (ready, or bool, red float6
 	return false, false, 0
 }
 
-// procWait is a raw process waiting on a collective.
-type procWait struct {
-	p   *sim.Proc
-	or  bool
-	red float64
-}
-
-func (w *procWait) Released(or bool, red float64) {
-	w.or, w.red = or, red
-	w.p.Unpark()
-}
-
-// wait blocks node (parking p) until the round it last entered is released,
-// then returns that round's combined values.
-func (c *collective) wait(p *sim.Proc, n *Node) (bool, float64) {
-	w := procWait{p: p}
-	ready, or, red := c.waitAsync(n, &w)
-	if ready {
-		return or, red
-	}
-	p.Park()
-	return w.or, w.red
-}
-
 // controlNetwork bundles the machine's collective primitives. The CM-5
 // control network supplies a hardware barrier, a split-phase global-OR
 // (the "set and get pair" of the paper), and hardware reductions.
@@ -278,16 +254,6 @@ func newControlNetwork(m *Machine) *controlNetwork {
 	}
 }
 
-// Barrier blocks until every node of the machine has called Barrier for
-// the same round. p must be running on this node's CPU. This parks the
-// raw process; thread code should use the scheduler's Barrier wrapper so
-// other threads can run while waiting.
-func (n *Node) Barrier(p *sim.Proc) {
-	b := n.m.ctl.barrier
-	b.enter(n, false, 0, ReduceSum)
-	b.wait(p, n)
-}
-
 // BarrierEnter contributes node's arrival to the current barrier round
 // without blocking. Pair with BarrierWaitAsync.
 func (n *Node) BarrierEnter() { n.m.ctl.barrier.enter(n, false, 0, ReduceSum) }
@@ -301,7 +267,8 @@ func (n *Node) BarrierWaitAsync(w CtlWaiter) bool {
 }
 
 // ReduceEnter contributes val to the current reduction round under op
-// without blocking. Pair with ReduceWaitAsync.
+// without blocking. Pair with ReduceWaitAsync. Every node of a round must
+// pass the same op: the round combines under whichever applied last.
 func (n *Node) ReduceEnter(val float64, op ReduceOp) {
 	n.m.ctl.reduce.enter(n, false, val, op)
 }
@@ -323,30 +290,7 @@ func (n *Node) ORWaitAsync(w CtlWaiter) (ready, val bool) {
 }
 
 // OREnter contributes v to the current split-phase global-OR round and
-// returns immediately. Pair each OREnter with exactly one ORWait.
+// returns immediately. Pair each OREnter with exactly one ORWaitAsync.
 func (n *Node) OREnter(v bool) {
 	n.m.ctl.or.enter(n, v, 0, ReduceSum)
-}
-
-// ORWait blocks until the global-OR round this node last entered has
-// combined, and returns the OR across all nodes. Together with OREnter it
-// forms a split-phase barrier: enter, overlap computation, wait.
-func (n *Node) ORWait(p *sim.Proc) bool {
-	or, _ := n.m.ctl.or.wait(p, n)
-	return or
-}
-
-// Reduce performs a blocking all-node reduction of val under op and
-// returns the combined value on every node.
-//
-// The operator is fixed per round; mixing operators across nodes within
-// one round is a programming error that this implementation does not
-// detect (the round combines under the operator of whichever contribution
-// applied last). The evaluated applications only ever use one operator
-// per call site.
-func (n *Node) Reduce(p *sim.Proc, val float64, op ReduceOp) float64 {
-	r := n.m.ctl.reduce
-	r.enter(n, false, val, op)
-	_, out := r.wait(p, n)
-	return out
 }

@@ -7,6 +7,47 @@ import (
 	"repro/internal/sim"
 )
 
+// procWaiter parks a raw process on a collective: the blocking wait that
+// threads builds for its threads, spelled here over the async primitives.
+type procWaiter struct {
+	p   *sim.Proc
+	or  bool
+	red float64
+}
+
+func (w *procWaiter) Released(or bool, red float64) {
+	w.or, w.red = or, red
+	w.p.Unpark()
+}
+
+func barrier(p *sim.Proc, n *Node) {
+	n.BarrierEnter()
+	w := procWaiter{p: p}
+	if !n.BarrierWaitAsync(&w) {
+		p.Park()
+	}
+}
+
+// orWait returns the OR of the round n last entered.
+func orWait(p *sim.Proc, n *Node) bool {
+	w := procWaiter{p: p}
+	if ready, v := n.ORWaitAsync(&w); ready {
+		return v
+	}
+	p.Park()
+	return w.or
+}
+
+func reduce(p *sim.Proc, n *Node, val float64, op ReduceOp) float64 {
+	n.ReduceEnter(val, op)
+	w := procWaiter{p: p}
+	if ready, v := n.ReduceWaitAsync(&w); ready {
+		return v
+	}
+	p.Park()
+	return w.red
+}
+
 func TestBarrierSynchronizes(t *testing.T) {
 	eng, m := testMachine(t, 4)
 	cost := m.Cost()
@@ -17,7 +58,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		eng.Spawn("node", func(p *sim.Proc) {
 			p.Charge(sim.Micros(float64(10 * i))) // staggered arrival
 			arrive[i] = p.Now()
-			m.Node(i).Barrier(p)
+			barrier(p, m.Node(i))
 			release[i] = p.Now()
 		})
 	}
@@ -40,7 +81,7 @@ func TestBarrierMultipleRounds(t *testing.T) {
 		eng.Spawn("node", func(p *sim.Proc) {
 			for r := 0; r < 5; r++ {
 				p.Charge(sim.Micros(float64(1 + i)))
-				m.Node(i).Barrier(p)
+				barrier(p, m.Node(i))
 				counts[i]++
 				// After each barrier all nodes must have completed the
 				// same number of rounds.
@@ -73,7 +114,7 @@ func TestGlobalORSplitPhase(t *testing.T) {
 			// Split phase: computation may overlap the combine.
 			p.Charge(sim.Micros(1))
 			overlapped[i] = true
-			results[i] = m.Node(i).ORWait(p)
+			results[i] = orWait(p, m.Node(i))
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -95,7 +136,7 @@ func TestGlobalORAllFalse(t *testing.T) {
 		i := i
 		eng.Spawn("node", func(p *sim.Proc) {
 			m.Node(i).OREnter(false)
-			if m.Node(i).ORWait(p) {
+			if orWait(p, m.Node(i)) {
 				t.Errorf("node %d: OR of all-false = true", i)
 			}
 		})
@@ -120,7 +161,7 @@ func TestReduceOps(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			i := i
 			eng.Spawn("node", func(p *sim.Proc) {
-				got[i] = m.Node(i).Reduce(p, float64(i), tc.op)
+				got[i] = reduce(p, m.Node(i), float64(i), tc.op)
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -155,10 +196,10 @@ func TestWaitWithoutEnterPanics(t *testing.T) {
 	eng.Spawn("bad", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("expected panic on ORWait without OREnter")
+				t.Error("expected panic on ORWaitAsync without OREnter")
 			}
 		}()
-		m.Node(0).ORWait(p)
+		orWait(p, m.Node(0))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -176,8 +217,8 @@ func TestControlDeterminism(t *testing.T) {
 			eng.Spawn("node", func(p *sim.Proc) {
 				for r := 0; r < 10; r++ {
 					p.Charge(sim.Duration(rng.Intn(100)) * sim.Microsecond)
-					m.Node(i).Barrier(p)
-					m.Node(i).Reduce(p, float64(i), ReduceSum)
+					barrier(p, m.Node(i))
+					reduce(p, m.Node(i), float64(i), ReduceSum)
 				}
 			})
 		}

@@ -35,7 +35,7 @@ func trafficRun(t *testing.T, seed int64, jitter sim.Duration, plan *FaultPlan, 
 				received++
 			}
 			p.Charge(sim.Micros(5))
-			if senderDone && m.Node(1).Pending() == 0 && !m.Node(1).InFlight() {
+			if senderDone && m.Node(1).Pending() == 0 && m.Node(1).nic.reserved == 0 {
 				return
 			}
 		}
@@ -157,8 +157,8 @@ func TestCrashBlackholesTraffic(t *testing.T) {
 	if fs.Crashes != 1 || fs.LateDrops != 1 || fs.Blackholed != 1 {
 		t.Fatalf("stats %+v, want 1 crash, 1 late drop, 1 blackhole", fs)
 	}
-	if m.Node(1).Pending() != 0 || m.Node(1).InFlight() {
-		t.Fatalf("dead node holds packets: pending=%d inflight=%v", m.Node(1).Pending(), m.Node(1).InFlight())
+	if m.Node(1).Pending() != 0 || m.Node(1).nic.reserved > 0 {
+		t.Fatalf("dead node holds packets: pending=%d reserved=%d", m.Node(1).Pending(), m.Node(1).nic.reserved)
 	}
 	if nf := m.NodeFaults(1); nf.Blackholed != 2 {
 		t.Fatalf("blackholes attributed to the crashed node: %+v", nf)

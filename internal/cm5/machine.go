@@ -369,10 +369,6 @@ func (n *Node) SetWake(fn func()) { n.wake = fn }
 // Pending reports how many received packets are waiting to be polled.
 func (n *Node) Pending() int { return n.nic.pending() }
 
-// InFlight reports whether any packets are reserved toward this node but
-// not yet delivered.
-func (n *Node) InFlight() bool { return n.nic.reserved > 0 }
-
 // NetworkFull reports whether an injection toward dst would be refused
 // right now: the OAM "network busy" abort condition. It works from the
 // destination index alone so aiming at a node never materializes it (an

@@ -117,9 +117,6 @@ func (r *Record) Extend(k int) []byte {
 	return r.buf[n:]
 }
 
-// Size returns the payload length in bytes.
-func (p *Packet) Size() int { return len(p.Payload) }
-
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s %d->%d h=%d len=%d", p.Kind, p.Src, p.Dst, p.Handler, len(p.Payload))
 }

@@ -83,12 +83,6 @@ func NewCluster(opts Options) *Cluster {
 	return &Cluster{eng: eng, u: u, rt: rt}
 }
 
-// Nodes returns the machine size.
-func (c *Cluster) Nodes() int { return c.u.N() }
-
-// Runtime exposes the RPC runtime (Define/DefineAsync live there).
-func (c *Cluster) Runtime() *rpc.Runtime { return c.rt }
-
 // Universe exposes the Active Messages layer beneath the RPC runtime.
 func (c *Cluster) Universe() *am.Universe { return c.u }
 

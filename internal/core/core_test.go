@@ -69,10 +69,10 @@ func TestClusterBlockingProcedure(t *testing.T) {
 
 func TestClusterDefaults(t *testing.T) {
 	c := NewCluster(Options{})
-	if c.Nodes() != 2 {
-		t.Fatalf("default nodes = %d", c.Nodes())
+	if c.Universe().N() != 2 {
+		t.Fatalf("default nodes = %d", c.Universe().N())
 	}
-	if c.Runtime() == nil || c.Universe() == nil {
+	if c.rt == nil || c.Universe() == nil {
 		t.Fatal("nil accessors")
 	}
 	if _, err := c.Run(func(ctx Ctx, node int) {}); err != nil {

@@ -34,9 +34,6 @@ func NewCompatTable(n int) *CompatTable {
 	return &CompatTable{n: n, modes: make([]uint8, n*n)}
 }
 
-// Methods returns the number of method classes in the table.
-func (t *CompatTable) Methods() int { return t.n }
-
 // Allow marks classes a and b unconditionally compatible (both
 // directions).
 func (t *CompatTable) Allow(a, b int) {

@@ -93,14 +93,6 @@ type Stats struct {
 	BudgetLowered uint64
 }
 
-// SuccessPercent is the "% Successes" column of Tables 2 and 3.
-func (s *Stats) SuccessPercent() float64 {
-	if s.Total == 0 {
-		return 100
-	}
-	return 100 * float64(s.Succeeded) / float64(s.Total)
-}
-
 // statsFormat is shared by String and its round-trip tests.
 const statsFormat = "total=%d ok=%d promoted=%d nacked=%d " +
 	"compat_admitted=%d compat_queued=%d budget_raised=%d budget_lowered=%d " +

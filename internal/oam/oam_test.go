@@ -497,17 +497,6 @@ func TestAbortCost(t *testing.T) {
 	}
 }
 
-func TestStatsSuccessPercent(t *testing.T) {
-	st := Stats{Total: 1000, Succeeded: 995}
-	if p := st.SuccessPercent(); p != 99.5 {
-		t.Fatalf("SuccessPercent = %v", p)
-	}
-	empty := Stats{}
-	if p := empty.SuccessPercent(); p != 100 {
-		t.Fatalf("empty SuccessPercent = %v", p)
-	}
-}
-
 func TestReasonStrings(t *testing.T) {
 	if LockBusy.String() != "lock-busy" || CondFalse.String() != "cond-false" ||
 		NetworkFull.String() != "network-full" || TooLong.String() != "too-long" {

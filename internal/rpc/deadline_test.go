@@ -158,14 +158,13 @@ func TestCallIdempotentRecoversAfterPartition(t *testing.T) {
 	}
 }
 
-// TestNextBackoffCap: the doubling backoff respects NackBackoffMax.
+// TestNextBackoffCap: the doubling backoff respects nackBackoffMax.
 func TestNextBackoffCap(t *testing.T) {
-	max := sim.Micros(320)
-	b := sim.Micros(10)
+	b := nackBackoffBase
 	var seen []sim.Duration
 	for i := 0; i < 8; i++ {
 		seen = append(seen, b)
-		b = nextBackoff(b, max)
+		b = nextBackoff(b)
 	}
 	want := []sim.Duration{
 		sim.Micros(10), sim.Micros(20), sim.Micros(40), sim.Micros(80),

@@ -45,11 +45,6 @@ type Options struct {
 	// ready queue instead of the front. The paper measured both and
 	// found front always better; front is the default (false).
 	BackOfQueue bool
-	// NackBackoffBase and NackBackoffMax bound the exponential backoff a
-	// nacked caller performs before retrying. Zero values select 10 us
-	// and 320 us.
-	NackBackoffBase sim.Duration
-	NackBackoffMax  sim.Duration
 }
 
 // Runtime is the per-universe RPC engine.
@@ -238,12 +233,6 @@ func (cl *call) Run() {
 // New builds an RPC runtime over u. Define all procedures before the
 // simulation starts.
 func New(u *am.Universe, opts Options) *Runtime {
-	if opts.NackBackoffBase == 0 {
-		opts.NackBackoffBase = sim.Micros(10)
-	}
-	if opts.NackBackoffMax == 0 {
-		opts.NackBackoffMax = sim.Micros(320)
-	}
 	rt := &Runtime{u: u, opts: opts}
 	rt.nodes = make([]*nodeState, u.N())
 	rt.replyH = u.Register("rpc/reply", rt.handleReply)
@@ -253,9 +242,6 @@ func New(u *am.Universe, opts Options) *Runtime {
 
 // Universe returns the universe the runtime is bound to.
 func (rt *Runtime) Universe() *am.Universe { return rt.u }
-
-// Mode returns the runtime's dispatch mode.
-func (rt *Runtime) Mode() Mode { return rt.opts.Mode }
 
 // Dispatcher exposes the OAM dispatcher (for statistics).
 func (rt *Runtime) Dispatcher() *oam.Dispatcher { return rt.dispatcher(false) }
@@ -336,14 +322,6 @@ type ProcStats struct {
 	Retries   uint64 // client-side re-sends after a nack
 	Timeouts  uint64 // CallWithDeadline expirations
 	GiveUps   uint64 // CallIdempotent exhaustions: every attempt timed out
-}
-
-// SuccessPercent is the "% Successes" column of Tables 2 and 3.
-func (s *ProcStats) SuccessPercent() float64 {
-	if s.OAMs == 0 {
-		return 100
-	}
-	return 100 * float64(s.Successes) / float64(s.OAMs)
 }
 
 // Impl is the server-side body of a remote procedure. It runs against e
@@ -537,14 +515,15 @@ func (p *Proc) Call(c threads.Ctx, server int, arg *Enc) Enc {
 	return res
 }
 
-// nextBackoff doubles a backoff up to its cap.
-func nextBackoff(cur, max sim.Duration) sim.Duration {
-	cur *= 2
-	if cur > max {
-		return max
-	}
-	return cur
-}
+// A nacked caller backs off before it retries, doubling from
+// nackBackoffBase up to nackBackoffMax.
+const (
+	nackBackoffBase = 10 * sim.Microsecond
+	nackBackoffMax  = 320 * sim.Microsecond
+)
+
+// nextBackoff doubles a backoff up to nackBackoffMax.
+func nextBackoff(cur sim.Duration) sim.Duration { return min(2*cur, nackBackoffMax) }
 
 // CallWithDeadline performs a synchronous call that gives up if no reply
 // (or nack) arrives within timeout of virtual time, returning ErrDeadline
@@ -580,7 +559,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 	ep := rt.u.Endpoint(me)
 	st := &p.stats[me]
 	deadline := sh.Now().Add(timeout)
-	backoff := rt.opts.NackBackoffBase
+	backoff := nackBackoffBase
 	p.observe(c, me, RecCallStart, 0)
 	var retries uint64
 	for {
@@ -602,7 +581,7 @@ func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (
 			st.Retries++
 			retries++
 			c.P.Charge(backoff)
-			backoff = nextBackoff(backoff, rt.opts.NackBackoffMax)
+			backoff = nextBackoff(backoff)
 			if timeout == 0 || sh.Now() < deadline {
 				continue
 			}

@@ -6,6 +6,7 @@ package gentest
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/am"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/threads"
 )
 
-func runBoth(t *testing.T, body func(t *testing.T, rt *rpc.Runtime, u *am.Universe)) {
+func runBoth(t *testing.T, body func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe)) {
 	t.Helper()
 	for _, mode := range []rpc.Mode{rpc.ORPC, rpc.TRPC} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -24,13 +25,13 @@ func runBoth(t *testing.T, body func(t *testing.T, rt *rpc.Runtime, u *am.Univer
 			defer eng.Shutdown()
 			u := am.NewUniverse(eng, 2, cm5.DefaultCostModel())
 			rt := rpc.New(u, rpc.Options{Mode: mode})
-			body(t, rt, u)
+			body(t, mode, rt, u)
 		})
 	}
 }
 
 func TestEchoAllScalars(t *testing.T) {
-	runBoth(t, func(t *testing.T, rt *rpc.Runtime, u *am.Universe) {
+	runBoth(t, func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe) {
 		echo := DefineEcho(rt, func(e *oam.Env, caller int,
 			b bool, i32 int32, i64 int64, u32 uint32, u64v uint64, f32 float32, f64v float64,
 		) (bool, int32, int64, uint32, uint64, float32, float64) {
@@ -55,7 +56,7 @@ func TestEchoAllScalars(t *testing.T) {
 }
 
 func TestBuffers(t *testing.T) {
-	runBoth(t, func(t *testing.T, rt *rpc.Runtime, u *am.Universe) {
+	runBoth(t, func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe) {
 		buf := DefineBuffers(rt, func(e *oam.Env, caller int,
 			raw []byte, s string, fs []float64, is []int32, us []uint64,
 		) ([]byte, string, []float64, []int32, []uint64) {
@@ -85,7 +86,7 @@ func TestBuffers(t *testing.T) {
 }
 
 func TestCornerShapes(t *testing.T) {
-	runBoth(t, func(t *testing.T, rt *rpc.Runtime, u *am.Universe) {
+	runBoth(t, func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe) {
 		noArgs := DefineNoArgs(rt, func(e *oam.Env, caller int) int64 { return 77 })
 		got := int64(0)
 		noRes := DefineNoResults(rt, func(e *oam.Env, caller int, x int64) { got = x })
@@ -114,7 +115,7 @@ func TestCornerShapes(t *testing.T) {
 }
 
 func TestStructMarshaling(t *testing.T) {
-	runBoth(t, func(t *testing.T, rt *rpc.Runtime, u *am.Universe) {
+	runBoth(t, func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe) {
 		dot := DefineDot(rt, func(e *oam.Env, caller int, a, b Vec) float64 {
 			return a.X*b.X + a.Y*b.Y + a.Z*b.Z
 		})
@@ -141,7 +142,7 @@ func TestStructMarshaling(t *testing.T) {
 }
 
 func TestGeneratedStatsWork(t *testing.T) {
-	runBoth(t, func(t *testing.T, rt *rpc.Runtime, u *am.Universe) {
+	runBoth(t, func(t *testing.T, mode rpc.Mode, rt *rpc.Runtime, u *am.Universe) {
 		p := DefineNoArgs(rt, func(e *oam.Env, caller int) int64 { return 1 })
 		_, err := u.SPMD(func(c threads.Ctx, node int) {
 			if node != 0 {
@@ -158,22 +159,27 @@ func TestGeneratedStatsWork(t *testing.T) {
 		if st.Calls != 4 {
 			t.Fatalf("calls = %d", st.Calls)
 		}
-		if rt.Mode() == rpc.ORPC && st.OAMs != 4 {
+		if mode == rpc.ORPC && st.OAMs != 4 {
 			t.Fatalf("oams = %d", st.OAMs)
 		}
-		if rt.Mode() == rpc.TRPC && st.Threads != 4 {
+		if mode == rpc.TRPC && st.Threads != 4 {
 			t.Fatalf("threads = %d", st.Threads)
 		}
 	})
 }
 
 // TestCompatSpecGolden pins the compatibility matrix generated from
-// alltypes.rpc: method order, which methods carry key extractors, and the
+// alltypes.rpc: its classes and clauses, method order, which methods carry key extractors, and the
 // extractors' ability to decode past earlier parameters.
 func TestCompatSpecGolden(t *testing.T) {
 	spec := CompatSpec()
-	if got := spec.Table.Methods(); got != 8 {
-		t.Fatalf("matrix classes = %d, want 8 (one per proc)", got)
+	want := oam.NewCompatTable(8) // one class per proc
+	want.Allow(2, 2)
+	want.Allow(2, 3)
+	want.AllowDisjoint(0, 0)
+	want.AllowDisjoint(3, 3)
+	if !reflect.DeepEqual(spec.Table, want) {
+		t.Fatalf("matrix = %+v, want %+v", spec.Table, want)
 	}
 	wantKeyed := map[string]bool{
 		"Echo": true, "Buffers": false, "NoArgs": false, "NoResults": true,

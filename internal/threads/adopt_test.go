@@ -66,7 +66,7 @@ func TestLendAdoptDetachBlocked(t *testing.T) {
 		})
 		s.Lend(body)
 		c.P.Park() // until the body detaches
-		if adopted == nil || adopted.State() != "blocked" {
+		if adopted == nil || adopted.state != stateBlocked {
 			t.Errorf("adopted state: %+v", adopted)
 		}
 		if bodyDone {
@@ -165,18 +165,18 @@ func TestAccessors(t *testing.T) {
 		if s.Node() == nil || c.Node() != s.Node() {
 			t.Error("node accessors inconsistent")
 		}
-		if c.IsHandler() {
+		if c.T == nil {
 			t.Error("thread ctx claims handler")
 		}
 		hc := Ctx{P: c.P, S: s}
-		if !hc.IsHandler() {
+		if hc.T != nil {
 			t.Error("handler ctx not recognized")
 		}
-		if s.Running() != c.T {
-			t.Error("Running() wrong")
+		if s.cur != c.T {
+			t.Error("s.cur is not the running thread")
 		}
-		if c.T.Name() != "main" || c.T.State() != "running" {
-			t.Errorf("name/state: %s/%s", c.T.Name(), c.T.State())
+		if c.T.Name() != "main" || c.T.state != stateRunning {
+			t.Errorf("name/state: %s/%v", c.T.Name(), c.T.state)
 		}
 		mu := NewMutex(s)
 		if mu.Held() {

@@ -79,7 +79,7 @@ func TestKernelGivesAwayABlockedThreadsCPU(t *testing.T) {
 			})
 		})
 		s.Block(c)
-		resumed = s.Running() == a.t && c.P.Now() == sim.Time(sim.Micros(10)+s.cost.ContextSwitch/2)
+		resumed = s.cur == a.t && c.P.Now() == sim.Time(sim.Micros(10)+s.cost.ContextSwitch/2)
 	})
 	run(t, eng)
 	if atStart-atWake != 1 {

@@ -84,25 +84,6 @@ func TestCreateFromHandlerCtx(t *testing.T) {
 	}
 }
 
-// TestStopIdleLoop: Stop lets the idle process exit at quiescence so
-// Live drops to zero without Shutdown.
-func TestStopIdleLoop(t *testing.T) {
-	eng, s := rig(t)
-	s.Bootstrap("main", func(c Ctx) {
-		c.P.Charge(sim.Micros(5))
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s.Stop()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Live() != 0 {
-		t.Fatalf("live = %d after Stop, want 0", eng.Live())
-	}
-}
-
 // TestCondBroadcastOrder: broadcast wakes all waiters and they reacquire
 // the mutex one at a time.
 func TestCondBroadcastOrder(t *testing.T) {
@@ -162,8 +143,5 @@ func TestSchedulerStatsCoherent(t *testing.T) {
 	}
 	if st.Blocks == 0 {
 		t.Fatal("no blocks recorded")
-	}
-	if st.LiveStackPercent() < 0 || st.LiveStackPercent() > 100 {
-		t.Fatal("live-stack percent out of range")
 	}
 }

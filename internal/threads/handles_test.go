@@ -187,7 +187,7 @@ func (r *handleRun) mine(c Ctx, id int, where string) {
 	if got := r.tenant[c.T]; got != id {
 		r.errorf("thread %d at %s: its descriptor holds thread %d", id, where, got)
 	}
-	if r.s.Running() != c.T {
+	if r.s.cur != c.T {
 		r.errorf("thread %d at %s: not the running thread", id, where)
 	}
 }

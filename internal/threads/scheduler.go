@@ -40,15 +40,6 @@ type Stats struct {
 	Interrupts     uint64 // message interrupts taken (interrupt mode)
 }
 
-// LiveStackPercent reports the fraction of thread starts that avoided a
-// full context switch.
-func (s *Stats) LiveStackPercent() float64 {
-	if s.Starts == 0 {
-		return 100
-	}
-	return 100 * float64(s.LiveStackStart) / float64(s.Starts)
-}
-
 // Scheduler is the per-node, non-preemptive, user-level thread scheduler.
 // It owns the node's CPU: exactly one context — a thread, a handler, or
 // the scheduler loop itself — executes per node at any simulated instant.
@@ -89,7 +80,6 @@ type Scheduler struct {
 	stepper    stepPoller // poller, when it is one
 	waitFor    *Flag      // the flag Wait hands to its first ask (flagWait)
 	stats      Stats
-	stopped    bool
 	interrupts bool
 	// blocked is the sentinel of the ring of suspended threads, linked
 	// through the descriptors in block order.
@@ -183,18 +173,6 @@ func (s *Scheduler) SetPoller(p Poller) {
 	s.stepper, _ = p.(stepPoller)
 }
 
-// Stop makes the idle process exit the next time it acts with nothing to
-// do. Threads still in the system are unaffected; the engine's Shutdown
-// reaps everything.
-func (s *Scheduler) Stop() {
-	s.stopped = true
-	s.wakeActor()
-}
-
-// Running returns the thread currently on the CPU, or nil if the
-// scheduler loop (or a handler running on it) has the CPU.
-func (s *Scheduler) Running() *Thread { return s.cur }
-
 // noteBlocked appends t to the ring of suspended threads kept for deadlock
 // diagnostics. A thread enters on block and leaves on resume; the ring is
 // threaded through the descriptors, so neither step allocates or hashes.
@@ -258,9 +236,8 @@ func (s *Scheduler) wakeActor() {
 // whenever no such context is available (at start-up, and after a thread
 // exits leaving nothing runnable). It returns when self has the CPU again —
 // its wakeup came while p acted, the free resume, or p gave the CPU to
-// another thread and was restored — or, for the idle process, on Stop. What
-// to do next is Continue's to say; p itself only runs the handlers, which
-// need a stack.
+// another thread and was restored. What to do next is Continue's to say;
+// p itself only runs the handlers, which need a stack.
 func (s *Scheduler) act(p *sim.Proc, self *Thread) {
 	s.actor, s.self = p, self
 	p.Then(s)
@@ -291,8 +268,7 @@ func (s *Scheduler) serve(p *sim.Proc) {
 // other to p. Then, in order: self at the front of the ready queue resumes;
 // another thread gets the CPU and p parks until restored (the idle process,
 // until a thread exit leaves nothing to run); a waiting packet is ejected
-// and charged for; Stop ends the idle process; else p sleeps until a
-// delivery or a wakeup.
+// and charged for; else p sleeps until a delivery or a wakeup.
 func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	switch pkt := s.ejected; {
 	case s.cur != nil && s.cur.proc == p:
@@ -339,10 +315,6 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 		s.ejected, s.atomic = s.stepper.Eject()
 		s.owed = true
 		return sim.NextCharge, s.cost.PacketRecvOverhead
-	}
-	if s.stopped && s.self == nil {
-		s.actor = nil
-		return sim.NextRun, 0
 	}
 	return sim.NextPark, 0
 }

@@ -47,10 +47,6 @@ type Ctx struct {
 // Node returns the node whose CPU this context occupies.
 func (c Ctx) Node() *cm5.Node { return c.S.Node() }
 
-// IsHandler reports whether this context is a handler/idle context, which
-// must not block.
-func (c Ctx) IsHandler() bool { return c.T == nil }
-
 // Name is a thread name kept in parts, so that creating a thread never
 // formats one: the string is built only for an observed node's records
 // or a deadlock report. It reads Prefix+Base, followed by "A.B" when Pair is
@@ -95,10 +91,6 @@ type Thread struct {
 
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name.String() }
-
-// State returns a human-readable state ("new", "ready", "running",
-// "blocked", "dead") for diagnostics.
-func (t *Thread) State() string { return t.state.String() }
 
 // Handle names one thread for the code that created it: the descriptor and
 // the generation it had then. Once the thread has exited — whether or not
