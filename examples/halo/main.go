@@ -8,7 +8,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/am"
+	"repro/internal/cm5"
+	"repro/internal/oam"
+	"repro/internal/rpc"
+	"repro/internal/sim"
+	"repro/internal/threads"
 )
 
 const (
@@ -18,25 +23,28 @@ const (
 )
 
 func main() {
-	c := core.NewCluster(core.Options{Nodes: nodes, Seed: 3})
+	eng := sim.New(3)
+	defer eng.Shutdown()
+	u := am.NewUniverse(eng, nodes, cm5.DefaultCostModel())
+	rt := rpc.New(u, rpc.Options{Mode: rpc.ORPC})
 
 	type edge struct {
-		mu      *core.Mutex
-		isFull  *core.Cond
-		notFull *core.Cond
+		mu      *threads.Mutex
+		isFull  *threads.Cond
+		notFull *threads.Cond
 		full    bool
 		val     float64
 	}
 	edges := make([][2]*edge, nodes) // [left, right] inbox per node
 	for i := range edges {
 		for s := 0; s < 2; s++ {
-			mu := c.NewMutex(i)
-			edges[i][s] = &edge{mu: mu, isFull: c.NewCond(mu), notFull: c.NewCond(mu)}
+			mu := threads.NewMutex(u.Scheduler(i))
+			edges[i][s] = &edge{mu: mu, isFull: threads.NewCond(mu), notFull: threads.NewCond(mu)}
 		}
 	}
 
-	store := c.DefineAsync("store", func(e *core.Env, caller int, arg []byte) []byte {
-		d := core.Dec(arg)
+	store := rt.DefineAsync("store", func(e *oam.Env, caller int, arg []byte) []byte {
+		d := rpc.NewDec(arg)
 		side, val := d.U8(), d.F64()
 		eg := edges[e.Node()][side]
 		e.Lock(eg.mu)
@@ -47,7 +55,7 @@ func main() {
 		return nil
 	})
 
-	take := func(ctx core.Ctx, me int, side uint8) float64 {
+	take := func(ctx threads.Ctx, me int, side uint8) float64 {
 		eg := edges[me][side]
 		eg.mu.Lock(ctx)
 		for !eg.full {
@@ -62,19 +70,19 @@ func main() {
 
 	data := make([][]float64, nodes)
 	iters := make([]int, nodes)
-	_, err := c.Run(func(ctx core.Ctx, me int) {
+	_, err := u.SPMD(func(ctx threads.Ctx, me int) {
 		vec := make([]float64, width)
 		for i := range vec {
 			vec[i] = float64(me) // step function across the ring of nodes
 		}
-		sched := c.Universe().Scheduler(me)
+		sched := u.Scheduler(me)
 		left, right := (me+nodes-1)%nodes, (me+1)%nodes
 		r := 0
 		for ; r < rounds; r++ {
 			// Ship my edges: my first cell is my left neighbor's right
 			// halo, my last cell their left halo.
 			sendEdge := func(dst int, side uint8, v float64) {
-				arg := core.Enc(9)
+				arg := rpc.NewEnc(9)
 				arg.U8(side)
 				arg.F64(v)
 				store.CallAsync(ctx, dst, arg)
@@ -98,7 +106,7 @@ func main() {
 				maxd = math.Max(maxd, math.Abs(next[i]-vec[i]))
 			}
 			vec = next
-			ctx.P.Charge(core.Micros(float64(width)))
+			ctx.P.Charge(sim.Micros(float64(width)))
 			// Split-phase convergence vote.
 			sched.OREnter(maxd > 1e-6)
 			if !sched.ORWait(ctx) {
@@ -119,7 +127,7 @@ func main() {
 		}
 	}
 	mean /= float64(nodes * width)
-	st := c.OAMStats()
+	st := rt.AsyncDispatcher().Stats()
 	fmt.Printf("ran %d rounds; ring mean %.4f (expected %.4f)\n",
 		iters[0], mean, float64(nodes-1)/2)
 	fmt.Printf("OAMs: %d total, %.1f%% ran without blocking\n",

@@ -7,18 +7,24 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/am"
+	"repro/internal/cm5"
+	"repro/internal/oam"
 	"repro/internal/rpc"
+	"repro/internal/sim"
+	"repro/internal/threads"
 )
 
 func run(mode rpc.Mode) {
-	c := core.NewCluster(core.Options{Nodes: 3, Mode: mode, Seed: 42})
+	eng := sim.New(42)
+	defer eng.Shutdown()
+	rt := rpc.New(am.NewUniverse(eng, 3, cm5.DefaultCostModel()), rpc.Options{Mode: mode})
 	count := 0
-	inc := c.Define("inc", func(e *core.Env, caller int, arg []byte) []byte {
+	inc := rt.Define("inc", func(e *oam.Env, caller int, arg []byte) []byte {
 		count++
 		return nil
 	})
-	elapsed, err := c.Run(func(ctx core.Ctx, node int) {
+	elapsed, err := rt.Universe().SPMD(func(ctx threads.Ctx, node int) {
 		if node == 0 {
 			return // node 0 serves from its scheduler loop
 		}
@@ -29,7 +35,7 @@ func run(mode rpc.Mode) {
 	if err != nil {
 		panic(err)
 	}
-	st := c.OAMStats()
+	st := rt.Dispatcher().Stats()
 	fmt.Printf("%-4v  counter=%d  elapsed=%8.1fus  oams=%d  succeeded=%d\n",
 		mode, count, float64(elapsed)/1000, st.Total, st.Succeeded)
 }

@@ -258,6 +258,71 @@ func TestBlockingProcPromotes(t *testing.T) {
 	}
 }
 
+// TestGuardedBuffer: a 2-slot bounded buffer whose Put and Get guards
+// share one condition variable, Orca's classic guarded operations. Put
+// blocks when full and Get when empty; items come out in FIFO order in
+// both modes, and under ORPC the producer's blocked Puts are promoted.
+func TestGuardedBuffer(t *testing.T) {
+	for _, mode := range []Mode{ORPC, TRPC} {
+		rt := newRT(t, 3, Options{Mode: mode})
+		mu := threads.NewMutex(rt.Universe().Scheduler(0))
+		cv := threads.NewCond(mu)
+		var items []int64
+		put := rt.Define("put", func(e *oam.Env, caller int, arg []byte) []byte {
+			e.Lock(mu)
+			e.Await(cv, func() bool { return len(items) < 2 })
+			items = append(items, NewDec(arg).I64())
+			e.Broadcast(cv)
+			e.Unlock(mu)
+			return nil
+		})
+		get := rt.Define("get", func(e *oam.Env, caller int, arg []byte) []byte {
+			e.Lock(mu)
+			e.Await(cv, func() bool { return len(items) > 0 })
+			v := items[0]
+			items = items[1:]
+			e.Broadcast(cv)
+			e.Unlock(mu)
+			out := NewEnc(8)
+			out.I64(v)
+			return out.Bytes()
+		})
+		var got []int64
+		_, err := rt.Universe().SPMD(func(c threads.Ctx, node int) {
+			switch node {
+			case 1: // producer: 6 items through the 2-slot buffer
+				for i := int64(0); i < 6; i++ {
+					arg := NewEnc(8)
+					arg.I64(i * 10)
+					put.Call(c, 0, arg)
+				}
+			case 2: // consumer, slower
+				for i := 0; i < 6; i++ {
+					c.P.Charge(sim.Micros(200))
+					rep := get.Call(c, 0, nil)
+					got = append(got, NewDec(rep.Bytes()).I64())
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if len(got) != 6 {
+			t.Fatalf("%v: consumed %d items", mode, len(got))
+		}
+		for i, v := range got {
+			if v != int64(i*10) {
+				t.Fatalf("%v: FIFO violated: %v", mode, got)
+			}
+		}
+		if mode == ORPC {
+			if st := put.Stats(); st.Promoted == 0 {
+				t.Errorf("put never blocked: %+v", st)
+			}
+		}
+	}
+}
+
 // TestNackRetry: under the Nack strategy a blocked call is refused and
 // transparently retried until it succeeds.
 func TestNackRetry(t *testing.T) {
