@@ -45,11 +45,17 @@ type Transport interface {
 type Universe struct {
 	m         *cm5.Machine
 	eps       []*Endpoint
-	handlers  []Handler
-	names     []string
-	atomic    []bool // per handler: registered with RegisterAtomic
+	handlers  []handler
 	transport Transport
 	out       []handoff // one per engine shard
+}
+
+// handler is one entry of the handler table.
+type handler struct {
+	h      Handler
+	name   string
+	atomic bool    // registered with RegisterAtomic
+	pre    Prelude // registered with RegisterPrelude
 }
 
 // handoff is a message between a sender on the stack and the continuation
@@ -144,9 +150,7 @@ func (u *Universe) SetTransport(t Transport) { u.transport = t }
 // registration must happen before the simulation starts, as it would on a
 // real SPMD machine where the handler table is the program text.
 func (u *Universe) Register(name string, h Handler) HandlerID {
-	u.handlers = append(u.handlers, h)
-	u.names = append(u.names, name)
-	u.atomic = append(u.atomic, false)
+	u.handlers = append(u.handlers, handler{h: h, name: name})
 	return HandlerID(len(u.handlers) - 1)
 }
 
@@ -156,12 +160,31 @@ func (u *Universe) Register(name string, h Handler) HandlerID {
 // panics as "not the running process".
 func (u *Universe) RegisterAtomic(name string, h Handler) HandlerID {
 	id := u.Register(name, h)
-	u.atomic[id] = true
+	u.handlers[id].atomic = true
+	return id
+}
+
+// Prelude is the head of a handler registered with RegisterPrelude, the
+// part that needs no stack: called for the process the handler runs on — in
+// kernel context when a sleeping scheduler dispatches the message, on the
+// stack otherwise — it does the head's bookkeeping at once and returns the
+// chain that finishes it (a charge, an injection; none of it may block)
+// and whether the handler's body follows on the stack. That chain ends by
+// asking done when no body follows (nil: the process runs), and by saying
+// Run when one does.
+type Prelude func(ep *Endpoint, pkt *cm5.Packet, done sim.Continuation) (k sim.Continuation, body bool)
+
+// RegisterPrelude is Register for a handler whose head, pre, needs no
+// stack: a sleeping scheduler runs it in the kernel loop (Begin) and
+// switches to its process only for body, which may not follow at all.
+func (u *Universe) RegisterPrelude(name string, pre Prelude, body Handler) HandlerID {
+	id := u.Register(name, body)
+	u.handlers[id].pre = pre
 	return id
 }
 
 // HandlerName returns the registration name of id, for diagnostics.
-func (u *Universe) HandlerName(id HandlerID) string { return u.names[id] }
+func (u *Universe) HandlerName(id HandlerID) string { return u.handlers[id].name }
 
 // Endpoint is a node's Active Message interface. Its counters are only
 // ever touched from code running on its node, so they stay shard-local
@@ -173,6 +196,9 @@ type Endpoint struct {
 	out   *handoff // the hand-off of the node's shard
 	stats Stats
 	depth int32 // nested handler executions on this node
+	// begun is the prelude a sleeping scheduler's Begin runs in the kernel
+	// loop, until it ends there or Finish takes it: one at a time on a node.
+	begun begun
 	// polling marks a PollUntil inside WaitPacket since pollingSince;
 	// still set after Run, the message never came (see SPMD).
 	polling      bool
@@ -291,13 +317,23 @@ func (ep *Endpoint) Drive(c threads.Ctx, d sim.Duration, k sim.Continuation) {
 	} else {
 		c.P.ChargeThen(d, k)
 	}
-	for h := ep.out; h.pkt != nil; {
-		refused := *h
-		*h = handoff{}
-		ep.stats.DrainSpins++
-		ep.Poll(c)
-		c.P.Then(ep.Injection(refused.pkt, refused.k))
+	ep.drain(c)
+}
+
+// drain is Drive's retry of a refused injection, which a chain run in
+// kernel context left for c's stack.
+func (ep *Endpoint) drain(c threads.Ctx) {
+	for ep.out.pkt != nil {
+		ep.retry(c)
 	}
+}
+
+func (ep *Endpoint) retry(c threads.Ctx) {
+	refused := *ep.out
+	*ep.out = handoff{}
+	ep.stats.DrainSpins++
+	ep.Poll(c)
+	c.P.Then(ep.Injection(refused.pkt, refused.k))
 }
 
 // Poll services at most one incoming message, running its handler inline
@@ -350,13 +386,79 @@ func (ep *Endpoint) PollAll(c threads.Ctx) int {
 // PollOnce implements threads.Poller for the scheduler idle loop.
 func (ep *Endpoint) PollOnce(c threads.Ctx) bool { return ep.Poll(c) }
 
-// Eject and Dispatch are PollOnce in steps, for a scheduler that takes the
-// first in kernel context: Eject pops the head of the input queue, for
-// which the caller owes the ejection and the dispatch charge, and says
-// whether its handler is atomic, so that Dispatch may stay there too.
-func (ep *Endpoint) Eject() (pkt *cm5.Packet, atomic bool) {
+// Eject, Begin and Finish are PollOnce in steps, for a scheduler that takes
+// the first two in kernel context: Eject pops the head of the input queue,
+// for which the caller owes the ejection and the dispatch charge, and says
+// whether Begin may start its handler, which is atomic or has a prelude.
+func (ep *Endpoint) Eject() (pkt *cm5.Packet, begin bool) {
 	pkt = ep.node.Eject()
-	return pkt, ep.u.atomic[pkt.Handler]
+	h := &ep.u.handlers[pkt.Handler]
+	return pkt, h.atomic || h.pre != nil
+}
+
+// Begin dispatches pkt, both charges paid, in kernel context for c.P: an
+// atomic handler runs here whole and a prelude here up to its body. The
+// chain it returns asks done once the handler is over; a Run leaves the
+// rest to Finish on c.P's stack — a body, or a refused injection of the
+// prelude's.
+func (ep *Endpoint) Begin(c threads.Ctx, pkt *cm5.Packet, done sim.Continuation) (sim.Next, sim.Duration) {
+	p, h := c.P, &ep.u.handlers[pkt.Handler]
+	if h.atomic {
+		ep.Dispatch(c, pkt)
+		p.Pass(done)
+		return done.Continue(p)
+	}
+	b := &ep.begun
+	b.pkt, b.done = pkt, done
+	b.start, b.depth = ep.enter(p, pkt)
+	k, body := h.pre(ep, pkt, (*ended)(ep))
+	b.body = body
+	p.Pass(k)
+	return k.Continue(p)
+}
+
+// begun is a prelude Begin ran, while it is the kernel's.
+type begun struct {
+	pkt   *cm5.Packet
+	done  sim.Continuation
+	start sim.Time
+	depth int32
+	body  bool
+}
+
+// ended is an Endpoint seen as the sim.Continuation a prelude Begin ran
+// ends in when no body follows: still in the kernel loop, the handler is
+// over; once Finish has it, the stack goes on.
+type ended Endpoint
+
+func (e *ended) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	ep := (*Endpoint)(e)
+	b := ep.begun
+	if b.pkt == nil {
+		return sim.NextRun, 0
+	}
+	ep.begun = begun{}
+	ep.leave(p, b.pkt, b.start, b.depth)
+	ep.node.ReleasePacket(b.pkt)
+	p.Pass(b.done)
+	return b.done.Continue(p)
+}
+
+// Finish runs pkt's handler on c's stack, or what Begin left of it: a
+// prelude's body, after retrying an injection the prelude found refused.
+func (ep *Endpoint) Finish(c threads.Ctx, pkt *cm5.Packet) {
+	if ep.begun.pkt != pkt {
+		ep.Dispatch(c, pkt)
+		return
+	}
+	b := ep.begun
+	ep.begun = begun{}
+	ep.drain(c)
+	if b.body {
+		ep.u.handlers[pkt.Handler].h(threads.Ctx{P: c.P, S: ep.sched}, pkt)
+	}
+	ep.leave(c.P, pkt, b.start, b.depth)
+	ep.node.ReleasePacket(pkt)
 }
 
 // Dispatch runs the handler of a packet off the wire, both charges paid,
@@ -367,27 +469,45 @@ func (ep *Endpoint) Dispatch(c threads.Ctx, pkt *cm5.Packet) {
 }
 
 // Run runs pkt's handler inline, HandlerDispatch already charged: joined to
-// the ejection by Poll, to an ack's injection by a transport, and hands a transport's de-framed inner message up, the
-// packet staying the transport's to recycle. The handler context is derived
-// from the polling context but has no thread: handlers are not schedulable.
+// the ejection by Poll, to an ack's injection by a transport's prelude,
+// and hands a transport's de-framed inner message up, the packet staying
+// the transport's to recycle. The handler context is derived from the
+// polling context but has no thread: handlers are not schedulable. A
+// prelude's chain is driven from the stack here.
 func (ep *Endpoint) Run(c threads.Ctx, pkt *cm5.Packet) {
-	h := ep.u.handlers[pkt.Handler]
 	hc := threads.Ctx{P: c.P, T: nil, S: ep.sched}
-	ep.depth++
-	depth := int(ep.depth)
-	ep.stats.MaxDepth = max(ep.stats.MaxDepth, depth)
-	ep.stats.HandlersRun++
-	start := c.P.Now()
-	k := c.P.Shard().Sink()
-	if k != nil {
-		k.Observe(sim.Record{T: start, Layer: sim.LayerAM, Kind: RecHandlerStart, Node: ep.node.ID(), Proc: c.P, ID: uint64(pkt.Handler), N: depth})
+	start, depth := ep.enter(c.P, pkt)
+	h, body := &ep.u.handlers[pkt.Handler], true
+	if h.pre != nil {
+		var k sim.Continuation
+		k, body = h.pre(ep, pkt, nil)
+		ep.Drive(hc, -1, k)
 	}
-	h(hc, pkt)
-	// Nested dispatches (drains inside sends) double-count into their
-	// enclosing handler's window; MaxDepth reports when that happens.
-	ep.stats.HandlerTime += c.P.Now().Sub(start)
-	if k != nil {
-		k.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerAM, Kind: RecHandlerEnd, Node: ep.node.ID(), Proc: c.P, ID: uint64(pkt.Handler), N: depth})
+	if body {
+		h.h(hc, pkt)
+	}
+	ep.leave(c.P, pkt, start, depth)
+}
+
+// enter and leave bracket a handler run on p: its depth, counters and
+// records. Nested dispatches (drains inside sends) double-count into their
+// enclosing handler's window; MaxDepth reports when that happens.
+func (ep *Endpoint) enter(p *sim.Proc, pkt *cm5.Packet) (start sim.Time, depth int32) {
+	ep.depth++
+	depth = ep.depth
+	ep.stats.MaxDepth = max(ep.stats.MaxDepth, int(depth))
+	ep.stats.HandlersRun++
+	start = p.Now()
+	if k := p.Shard().Sink(); k != nil {
+		k.Observe(sim.Record{T: start, Layer: sim.LayerAM, Kind: RecHandlerStart, Node: ep.node.ID(), Proc: p, ID: uint64(pkt.Handler), N: int(depth)})
+	}
+	return start, depth
+}
+
+func (ep *Endpoint) leave(p *sim.Proc, pkt *cm5.Packet, start sim.Time, depth int32) {
+	ep.stats.HandlerTime += p.Now().Sub(start)
+	if k := p.Shard().Sink(); k != nil {
+		k.Observe(sim.Record{T: p.Now(), Layer: sim.LayerAM, Kind: RecHandlerEnd, Node: ep.node.ID(), Proc: p, ID: uint64(pkt.Handler), N: int(depth)})
 	}
 	ep.depth--
 }

@@ -8,9 +8,10 @@
 // block panics: that is the Active Messages restriction. Optimistic Active
 // Messages (package oam) lifts it by promoting handlers to threads. A poll
 // charges the ejection and the handler dispatch as one sim.Proc.ChargeSeq;
-// a sleeping scheduler's poll is taken in steps (Eject, Dispatch), the
-// first by the kernel loop, and so is the handler itself if it was
-// registered as bookkeeping only (RegisterAtomic).
+// a sleeping scheduler's poll is taken in steps (Eject, Begin, Finish), the
+// first two by the kernel loop, which runs a handler registered as
+// bookkeeping only (RegisterAtomic) whole and a handler's stackless
+// prelude (RegisterPrelude) up to its body.
 //
 // A send is one sim.Continuation, SendThen, which Send, SendBulk and Drive
 // run from the sender's stack. It follows the CM-5 CMMD convention: when

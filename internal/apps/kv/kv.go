@@ -384,6 +384,96 @@ type clientState struct {
 	n           ClientCounts
 	err         error
 	free        *arrival
+	gen         generator
+}
+
+// generator is a client's open-loop arrival process, run by its main
+// thread as the sim.Continuation the kernel loop asks in its place
+// (threads.Scheduler.Then): it draws an arrival, sleeps until it is due
+// (SleepThen), counts it and creates its request thread (CreateThen). The
+// thread is switched to only when the arrival window is over or the node
+// has crashed.
+//
+// Arrivals land at absolute times computed from the RNG alone, never from
+// how long the previous request took. If the node falls behind its
+// schedule (CPU saturated by in-flight requests), the next arrival fires
+// immediately — the backlog is the load's problem, not the generator's.
+// The arrival count is therefore a pure function of (seed, client, mode),
+// identical across systems and shard counts.
+type generator struct {
+	cfg        *Config
+	cs         *clientState
+	s          *threads.Scheduler
+	zipf       zipfTable
+	me, cid    int
+	newArrival func(cs *clientState, me int, sh *sim.Shard) *arrival
+	// next is the drawn arrival's instant; drawn says that it and its
+	// draws (z, key, val) wait for it to come.
+	next    sim.Time
+	drawn   bool
+	z       int
+	key     uint32
+	val     int32
+	crashed bool
+	create  threads.Creation // the request thread being made
+}
+
+func (g *generator) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	cfg, cs := g.cfg, g.cs
+	for {
+		if g.drawn {
+			g.drawn = false
+			node := g.s.Node()
+			if node.Crashed() {
+				g.crashed = true
+				return sim.NextRun, 0
+			}
+			var op Op
+			switch z := g.z; {
+			case z < cfg.MixGet:
+				op = OpGet
+			case z < cfg.MixGet+cfg.MixPut:
+				op = OpPut
+			case z < cfg.MixGet+cfg.MixPut+cfg.MixCas:
+				op = OpCas
+			default:
+				op = OpLock
+			}
+			cs.n.Arrivals++
+			if cs.outstanding >= maxOutstanding {
+				cs.n.Drops++
+				if cfg.Probe != nil {
+					cfg.Probe.RequestDone(p.Now(), g.me, op, OutcomeDrop, 0)
+				}
+				continue
+			}
+			cs.outstanding++
+			req := cs.reqCtr
+			cs.reqCtr += 2 // a lock cycle uses req and req+1
+			a := cs.free
+			if a == nil {
+				a = g.newArrival(cs, g.me, node.Shard())
+			}
+			cs.free = a.next
+			// SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
+			a.op, a.key, a.val, a.req, a.start = op, g.key, g.val, req, g.next
+			g.create = threads.Creation{Name: threads.Name{Prefix: "kv/req/", A: g.cid, B: int(req), Pair: true}, Body: a.body, Then: g}
+			return g.s.CreateThen(p, &g.create)
+		}
+		g.next = g.next.Add(nextArrival(cs.rng, cfg.MeanIAT, cfg.RateX, cfg.Mode, g.next, cs.phase))
+		if g.next >= sim.Time(cfg.Duration) {
+			return sim.NextRun, 0
+		}
+		// Every arrival consumes the same draws whatever happens to
+		// it, so the stream is a pure function of (seed, client).
+		g.z = cs.rng.intn(1000)
+		g.key = g.zipf.pick(cs.rng, cfg.Keys)
+		g.val = int32(cs.rng.intn(1 << 16))
+		g.drawn = true
+		if d := g.next.Sub(p.Now()); d > 0 {
+			return g.s.SleepThen(p, d, g)
+		}
+	}
 }
 
 // arrival carries one request's arguments to its thread. Records are carved
@@ -792,64 +882,10 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		cid := me - cfg.Servers
 		cs := r.cls[cid]
 		node := c.Node()
-		endT := sim.Time(cfg.Duration)
-		// Open-loop generation: arrivals land at absolute times computed
-		// from the RNG alone, never from how long the previous request
-		// took. If the node falls behind its schedule (CPU saturated by
-		// in-flight requests), the next arrival fires immediately — the
-		// backlog is the load's problem, not the generator's. The arrival
-		// count is therefore a pure function of (seed, client, mode),
-		// identical across systems and shard counts.
-		var next sim.Time
-		for {
-			gap := nextArrival(cs.rng, cfg.MeanIAT, cfg.RateX, cfg.Mode, next, cs.phase)
-			next = next.Add(gap)
-			if next >= endT {
-				break
-			}
-			// Every arrival consumes the same draws whatever happens to
-			// it, so the stream is a pure function of (seed, client).
-			z := cs.rng.intn(1000)
-			key := zipf.pick(cs.rng, cfg.Keys)
-			val := int32(cs.rng.intn(1 << 16))
-			if d := next.Sub(c.P.Now()); d > 0 {
-				c.S.Sleep(c, d)
-			}
-			now := c.P.Now()
-			if node.Crashed() {
-				return
-			}
-			var op Op
-			switch {
-			case z < cfg.MixGet:
-				op = OpGet
-			case z < cfg.MixGet+cfg.MixPut:
-				op = OpPut
-			case z < cfg.MixGet+cfg.MixPut+cfg.MixCas:
-				op = OpCas
-			default:
-				op = OpLock
-			}
-			cs.n.Arrivals++
-			if cs.outstanding >= maxOutstanding {
-				cs.n.Drops++
-				if cfg.Probe != nil {
-					cfg.Probe.RequestDone(now, me, op, OutcomeDrop, 0)
-				}
-				continue
-			}
-			cs.outstanding++
-			req := cs.reqCtr
-			cs.reqCtr += 2 // a lock cycle uses req and req+1
-			a := cs.free
-			if a == nil {
-				a = newArrival(cs, me, node.Shard())
-			}
-			cs.free = a.next
-			// SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
-			a.op, a.key, a.val, a.req, a.start = op, key, val, req, next
-			name := threads.Name{Prefix: "kv/req/", A: cid, B: int(req), Pair: true}
-			c.S.CreateNamed(c, name, false, a.body)
+		g := &cs.gen
+		*g = generator{cfg: &cfg, cs: cs, s: c.S, zipf: zipf, me: me, cid: cid, newArrival: newArrival}
+		if c.S.Then(c, g); g.crashed {
+			return
 		}
 		for cs.outstanding > 0 {
 			if node.Crashed() {

@@ -14,19 +14,18 @@ import "repro/internal/sim"
 //
 // The table holds pointers only: each value is carved on the node's shard
 // (sim.Carve), from chunks that every table of that value type on the
-// shard shares, so a table's own objects are its scan and its pages,
-// O(log peers), and a value's address is fixed for the engine's life.
+// shard shares, and the scan is inline, so a table's own objects are its
+// pages, O(log peers), none until it spills, and a value's address is
+// fixed for the engine's life.
 //
 // The zero PeerTable is empty and ready to use.
 type PeerTable[T any] struct {
-	scan  []peerRef[T]    // peers in first-touch order, while there are few
+	// The scan: the first n peers touched and their values, while there
+	// are few.
+	peers [peerInline]int32
+	n     int32
+	vals  [peerInline]*T
 	pages []*[peerPage]*T // pages[peer/peerPage][peer%peerPage] once spilled
-}
-
-// peerRef is one scan entry: a peer and its value.
-type peerRef[T any] struct {
-	peer int32
-	v    *T
 }
 
 const (
@@ -41,9 +40,9 @@ const (
 // for the life of the engine, whatever is touched later.
 func (t *PeerTable[T]) At(sh *sim.Shard, peer int) *T {
 	if t.pages == nil {
-		for i := range t.scan {
-			if int(t.scan[i].peer) == peer {
-				return t.scan[i].v
+		for i, q := range t.peers[:t.n] {
+			if int(q) == peer {
+				return t.vals[i]
 			}
 		}
 	} else if pg := peer / peerPage; pg < len(t.pages) && t.pages[pg] != nil {
@@ -61,17 +60,14 @@ func (t *PeerTable[T]) add(sh *sim.Shard, peer int) *T {
 		*t.slot(peer) = v
 		return v
 	}
-	if n := len(t.scan); n < peerInline {
-		if n == cap(t.scan) { // 1, then 4, then peerInline entries
-			t.scan = append(make([]peerRef[T], 0, min(max(4*n, 1), peerInline)), t.scan...)
-		}
-		t.scan = append(t.scan, peerRef[T]{int32(peer), v})
+	if t.n < peerInline {
+		t.peers[t.n], t.vals[t.n] = int32(peer), v
+		t.n++
 		return v
 	}
-	for _, r := range t.scan {
-		*t.slot(int(r.peer)) = r.v
+	for i, q := range t.peers {
+		*t.slot(int(q)) = t.vals[i]
 	}
-	t.scan = nil
 	*t.slot(peer) = v
 	return v
 }

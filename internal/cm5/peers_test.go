@@ -16,8 +16,9 @@ type peerVal struct{ peer, touches uint64 }
 // touched in a drawn order and revisited at random, on both sides of the
 // spill from the scan to the pages. A value is zero on first touch, every
 // value ever handed out keeps its address and its last write, and a table
-// makes at most two objects per doubling of its peers: its scan and its
-// pages, the values being carved on the shard.
+// makes no object while its inline scan holds its peers, then one per
+// page and one per doubling of the page index: the values are carved on
+// the shard.
 func TestPeerTable(t *testing.T) {
 	for _, peers := range []int{1, 4, 8, 9, 48, 65, 200} {
 		rng := rand.New(rand.NewSource(int64(peers)))
@@ -65,8 +66,12 @@ func TestPeerTable(t *testing.T) {
 				sim.Carve[peerVal](sh)
 			}
 		})
-		if objects, bound := withTable-valuesOnly, 2*bits.Len(uint(peers)); objects > float64(bound) {
-			t.Errorf("%d peers: %.0f objects per table, want at most %d", peers, objects, bound)
+		pages := 0
+		if peers > peerInline {
+			pages = (peers + peerPage - 1) / peerPage
+		}
+		if objects, want := withTable-valuesOnly, pages+bits.Len(uint(pages)); objects != float64(want) {
+			t.Errorf("%d peers: %.0f objects per table, want %d", peers, objects, want)
 		}
 	}
 }

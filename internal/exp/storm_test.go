@@ -327,19 +327,27 @@ func TestHandoffBudget(t *testing.T) {
 	}
 
 	// The quick grid's steady ORPC cell at half the knee, then the
-	// benchmark's kv_steady (2869 arrivals: 12.0 handoffs and 16.0 switches
-	// an operation; 11.43 and 15.65 read, from 13.41 and 18.19 before the
-	// client stub's chain); whole runs, Shutdown's kills included. Before
-	// the kernel continuation the first read 6893 and 9122.
+	// benchmark's kv_steady (2869 arrivals) and kv_lossy (2252 arrivals, 795
+	// duplicates suppressed) at seed 17; whole runs, Shutdown's kills
+	// included. The ceilings are the reads since a data packet's receive
+	// prelude and kv's arrival generator run in the kernel loop: kv_steady
+	// 6.80 handoffs and 8.50 switches an operation, from 11.43 and 15.65
+	// (13.41 and 18.19 before the client stub's chain), kv_lossy 7.65 and
+	// 9.71 from 13.03 and 17.74, the quick cell 1846 and 2190 from 2974 and
+	// 3768 (6893 and 9122 before the kernel continuation).
 	quick := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 32, Duration: sim.Micros(8000), RateX: 0.5}
 	steady := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 48, Duration: sim.Micros(24000), RateX: 1}
+	lossy := steady
+	lossy.RateX, lossy.CallTimeout = 0.8, sim.Micros(400)
+	lossy.Fault = &cm5.FaultPlan{Seed: 17, DropProb: 0.10, DupProb: 0.05}
 	for _, tc := range []struct {
 		name string
 		cfg  kv.Config
 		want kernelCounts
 	}{
-		{"kv quick cell", quick, kernelCounts{12196, 3000, 3800, sim.Micros(20335.8)}},
-		{"kv_steady", steady, kernelCounts{106849, 12 * 2869, 16 * 2869, sim.Micros(191682.2)}},
+		{"kv quick cell", quick, kernelCounts{12196, 1846, 2190, sim.Micros(20335.8)}},
+		{"kv_steady", steady, kernelCounts{106849, 19495, 24380, sim.Micros(191682.2)}},
+		{"kv_lossy", lossy, kernelCounts{95781, 17227, 21878, sim.Micros(180350.6)}},
 	} {
 		var eng *sim.Engine
 		tc.cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) { eng = u.Machine().Engine() }
@@ -387,9 +395,12 @@ func buildCost(build func()) (allocs, bytes float64) {
 // and thread descriptors are carved from the shard's slabs and an idle
 // process runs its scheduler, so a node's set-up makes no object per
 // process or descriptor and no idle closure or name (1 519 and 253
-// before). Objects are exact; bytes read 4 504, 22 568 and 170 368
-// (4 528, 23 095 and 174 112 under -race) and vary by a few bytes from
-// run to run, so they have ceilings.
+// before). The handler table is one slice (53, 234 and 1 326 objects
+// before). A node's peer tables scan inline and a kv client carries its
+// arrival generator, which costs bytes (170 368 for kv_steady before).
+// Objects are exact; bytes read 4 552, 23 767 and 194 345 (4 568, 24 280
+// and 198 088 under -race) and vary by a few bytes from run to run, so
+// they have ceilings.
 func TestBuildBudget(t *testing.T) {
 	null := func() {
 		eng := sim.New(17)
@@ -424,9 +435,9 @@ func TestBuildBudget(t *testing.T) {
 		build         func()
 		allocs, bytes float64
 	}{
-		{"null ORPC universe", null, 53, 5 << 10},
-		{"apps_quick triangle/ORPC", cell, 234, 24 << 10},
-		{"kv_steady up to Observe", kvSteady, 1326, 172 << 10},
+		{"null ORPC universe", null, 49, 5 << 10},
+		{"apps_quick triangle/ORPC", cell, 230, 24 << 10},
+		{"kv_steady up to Observe", kvSteady, 1320, 196 << 10},
 	} {
 		if allocs, bytes := buildCost(tc.build); allocs != tc.allocs || bytes > tc.bytes {
 			t.Errorf("%s: %.0f allocs and %.0f B per build, want %.0f and at most %.0f", tc.name, allocs, bytes, tc.allocs, tc.bytes)

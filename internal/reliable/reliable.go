@@ -314,7 +314,7 @@ type Transport struct {
 // simulation starts.
 func Attach(u *am.Universe, opts Options) *Transport {
 	t := &Transport{u: u, opts: opts.withDefaults()}
-	t.dataH = u.Register("reliable/data", t.handleData)
+	t.dataH = u.RegisterPrelude("reliable/data", t.receive, t.deliver)
 	t.ackH = u.RegisterAtomic("reliable/ack", t.handleAck)
 	t.nodes = make([]*nodeState, u.N())
 	t.nstats = make([]NodeStats, u.N())
@@ -474,26 +474,28 @@ func (t *Transport) jittered(src int, pm *pendingMsg) sim.Duration {
 	return pm.backoff + sim.Duration(float64(pm.backoff)*t.opts.Jitter*frac)
 }
 
-// handleData is the receiving side: ack (always — the previous ack may
-// have been lost), then deliver first copies and suppress duplicates.
-func (t *Transport) handleData(c threads.Ctx, pkt *cm5.Packet) {
+// receive is the receiving side's am.Prelude: ack (always — the previous
+// ack may have been lost), and suppress a duplicate, which is then done; a
+// first copy's handler dispatch is charged with the ack's injection, and
+// deliver follows.
+func (t *Transport) receive(ep *am.Endpoint, pkt *cm5.Packet, done sim.Continuation) (sim.Continuation, bool) {
 	ns := t.nodes[pkt.Dst]
 	seq := pkt.W0
 	il := &ns.peers.At(ns.sh, pkt.Src).in
 	dup := il.accept(seq)
 	ns.stats.AcksSent++
-	// A first copy's handler dispatch is charged with the ack's injection.
-	var k sim.Continuation
-	if !dup {
-		k = (*dispatchCharge)(t)
-	}
-	ack := ns.ep.Packet(pkt.Src, t.ackH, false, [4]uint64{seq, il.cum}, nil)
-	ns.ep.Drive(c, -1, ns.ep.Injection(ack, k))
+	ack := ep.Packet(pkt.Src, t.ackH, false, [4]uint64{seq, il.cum}, nil)
 	if dup {
 		ns.stats.DupsSuppressed++
 		t.nstats[pkt.Dst].DupsSuppressed++
-		return
+		return ep.Injection(ack, done), false
 	}
+	return ep.Injection(ack, (*dispatchCharge)(t)), true
+}
+
+// deliver hands a first copy up.
+func (t *Transport) deliver(c threads.Ctx, pkt *cm5.Packet) {
+	ns := t.nodes[pkt.Dst]
 	ns.stats.Delivered++
 	// De-frame into a pooled packet for the inner handler. Run leaves
 	// ownership with us (the transport), so recycle the struct afterwards;

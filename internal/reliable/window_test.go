@@ -53,7 +53,7 @@ type refInLink struct {
 	seen map[uint64]struct{}
 }
 
-// accept is the old handleData duplicate test and floor advance.
+// accept is the old duplicate test and floor advance of the receiving side.
 func (r *refInLink) accept(seq uint64) bool {
 	_, above := r.seen[seq]
 	if seq <= r.cum || above {

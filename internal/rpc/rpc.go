@@ -84,13 +84,17 @@ func (p *Proc) observe(c threads.Ctx, node int, k sim.Kind, retries uint64) {
 
 // nodeState is the client-side call table of one node. It is only ever
 // touched from code running on that node, so it needs no locking under a
-// sharded engine, not even to make it (Runtime.node).
+// sharded engine, not even to make it (Runtime.node). It is carved on the
+// node's shard, so it never moves: slots starts on firstSlots, and a node
+// allocates nothing for its table until more than nine of its calls are
+// outstanding at once.
 type nodeState struct {
-	seq   uint64  // attempts started; the high part of the next call id
-	slots []*call // every call record this node has made, by slot - 1
-	free  *call   // idle records, most recently released first
-	stale uint64  // replies/nacks for calls no longer waiting
-	first call    // slot 0: a node with one call at a time needs no other record
+	seq        uint64  // attempts started; the high part of the next call id
+	slots      []*call // every call record this node has made, by slot - 1
+	free       *call   // idle records, most recently released first
+	stale      uint64  // replies/nacks for calls no longer waiting
+	first      call    // slot 0: a node with one call at a time needs no other record
+	firstSlots [8]*call
 }
 
 // call is one attempt of a call: its client stub in progress, then, if
@@ -129,8 +133,9 @@ const (
 func (rt *Runtime) node(i int) *nodeState {
 	ns := rt.nodes[i]
 	if ns == nil {
-		ns = &nodeState{}
+		ns = sim.Carve[nodeState](rt.u.Machine().Node(i).Shard())
 		ns.free = &ns.first
+		ns.slots = ns.firstSlots[:0]
 		rt.nodes[i] = ns
 	}
 	return ns

@@ -1,6 +1,8 @@
 package threads
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cm5"
@@ -87,5 +89,69 @@ func TestKernelGivesAwayABlockedThreadsCPU(t *testing.T) {
 	}
 	if !resumed {
 		t.Error("a did not resume as the current thread one restore half after b's exit")
+	}
+}
+
+// sleeper is a thread's code as the continuation Scheduler.Then runs:
+// rounds times, sleep 10 us, then create a worker that computes 30 us.
+type sleeper struct {
+	s      *Scheduler
+	rounds int
+	slept  bool
+	create Creation
+}
+
+func (k *sleeper) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	switch {
+	case k.rounds == 0:
+		return sim.NextRun, 0
+	case !k.slept:
+		k.slept = true
+		return k.s.SleepThen(p, sim.Micros(10), k)
+	}
+	k.slept = false
+	k.rounds--
+	return k.s.CreateThen(p, &k.create)
+}
+
+// TestSleepThenMatchesSleep: a thread that sleeps and creates threads from
+// kernel context leaves the trace, Events, Charged and scheduler Stats of
+// the same code on its stack, with fewer handoffs. A worker outlives each
+// sleep, so the sleeper gets the CPU back both by a free resume (the
+// first round) and by a restore (every later one), and each time goes on
+// with its continuation.
+func TestSleepThenMatchesSleep(t *testing.T) {
+	const rounds = 3
+	program := func(kernel bool) (trace string, handoffs uint64, st Stats) {
+		var buf bytes.Buffer
+		eng, s := rig(t)
+		eng.SetSink(sim.NewWriterTracer(&buf))
+		work := func(c Ctx) { c.P.Charge(sim.Micros(30)) }
+		s.Bootstrap("sleeper", func(c Ctx) {
+			if kernel {
+				k := &sleeper{s: s, rounds: rounds, create: Creation{Name: Name{Base: "worker"}, Body: work}}
+				k.create.Then = k
+				s.Then(c, k)
+			} else {
+				for i := 0; i < rounds; i++ {
+					s.Sleep(c, sim.Micros(10))
+					s.Create(c, "worker", false, work)
+				}
+			}
+			c.P.Charge(sim.Micros(1)) // back on its stack
+		})
+		run(t, eng)
+		return fmt.Sprintf("%s events %d charged %v", buf.String(), eng.Events(), eng.Charged()), eng.Handoffs(), s.Stats()
+	}
+	kTrace, kHandoffs, kStats := program(true)
+	sTrace, sHandoffs, sStats := program(false)
+	if kTrace != sTrace || kStats != sStats {
+		t.Errorf("the kernel's and the stack's runs differ:\n%s\n%+v\n---\n%s\n%+v", kTrace, kStats, sTrace, sStats)
+	}
+	if kStats.FreeResumes == 0 || kStats.SwitchHalves == 0 {
+		t.Errorf("stats %+v: the sleeper was not resumed both for free and by a restore", kStats)
+	}
+	if kHandoffs >= sHandoffs {
+		t.Errorf("%d handoffs from kernel context, %d from the stack: want fewer", kHandoffs, sHandoffs)
 	}
 }

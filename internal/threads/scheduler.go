@@ -19,11 +19,16 @@ type Poller interface {
 
 // stepPoller is a Poller whose PollOnce can be taken in steps: Eject, which
 // leaves PacketRecvOverhead and HandlerDispatch to be charged in that
-// order, then Dispatch. The first three, and for an atomic handler the
-// last, need no process (see Continue). Package am's is one.
+// order and says whether the handler begins without a stack; if so Begin,
+// asked in kernel context once both are paid, which runs what of the
+// handler needs no stack and returns the chain that goes on from there,
+// ending by asking done once the handler is over; then, on the process's
+// stack, Finish runs the handler or what Begin left of it. None of it but
+// Finish needs a process (see Continue). Package am's is one.
 type stepPoller interface {
-	Eject() (pkt *cm5.Packet, atomic bool)
-	Dispatch(c Ctx, pkt *cm5.Packet)
+	Eject() (pkt *cm5.Packet, begin bool)
+	Begin(c Ctx, pkt *cm5.Packet, done sim.Continuation) (sim.Next, sim.Duration)
+	Finish(c Ctx, pkt *cm5.Packet)
 }
 
 // Stats counts scheduler activity; the paper reports the live-stack
@@ -70,15 +75,16 @@ type Scheduler struct {
 	lent  []lendEntry
 	// What the actor is in the middle of, between two answers of Continue:
 	// restoring is the thread whose restore half is being charged; ejected
-	// the packet being paid for, owed whether its dispatch charge is still
-	// to be armed, atomic whether its handler needs no process.
+	// the packet being paid for or handled, owed whether its dispatch
+	// charge is still to be armed, begin whether Begin is still to start it.
 	restoring  *Thread
 	ejected    *cm5.Packet
 	owed       bool
-	atomic     bool
+	begin      bool
 	poller     Poller
 	stepper    stepPoller // poller, when it is one
 	waitFor    *Flag      // the flag Wait hands to its first ask (flagWait)
+	creating   *Creation  // what CreateThen makes once its charge elapses
 	stats      Stats
 	interrupts bool
 	// blocked is the sentinel of the ring of suspended threads, linked
@@ -245,13 +251,13 @@ func (s *Scheduler) act(p *sim.Proc, self *Thread) {
 }
 
 // serve is act from Continue's first answer on: while p acts, it runs what
-// Continue left to its stack — the handler of the packet paid for, or
-// PollOnce — and asks again.
+// Continue left to its stack — the handler of the packet paid for, or what
+// Begin left of it, or PollOnce — and asks again.
 func (s *Scheduler) serve(p *sim.Proc) {
 	for s.actor == p {
 		if pkt := s.ejected; pkt != nil {
 			s.ejected = nil
-			s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
+			s.stepper.Finish(Ctx{P: p, S: s}, pkt)
 		} else {
 			s.poller.PollOnce(Ctx{P: p, S: s})
 		}
@@ -264,15 +270,18 @@ func (s *Scheduler) serve(p *sim.Proc) {
 // and by the kernel loop at each of p's wakeups and whenever a charge
 // ordered here elapses, with no switch to p unless the answer is Run. First
 // it finishes what is in progress: a restore half paid, it hands over the
-// CPU; a packet paid for, it runs an atomic handler here and leaves any
-// other to p. Then, in order: self at the front of the ready queue resumes;
-// another thread gets the CPU and p parks until restored (the idle process,
-// until a thread exit leaves nothing to run); a waiting packet is ejected
-// and charged for; else p sleeps until a delivery or a wakeup.
+// CPU; a packet paid for, it has Begin start the handler here, and goes on
+// once that chain has asked handled — a Run from it leaves the rest to p.
+// Then, in order: self at the front of the ready queue resumes; another
+// thread gets the CPU and p parks until restored (the idle process, until a
+// thread exit leaves nothing to run); a waiting packet is ejected and
+// charged for; else p sleeps until a delivery or a wakeup. A thread that
+// has the CPU back runs, or, blocked by SleepThen, goes on with its
+// continuation.
 func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	switch pkt := s.ejected; {
 	case s.cur != nil && s.cur.proc == p:
-		return sim.NextRun, 0 // restored: p's thread has the CPU back
+		return s.resume(p) // restored: p's thread has the CPU back
 	case s.restoring != nil:
 		t := s.restoring
 		s.restoring = nil
@@ -281,11 +290,11 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	case pkt != nil && s.owed:
 		s.owed = false
 		return sim.NextCharge, s.cost.HandlerDispatch
-	case pkt != nil && !s.atomic:
-		return sim.NextRun, 0
+	case pkt != nil && s.begin:
+		s.begin = false
+		return s.stepper.Begin(Ctx{P: p, S: s}, pkt, (*handled)(s))
 	case pkt != nil:
-		s.ejected = nil
-		s.stepper.Dispatch(Ctx{P: p, S: s}, pkt)
+		return sim.NextRun, 0 // p runs the handler, or what Begin left of it
 	case s.actor != p:
 		s.actor, s.self = p, nil // the idle process, woken by exit
 	}
@@ -299,7 +308,7 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 			s.stats.FreeResumes++
 			next.state = stateRunning
 			s.cur = next
-			return sim.NextRun, 0
+			return s.resume(p)
 		}
 		if s.owesRestore(next) {
 			s.restoring = next
@@ -312,11 +321,36 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 		if s.stepper == nil {
 			return sim.NextRun, 0 // p polls: the poller's only step is PollOnce
 		}
-		s.ejected, s.atomic = s.stepper.Eject()
+		s.ejected, s.begin = s.stepper.Eject()
 		s.owed = true
 		return sim.NextCharge, s.cost.PacketRecvOverhead
 	}
 	return sim.NextPark, 0
+}
+
+// handled is a Scheduler seen as the sim.Continuation a chain that Begin
+// started ends in: the handler is over, and the scheduler goes on.
+type handled Scheduler
+
+func (h *handled) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	s := (*Scheduler)(h)
+	s.ejected = nil
+	p.Pass(s)
+	return s.Continue(p)
+}
+
+// resume is the verdict on p, whose thread has the CPU back: it runs, or,
+// blocked from kernel context (SleepThen), goes on with the continuation
+// it left, still without a switch.
+func (s *Scheduler) resume(p *sim.Proc) (sim.Next, sim.Duration) {
+	t := s.cur
+	k := t.then
+	if k == nil {
+		return sim.NextRun, 0
+	}
+	t.then = nil
+	p.Pass(k)
+	return k.Continue(p)
 }
 
 // startOrResume hands the CPU to thread t, charging switch costs to p,
@@ -471,6 +505,39 @@ func (s *Scheduler) CreateNamed(c Ctx, name Name, front bool, body func(Ctx)) Ha
 	t := s.newThread(name, body, nil, stateNew)
 	s.makeReady(t, front)
 	return Handle{t, t.gen}
+}
+
+// Creation is a thread for CreateThen to make, and what its creator does
+// then. It stays the caller's; CreateThen reads it when its charge has
+// elapsed.
+type Creation struct {
+	Name Name
+	Body func(Ctx)
+	Then sim.Continuation
+}
+
+// CreateThen is CreateNamed asked in kernel context for p, which holds s's
+// CPU: the creation is charged to p, and when that has elapsed the thread
+// cr describes is made and queued at the back, and cr.Then decides what p
+// does.
+func (s *Scheduler) CreateThen(p *sim.Proc, cr *Creation) (sim.Next, sim.Duration) {
+	s.checkOnCPU(Ctx{P: p, S: s}, "Create")
+	s.creating = cr
+	p.Pass((*creating)(s))
+	return sim.NextCharge, s.cost.ThreadCreate
+}
+
+// creating is a Scheduler seen as the sim.Continuation that makes the
+// thread CreateThen charged for.
+type creating Scheduler
+
+func (c *creating) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	s := (*Scheduler)(c)
+	cr := s.creating
+	s.creating = nil
+	s.makeReady(s.newThread(cr.Name, cr.Body, nil, stateNew), false)
+	p.Pass(cr.Then)
+	return cr.Then.Continue(p)
 }
 
 // Bootstrap creates a thread before the simulation starts (no context to

@@ -83,6 +83,9 @@ type Thread struct {
 	slot    uint32 // the descriptor's number on its node; see RecCreated
 	red     float64
 	joiners []*Thread
+	// then is what the thread goes on with when it has the CPU back, if it
+	// blocked from kernel context (SleepThen).
+	then sim.Continuation
 	// blockedPrev/blockedNext link the scheduler's ring of suspended
 	// threads (deadlock diagnostics), in block order; blockedNext also
 	// links the free list, which a thread enters dead.
@@ -158,6 +161,36 @@ func (s *Scheduler) Sleep(c Ctx, d sim.Duration) {
 type sleepWake Thread
 
 func (w *sleepWake) Run() { (*Thread)(w).Resume(true) }
+
+// SleepThen is Sleep asked in kernel context for p, whose thread holds s's
+// CPU, with k for what the thread does when it has the CPU back: the
+// scheduler acts in p's place meanwhile, and at the wakeup the kernel loop
+// asks k in the thread's, switching to p only when k says Run. p's stack
+// must be in Then, which serves what the scheduler leaves to it.
+func (s *Scheduler) SleepThen(p *sim.Proc, d sim.Duration, k sim.Continuation) (sim.Next, sim.Duration) {
+	t := s.cur
+	if t == nil || t.proc != p {
+		panic("threads: SleepThen from a process whose thread is not on the CPU")
+	}
+	s.sh.AfterAction(d, (*sleepWake)(t))
+	t.then = k
+	s.block(Ctx{P: p, T: t, S: s})
+	s.actor, s.self = p, t
+	p.Pass(s)
+	return s.Continue(p)
+}
+
+// Then runs k for c's thread as c.P.Then does, k being asked in kernel
+// context; k may block the thread (SleepThen), and is asked again in its
+// place each time it has the CPU back. Then returns when k says Run, the
+// thread on the CPU, having run what the scheduler acting in its place
+// needed the stack for meanwhile.
+func (s *Scheduler) Then(c Ctx, k sim.Continuation) {
+	s.checkCurrent(c.T, "Then")
+	c.P.Then(k)
+	s.serve(c.P)
+	s.resumed(c.T)
+}
 
 // Resume makes a blocked thread runnable, at the front or back of the
 // ready queue. It may be called from any context on the same node,
