@@ -183,6 +183,10 @@ func (u *Universe) RegisterPrelude(name string, pre Prelude, body Handler) Handl
 	return id
 }
 
+// Atomic reports whether id was registered with RegisterAtomic: a
+// transport may then run it in kernel context too.
+func (u *Universe) Atomic(id HandlerID) bool { return u.handlers[id].atomic }
+
 // HandlerName returns the registration name of id, for diagnostics.
 func (u *Universe) HandlerName(id HandlerID) string { return u.handlers[id].name }
 
@@ -306,25 +310,31 @@ func (i *injecting) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 }
 
 // Drive runs k on c's stack, after a charge of d unless d is negative, as
-// sim.Proc.ChargeThen: the one way to run a chain with a send in it. A send
-// the chain's injection finds refused is retried here, draining our own
-// input meanwhile — handle one packet if present, otherwise burn a poll —
-// until the destination has polled and there is room; the chain then goes
-// on from the injection.
+// sim.Proc.ChargeThen: the one way to run a chain with a send or a wait in
+// it. What the chain leaves to the stack is carried on here (Carry).
 func (ep *Endpoint) Drive(c threads.Ctx, d sim.Duration, k sim.Continuation) {
 	if d < 0 {
 		c.P.Then(k)
 	} else {
 		c.P.ChargeThen(d, k)
 	}
-	ep.drain(c)
+	ep.Carry(c)
 }
 
-// drain is Drive's retry of a refused injection, which a chain run in
-// kernel context left for c's stack.
-func (ep *Endpoint) drain(c threads.Ctx) {
-	for ep.out.pkt != nil {
-		ep.retry(c)
+// Carry carries on, on c's stack, what a chain asked in kernel context left
+// there when it said Run, until nothing is left: a send its injection found
+// refused is retried, draining our own input meanwhile — handle one packet
+// if present, otherwise burn a poll — until the destination has polled and
+// there is room, and the chain goes on from the injection; and while c's
+// thread is blocked in the chain, the scheduler acting in its place runs
+// what needs the stack (threads.Scheduler.Serve).
+func (ep *Endpoint) Carry(c threads.Ctx) {
+	for {
+		if ep.out.pkt != nil {
+			ep.retry(c)
+		} else if !ep.sched.Serve(c) {
+			return
+		}
 	}
 }
 
@@ -453,7 +463,7 @@ func (ep *Endpoint) Finish(c threads.Ctx, pkt *cm5.Packet) {
 	}
 	b := ep.begun
 	ep.begun = begun{}
-	ep.drain(c)
+	ep.Carry(c)
 	if b.body {
 		ep.u.handlers[pkt.Handler].h(threads.Ctx{P: c.P, S: ep.sched}, pkt)
 	}

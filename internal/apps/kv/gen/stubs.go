@@ -36,12 +36,7 @@ func DefineGet(rt *rpc.Runtime, impl GetImpl) GetProc {
 func (h GetProc) Call(c threads.Ctx, server int, key uint32) (uint32, uint32, int32) {
 	enc := rpc.NewEnc(4)
 	enc.U32(key)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_status := dec.U32()
-	r_ver := dec.U32()
-	r_val := dec.I32()
-	dec.Done()
+	r_status, r_ver, r_val, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_status, r_ver, r_val
 }
 
@@ -53,10 +48,25 @@ func (h GetProc) CallIdempotent(c threads.Ctx, server int, key uint32, per sim.D
 	enc := rpc.NewEnc(4)
 	enc.U32(key)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h GetProc) CallThen(c threads.Ctx, out *rpc.Call, server int, key uint32, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(4)
+	enc.U32(key)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Get. On error the results
+// are zero values.
+func (h GetProc) Reply(out *rpc.Call) (r_status uint32, r_ver uint32, r_val int32, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	r_val = dec.I32()
@@ -97,11 +107,7 @@ func (h PutProc) Call(c threads.Ctx, server int, key uint32, req uint32, val int
 	enc.U32(key)
 	enc.U32(req)
 	enc.I32(val)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_status := dec.U32()
-	r_ver := dec.U32()
-	dec.Done()
+	r_status, r_ver, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_status, r_ver
 }
 
@@ -115,10 +121,27 @@ func (h PutProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint3
 	enc.U32(req)
 	enc.I32(val)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h PutProc) CallThen(c threads.Ctx, out *rpc.Call, server int, key uint32, req uint32, val int32, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(12)
+	enc.U32(key)
+	enc.U32(req)
+	enc.I32(val)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Put. On error the results
+// are zero values.
+func (h PutProc) Reply(out *rpc.Call) (r_status uint32, r_ver uint32, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	dec.Done()
@@ -161,12 +184,7 @@ func (h CasProc) Call(c threads.Ctx, server int, key uint32, req uint32, expect 
 	enc.U32(req)
 	enc.U32(expect)
 	enc.I32(val)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_status := dec.U32()
-	r_ver := dec.U32()
-	r_swapped := dec.Bool()
-	dec.Done()
+	r_status, r_ver, r_swapped, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_status, r_ver, r_swapped
 }
 
@@ -181,10 +199,28 @@ func (h CasProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint3
 	enc.U32(expect)
 	enc.I32(val)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h CasProc) CallThen(c threads.Ctx, out *rpc.Call, server int, key uint32, req uint32, expect uint32, val int32, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(16)
+	enc.U32(key)
+	enc.U32(req)
+	enc.U32(expect)
+	enc.I32(val)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Cas. On error the results
+// are zero values.
+func (h CasProc) Reply(out *rpc.Call) (r_status uint32, r_ver uint32, r_swapped bool, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_status = dec.U32()
 	r_ver = dec.U32()
 	r_swapped = dec.Bool()
@@ -223,11 +259,7 @@ func (h LockProc) Call(c threads.Ctx, server int, key uint32, req uint32) (uint3
 	enc := rpc.NewEnc(8)
 	enc.U32(key)
 	enc.U32(req)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_status := dec.U32()
-	r_epoch := dec.U32()
-	dec.Done()
+	r_status, r_epoch, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_status, r_epoch
 }
 
@@ -240,10 +272,26 @@ func (h LockProc) CallIdempotent(c threads.Ctx, server int, key uint32, req uint
 	enc.U32(key)
 	enc.U32(req)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h LockProc) CallThen(c threads.Ctx, out *rpc.Call, server int, key uint32, req uint32, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(8)
+	enc.U32(key)
+	enc.U32(req)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Lock. On error the results
+// are zero values.
+func (h LockProc) Reply(out *rpc.Call) (r_status uint32, r_epoch uint32, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_status = dec.U32()
 	r_epoch = dec.U32()
 	dec.Done()
@@ -283,11 +331,7 @@ func (h UnlockProc) Call(c threads.Ctx, server int, key uint32, req uint32, epoc
 	enc.U32(key)
 	enc.U32(req)
 	enc.U32(epoch)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_status := dec.U32()
-	r_released := dec.Bool()
-	dec.Done()
+	r_status, r_released, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_status, r_released
 }
 
@@ -301,10 +345,27 @@ func (h UnlockProc) CallIdempotent(c threads.Ctx, server int, key uint32, req ui
 	enc.U32(req)
 	enc.U32(epoch)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h UnlockProc) CallThen(c threads.Ctx, out *rpc.Call, server int, key uint32, req uint32, epoch uint32, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(12)
+	enc.U32(key)
+	enc.U32(req)
+	enc.U32(epoch)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Unlock. On error the results
+// are zero values.
+func (h UnlockProc) Reply(out *rpc.Call) (r_status uint32, r_released bool, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_status = dec.U32()
 	r_released = dec.Bool()
 	dec.Done()

@@ -401,12 +401,11 @@ type clientState struct {
 // The arrival count is therefore a pure function of (seed, client, mode),
 // identical across systems and shard counts.
 type generator struct {
-	cfg        *Config
-	cs         *clientState
-	s          *threads.Scheduler
-	zipf       zipfTable
-	me, cid    int
-	newArrival func(cs *clientState, me int, sh *sim.Shard) *arrival
+	r       *kvRun
+	cs      *clientState
+	s       *threads.Scheduler
+	zipf    zipfTable
+	me, cid int
 	// next is the drawn arrival's instant; drawn says that it and its
 	// draws (z, key, val) wait for it to come.
 	next    sim.Time
@@ -419,7 +418,7 @@ type generator struct {
 }
 
 func (g *generator) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
-	cfg, cs := g.cfg, g.cs
+	cfg, cs := &g.r.cfg, g.cs
 	for {
 		if g.drawn {
 			g.drawn = false
@@ -452,12 +451,14 @@ func (g *generator) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 			cs.reqCtr += 2 // a lock cycle uses req and req+1
 			a := cs.free
 			if a == nil {
-				a = g.newArrival(cs, g.me, node.Shard())
+				a = sim.Carve[arrival](node.Shard())
+				a.cs = cs
 			}
 			cs.free = a.next
 			// SLO latency runs from the scheduled arrival, so client-side backlog counts against the service
 			a.op, a.key, a.val, a.req, a.start = op, g.key, g.val, req, g.next
-			g.create = threads.Creation{Name: threads.Name{Prefix: "kv/req/", A: g.cid, B: int(req), Pair: true}, Body: a.body, Then: g}
+			a.step, a.try, a.word, a.lat, a.asked = firstStep[op], 0, 0, 0, false
+			g.create = threads.Creation{Name: threads.Name{Prefix: "kv/req/", A: g.cid, B: int(req), Pair: true}, Head: a, Then: g}
 			return g.s.CreateThen(p, &g.create)
 		}
 		g.next = g.next.Add(nextArrival(cs.rng, cfg.MeanIAT, cfg.RateX, cfg.Mode, g.next, cs.phase))
@@ -476,23 +477,186 @@ func (g *generator) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	}
 }
 
-// arrival carries one request's arguments to its thread. Records are carved
-// on the client's shard and recycle on its free list, with body bound once
-// per record (rpc's call.expire pattern), so an arrival allocates no
-// closure once warm.
+// arrival is one request and, as the sim.Continuation its thread starts as
+// (threads.Creation.Head), the request's client side to its final
+// classification: each step a call (CallThen) retried on a shed reply's
+// hint after a sleep (SleepThen), a lock held for LockHold before its
+// unlock, and the thread's exit (Exit). Its thread's process is never
+// switched to. Records are carved on the client's shard and recycle on its
+// free list once the request is over, so an arrival allocates nothing once
+// warm.
 type arrival struct {
+	cs       *clientState // and its generator's run, scheduler and node
 	op       Op
 	key, req uint32
 	val      int32
 	start    sim.Time
-	body     func(threads.Ctx)
-	next     *arrival
+	// The step under way, whether its call is out (its outcome in call
+	// once Continue is asked), its shed retries so far, the version or
+	// lease epoch a reply carried for the next step, and the lock
+	// decision's latency.
+	step  step
+	asked bool
+	try   int32
+	word  uint32
+	lat   sim.Duration
+	call  rpc.Call
+	next  *arrival
+}
+
+// step is one call of a request: a get, a put, a cas's read and its cas,
+// a lock and its unlock.
+type step uint8
+
+const (
+	stepGet step = iota
+	stepPut
+	stepCasGet
+	stepCas
+	stepLock
+	stepUnlock
+)
+
+// firstStep is the step each operation starts with.
+var firstStep = [...]step{OpGet: stepGet, OpPut: stepPut, OpCas: stepCasGet, OpLock: stepLock}
+
+// Continue asks the step's call, or, its outcome back, drives it through
+// the admission protocol: honor the server's retry-after hint with linear
+// backoff and ask again, give up after ShedRetries retries.
+func (a *arrival) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	if !a.asked {
+		return a.ask(p)
+	}
+	a.asked = false
+	st, err := a.replied()
+	switch {
+	case err != nil:
+		return a.settled(p, OutcomeTimeout)
+	case st == 0:
+		return a.settled(p, OutcomeOK)
+	case int(a.try) >= a.cs.gen.r.cfg.ShedRetries:
+		return a.settled(p, OutcomeShed)
+	}
+	a.cs.n.ShedWaits++
+	d := sim.Micros(float64(st) * float64(a.try+1))
+	a.try++
+	return a.cs.gen.s.SleepThen(p, d, a)
+}
+
+// ask sends the step's call, an idempotent one, to the key's server.
+func (a *arrival) ask(p *sim.Proc) (sim.Next, sim.Duration) {
+	a.asked = true
+	g := &a.cs.gen
+	r, c := g.r, threads.Ctx{P: p, S: g.s}
+	srv, per := int(a.key)%r.cfg.Servers, r.cfg.CallTimeout
+	switch a.step {
+	case stepGet, stepCasGet:
+		return r.get.CallThen(c, &a.call, srv, a.key, per, callAttempts, a)
+	case stepPut:
+		return r.put.CallThen(c, &a.call, srv, a.key, a.req, a.val, per, callAttempts, a)
+	case stepCas:
+		return r.cas.CallThen(c, &a.call, srv, a.key, a.req, a.word, a.val, per, callAttempts, a)
+	case stepLock:
+		return r.lock.CallThen(c, &a.call, srv, a.key, a.req, per, callAttempts, a)
+	default:
+		return r.unlock.CallThen(c, &a.call, srv, a.key, a.req+1, a.word, per, callAttempts, a)
+	}
+}
+
+// replied decodes the step's reply into its status: a read's version is
+// what a cas expects, and a lock's epoch what its unlock fences.
+func (a *arrival) replied() (uint32, error) {
+	r := a.cs.gen.r
+	switch a.step {
+	case stepGet, stepCasGet:
+		st, ver, _, err := r.get.Reply(&a.call)
+		if err == nil && st == 0 {
+			a.word = ver
+		}
+		return st, err
+	case stepPut:
+		st, _, err := r.put.Reply(&a.call)
+		return st, err
+	case stepCas:
+		st, _, _, err := r.cas.Reply(&a.call)
+		return st, err
+	case stepLock:
+		st, epoch, err := r.lock.Reply(&a.call)
+		if err == nil && st == 0 {
+			a.word = epoch
+		}
+		return st, err
+	default:
+		st, ok, err := r.unlock.Reply(&a.call)
+		if err == nil && st == 0 && !ok {
+			a.cs.n.UnlockFails++
+		}
+		return st, err
+	}
+}
+
+// settled goes on from a step that ended in out: a cas's read that
+// succeeded supplies its cas (a lost race, swapped=false, is still an
+// answer); a granted lease is held, then unlocked, and a failed unlock
+// classifies the arrival; anything else is the arrival's outcome.
+func (a *arrival) settled(p *sim.Proc, out Outcome) (sim.Next, sim.Duration) {
+	switch a.step {
+	case stepCasGet:
+		if out == OutcomeOK {
+			a.step, a.try = stepCas, 0
+			return a.ask(p)
+		}
+	case stepLock:
+		// SLO latency for locks is the time to the lease decision; the
+		// hold that follows is the client's own dwell time.
+		a.lat = p.Now().Sub(a.start)
+		if out != OutcomeOK {
+			break
+		}
+		if a.word == 0 {
+			a.cs.n.LockDenied++
+			break
+		}
+		a.step, a.try = stepUnlock, 0
+		return a.cs.gen.s.SleepThen(p, a.cs.gen.r.cfg.LockHold, a)
+	}
+	return a.finish(p, out)
+}
+
+// finish classifies the arrival, recycles its record and ends its thread.
+func (a *arrival) finish(p *sim.Proc, out Outcome) (sim.Next, sim.Duration) {
+	cs := a.cs
+	g := &cs.gen
+	lat := a.lat
+	if lat == 0 {
+		lat = p.Now().Sub(a.start)
+	}
+	switch out {
+	case OutcomeOK:
+		cs.n.OK++
+	case OutcomeShed:
+		cs.n.ShedGiveUps++
+	case OutcomeTimeout:
+		cs.n.TimeoutGiveUps++
+	}
+	if probe := g.r.cfg.Probe; probe != nil {
+		probe.RequestDone(p.Now(), g.me, a.op, out, lat)
+	}
+	cs.outstanding--
+	a.next, cs.free = cs.free, a
+	return g.s.Exit(p)
 }
 
 type kvRun struct {
 	cfg  Config
 	srvs []*serverState
 	cls  []*clientState
+	// The procedures' client handles, for the request heads.
+	get    kvgen.GetProc
+	put    kvgen.PutProc
+	cas    kvgen.CasProc
+	lock   kvgen.LockProc
+	unlock kvgen.UnlockProc
 }
 
 // admit is the admission check, shared by every handler. It runs before
@@ -763,117 +927,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 	}
 
 	cfg.Attach(u, rt)
-
-	// withShedRetry drives one idempotent call through the admission
-	// protocol: honor the server's retry-after hint with linear backoff,
-	// give up after ShedRetries retries.
-	withShedRetry := func(c threads.Ctx, cs *clientState, call func() (uint32, error)) Outcome {
-		for try := 0; ; try++ {
-			st, err := call()
-			if err != nil {
-				return OutcomeTimeout
-			}
-			if st == 0 {
-				return OutcomeOK
-			}
-			if try >= cfg.ShedRetries {
-				return OutcomeShed
-			}
-			cs.n.ShedWaits++
-			c.S.Sleep(c, sim.Micros(float64(st)*float64(try+1)))
-		}
-	}
-
-	// runReq executes one arrival's operation to its final classification.
-	// me is the client's node id.
-	runReq := func(c threads.Ctx, cs *clientState, me int, op Op, key uint32, val int32, req uint32, start sim.Time) {
-		srv := int(key) % cfg.Servers
-		var out Outcome
-		var lat sim.Duration
-		switch op {
-		case OpGet:
-			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, _, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, callAttempts)
-				return st, err
-			})
-		case OpPut:
-			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, _, err := put.CallIdempotent(c, srv, key, req, val, cfg.CallTimeout, callAttempts)
-				return st, err
-			})
-		case OpCas:
-			// Read-modify-write: the read supplies the expected version;
-			// a lost race (swapped=false) is still a completed answer.
-			var expect uint32
-			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, ver, _, err := get.CallIdempotent(c, srv, key, cfg.CallTimeout, callAttempts)
-				if err == nil && st == 0 {
-					expect = ver
-				}
-				return st, err
-			})
-			if out == OutcomeOK {
-				out = withShedRetry(c, cs, func() (uint32, error) {
-					st, _, _, err := cas.CallIdempotent(c, srv, key, req, expect, val, cfg.CallTimeout, callAttempts)
-					return st, err
-				})
-			}
-		case OpLock:
-			var epoch uint32
-			out = withShedRetry(c, cs, func() (uint32, error) {
-				st, ep, err := lock.CallIdempotent(c, srv, key, req, cfg.CallTimeout, callAttempts)
-				if err == nil && st == 0 {
-					epoch = ep
-				}
-				return st, err
-			})
-			// SLO latency for locks is the time to the lease decision;
-			// the hold that follows is the client's own dwell time.
-			lat = c.P.Now().Sub(start)
-			if out == OutcomeOK {
-				if epoch == 0 {
-					cs.n.LockDenied++
-				} else {
-					c.S.Sleep(c, cfg.LockHold)
-					rel := withShedRetry(c, cs, func() (uint32, error) {
-						st, ok, err := unlock.CallIdempotent(c, srv, key, req+1, epoch, cfg.CallTimeout, callAttempts)
-						if err == nil && st == 0 && !ok {
-							cs.n.UnlockFails++
-						}
-						return st, err
-					})
-					if rel != OutcomeOK {
-						out = rel // the arrival is classified by its last failing step
-					}
-				}
-			}
-		}
-		if lat == 0 {
-			lat = c.P.Now().Sub(start)
-		}
-		switch out {
-		case OutcomeOK:
-			cs.n.OK++
-		case OutcomeShed:
-			cs.n.ShedGiveUps++
-		case OutcomeTimeout:
-			cs.n.TimeoutGiveUps++
-		}
-		if cfg.Probe != nil {
-			cfg.Probe.RequestDone(c.P.Now(), me, op, out, lat)
-		}
-		cs.outstanding--
-	}
-
-	newArrival := func(cs *clientState, me int, sh *sim.Shard) *arrival {
-		a := sim.Carve[arrival](sh)
-		a.body = func(c threads.Ctx) {
-			q := *a // started: the arguments are out and the record is free again
-			a.next, cs.free = cs.free, a
-			runReq(c, cs, me, q.op, q.key, q.val, q.req, q.start)
-		}
-		return a
-	}
+	r.get, r.put, r.cas, r.lock, r.unlock = get, put, cas, lock, unlock
 
 	elapsed, err := u.SPMD(func(c threads.Ctx, me int) {
 		if me < cfg.Servers {
@@ -883,7 +937,7 @@ func Run(cfg Config) (apps.Result, Stats, error) {
 		cs := r.cls[cid]
 		node := c.Node()
 		g := &cs.gen
-		*g = generator{cfg: &cfg, cs: cs, s: c.S, zipf: zipf, me: me, cid: cid, newArrival: newArrival}
+		*g = generator{r: r, cs: cs, s: c.S, zipf: zipf, me: me, cid: cid}
 		if c.S.Then(c, g); g.crashed {
 			return
 		}

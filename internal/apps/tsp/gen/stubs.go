@@ -33,11 +33,7 @@ func DefineGetJob(rt *rpc.Runtime, impl GetJobImpl) GetJobProc {
 // Call invokes GetJob on node server and blocks for the reply.
 func (h GetJobProc) Call(c threads.Ctx, server int) ([]byte, bool) {
 	enc := rpc.NewEnc(0)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_route := dec.Buf()
-	r_ok := dec.Bool()
-	dec.Done()
+	r_route, r_ok, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_route, r_ok
 }
 
@@ -48,10 +44,24 @@ func (h GetJobProc) Call(c threads.Ctx, server int) ([]byte, bool) {
 func (h GetJobProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (r_route []byte, r_ok bool, err error) {
 	enc := rpc.NewEnc(0)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h GetJobProc) CallThen(c threads.Ctx, out *rpc.Call, server int, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(0)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of GetJob. On error the results
+// are zero values.
+func (h GetJobProc) Reply(out *rpc.Call) (r_route []byte, r_ok bool, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_route = dec.Buf()
 	r_ok = dec.Bool()
 	dec.Done()

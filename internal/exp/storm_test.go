@@ -329,12 +329,14 @@ func TestHandoffBudget(t *testing.T) {
 	// The quick grid's steady ORPC cell at half the knee, then the
 	// benchmark's kv_steady (2869 arrivals) and kv_lossy (2252 arrivals, 795
 	// duplicates suppressed) at seed 17; whole runs, Shutdown's kills
-	// included. The ceilings are the reads since a data packet's receive
-	// prelude and kv's arrival generator run in the kernel loop: kv_steady
-	// 6.80 handoffs and 8.50 switches an operation, from 11.43 and 15.65
-	// (13.41 and 18.19 before the client stub's chain), kv_lossy 7.65 and
-	// 9.71 from 13.03 and 17.74, the quick cell 1846 and 2190 from 2974 and
-	// 3768 (6893 and 9122 before the kernel continuation).
+	// included. The ceilings are the reads since a kv request's thread is a
+	// head the kernel loop runs whole (its calls, waits and exit) and a
+	// reply or nack is an atomic handler: kv_steady 3.40 handoffs and 3.82
+	// switches an operation, from 6.80 and 8.50 with the receive prelude and
+	// the arrival generator in the loop (11.43 and 15.65 before, 13.41 and
+	// 18.19 before the client stub's chain), kv_lossy 4.11 and 4.75 from
+	// 7.65 and 9.71, the quick cell 843 and 976 from 1846 and 2190 (6893 and
+	// 9122 before the kernel continuation).
 	quick := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 32, Duration: sim.Micros(8000), RateX: 0.5}
 	steady := kv.Config{System: apps.ORPC, Seed: 17, Servers: 4, Clients: 48, Duration: sim.Micros(24000), RateX: 1}
 	lossy := steady
@@ -345,9 +347,9 @@ func TestHandoffBudget(t *testing.T) {
 		cfg  kv.Config
 		want kernelCounts
 	}{
-		{"kv quick cell", quick, kernelCounts{12196, 1846, 2190, sim.Micros(20335.8)}},
-		{"kv_steady", steady, kernelCounts{106849, 19495, 24380, sim.Micros(191682.2)}},
-		{"kv_lossy", lossy, kernelCounts{95781, 17227, 21878, sim.Micros(180350.6)}},
+		{"kv quick cell", quick, kernelCounts{12196, 843, 976, sim.Micros(20335.8)}},
+		{"kv_steady", steady, kernelCounts{106849, 9767, 10952, sim.Micros(191682.2)}},
+		{"kv_lossy", lossy, kernelCounts{95781, 9251, 10696, sim.Micros(180350.6)}},
 	} {
 		var eng *sim.Engine
 		tc.cfg.Observe = func(u *am.Universe, _ *rpc.Runtime) { eng = u.Machine().Engine() }

@@ -16,10 +16,11 @@ import (
 // returns and its sleeping scheduler takes the acks. Node 2 computes in
 // 0.5 us steps for the first 200 us: while a charge of node 1's is under
 // way it runs, so every charge node 1 takes on its stack costs a handoff
-// back. It returns the order node 1 delivered the messages in, the
-// handoffs of the whole run, and the processes the deliveries ran on. A
-// non-nil sink observes the run.
-func receiveRun(t *testing.T, msgs, nicCap int, compute sim.Duration, fault *cm5.FaultPlan, sink sim.Sink) (order []uint64, handoffs uint64, ranOn []*sim.Proc, u *am.Universe, tr *Transport) {
+// back. The inner handler is registered atomic if atomic is set. It returns
+// the order node 1 delivered the messages in, the handoffs of the whole
+// run, and the processes the deliveries ran on. A non-nil sink observes the
+// run.
+func receiveRun(t *testing.T, atomic bool, msgs, nicCap int, compute sim.Duration, fault *cm5.FaultPlan, sink sim.Sink) (order []uint64, handoffs uint64, ranOn []*sim.Proc, u *am.Universe, tr *Transport) {
 	eng := sim.New(5)
 	t.Cleanup(eng.Shutdown)
 	if sink != nil {
@@ -32,7 +33,11 @@ func receiveRun(t *testing.T, msgs, nicCap int, compute sim.Duration, fault *cm5
 		u.Machine().SetFaultPlan(fault)
 	}
 	tr = Attach(u, Options{})
-	h := u.Register("deliver", func(c threads.Ctx, pkt *cm5.Packet) {
+	register := u.Register
+	if atomic {
+		register = u.RegisterAtomic
+	}
+	h := register("deliver", func(c threads.Ctx, pkt *cm5.Packet) {
 		order = append(order, pkt.W0)
 		ranOn = append(ranOn, c.P)
 	})
@@ -71,36 +76,44 @@ func receiveRun(t *testing.T, msgs, nicCap int, compute sim.Duration, fault *cm5
 // stack, a delivery cost four, the acknowledgment's charge a second round
 // trip, and so did a duplicate.) An acknowledgment that the full NIC of a
 // sender that is not polling refuses goes back to the stack, which drains
-// and retries it and then delivers, in order.
+// and retries it and then delivers, in order. An atomic inner handler is
+// delivered in the kernel loop too: neither a first copy nor its duplicate
+// is switched to, only the sender's injection's two handoffs are left, and
+// a refused ack still drains on the stack first.
 func TestReceiveInKernelLoop(t *testing.T) {
-	_, quiet, _, _, _ := receiveRun(t, 0, 64, 0, nil, nil)
+	_, quiet, _, _, _ := receiveRun(t, false, 0, 64, 0, nil, nil)
 	idle := func(u *am.Universe) *sim.Proc { return u.Scheduler(1).Idle() }
+	for _, atomic := range []bool{false, true} {
+		want := uint64(4)
+		if atomic {
+			want = 2
+		}
+		order, handoffs, ranOn, u, _ := receiveRun(t, atomic, 1, 64, 0, nil, nil)
+		if len(order) != 1 || ranOn[0] != idle(u) || handoffs-quiet != want {
+			t.Errorf("atomic %v, first copy: delivered %v, on the idle process: %v, %d handoffs more than no message; want [0], true, %d",
+				atomic, order, len(ranOn) == 1 && ranOn[0] == idle(u), handoffs-quiet, want)
+		}
 
-	order, handoffs, ranOn, u, _ := receiveRun(t, 1, 64, 0, nil, nil)
-	if len(order) != 1 || ranOn[0] != idle(u) || handoffs-quiet != 4 {
-		t.Errorf("first copy: delivered %v, on the idle process: %v, %d handoffs more than no message; want [0], true, 4",
-			order, len(ranOn) == 1 && ranOn[0] == idle(u), handoffs-quiet)
-	}
+		order, handoffs, _, u, tr := receiveRun(t, atomic, 1, 64, 0, &cm5.FaultPlan{Seed: 1, DupProb: 1}, nil)
+		if st := tr.Stats(); len(order) != 1 || st.DupsSuppressed != 1 || st.AcksSent != 2 || handoffs-quiet != want {
+			t.Errorf("atomic %v, duplicated: delivered %v, %d duplicates suppressed of %d acks sent, %d handoffs more than no message; want [0], 1, 2, %d",
+				atomic, order, st.DupsSuppressed, st.AcksSent, handoffs-quiet, want)
+		}
+		if fs := u.Machine().FaultStats(); fs.Duplicated == 0 {
+			t.Fatal("the network duplicated nothing: the test lost its subject")
+		}
 
-	order, handoffs, _, u, tr := receiveRun(t, 1, 64, 0, &cm5.FaultPlan{Seed: 1, DupProb: 1}, nil)
-	if st := tr.Stats(); len(order) != 1 || st.DupsSuppressed != 1 || st.AcksSent != 2 || handoffs-quiet != 4 {
-		t.Errorf("duplicated: delivered %v, %d duplicates suppressed of %d acks sent, %d handoffs more than no message; want [0], 1, 2, 4",
-			order, st.DupsSuppressed, st.AcksSent, handoffs-quiet)
-	}
-	if fs := u.Machine().FaultStats(); fs.Duplicated == 0 {
-		t.Fatal("the network duplicated nothing: the test lost its subject")
-	}
-
-	var refused ackRefusals
-	order, _, ranOn, u, tr = receiveRun(t, 2, 1, sim.Micros(100), nil, &refused)
-	if st := tr.Stats(); len(order) != 2 || order[0] != 0 || order[1] != 1 || st.Delivered != 2 || st.AcksReceived != 2 {
-		t.Errorf("refused ack: delivered %v, stats %+v; want [0 1], both delivered and acknowledged", order, st)
-	}
-	if refused == 0 {
-		t.Fatal("no ack was refused: the test lost its subject")
-	}
-	if len(ranOn) != 2 || ranOn[0] != idle(u) || ranOn[1] != idle(u) {
-		t.Error("refused ack: a delivery did not run on node 1's idle process")
+		var refused ackRefusals
+		order, _, ranOn, u, tr = receiveRun(t, atomic, 2, 1, sim.Micros(100), nil, &refused)
+		if st := tr.Stats(); len(order) != 2 || order[0] != 0 || order[1] != 1 || st.Delivered != 2 || st.AcksReceived != 2 {
+			t.Errorf("atomic %v, refused ack: delivered %v, stats %+v; want [0 1], both delivered and acknowledged", atomic, order, st)
+		}
+		if refused == 0 {
+			t.Fatal("no ack was refused: the test lost its subject")
+		}
+		if len(ranOn) != 2 || ranOn[0] != idle(u) || ranOn[1] != idle(u) {
+			t.Errorf("atomic %v, refused ack: a delivery did not run on node 1's idle process", atomic)
+		}
 	}
 }
 

@@ -255,6 +255,11 @@ type nodeState struct {
 	due     []*pendingMsg
 	dueHead int
 	freePM  *pendingMsg
+	// inbound is the first copy a receive run in the kernel loop hands up
+	// there, its inner handler being atomic, and done what then follows:
+	// one at a time on a node, like the am.Endpoint's begun prelude.
+	inbound *cm5.Packet
+	done    sim.Continuation
 	stats   Stats
 }
 
@@ -477,7 +482,8 @@ func (t *Transport) jittered(src int, pm *pendingMsg) sim.Duration {
 // receive is the receiving side's am.Prelude: ack (always — the previous
 // ack may have been lost), and suppress a duplicate, which is then done; a
 // first copy's handler dispatch is charged with the ack's injection, and
-// deliver follows.
+// deliver follows — in the kernel loop too when the prelude runs there and
+// the inner handler is atomic.
 func (t *Transport) receive(ep *am.Endpoint, pkt *cm5.Packet, done sim.Continuation) (sim.Continuation, bool) {
 	ns := t.nodes[pkt.Dst]
 	seq := pkt.W0
@@ -490,12 +496,39 @@ func (t *Transport) receive(ep *am.Endpoint, pkt *cm5.Packet, done sim.Continuat
 		t.nstats[pkt.Dst].DupsSuppressed++
 		return ep.Injection(ack, done), false
 	}
+	if done != nil && t.u.Atomic(am.HandlerID(pkt.W1)) {
+		ns.inbound, ns.done = pkt, done
+		return ep.Injection(ack, (*deliverCharge)(ns)), false
+	}
 	return ep.Injection(ack, (*dispatchCharge)(t)), true
 }
 
 // deliver hands a first copy up.
-func (t *Transport) deliver(c threads.Ctx, pkt *cm5.Packet) {
-	ns := t.nodes[pkt.Dst]
+func (t *Transport) deliver(c threads.Ctx, pkt *cm5.Packet) { t.nodes[pkt.Dst].deliver(c, pkt) }
+
+// deliverCharge is a nodeState seen as the sim.Continuation that charges
+// the dispatch of the inbound first copy, and delivering as the one that
+// then delivers it and goes on with done.
+type (
+	deliverCharge nodeState
+	delivering    nodeState
+)
+
+func (d *deliverCharge) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	p.Pass((*delivering)(d))
+	return sim.NextCharge, d.ep.Node().Machine().Cost().HandlerDispatch
+}
+
+func (d *delivering) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	ns := (*nodeState)(d)
+	pkt, done := ns.inbound, ns.done
+	ns.inbound, ns.done = nil, nil
+	ns.deliver(threads.Ctx{P: p}, pkt)
+	p.Pass(done)
+	return done.Continue(p)
+}
+
+func (ns *nodeState) deliver(c threads.Ctx, pkt *cm5.Packet) {
 	ns.stats.Delivered++
 	// De-frame into a pooled packet for the inner handler. Run leaves
 	// ownership with us (the transport), so recycle the struct afterwards;

@@ -74,11 +74,11 @@ const (
 	RecStale
 )
 
-// observe emits a record of kind k about a call of p from c, if its shard
+// observe emits a record of kind k about a call of p from cp, if its shard
 // has a sink.
-func (p *Proc) observe(c threads.Ctx, node int, k sim.Kind, retries uint64) {
-	if sink := c.P.Shard().Sink(); sink != nil {
-		sink.Observe(sim.Record{T: c.P.Now(), Layer: sim.LayerRPC, Kind: k, Node: node, Proc: c.P, Name: p.name, N: int(retries)})
+func (p *Proc) observe(cp *sim.Proc, node int, k sim.Kind, retries int32) {
+	if sink := cp.Shard().Sink(); sink != nil {
+		sink.Observe(sim.Record{T: cp.Now(), Layer: sim.LayerRPC, Kind: k, Node: node, Proc: cp, Name: p.name, N: int(retries)})
 	}
 }
 
@@ -97,8 +97,9 @@ type nodeState struct {
 	firstSlots [8]*call
 }
 
-// call is one attempt of a call: its client stub in progress, then, if
-// synchronous, the outstanding attempt. Records are recycled on their
+// call is one call: its client stub in progress, then, if synchronous,
+// the outstanding attempt, and the loop over attempts and nack retries
+// that the call continuation (ask) runs. Records are recycled on their
 // node's free list, each is its own deadline timer's action (Run), and
 // each holds its request and reply by value, so steady-state calls
 // allocate nothing here.
@@ -109,9 +110,9 @@ type nodeState struct {
 // record, so a late reply, nack or duplicate never resolves a call it was
 // not sent for, however quickly the record was reused.
 type call struct {
-	id    uint64 // the attempt in flight; its slot alone until begun, and while idle
+	id    uint64 // the attempt in flight; its slot alone until begun, and between attempts
 	flag  threads.Flag
-	msg   cm5.Record // the request until the stub sends it, then the reply
+	msg   cm5.Record // the request until a reply replaces it
 	timer sim.Timer
 	next  *call // free-list link
 	// The stub, for Continue: whose, on which node's CPU, to whom, by when
@@ -121,7 +122,18 @@ type call struct {
 	deadline sim.Time
 	server   int32
 	nacked   bool
-	timedOut bool
+	timedOut bool // the attempt's deadline expired; once settled, the call's
+	// The synchronous call's loop: each attempt's timeout (zero: none),
+	// the attempts left after this one, whether running out counts as a
+	// give-up, the nack backoff and retries of this attempt, and where the
+	// outcome goes before k decides (nil: the stack reads it here).
+	per     sim.Duration
+	backoff sim.Duration
+	left    int32
+	retries int32
+	idem    bool
+	out     *Call
+	k       sim.Continuation
 }
 
 const (
@@ -191,15 +203,130 @@ func (cl *call) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	ep := pr.rt.u.Endpoint(me)
 	arg := cl.msg.Bytes()
 	pkt := ep.Packet(int(cl.server), pr.h, len(arg) > cm5.MaxPayload, [4]uint64{id}, arg)
-	cl.msg = cm5.Record{}
 	return ep.SendThen(p, pkt, k)
 }
 
-// replyWait is a call seen as the sim.Continuation that waits for its reply.
-type replyWait call
+// replyWait is a call seen as the sim.Continuation that waits for its
+// reply, and replied, backedOff and asking as the ones that go on from
+// there, once the nack backoff has elapsed, and from the call's start.
+type (
+	replyWait call
+	replied   call
+	backedOff call
+	asking    call
+)
 
 func (w *replyWait) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
-	return w.flag.Await(p, w.s)
+	return w.flag.Await(p, w.s, (*replied)(w))
+}
+
+// Call is where a synchronous call asked in kernel context (CallThen)
+// leaves its outcome: the caller's record.
+type Call struct {
+	Rep Enc
+	Err error
+}
+
+// ask takes a record for a synchronous call of p from c.P, whose thread
+// holds c.S's CPU: attempts of per each (CallIdempotent; attempts 0 is one
+// CallWithDeadline, per 0 one Call).
+func (p *Proc) ask(c threads.Ctx, server int, arg *Enc, per sim.Duration, attempts int) *call {
+	if p.async {
+		panic(fmt.Sprintf("rpc: synchronous Call of asynchronous procedure %q", p.name))
+	}
+	cl := p.rt.node(c.Node().ID()).take(p, c, server, arg)
+	cl.per, cl.left, cl.idem = per, int32(max(attempts, 1)-1), attempts > 0
+	return cl
+}
+
+func (a *asking) Continue(p *sim.Proc) (sim.Next, sim.Duration) { return (*call)(a).attempt(p) }
+
+// attempt is CallWithDeadline from its start: the deadline, the backoff
+// reset, the record of the start, then its first request.
+func (cl *call) attempt(p *sim.Proc) (sim.Next, sim.Duration) {
+	cl.deadline = 0
+	if cl.per > 0 {
+		cl.deadline = p.Now().Add(cl.per)
+	}
+	cl.backoff, cl.retries = nackBackoffBase, 0
+	cl.proc.observe(p, cl.s.Node().ID(), RecCallStart, 0)
+	return cl.request(p)
+}
+
+// request sends one request of the attempt: the client stub's charge, then
+// Continue.
+func (cl *call) request(p *sim.Proc) (sim.Next, sim.Duration) {
+	cl.proc.stats[cl.s.Node().ID()].Calls++
+	p.Pass(cl)
+	return sim.NextCharge, cl.proc.rt.u.Machine().Cost().StubClient
+}
+
+// Continue, once the thread has the CPU back with the request answered or
+// given up on, settles the request: a reply ends the call, a nack backs off
+// and retries inside the deadline, and a timeout ends the attempt.
+func (r *replied) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	cl := (*call)(r)
+	pr, me := cl.proc, cl.s.Node().ID()
+	nacked, timedOut := cl.nacked, cl.timedOut
+	cl.timer.Cancel() // no-op on the zero Timer
+	cl.id &= slotMask
+	cl.flag, cl.timer, cl.nacked, cl.timedOut = threads.Flag{}, sim.Timer{}, false, false
+	if !timedOut && !nacked {
+		pr.observe(p, me, RecCallEnd, cl.retries)
+		return cl.settle(p, nil)
+	}
+	if !nacked {
+		return cl.timeout(p)
+	}
+	// Nacked: back off (bounded exponential) and retry.
+	pr.stats[me].Retries++
+	cl.retries++
+	p.Pass((*backedOff)(cl))
+	return sim.NextCharge, cl.backoff
+}
+
+func (b *backedOff) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	cl := (*call)(b)
+	cl.backoff = nextBackoff(cl.backoff)
+	if cl.per == 0 || p.Now() < cl.deadline {
+		return cl.request(p)
+	}
+	return cl.timeout(p)
+}
+
+// timeout ends an attempt without an answer: the next attempt begins, or
+// the call ends in ErrDeadline.
+func (cl *call) timeout(p *sim.Proc) (sim.Next, sim.Duration) {
+	pr, me := cl.proc, cl.s.Node().ID()
+	pr.stats[me].Timeouts++
+	pr.observe(p, me, RecCallTimeout, cl.retries)
+	if cl.left > 0 {
+		cl.left--
+		return cl.attempt(p)
+	}
+	if cl.idem {
+		pr.stats[me].GiveUps++
+	}
+	return cl.settle(p, ErrDeadline)
+}
+
+// settle ends the call with err (nil: msg is the reply): the stack reads
+// the outcome from the record, or it goes to out, the record is recycled
+// and k decides.
+func (cl *call) settle(p *sim.Proc, err error) (sim.Next, sim.Duration) {
+	cl.timedOut = err != nil
+	k := cl.k
+	if k == nil {
+		return sim.NextRun, 0
+	}
+	if out := cl.out; err != nil {
+		*out = Call{Err: err}
+	} else {
+		*out = Call{Rep: Enc{cl.msg}}
+	}
+	cl.proc.rt.node(cl.s.Node().ID()).end(cl)
+	p.Pass(k)
+	return k.Continue(p)
 }
 
 // end recycles cl once its caller has read the outcome. Cancelling the
@@ -240,8 +367,8 @@ func (cl *call) Run() {
 func New(u *am.Universe, opts Options) *Runtime {
 	rt := &Runtime{u: u, opts: opts}
 	rt.nodes = make([]*nodeState, u.N())
-	rt.replyH = u.Register("rpc/reply", rt.handleReply)
-	rt.nackH = u.Register("rpc/nack", rt.handleNack)
+	rt.replyH = u.RegisterAtomic("rpc/reply", rt.handleReply)
+	rt.nackH = u.RegisterAtomic("rpc/nack", rt.handleNack)
 	return rt
 }
 
@@ -272,6 +399,9 @@ func (rt *Runtime) dispatcher(async bool) *oam.Dispatcher {
 	return *d
 }
 
+// handleReply and handleNack only resolve a record and set its flag, so
+// they are atomic handlers: a sleeping scheduler runs them in the kernel
+// loop.
 func (rt *Runtime) handleReply(c threads.Ctx, pkt *cm5.Packet) {
 	if cl := rt.resolving(c, pkt); cl != nil {
 		cl.msg.Set(pkt.Payload)
@@ -516,7 +646,7 @@ func (p *Proc) sendReply(e *oam.Env, caller int, callID uint64, res []byte) {
 // and returns the marshaled result record. If the server nacks, Call backs
 // off and retries transparently.
 func (p *Proc) Call(c threads.Ctx, server int, arg *Enc) Enc {
-	res, _ := p.call(c, server, arg, 0)
+	res, _ := p.call(c, server, arg, 0, 0)
 	return res
 }
 
@@ -545,56 +675,7 @@ func (p *Proc) CallWithDeadline(c threads.Ctx, server int, arg *Enc, timeout sim
 	if timeout <= 0 {
 		panic(fmt.Sprintf("rpc: non-positive deadline for %q", p.name))
 	}
-	return p.call(c, server, arg, timeout)
-}
-
-// call is the client side of a synchronous call; timeout 0 means none.
-func (p *Proc) call(c threads.Ctx, server int, arg *Enc, timeout sim.Duration) (Enc, error) {
-	if p.async {
-		panic(fmt.Sprintf("rpc: synchronous Call of asynchronous procedure %q", p.name))
-	}
-	if c.T == nil {
-		panic(fmt.Sprintf("rpc: synchronous Call of %q from handler context", p.name))
-	}
-	rt := p.rt
-	cost := rt.u.Machine().Cost()
-	sh := c.Node().Shard() // deadline timers are node-local state
-	me := c.Node().ID()
-	ns := rt.node(me)
-	ep := rt.u.Endpoint(me)
-	st := &p.stats[me]
-	deadline := sh.Now().Add(timeout)
-	backoff := nackBackoffBase
-	p.observe(c, me, RecCallStart, 0)
-	var retries uint64
-	for {
-		st.Calls++
-		cl := ns.take(p, c, server, arg)
-		if timeout > 0 {
-			cl.deadline = deadline
-		}
-		ep.Drive(c, cost.StubClient, cl)
-		cl.flag.Wait(c)
-		reply, nacked, timedOut := cl.msg, cl.nacked, cl.timedOut
-		ns.end(cl)
-		if !timedOut && !nacked {
-			p.observe(c, me, RecCallEnd, retries)
-			return Enc{reply}, nil
-		}
-		if nacked {
-			// Nacked: back off (bounded exponential) and retry.
-			st.Retries++
-			retries++
-			c.P.Charge(backoff)
-			backoff = nextBackoff(backoff)
-			if timeout == 0 || sh.Now() < deadline {
-				continue
-			}
-		}
-		st.Timeouts++
-		p.observe(c, me, RecCallTimeout, retries)
-		return Enc{}, ErrDeadline
-	}
+	return p.call(c, server, arg, timeout, 0)
 }
 
 // CallIdempotent retries a deadline call up to attempts times, each with
@@ -609,16 +690,35 @@ func (p *Proc) CallIdempotent(c threads.Ctx, server int, arg *Enc, per sim.Durat
 	if attempts < 1 {
 		panic(fmt.Sprintf("rpc: CallIdempotent of %q with %d attempts", p.name, attempts))
 	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		var res Enc
-		res, err = p.CallWithDeadline(c, server, arg, per)
-		if err == nil {
-			return res, nil
-		}
+	return p.call(c, server, arg, per, attempts)
+}
+
+// call is the client side of a synchronous call, the call continuation
+// driven from c's stack (see ask).
+func (p *Proc) call(c threads.Ctx, server int, arg *Enc, per sim.Duration, attempts int) (Enc, error) {
+	if c.T == nil {
+		panic(fmt.Sprintf("rpc: synchronous Call of %q from handler context", p.name))
 	}
-	p.stats[c.Node().ID()].GiveUps++
-	return Enc{}, err
+	cl := p.ask(c, server, arg, per, attempts)
+	p.rt.u.Endpoint(c.Node().ID()).Drive(c, -1, (*asking)(cl))
+	res, err := Enc{cl.msg}, error(nil)
+	if cl.timedOut {
+		res, err = Enc{}, ErrDeadline
+	}
+	p.rt.node(c.Node().ID()).end(cl)
+	return res, err
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose thread
+// holds c.S's CPU: the call the stack spellings drive, with the outcome
+// left in out before k decides what c.P does.
+func (p *Proc) CallThen(c threads.Ctx, out *Call, server int, arg *Enc, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	if attempts < 1 || per <= 0 || k == nil {
+		panic(fmt.Sprintf("rpc: CallThen of %q with %d attempts of %v, continuation %v", p.name, attempts, per, k))
+	}
+	cl := p.ask(c, server, arg, per, attempts)
+	cl.out, cl.k = out, k
+	return cl.attempt(c.P)
 }
 
 // CallAsync fires an asynchronous call and returns as soon as the request
@@ -629,10 +729,10 @@ func (p *Proc) CallAsync(c threads.Ctx, server int, arg *Enc) {
 	}
 	me := c.Node().ID()
 	p.stats[me].Calls++
-	p.observe(c, me, RecCallStart, 0)
+	p.observe(c.P, me, RecCallStart, 0)
 	ns := p.rt.node(me)
 	cl := ns.take(p, c, server, arg)
 	p.rt.u.Endpoint(me).Drive(c, p.rt.u.Machine().Cost().StubClient, cl)
 	ns.end(cl)
-	p.observe(c, me, RecCallEnd, 0)
+	p.observe(c.P, me, RecCallEnd, 0)
 }

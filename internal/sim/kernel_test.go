@@ -31,8 +31,9 @@ import (
 //	wS,D       a delivery wakes this process in D (none if 0), then
 //	           StepWait(S); slow: for !woken { Charge(S) }
 //	CN, P, T   ChargeThen(N, k), ParkThen(k), Then(k), k being the '.'
-//	           steps that follow: .cN, .p, .lN (ChargeLast), .h (Pass) or a
-//	           step below; slow: the process takes the steps itself
+//	           steps that follow: .cN, .p, .lN (ChargeLast), .h (Pass), .e
+//	           (Exit: the process is over) or a step below; slow: the
+//	           process takes the steps itself, returning at .e
 //	uK         Unpark process K if it is parked
 //	sK         Spawn a process running script K
 //	xK         Interrupt process K, logging the result
@@ -120,7 +121,7 @@ func parseOp(tok string) (op kOp, ok bool) {
 			op.kind = 'd'
 		}
 		op.act = &act
-	case 'p', 'P', 'T', 'S', '!', 'G', 'h', 't', 'X':
+	case 'p', 'P', 'T', 'S', '!', 'G', 'h', 't', 'X', 'e':
 	default:
 		return op, false
 	}
@@ -155,12 +156,12 @@ func parseKernel(text string) *kProg {
 			case op.kind == '@' || op.kind == '=':
 				prog.calls = append(prog.calls, op)
 				continue
-			case op.cont && (!open || !strings.ContainsRune("cpusadxShl", rune(op.kind))):
+			case op.cont && (!open || !strings.ContainsRune("cpusadxShle", rune(op.kind))):
 				op.cont = false
 			}
 			if !op.cont {
 				switch op.kind {
-				case 'h', 't', 'X':
+				case 'h', 't', 'X', 'e':
 					continue
 				case 'l':
 					op.kind = 'c'
@@ -169,7 +170,7 @@ func parseKernel(text string) *kProg {
 					op = kOp{kind: 'd', act: &act, tok: tok}
 				}
 			}
-			open = op.cont && op.kind != 'l' || strings.ContainsRune("CPT", rune(op.kind))
+			open = op.cont && op.kind != 'l' && op.kind != 'e' || strings.ContainsRune("CPT", rune(op.kind))
 			if op.cont {
 				ops[len(ops)-1].seg = false
 			}
@@ -416,6 +417,9 @@ func (o *kOracle) exec(i int) {
 			o.charge(i, op.a, loop)
 		case 'T', 'h':
 			done()
+		case 'e':
+			o.exit(pr)
+			return
 		case 'G':
 			o.halt, o.outcome = 'G', "goexit"
 			o.exit(pr)
@@ -664,6 +668,8 @@ func (ks *kShard) body(p *Proc, idx int, st *kProc, ops []kOp) {
 			}
 			pc = *k.pc - 1
 			op = &ops[pc]
+		case op.kind == 'e':
+			return
 		case op.kind == '!':
 			ks.logf("%s %s", p.Name(), op.tok)
 			panic("boom")
@@ -673,6 +679,9 @@ func (ks *kShard) body(p *Proc, idx int, st *kProc, ops []kOp) {
 			ks.do(p.Name(), op)
 		}
 		gain() // after a step that kept the stack too: it changes nothing
+		if op.kind == 'e' {
+			return // the head said Exit
+		}
 		if op.seg {
 			n++
 			ks.logf("%s.%d%s", p.Name(), n, extra)
@@ -703,6 +712,8 @@ func (k *kCont) Continue(p *Proc) (Next, Duration) {
 			return NextPark, 0
 		case 'l':
 			return p.ChargeLast(op.a)
+		case 'e':
+			return NextExit, 0
 		case 'h':
 			rest := *k
 			k.passed = true
@@ -1054,11 +1065,13 @@ func checkStepWait(t testing.TB, prog *kProg, loop, elide *kOracle) {
 
 func FuzzKernel(f *testing.F) {
 	// The table rows and the corpus (testdata/fuzz) cover the language; these
-	// are the four shapes the targets it replaced started from.
+	// are the four shapes the targets it replaced started from, and a chain
+	// that exits after a park and after a charge.
 	f.Add("w1 w2 w8 | w1 w2 w8 | =9:k0 =18:k0 =27:k0 =9:k1 =18:k1 =27:k1")
 	f.Add("q5,7 q7,5 q10,0 s2 | p | *2")
 	f.Add("p | C5 .a4:t .c7 s3 | c1 c2 c3 c2 c3 c2 c3 c2 c3 c2 c3 c2 c3 | *3")
 	f.Add("|")
+	f.Add("p | C4 .c3 .e c9 | P .c2 .e | c3 c3 c3 | @5:u2 *4")
 	f.Fuzz(func(t *testing.T, text string) { checkKernel(t, parseKernel(text)) })
 }
 
@@ -1284,6 +1297,10 @@ func TestContinuationMatchesTheProcess(t *testing.T) {
 			"0 p0 pid 1|0 p1 pid 3|0 p2 pid 5|3 p2.1|5 cb S"}, 1},
 		{kRow{"deadlines on each leg, then Shutdown mid-chain, parked with a continuation", "p | C4 .c1 .p .a1:t s3 | " + q + " | ^2 ^4 ^5 ^9 # *3",
 			"0 p0 pid 1|0 p1 pid 3|0 p2 pid 5|3 p2.1|6 p2.2|9 p2.3"}, 2},
+		{kRow{"exit at once: Then returns and the body ends there", "p | T .s2 .e c9 | *2",
+			"0 p0 pid 1|0 p1 pid 3|0 p1 .s2|0 p2 pid 5"}, 0},
+		{kRow{"exit after legs in place and through the queue: switched to only to return", "p | C4 .c3 .a1:t .e c9 | " + q + " | *3",
+			"0 p0 pid 1|0 p1 pid 3|0 p2 pid 5|3 p2.1|6 p2.2|7 p1 .a1:t|8 cb t|9 p2.3|12 p2.4|15 p2.5|18 p2.6"}, 2},
 		{kRow{"Interrupt mid-chain is refused", "p | C6 .c6 s2 | @3:x1 @9:x1 *2",
 			"0 p0 pid 1|0 p1 pid 3|3 cb x1 false|9 cb x1 false|12 p1.1|12 p1 s2|12 p2 pid 9"}, 0},
 	} {

@@ -34,6 +34,7 @@ type Proc struct {
 	runner   Runner        // SpawnRunner's body and name, in place of body and name
 	parked   bool
 	dead     bool
+	live     bool // its body has begun: the coroutine holds this incarnation's stack
 	calling  bool // inside relay's next call: un-resumable until it returns
 	id       uint64
 	slot     int   // index in the shard's live-proc table
@@ -63,6 +64,7 @@ const (
 	NextRun    Next = iota // switch to the process: it needs its stack now
 	NextCharge             // charge the Duration for it, ask again when it elapses
 	NextPark               // park it, ask again at the next Unpark
+	NextExit               // it is over: its body has nothing left to run
 	nextAsk                // no verdict yet
 )
 
@@ -75,7 +77,10 @@ const (
 // when a process asks on its own stack (Then): it may do what a kernel
 // callback may, a Charge or Park inside it trips checkRunning, and a panic
 // ends the run like a callback's. It stays installed until it says Run or
-// passes the rest of the decision on (Pass).
+// passes the rest of the decision on (Pass). Exit ends the process: one
+// whose body never began (SpawnThen) ends in the kernel loop, its coroutine
+// never entered; otherwise the Then it is suspended in returns, and its body
+// must return at once.
 type Continuation interface {
 	Continue(p *Proc) (Next, Duration)
 }
@@ -120,6 +125,16 @@ type Runner interface {
 // SpawnRunner is Spawn for a pre-allocated Runner. The kernel holds r
 // until the process has finished.
 func (sh *Shard) SpawnRunner(r Runner) *Proc { return sh.spawn("", nil, r) }
+
+// SpawnThen is SpawnRunner for a process whose code begins as k: the kernel
+// asks k at the first dispatch, as at any resume, and enters r's coroutine
+// only when k says Run. A process that k ends (Exit) before that was never
+// switched to.
+func (sh *Shard) SpawnThen(r Runner, k Continuation) *Proc {
+	p := sh.spawn("", nil, r)
+	p.cont = k
+	return p
+}
 
 func (sh *Shard) spawn(name string, body func(p *Proc), r Runner) *Proc {
 	sh.seq++
@@ -181,18 +196,14 @@ func (p *Proc) procLoop(yield func(struct{}) bool) {
 // failure (or swallowing the kill sentinel) and emitting the exit trace.
 func (sh *Shard) runBody(p *Proc) {
 	body := p.body
-	p.body = nil
+	p.body, p.live = nil, true
 	defer func() {
-		p.dead = true
-		sh.removeProc(p)
 		if r := recover(); r != nil {
 			if _, kill := r.(killedSentinel); !kill && sh.failure == nil {
 				sh.failure = &PanicError{Proc: p.Name(), Value: r, Stack: debug.Stack()}
 			}
 		}
-		if sh.sink != nil {
-			sh.trace(RecExit, p)
-		}
+		sh.exited(p)
 	}()
 	if sh.killing {
 		panic(killedSentinel{})
@@ -204,9 +215,19 @@ func (sh *Shard) runBody(p *Proc) {
 	}
 }
 
+// exited is the end of p's incarnation: it leaves the live table and the
+// sink sees it go.
+func (sh *Shard) exited(p *Proc) {
+	p.dead = true
+	sh.removeProc(p)
+	if sh.sink != nil {
+		sh.trace(RecExit, p)
+	}
+}
+
 // releaseProc parks a finished proc on the free list for reuse.
 func (sh *Shard) releaseProc(p *Proc) {
-	p.parked = false
+	p.parked, p.live = false, false
 	p.interrupted = false
 	p.intTimer = Timer{}
 	p.runner, p.cont = nil, nil
@@ -299,7 +320,7 @@ func (p *Proc) then(op string, k Continuation, next Next, d Duration) {
 	sh := p.sh
 	sh.checkRunning(p, op)
 	sh.running = nil // k runs as the kernel
-	if sh.follow(p, k, next, d) {
+	if v := sh.follow(p, k, next, d); v == NextRun || v == NextExit {
 		sh.running = p
 		return
 	}

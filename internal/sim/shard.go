@@ -232,28 +232,29 @@ func (sh *Shard) charge(p *Proc, d Duration) bool {
 
 // follow installs k, carries out a verdict on p, then the ones the
 // installed continuation gives next (k, or what it passed to), until p
-// must run (true) or is suspended again — mid-charge or parked — with that
-// continuation installed for the resume. A panic in it is a kernel
-// callback's: it ends the run, p stays suspended.
-func (sh *Shard) follow(p *Proc, k Continuation, next Next, d Duration) (run bool) {
+// must run (NextRun), is over (NextExit), or is suspended again — mid-charge
+// or parked — with that continuation installed for the resume (NextCharge,
+// NextPark). A panic in it is a kernel callback's: it ends the run, p stays
+// suspended.
+func (sh *Shard) follow(p *Proc, k Continuation, next Next, d Duration) (v Next) {
 	defer func() {
 		if r := recover(); r != nil {
-			sh.kernelPanic, run = r, false
+			sh.kernelPanic, v = r, NextCharge
 		}
 	}()
 	p.cont = k
 	for {
 		switch next {
-		case NextRun:
+		case NextRun, NextExit:
 			p.cont = nil
-			return true
+			return next
 		case NextCharge:
 			if !sh.charge(p, d) {
-				return false
+				return NextCharge
 			}
 		case NextPark:
 			p.parked = true
-			return false
+			return NextPark
 		}
 		next, d = p.cont.Continue(p)
 	}
@@ -345,8 +346,17 @@ func (sh *Shard) loop(self *Proc) bool {
 			}
 			if k := p.cont; k != nil {
 				// p left word of what it does first: do that here, and
-				// switch to it only when that needs its stack.
-				if !sh.follow(p, k, nextAsk, 0) {
+				// switch to it only when that needs its stack — or, over,
+				// to let a body that began return.
+				switch sh.follow(p, k, nextAsk, 0) {
+				case NextRun:
+				case NextExit:
+					if !p.live {
+						sh.exited(p)
+						sh.releaseProc(p)
+						continue
+					}
+				default:
 					if sh.sink != nil {
 						sh.trace(RecYield, p)
 					}

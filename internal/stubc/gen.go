@@ -17,8 +17,8 @@ func Generate(f *File) ([]byte, error) {
 	fmt.Fprintf(&b, "import (\n")
 	fmt.Fprintf(&b, "\t\"repro/internal/oam\"\n")
 	fmt.Fprintf(&b, "\t\"repro/internal/rpc\"\n")
-	// Only synchronous procedures get a CallIdempotent wrapper, which
-	// takes a sim.Duration deadline.
+	// Only synchronous procedures get CallIdempotent and CallThen, which
+	// take a sim.Duration deadline.
 	for i := range f.Procs {
 		if !f.Procs[i].Async {
 			fmt.Fprintf(&b, "\t\"repro/internal/sim\"\n")
@@ -232,6 +232,10 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "\th.p.CallAsync(c, server, enc)\n")
 		fmt.Fprintf(b, "}\n\n")
 	} else {
+		results := ""
+		if len(p.Outs) > 0 {
+			results = names(p.Outs, "r_") + ", "
+		}
 		fmt.Fprintf(b, "// Call invokes %s on node server and blocks for the reply.\n", p.Name)
 		fmt.Fprintf(b, "func (h %sProc) Call(c threads.Ctx, server int%s)", p.Name, prependComma(g.goSig(p.Ins)))
 		if len(p.Outs) > 0 {
@@ -241,10 +245,7 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
 		g.genMarshal(b, "enc", p.Ins, "")
 		if len(p.Outs) > 0 {
-			fmt.Fprintf(b, "\trep := h.p.Call(c, server, enc)\n")
-			fmt.Fprintf(b, "\tdec := rpc.NewDec(rep.Bytes())\n")
-			g.genUnmarshal(b, "dec", p.Outs, "r_")
-			fmt.Fprintf(b, "\tdec.Done()\n")
+			fmt.Fprintf(b, "\t%s_ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})\n", results)
 			fmt.Fprintf(b, "\treturn %s\n", names(p.Outs, "r_"))
 		} else {
 			fmt.Fprintf(b, "\th.p.Call(c, server, enc)\n")
@@ -261,32 +262,57 @@ func (g *gen) genProc(b *strings.Builder, p *ProcDecl) {
 		fmt.Fprintf(b, "// error the results are zero values.\n")
 		fmt.Fprintf(b, "func (h %sProc) CallIdempotent(c threads.Ctx, server int%s, per sim.Duration, attempts int)",
 			p.Name, prependComma(g.goSig(p.Ins)))
-		if len(p.Outs) > 0 {
-			fmt.Fprintf(b, " (%s, err error)", g.goSig(outNames(p.Outs)))
-		} else {
-			fmt.Fprintf(b, " (err error)")
-		}
+		g.genResults(b, p)
 		fmt.Fprintf(b, " {\n")
 		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
 		g.genMarshal(b, "enc", p.Ins, "")
+		fmt.Fprintf(b, "\trep, err := h.p.CallIdempotent(c, server, enc, per, attempts)\n")
+		fmt.Fprintf(b, "\treturn h.Reply(&rpc.Call{Rep: rep, Err: err})\n")
+		fmt.Fprintf(b, "}\n\n")
+
+		// The continuation spelling of CallIdempotent, over the same
+		// encoder, and the one decoder every spelling reads its reply with.
+		fmt.Fprintf(b, "// CallThen is CallIdempotent asked in kernel context for c.P, whose\n")
+		fmt.Fprintf(b, "// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left\n")
+		fmt.Fprintf(b, "// in out, for Reply, before k decides what c.P does.\n")
+		fmt.Fprintf(b, "func (h %sProc) CallThen(c threads.Ctx, out *rpc.Call, server int%s, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {\n",
+			p.Name, prependComma(g.goSig(p.Ins)))
+		fmt.Fprintf(b, "\tenc := rpc.NewEnc(%s)\n", g.encSize(p.Ins, ""))
+		g.genMarshal(b, "enc", p.Ins, "")
+		fmt.Fprintf(b, "\treturn h.p.CallThen(c, out, server, enc, per, attempts, k)\n")
+		fmt.Fprintf(b, "}\n\n")
+
+		fmt.Fprintf(b, "// Reply decodes the outcome of a call of %s. On error the results\n", p.Name)
+		fmt.Fprintf(b, "// are zero values.\n")
+		fmt.Fprintf(b, "func (h %sProc) Reply(out *rpc.Call)", p.Name)
+		g.genResults(b, p)
+		fmt.Fprintf(b, " {\n")
 		if len(p.Outs) > 0 {
-			fmt.Fprintf(b, "\trep, err := h.p.CallIdempotent(c, server, enc, per, attempts)\n")
-			fmt.Fprintf(b, "\tif err != nil {\n")
+			fmt.Fprintf(b, "\tif err = out.Err; err != nil {\n")
 			fmt.Fprintf(b, "\t\treturn\n")
 			fmt.Fprintf(b, "\t}\n")
-			fmt.Fprintf(b, "\tdec := rpc.NewDec(rep.Bytes())\n")
+			fmt.Fprintf(b, "\tdec := rpc.NewDec(out.Rep.Bytes())\n")
 			g.genUnmarshalOp(b, "dec", p.Outs, "r_", "=")
 			fmt.Fprintf(b, "\tdec.Done()\n")
+			fmt.Fprintf(b, "\treturn\n")
 		} else {
-			fmt.Fprintf(b, "\t_, err = h.p.CallIdempotent(c, server, enc, per, attempts)\n")
+			fmt.Fprintf(b, "\treturn out.Err\n")
 		}
-		fmt.Fprintf(b, "\treturn\n")
 		fmt.Fprintf(b, "}\n\n")
 	}
 
 	// Stats (termination routine).
 	fmt.Fprintf(b, "// Stats returns %s's counters (the termination routine's report).\n", p.Name)
 	fmt.Fprintf(b, "func (h %sProc) Stats() rpc.ProcStats { return h.p.Stats() }\n\n", p.Name)
+}
+
+// genResults renders a synchronous stub's named results and error.
+func (g *gen) genResults(b *strings.Builder, p *ProcDecl) {
+	if len(p.Outs) > 0 {
+		fmt.Fprintf(b, " (%s, err error)", g.goSig(outNames(p.Outs)))
+	} else {
+		fmt.Fprintf(b, " (err error)")
+	}
 }
 
 // genCompat compiles the file's compatible clauses into a CompatSpec

@@ -98,16 +98,7 @@ func (h EchoProc) Call(c threads.Ctx, server int, b bool, i32 int32, i64 int64, 
 	enc.U64(u64)
 	enc.F32(f32)
 	enc.F64(f64)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_ob := dec.Bool()
-	r_oi32 := dec.I32()
-	r_oi64 := dec.I64()
-	r_ou32 := dec.U32()
-	r_ou64 := dec.U64()
-	r_of32 := dec.F32()
-	r_of64 := dec.F64()
-	dec.Done()
+	r_ob, r_oi32, r_oi64, r_ou32, r_ou64, r_of32, r_of64, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_ob, r_oi32, r_oi64, r_ou32, r_ou64, r_of32, r_of64
 }
 
@@ -125,10 +116,31 @@ func (h EchoProc) CallIdempotent(c threads.Ctx, server int, b bool, i32 int32, i
 	enc.F32(f32)
 	enc.F64(f64)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h EchoProc) CallThen(c threads.Ctx, out *rpc.Call, server int, b bool, i32 int32, i64 int64, u32 uint32, u64 uint64, f32 float32, f64 float64, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(37)
+	enc.Bool(b)
+	enc.I32(i32)
+	enc.I64(i64)
+	enc.U32(u32)
+	enc.U64(u64)
+	enc.F32(f32)
+	enc.F64(f64)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Echo. On error the results
+// are zero values.
+func (h EchoProc) Reply(out *rpc.Call) (r_ob bool, r_oi32 int32, r_oi64 int64, r_ou32 uint32, r_ou64 uint64, r_of32 float32, r_of64 float64, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_ob = dec.Bool()
 	r_oi32 = dec.I32()
 	r_oi64 = dec.I64()
@@ -180,14 +192,7 @@ func (h BuffersProc) Call(c threads.Ctx, server int, raw []byte, s string, fs []
 	enc.F64s(fs)
 	enc.I32s(is)
 	enc.U64s(us)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_oraw := dec.Buf()
-	r_os := dec.String()
-	r_ofs := dec.F64s()
-	r_ois := dec.I32s()
-	r_ous := dec.U64s()
-	dec.Done()
+	r_oraw, r_os, r_ofs, r_ois, r_ous, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_oraw, r_os, r_ofs, r_ois, r_ous
 }
 
@@ -203,10 +208,29 @@ func (h BuffersProc) CallIdempotent(c threads.Ctx, server int, raw []byte, s str
 	enc.I32s(is)
 	enc.U64s(us)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h BuffersProc) CallThen(c threads.Ctx, out *rpc.Call, server int, raw []byte, s string, fs []float64, is []int32, us []uint64, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(20 + len(raw) + len(s) + 8*len(fs) + 4*len(is) + 8*len(us))
+	enc.Buf(raw)
+	enc.String(s)
+	enc.F64s(fs)
+	enc.I32s(is)
+	enc.U64s(us)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Buffers. On error the results
+// are zero values.
+func (h BuffersProc) Reply(out *rpc.Call) (r_oraw []byte, r_os string, r_ofs []float64, r_ois []int32, r_ous []uint64, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_oraw = dec.Buf()
 	r_os = dec.String()
 	r_ofs = dec.F64s()
@@ -242,10 +266,7 @@ func DefineNoArgs(rt *rpc.Runtime, impl NoArgsImpl) NoArgsProc {
 // Call invokes NoArgs on node server and blocks for the reply.
 func (h NoArgsProc) Call(c threads.Ctx, server int) int64 {
 	enc := rpc.NewEnc(0)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_x := dec.I64()
-	dec.Done()
+	r_x, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_x
 }
 
@@ -256,10 +277,24 @@ func (h NoArgsProc) Call(c threads.Ctx, server int) int64 {
 func (h NoArgsProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (r_x int64, err error) {
 	enc := rpc.NewEnc(0)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h NoArgsProc) CallThen(c threads.Ctx, out *rpc.Call, server int, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(0)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of NoArgs. On error the results
+// are zero values.
+func (h NoArgsProc) Reply(out *rpc.Call) (r_x int64, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_x = dec.I64()
 	dec.Done()
 	return
@@ -301,8 +336,23 @@ func (h NoResultsProc) Call(c threads.Ctx, server int, x int64) {
 func (h NoResultsProc) CallIdempotent(c threads.Ctx, server int, x int64, per sim.Duration, attempts int) (err error) {
 	enc := rpc.NewEnc(8)
 	enc.I64(x)
-	_, err = h.p.CallIdempotent(c, server, enc, per, attempts)
-	return
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h NoResultsProc) CallThen(c threads.Ctx, out *rpc.Call, server int, x int64, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(8)
+	enc.I64(x)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of NoResults. On error the results
+// are zero values.
+func (h NoResultsProc) Reply(out *rpc.Call) (err error) {
+	return out.Err
 }
 
 // Stats returns NoResults's counters (the termination routine's report).
@@ -338,8 +388,22 @@ func (h NothingProc) Call(c threads.Ctx, server int) {
 // error the results are zero values.
 func (h NothingProc) CallIdempotent(c threads.Ctx, server int, per sim.Duration, attempts int) (err error) {
 	enc := rpc.NewEnc(0)
-	_, err = h.p.CallIdempotent(c, server, enc, per, attempts)
-	return
+	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h NothingProc) CallThen(c threads.Ctx, out *rpc.Call, server int, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(0)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Nothing. On error the results
+// are zero values.
+func (h NothingProc) Reply(out *rpc.Call) (err error) {
+	return out.Err
 }
 
 // Stats returns Nothing's counters (the termination routine's report).
@@ -401,10 +465,7 @@ func (h DotProc) Call(c threads.Ctx, server int, a Vec, b Vec) float64 {
 	enc := rpc.NewEnc(48)
 	encVec(enc, a)
 	encVec(enc, b)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_d := dec.F64()
-	dec.Done()
+	r_d, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_d
 }
 
@@ -417,10 +478,26 @@ func (h DotProc) CallIdempotent(c threads.Ctx, server int, a Vec, b Vec, per sim
 	encVec(enc, a)
 	encVec(enc, b)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h DotProc) CallThen(c threads.Ctx, out *rpc.Call, server int, a Vec, b Vec, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(48)
+	encVec(enc, a)
+	encVec(enc, b)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Dot. On error the results
+// are zero values.
+func (h DotProc) Reply(out *rpc.Call) (r_d float64, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_d = dec.F64()
 	dec.Done()
 	return
@@ -454,10 +531,7 @@ func DefineTag(rt *rpc.Runtime, impl TagImpl) TagProc {
 func (h TagProc) Call(c threads.Ctx, server int, r Record) Record {
 	enc := rpc.NewEnc(16 + len(r.Label) + len(r.Payload))
 	encRecord(enc, r)
-	rep := h.p.Call(c, server, enc)
-	dec := rpc.NewDec(rep.Bytes())
-	r_out := decRecord(dec)
-	dec.Done()
+	r_out, _ := h.Reply(&rpc.Call{Rep: h.p.Call(c, server, enc)})
 	return r_out
 }
 
@@ -469,10 +543,25 @@ func (h TagProc) CallIdempotent(c threads.Ctx, server int, r Record, per sim.Dur
 	enc := rpc.NewEnc(16 + len(r.Label) + len(r.Payload))
 	encRecord(enc, r)
 	rep, err := h.p.CallIdempotent(c, server, enc, per, attempts)
-	if err != nil {
+	return h.Reply(&rpc.Call{Rep: rep, Err: err})
+}
+
+// CallThen is CallIdempotent asked in kernel context for c.P, whose
+// thread holds c.S's CPU (see rpc.Proc.CallThen): the outcome is left
+// in out, for Reply, before k decides what c.P does.
+func (h TagProc) CallThen(c threads.Ctx, out *rpc.Call, server int, r Record, per sim.Duration, attempts int, k sim.Continuation) (sim.Next, sim.Duration) {
+	enc := rpc.NewEnc(16 + len(r.Label) + len(r.Payload))
+	encRecord(enc, r)
+	return h.p.CallThen(c, out, server, enc, per, attempts, k)
+}
+
+// Reply decodes the outcome of a call of Tag. On error the results
+// are zero values.
+func (h TagProc) Reply(out *rpc.Call) (r_out Record, err error) {
+	if err = out.Err; err != nil {
 		return
 	}
-	dec := rpc.NewDec(rep.Bytes())
+	dec := rpc.NewDec(out.Rep.Bytes())
 	r_out = decRecord(dec)
 	dec.Done()
 	return

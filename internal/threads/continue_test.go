@@ -155,3 +155,95 @@ func TestSleepThenMatchesSleep(t *testing.T) {
 		t.Errorf("%d handoffs from kernel context, %d from the stack: want fewer", kHandoffs, sHandoffs)
 	}
 }
+
+// worker is a thread's code as its head: charges (positive steps) and
+// sleeps (negative ones) in turn, then the exit.
+type worker struct {
+	s     *Scheduler
+	steps []sim.Duration
+	i     int
+}
+
+func (w *worker) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	if w.i == len(w.steps) {
+		return w.s.Exit(p)
+	}
+	d := w.steps[w.i]
+	w.i++
+	if d < 0 {
+		return w.s.SleepThen(p, -d, w)
+	}
+	return sim.NextCharge, d
+}
+
+// creator is a thread's code that creates the threads of its creations in
+// kernel context, then runs.
+type creator struct {
+	s  *Scheduler
+	cs []Creation
+}
+
+func (k *creator) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
+	if len(k.cs) == 0 {
+		return sim.NextRun, 0
+	}
+	cr := &k.cs[0]
+	k.cs = k.cs[1:]
+	cr.Then = k
+	return k.s.CreateThen(p, cr)
+}
+
+// TestHeadMatchesBody: threads whose whole code is a head — charge, sleep,
+// exit in kernel context — leave the trace, Events, Charged and scheduler
+// Stats of the same steps in bodies on their stacks, and their processes
+// are never switched to. w1 exits while main, woken from its sleep
+// meanwhile, is ready: the exit pays main's restore half in kernel context
+// and hands it the CPU; w2 sleeps twice, resumes for free, and exits with
+// nothing to run.
+func TestHeadMatchesBody(t *testing.T) {
+	w1 := []sim.Duration{sim.Micros(20)}
+	w2 := []sim.Duration{-sim.Micros(3), sim.Micros(4), -sim.Micros(40), sim.Micros(1)}
+	program := func(kernel bool) (trace string, handoffs uint64, st Stats) {
+		var buf bytes.Buffer
+		eng, s := rig(t)
+		eng.SetSink(sim.NewWriterTracer(&buf))
+		body := func(steps []sim.Duration) func(Ctx) {
+			return func(c Ctx) {
+				for _, d := range steps {
+					if d < 0 {
+						s.Sleep(c, -d)
+					} else {
+						c.P.Charge(d)
+					}
+				}
+			}
+		}
+		create := func(c Ctx, name string, steps []sim.Duration) {
+			if kernel {
+				s.Then(c, &creator{s: s, cs: []Creation{{Name: Name{Base: name}, Head: &worker{s: s, steps: steps}}}})
+			} else {
+				s.Create(c, name, false, body(steps))
+			}
+		}
+		s.Bootstrap("main", func(c Ctx) {
+			create(c, "w1", w1)
+			s.Sleep(c, sim.Micros(5))
+			create(c, "w2", w2)
+			s.Sleep(c, sim.Micros(100))
+			c.P.Charge(sim.Micros(1))
+		})
+		run(t, eng)
+		return fmt.Sprintf("%s events %d charged %v", buf.String(), eng.Events(), eng.Charged()), eng.Handoffs(), s.Stats()
+	}
+	kTrace, kHandoffs, kStats := program(true)
+	sTrace, sHandoffs, sStats := program(false)
+	if kTrace != sTrace || kStats != sStats {
+		t.Errorf("the kernel's and the stack's runs differ:\n%s\n%+v\n---\n%s\n%+v", kTrace, kStats, sTrace, sStats)
+	}
+	if kStats.SwitchHalves != 2 || kStats.FreeResumes != 2 {
+		t.Errorf("stats %+v: want two restore halves (w1's exit, the idle process's) and w2's two free resumes", kStats)
+	}
+	if kHandoffs+2 > sHandoffs {
+		t.Errorf("%d handoffs from kernel context, %d from the stack: want at least the two starts fewer", kHandoffs, sHandoffs)
+	}
+}

@@ -19,16 +19,16 @@ type awaitOp struct {
 	s *threads.Scheduler
 }
 
-func (o *awaitOp) Continue(p *sim.Proc) (sim.Next, sim.Duration) { return o.f.Await(p, o.s) }
+func (o *awaitOp) Continue(p *sim.Proc) (sim.Next, sim.Duration) { return o.f.Await(p, o.s, nil) }
 
 // waitProgram runs a 3-node program whose node 0 calls node 1 four times,
 // blocking on a flag its reply handler sets, while a second thread there
 // yields and node 2 sends node 0 messages whose handlers need a stack, so
 // the scheduler acting for the blocked caller hands its process work. With
-// kernel set each wait is asked by the kernel inside a chain (ChargeThen,
-// Await when the charge elapses) and finished by Wait; otherwise the
-// process charges on its stack and calls Wait, which drives Await through
-// sim.Proc.Then.
+// kernel set each wait is asked by the kernel inside a chain (Await when
+// the charge elapses) that am.Endpoint.Drive drives; otherwise the process
+// charges on its stack and calls Wait, which drives Await through
+// Scheduler.Then.
 func waitProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary string) {
 	var buf bytes.Buffer
 	eng := sim.New(5)
@@ -61,11 +61,11 @@ func waitProgram(t *testing.T, nicCap int, kernel bool) (trace []byte, summary s
 				ep.Send(c, 1, call, [4]uint64{uint64(i)}, nil)
 				f, d := &flags[i], sim.Micros(0.4*float64(i))
 				if kernel {
-					c.P.ChargeThen(d, &awaitOp{f, c.S})
+					ep.Drive(c, d, &awaitOp{f, c.S})
 				} else {
 					c.P.Charge(d)
+					f.Wait(c)
 				}
-				f.Wait(c)
 			}
 		case 1:
 			ep.PollUntil(c, func() bool { return calls == rounds })

@@ -24,11 +24,14 @@ type Poller interface {
 // handler needs no stack and returns the chain that goes on from there,
 // ending by asking done once the handler is over; then, on the process's
 // stack, Finish runs the handler or what Begin left of it. None of it but
-// Finish needs a process (see Continue). Package am's is one.
+// Finish needs a process (see Continue). Carry is the stack of a chain
+// asked in kernel context that said Run: a thread's head (Creation) ends up
+// there. Package am's is one.
 type stepPoller interface {
 	Eject() (pkt *cm5.Packet, begin bool)
 	Begin(c Ctx, pkt *cm5.Packet, done sim.Continuation) (sim.Next, sim.Duration)
 	Finish(c Ctx, pkt *cm5.Packet)
+	Carry(c Ctx)
 }
 
 // Stats counts scheduler activity; the paper reports the live-stack
@@ -74,7 +77,8 @@ type Scheduler struct {
 	idle  *sim.Proc // scheduler-of-last-resort process
 	lent  []lendEntry
 	// What the actor is in the middle of, between two answers of Continue:
-	// restoring is the thread whose restore half is being charged; ejected
+	// restoring is the thread whose restore half is being charged (by an
+	// exiting thread too, see Exit); ejected
 	// the packet being paid for or handled, owed whether its dispatch
 	// charge is still to be armed, begin whether Begin is still to start it.
 	restoring  *Thread
@@ -281,7 +285,11 @@ func (s *Scheduler) serve(p *sim.Proc) {
 func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	switch pkt := s.ejected; {
 	case s.cur != nil && s.cur.proc == p:
-		return s.resume(p) // restored: p's thread has the CPU back
+		// Restored: p's thread has the CPU back.
+		if s.cur.then == nil {
+			return sim.NextRun, 0
+		}
+		return s.resume(p)
 	case s.restoring != nil:
 		t := s.restoring
 		s.restoring = nil
@@ -308,6 +316,9 @@ func (s *Scheduler) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 			s.stats.FreeResumes++
 			next.state = stateRunning
 			s.cur = next
+			if next.then == nil {
+				return sim.NextRun, 0
+			}
 			return s.resume(p)
 		}
 		if s.owesRestore(next) {
@@ -339,15 +350,12 @@ func (h *handled) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	return s.Continue(p)
 }
 
-// resume is the verdict on p, whose thread has the CPU back: it runs, or,
-// blocked from kernel context (SleepThen), goes on with the continuation
-// it left, still without a switch.
+// resume is the verdict on p, whose thread has the CPU back after it
+// blocked from kernel context (SleepThen, Flag.Await): it goes on with the
+// continuation it left, still without a switch.
 func (s *Scheduler) resume(p *sim.Proc) (sim.Next, sim.Duration) {
 	t := s.cur
 	k := t.then
-	if k == nil {
-		return sim.NextRun, 0
-	}
 	t.then = nil
 	p.Pass(k)
 	return k.Continue(p)
@@ -400,7 +408,12 @@ func (s *Scheduler) giveCPU(t *Thread, fromRunnable bool) {
 		}
 		t.state = stateRunning
 		s.cur = t
-		t.proc = s.sh.SpawnRunner((*threadProc)(t))
+		if t.body == nil {
+			t.proc = s.sh.SpawnThen((*threadProc)(t), t.then) // the head
+			t.then = nil
+		} else {
+			t.proc = s.sh.SpawnRunner((*threadProc)(t))
+		}
 		s.note(RecBound, nil, t.proc, 0)
 		k := RecStartedLive
 		if fromRunnable {
@@ -434,13 +447,39 @@ func (s *Scheduler) newThread(name Name, body func(Ctx), p *sim.Proc, st threadS
 	return t
 }
 
-// exit is the epilogue of thread t, whose body has returned on p: wake the
-// joiners, give the CPU away — to the next ready thread if any (started on
-// the live stack when new), else to the idle process, which becomes the
-// acting scheduler — and only then retire the descriptor, closing every
-// handle to it; the name stays until reuse, for the exit records still to
-// be written. p must return (die) immediately afterwards.
+// Exit is the epilogue of the thread on s's CPU in p, asked in kernel
+// context: wake the joiners, give the CPU away — to the next ready thread if
+// any (started on the live stack when new), after the restore half when it
+// owes one, else to the idle process, which becomes the acting scheduler —
+// and only then retire the descriptor, closing every handle to it; the name
+// stays until reuse, for the exit records still to be written. Then p is
+// over (sim.NextExit): a thread's head (Creation) ends here without its
+// stack. A body's exit is exit, the same steps on its stack.
+func (s *Scheduler) Exit(p *sim.Proc) (sim.Next, sim.Duration) {
+	t := s.cur
+	if t == nil || t.proc != p {
+		panic("threads: Exit from a process whose thread is not on the CPU")
+	}
+	if s.leave(p, t) {
+		p.Pass((*leaving)(t))
+		return sim.NextCharge, s.cost.ContextSwitch / 2
+	}
+	return (*leaving)(t).Continue(p)
+}
+
+// exit is Exit on the stack of t's process p, which must return (die)
+// immediately afterwards.
 func (s *Scheduler) exit(p *sim.Proc, t *Thread) {
+	if s.leave(p, t) {
+		p.Charge(s.cost.ContextSwitch / 2)
+	}
+	(*leaving)(t).Continue(p)
+}
+
+// leave is the head of Exit: t is dead, its joiners ready, and the next
+// ready thread, if any, is the one to restore; it reports whether that
+// costs the restore half.
+func (s *Scheduler) leave(p *sim.Proc, t *Thread) bool {
 	t.state = stateDead
 	s.note(RecExited, t, p, 0)
 	for _, j := range t.joiners {
@@ -449,13 +488,30 @@ func (s *Scheduler) exit(p *sim.Proc, t *Thread) {
 	s.cur = nil
 	if next := s.ready.popFront(); next != nil {
 		s.noteReady()
-		s.startOrResume(p, next, false)
-	} else if s.idle.Parked() {
+		s.restoring = next
+		return s.owesRestore(next)
+	}
+	if s.idle.Parked() {
 		s.idle.Unpark()
+	}
+	return false
+}
+
+// leaving is a Thread seen as the sim.Continuation that ends Exit, the
+// restore half paid.
+type leaving Thread
+
+func (l *leaving) Continue(*sim.Proc) (sim.Next, sim.Duration) {
+	t := (*Thread)(l)
+	s := t.sched
+	if next := s.restoring; next != nil {
+		s.restoring = nil
+		s.giveCPU(next, false)
 	}
 	t.gen++
 	t.body = nil // a caller's closure must not live as long as the free list
 	t.blockedNext, s.free = s.free, t
+	return sim.NextExit, 0
 }
 
 // makeReady puts t on the ready queue (front or back) and wakes the
@@ -509,10 +565,16 @@ func (s *Scheduler) CreateNamed(c Ctx, name Name, front bool, body func(Ctx)) Ha
 
 // Creation is a thread for CreateThen to make, and what its creator does
 // then. It stays the caller's; CreateThen reads it when its charge has
-// elapsed.
+// elapsed. Head, in place of Body, is the thread's code as a
+// sim.Continuation: the kernel asks it at the thread's first dispatch and
+// at each resume, and it ends by asking Exit, so the thread's process is
+// never switched to unless it says Run — when what it drove left work to
+// the stack (the poller's Carry), which then carries on until the thread
+// has exited.
 type Creation struct {
 	Name Name
 	Body func(Ctx)
+	Head sim.Continuation
 	Then sim.Continuation
 }
 
@@ -535,7 +597,11 @@ func (c *creating) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	s := (*Scheduler)(c)
 	cr := s.creating
 	s.creating = nil
-	s.makeReady(s.newThread(cr.Name, cr.Body, nil, stateNew), false)
+	t := s.newThread(cr.Name, cr.Body, nil, stateNew)
+	if t.body == nil {
+		t.then = cr.Head // until the thread starts
+	}
+	s.makeReady(t, false)
 	p.Pass(cr.Then)
 	return cr.Then.Continue(p)
 }

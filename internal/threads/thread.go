@@ -84,7 +84,8 @@ type Thread struct {
 	red     float64
 	joiners []*Thread
 	// then is what the thread goes on with when it has the CPU back, if it
-	// blocked from kernel context (SleepThen).
+	// blocked from kernel context (SleepThen, Flag.Await); before a thread
+	// with no body starts, its head (Creation).
 	then sim.Continuation
 	// blockedPrev/blockedNext link the scheduler's ring of suspended
 	// threads (deadlock diagnostics), in block order; blockedNext also
@@ -113,11 +114,24 @@ type threadProc Thread
 
 func (r *threadProc) Name() string { return (*Thread)(r).Name() }
 
-// Run is the thread's process body.
+// Run is the thread's process body, or, for a thread with a head, the
+// stack the head said Run for: the poller carries on what the head left
+// there, and the head, asked again in kernel context meanwhile, ends by
+// exiting.
 func (r *threadProc) Run(p *sim.Proc) {
 	t := (*Thread)(r)
-	t.body(Ctx{P: p, T: t, S: t.sched})
-	t.sched.exit(p, t)
+	s := t.sched
+	c := Ctx{P: p, T: t, S: s}
+	if t.body != nil {
+		t.body(c)
+		s.exit(p, t)
+		return
+	}
+	gen := t.gen
+	s.stepper.Carry(c)
+	if t.gen == gen {
+		panic(fmt.Sprintf("threads: the head of %q said Run with nothing left to its stack", t.Name()))
+	}
 }
 
 // Join blocks the calling thread until h's body has returned.
@@ -173,11 +187,29 @@ func (s *Scheduler) SleepThen(p *sim.Proc, d sim.Duration, k sim.Continuation) (
 		panic("threads: SleepThen from a process whose thread is not on the CPU")
 	}
 	s.sh.AfterAction(d, (*sleepWake)(t))
+	return s.blockThen(p, t, k)
+}
+
+// blockThen blocks t, the thread of p, from kernel context: the scheduler
+// acts in p's place until t has the CPU back, and then k goes on (nil: p
+// runs).
+func (s *Scheduler) blockThen(p *sim.Proc, t *Thread, k sim.Continuation) (sim.Next, sim.Duration) {
 	t.then = k
 	s.block(Ctx{P: p, T: t, S: s})
 	s.actor, s.self = p, t
 	p.Pass(s)
 	return s.Continue(p)
+}
+
+// Serve runs on c's stack what the scheduler acting in c's place — c.T
+// blocked from kernel context — left there, until c.T has the CPU back or
+// has exited, and reports whether it acted.
+func (s *Scheduler) Serve(c Ctx) bool {
+	if c.T == nil || s.actor != c.P || s.self != c.T {
+		return false
+	}
+	s.serve(c.P)
+	return true
 }
 
 // Then runs k for c's thread as c.P.Then does, k being asked in kernel
@@ -216,23 +248,13 @@ type Flag struct {
 }
 
 // Wait blocks the calling thread until the flag is set: Await, driven
-// from c's stack. If the flag is already set it returns immediately. A
-// wait Await began in a chain goes on where it is, set or not: c.P was
-// switched to because the scheduler acting in its place needed the stack,
-// and it acts until c.T has the CPU back.
+// from c's stack. If the flag is already set it returns immediately.
 func (f *Flag) Wait(c Ctx) {
 	if c.T == nil {
 		panic("threads: Flag.Wait from handler context")
 	}
-	s := c.S
-	if s.actor != c.P || s.self != c.T {
-		s.waitFor = f
-		c.P.Then((*flagWait)(s))
-	}
-	if s.actor == c.P {
-		s.serve(c.P)
-		s.resumed(c.T)
-	}
+	c.S.waitFor = f
+	c.S.Then(c, (*flagWait)(c.S))
 }
 
 // flagWait is a Scheduler seen as the sim.Continuation that takes the flag
@@ -243,30 +265,31 @@ func (w *flagWait) Continue(p *sim.Proc) (sim.Next, sim.Duration) {
 	s := (*Scheduler)(w)
 	f := s.waitFor
 	s.waitFor = nil
-	return f.Await(p, s)
+	return f.Await(p, s, nil)
 }
 
 // Await is the one wait for the flag, asked in kernel context for p, whose
-// thread holds s's CPU: the flag set, it says Run; otherwise the thread
-// blocks here, as blockCurrent would, and the scheduler acts in p's place
-// (Scheduler.Continue). When p next runs, its Wait returns once the
-// thread has the CPU back.
-func (f *Flag) Await(p *sim.Proc, s *Scheduler) (sim.Next, sim.Duration) {
+// thread holds s's CPU, with k for what the thread does once it is set
+// (nil: p runs): at once if it is; otherwise the thread blocks here, as
+// blockCurrent would, the scheduler acts in p's place (Scheduler.Continue),
+// and k goes on when the thread has the CPU back.
+func (f *Flag) Await(p *sim.Proc, s *Scheduler, k sim.Continuation) (sim.Next, sim.Duration) {
 	if f.set {
-		return sim.NextRun, 0
+		if k == nil {
+			return sim.NextRun, 0
+		}
+		p.Pass(k)
+		return k.Continue(p)
 	}
-	c := Ctx{P: p, S: s}
-	if t := s.cur; t != nil && t.proc == p {
-		c.T = t
+	t := s.cur
+	if t == nil || t.proc != p {
+		panic("threads: Flag.Await from a process whose thread is not on the CPU")
 	}
 	if f.waiter != nil {
 		panic("threads: Flag has two waiters")
 	}
-	f.waiter = c.T
-	s.block(c)
-	s.actor, s.self = p, c.T
-	p.Pass(s)
-	return s.Continue(p)
+	f.waiter = t
+	return s.blockThen(p, t, k)
 }
 
 // Set sets the flag and wakes the waiter, if any, scheduling it at the
